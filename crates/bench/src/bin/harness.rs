@@ -9,7 +9,7 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p ecrpq-bench --bin harness [-- MODE] [OPTIONS]
+//! cargo run --release -p ecrpq-bench --bin harness [-- MODE]
 //!
 //! MODE:
 //!   full      the full sweeps (default)
@@ -38,36 +38,18 @@
 //!             maintenance vs merge + rebind + cold re-run per mutation
 //!             cycle, answers checked bit-for-bit), at full size — the
 //!             largest point is a million-edge graph
-//!
-//! OPTIONS:
-//!   --baseline <path>   additionally write all experiments as one combined
-//!                       baseline JSON document to <path>
-//!   --compare <path>    diff the fresh medians against a previously written
-//!                       baseline document and exit nonzero if any point
-//!                       regressed past the threshold
-//!   --threshold <x>     regression threshold for --compare (default 1.3)
 //! ```
 
 use ecrpq_bench::{json, print_table, workloads, Measurement};
 
+/// One experiment family's runner.
+type Family = fn(Mode, &mut Report);
+
 /// Parsed command line.
 struct Args {
     mode: Mode,
-    /// `prepared` mode: run only the prepared-pipeline experiment.
-    only_prepared: bool,
-    /// `serve` mode: run only the query-service experiment.
-    only_serve: bool,
-    /// `parallel` mode: run only the parallel-scaling experiment.
-    only_parallel: bool,
-    /// `plan` mode: run only the query-planner experiment.
-    only_plan: bool,
-    /// `storage` mode: run only the persistence experiment.
-    only_storage: bool,
-    /// `mutation` mode: run only the live-graph experiment.
-    only_mutation: bool,
-    baseline_out: Option<String>,
-    compare: Option<String>,
-    threshold: f64,
+    /// A single-family mode: its name and the family's runner.
+    only: Option<(&'static str, Family)>,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -87,88 +69,48 @@ impl Mode {
     }
 }
 
+/// The single-family modes (each runs at full size).
+const FAMILIES: [(&str, Family); 6] = [
+    ("prepared", run_prepared),
+    ("serve", run_serve),
+    ("parallel", run_parallel_family),
+    ("plan", run_plan_family),
+    ("storage", run_storage_family),
+    ("mutation", run_mutation_family),
+];
+
 fn parse_args() -> Args {
-    let mut args = Args {
-        mode: Mode::Full,
-        only_prepared: false,
-        only_serve: false,
-        only_parallel: false,
-        only_plan: false,
-        only_storage: false,
-        only_mutation: false,
-        baseline_out: None,
-        compare: None,
-        threshold: 1.3,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
+    let mut args = Args { mode: Mode::Full, only: None };
+    for a in std::env::args().skip(1) {
         match a.as_str() {
             "full" => args.mode = Mode::Full,
             "quick" => args.mode = Mode::Quick,
             "smoke" => args.mode = Mode::Smoke,
-            "prepared" => {
-                args.mode = Mode::Full;
-                args.only_prepared = true;
-            }
-            "serve" => {
-                args.mode = Mode::Full;
-                args.only_serve = true;
-            }
             // A seconds-scale serve gate for scripts/check.sh: only the
             // serve family, at smoke sizes — the load sweep's internal
             // asserts (zero reply loss, rejection accounting) are the check.
             "serve-smoke" => {
                 args.mode = Mode::Smoke;
-                args.only_serve = true;
+                args.only = Some(("serve-smoke", run_serve));
             }
-            "parallel" => {
-                args.mode = Mode::Full;
-                args.only_parallel = true;
-            }
-            "plan" => {
-                args.mode = Mode::Full;
-                args.only_plan = true;
-            }
-            "storage" => {
-                args.mode = Mode::Full;
-                args.only_storage = true;
-            }
-            "mutation" => {
-                args.mode = Mode::Full;
-                args.only_mutation = true;
-            }
-            "--baseline" => args.baseline_out = Some(flag_value(&mut it, "--baseline")),
-            "--compare" => args.compare = Some(flag_value(&mut it, "--compare")),
-            "--threshold" => {
-                args.threshold = flag_value(&mut it, "--threshold")
-                    .parse()
-                    .unwrap_or_else(|_| die("--threshold expects a number"));
-            }
-            other => die(&format!("unknown argument `{other}` (see the doc comment)")),
+            other => match FAMILIES.iter().find(|(name, _)| *name == other) {
+                Some(&family) => {
+                    args.mode = Mode::Full;
+                    args.only = Some(family);
+                }
+                None => {
+                    eprintln!("harness: unknown argument `{other}` (see the doc comment)");
+                    std::process::exit(2);
+                }
+            },
         }
     }
     args
 }
 
-fn die(msg: &str) -> ! {
-    eprintln!("harness: {msg}");
-    std::process::exit(2);
-}
-
-/// The value of a flag that requires one; dies if it is missing or looks
-/// like another flag (so `--baseline --compare x.json` cannot silently
-/// swallow `--compare` as a path and skip the regression gate).
-fn flag_value(it: &mut impl Iterator<Item = String>, flag: &str) -> String {
-    match it.next() {
-        Some(v) if !v.starts_with("--") => v,
-        _ => die(&format!("{flag} expects a value")),
-    }
-}
-
-/// Collected output of the experiment families run so far.
+/// Where the experiment families report: the mode name stamped into every
+/// `BENCH_<id>.json`.
 struct Report {
-    docs: Vec<String>,
-    current: Vec<json::ParsedExperiment>,
     mode: &'static str,
 }
 
@@ -182,74 +124,29 @@ impl Report {
     /// Records an experiment whose table the caller already printed.
     fn report_quiet(&mut self, id: &str, measurements: &[Measurement]) {
         let path = format!("BENCH_{id}.json");
-        let doc = json::experiment(id, self.mode, measurements);
-        match std::fs::write(&path, &doc) {
+        match std::fs::write(&path, json::experiment(id, self.mode, measurements)) {
             Ok(()) => println!("   wrote {path}"),
             Err(e) => eprintln!("   failed to write {path}: {e}"),
         }
-        self.current.push(json::ParsedExperiment {
-            id: id.to_string(),
-            points: measurements.iter().map(|m| (m.series.clone(), m.param, m.seconds)).collect(),
-        });
-        self.docs.push(doc);
     }
 }
 
 fn main() {
     let args = parse_args();
-    let mode = args.mode;
-    let mode_name = if args.only_prepared {
-        "prepared"
-    } else if args.only_serve {
-        match mode {
-            Mode::Smoke => "serve-smoke",
-            _ => "serve",
-        }
-    } else if args.only_parallel {
-        "parallel"
-    } else if args.only_plan {
-        "plan"
-    } else if args.only_storage {
-        "storage"
-    } else if args.only_mutation {
-        "mutation"
-    } else {
-        mode.name()
-    };
+    let mode_name = args.only.map_or(args.mode.name(), |(name, _)| name);
     println!("ECRPQ reproduction harness — regenerating the Figure 1 experiments");
     println!("(mode: {mode_name})");
-    let mut rep = Report { docs: Vec::new(), current: Vec::new(), mode: mode_name };
-    if args.only_prepared {
-        run_prepared(mode, &mut rep);
-        finish(&args, rep);
-        return;
+    let mut rep = Report { mode: mode_name };
+    match args.only {
+        Some((_, family)) => family(args.mode, &mut rep),
+        None => run_all(args.mode, &mut rep),
     }
-    if args.only_serve {
-        run_serve(mode, &mut rep);
-        finish(&args, rep);
-        return;
-    }
-    if args.only_parallel {
-        run_parallel_family(mode, &mut rep);
-        finish(&args, rep);
-        return;
-    }
-    if args.only_plan {
-        run_plan_family(mode, &mut rep);
-        finish(&args, rep);
-        return;
-    }
-    if args.only_storage {
-        run_storage_family(mode, &mut rep);
-        finish(&args, rep);
-        return;
-    }
-    if args.only_mutation {
-        run_mutation_family(mode, &mut rep);
-        finish(&args, rep);
-        return;
-    }
+    println!("\nDone. Absolute timings are machine-specific; EXPERIMENTS.md records the");
+    println!("qualitative comparison against the paper's complexity claims.");
+}
 
+/// Every experiment family, in `EXPERIMENTS.md` order.
+fn run_all(mode: Mode, rep: &mut Report) {
     // F1a-D1 / F1a-D2: data complexity.
     let sizes: &[usize] = match mode {
         Mode::Full => &[100, 200, 400, 800, 1600],
@@ -386,24 +283,22 @@ fn main() {
     );
 
     // PAR-1: intra-query parallel scaling.
-    run_parallel_family(mode, &mut rep);
+    run_parallel_family(mode, rep);
 
     // PLAN-1: the cost-based query planner.
-    run_plan_family(mode, &mut rep);
+    run_plan_family(mode, rep);
 
     // STOR-1: persistent binary snapshots (cold load vs warm reopen).
-    run_storage_family(mode, &mut rep);
+    run_storage_family(mode, rep);
 
     // MUT-1: live graphs (incremental delta maintenance vs cold re-run).
-    run_mutation_family(mode, &mut rep);
+    run_mutation_family(mode, rep);
 
     // PREP: the prepared-query pipeline (compile vs run, reuse family).
-    run_prepared(mode, &mut rep);
+    run_prepared(mode, rep);
 
     // SERVE: the query service over loopback TCP.
-    run_serve(mode, &mut rep);
-
-    finish(&args, rep);
+    run_serve(mode, rep);
 }
 
 /// Runs the query-service experiment: an in-process server on loopback TCP,
@@ -556,118 +451,4 @@ fn run_prepared(mode: Mode, rep: &mut Report) {
         &m,
     );
     rep.report_quiet("prepared", &m);
-}
-
-/// Writes the baseline document and runs the regression gate.
-fn finish(args: &Args, rep: Report) {
-    if let Some(path) = &args.baseline_out {
-        let doc = json::baseline_document(rep.mode, &rep.docs);
-        if let Some(parent) = std::path::Path::new(path).parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        match std::fs::write(path, &doc) {
-            Ok(()) => println!("\nwrote combined baseline {path}"),
-            Err(e) => die(&format!("failed to write baseline {path}: {e}")),
-        }
-    }
-
-    let mut regressed = false;
-    if let Some(path) = &args.compare {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die(&format!("cannot read baseline {path}: {e}")));
-        let baseline = json::parse_baseline(&text)
-            .unwrap_or_else(|e| die(&format!("cannot parse baseline {path}: {e}")));
-        regressed = compare(&rep.current, &baseline, args.threshold);
-    }
-
-    println!("\nDone. Absolute timings are machine-specific; EXPERIMENTS.md records the");
-    println!("qualitative comparison against the paper's complexity claims.");
-    if regressed {
-        eprintln!("harness: regression gate FAILED");
-        std::process::exit(1);
-    }
-}
-
-/// Sub-millisecond points are scheduler noise at this sampling resolution;
-/// a point gates only when both its baseline and current medians exceed the
-/// floor (a sub-millisecond baseline can triple on a loaded machine without
-/// meaning anything).
-const NOISE_FLOOR_SECONDS: f64 = 1e-3;
-
-/// Threshold multiplier for the `serve` family. Its points are TCP request
-/// latencies under multi-threaded contention (p50/p95 across 1/4/8 client
-/// threads plus server workers), which are scheduler-dominated and shift
-/// with core count and background load far more than the single-threaded
-/// evaluation families. The family still gates — a real serving-layer
-/// regression dwarfs this band — but at a width that doesn't trip on a
-/// loaded CI box.
-const SERVE_THRESHOLD_FACTOR: f64 = 3.0;
-
-/// Diffs the fresh measurements against a baseline, printing one line per
-/// shared `(experiment, series, param)` point and a per-family median ratio.
-/// Returns `true` if any point above the noise floor regressed past
-/// `threshold`.
-fn compare(
-    current: &[json::ParsedExperiment],
-    baseline: &[json::ParsedExperiment],
-    threshold: f64,
-) -> bool {
-    let mut regressed = false;
-    println!("\n== comparison against baseline (regression threshold {threshold:.2}x) ==");
-    println!(
-        "{:<16} {:<26} {:>8} {:>13} {:>13} {:>9}",
-        "experiment", "series", "param", "baseline s", "current s", "ratio"
-    );
-    for cur in current {
-        let Some(base) = baseline.iter().find(|b| b.id == cur.id) else {
-            println!("{:<16} (no baseline data; skipped)", cur.id);
-            continue;
-        };
-        let mut ratios: Vec<f64> = Vec::new();
-        let (mut total_base, mut total_cur) = (0.0, 0.0);
-        let family_threshold =
-            if cur.id == "serve" { threshold * SERVE_THRESHOLD_FACTOR } else { threshold };
-        for (series, param, secs) in &cur.points {
-            let Some((_, _, bsecs)) =
-                base.points.iter().find(|(s, p, _)| s == series && *p == *param)
-            else {
-                continue;
-            };
-            if !bsecs.is_finite() || *bsecs <= 0.0 {
-                continue;
-            }
-            let ratio = secs / bsecs;
-            ratios.push(ratio);
-            total_base += bsecs;
-            total_cur += secs;
-            let flag = if ratio > family_threshold
-                && *secs > NOISE_FLOOR_SECONDS
-                && *bsecs > NOISE_FLOOR_SECONDS
-            {
-                regressed = true;
-                "  REGRESSION"
-            } else {
-                ""
-            };
-            println!(
-                "{:<16} {:<26} {:>8} {:>13.6} {:>13.6} {:>8.2}x{}",
-                cur.id, series, param, bsecs, secs, ratio, flag
-            );
-        }
-        if !ratios.is_empty() {
-            let med = ecrpq_bench::microbench::median(&ratios);
-            println!(
-                "   {}: median ratio {:.3}x (median speedup {:.2}x over {} shared points); \
-                 total {:.4}s -> {:.4}s (time-weighted speedup {:.2}x)",
-                cur.id,
-                med,
-                1.0 / med,
-                ratios.len(),
-                total_base,
-                total_cur,
-                if total_cur > 0.0 { total_base / total_cur } else { f64::NAN },
-            );
-        }
-    }
-    regressed
 }

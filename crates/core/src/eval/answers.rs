@@ -144,7 +144,8 @@ impl BoundPlan<'_> {
             (0..pq.path_vars.len()).map(|p| plan::reachability(self, p, &mut stats)).collect();
 
         let mut err: Option<QueryError> = None;
-        plan::enumerate_candidates(self, &constants, &reach, None, config, &mut stats, |sigma| {
+        let n = self.graph.num_nodes();
+        plan::enumerate_candidates(pq, n, &constants, &reach, None, config, &mut stats, |sigma| {
             if let Err(e) = add_candidate_automaton(&mut nfa, self, sigma, arity, config) {
                 err = Some(e);
                 return false;

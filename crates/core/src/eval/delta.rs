@@ -8,6 +8,12 @@
 //! only those rows are recomputed before the (cheap, exact-relaxation)
 //! candidate join re-enumerates the answers.
 //!
+//! There is no second evaluator here. The rows come from the cold
+//! pipeline's own product-BFS kernel (`plan::reach`) walking the overlay's
+//! adjacency instead of a bound CSR, and the answers from the cold
+//! pipeline's own candidate join (`plan::enumerate_candidates`) over those
+//! rows; this module only decides *which* sources to recompute.
+//!
 //! Maintenance is restricted to the statements where the relaxation is
 //! *exact* (plain CRPQs: no wide relations, no relational repetition, no
 //! counters) running in nodes mode with table-compiled (dense) unary
@@ -20,9 +26,10 @@
 //! statement on the merged graph. `tests/live_graph.rs` enforces it.
 
 use crate::error::QueryError;
-use crate::eval::plan::{self, cost};
-use crate::eval::prepared::{BindArtifacts, BoundStatement, PreparedQuery};
-use crate::eval::{EvalConfig, EvalStats};
+use crate::eval::plan::reach::{reach_rows, Overlay};
+use crate::eval::plan::{self, ReachRel};
+use crate::eval::prepared::BoundStatement;
+use crate::eval::{EvalConfig, EvalOptions, EvalStats};
 use ecrpq_graph::delta::{DeltaBatch, GraphView};
 use ecrpq_graph::NodeId;
 use std::collections::{HashMap, HashSet};
@@ -62,15 +69,16 @@ impl MaintainedStatement {
         if pq.unary.iter().any(|u| u.as_ref().is_some_and(|u| !u.dense)) {
             return Ok(None);
         }
-        let mut stats = EvalStats::default();
         let n = view.num_nodes();
-        let all: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
-        let reach: Vec<Vec<Vec<NodeId>>> = (0..pq.path_vars.len())
-            .map(|p| reach_rows(&view, pq, stmt.artifacts(), p, &all, &mut stats))
-            .collect();
-        let mut this =
-            MaintainedStatement { stmt, num_nodes: n, reach, answers: Vec::new(), stats };
-        this.reenumerate(config)?;
+        let reach = vec![vec![Vec::new(); n]; pq.path_vars.len()];
+        let mut this = MaintainedStatement {
+            stmt,
+            num_nodes: n,
+            reach,
+            answers: Vec::new(),
+            stats: EvalStats::default(),
+        };
+        this.refresh(view, &(0..n as u32).collect::<Vec<_>>(), config)?;
         Ok(Some(this))
     }
 
@@ -106,9 +114,6 @@ impl MaintainedStatement {
         batch: &DeltaBatch,
         config: &EvalConfig,
     ) -> Result<(), QueryError> {
-        let pq = Arc::clone(self.stmt.prepared());
-        let mut stats = EvalStats::default();
-
         // Grow rows for batch-introduced nodes.
         let n = batch.num_nodes.max(self.num_nodes);
         for rows in &mut self.reach {
@@ -147,301 +152,72 @@ impl MaintainedStatement {
             }
         }
         self.num_nodes = n;
-        let sources: Vec<NodeId> =
-            (0..n as u32).map(NodeId).filter(|v| affected[v.index()]).collect();
-
-        for p in 0..pq.path_vars.len() {
-            let rows = reach_rows(&view, &pq, self.stmt.artifacts(), p, &sources, &mut stats);
-            for (row, &src) in rows.into_iter().zip(sources.iter()) {
-                self.reach[p][src.index()] = row;
-            }
-        }
-        self.stats = stats;
-        self.reenumerate(config)
+        let sources: Vec<u32> = (0..n as u32).filter(|&v| affected[v as usize]).collect();
+        self.refresh(view, &sources, config)
     }
 
-    /// Re-enumerates the answer set from the maintained reachability rows,
-    /// mirroring the cold nodes-mode pipeline: same candidate counting, same
-    /// head dedup, `verified` = distinct heads. Answers come out sorted (the
-    /// canonical order the serve path renders).
-    fn reenumerate(&mut self, config: &EvalConfig) -> Result<(), QueryError> {
+    /// Recomputes the rows of `sources` with the cold pipeline's kernel over
+    /// the overlay's adjacency, then re-enumerates the answer set with the
+    /// cold pipeline's join — same candidate counting, same head dedup,
+    /// `verified` = distinct heads. Answers come out sorted (the canonical
+    /// order the serve path renders).
+    fn refresh(
+        &mut self,
+        view: GraphView<'_>,
+        sources: &[u32],
+        config: &EvalConfig,
+    ) -> Result<(), QueryError> {
         let pq = self.stmt.prepared();
         let art = self.stmt.artifacts();
-        let edges = plan::join_edges(pq);
-        let order = cost::static_order(pq, &art.constants, &edges);
-        let constants: HashMap<usize, NodeId> = art.constants.iter().copied().collect();
+        let mut stats = EvalStats::default();
+        let overlay = Overlay::new(view, pq, art);
+        let options = EvalOptions::default();
+        for (p, table) in self.reach.iter_mut().enumerate() {
+            let rows = reach_rows(pq, p, false, &overlay, sources, options, &mut stats);
+            for (row, &src) in rows.into_iter().zip(sources) {
+                table[src as usize] = row;
+            }
+        }
 
-        // Backward rows by transposition (the enumeration probes both
-        // directions).
-        let bwd: Vec<Vec<Vec<NodeId>>> = self
-            .reach
-            .iter()
-            .map(|rows| {
-                let mut b: Vec<Vec<NodeId>> = vec![Vec::new(); self.num_nodes];
-                for (u, row) in rows.iter().enumerate() {
-                    for &v in row {
-                        b[v.index()].push(NodeId(u as u32));
-                    }
-                }
-                for r in &mut b {
-                    r.sort_unstable();
-                }
-                b
-            })
-            .collect();
-
-        let all_nodes: Vec<NodeId> = (0..self.num_nodes as u32).map(NodeId).collect();
-        let mut assignment: Vec<Option<NodeId>> = vec![None; pq.node_vars.len()];
+        // The join probes both directions: lend the maintained rows to
+        // `ReachRel`s (backward rows by transposition) for its duration and
+        // take them back afterwards, so they are never held twice.
+        let rels: Vec<ReachRel> =
+            std::mem::take(&mut self.reach).into_iter().map(ReachRel::from_fwd).collect();
         let mut seen_heads: HashSet<Vec<NodeId>> = HashSet::new();
         let mut answers: Vec<Vec<NodeId>> = Vec::new();
-        self.stats.candidates = 0;
-
-        enumerate(
-            0,
-            &order,
-            &edges,
-            &self.reach,
-            &bwd,
-            &constants,
-            &all_nodes,
-            &mut assignment,
-            &mut self.stats.candidates,
+        let visit = |sigma: &[NodeId]| {
+            let head: Vec<NodeId> = pq.head_node_idx.iter().map(|&i| sigma[i]).collect();
+            if seen_heads.insert(head.clone()) {
+                answers.push(head);
+            }
+            true
+        };
+        let joined = plan::enumerate_candidates(
+            pq,
+            self.num_nodes,
+            &art.constants,
+            &rels,
+            None,
             config,
-            &mut |sigma| {
-                let head: Vec<NodeId> = pq.head_node_idx.iter().map(|&i| sigma[i]).collect();
-                if seen_heads.insert(head.clone()) {
-                    answers.push(head);
-                }
-            },
-        )?;
+            &mut stats,
+            visit,
+        );
+        self.reach = rels.into_iter().map(|r| r.fwd).collect();
+        joined?;
 
         answers.sort();
-        self.stats.verified = answers.len() as u64;
-        self.stats.search_states = 0;
+        stats.verified = answers.len() as u64;
+        self.stats = stats;
         self.answers = answers;
         Ok(())
     }
 }
 
-/// Sorted-successor reachability rows of path variable `p` over the overlay,
-/// one row per node in `sources` (in `sources` order). Mirrors the dense arm
-/// of `plan::reachability_planned`, with the overlay's adjacency in place of
-/// the bound CSR: labels the base alphabet knows translate through the bind
-/// artifacts' symbol map; labels the delta introduced are dead for any
-/// compiled constraint (they cannot appear in the query automaton) and
-/// unconstrained for a `None` unary plan — exactly what a cold bind on the
-/// merged graph produces.
-fn reach_rows(
-    view: &GraphView<'_>,
-    pq: &PreparedQuery,
-    art: &BindArtifacts,
-    p: usize,
-    sources: &[NodeId],
-    stats: &mut EvalStats,
-) -> Vec<Vec<NodeId>> {
-    let n = view.num_nodes();
-    match &pq.unary[p] {
-        None => {
-            // Unconstrained path variable: plain any-label BFS; the empty
-            // path connects every node to itself.
-            let mut seen = vec![false; n];
-            sources
-                .iter()
-                .map(|&u| {
-                    let mut hits = vec![u];
-                    let mut stack = vec![u];
-                    seen[u.index()] = true;
-                    while let Some(v) = stack.pop() {
-                        view.for_each_out(v, |_, to| {
-                            if !seen[to.index()] {
-                                seen[to.index()] = true;
-                                hits.push(to);
-                                stack.push(to);
-                            }
-                        });
-                    }
-                    for h in &hits {
-                        seen[h.index()] = false;
-                    }
-                    hits.sort_unstable();
-                    hits
-                })
-                .collect()
-        }
-        Some(_) => {
-            let sim = pq.unary_sim(p, stats);
-            let s = sim.num_states().max(1);
-            // Overlay symbol → dense sim symbol id.
-            let base_labels = art.graph_symbol_map.len();
-            let label_map: Vec<Option<u32>> = (0..view.alphabet().len())
-                .map(|i| if i < base_labels { sim.sym_id(&art.graph_symbol_map[i]) } else { None })
-                .collect();
-            let init = sim.initial_set();
-            let words = (n * s).div_ceil(64).max(1);
-            let mut visited = vec![0u64; words];
-            let mut touched: Vec<usize> = Vec::new();
-            let mut result = vec![false; n];
-            let mut stack: Vec<(u32, u32)> = Vec::new();
-            sources
-                .iter()
-                .map(|&u| {
-                    let mut hits: Vec<NodeId> = Vec::new();
-                    for q in init.iter() {
-                        let bit = u.index() * s + q as usize;
-                        visited[bit / 64] |= 1 << (bit % 64);
-                        touched.push(bit / 64);
-                        stack.push((u.0, q));
-                        if sim.is_accepting(q) && !result[u.index()] {
-                            result[u.index()] = true;
-                            hits.push(u);
-                        }
-                    }
-                    while let Some((v, q)) = stack.pop() {
-                        view.for_each_out(NodeId(v), |label, to| {
-                            let Some(sid) = label_map[label.index()] else {
-                                return;
-                            };
-                            let row = sim.row(q, sid);
-                            for (bi, &block) in row.iter().enumerate() {
-                                let mut b = block;
-                                while b != 0 {
-                                    let nq = bi as u32 * 64 + b.trailing_zeros();
-                                    b &= b - 1;
-                                    let bit = to.index() * s + nq as usize;
-                                    if visited[bit / 64] >> (bit % 64) & 1 == 0 {
-                                        visited[bit / 64] |= 1 << (bit % 64);
-                                        touched.push(bit / 64);
-                                        if sim.is_accepting(nq) && !result[to.index()] {
-                                            result[to.index()] = true;
-                                            hits.push(to);
-                                        }
-                                        stack.push((to.0, nq));
-                                    }
-                                }
-                            }
-                        });
-                    }
-                    for &w in touched.iter() {
-                        visited[w] = 0;
-                    }
-                    touched.clear();
-                    for h in &hits {
-                        result[h.index()] = false;
-                    }
-                    hits.sort_unstable();
-                    hits
-                })
-                .collect()
-        }
-    }
-}
-
-/// The candidate join over maintained rows: the same backtracking recursion
-/// as `plan::enumerate_candidates`, with the candidate universe passed in
-/// explicitly (the bound graph's node set would miss delta-introduced
-/// nodes) and separate fwd/bwd row tables. Counts candidates identically
-/// (one per fully consistent assignment) and enforces the same budget.
-#[allow(clippy::too_many_arguments)]
-fn enumerate(
-    depth: usize,
-    order: &[usize],
-    edges: &[plan::JoinEdge],
-    fwd: &[Vec<Vec<NodeId>>],
-    bwd: &[Vec<Vec<NodeId>>],
-    constants: &HashMap<usize, NodeId>,
-    all_nodes: &[NodeId],
-    assignment: &mut Vec<Option<NodeId>>,
-    candidates: &mut u64,
-    config: &EvalConfig,
-    visit: &mut impl FnMut(&[NodeId]),
-) -> Result<(), QueryError> {
-    if depth == order.len() {
-        *candidates += 1;
-        if *candidates > config.max_candidates as u64 {
-            return Err(QueryError::BudgetExceeded {
-                what: format!("more than {} candidate assignments", config.max_candidates),
-            });
-        }
-        let sigma: Vec<NodeId> = assignment.iter().map(|a| a.unwrap()).collect();
-        visit(&sigma);
-        return Ok(());
-    }
-    let var = order[depth];
-    let mut candidate_values: Option<Vec<NodeId>> = constants.get(&var).map(|&n| vec![n]);
-    for e in edges {
-        if e.from == var {
-            if let Some(t) = assignment[e.to] {
-                let preds = &bwd[e.path][t.index()];
-                candidate_values = Some(match candidate_values {
-                    None => preds.clone(),
-                    Some(c) => intersect_sorted(&c, preds),
-                });
-            }
-        }
-        if e.to == var {
-            if let Some(f) = assignment[e.from] {
-                let succs = &fwd[e.path][f.index()];
-                candidate_values = Some(match candidate_values {
-                    None => succs.clone(),
-                    Some(c) => intersect_sorted(&c, succs),
-                });
-            }
-        }
-    }
-    let values = candidate_values.unwrap_or_else(|| all_nodes.to_vec());
-    for v in values {
-        if let Some(&c) = constants.get(&var) {
-            if c != v {
-                continue;
-            }
-        }
-        assignment[var] = Some(v);
-        let ok = edges.iter().all(|e| match (assignment[e.from], assignment[e.to]) {
-            (Some(f), Some(t)) if e.from == var || e.to == var => {
-                fwd[e.path][f.index()].binary_search(&t).is_ok()
-            }
-            _ => true,
-        });
-        if ok {
-            enumerate(
-                depth + 1,
-                order,
-                edges,
-                fwd,
-                bwd,
-                constants,
-                all_nodes,
-                assignment,
-                candidates,
-                config,
-                visit,
-            )?;
-        }
-        assignment[var] = None;
-    }
-    Ok(())
-}
-
-fn intersect_sorted(a: &[NodeId], b: &[NodeId]) -> Vec<NodeId> {
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::prepared::PreparedQuery;
     use crate::parse::parse_query;
     use ecrpq_graph::delta::LiveGraph;
     use ecrpq_graph::GraphDb;
@@ -537,5 +313,109 @@ mod tests {
             live.base(),
         );
         assert!(MaintainedStatement::try_new(stmt, live.view(), &config).unwrap().is_none());
+    }
+
+    /// Kernel parity across the two adjacencies, row by row (answer-level
+    /// differentials can mask a wrong row the join never probes): for
+    /// seeded random graphs, CRPQ atoms, and mutation scripts — including
+    /// new nodes, a label only the query alphabet knows (`c`), and a label
+    /// nobody has seen (`z`) — the overlay-backed kernel's rows equal the
+    /// CSR-backed kernel's rows on the force-merged graph, forward and
+    /// reverse, pinned and unpinned, for all three constraint kinds.
+    #[test]
+    fn overlay_kernel_rows_match_csr_kernel_rows_on_the_merged_graph() {
+        use crate::eval::plan::cost::{AtomPlan, Direction};
+        use ecrpq_automata::Alphabet;
+        use ecrpq_graph::prng::SplitMix64;
+
+        const LANGS: [Option<&str>; 6] =
+            [None, Some("a*"), Some("a b* c"), Some("(a | c)+"), Some("b c* | a"), Some(".* c")];
+        let alphabet = Alphabet::from_labels(["a", "b", "c"]);
+        let all_rows = |adj: &Overlay<'_>, pq: &PreparedQuery, sources: &[u32]| {
+            let (options, mut stats) = (EvalOptions::default(), EvalStats::default());
+            reach_rows(pq, 0, false, adj, sources, options, &mut stats)
+        };
+        for seed in 0..48u64 {
+            let mut rng = SplitMix64::seed_from_u64(seed);
+            let nodes = 3 + rng.gen_index(5);
+            // A random edge over `v0..v{nodes}` plus `extra` never-seen nodes.
+            let edge = |rng: &mut SplitMix64, labels: &[&str], extra: usize| {
+                let mut node = || match rng.gen_index(nodes + extra) {
+                    i if i < nodes => format!("v{i}"),
+                    i => format!("w{i}"),
+                };
+                let (from, to) = (node(), node());
+                triple(&from, labels[rng.gen_index(labels.len())], &to)
+            };
+            let base_edges: Vec<_> =
+                (0..2 * nodes).map(|_| edge(&mut rng, &["a", "b"], 0)).collect();
+            let text: String =
+                base_edges.iter().map(|(f, l, t)| format!("{f} {l} {t}\n")).collect();
+            let base = Arc::new(GraphDb::from_edge_list(&text).unwrap());
+            let mut live = LiveGraph::new(Arc::clone(&base), 1_000_000);
+            for _ in 0..1 + rng.gen_index(3) {
+                let adds: Vec<_> = (0..1 + rng.gen_index(4))
+                    .map(|_| edge(&mut rng, &["a", "b", "c", "z"], 2))
+                    .collect();
+                let removes: Vec<_> = (0..rng.gen_index(3))
+                    .map(|_| base_edges[rng.gen_index(base_edges.len())].clone())
+                    .collect();
+                live.apply(&adds, &removes);
+            }
+            let pin = NodeId(rng.gen_index(nodes) as u32);
+
+            // Phase 1: the overlay-backed kernel, before the merge.
+            let view = live.view();
+            let n = view.num_nodes();
+            let sources: Vec<u32> = (0..n as u32).collect();
+            let mut cases = Vec::new();
+            for lang in LANGS {
+                let text = match lang {
+                    None => "Ans(x, y) <- (x, p, y)".to_string(),
+                    Some(l) => format!("Ans(x, y) <- (x, p, y), L(p) = {l}"),
+                };
+                // Constraint kinds: none, compiled tables, and — the same
+                // language with table compilation vetoed — the sparse NFA.
+                for sparse in [false, true] {
+                    if sparse && lang.is_none() {
+                        continue;
+                    }
+                    let mut pq =
+                        PreparedQuery::prepare(&parse_query(&text, &alphabet).unwrap()).unwrap();
+                    if sparse {
+                        pq.unary[0].as_mut().unwrap().dense = false;
+                    }
+                    let pq = Arc::new(pq);
+                    let stmt = BoundStatement::bind(Arc::clone(&pq), Arc::clone(&base)).unwrap();
+                    let overlay = Overlay::new(view, &pq, stmt.artifacts());
+                    let rows = all_rows(&overlay, &pq, &sources);
+                    assert_eq!(all_rows(&overlay, &pq, &[pin.0]), [rows[pin.index()].clone()]);
+                    cases.push((text.clone(), sparse, pq, rows));
+                }
+            }
+
+            // Phase 2: the CSR-backed kernel on the merged graph.
+            let merged = live.force_merge();
+            assert_eq!(merged.num_nodes(), n);
+            for (text, sparse, pq, rows) in cases {
+                let ctx = format!("seed {seed}, `{text}`, sparse {sparse}");
+                let bound = pq.bind(&merged).unwrap();
+                let rel = ReachRel::from_fwd(rows);
+                for dir in [Direction::Forward, Direction::Reverse] {
+                    let mut stats = EvalStats::default();
+                    let atom = AtomPlan { dir, ..AtomPlan::forward_full() };
+                    let full = plan::reachability_planned(&bound, 0, &atom, &mut stats);
+                    assert_eq!(full.fwd, rel.fwd, "{ctx}, {dir} unpinned fwd");
+                    assert_eq!(full.bwd, rel.bwd, "{ctx}, {dir} unpinned bwd");
+                    let atom = AtomPlan { pin: Some(pin), ..atom };
+                    let pinned = plan::reachability_planned(&bound, 0, &atom, &mut stats);
+                    let (got, want) = match dir {
+                        Direction::Forward => (&pinned.fwd, &rel.fwd),
+                        Direction::Reverse => (&pinned.bwd, &rel.bwd),
+                    };
+                    assert_eq!(got[pin.index()], want[pin.index()], "{ctx}, {dir} pinned");
+                }
+            }
+        }
     }
 }

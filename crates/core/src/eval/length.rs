@@ -105,7 +105,8 @@ pub fn eval_qlen(
     let mut error: Option<QueryError> = None;
 
     plan::enumerate_candidates(
-        &bound,
+        pq,
+        graph.num_nodes(),
         bound.constants(),
         &reach,
         None,

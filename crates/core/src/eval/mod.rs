@@ -43,7 +43,7 @@ use ecrpq_graph::{GraphDb, NodeId, Path};
 
 pub use delta::MaintainedStatement;
 pub use plan::cost::{Direction, ExplainAtom, ExplainReport};
-pub use plan::EvalStats;
+pub use plan::{EvalStats, Mode};
 pub use prepared::{BoundPlan, BoundStatement, PreparedQuery};
 
 /// How a bound plan picks its join order, BFS directions, and constant

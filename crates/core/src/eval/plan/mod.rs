@@ -1,24 +1,30 @@
-//! The evaluation driver: reachability relations, candidate enumeration, and
-//! the shared relation-advancing step of the dense engines.
+//! The evaluation driver: the one reachability kernel, the one candidate
+//! join, and the shared relation-advancing step of the dense engines.
 //!
 //! Query *compilation* lives in [`super::prepared`]: a graph-independent
 //! [`PreparedQuery`](super::prepared::PreparedQuery) built once per query,
 //! and a cheap per-graph [`BoundPlan`](super::prepared::BoundPlan). This
-//! module consumes a bound plan: per-path-variable reachability relations are
-//! computed by product with the graph, candidate node assignments are
-//! enumerated by a backtracking join over those relations, and each candidate
-//! is verified by the convolution search of [`super::search`] (skipped for
-//! plain CRPQs, for which the relaxation is exact).
+//! module holds the pieces every evaluation is assembled from:
+//! per-path-variable reachability relations come from the product-BFS
+//! kernel of [`reach`] (generic over the adjacency it walks and the
+//! constraint it steps), candidate node assignments from the backtracking
+//! join [`enumerate_candidates`] over those relations, and each candidate is
+//! verified by the convolution search of [`super::search`] (skipped for
+//! plain CRPQs, for which the relaxation is exact). Cold runs
+//! ([`BoundPlan::run_mode`](super::prepared::BoundPlan::run_mode)) and
+//! incrementally maintained statements ([`super::delta`]) are the same
+//! kernel and the same join over different adjacencies.
 
 pub(crate) mod cost;
+pub(crate) mod reach;
+
+pub(crate) use reach::{reachability, reachability_planned, ReachRel};
 
 use crate::error::QueryError;
-use crate::eval::plan::cost::{AtomPlan, Direction};
-use crate::eval::prepared::{tuple_code, BoundPlan, PreparedQuery, RelSim};
+use crate::eval::prepared::{tuple_code, PreparedQuery, RelSim};
 use crate::eval::search::{SearchOutcome, SearchProblem};
-use crate::eval::{reference, search, Answer, EvalConfig};
-use crate::query::Ecrpq;
-use ecrpq_graph::{GraphDb, NodeId, Path};
+use crate::eval::{reference, search, EvalConfig};
+use ecrpq_graph::NodeId;
 use std::collections::HashMap;
 
 /// Evaluation statistics reported alongside answers.
@@ -38,9 +44,11 @@ pub struct EvalStats {
     pub sim_cache_misses: u64,
 }
 
-/// What the driver should produce.
+/// What a run should produce ([`BoundPlan::run_mode`]).
+///
+/// [`BoundPlan::run_mode`]: super::prepared::BoundPlan::run_mode
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Mode {
+pub enum Mode {
     /// Head-node tuples only.
     Nodes,
     /// Stop at the first answer.
@@ -90,344 +98,8 @@ pub(crate) fn advance_relations(
 }
 
 // ---------------------------------------------------------------------------
-// Reachability relations and candidate enumeration
+// Candidate enumeration
 // ---------------------------------------------------------------------------
-
-/// The binary reachability relation of one path variable: which node pairs
-/// are connected by a path whose (translated) label satisfies the variable's
-/// unary constraints.
-#[derive(Clone, Debug)]
-pub(crate) struct ReachRel {
-    /// Forward adjacency: successors of each node.
-    pub fwd: Vec<Vec<NodeId>>,
-    /// Backward adjacency: predecessors of each node.
-    pub bwd: Vec<Vec<NodeId>>,
-}
-
-impl ReachRel {
-    pub fn contains(&self, u: NodeId, v: NodeId) -> bool {
-        self.fwd[u.index()].binary_search(&v).is_ok()
-    }
-}
-
-/// Floor on BFS sources per worker chunk. A source costs a whole product
-/// BFS (orders of magnitude more than one search-state expansion), so the
-/// floor is far below the search engines' half-`min_parallel_level` — just
-/// enough that a chunk's work clearly covers its thread spawn.
-const MIN_SOURCES_PER_CHUNK: usize = 4;
-
-/// Runs one independent per-source computation for every node in `sources`,
-/// collecting one result row per source, in `sources` order. With
-/// `options.threads > 1` (and at least `options.min_parallel_level` sources)
-/// the sources are partitioned into contiguous chunks across scoped worker
-/// threads through the shared fan-out of [`dense::expand_level_chunks`] —
-/// the bind-time CSR and compiled constraint tables are shared read-only,
-/// each worker builds its own scratch, and every source's result is
-/// independent of every other's, so the output is identical at any thread
-/// count.
-///
-/// [`dense::expand_level_chunks`]: crate::eval::dense::expand_level_chunks
-fn for_each_source<Sc, MS, F>(
-    sources: &[u32],
-    options: crate::eval::EvalOptions,
-    make_scratch: MS,
-    solve: F,
-) -> Vec<Vec<NodeId>>
-where
-    MS: Fn() -> Sc + Sync,
-    F: Fn(&mut Sc, NodeId) -> Vec<NodeId> + Sync,
-{
-    let n = sources.len();
-    let threads = options.effective_threads().min(n.max(1));
-    if threads <= 1 || n < options.min_parallel_level.max(1) {
-        let mut scratch = make_scratch();
-        return sources.iter().map(|&u| solve(&mut scratch, NodeId(u))).collect();
-    }
-    let chunks = crate::eval::dense::expand_level_chunks(
-        sources,
-        threads,
-        MIN_SOURCES_PER_CHUNK,
-        Vec::new,
-        |ids, out: &mut Vec<Vec<NodeId>>| {
-            let mut scratch = make_scratch();
-            out.reserve(ids.len());
-            for &u in ids {
-                out.push(solve(&mut scratch, NodeId(u)));
-            }
-        },
-    );
-    // Chunks are contiguous and in source order, so concatenation restores
-    // the per-source row indexing exactly.
-    chunks.concat()
-}
-
-/// Computes the reachability relation of path variable `p` over the bound
-/// plan's graph, with the default plan: all-sources forward BFS. Callers on
-/// the planned path use [`reachability_planned`] instead.
-pub(crate) fn reachability(bound: &BoundPlan<'_>, p: usize, stats: &mut EvalStats) -> ReachRel {
-    reachability_planned(bound, p, &AtomPlan::forward_full(), stats)
-}
-
-/// Computes the reachability relation of path variable `p` over the bound
-/// plan's graph, following the planned strategy of `atom`.
-///
-/// All cases run one BFS per start node over the plan's pre-translated CSR
-/// adjacency with dense `bool`/bitset visited arrays; the start nodes
-/// partition across worker threads when the plan's [`EvalOptions`] ask for
-/// them (see [`for_each_source`]). The constrained case steps the unary
-/// constraint through its compiled simulation tables, which come from the
-/// prepared query's (and, for single-projection constraints, the
-/// relation's) cache — recorded in `stats` as a cache hit or miss, fetched
-/// once before any worker starts.
-///
-/// Under [`Direction::Reverse`] the BFS walks the reverse CSR with the
-/// reversed constraint automaton: a reverse walk from `t` reading the
-/// reversed word visits exactly the nodes `u` with a satisfying `u → t`
-/// path, so each start computes one `bwd` row and `fwd` follows by
-/// transposition — the same relation, built from the side the planner
-/// estimates to have the smaller frontier. A pinned atom (`atom.pin`)
-/// restricts the BFS to that single start node: the planner only pins a
-/// variable that is a constant in every probe of this relation, so the
-/// missing rows are never read.
-///
-/// [`EvalOptions`]: crate::eval::EvalOptions
-pub(crate) fn reachability_planned(
-    bound: &BoundPlan<'_>,
-    p: usize,
-    atom: &AtomPlan,
-    stats: &mut EvalStats,
-) -> ReachRel {
-    let graph = bound.graph;
-    let pq = bound.pq;
-    let n = graph.num_nodes();
-    let options = bound.options();
-    let rev = atom.dir == Direction::Reverse;
-    let pinned_source: [u32; 1];
-    let all_sources: Vec<u32>;
-    let sources: &[u32] = match atom.pin {
-        Some(c) => {
-            pinned_source = [c.0];
-            &pinned_source
-        }
-        None => {
-            all_sources = (0..n as u32).collect();
-            &all_sources
-        }
-    };
-    let adj = |v: usize| if rev { bound.csr_in(v) } else { bound.csr_out(v) };
-    let unary = pq.unary[p].as_ref();
-    let rows: Vec<Vec<NodeId>> = match unary {
-        None => {
-            // Label-oblivious reachability: plain BFS with reused buffers.
-            // `seen` is cleared by walking the hits, not the whole array, so
-            // a sparse reach set costs O(|reach| log |reach|), not O(n).
-            for_each_source(
-                sources,
-                options,
-                || (vec![false; n], Vec::<u32>::new()),
-                |(seen, stack), u| {
-                    let mut hits: Vec<NodeId> = vec![u];
-                    seen[u.index()] = true;
-                    stack.push(u.0);
-                    while let Some(v) = stack.pop() {
-                        let (tos, _) = adj(v as usize);
-                        for &to in tos {
-                            if !seen[to as usize] {
-                                seen[to as usize] = true;
-                                hits.push(NodeId(to));
-                                stack.push(to);
-                            }
-                        }
-                    }
-                    for h in &hits {
-                        seen[h.index()] = false;
-                    }
-                    hits.sort_unstable();
-                    hits
-                },
-            )
-        }
-        Some(u_plan) if !u_plan.dense => {
-            // The constraint NFA is too big for table compilation (e.g. the
-            // 30k-state intersection of several counting languages): run the
-            // classical per-start product BFS, but with precomputed sparse
-            // ε-closures and a dense `(node, state)` visited bitset instead
-            // of per-pair hashing. A reverse plan walks the reversed
-            // automaton (built per call — this arm is rare and the reversal
-            // is linear in the automaton, dwarfed by the n BFS passes).
-            let reversed;
-            let nfa = if rev {
-                reversed = u_plan.nfa.reverse();
-                &reversed
-            } else {
-                &*u_plan.nfa
-            };
-            let s = nfa.num_states().max(1);
-            let closures: Vec<Vec<u32>> =
-                (0..s as u32).map(|q| nfa.epsilon_closure(&[q])).collect();
-            let init = nfa.epsilon_closure(nfa.initial());
-            // `visited` is allocated once per worker and cleared per start by
-            // replaying the touched words, so a sparse BFS costs
-            // O(|visited pairs|), not O(n*s/64), per start node.
-            let words = (n * s).div_ceil(64).max(1);
-            for_each_source(
-                sources,
-                options,
-                || {
-                    (
-                        vec![0u64; words],
-                        Vec::<usize>::new(),
-                        vec![false; n],
-                        Vec::<(u32, u32)>::new(),
-                    )
-                },
-                |(visited, touched, result, stack), u| {
-                    let mut hits: Vec<NodeId> = Vec::new();
-                    for &q in &init {
-                        let bit = u.index() * s + q as usize;
-                        visited[bit / 64] |= 1 << (bit % 64);
-                        touched.push(bit / 64);
-                        stack.push((u.0, q));
-                        if nfa.is_accepting(q) && !result[u.index()] {
-                            result[u.index()] = true;
-                            hits.push(u);
-                        }
-                    }
-                    while let Some((v, q)) = stack.pop() {
-                        let (tos, labels) = adj(v as usize);
-                        for (e, &to) in tos.iter().enumerate() {
-                            let sym = labels[e];
-                            for (t, nq) in nfa.transitions_from(q) {
-                                if *t != sym {
-                                    continue;
-                                }
-                                for &cq in &closures[*nq as usize] {
-                                    let bit = to as usize * s + cq as usize;
-                                    if visited[bit / 64] >> (bit % 64) & 1 == 0 {
-                                        visited[bit / 64] |= 1 << (bit % 64);
-                                        touched.push(bit / 64);
-                                        if nfa.is_accepting(cq) && !result[to as usize] {
-                                            result[to as usize] = true;
-                                            hits.push(NodeId(to));
-                                        }
-                                        stack.push((to, cq));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    for &w in touched.iter() {
-                        visited[w] = 0;
-                    }
-                    touched.clear();
-                    for h in &hits {
-                        result[h.index()] = false;
-                    }
-                    hits.sort_unstable();
-                    hits
-                },
-            )
-        }
-        Some(_) => {
-            // Product of the graph with the compiled constraint tables
-            // (fetched from the prepared query's cache — once, before any
-            // worker starts, so the cache counters are thread-count
-            // independent). A reverse plan uses the cached tables of the
-            // reversed automaton.
-            let sim = if rev { pq.unary_rev_sim(p, stats) } else { pq.unary_sim(p, stats) };
-            let s = sim.num_states().max(1);
-            // Merged symbol → dense sim symbol id (`None`: the constraint
-            // never reads this label, so the edge is dead for this variable).
-            let label_map: Vec<Option<u32>> = (0..bound.merged_len())
-                .map(|i| sim.sym_id(&ecrpq_automata::alphabet::Symbol(i as u32)))
-                .collect();
-            // One BFS per start node over (node, NFA state) pairs, tracked
-            // in a dense bitset of n·s bits.
-            let init = sim.initial_set();
-            let words = (n * s).div_ceil(64).max(1);
-            for_each_source(
-                sources,
-                options,
-                || {
-                    (
-                        vec![0u64; words],
-                        Vec::<usize>::new(),
-                        vec![false; n],
-                        Vec::<(u32, u32)>::new(),
-                    )
-                },
-                |(visited, touched, result, stack), u| {
-                    let mut hits: Vec<NodeId> = Vec::new();
-                    for q in init.iter() {
-                        let bit = u.index() * s + q as usize;
-                        visited[bit / 64] |= 1 << (bit % 64);
-                        touched.push(bit / 64);
-                        stack.push((u.0, q));
-                        if sim.is_accepting(q) && !result[u.index()] {
-                            result[u.index()] = true;
-                            hits.push(u);
-                        }
-                    }
-                    while let Some((v, q)) = stack.pop() {
-                        let (tos, labels) = adj(v as usize);
-                        for (e, &to) in tos.iter().enumerate() {
-                            let Some(sid) = label_map[labels[e].index()] else {
-                                continue;
-                            };
-                            let row = sim.row(q, sid);
-                            for (bi, &block) in row.iter().enumerate() {
-                                let mut b = block;
-                                while b != 0 {
-                                    let nq = bi as u32 * 64 + b.trailing_zeros();
-                                    b &= b - 1;
-                                    let bit = to as usize * s + nq as usize;
-                                    if visited[bit / 64] >> (bit % 64) & 1 == 0 {
-                                        visited[bit / 64] |= 1 << (bit % 64);
-                                        touched.push(bit / 64);
-                                        if sim.is_accepting(nq) && !result[to as usize] {
-                                            result[to as usize] = true;
-                                            hits.push(NodeId(to));
-                                        }
-                                        stack.push((to, nq));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    for &w in touched.iter() {
-                        visited[w] = 0;
-                    }
-                    touched.clear();
-                    for h in &hits {
-                        result[h.index()] = false;
-                    }
-                    hits.sort_unstable();
-                    hits
-                },
-            )
-        }
-    };
-    // Scatter per-source rows into a full primary table (a pinned BFS leaves
-    // every other row empty), then derive the other side by transposition.
-    let mut primary: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-    for (row, &src) in rows.into_iter().zip(sources.iter()) {
-        primary[src as usize] = row;
-    }
-    let mut secondary: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-    for u in graph.nodes() {
-        for &v in &primary[u.index()] {
-            secondary[v.index()].push(u);
-        }
-    }
-    for b in &mut secondary {
-        b.sort_unstable();
-    }
-    if rev {
-        ReachRel { fwd: secondary, bwd: primary }
-    } else {
-        ReachRel { fwd: primary, bwd: secondary }
-    }
-}
 
 /// Constraint edge used during candidate enumeration: path variable `path`
 /// requires `(σ(from), σ(to)) ∈ reach[path]`.
@@ -452,24 +124,27 @@ pub(crate) fn join_edges(pq: &PreparedQuery) -> Vec<JoinEdge> {
 
 /// Enumerates candidate node assignments consistent with the reachability
 /// relations, invoking `visit` on each; `visit` returns `false` to stop.
+/// This is the one candidate join: cold runs, membership checks, the
+/// answer-automaton and length-abstraction paths, and the maintained
+/// statements of [`super::delta`] (whose relations cover an overlay's
+/// `num_nodes`, delta-introduced nodes included) all enumerate through it.
+///
 /// `constants` are the node variables with forced values (the plan's
 /// resolved constants, or the values forced by a membership check).
 /// `order` is the variable enumeration order from the planner; `None` falls
-/// back to the static order (used by the answer-automaton and
-/// length-abstraction paths, which do not plan). Returns an error if the
-/// candidate budget is exceeded.
+/// back to the static order (for the callers that do not plan). Returns an
+/// error if the candidate budget is exceeded.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn enumerate_candidates<F: FnMut(&[NodeId]) -> bool>(
-    bound: &BoundPlan<'_>,
+    pq: &PreparedQuery,
+    num_nodes: usize,
     constants: &[(usize, NodeId)],
     reach: &[ReachRel],
     order: Option<&[usize]>,
     config: &EvalConfig,
     stats: &mut EvalStats,
-    mut visit: F,
+    visit: F,
 ) -> Result<(), QueryError> {
-    let pq = bound.pq;
-    let graph = bound.graph;
-    let num_vars = pq.node_vars.len();
     let edges = join_edges(pq);
     let static_fallback;
     let order: &[usize] = match order {
@@ -479,118 +154,91 @@ pub(crate) fn enumerate_candidates<F: FnMut(&[NodeId]) -> bool>(
             &static_fallback
         }
     };
+    let mut join = Join {
+        order,
+        edges: &edges,
+        reach,
+        constants: constants.iter().copied().collect(),
+        all_nodes: (0..num_nodes as u32).map(NodeId).collect(),
+        assignment: vec![None; pq.node_vars.len()],
+        stats,
+        max_candidates: config.max_candidates,
+        visit,
+        stop: false,
+    };
+    join.recurse(0)
+}
 
-    let constants: HashMap<usize, NodeId> = constants.iter().copied().collect();
-    let all_nodes: Vec<NodeId> = graph.nodes().collect();
-    let mut assignment: Vec<Option<NodeId>> = vec![None; num_vars];
-    let mut stop = false;
+/// The state of one backtracking join over the variable order.
+struct Join<'a, F> {
+    order: &'a [usize],
+    edges: &'a [JoinEdge],
+    reach: &'a [ReachRel],
+    constants: HashMap<usize, NodeId>,
+    all_nodes: Vec<NodeId>,
+    assignment: Vec<Option<NodeId>>,
+    stats: &'a mut EvalStats,
+    max_candidates: usize,
+    visit: F,
+    stop: bool,
+}
 
-    // Recursive backtracking over the variable order. The parameters are the
-    // loop-invariant pieces of the search state, threaded explicitly so the
-    // recursion stays a free function.
-    #[allow(clippy::too_many_arguments)]
-    fn recurse<F: FnMut(&[NodeId]) -> bool>(
-        depth: usize,
-        order: &[usize],
-        edges: &[JoinEdge],
-        reach: &[ReachRel],
-        constants: &HashMap<usize, NodeId>,
-        all_nodes: &[NodeId],
-        assignment: &mut Vec<Option<NodeId>>,
-        stats: &mut EvalStats,
-        config: &EvalConfig,
-        visit: &mut F,
-        stop: &mut bool,
-    ) -> Result<(), QueryError> {
-        if *stop {
+impl<F: FnMut(&[NodeId]) -> bool> Join<'_, F> {
+    fn recurse(&mut self, depth: usize) -> Result<(), QueryError> {
+        if self.stop {
             return Ok(());
         }
-        if depth == order.len() {
-            stats.candidates += 1;
-            if stats.candidates > config.max_candidates as u64 {
+        if depth == self.order.len() {
+            self.stats.candidates += 1;
+            if self.stats.candidates > self.max_candidates as u64 {
                 return Err(QueryError::BudgetExceeded {
-                    what: format!("more than {} candidate assignments", config.max_candidates),
+                    what: format!("more than {} candidate assignments", self.max_candidates),
                 });
             }
-            let sigma: Vec<NodeId> = assignment.iter().map(|a| a.unwrap()).collect();
-            if !visit(&sigma) {
-                *stop = true;
-            }
+            let sigma: Vec<NodeId> = self.assignment.iter().map(|a| a.unwrap()).collect();
+            self.stop = !(self.visit)(&sigma);
             return Ok(());
         }
-        let var = order[depth];
-        // Candidate values: intersect constraints from edges with the other endpoint assigned.
-        let mut candidates: Option<Vec<NodeId>> = constants.get(&var).map(|&n| vec![n]);
+        let var = self.order[depth];
+        let (edges, reach) = (self.edges, self.reach);
+        // Candidate values: a constant's forced value, intersected with the
+        // rows of every edge whose other endpoint is already assigned.
+        let constant = self.constants.get(&var).copied();
+        let mut candidates: Option<Vec<NodeId>> = constant.map(|n| vec![n]);
+        let mut narrow = |row: &Vec<NodeId>| {
+            candidates = Some(match candidates.take() {
+                None => row.clone(),
+                Some(c) => intersect_sorted(&c, row),
+            });
+        };
         for e in edges {
-            if e.from == var {
-                if let Some(t) = assignment[e.to] {
-                    let preds = &reach[e.path].bwd[t.index()];
-                    candidates = Some(match candidates {
-                        None => preds.clone(),
-                        Some(c) => intersect_sorted(&c, preds),
-                    });
-                }
+            if let (true, Some(t)) = (e.from == var, self.assignment[e.to]) {
+                narrow(&reach[e.path].bwd[t.index()]);
             }
-            if e.to == var {
-                if let Some(f) = assignment[e.from] {
-                    let succs = &reach[e.path].fwd[f.index()];
-                    candidates = Some(match candidates {
-                        None => succs.clone(),
-                        Some(c) => intersect_sorted(&c, succs),
-                    });
-                }
+            if let (true, Some(f)) = (e.to == var, self.assignment[e.from]) {
+                narrow(&reach[e.path].fwd[f.index()]);
             }
         }
-        let values = candidates.unwrap_or_else(|| all_nodes.to_vec());
-        for v in values {
-            // check constant consistency
-            if let Some(&c) = constants.get(&var) {
-                if c != v {
-                    continue;
-                }
+        for v in candidates.unwrap_or_else(|| self.all_nodes.clone()) {
+            if constant.is_some_and(|c| c != v) {
+                continue;
             }
-            assignment[var] = Some(v);
+            self.assignment[var] = Some(v);
             // check fully-instantiated edges involving var
-            let ok = edges.iter().all(|e| match (assignment[e.from], assignment[e.to]) {
+            let ok = edges.iter().all(|e| match (self.assignment[e.from], self.assignment[e.to]) {
                 (Some(f), Some(t)) if e.from == var || e.to == var => reach[e.path].contains(f, t),
                 _ => true,
             });
             if ok {
-                recurse(
-                    depth + 1,
-                    order,
-                    edges,
-                    reach,
-                    constants,
-                    all_nodes,
-                    assignment,
-                    stats,
-                    config,
-                    visit,
-                    stop,
-                )?;
+                self.recurse(depth + 1)?;
             }
-            assignment[var] = None;
-            if *stop {
+            self.assignment[var] = None;
+            if self.stop {
                 break;
             }
         }
         Ok(())
     }
-
-    recurse(
-        0,
-        order,
-        &edges,
-        reach,
-        &constants,
-        &all_nodes,
-        &mut assignment,
-        stats,
-        config,
-        &mut visit,
-        &mut stop,
-    )
 }
 
 fn intersect_sorted(a: &[NodeId], b: &[NodeId]) -> Vec<NodeId> {
@@ -633,32 +281,4 @@ impl Engine {
             Engine::Dense | Engine::Reference => reference::run(problem),
         }
     }
-}
-
-/// Evaluates a query in the requested mode with an explicit engine. Both
-/// engines consume the same [`PreparedQuery`].
-pub(crate) fn evaluate_engine(
-    query: &Ecrpq,
-    graph: &GraphDb,
-    config: &EvalConfig,
-    mode: Mode,
-    engine: Engine,
-) -> Result<(Vec<Answer>, EvalStats), QueryError> {
-    let prepared = PreparedQuery::prepare(query)?;
-    let bound = prepared.bind(graph)?;
-    bound.run_mode(config, mode, engine)
-}
-
-/// The membership check with an explicit verification engine.
-pub(crate) fn check_membership_engine(
-    query: &Ecrpq,
-    graph: &GraphDb,
-    nodes: &[NodeId],
-    paths: &[Path],
-    config: &EvalConfig,
-    engine: Engine,
-) -> Result<bool, QueryError> {
-    let prepared = PreparedQuery::prepare(query)?;
-    let bound = prepared.bind(graph)?;
-    bound.check_engine(nodes, paths, config, engine)
 }

@@ -15,13 +15,15 @@
 //!    depends on one concrete graph (named-node constants, the symbol
 //!    translation into the merged alphabet, a CSR adjacency with
 //!    pre-translated labels, label-count coefficients for graph-only labels)
-//!    into a [`BoundPlan`], whose `run*` methods execute the query.
+//!    into a [`BoundPlan`], whose [`run_mode`](BoundPlan::run_mode) (and the
+//!    `run*` conveniences over it) executes the query.
 //!
 //! `prepare(&query)?` once, then `.bind(&graph)?.run(&config)` as many times
 //! as there are graphs: nothing automaton-shaped is recompiled on reuse, and
 //! the cache-hit counters of [`EvalStats`] prove it.
 
 use crate::error::QueryError;
+use crate::eval::plan::reach::CsrTable;
 use crate::eval::plan::{self, Engine, EvalStats, Mode, ReachRel};
 use crate::eval::search::SearchProblem;
 use crate::eval::{Answer, EvalConfig, EvalOptions};
@@ -542,54 +544,18 @@ impl PreparedQuery {
         }
 
         // CSR adjacency with labels pre-translated into the merged alphabet,
-        // shared by every reachability computation on this plan.
-        let n = graph.num_nodes();
-        let mut csr_off = vec![0u32; n + 1];
-        for v in graph.nodes() {
-            csr_off[v.index() + 1] = csr_off[v.index()] + graph.out_edges(v).len() as u32;
-        }
-        let total = csr_off[n] as usize;
-        let mut csr_to = vec![0u32; total];
-        let mut csr_label = vec![Symbol(0); total];
-        let mut cursor = csr_off.clone();
-        for v in graph.nodes() {
-            for &(l, to) in graph.out_edges(v) {
-                let c = cursor[v.index()] as usize;
-                csr_to[c] = to.0;
-                csr_label[c] = graph_symbol_map[l.index()];
-                cursor[v.index()] += 1;
-            }
-        }
-
-        // The reverse view of the same adjacency, for planner-chosen reverse
-        // BFS. Built from the graph's cached in-degrees in one pass.
-        let mut rev_off = vec![0u32; n + 1];
-        for (v, &d) in graph.in_degrees().iter().enumerate() {
-            rev_off[v + 1] = rev_off[v] + d;
-        }
-        let mut rev_to = vec![0u32; total];
-        let mut rev_label = vec![Symbol(0); total];
-        let mut rev_cursor = rev_off.clone();
-        for v in graph.nodes() {
-            for &(l, to) in graph.out_edges(v) {
-                let c = rev_cursor[to.index()] as usize;
-                rev_to[c] = v.0;
-                rev_label[c] = graph_symbol_map[l.index()];
-                rev_cursor[to.index()] += 1;
-            }
-        }
+        // shared by every reachability computation on this plan — and its
+        // reverse view, for planner-chosen reverse BFS.
+        let fwd = CsrTable::build(graph, &graph_symbol_map, false);
+        let rev = CsrTable::build(graph, &graph_symbol_map, true);
 
         Ok(BindArtifacts {
             merged_len: merged_alphabet.len(),
             graph_symbol_map,
             constants,
             counters,
-            csr_off,
-            csr_to,
-            csr_label,
-            rev_off,
-            rev_to,
-            rev_label,
+            fwd,
+            rev,
         })
     }
 
@@ -753,18 +719,10 @@ pub(crate) struct BindArtifacts {
     pub(crate) constants: Vec<(usize, NodeId)>,
     /// Linear-constraint rows with bind-time labels resolved.
     pub(crate) counters: Vec<CounterRow>,
-    /// CSR adjacency offsets (per node).
-    pub(crate) csr_off: Vec<u32>,
-    /// CSR adjacency targets.
-    pub(crate) csr_to: Vec<u32>,
-    /// CSR edge labels, pre-translated into the merged alphabet.
-    pub(crate) csr_label: Vec<Symbol>,
-    /// Reverse CSR offsets (per node), for planner-chosen reverse BFS.
-    pub(crate) rev_off: Vec<u32>,
-    /// Reverse CSR sources (the edge's origin node).
-    pub(crate) rev_to: Vec<u32>,
-    /// Reverse CSR edge labels, pre-translated into the merged alphabet.
-    pub(crate) rev_label: Vec<Symbol>,
+    /// Forward CSR adjacency (out-edges).
+    pub(crate) fwd: CsrTable,
+    /// Reverse CSR adjacency (in-edges), for planner-chosen reverse BFS.
+    pub(crate) rev: CsrTable,
 }
 
 /// A prepared query bound to one concrete graph: symbol translation, resolved
@@ -827,18 +785,15 @@ impl<'a> BoundPlan<'a> {
         self.art.graph_symbol_map[graph_label.index()]
     }
 
-    /// The CSR out-edge range of `node` as `(targets, merged labels)`.
-    #[inline]
-    pub(crate) fn csr_out(&self, node: usize) -> (&[u32], &[Symbol]) {
-        let (lo, hi) = (self.art.csr_off[node] as usize, self.art.csr_off[node + 1] as usize);
-        (&self.art.csr_to[lo..hi], &self.art.csr_label[lo..hi])
-    }
-
-    /// The reverse-CSR in-edge range of `node` as `(sources, merged labels)`.
-    #[inline]
-    pub(crate) fn csr_in(&self, node: usize) -> (&[u32], &[Symbol]) {
-        let (lo, hi) = (self.art.rev_off[node] as usize, self.art.rev_off[node + 1] as usize);
-        (&self.art.rev_to[lo..hi], &self.art.rev_label[lo..hi])
+    /// One direction of the label-translated CSR adjacency — out-edges, or
+    /// with `rev` the in-edges — as the reachability kernel's successor
+    /// source.
+    pub(crate) fn csr(&self, rev: bool) -> &CsrTable {
+        if rev {
+            &self.art.rev
+        } else {
+            &self.art.fwd
+        }
     }
 
     /// Derives the step bound used when counters are present.
@@ -854,7 +809,7 @@ impl<'a> BoundPlan<'a> {
     /// path variables, node tuples otherwise.
     pub fn run(&self, config: &EvalConfig) -> Result<(Vec<Answer>, EvalStats), QueryError> {
         let mode = if self.pq.head_path_idx.is_empty() { Mode::Nodes } else { Mode::Paths };
-        self.run_mode(config, mode, Engine::Dense)
+        self.run_mode(mode, config, None)
     }
 
     /// Runs the query, returning the set of head-node tuples and statistics.
@@ -862,13 +817,13 @@ impl<'a> BoundPlan<'a> {
         &self,
         config: &EvalConfig,
     ) -> Result<(Vec<Vec<NodeId>>, EvalStats), QueryError> {
-        let (answers, stats) = self.run_mode(config, Mode::Nodes, Engine::Dense)?;
+        let (answers, stats) = self.run_mode(Mode::Nodes, config, None)?;
         Ok((answers.into_iter().map(|a| a.nodes).collect(), stats))
     }
 
     /// Runs the query as a Boolean query (stops at the first answer).
     pub fn run_boolean(&self, config: &EvalConfig) -> Result<(bool, EvalStats), QueryError> {
-        let (answers, stats) = self.run_mode(config, Mode::Boolean, Engine::Dense)?;
+        let (answers, stats) = self.run_mode(Mode::Boolean, config, None)?;
         Ok((!answers.is_empty(), stats))
     }
 
@@ -878,7 +833,7 @@ impl<'a> BoundPlan<'a> {
         &self,
         config: &EvalConfig,
     ) -> Result<(Vec<Answer>, EvalStats), QueryError> {
-        self.run_mode(config, Mode::Paths, Engine::Dense)
+        self.run_mode(Mode::Paths, config, None)
     }
 
     /// The `ECRPQ-EVAL` membership check: does `(nodes, paths)` belong to
@@ -892,67 +847,32 @@ impl<'a> BoundPlan<'a> {
         self.check_engine(nodes, paths, config, Engine::Dense)
     }
 
-    /// Runs like [`run`](Self::run) while recording per-phase wall-clock
-    /// spans (`plan`, per-atom `reach:<var>` BFS, sim-table `compile`,
-    /// product `search`) into `trace` — the engine half of the server's
-    /// EXPLAIN ANALYZE-style `trace` op. Measured per-atom timings and pair
-    /// counts sit next to the planner's estimates as span attributes.
-    pub fn run_traced(
+    /// The one run entry point: evaluates the plan in `mode` ([`Mode::Nodes`]
+    /// answers carry head-node tuples only, [`Mode::Boolean`] stops at the
+    /// first answer, [`Mode::Paths`] materializes up to
+    /// `config.answer_limit` witness-carrying answers). With a `trace`, the
+    /// run records per-phase wall-clock spans into it — `plan`, per-atom
+    /// `reach:<var>` BFS, sim-table `compile`, product `search` — with
+    /// measured pair counts next to the planner's estimates as span
+    /// attributes: the engine half of the server's EXPLAIN ANALYZE-style
+    /// `trace` op. Without one it pays one `Option` check per phase and no
+    /// clock reads.
+    pub fn run_mode(
         &self,
-        config: &EvalConfig,
-        trace: &mut Trace,
-    ) -> Result<(Vec<Answer>, EvalStats), QueryError> {
-        let mode = if self.pq.head_path_idx.is_empty() { Mode::Nodes } else { Mode::Paths };
-        self.run_mode_traced(config, mode, Engine::Dense, Some(trace))
-    }
-
-    /// [`run_boolean`](Self::run_boolean) with span collection.
-    pub fn run_boolean_traced(
-        &self,
-        config: &EvalConfig,
-        trace: &mut Trace,
-    ) -> Result<(bool, EvalStats), QueryError> {
-        let (answers, stats) =
-            self.run_mode_traced(config, Mode::Boolean, Engine::Dense, Some(trace))?;
-        Ok((!answers.is_empty(), stats))
-    }
-
-    /// [`run_nodes`](Self::run_nodes) with span collection.
-    pub fn run_nodes_traced(
-        &self,
-        config: &EvalConfig,
-        trace: &mut Trace,
-    ) -> Result<(Vec<Vec<NodeId>>, EvalStats), QueryError> {
-        let (answers, stats) =
-            self.run_mode_traced(config, Mode::Nodes, Engine::Dense, Some(trace))?;
-        Ok((answers.into_iter().map(|a| a.nodes).collect(), stats))
-    }
-
-    /// [`run_with_paths`](Self::run_with_paths) with span collection.
-    pub fn run_with_paths_traced(
-        &self,
-        config: &EvalConfig,
-        trace: &mut Trace,
-    ) -> Result<(Vec<Answer>, EvalStats), QueryError> {
-        self.run_mode_traced(config, Mode::Paths, Engine::Dense, Some(trace))
-    }
-
-    /// Evaluates the plan in the requested mode with an explicit engine.
-    pub(crate) fn run_mode(
-        &self,
-        config: &EvalConfig,
         mode: Mode,
-        engine: Engine,
+        config: &EvalConfig,
+        trace: Option<&mut Trace>,
     ) -> Result<(Vec<Answer>, EvalStats), QueryError> {
-        self.run_mode_traced(config, mode, engine, None)
+        self.run_engine(mode, config, Engine::Dense, trace)
     }
 
-    /// [`run_mode`](Self::run_mode), optionally recording phase spans. The
-    /// untraced path pays one `Option` check per phase and no clock reads.
-    pub(crate) fn run_mode_traced(
+    /// [`run_mode`](Self::run_mode) with an explicit verification engine
+    /// (the reference engine reruns the same pipeline for the differential
+    /// suites).
+    pub(crate) fn run_engine(
         &self,
-        config: &EvalConfig,
         mode: Mode,
+        config: &EvalConfig,
         engine: Engine,
         mut trace: Option<&mut Trace>,
     ) -> Result<(Vec<Answer>, EvalStats), QueryError> {
@@ -1009,7 +929,8 @@ impl<'a> BoundPlan<'a> {
         let order = Some(qplan.order.as_slice());
         let search_span = qtrace::begin_span(&mut trace, "search");
         plan::enumerate_candidates(
-            self,
+            pq,
+            self.graph.num_nodes(),
             self.constants(),
             &reach,
             order,
@@ -1020,49 +941,43 @@ impl<'a> BoundPlan<'a> {
                 if mode == Mode::Nodes && seen_heads.contains(&head) {
                     return true;
                 }
-                if !needs_search {
-                    verified += 1;
-                    seen_heads.insert(head.clone());
-                    answers.push(Answer { nodes: head, paths: Vec::new() });
-                    return mode != Mode::Boolean;
-                }
-                // Verify the candidate with the convolution search.
-                let problem = SearchProblem {
-                    plan: self,
-                    sigma: sigma.to_vec(),
-                    pinned: vec![None; pq.path_vars.len()],
-                    want_witness: mode == Mode::Paths,
-                    step_bound,
-                    max_states: config.max_search_states,
-                };
-                match engine.run(&problem) {
-                    Ok(out) if !out.accepted => {
-                        search_states += out.states_visited;
-                        true
-                    }
-                    Ok(out) => {
-                        search_states += out.states_visited;
-                        verified += 1;
-                        seen_heads.insert(head.clone());
-                        let paths = match out.witness {
-                            Some(w) => pq.head_path_idx.iter().map(|&p| w[p].clone()).collect(),
-                            None => Vec::new(),
-                        };
-                        if mode == Mode::Paths {
-                            if seen_answers.insert((head.clone(), paths.clone())) {
-                                answers.push(Answer { nodes: head, paths });
-                            }
-                            answers.len() < config.answer_limit
-                        } else {
-                            answers.push(Answer { nodes: head, paths });
-                            mode != Mode::Boolean
+                // Verify the candidate with the convolution search (the
+                // relaxation is exact for plain CRPQs in node modes).
+                let mut paths = Vec::new();
+                if needs_search {
+                    let problem = SearchProblem {
+                        plan: self,
+                        sigma: sigma.to_vec(),
+                        pinned: vec![None; pq.path_vars.len()],
+                        want_witness: mode == Mode::Paths,
+                        step_bound,
+                        max_states: config.max_search_states,
+                    };
+                    let out = match engine.run(&problem) {
+                        Ok(out) => out,
+                        Err(e) => {
+                            error = Some(e);
+                            return false;
                         }
+                    };
+                    search_states += out.states_visited;
+                    if !out.accepted {
+                        return true;
                     }
-                    Err(e) => {
-                        error = Some(e);
-                        false
+                    if let Some(w) = out.witness {
+                        paths = pq.head_path_idx.iter().map(|&p| w[p].clone()).collect();
                     }
                 }
+                verified += 1;
+                seen_heads.insert(head.clone());
+                if mode == Mode::Paths {
+                    if seen_answers.insert((head.clone(), paths.clone())) {
+                        answers.push(Answer { nodes: head, paths });
+                    }
+                    return answers.len() < config.answer_limit;
+                }
+                answers.push(Answer { nodes: head, paths });
+                mode != Mode::Boolean
             },
         )?;
 
@@ -1158,7 +1073,8 @@ impl<'a> BoundPlan<'a> {
         let mut found = false;
         let mut error: Option<QueryError> = None;
         let order = Some(qplan.order.as_slice());
-        plan::enumerate_candidates(self, &forced, &reach, order, config, &mut stats, |sigma| {
+        let n = self.graph.num_nodes();
+        plan::enumerate_candidates(pq, n, &forced, &reach, order, config, &mut stats, |sigma| {
             let problem = SearchProblem {
                 plan: self,
                 sigma: sigma.to_vec(),
@@ -1169,12 +1085,8 @@ impl<'a> BoundPlan<'a> {
             };
             match engine.run(&problem) {
                 Ok(out) => {
-                    if out.accepted {
-                        found = true;
-                        false
-                    } else {
-                        true
-                    }
+                    found = out.accepted;
+                    !found
                 }
                 Err(e) => {
                     error = Some(e);
@@ -1191,19 +1103,20 @@ impl<'a> BoundPlan<'a> {
     /// Runs the query in node mode and reports the plan next to what it
     /// actually cost: the chosen join order, per-atom BFS direction and pin,
     /// estimated *and* measured reachability cardinalities, and the run's
-    /// evaluation statistics. The extra reachability pass is the price of
-    /// the `actual_pairs` column; `explain` is a diagnostic surface, not a
-    /// fast path.
+    /// evaluation statistics. The measured cardinalities are the `pairs`
+    /// attributes of that one run's `reach:<var>` spans (one span per path
+    /// variable, in variable order).
     pub fn explain(&self, config: &EvalConfig) -> Result<crate::eval::ExplainReport, QueryError> {
         let pq = self.pq;
-        let mut stats = EvalStats::default();
         let qplan = plan::cost::plan_query(self, self.constants(), self.options.planner);
-        let reach: Vec<ReachRel> = (0..pq.path_vars.len())
-            .map(|p| plan::reachability_planned(self, p, &qplan.atoms[p], &mut stats))
+        let mut trace = Trace::new();
+        let (answers, run_stats) = self.run_mode(Mode::Nodes, config, Some(&mut trace))?;
+        let actual_pairs: Vec<u64> = trace
+            .spans
+            .iter()
+            .filter(|s| s.name.starts_with("reach:"))
+            .map(|s| s.attrs.iter().find(|(k, _)| k == "pairs").map_or(0, |&(_, v)| v))
             .collect();
-        let actual_pairs: Vec<u64> =
-            reach.iter().map(|r| r.fwd.iter().map(|row| row.len() as u64).sum()).collect();
-        let (answers, run_stats) = self.run_mode(config, Mode::Nodes, Engine::Dense)?;
         let atoms = (0..pq.path_vars.len())
             .map(|p| crate::eval::ExplainAtom {
                 path_var: pq.path_vars[p].clone(),
@@ -1420,7 +1333,8 @@ mod tests {
         let (plain, _) = plan.run_nodes(&cfg).unwrap();
 
         let mut trace = Trace::new();
-        let (traced, stats) = plan.run_nodes_traced(&cfg, &mut trace).unwrap();
+        let (traced, stats) = plan.run_mode(Mode::Nodes, &cfg, Some(&mut trace)).unwrap();
+        let traced: Vec<Vec<NodeId>> = traced.into_iter().map(|a| a.nodes).collect();
         let mut plain = plain;
         let mut traced = traced;
         plain.sort();

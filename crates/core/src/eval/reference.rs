@@ -10,7 +10,8 @@
 //! answer sets, and verified counts on every input.
 
 use crate::error::QueryError;
-use crate::eval::plan::{self, Engine, Mode};
+use crate::eval::plan::{Engine, Mode};
+use crate::eval::prepared::PreparedQuery;
 use crate::eval::search::{finishable, MoveVec, SearchOutcome, SearchProblem};
 use crate::eval::{Answer, EvalConfig, EvalStats};
 use crate::query::Ecrpq;
@@ -28,8 +29,9 @@ pub fn eval_nodes_with_stats(
     graph: &GraphDb,
     config: &EvalConfig,
 ) -> Result<(Vec<Vec<NodeId>>, EvalStats), QueryError> {
+    let bound = PreparedQuery::prepare(query)?;
     let (answers, stats) =
-        plan::evaluate_engine(query, graph, config, Mode::Nodes, Engine::Reference)?;
+        bound.bind(graph)?.run_engine(Mode::Nodes, config, Engine::Reference, None)?;
     Ok((answers.into_iter().map(|a| a.nodes).collect(), stats))
 }
 
@@ -40,7 +42,9 @@ pub fn eval_with_paths(
     graph: &GraphDb,
     config: &EvalConfig,
 ) -> Result<Vec<Answer>, QueryError> {
-    let (answers, _) = plan::evaluate_engine(query, graph, config, Mode::Paths, Engine::Reference)?;
+    let bound = PreparedQuery::prepare(query)?;
+    let (answers, _) =
+        bound.bind(graph)?.run_engine(Mode::Paths, config, Engine::Reference, None)?;
     Ok(answers)
 }
 
@@ -53,7 +57,12 @@ pub fn check(
     paths: &[Path],
     config: &EvalConfig,
 ) -> Result<bool, QueryError> {
-    plan::check_membership_engine(query, graph, nodes, paths, config, Engine::Reference)
+    PreparedQuery::prepare(query)?.bind(graph)?.check_engine(
+        nodes,
+        paths,
+        config,
+        Engine::Reference,
+    )
 }
 
 /// Position of one path variable within a reference search state.

@@ -30,6 +30,7 @@
 //!
 //! [`warm_full`]: PreparedQuery::warm_full
 
+use crate::eval::plan::reach::CsrTable;
 use crate::eval::prepared::{BindArtifacts, CounterRow};
 use crate::eval::{BoundStatement, EvalOptions, PreparedQuery};
 use crate::parse::parse_query;
@@ -391,13 +392,13 @@ fn encode_artifacts(a: &BindArtifacts, e: &mut Encoder) {
         });
         e.i64(row.constant);
     }
-    for arr in [&a.csr_off, &a.csr_to, &a.rev_off, &a.rev_to] {
+    for arr in [&a.fwd.off, &a.fwd.to, &a.rev.off, &a.rev.to] {
         e.slice_u32(arr);
     }
-    let csr_label: Vec<u32> = a.csr_label.iter().map(|s| s.0).collect();
-    e.slice_u32(&csr_label);
-    let rev_label: Vec<u32> = a.rev_label.iter().map(|s| s.0).collect();
-    e.slice_u32(&rev_label);
+    for table in [&a.fwd, &a.rev] {
+        let label: Vec<u32> = table.label.iter().map(|s| s.0).collect();
+        e.slice_u32(&label);
+    }
 }
 
 fn decode_artifacts(
@@ -465,13 +466,20 @@ fn decode_artifacts(
         counters.push(CounterRow { length_coeff, symbol_coeff, op, constant });
     }
 
-    let csr_off = d.vec_u32("forward offsets")?;
-    let csr_to = d.vec_u32("forward targets")?;
-    let rev_off = d.vec_u32("reverse offsets")?;
-    let rev_to = d.vec_u32("reverse sources")?;
-    let csr_label: Vec<Symbol> = d.vec_u32("forward labels")?.into_iter().map(Symbol).collect();
-    let rev_label: Vec<Symbol> = d.vec_u32("reverse labels")?.into_iter().map(Symbol).collect();
-    for (off, to, label) in [(&csr_off, &csr_to, &csr_label), (&rev_off, &rev_to, &rev_label)] {
+    // On disk: both directions' offsets and neighbors, then both label arrays.
+    let mut fwd = CsrTable {
+        off: d.vec_u32("forward offsets")?,
+        to: d.vec_u32("forward targets")?,
+        label: Vec::new(),
+    };
+    let mut rev = CsrTable {
+        off: d.vec_u32("reverse offsets")?,
+        to: d.vec_u32("reverse sources")?,
+        label: Vec::new(),
+    };
+    fwd.label = d.vec_u32("forward labels")?.into_iter().map(Symbol).collect();
+    rev.label = d.vec_u32("reverse labels")?.into_iter().map(Symbol).collect();
+    for CsrTable { off, to, label } in [&fwd, &rev] {
         if off.len() != n + 1 || off[0] != 0 || off[n] as usize != m {
             return Err(corrupt("CSR offsets have the wrong shape"));
         }
@@ -489,18 +497,7 @@ fn decode_artifacts(
         }
     }
 
-    Ok(BindArtifacts {
-        merged_len,
-        graph_symbol_map,
-        constants,
-        counters,
-        csr_off,
-        csr_to,
-        csr_label,
-        rev_off,
-        rev_to,
-        rev_label,
-    })
+    Ok(BindArtifacts { merged_len, graph_symbol_map, constants, counters, fwd, rev })
 }
 
 #[cfg(test)]

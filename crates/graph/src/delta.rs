@@ -144,22 +144,6 @@ impl<'a> GraphView<'a> {
         }
     }
 
-    /// Calls `f(label, source)` for every incoming edge of `v`.
-    pub fn for_each_in(&self, v: NodeId, mut f: impl FnMut(Symbol, NodeId)) {
-        if (v.index()) < self.delta.base_nodes {
-            for &(l, s) in self.base.in_edges(v) {
-                if !self.delta.removed.contains(&(s.0, l.index() as u32, v.0)) {
-                    f(l, s);
-                }
-            }
-        }
-        if let Some(row) = self.delta.added_in.get(&v.0) {
-            for &(l, s) in row {
-                f(l, s);
-            }
-        }
-    }
-
     /// Calls `f(label, source)` for every incoming edge of `v` in the
     /// *union* graph `base ∪ added` — tombstones ignored. This is a
     /// supergraph of every overlay state since the base epoch, which is what

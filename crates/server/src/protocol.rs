@@ -54,14 +54,18 @@
 use crate::catalog::{GraphCatalog, GraphSource};
 use crate::registry::StatementRegistry;
 use crate::ServerError;
-use ecrpq::eval::{BoundStatement, EvalStats, MaintainedStatement, PlannerMode, PreparedQuery};
+use ecrpq::eval::{
+    BoundStatement, EvalStats, MaintainedStatement, Mode, PlannerMode, PreparedQuery,
+};
 use ecrpq::{persist, EvalConfig, EvalOptions, Trace};
 use ecrpq_automata::Alphabet;
 use ecrpq_graph::delta::{LiveGraph, DEFAULT_MERGE_THRESHOLD};
 use ecrpq_graph::{snapshot, GraphDb, NodeId, Path};
 use ecrpq_util::json::{self, Value};
 use ecrpq_util::metrics::MetricsRegistry;
+use ecrpq_util::trace as qtrace;
 use std::collections::{HashMap, VecDeque};
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -296,7 +300,17 @@ impl Service {
             },
         };
         self.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
-        (reply.to_string(), control)
+        // The reply text starts at a page, not at zero. A large reply is
+        // rendered right above its (much larger) value tree at the top of
+        // the heap; grown from nothing, its first doublings are chunks small
+        // enough for malloc's per-thread cache, and a remainder `realloc`
+        // parks there sits just under the heap top and keeps the freed tree
+        // from going back to the system (measured: one 1 MB reply in 50–100;
+        // resident memory then stays at its peak and the next large reply
+        // lands on top of it).
+        let mut text = String::with_capacity(4096);
+        write!(text, "{reply}").expect("writing to a String cannot fail");
+        (text, control)
     }
 
     fn dispatch_value(&self, req: &Value) -> Result<(Value, Control), ServerError> {
@@ -560,24 +574,13 @@ impl Service {
         self.metrics
             .counter("ecrpq_merges_total", "Live-overlay deltas merged into fresh epochs.")
             .inc();
-        let names: Vec<String> = state.maintained.keys().cloned().collect();
-        for sname in names {
-            let rebased = match self.registry.bound(&sname, gname, epoch) {
-                Ok((stmt, _))
-                    if Arc::ptr_eq(
-                        stmt.prepared(),
-                        state.maintained[&sname].statement().prepared(),
-                    ) =>
-                {
-                    state.maintained.get_mut(&sname).unwrap().rebase(stmt);
-                    true
-                }
-                _ => false,
-            };
-            if !rebased {
-                state.maintained.remove(&sname);
+        state.maintained.retain(|sname, m| match self.registry.bound(sname, gname, epoch) {
+            Ok((stmt, _)) if Arc::ptr_eq(stmt.prepared(), m.statement().prepared()) => {
+                m.rebase(stmt);
+                true
             }
-        }
+            _ => false,
+        });
     }
 
     /// Merges `gname`'s pending overlay delta (if any) and publishes the
@@ -586,78 +589,12 @@ impl Service {
     /// drop its pinned handles. No-op for graphs without a live overlay.
     fn flush_live(&self, gname: &str) -> bool {
         let mut live_map = self.live.lock().unwrap();
-        let Some(state) = live_map.get_mut(gname) else {
+        let Some(state) = live_map.get_mut(gname).filter(|s| s.live.pending() > 0) else {
             return false;
         };
-        if state.live.pending() == 0 {
-            return false;
-        }
         let epoch = state.live.force_merge();
         self.publish_merge(gname, state, &epoch);
         true
-    }
-
-    /// The live-overlay fast path of `run`: with pending writes on `gname`,
-    /// nodes-mode requests are answered from the incrementally maintained
-    /// answer set (building it on first use); any other mode — and any
-    /// statement the maintainer cannot handle — flushes the overlay and
-    /// falls through to the cold path (`None`).
-    fn run_live(
-        &self,
-        name: &str,
-        gname: &str,
-        mode: &str,
-        config: &EvalConfig,
-        cache: &mut BatchCache,
-    ) -> Result<Option<Value>, ServerError> {
-        let mut live_map = self.live.lock().unwrap();
-        let Some(state) = live_map.get_mut(gname) else {
-            return Ok(None);
-        };
-        if state.live.pending() == 0 {
-            return Ok(None); // overlay clean: the cataloged epoch is current
-        }
-        let flush = |this: &Service, state: &mut LiveState, cache: &mut BatchCache| {
-            let epoch = state.live.force_merge();
-            this.publish_merge(gname, state, &epoch);
-            cache.invalidate_graph(gname);
-        };
-        if mode != "nodes" {
-            flush(self, state, cache);
-            return Ok(None);
-        }
-        let base = Arc::clone(state.live.base());
-        let (stmt, hit) = self.bound_cached(cache, name, gname, &base)?;
-        let fresh = !state.maintained.get(name).is_some_and(|m| Arc::ptr_eq(m.statement(), &stmt));
-        if fresh {
-            match MaintainedStatement::try_new(Arc::clone(&stmt), state.live.view(), config)
-                .map_err(ServerError::msg)?
-            {
-                Some(m) => {
-                    state.maintained.insert(name.to_string(), m);
-                }
-                None => {
-                    // Not maintainable (inexact relaxation): merge and run
-                    // cold on the published epoch.
-                    flush(self, state, cache);
-                    return Ok(None);
-                }
-            }
-        }
-        let m = &state.maintained[name];
-        let view = state.live.view();
-        let rows: Vec<Value> = m
-            .answers()
-            .iter()
-            .map(|row| Value::Arr(row.iter().map(|&n| Value::str(view.node_display(n))).collect()))
-            .collect();
-        let stats = m.stats();
-        Ok(Some(ok_obj([
-            ("registry", Value::str(if hit { "hit" } else { "miss" })),
-            ("count", Value::int(rows.len() as u64)),
-            ("answers", Value::Arr(rows)),
-            ("stats", stats_value(&stats)),
-        ])))
     }
 
     fn op_prepare(&self, req: &Value) -> Result<Value, ServerError> {
@@ -728,109 +665,187 @@ impl Service {
         Ok(g)
     }
 
-    /// Resolves a bound statement through the per-request cache. The first
-    /// resolution reports the registry's own hit/miss verdict; later
-    /// sub-requests reuse the memoized `Arc` and report a hit (they paid no
-    /// lookup at all).
+    /// Resolves a bound statement through the per-request cache, with the
+    /// reply's `registry` verdict. The first resolution reports the
+    /// registry's own `hit`/`miss`; later sub-requests reuse the memoized
+    /// `Arc` and report a hit (they paid no lookup at all).
     fn bound_cached(
         &self,
         cache: &mut BatchCache,
         name: &str,
         gname: &str,
         graph: &Arc<GraphDb>,
-    ) -> Result<(Arc<BoundStatement>, bool), ServerError> {
+    ) -> Result<(Arc<BoundStatement>, &'static str), ServerError> {
         let key = (name.to_string(), gname.to_string());
         if let Some(plan) = cache.bound.get(&key) {
-            return Ok((Arc::clone(plan), true));
+            return Ok((Arc::clone(plan), "hit"));
         }
         let (plan, hit) = self.registry.bound(name, gname, graph)?;
         cache.bound.insert(key, Arc::clone(&plan));
-        Ok((plan, hit))
+        Ok((plan, if hit { "hit" } else { "miss" }))
     }
 
     fn op_run(&self, req: &Value, cache: &mut BatchCache) -> Result<Value, ServerError> {
-        let name = str_field(req, "name")?;
+        self.run_request(req, cache, None).map(ok_obj)
+    }
+
+    /// The one decode → resolve → execute → render path behind `run` and
+    /// `trace`; returns the reply fields. With a `trace` it records the
+    /// `resolve` / `run` (with the engine's child spans) / `render` phases
+    /// into it and accepts inline `query` text in place of a statement
+    /// `name`, traced through `parse` → `compile` → `bind` without touching
+    /// the registry.
+    ///
+    /// The request is decoded and its statement name checked before
+    /// anything is touched, so a rejected request leaves the server as it
+    /// found it. With pending overlay writes on the graph, an untraced
+    /// nodes-mode request is answered from the incrementally maintained
+    /// answer set (built on first use); any other request — and any
+    /// statement the maintainer cannot handle — first merges the overlay
+    /// into a fresh epoch and runs cold on that.
+    fn run_request(
+        &self,
+        req: &Value,
+        cache: &mut BatchCache,
+        mut trace: Option<&mut Trace>,
+    ) -> Result<Vec<(&'static str, Value)>, ServerError> {
+        let resolve = qtrace::begin_span(&mut trace, "resolve");
+        // Inline `query` text in place of a statement `name` is a tracing
+        // feature: a plain `run` never reads the field.
+        let inline = req.get("query").and_then(Value::as_str).filter(|_| trace.is_some());
+        let name = match inline {
+            None => Some(str_field(req, "name")?),
+            Some(_) => None,
+        };
         let gname = str_field(req, "graph")?;
         let options = self.run_options(req)?;
         let mut config = EvalConfig::default();
         if let Some(limit) = req.get("limit").and_then(Value::as_u64) {
             config.answer_limit = limit as usize;
         }
-        let mode = req.get("mode").and_then(Value::as_str).unwrap_or("nodes");
-        if let Some(reply) = self.run_live(name, gname, mode, &config, cache)? {
-            return Ok(reply);
+        let mode = match req.get("mode").and_then(Value::as_str).unwrap_or("nodes") {
+            "nodes" => Mode::Nodes,
+            "boolean" => Mode::Boolean,
+            "paths" => Mode::Paths,
+            other => return Err(ServerError(format!("unknown run mode `{other}`"))),
+        };
+
+        {
+            let mut live_map = self.live.lock().unwrap();
+            if let Some(state) = live_map.get_mut(gname).filter(|s| s.live.pending() > 0) {
+                if let Some(name) = name {
+                    self.registry.require(name)?;
+                }
+                if let (Some(name), None, Mode::Nodes) = (name, &trace, mode) {
+                    let base = Arc::clone(state.live.base());
+                    let (stmt, verdict) = self.bound_cached(cache, name, gname, &base)?;
+                    let mut current = state
+                        .maintained
+                        .get(name)
+                        .is_some_and(|m| Arc::ptr_eq(m.statement(), &stmt));
+                    let view = state.live.view();
+                    if !current {
+                        // First dirty read of this binding: build its
+                        // maintained state, unless it is not maintainable
+                        // (inexact relaxation) and must run cold.
+                        if let Some(m) = MaintainedStatement::try_new(stmt, view, &config)
+                            .map_err(ServerError::msg)?
+                        {
+                            state.maintained.insert(name.to_string(), m);
+                            current = true;
+                        }
+                    }
+                    if current {
+                        let m = &state.maintained[name];
+                        let rows =
+                            m.answers().iter().map(|row| node_row(row, |n| view.node_display(n)));
+                        return Ok(rows_reply(verdict, rows.collect(), &m.stats()));
+                    }
+                }
+                // Everything else runs on a sealed epoch: merge the pending
+                // writes and drop the request's pins on the old one.
+                let epoch = state.live.force_merge();
+                self.publish_merge(gname, state, &epoch);
+                cache.invalidate_graph(gname);
+            }
         }
+
         let graph = self.graph_cached(cache, gname)?;
-        let (stmt, hit) = self.bound_cached(cache, name, gname, &graph)?;
+        let (stmt, verdict) = match (name, inline, trace.as_deref_mut()) {
+            (Some(name), ..) => self.bound_cached(cache, name, gname, &graph)?,
+            (None, Some(text), Some(trace)) => {
+                let q = trace
+                    .scoped("parse", |_| ecrpq::parse_query(text, graph.alphabet()))
+                    .map_err(ServerError::msg)?;
+                let pq = trace
+                    .scoped("compile", |_| PreparedQuery::prepare(&q))
+                    .map_err(ServerError::msg)?;
+                let stmt = trace
+                    .scoped("bind", |_| {
+                        BoundStatement::bind_with(Arc::new(pq), Arc::clone(&graph), options)
+                    })
+                    .map_err(ServerError::msg)?;
+                (Arc::new(stmt), "inline")
+            }
+            _ => unreachable!("a request decoded without a name carries inline text and a trace"),
+        };
         let plan = stmt.plan_with(options);
-        let registry_field = ("registry", Value::str(if hit { "hit" } else { "miss" }));
-        match mode {
-            "boolean" => {
-                let (answer, stats) = plan.run_boolean(&config).map_err(ServerError::msg)?;
-                Ok(ok_obj([
-                    registry_field,
-                    ("answer", Value::Bool(answer)),
-                    ("stats", stats_value(&stats)),
-                ]))
+        qtrace::end_span(&mut trace, resolve);
+
+        let run = qtrace::begin_span(&mut trace, "run");
+        let (answers, stats) =
+            plan.run_mode(mode, &config, trace.as_deref_mut()).map_err(ServerError::msg)?;
+        qtrace::end_span(&mut trace, run);
+
+        let render = qtrace::begin_span(&mut trace, "render");
+        let display = |n| graph.node_display(n);
+        let fields = match mode {
+            Mode::Boolean => vec![
+                ("registry", Value::str(verdict)),
+                ("answer", Value::Bool(!answers.is_empty())),
+                ("stats", stats_value(&stats)),
+            ],
+            Mode::Nodes => {
+                let rows = answers.iter().map(|a| node_row(&a.nodes, display));
+                rows_reply(verdict, rows.collect(), &stats)
             }
-            "nodes" => {
-                let (answers, stats) = plan.run_nodes(&config).map_err(ServerError::msg)?;
-                let rows: Vec<Value> = answers
-                    .iter()
-                    .map(|row| {
-                        Value::Arr(row.iter().map(|&n| Value::str(graph.node_display(n))).collect())
-                    })
-                    .collect();
-                Ok(ok_obj([
-                    registry_field,
-                    ("count", Value::int(rows.len() as u64)),
-                    ("answers", Value::Arr(rows)),
-                    ("stats", stats_value(&stats)),
-                ]))
+            Mode::Paths => {
+                let rows = answers.iter().map(|a| {
+                    let paths = a.paths.iter().map(|p| path_value(p, &graph)).collect();
+                    Value::obj([
+                        ("nodes", node_row(&a.nodes, display)),
+                        ("paths", Value::Arr(paths)),
+                    ])
+                });
+                rows_reply(verdict, rows.collect(), &stats)
             }
-            "paths" => {
-                let (answers, stats) = plan.run_with_paths(&config).map_err(ServerError::msg)?;
-                let rows: Vec<Value> = answers
-                    .iter()
-                    .map(|a| {
-                        Value::obj([
-                            (
-                                "nodes",
-                                Value::Arr(
-                                    a.nodes
-                                        .iter()
-                                        .map(|&n| Value::str(graph.node_display(n)))
-                                        .collect(),
-                                ),
-                            ),
-                            (
-                                "paths",
-                                Value::Arr(a.paths.iter().map(|p| path_value(p, &graph)).collect()),
-                            ),
-                        ])
-                    })
-                    .collect();
-                Ok(ok_obj([
-                    registry_field,
-                    ("count", Value::int(rows.len() as u64)),
-                    ("answers", Value::Arr(rows)),
-                    ("stats", stats_value(&stats)),
-                ]))
-            }
-            other => Err(ServerError(format!("unknown run mode `{other}`"))),
-        }
+        };
+        qtrace::end_span(&mut trace, render);
+        Ok(fields)
     }
 
-    fn op_check(&self, req: &Value, cache: &mut BatchCache) -> Result<Value, ServerError> {
+    /// Resolves a request's `name` statement on the *current* state of its
+    /// `graph`, for the ops that read a sealed epoch (`check`, `explain`):
+    /// pending overlay writes are merged first — once the statement name is
+    /// known to exist, so a request about to be rejected merges nothing.
+    fn bound_on_merged(
+        &self,
+        req: &Value,
+        cache: &mut BatchCache,
+    ) -> Result<(Arc<GraphDb>, Arc<BoundStatement>, &'static str), ServerError> {
         let name = str_field(req, "name")?;
         let gname = str_field(req, "graph")?;
-        // Membership is checked against the *current* graph: pending
-        // overlay writes are merged first.
+        self.registry.require(name)?;
         if self.flush_live(gname) {
             cache.invalidate_graph(gname);
         }
         let graph = self.graph_cached(cache, gname)?;
-        let (plan, hit) = self.bound_cached(cache, name, gname, &graph)?;
+        let (stmt, verdict) = self.bound_cached(cache, name, gname, &graph)?;
+        Ok((graph, stmt, verdict))
+    }
+
+    fn op_check(&self, req: &Value, cache: &mut BatchCache) -> Result<Value, ServerError> {
+        let (graph, plan, verdict) = self.bound_on_merged(req, cache)?;
         let nodes: Vec<NodeId> = req
             .get("nodes")
             .and_then(Value::as_arr)
@@ -852,25 +867,16 @@ impl Service {
             .collect::<Result<_, _>>()?;
         let member =
             plan.check(&nodes, &paths, &EvalConfig::default()).map_err(ServerError::msg)?;
-        Ok(ok_obj([
-            ("registry", Value::str(if hit { "hit" } else { "miss" })),
-            ("member", Value::Bool(member)),
-        ]))
+        Ok(ok_obj([("registry", Value::str(verdict)), ("member", Value::Bool(member))]))
     }
 
     /// Reports the planner's view of a run: join order, per-atom BFS
     /// direction and pinned source, estimated *and* actual cardinalities,
     /// plus a human-readable rendering under `text`.
     fn op_explain(&self, req: &Value, cache: &mut BatchCache) -> Result<Value, ServerError> {
-        let name = str_field(req, "name")?;
-        let gname = str_field(req, "graph")?;
         let options = self.run_options(req)?;
         // Plans are explained against the merged graph, not the overlay.
-        if self.flush_live(gname) {
-            cache.invalidate_graph(gname);
-        }
-        let graph = self.graph_cached(cache, gname)?;
-        let (stmt, hit) = self.bound_cached(cache, name, gname, &graph)?;
+        let (_, stmt, verdict) = self.bound_on_merged(req, cache)?;
         let plan = stmt.plan_with(options);
         let report = plan.explain(&EvalConfig::default()).map_err(ServerError::msg)?;
         let atoms: Vec<Value> = report
@@ -900,7 +906,7 @@ impl Service {
             })
             .collect();
         Ok(ok_obj([
-            ("registry", Value::str(if hit { "hit" } else { "miss" })),
+            ("registry", Value::str(verdict)),
             ("planner", Value::str(report.planner_name())),
             (
                 "join_order",
@@ -913,134 +919,31 @@ impl Service {
         ]))
     }
 
-    /// EXPLAIN ANALYZE for the serve path: runs like `run` while collecting
-    /// a wall-clock span tree — `resolve` (field parsing + catalog/registry
+    /// EXPLAIN ANALYZE for the serve path: runs like `run` (through the
+    /// same [`run_request`](Self::run_request)) while collecting a
+    /// wall-clock span tree — `resolve` (field parsing + catalog/registry
     /// lookups), `run` (with the engine's `plan` / per-atom `reach:<var>` /
     /// `compile` / `search` child spans and their measured-vs-estimated
     /// cardinality attributes), and `render` (answer serialization). The
     /// root span's duration is recorded into the per-op request histogram
     /// and echoed as `server_latency_us`, so the span tree and the
     /// histogram sample are the same measurement.
-    ///
-    /// With inline `query` text instead of a statement `name`, the cold
-    /// pipeline is traced too: `parse` → `compile` → `bind` spans, bypassing
-    /// the registry (nothing is installed).
     fn op_trace(&self, req: &Value, cache: &mut BatchCache) -> Result<Value, ServerError> {
         let mut trace = Trace::new();
         let root = trace.begin("request");
-        let resolve = trace.begin("resolve");
-        let gname = str_field(req, "graph")?;
-        let options = self.run_options(req)?;
-        // The traced engine runs on a sealed epoch: merge pending writes.
-        if self.flush_live(gname) {
-            cache.invalidate_graph(gname);
-        }
-        let graph = self.graph_cached(cache, gname)?;
-        let (stmt, registry_verdict) = if let Some(text) = req.get("query").and_then(Value::as_str)
-        {
-            let q = trace
-                .scoped("parse", |_| ecrpq::parse_query(text, graph.alphabet()))
-                .map_err(ServerError::msg)?;
-            let pq = trace
-                .scoped("compile", |_| PreparedQuery::prepare(&q))
-                .map_err(ServerError::msg)?;
-            let stmt = trace
-                .scoped("bind", |_| {
-                    BoundStatement::bind_with(Arc::new(pq), Arc::clone(&graph), options)
-                })
-                .map_err(ServerError::msg)?;
-            (Arc::new(stmt), "inline")
-        } else {
-            let name = str_field(req, "name")?;
-            let (stmt, hit) = self.bound_cached(cache, name, gname, &graph)?;
-            (stmt, if hit { "hit" } else { "miss" })
-        };
-        let plan = stmt.plan_with(options);
-        let mut config = EvalConfig::default();
-        if let Some(limit) = req.get("limit").and_then(Value::as_u64) {
-            config.answer_limit = limit as usize;
-        }
-        let mode = req.get("mode").and_then(Value::as_str).unwrap_or("nodes");
-        trace.end(resolve);
-
-        enum Out {
-            Bool(bool),
-            Nodes(Vec<Vec<NodeId>>),
-            Paths(Vec<ecrpq::Answer>),
-        }
-        let run_span = trace.begin("run");
-        let (out, stats) = match mode {
-            "boolean" => {
-                let (b, s) =
-                    plan.run_boolean_traced(&config, &mut trace).map_err(ServerError::msg)?;
-                (Out::Bool(b), s)
-            }
-            "nodes" => {
-                let (a, s) =
-                    plan.run_nodes_traced(&config, &mut trace).map_err(ServerError::msg)?;
-                (Out::Nodes(a), s)
-            }
-            "paths" => {
-                let (a, s) =
-                    plan.run_with_paths_traced(&config, &mut trace).map_err(ServerError::msg)?;
-                (Out::Paths(a), s)
-            }
-            other => return Err(ServerError(format!("unknown run mode `{other}`"))),
-        };
-        trace.end(run_span);
-
-        let render = trace.begin("render");
-        let answer_fields: Vec<(&'static str, Value)> = match out {
-            Out::Bool(b) => vec![("answer", Value::Bool(b))],
-            Out::Nodes(answers) => {
-                let rows: Vec<Value> = answers
-                    .iter()
-                    .map(|row| {
-                        Value::Arr(row.iter().map(|&n| Value::str(graph.node_display(n))).collect())
-                    })
-                    .collect();
-                vec![("count", Value::int(rows.len() as u64)), ("answers", Value::Arr(rows))]
-            }
-            Out::Paths(answers) => {
-                let rows: Vec<Value> = answers
-                    .iter()
-                    .map(|a| {
-                        Value::obj([
-                            (
-                                "nodes",
-                                Value::Arr(
-                                    a.nodes
-                                        .iter()
-                                        .map(|&n| Value::str(graph.node_display(n)))
-                                        .collect(),
-                                ),
-                            ),
-                            (
-                                "paths",
-                                Value::Arr(a.paths.iter().map(|p| path_value(p, &graph)).collect()),
-                            ),
-                        ])
-                    })
-                    .collect();
-                vec![("count", Value::int(rows.len() as u64)), ("answers", Value::Arr(rows))]
-            }
-        };
-        trace.end(render);
+        let mut fields = self.run_request(req, cache, Some(&mut trace))?;
         trace.end(root);
 
         let total_ns = trace.spans[root].dur_ns;
         self.record_request("trace", total_ns / 1000);
-        let mut pairs = vec![("registry", Value::str(registry_verdict))];
-        pairs.extend(answer_fields);
-        pairs.push(("stats", stats_value(&stats)));
-        pairs.push((
+        fields.push((
             "trace",
             Value::obj([
                 ("spans", trace.to_value()),
                 ("server_latency_us", Value::Num(total_ns as f64 / 1000.0)),
             ]),
         ));
-        Ok(ok_obj(pairs))
+        Ok(ok_obj(fields))
     }
 
     /// Dumps the metrics registry: Prometheus exposition text by default,
@@ -1510,6 +1413,22 @@ fn stats_value(stats: &EvalStats) -> Value {
         ("sim_cache_hits", Value::int(stats.sim_cache_hits)),
         ("sim_cache_misses", Value::int(stats.sim_cache_misses)),
     ])
+}
+
+/// One answer row's node tuple — the only place node rows are rendered,
+/// over a sealed graph's or an overlay's `node_display`.
+fn node_row(nodes: &[NodeId], display: impl Fn(NodeId) -> String) -> Value {
+    Value::Arr(nodes.iter().map(|&n| Value::str(display(n))).collect())
+}
+
+/// The reply fields of a row-valued (`nodes`/`paths`) run.
+fn rows_reply(verdict: &str, rows: Vec<Value>, stats: &EvalStats) -> Vec<(&'static str, Value)> {
+    vec![
+        ("registry", Value::str(verdict)),
+        ("count", Value::int(rows.len() as u64)),
+        ("answers", Value::Arr(rows)),
+        ("stats", stats_value(stats)),
+    ]
 }
 
 /// A path as the alternating `[node, label, node, …]` array the protocol
@@ -2513,5 +2432,27 @@ mod tests {
         ] {
             assert_error_reply(&s, line, needle);
         }
+
+        // A rejected request must not mutate the server: with a write
+        // pending, requests that fail on their mode or statement name leave
+        // the overlay unmerged, so the next write's counters are exactly
+        // what they would have been without them.
+        reply(&s, r#"{"op":"prepare","name":"q","query":"Ans(x, y) <- (x, p, y)","graph":"g"}"#);
+        let first = reply(&s, r#"{"op":"add_edges","graph":"g","edges":[["n0","a","n3"]]}"#);
+        for (line, needle) in [
+            (r#"{"op":"run","name":"q","graph":"g","mode":"bogus"}"#, "unknown run mode"),
+            (r#"{"op":"trace","name":"q","graph":"g","mode":"bogus"}"#, "unknown run mode"),
+            (r#"{"op":"run","name":"nope","graph":"g","mode":"boolean"}"#, "unknown statement"),
+            (r#"{"op":"trace","name":"nope","graph":"g"}"#, "unknown statement"),
+        ] {
+            assert_error_reply(&s, line, needle);
+        }
+        let second = reply(&s, r#"{"op":"add_edges","graph":"g","edges":[["n1","a","n4"]]}"#);
+        let field = |r: &Value, k: &str| r.get(k).and_then(Value::as_u64).unwrap();
+        assert_eq!(field(&first, "pending"), 1);
+        assert_eq!(field(&second, "pending"), 2, "a rejected request merged the overlay");
+        assert_eq!(field(&second, "version"), field(&first, "version") + 1);
+        assert_eq!(field(&second, "merges"), field(&first, "merges"));
+        assert_eq!(field(&second, "merges"), 0);
     }
 }

@@ -212,6 +212,12 @@ impl StatementRegistry {
         self.statements[shard_of(name, None)].read().unwrap().get(name).cloned()
     }
 
+    /// [`statement`](Self::statement), or the protocol's "unknown statement"
+    /// error.
+    pub fn require(&self, name: &str) -> Result<Arc<Statement>, ServerError> {
+        self.statement(name).ok_or_else(|| ServerError(format!("unknown statement `{name}`")))
+    }
+
     /// Sorted `(name, text)` pairs of every registered statement.
     pub fn summaries(&self) -> Vec<(String, String)> {
         let mut out: Vec<(String, String)> = Vec::new();
@@ -296,9 +302,7 @@ impl StatementRegistry {
         // Statement shard first, bound shard second — never both at once
         // (prepare/install sweep bound shards without holding a statement
         // lock, so there is no lock order to deadlock on).
-        let stmt = self
-            .statement(name)
-            .ok_or_else(|| ServerError(format!("unknown statement `{name}`")))?;
+        let stmt = self.require(name)?;
 
         let key = (name.to_string(), graph_name.to_string());
         {

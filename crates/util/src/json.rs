@@ -72,13 +72,13 @@ pub fn experiment(id: &str, mode: &str, measurements: &[Measurement]) -> String 
 }
 
 // ---------------------------------------------------------------------------
-// Parsing (for the `--compare` regression gate)
+// Parsing (the server's request lines, the benchmarks' result documents)
 // ---------------------------------------------------------------------------
 
 /// A parsed JSON value. The parser covers the documents this module itself
 /// emits (and general JSON built from them); the one known gap is `\u`
-/// surrogate-pair escapes, which decode as two replacement characters — the
-/// harness never emits them, so baseline files round-trip exactly.
+/// surrogate-pair escapes, which decode as two replacement characters — this
+/// module's writer never emits them, so its own documents round-trip exactly.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     /// `null` (also produced for non-finite floats by [`number`]).
@@ -360,68 +360,6 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-/// One experiment family parsed back from a `BENCH_*.json` document or a
-/// combined baseline file.
-#[derive(Clone, Debug)]
-pub struct ParsedExperiment {
-    /// The experiment id (e.g. `fig1a_combined`).
-    pub id: String,
-    /// `(series, param) → seconds`.
-    pub points: Vec<(String, u64, f64)>,
-}
-
-fn parse_one_experiment(v: &Value) -> Result<ParsedExperiment, String> {
-    let id = v
-        .get("experiment")
-        .and_then(Value::as_str)
-        .ok_or_else(|| "missing `experiment` field".to_string())?
-        .to_string();
-    let mut points = Vec::new();
-    for m in v.get("measurements").and_then(Value::as_arr).unwrap_or(&[]) {
-        let series = m
-            .get("series")
-            .and_then(Value::as_str)
-            .ok_or_else(|| "missing `series`".to_string())?;
-        let param = m.get("param").and_then(Value::as_f64).unwrap_or(0.0) as u64;
-        let seconds = m.get("seconds").and_then(Value::as_f64).unwrap_or(f64::NAN);
-        points.push((series.to_string(), param, seconds));
-    }
-    Ok(ParsedExperiment { id, points })
-}
-
-/// Parses a baseline document: either one experiment document or a combined
-/// `{"experiments": [...]}` baseline as written by `scripts/bench_baseline.sh`.
-pub fn parse_baseline(text: &str) -> Result<Vec<ParsedExperiment>, String> {
-    let v = parse(text)?;
-    match v.get("experiments") {
-        Some(Value::Arr(items)) => items.iter().map(parse_one_experiment).collect(),
-        _ => Ok(vec![parse_one_experiment(&v)?]),
-    }
-}
-
-/// Serializes a combined baseline document from per-experiment documents.
-pub fn baseline_document(mode: &str, experiments: &[String]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"ecrpq-bench-baseline-v1\",\n");
-    out.push_str(&format!("  \"mode\": \"{}\",\n", escape(mode)));
-    out.push_str("  \"experiments\": [\n");
-    for (i, doc) in experiments.iter().enumerate() {
-        // re-indent each experiment document by two spaces
-        for line in doc.trim_end().lines() {
-            out.push_str("  ");
-            out.push_str(line);
-            out.push('\n');
-        }
-        if i + 1 < experiments.len() {
-            out.truncate(out.trim_end().len());
-            out.push_str(",\n");
-        }
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,12 +409,14 @@ mod tests {
             "full",
             &[m("crpq", 100, 0.25, "answer=true"), m("ecrpq", 200, 0.5, "x \"quoted\"")],
         );
-        let parsed = parse_baseline(&doc).unwrap();
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].id, "fig1a_data");
-        assert_eq!(parsed[0].points.len(), 2);
-        assert_eq!(parsed[0].points[0], ("crpq".to_string(), 100, 0.25));
-        assert_eq!(parsed[0].points[1].2, 0.5);
+        let parsed = parse(&doc).unwrap();
+        assert_eq!(parsed.get("experiment").and_then(Value::as_str), Some("fig1a_data"));
+        let points = parsed.get("measurements").and_then(Value::as_arr).unwrap();
+        assert_eq!(points.len(), 2);
+        assert_eq!(points[0].get("series").and_then(Value::as_str), Some("crpq"));
+        assert_eq!(points[0].get("param").and_then(Value::as_u64), Some(100));
+        assert_eq!(points[0].get("seconds").and_then(Value::as_f64), Some(0.25));
+        assert_eq!(points[1].get("seconds").and_then(Value::as_f64), Some(0.5));
     }
 
     #[test]
@@ -516,17 +456,5 @@ mod tests {
         assert_eq!(v.get("b").unwrap().as_bool(), Some(true));
         assert_eq!(v.get("x").unwrap().as_u64(), None);
         assert_eq!(v.get("x").unwrap().as_f64(), Some(1.5));
-    }
-
-    #[test]
-    fn baseline_document_round_trips() {
-        let e1 = experiment("one", "quick", &[m("s", 1, 0.1, "")]);
-        let e2 = experiment("two", "quick", &[m("t", 2, 0.2, "")]);
-        let combined = baseline_document("quick", &[e1, e2]);
-        let parsed = parse_baseline(&combined).unwrap();
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].id, "one");
-        assert_eq!(parsed[1].id, "two");
-        assert_eq!(parsed[1].points[0], ("t".to_string(), 2, 0.2));
     }
 }

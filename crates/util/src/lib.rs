@@ -13,7 +13,8 @@
 //!   and a Prometheus-text-format renderer; the server's scrapeable
 //!   telemetry is built on this.
 //! * [`trace`] — a wall-clock span collector for per-query phase timing
-//!   (the engine's `run_traced` path and the server's `trace` op).
+//!   (the engine's `run_mode(.., Some(&mut trace))` and the server's `trace`
+//!   op).
 //!
 //! Historically both lived in `ecrpq-bench`; they were promoted here when
 //! the server crate started needing the same serialization code.

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Offline-safe CI check: build, tests, formatting, lints, server smoke.
-# Usage: scripts/check.sh [--bench-smoke] [--bench-compare] [--server-smoke]
+# Usage: scripts/check.sh [--bench-smoke] [--e2e-smoke] [--server-smoke]
 #                         [--parallel-smoke] [--storage-smoke]
 #                         [--serve-load-smoke] [--metrics-smoke]
 #                         [--mutation-smoke]
 # (from anywhere inside the repo)
 #
-# The default sequence is build + tests + fmt + clippy + the parser and
+# The default sequence is build (workspace, then the benchmarks/e2e package
+# against it) + tests + fmt + clippy + the parser and
 # examples gates + the concurrency gate + the parallel differential gate
 # (the frontier-parallel engine must be bit-identical to the sequential
 # reference at 1/2/4/8 threads) + the server smoke (an ephemeral-port
@@ -26,11 +27,10 @@
 #                  size point of each experiment family (in a scratch
 #                  directory), so bench bit-rot fails fast without paying for
 #                  a full sweep.
-# --bench-compare  additionally runs the harness in quick mode with the
-#                  --compare regression gate against the committed baseline
-#                  (benchmarks/baseline/baseline.json): any shared
-#                  (experiment, series, param) point that got >1.3x slower
-#                  fails the check.
+# --e2e-smoke      additionally runs the end-to-end served-query benchmark
+#                  with 2 s windows (bash benchmarks/e2e/run.sh --smoke): every
+#                  workload, untraced and traced, every reply verified — the
+#                  one performance instrument (see BENCHMARK.json).
 # --server-smoke   runs ONLY the release build and the server smoke gate —
 #                  the fast iteration loop while working on the server crate.
 # --parallel-smoke runs ONLY the tiny parallel differential gate (a handful
@@ -70,7 +70,7 @@ cd "$(dirname "$0")/.."
 repo_root=$(pwd)
 
 bench_smoke=0
-bench_compare=0
+e2e_smoke=0
 server_smoke_only=0
 parallel_smoke_only=0
 storage_smoke_only=0
@@ -80,7 +80,7 @@ mutation_smoke_only=0
 for arg in "$@"; do
     case "$arg" in
         --bench-smoke) bench_smoke=1 ;;
-        --bench-compare) bench_compare=1 ;;
+        --e2e-smoke) e2e_smoke=1 ;;
         --server-smoke) server_smoke_only=1 ;;
         --parallel-smoke) parallel_smoke_only=1 ;;
         --storage-smoke) storage_smoke_only=1 ;;
@@ -366,6 +366,12 @@ fi
 # --offline everywhere: the workspace has no external dependencies and the
 # build environment has no network.
 run cargo build --release --offline --workspace --all-targets
+# The end-to-end benchmark is a package of its own, built against this
+# workspace's public API and not editable by the PRs it judges: build it here
+# so an API break fails locally, not in the pipeline. (It shares the
+# workspace's target directory, as benchmarks/e2e/run.sh arranges.)
+CARGO_TARGET_DIR="$repo_root/target" run cargo build --release --offline \
+    --manifest-path benchmarks/e2e/Cargo.toml
 run cargo test -q --offline --workspace
 run cargo fmt --check
 run cargo clippy --offline --workspace --all-targets -- -D warnings
@@ -419,12 +425,8 @@ if [[ "$bench_smoke" == 1 ]]; then
     (cd "$scratch" && "$repo_root/target/release/harness" smoke)
 fi
 
-if [[ "$bench_compare" == 1 ]]; then
-    if [[ -z "$scratch" ]]; then scratch=$(mktemp -d); fi
-    echo
-    echo "==> harness regression gate (quick mode vs committed baseline)"
-    (cd "$scratch" && "$repo_root/target/release/harness" quick \
-        --compare "$repo_root/benchmarks/baseline/baseline.json")
+if [[ "$e2e_smoke" == 1 ]]; then
+    run bash benchmarks/e2e/run.sh --smoke
 fi
 
 echo
