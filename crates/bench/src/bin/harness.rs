@@ -25,19 +25,9 @@
 //!             the serve family at smoke sizes — a seconds-scale gate whose
 //!             load sweep self-checks zero reply loss and admission
 //!             accounting (used by scripts/check.sh)
-//!   parallel  only the intra-query parallel-scaling experiment (warm run
-//!             time vs thread count), at full size
 //!   plan      only the query-planner experiment (warm run time of
 //!             plan-sensitive workloads, static vs cost-based plans), at
 //!             full size
-//!   storage   only the persistence experiment (cold edge-list load +
-//!             compile vs warm binary-snapshot reopen, answers checked
-//!             bit-for-bit), at full size — the largest point is a
-//!             million-edge graph
-//!   mutation  only the live-graph experiment (incremental delta
-//!             maintenance vs merge + rebind + cold re-run per mutation
-//!             cycle, answers checked bit-for-bit), at full size — the
-//!             largest point is a million-edge graph
 //! ```
 
 use ecrpq_bench::{json, print_table, workloads, Measurement};
@@ -70,14 +60,8 @@ impl Mode {
 }
 
 /// The single-family modes (each runs at full size).
-const FAMILIES: [(&str, Family); 6] = [
-    ("prepared", run_prepared),
-    ("serve", run_serve),
-    ("parallel", run_parallel_family),
-    ("plan", run_plan_family),
-    ("storage", run_storage_family),
-    ("mutation", run_mutation_family),
-];
+const FAMILIES: [(&str, Family); 3] =
+    [("prepared", run_prepared), ("serve", run_serve), ("plan", run_plan_family)];
 
 fn parse_args() -> Args {
     let mut args = Args { mode: Mode::Full, only: None };
@@ -282,17 +266,8 @@ fn run_all(mode: Mode, rep: &mut Report) {
         false,
     );
 
-    // PAR-1: intra-query parallel scaling.
-    run_parallel_family(mode, rep);
-
     // PLAN-1: the cost-based query planner.
     run_plan_family(mode, rep);
-
-    // STOR-1: persistent binary snapshots (cold load vs warm reopen).
-    run_storage_family(mode, rep);
-
-    // MUT-1: live graphs (incremental delta maintenance vs cold re-run).
-    run_mutation_family(mode, rep);
 
     // PREP: the prepared-query pipeline (compile vs run, reuse family).
     run_prepared(mode, rep);
@@ -350,30 +325,10 @@ fn run_serve(mode: Mode, rep: &mut Report) {
     );
 }
 
-/// Runs the intra-query parallel-scaling experiment: warm run time of the
-/// heavyweight fig1a/app instances as the thread count sweeps 1/2/4/8. The
-/// instances are sized up past the other families' largest points so the
-/// 1-thread warm runs are tens of milliseconds — otherwise the sweep would
-/// only measure thread-handoff overhead.
-fn run_parallel_family(mode: Mode, rep: &mut Report) {
-    let (threads, data_n, rei_m, rho_n): (&[usize], usize, usize, usize) = match mode {
-        Mode::Full => (&[1, 2, 4, 8], 12000, 6, 40),
-        Mode::Quick => (&[1, 2, 4], 1000, 4, 30),
-        Mode::Smoke => (&[1, 2], 100, 2, 10),
-    };
-    let m = workloads::parallel_scaling(threads, data_n, rei_m, rho_n);
-    rep.report(
-        "parallel",
-        "PAR-1 intra-query parallel scaling: warm run time vs thread count (largest fig1a/app instances)",
-        &m,
-        false,
-    );
-}
-
 /// Runs the query-planner experiment: warm run time of the plan-sensitive
 /// workloads (a pinnable bound constant; a reverse-favored language) under
 /// the static plan vs the cost-based plan, per graph size. The two series of
-/// each workload differ only in `EvalOptions::planner`, so the ratio is the
+/// each workload differ only in their `PlannerMode`, so the ratio is the
 /// planner's speedup.
 fn run_plan_family(mode: Mode, rep: &mut Report) {
     let sizes: &[usize] = match mode {
@@ -385,51 +340,6 @@ fn run_plan_family(mode: Mode, rep: &mut Report) {
     rep.report(
         "plan",
         "PLAN-1 cost-based planner: warm run time, static vs cost-based plans (pinned constant; reverse-favored language)",
-        &m,
-        false,
-    );
-}
-
-/// Runs the persistence experiment: cold edge-list load + statement compile
-/// vs warm binary-snapshot + sidecar reopen, per graph size (param = edge
-/// count; average degree is fixed at 4). The family asserts in-bench that
-/// the reopened state answers bit-for-bit identically with zero sim-table
-/// compilations; the `cold_load_compile / warm_open` ratio is the headline
-/// speedup of the persistence layer. The full sweep tops out at a
-/// million-edge graph.
-fn run_storage_family(mode: Mode, rep: &mut Report) {
-    let sizes: &[usize] = match mode {
-        Mode::Full => &[10_000, 62_500, 250_000],
-        Mode::Quick => &[2_000, 10_000],
-        Mode::Smoke => &[1_000],
-    };
-    let m = ecrpq_bench::storage::storage_family(sizes);
-    rep.report(
-        "storage",
-        "STOR-1 persistence: cold edge-list load + compile vs warm snapshot reopen (answers checked)",
-        &m,
-        false,
-    );
-}
-
-/// Runs the live-graph experiment: one steady-state mutation cycle (add a
-/// batch of edges, then remove them) per sample, incrementally maintained
-/// vs merged + rebound + cold re-run, per graph size (param = edge count;
-/// the background degree is fixed at 4). The family asserts in-bench that
-/// the maintained answers match a cold run on the merged graph
-/// bit-for-bit; the `cold_rerun / delta_apply` ratio is the headline
-/// speedup of the live-graph layer. The full sweep tops out at a
-/// million-edge graph.
-fn run_mutation_family(mode: Mode, rep: &mut Report) {
-    let sizes: &[usize] = match mode {
-        Mode::Full => &[10_000, 62_500, 250_000],
-        Mode::Quick => &[2_000, 10_000],
-        Mode::Smoke => &[1_000],
-    };
-    let m = ecrpq_bench::mutation::mutation_family(sizes);
-    rep.report(
-        "mutation",
-        "MUT-1 live graphs: incremental delta maintenance vs merge + cold re-run (answers checked)",
         &m,
         false,
     );

@@ -10,9 +10,7 @@
 
 pub mod load;
 pub mod microbench;
-pub mod mutation;
 pub mod serve;
-pub mod storage;
 
 /// The shared JSON writer/parser (promoted to `ecrpq-util`; re-exported so
 /// existing `ecrpq_bench::json` callers compile unchanged).
@@ -678,97 +676,6 @@ pub mod workloads {
         out
     }
 
-    // ------------------------------------------------------------------
-    // PAR-1: intra-query parallel scaling (the frontier-parallel engine)
-    // ------------------------------------------------------------------
-
-    /// The `parallel` family: warm run time of the largest fig1a / app
-    /// instances as the intra-query thread count sweeps (param = threads).
-    /// Three shapes, chosen for where their time goes:
-    ///
-    /// * `fig1a_data_ecrpq` — fixed ECRPQ on the largest data-complexity
-    ///   graph: dominated by per-source reachability BFS, the
-    ///   source-partitioned parallel path;
-    /// * `fig1a_rei_ecrpq` — the REI ECRPQ (counting automata + equality
-    ///   relations): one bound candidate, one big product search — the
-    ///   frontier-parallel path;
-    /// * `app_rho_iso` — the ρ-isomorphism association query on the largest
-    ///   RDF-style instance: a mix of constrained reachability and
-    ///   verification searches.
-    ///
-    /// Every query is prepared and warmed once; each measured point rebinds
-    /// with [`EvalOptions::with_threads`] — binding is cheap and carries the
-    /// thread count. The engine is deterministic, so every point of a
-    /// series reports the identical answer.
-    ///
-    /// [`EvalOptions::with_threads`]: ecrpq::EvalOptions::with_threads
-    pub fn parallel_scaling(
-        threads: &[usize],
-        data_n: usize,
-        rei_m: usize,
-        rho_n: usize,
-    ) -> Vec<Measurement> {
-        use ecrpq::EvalOptions;
-        let cfg = config();
-        let mut out = Vec::new();
-
-        // Largest data-complexity instance (reachability-dominated).
-        let g = data_complexity_graph(data_n, 7);
-        let (_, ecrpq) = data_queries(&g);
-        let pq = eval::prepare(&ecrpq).unwrap();
-        pq.warm();
-        for &t in threads {
-            let bound = pq.bind_with(&g, EvalOptions::with_threads(t)).unwrap();
-            out.push(measure("fig1a_data_ecrpq", t as u64, || {
-                let (ans, _) = bound.run_boolean(&cfg).unwrap();
-                format!("answer={ans} n={data_n}")
-            }));
-        }
-
-        // REI ECRPQ (one candidate, one big product search).
-        let (q, g) = rei_query(rei_m, true);
-        let pq = eval::prepare(&q).unwrap();
-        pq.warm();
-        for &t in threads {
-            let bound = pq.bind_with(&g, EvalOptions::with_threads(t)).unwrap();
-            out.push(measure("fig1a_rei_ecrpq", t as u64, || {
-                let (ans, stats) = bound.run_nodes(&cfg).unwrap();
-                format!(
-                    "answer={} m={rei_m} search_states={}",
-                    !ans.is_empty(),
-                    stats.search_states
-                )
-            }));
-        }
-
-        // ρ-isomorphism associations on the largest app instance — the
-        // *enumeration* variant (all associated pairs, free head) rather
-        // than the bound Boolean check, so the run scans every candidate
-        // pair instead of exiting at the first witness.
-        let w = generators::rdf_subproperty_graph(rho_n, 4, 1.6, 13);
-        let al = w.graph.alphabet().clone();
-        let rho = builtin::rho_isomorphism(&al, &w.subproperties, true);
-        let q = Ecrpq::builder(&al)
-            .head_nodes(&["x", "y"])
-            .atom("x", "p1", "z1")
-            .atom("y", "p2", "z2")
-            .language("p1", ". .*")
-            .language("p2", ". .*")
-            .relation(rho, &["p1", "p2"])
-            .build()
-            .unwrap();
-        let pq = eval::prepare(&q).unwrap();
-        pq.warm();
-        for &t in threads {
-            let bound = pq.bind_with(&w.graph, EvalOptions::with_threads(t)).unwrap();
-            out.push(measure("app_rho_iso", t as u64, || {
-                let (ans, _) = bound.run_nodes(&cfg).unwrap();
-                format!("pairs={} n={rho_n}", ans.len())
-            }));
-        }
-        out
-    }
-
     /// Square-pattern matching (pattern `XX`) over string graphs of growing
     /// length.
     pub fn app_pattern(sizes: &[usize]) -> Vec<Measurement> {
@@ -830,7 +737,7 @@ pub mod workloads {
     /// series differ *only* in the chosen plan. The differential suite
     /// (`tests/planner_differential.rs`) proves the answers are identical.
     pub fn plan_speedup(sizes: &[usize]) -> Vec<Measurement> {
-        use ecrpq::eval::{EvalOptions, PlannerMode};
+        use ecrpq::eval::PlannerMode;
         use ecrpq::parse_query;
         let cfg = config();
         let modes = [("static", PlannerMode::Static), ("cost", PlannerMode::CostBased)];
@@ -844,8 +751,7 @@ pub mod workloads {
             let pq = eval::prepare(&q).unwrap();
             pq.warm();
             for (name, planner) in modes {
-                let bound =
-                    pq.bind_with(&g, EvalOptions { planner, ..EvalOptions::default() }).unwrap();
+                let bound = pq.bind_with(&g, planner).unwrap();
                 out.push(measure(&format!("const_seed_{name}"), n as u64, || {
                     let (ans, _) = bound.run_nodes(&cfg).unwrap();
                     format!("answers={} n={n}", ans.len())
@@ -858,8 +764,7 @@ pub mod workloads {
             let pq = eval::prepare(&q).unwrap();
             pq.warm();
             for (name, planner) in modes {
-                let bound =
-                    pq.bind_with(&g, EvalOptions { planner, ..EvalOptions::default() }).unwrap();
+                let bound = pq.bind_with(&g, planner).unwrap();
                 out.push(measure(&format!("rev_favored_{name}"), n as u64, || {
                     let (ans, _) = bound.run_nodes(&cfg).unwrap();
                     format!("answers={} n={n}", ans.len())

@@ -14,7 +14,7 @@
 //! fixed query (Theorem 6.1), and exponential only in the query.
 
 use crate::error::QueryError;
-use crate::eval::dense::{odometer_next, Layout, ShardedArena};
+use crate::eval::dense::{odometer_next, Arena, Layout};
 use crate::eval::plan;
 use crate::eval::prepared::{BoundPlan, PreparedQuery, RelSim};
 use crate::eval::EvalConfig;
@@ -146,7 +146,7 @@ impl BoundPlan<'_> {
         let mut err: Option<QueryError> = None;
         let n = self.graph.num_nodes();
         plan::enumerate_candidates(pq, n, &constants, &reach, None, config, &mut stats, |sigma| {
-            if let Err(e) = add_candidate_automaton(&mut nfa, self, sigma, arity, config) {
+            if let Err(e) = add_candidate_automaton(&mut nfa, self, sigma, config) {
                 err = Some(e);
                 return false;
             }
@@ -163,21 +163,14 @@ impl BoundPlan<'_> {
 // search, using the same dense encoding: a state is one flat row of `u64`
 // words — one position word per path variable (`node << 1 | done`) followed
 // by the bitset blocks of every relation automaton's state set — interned
-// into the sharded arena of [`super::dense`]. Each interned state owns a
-// pair of automaton states ("before nodes" / "after nodes"); the frontier
-// and the pair table are indexed by the `u32` arena ids.
-//
-// Like the convolution search, the construction is level-synchronous when
-// the plan's `EvalOptions` ask for threads: a level's states are expanded by
-// scoped workers against the frozen arena (lock-free reads), and the
-// coordinator merges the discovered transitions in chunk order between
-// levels — so the constructed automaton (state numbering, transitions,
-// accepting flags) is bit-identical at every thread count.
+// into the arena of [`super::dense`]. Each interned state owns a pair of
+// automaton states ("before nodes" / "after nodes"); the pair table is
+// indexed by the `u32` arena ids, and since ids are handed out in discovery
+// order, expanding ids `0, 1, 2, …` in turn is the breadth-first traversal.
 
 /// Per-variable expansion options plus the scratch of [`apply_move`]: the
-/// answer-automaton counterpart of the search's expander, shared by the
-/// inline path and every parallel worker. Successors are always emitted in
-/// odometer order.
+/// answer-automaton counterpart of the search's expander. Successors are
+/// always emitted in odometer order.
 struct AnswersExpander<'a, 'p> {
     plan: &'a BoundPlan<'p>,
     sigma: &'a [NodeId],
@@ -270,61 +263,24 @@ impl<'a, 'p> AnswersExpander<'a, 'p> {
     }
 }
 
-/// One worker's transitions from its chunk of a level, in expansion order:
-/// per source state a group of `(successor key, head letter)` candidates.
-/// Unlike the search, *every* admissible move is recorded — transitions to
-/// already-known states matter here.
-struct TransBuf {
-    words: usize,
-    arity: usize,
-    keys: Vec<u64>,
-    letters: Vec<Option<Symbol>>,
-    groups: Vec<(u32, u32)>,
-}
-
-impl TransBuf {
-    fn new(words: usize, arity: usize) -> TransBuf {
-        TransBuf { words, arity, keys: Vec::new(), letters: Vec::new(), groups: Vec::new() }
-    }
-
-    fn begin_group(&mut self, src: u32) {
-        self.groups.push((src, 0));
-    }
-
-    fn push(&mut self, key: &[u64], head_letters: &[Option<Symbol>]) {
-        self.keys.extend_from_slice(key);
-        self.letters.extend_from_slice(head_letters);
-        self.groups.last_mut().expect("push after begin_group").1 += 1;
-    }
-
-    fn key(&self, idx: usize) -> &[u64] {
-        &self.keys[idx * self.words..(idx + 1) * self.words]
-    }
-
-    fn letter(&self, idx: usize) -> &[Option<Symbol>] {
-        &self.letters[idx * self.arity..(idx + 1) * self.arity]
-    }
-}
-
 fn add_candidate_automaton(
     nfa: &mut Nfa<EncLetter>,
     plan: &BoundPlan<'_>,
     sigma: &[NodeId],
-    arity: usize,
     config: &EvalConfig,
 ) -> Result<(), QueryError> {
     let pq = plan.pq;
-    if !pq.dense_search {
-        // Oversized relation automata: fall back to the classical
-        // cloned-state construction (see the note on
-        // `PreparedQuery::dense_search`). Always sequential.
-        return add_candidate_automaton_classic(nfa, plan, sigma, arity, config);
-    }
     // Check repeated-atom endpoint consistency.
     for &(p, f, t) in &pq.extra_endpoints {
         if sigma[f] != sigma[pq.path_from[p]] || sigma[t] != sigma[pq.path_to[p]] {
             return Ok(());
         }
+    }
+    if !pq.dense_search {
+        // Oversized relation automata: fall back to the classical
+        // cloned-state construction (see the note on
+        // `PreparedQuery::dense_search`).
+        return add_candidate_automaton_classic(nfa, plan, sigma, config);
     }
     let num_paths = pq.path_vars.len();
     let head = &pq.head_path_idx;
@@ -333,8 +289,6 @@ fn add_candidate_automaton(
     // Same word layout as the convolution search, without counters.
     let layout = Layout::new(num_paths, &sims, 0);
     let words = layout.words;
-    let threads = plan.options().effective_threads();
-    let min_level = plan.options().min_parallel_level.max(1);
 
     let accepts_key = |key: &[u64]| -> bool {
         (0..num_paths)
@@ -346,20 +300,16 @@ fn add_candidate_automaton(
             })
     };
 
-    let mut arena = ShardedArena::new(words);
+    let mut arena = Arena::new(words);
     // Per arena id: the (before-nodes, after-nodes) automaton state pair.
     let mut pairs: Vec<(StateId, StateId)> = Vec::new();
-    let mut next_level: Vec<u32> = Vec::new();
 
     // Intern helper: creates the before/after pair for a fresh state, linked
-    // by the Nodes letter of the head path variables, and enqueues it on the
-    // next level. Only ever called by the coordinator (inline expansion or
-    // the between-level merge), so ids stay in canonical discovery order.
+    // by the Nodes letter of the head path variables.
     let intern = |key: &[u64],
                   nfa: &mut Nfa<EncLetter>,
-                  arena: &mut ShardedArena,
-                  pairs: &mut Vec<(StateId, StateId)>,
-                  next_level: &mut Vec<u32>|
+                  arena: &mut Arena,
+                  pairs: &mut Vec<(StateId, StateId)>|
      -> (StateId, StateId) {
         let (id, fresh) = arena.intern(key);
         if !fresh {
@@ -372,7 +322,6 @@ fn add_candidate_automaton(
         nfa.add_transition(b, node_letter, a);
         nfa.set_accepting(a, accepts_key(key));
         pairs.push((b, a));
-        next_level.push(id);
         (b, a)
     };
 
@@ -385,88 +334,26 @@ fn add_candidate_automaton(
         initial[layout.rel_off[j]..layout.rel_off[j] + layout.rel_blocks[j]]
             .copy_from_slice(rs.sim.initial_set().as_blocks());
     }
-    let (b0, _a0) = intern(&initial, nfa, &mut arena, &mut pairs, &mut next_level);
+    let (b0, _a0) = intern(&initial, nfa, &mut arena, &mut pairs);
     nfa.add_initial(b0);
 
-    let mut level: Vec<u32> = Vec::new();
-    std::mem::swap(&mut level, &mut next_level);
-    let mut inline_expander = AnswersExpander::new(plan, sigma, &layout, &sims);
+    let mut expander = AnswersExpander::new(plan, sigma, &layout, &sims);
     let mut cur = vec![0u64; words];
-    let mut visited_budget = config.max_search_states;
-    let budget_error = || QueryError::BudgetExceeded {
-        what: "answer-automaton construction exceeded the state budget".to_string(),
-    };
-
-    while !level.is_empty() {
-        next_level.clear();
-        if threads <= 1 || level.len() < min_level {
-            // Small frontier: expand inline, adding transitions as they are
-            // discovered — the sequential construction restricted to this
-            // level.
-            for &id in &level {
-                if visited_budget == 0 {
-                    return Err(budget_error());
-                }
-                visited_budget -= 1;
-                let from_after = pairs[id as usize].1;
-                cur.copy_from_slice(arena.get(id));
-                inline_expander.expand(&cur, |next, head_letters| {
-                    let letter = EncLetter::Letter(TupleSym::new(head_letters.to_vec()));
-                    let (nb, _na) = intern(next, nfa, &mut arena, &mut pairs, &mut next_level);
-                    nfa.add_transition(from_after, letter, nb);
-                });
-            }
-        } else {
-            // The whole level counts against the budget up front: the
-            // sequential construction would have run out mid-level anyway,
-            // and an error discards the automaton either way.
-            if visited_budget < level.len() {
-                return Err(budget_error());
-            }
-            visited_budget -= level.len();
-            // Shared fan-out with the convolution search (same chunking
-            // heuristic, coordinator takes the first chunk), in bounded
-            // rounds so the buffered transitions stay proportional to one
-            // round's fan-out, not the whole level's.
-            for round in level.chunks(crate::eval::dense::PARALLEL_ROUND_CAP) {
-                let bufs = {
-                    let arena = &arena;
-                    let layout = &layout;
-                    let sims = &sims;
-                    crate::eval::dense::expand_level_chunks(
-                        round,
-                        threads,
-                        min_level.div_ceil(2),
-                        || TransBuf::new(words, arity),
-                        |ids, buf| {
-                            let mut expander = AnswersExpander::new(plan, sigma, layout, sims);
-                            for &id in ids {
-                                buf.begin_group(id);
-                                expander.expand(arena.get(id), |next, head_letters| {
-                                    buf.push(next, head_letters);
-                                });
-                            }
-                        },
-                    )
-                };
-                // Deterministic merge: chunks in level order, groups in
-                // state order, transitions in odometer order.
-                for buf in &bufs {
-                    let mut idx = 0;
-                    for &(src, count) in &buf.groups {
-                        let from_after = pairs[src as usize].1;
-                        for _ in 0..count {
-                            let letter = EncLetter::Letter(TupleSym::new(buf.letter(idx).to_vec()));
-                            let (nb, _na) =
-                                intern(buf.key(idx), nfa, &mut arena, &mut pairs, &mut next_level);
-                            nfa.add_transition(from_after, letter, nb);
-                            idx += 1;
-                        }
-                    }
-                }
-            }
+    let mut id = 0u32;
+    while (id as usize) < arena.len() {
+        if id as usize >= config.max_search_states {
+            return Err(QueryError::BudgetExceeded {
+                what: "answer-automaton construction exceeded the state budget".to_string(),
+            });
         }
-        std::mem::swap(&mut level, &mut next_level);
+        let from_after = pairs[id as usize].1;
+        cur.copy_from_slice(arena.get(id));
+        expander.expand(&cur, |next, head_letters| {
+            let letter = EncLetter::Letter(TupleSym::new(head_letters.to_vec()));
+            let (nb, _na) = intern(next, nfa, &mut arena, &mut pairs);
+            nfa.add_transition(from_after, letter, nb);
+        });
+        id += 1;
     }
     Ok(())
 }
@@ -524,17 +411,10 @@ fn add_candidate_automaton_classic(
     nfa: &mut Nfa<EncLetter>,
     plan: &BoundPlan<'_>,
     sigma: &[NodeId],
-    _arity: usize,
     config: &EvalConfig,
 ) -> Result<(), QueryError> {
     let pq = plan.pq;
     let graph = plan.graph;
-    // Check repeated-atom endpoint consistency.
-    for &(p, f, t) in &pq.extra_endpoints {
-        if sigma[f] != sigma[pq.path_from[p]] || sigma[t] != sigma[pq.path_to[p]] {
-            return Ok(());
-        }
-    }
     let num_paths = pq.path_vars.len();
     let head = &pq.head_path_idx;
 
@@ -773,5 +653,37 @@ mod tests {
         } else {
             panic!("expected a convolution letter");
         }
+    }
+
+    /// Pins the shape of the constructed automata (state and transition
+    /// counts summed over every node pair of a fixed graph) and the smallest
+    /// state budget the construction completes in, so a change to the
+    /// construction loop that adds, drops or reorders product states shows
+    /// up here.
+    #[test]
+    fn answer_automaton_shape_and_budget_are_pinned() {
+        let g = generators::random_graph(8, 2.0, &["a", "b"], 23);
+        let text = "Ans(x, y, p1, p2) <- (x, p1, z), (z, p2, y), L(p1) = a (a|b)*, R(p1, p2) = el";
+        let q = crate::parse_query(text, g.alphabet()).unwrap();
+        let pq = PreparedQuery::prepare(&q).unwrap();
+        let plan = pq.bind(&g).unwrap();
+        let cfg = EvalConfig::default();
+        let (mut states, mut transitions, mut largest) = (0, 0, (0, [NodeId(0); 2]));
+        for x in g.nodes() {
+            for y in g.nodes() {
+                let aut = plan.answer_automaton(&[x, y], &cfg).unwrap();
+                states += aut.num_states();
+                transitions += aut.nfa.num_transitions();
+                largest = largest.max((aut.num_states(), [x, y]));
+            }
+        }
+        let nodes = largest.1;
+        let fits = |budget| {
+            let cfg = EvalConfig { max_search_states: budget, ..EvalConfig::default() };
+            plan.answer_automaton(&nodes, &cfg).is_ok()
+        };
+        let min_budget = (1..10_000).find(|&b| fits(b)).unwrap();
+        assert_eq!((states, transitions), (228, 447), "automaton shape changed");
+        assert_eq!(min_budget, 17, "the construction explores a different state count");
     }
 }

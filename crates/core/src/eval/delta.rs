@@ -29,7 +29,7 @@ use crate::error::QueryError;
 use crate::eval::plan::reach::{reach_rows, Overlay};
 use crate::eval::plan::{self, ReachRel};
 use crate::eval::prepared::BoundStatement;
-use crate::eval::{EvalConfig, EvalOptions, EvalStats};
+use crate::eval::{EvalConfig, EvalStats};
 use ecrpq_graph::delta::{DeltaBatch, GraphView};
 use ecrpq_graph::NodeId;
 use std::collections::{HashMap, HashSet};
@@ -171,9 +171,8 @@ impl MaintainedStatement {
         let art = self.stmt.artifacts();
         let mut stats = EvalStats::default();
         let overlay = Overlay::new(view, pq, art);
-        let options = EvalOptions::default();
         for (p, table) in self.reach.iter_mut().enumerate() {
-            let rows = reach_rows(pq, p, false, &overlay, sources, options, &mut stats);
+            let rows = reach_rows(pq, p, false, &overlay, sources, &mut stats);
             for (row, &src) in rows.into_iter().zip(sources) {
                 table[src as usize] = row;
             }
@@ -332,8 +331,7 @@ mod tests {
             [None, Some("a*"), Some("a b* c"), Some("(a | c)+"), Some("b c* | a"), Some(".* c")];
         let alphabet = Alphabet::from_labels(["a", "b", "c"]);
         let all_rows = |adj: &Overlay<'_>, pq: &PreparedQuery, sources: &[u32]| {
-            let (options, mut stats) = (EvalOptions::default(), EvalStats::default());
-            reach_rows(pq, 0, false, adj, sources, options, &mut stats)
+            reach_rows(pq, 0, false, adj, sources, &mut EvalStats::default())
         };
         for seed in 0..48u64 {
             let mut rng = SplitMix64::seed_from_u64(seed);

@@ -1,4 +1,5 @@
-//! The flat state arenas shared by the dense product engines.
+//! The flat state arena shared by the dense product engines (the
+//! convolution search and the answer-automaton construction).
 //!
 //! Search states are encoded as fixed-width `u64` words (path positions,
 //! relation state-set bitset blocks, counter values) and interned into one
@@ -7,18 +8,6 @@
 //! cloning a `State { Vec<Pos>, Vec<Vec<StateId>>, Vec<i64> }` per visit,
 //! interning a state costs one hash of `words` machine words and (for fresh
 //! states) one `extend_from_slice` — no per-state allocation at all.
-//!
-//! Two arena flavors live here:
-//!
-//! * [`Arena`] — the single-table arena of the sequential engines;
-//! * [`ShardedArena`] — the arena of the frontier-parallel engines: the hash
-//!   table is split into shards selected by the high bits of the key hash.
-//!   During a level's expansion phase the arena is frozen and every worker
-//!   probes it lock-free through `&self` ([`ShardedArena::lookup`]); the
-//!   states a level discovers are interned by the coordinator in one
-//!   deterministic merge between levels, which only ever grows one shard's
-//!   table at a time. Ids are dense and assigned in merge order, so the
-//!   parallel engines number states exactly like their sequential twins.
 
 use crate::eval::prepared::RelSim;
 
@@ -153,188 +142,6 @@ impl Arena {
     }
 }
 
-/// Upper bound on the frontier slice one parallel expansion round works on.
-/// The level-synchronous engines buffer a round's successor candidates
-/// until the merge; capping the round (rather than fanning out a whole
-/// level at once) bounds that buffering to `round × branching` keys even
-/// when the frontier itself holds hundreds of thousands of states, so a
-/// search that is about to blow its `max_search_states` budget fails fast
-/// with bounded memory — like the sequential engine — instead of first
-/// materializing the full level's fan-out.
-pub(crate) const PARALLEL_ROUND_CAP: usize = 4096;
-
-/// Expands one frontier slice across scoped worker threads, returning the
-/// per-chunk result buffers in slice order — the shared fan-out of the
-/// level-synchronous engines (convolution search, answer-automaton
-/// construction) and the per-source reachability driver, kept in one place
-/// so the spawn topology cannot drift between them.
-///
-/// The items split into contiguous chunks, capped so every chunk carries
-/// at least `min_items_per_chunk` items (spawning a worker for a handful
-/// of cheap items costs more than it saves; callers pick the floor to
-/// match their per-item cost), and `expand_chunk(ids, buf)` runs once per
-/// chunk — the first on the calling thread (one spawn fewer per round),
-/// the rest on [`std::thread::scope`] workers. Merging the buffers in the
-/// returned order replays the sequential order.
-pub(crate) fn expand_level_chunks<B: Send>(
-    level: &[u32],
-    threads: usize,
-    min_items_per_chunk: usize,
-    make_buf: impl Fn() -> B,
-    expand_chunk: impl Fn(&[u32], &mut B) + Sync,
-) -> Vec<B> {
-    let max_chunks = level.len().div_ceil(min_items_per_chunk.max(1)).max(1);
-    let nchunks = threads.min(max_chunks).min(level.len()).max(1);
-    let chunk = level.len().div_ceil(nchunks);
-    let mut bufs: Vec<B> = (0..nchunks).map(|_| make_buf()).collect();
-    let (first_buf, rest_bufs) = bufs.split_first_mut().expect("nchunks >= 1");
-    let mut chunks = level.chunks(chunk);
-    let first_ids = chunks.next().expect("non-empty level");
-    std::thread::scope(|scope| {
-        for (ids, buf) in chunks.zip(rest_bufs.iter_mut()) {
-            let expand_chunk = &expand_chunk;
-            scope.spawn(move || expand_chunk(ids, buf));
-        }
-        expand_chunk(first_ids, first_buf);
-    });
-    bufs
-}
-
-/// Shard count of [`ShardedArena`] (a power of two). Shards only bound how
-/// much of the table a between-level merge touches per insertion; lookups
-/// are lock-free regardless, so the count does not need to match the worker
-/// count.
-const SHARD_COUNT: usize = 16;
-const SHARD_BITS: u32 = SHARD_COUNT.trailing_zeros();
-
-/// One open-addressing shard: state ids slotted by the low hash bits
-/// (`u32::MAX` = empty).
-struct Shard {
-    table: Vec<u32>,
-    mask: usize,
-    len: usize,
-}
-
-impl Shard {
-    fn new() -> Shard {
-        let cap = 64;
-        Shard { table: vec![u32::MAX; cap], mask: cap - 1, len: 0 }
-    }
-}
-
-/// Interns fixed-width `u64` keys like [`Arena`], but with the hash table
-/// sharded by the high bits of the key hash so the parallel engines can
-/// probe it lock-free (`&self`) from every worker while a level expands,
-/// then intern the level's discoveries in one coordinator merge. Ids are
-/// dense `u32`s in insertion order; keys live contiguously in one arena
-/// vector, so `get` stays a slice index away.
-pub(crate) struct ShardedArena {
-    words: usize,
-    data: Vec<u64>,
-    shards: Vec<Shard>,
-    len: usize,
-}
-
-impl ShardedArena {
-    /// Creates an empty arena for keys of `words` words each.
-    pub fn new(words: usize) -> ShardedArena {
-        ShardedArena {
-            words,
-            data: Vec::new(),
-            shards: (0..SHARD_COUNT).map(|_| Shard::new()).collect(),
-            len: 0,
-        }
-    }
-
-    /// Number of interned keys.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// The key stored under `id`.
-    #[inline]
-    pub fn get(&self, id: u32) -> &[u64] {
-        let base = id as usize * self.words;
-        &self.data[base..base + self.words]
-    }
-
-    /// Splits a key hash into (shard index, within-shard probe hash). The
-    /// shard comes from the top bits, the probe from the rest, so the two
-    /// are independent.
-    #[inline]
-    fn split_hash(h: u64) -> (usize, usize) {
-        ((h >> (64 - SHARD_BITS)) as usize, h as usize)
-    }
-
-    /// Lock-free read-only probe: the id of `key` if it is already interned.
-    /// Safe to call from many threads while no merge is running — exactly
-    /// the expansion phase of the level-synchronous engines.
-    #[inline]
-    pub fn lookup(&self, key: &[u64]) -> Option<u32> {
-        debug_assert_eq!(key.len(), self.words);
-        let (si, h) = Self::split_hash(hash_key(key));
-        let shard = &self.shards[si];
-        let mut i = h & shard.mask;
-        loop {
-            let slot = shard.table[i];
-            if slot == u32::MAX {
-                return None;
-            }
-            if self.get(slot) == key {
-                return Some(slot);
-            }
-            i = (i + 1) & shard.mask;
-        }
-    }
-
-    /// Interns `key`, returning its id and whether it was newly inserted.
-    /// Coordinator-only (requires `&mut self`): the merge phase between
-    /// levels.
-    pub fn intern(&mut self, key: &[u64]) -> (u32, bool) {
-        debug_assert_eq!(key.len(), self.words);
-        let (si, h) = Self::split_hash(hash_key(key));
-        if (self.shards[si].len + 1) * 4 > self.shards[si].table.len() * 3 {
-            self.grow_shard(si);
-        }
-        let shard = &self.shards[si];
-        let mut i = h & shard.mask;
-        loop {
-            let slot = self.shards[si].table[i];
-            if slot == u32::MAX {
-                let id = self.len as u32;
-                self.data.extend_from_slice(key);
-                self.shards[si].table[i] = id;
-                self.shards[si].len += 1;
-                self.len += 1;
-                return (id, true);
-            }
-            if self.get(slot) == key {
-                return (slot, false);
-            }
-            i = (i + 1) & self.shards[si].mask;
-        }
-    }
-
-    fn grow_shard(&mut self, si: usize) {
-        let cap = self.shards[si].table.len() * 2;
-        let mask = cap - 1;
-        let mut table = vec![u32::MAX; cap];
-        for slot in std::mem::take(&mut self.shards[si].table) {
-            if slot == u32::MAX {
-                continue;
-            }
-            let (_, h) = Self::split_hash(hash_key(self.get(slot)));
-            let mut i = h & mask;
-            while table[i] != u32::MAX {
-                i = (i + 1) & mask;
-            }
-            table[i] = slot;
-        }
-        self.shards[si].table = table;
-        self.shards[si].mask = mask;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,42 +188,5 @@ mod tests {
         for i in 0..64u64 {
             assert_eq!(a.intern(&[7, 7, 7, i]).0 as u64, i);
         }
-    }
-
-    #[test]
-    fn sharded_arena_matches_flat_arena_ids() {
-        // Both arenas must assign identical dense ids for an identical
-        // insertion sequence — the invariant that keeps the parallel
-        // engines bit-identical to the sequential ones.
-        let mut flat = Arena::new(2);
-        let mut sharded = ShardedArena::new(2);
-        let mut gen = 0x1234_5678_9abc_def1u64;
-        let mut keys = Vec::new();
-        for _ in 0..3000 {
-            gen = gen.wrapping_mul(0x2545_F491_4F6C_DD1D).wrapping_add(1);
-            keys.push([gen % 101, gen % 7]); // plenty of duplicates
-        }
-        for key in &keys {
-            assert_eq!(flat.intern(key), sharded.intern(key), "diverged at {key:?}");
-        }
-        assert_eq!(flat.len(), sharded.len());
-        for id in 0..sharded.len() as u32 {
-            assert_eq!(flat.get(id), sharded.get(id));
-            assert_eq!(sharded.lookup(flat.get(id)), Some(id));
-        }
-        assert_eq!(sharded.lookup(&[u64::MAX, u64::MAX]), None);
-    }
-
-    #[test]
-    fn sharded_lookup_agrees_with_intern_across_growth() {
-        let mut a = ShardedArena::new(3);
-        for i in 0..5000u64 {
-            let key = [i, i.wrapping_mul(31), 7];
-            assert_eq!(a.lookup(&key), None, "unseen key must miss");
-            let (id, fresh) = a.intern(&key);
-            assert!(fresh);
-            assert_eq!(a.lookup(&key), Some(id), "interned key must hit");
-        }
-        assert_eq!(a.len(), 5000);
     }
 }

@@ -66,68 +66,6 @@ pub enum PlannerMode {
     Static,
 }
 
-/// Execution options resolved at bind time: how a bound plan is *run*, as
-/// opposed to the budgets of [`EvalConfig`] (which bound what it may
-/// explore). Today this is the intra-query parallelism knob.
-///
-/// # Determinism
-///
-/// The parallel engine is *bit-identical* to the sequential one on
-/// everything observable: answer sets (including witness paths and their
-/// order), `verified` counts, membership-check verdicts, and the
-/// answer automaton it constructs. Parallel expansion results are merged in
-/// the exact order the sequential frontier would have produced them, so the
-/// thread count can never change a query's result — only how fast it
-/// arrives. `tests/parallel_differential.rs` enforces this across engines,
-/// thread counts, and graph families.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EvalOptions {
-    /// Worker threads for one query evaluation (frontier-parallel product
-    /// search and per-source reachability). `1` (the default) runs the
-    /// sequential engine unchanged; values are clamped to at least 1.
-    pub threads: usize,
-    /// Frontiers (BFS levels / reachability source sets) smaller than this
-    /// expand inline on the calling thread even when `threads > 1`: spawning
-    /// workers for a handful of states costs more than it saves. Lower it
-    /// (e.g. to 1) to force the parallel code paths on tiny inputs, as the
-    /// differential tests do.
-    pub min_parallel_level: usize,
-    /// Join-order / BFS-direction planning mode (see [`PlannerMode`]).
-    /// Cost-based by default; switch to [`PlannerMode::Static`] to reproduce
-    /// the pre-planner execution order exactly.
-    pub planner: PlannerMode,
-}
-
-/// Default frontier size below which parallel expansion is not worth the
-/// thread handoff. Calibrated against ~15 µs per spawned scoped thread:
-/// expanding one product state costs roughly 0.5–10 µs depending on the
-/// relation automata, so a frontier of 128 states carries enough work to
-/// amortize the spawns while anything smaller runs faster inline.
-pub(crate) const DEFAULT_MIN_PARALLEL_LEVEL: usize = 128;
-
-impl Default for EvalOptions {
-    fn default() -> Self {
-        EvalOptions {
-            threads: 1,
-            min_parallel_level: DEFAULT_MIN_PARALLEL_LEVEL,
-            planner: PlannerMode::default(),
-        }
-    }
-}
-
-impl EvalOptions {
-    /// Options running `threads` workers per query (clamped to at least 1),
-    /// with the default inline threshold.
-    pub fn with_threads(threads: usize) -> EvalOptions {
-        EvalOptions { threads: threads.max(1), ..EvalOptions::default() }
-    }
-
-    /// The effective worker count (at least 1).
-    pub(crate) fn effective_threads(&self) -> usize {
-        self.threads.max(1)
-    }
-}
-
 /// Compiles a query into its graph-independent prepared form (the
 /// compile phase of the parse → compile → bind/execute pipeline). Alias for
 /// [`PreparedQuery::prepare`].

@@ -12,7 +12,6 @@
 use crate::eval::plan::cost::{AtomPlan, Direction};
 use crate::eval::plan::EvalStats;
 use crate::eval::prepared::{BindArtifacts, BoundPlan, PreparedQuery};
-use crate::eval::EvalOptions;
 use ecrpq_automata::alphabet::Symbol;
 use ecrpq_automata::nfa::Nfa;
 use ecrpq_automata::sim::{CompactNfa, StateSet};
@@ -56,7 +55,7 @@ fn transpose(rows: &[Vec<NodeId>]) -> Vec<Vec<NodeId>> {
 
 /// Where the kernel's successors come from; labels are merged-alphabet
 /// symbols.
-pub(crate) trait Successors: Sync {
+pub(crate) trait Successors {
     fn num_nodes(&self) -> usize;
     /// Calls `f(label, target)` for every edge leaving `v`.
     fn for_each(&self, v: u32, f: impl FnMut(Symbol, u32));
@@ -154,7 +153,7 @@ impl Successors for Overlay<'_> {
 }
 
 /// How the unary constraint of a path variable steps along an edge label.
-pub(crate) trait Constraint: Sync {
+pub(crate) trait Constraint {
     fn num_states(&self) -> usize;
     fn for_each_initial(&self, f: impl FnMut(u32));
     fn is_accepting(&self, q: u32) -> bool;
@@ -273,13 +272,7 @@ impl Constraint for Tables<'_> {
     }
 }
 
-/// Floor on BFS sources per worker chunk. A source costs a whole product
-/// BFS (orders of magnitude more than one search-state expansion), so the
-/// floor is far below the search engines' half-`min_parallel_level` — just
-/// enough that a chunk's work clearly covers its thread spawn.
-const MIN_SOURCES_PER_CHUNK: usize = 4;
-
-/// Per-worker BFS state, allocated once and reset per source by replaying
+/// BFS state, allocated once per call and reset per source by replaying
 /// what the source touched — a sparse BFS costs O(|visited pairs|), not
 /// O(n·s/64), per start node.
 struct Scratch {
@@ -314,65 +307,40 @@ fn visit<C: Constraint>(c: &C, s: usize, node: u32, q: u32, sc: &mut Scratch) {
 /// The kernel: one BFS per start node over `(node, constraint-state)` pairs
 /// of the product of `adj` with `c`. Returns, per source and in `sources`
 /// order, the sorted nodes reachable in an accepting state.
-///
-/// With `options.threads > 1` (and at least `options.min_parallel_level`
-/// sources) the sources are partitioned into contiguous chunks across scoped
-/// worker threads through the shared fan-out of
-/// [`dense::expand_level_chunks`] — the adjacency and the constraint are
-/// shared read-only, each worker builds its own scratch, and every source's
-/// row is independent of every other's, so the output is identical at any
-/// thread count.
-///
-/// [`dense::expand_level_chunks`]: crate::eval::dense::expand_level_chunks
 pub(crate) fn product_rows<A: Successors, C: Constraint>(
     adj: &A,
     c: &C,
     sources: &[u32],
-    options: EvalOptions,
 ) -> Vec<Vec<NodeId>> {
     let n = adj.num_nodes();
     let s = c.num_states();
-    let make_scratch = || Scratch {
+    let mut sc = Scratch {
         visited: vec![0u64; (n * s).div_ceil(64).max(1)],
         touched: Vec::new(),
         result: vec![false; n],
         stack: Vec::new(),
         hits: Vec::new(),
     };
-    let solve = |sc: &mut Scratch, u: u32| {
-        c.for_each_initial(|q| visit(c, s, u, q, sc));
-        while let Some((v, q)) = sc.stack.pop() {
-            adj.for_each(v, |label, to| c.step(q, label, |nq| visit(c, s, to, nq, sc)));
-        }
-        for &w in &sc.touched {
-            sc.visited[w] = 0;
-        }
-        sc.touched.clear();
-        let mut hits = std::mem::take(&mut sc.hits);
-        for h in &hits {
-            sc.result[h.index()] = false;
-        }
-        hits.sort_unstable();
-        hits
-    };
-    let threads = options.effective_threads().min(sources.len().max(1));
-    if threads <= 1 || sources.len() < options.min_parallel_level.max(1) {
-        let mut scratch = make_scratch();
-        return sources.iter().map(|&u| solve(&mut scratch, u)).collect();
-    }
-    let chunks = crate::eval::dense::expand_level_chunks(
-        sources,
-        threads,
-        MIN_SOURCES_PER_CHUNK,
-        Vec::new,
-        |ids, out: &mut Vec<Vec<NodeId>>| {
-            let mut scratch = make_scratch();
-            out.extend(ids.iter().map(|&u| solve(&mut scratch, u)));
-        },
-    );
-    // Chunks are contiguous and in source order, so concatenation restores
-    // the per-source row indexing exactly.
-    chunks.concat()
+    let sc = &mut sc;
+    sources
+        .iter()
+        .map(|&u| {
+            c.for_each_initial(|q| visit(c, s, u, q, sc));
+            while let Some((v, q)) = sc.stack.pop() {
+                adj.for_each(v, |label, to| c.step(q, label, |nq| visit(c, s, to, nq, sc)));
+            }
+            for &w in &sc.touched {
+                sc.visited[w] = 0;
+            }
+            sc.touched.clear();
+            let mut hits = std::mem::take(&mut sc.hits);
+            for h in &hits {
+                sc.result[h.index()] = false;
+            }
+            hits.sort_unstable();
+            hits
+        })
+        .collect()
 }
 
 /// The rows of path variable `p`'s relation from `sources` over `adj`,
@@ -382,19 +350,17 @@ pub(crate) fn product_rows<A: Successors, C: Constraint>(
 /// the reversal is linear in the automaton, dwarfed by the BFS passes).
 /// Compiled tables come from the prepared query's (and, for
 /// single-projection constraints, the relation's) cache — recorded in
-/// `stats` as a hit or miss, fetched once before any worker starts, so the
-/// counters are thread-count independent.
+/// `stats` as a hit or miss, fetched once per call.
 pub(crate) fn reach_rows<A: Successors>(
     pq: &PreparedQuery,
     p: usize,
     rev: bool,
     adj: &A,
     sources: &[u32],
-    options: EvalOptions,
     stats: &mut EvalStats,
 ) -> Vec<Vec<NodeId>> {
     match pq.unary[p].as_ref() {
-        None => product_rows(adj, &Unconstrained, sources, options),
+        None => product_rows(adj, &Unconstrained, sources),
         Some(u) if !u.dense => {
             let reversed;
             let nfa = if rev {
@@ -403,11 +369,11 @@ pub(crate) fn reach_rows<A: Successors>(
             } else {
                 &*u.nfa
             };
-            product_rows(adj, &SparseNfa::new(nfa), sources, options)
+            product_rows(adj, &SparseNfa::new(nfa), sources)
         }
         Some(_) => {
             let sim = if rev { pq.unary_rev_sim(p, stats) } else { pq.unary_sim(p, stats) };
-            product_rows(adj, &Tables::new(&sim), sources, options)
+            product_rows(adj, &Tables::new(&sim), sources)
         }
     }
 }
@@ -420,9 +386,7 @@ pub(crate) fn reachability(bound: &BoundPlan<'_>, p: usize, stats: &mut EvalStat
 }
 
 /// Computes the reachability relation of path variable `p` over the bound
-/// plan's graph, following the planned strategy of `atom`; the start nodes
-/// partition across worker threads when the plan's [`EvalOptions`] ask for
-/// them.
+/// plan's graph, following the planned strategy of `atom`.
 ///
 /// Under [`Direction::Reverse`] the BFS walks the reverse CSR with the
 /// reversed constraint automaton: a reverse walk from `t` reading the
@@ -445,7 +409,7 @@ pub(crate) fn reachability_planned(
         Some(c) => vec![c.0],
         None => (0..n as u32).collect(),
     };
-    let rows = reach_rows(bound.pq, p, rev, bound.csr(rev), &sources, bound.options(), stats);
+    let rows = reach_rows(bound.pq, p, rev, bound.csr(rev), &sources, stats);
     // Scatter per-source rows into a full table (a pinned BFS leaves every
     // other row empty); the other side follows by transposition.
     let mut primary: Vec<Vec<NodeId>> = vec![Vec::new(); n];

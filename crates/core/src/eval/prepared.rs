@@ -26,7 +26,7 @@ use crate::error::QueryError;
 use crate::eval::plan::reach::CsrTable;
 use crate::eval::plan::{self, Engine, EvalStats, Mode, ReachRel};
 use crate::eval::search::SearchProblem;
-use crate::eval::{Answer, EvalConfig, EvalOptions};
+use crate::eval::{Answer, EvalConfig, PlannerMode};
 use crate::query::{CountTarget, Ecrpq, QLinearConstraint};
 use ecrpq_automata::alphabet::{Alphabet, Symbol, TupleSym};
 use ecrpq_automata::dfa;
@@ -492,18 +492,18 @@ impl PreparedQuery {
     /// and resolves deferred label-count coefficients. No automaton is
     /// compiled here — binding is cheap and linear in the graph size.
     pub fn bind<'a>(&'a self, graph: &'a GraphDb) -> Result<BoundPlan<'a>, QueryError> {
-        self.bind_with(graph, EvalOptions::default())
+        self.bind_with(graph, PlannerMode::default())
     }
 
-    /// [`bind`](Self::bind) with explicit execution options (intra-query
-    /// thread count). The options travel with the bound plan: every `run*`,
-    /// `check`, and `answer_automaton` call on it uses them.
+    /// [`bind`](Self::bind) with an explicit planner mode. The mode travels
+    /// with the bound plan: every `run*`, `check`, `explain`, and
+    /// `answer_automaton` call on it plans with it.
     pub fn bind_with<'a>(
         &'a self,
         graph: &'a GraphDb,
-        options: EvalOptions,
+        planner: PlannerMode,
     ) -> Result<BoundPlan<'a>, QueryError> {
-        Ok(BoundPlan { pq: self, graph, art: Cow::Owned(self.bind_artifacts(graph)?), options })
+        Ok(BoundPlan { pq: self, graph, art: Cow::Owned(self.bind_artifacts(graph)?), planner })
     }
 
     /// Computes everything [`bind`](Self::bind) resolves against one concrete
@@ -737,26 +737,14 @@ pub struct BoundPlan<'a> {
     /// The bind-time data: owned for a fresh [`PreparedQuery::bind`],
     /// borrowed (no copy) when viewed through a [`BoundStatement`].
     art: Cow<'a, BindArtifacts>,
-    /// Execution options (intra-query thread count).
-    options: EvalOptions,
+    /// Join-order / BFS-direction planning mode.
+    planner: PlannerMode,
 }
 
 impl<'a> BoundPlan<'a> {
     /// The prepared query this plan binds.
     pub fn prepared(&self) -> &'a PreparedQuery {
         self.pq
-    }
-
-    /// The execution options this plan runs with.
-    pub fn options(&self) -> EvalOptions {
-        self.options
-    }
-
-    /// This plan with different execution options (e.g. a per-request thread
-    /// count override).
-    pub fn with_options(mut self, options: EvalOptions) -> BoundPlan<'a> {
-        self.options = options;
-        self
     }
 
     /// The graph this plan is bound to.
@@ -882,7 +870,7 @@ impl<'a> BoundPlan<'a> {
         // Plan, then compute the reachability relation of every path
         // variable with its planned direction and pin.
         let sp = qtrace::begin_span(&mut trace, "plan");
-        let qplan = plan::cost::plan_query(self, self.constants(), self.options.planner);
+        let qplan = plan::cost::plan_query(self, self.constants(), self.planner);
         qtrace::span_attr(&mut trace, sp, "atoms", pq.path_vars.len() as u64);
         qtrace::end_span(&mut trace, sp);
         let reach: Vec<ReachRel> = (0..pq.path_vars.len())
@@ -1063,7 +1051,7 @@ impl<'a> BoundPlan<'a> {
         let mut stats = EvalStats::default();
         let mut forced: Vec<(usize, NodeId)> = forced.into_iter().collect();
         forced.sort_unstable();
-        let qplan = plan::cost::plan_query(self, &forced, self.options.planner);
+        let qplan = plan::cost::plan_query(self, &forced, self.planner);
         let reach: Vec<ReachRel> = (0..pq.path_vars.len())
             .map(|p| plan::reachability_planned(self, p, &qplan.atoms[p], &mut stats))
             .collect();
@@ -1108,7 +1096,7 @@ impl<'a> BoundPlan<'a> {
     /// variable, in variable order).
     pub fn explain(&self, config: &EvalConfig) -> Result<crate::eval::ExplainReport, QueryError> {
         let pq = self.pq;
-        let qplan = plan::cost::plan_query(self, self.constants(), self.options.planner);
+        let qplan = plan::cost::plan_query(self, self.constants(), self.planner);
         let mut trace = Trace::new();
         let (answers, run_stats) = self.run_mode(Mode::Nodes, config, Some(&mut trace))?;
         let actual_pairs: Vec<u64> = trace
@@ -1135,7 +1123,7 @@ impl<'a> BoundPlan<'a> {
             })
             .collect();
         Ok(crate::eval::ExplainReport {
-            planner: self.options.planner,
+            planner: self.planner,
             join_order: qplan.order.iter().map(|&v| pq.node_vars[v].clone()).collect(),
             atoms,
             stats: run_stats,
@@ -1158,9 +1146,6 @@ pub struct BoundStatement {
     pq: Arc<PreparedQuery>,
     graph: Arc<GraphDb>,
     art: BindArtifacts,
-    /// Default execution options; [`plan_with`](Self::plan_with) overrides
-    /// them per run.
-    options: EvalOptions,
 }
 
 impl BoundStatement {
@@ -1168,17 +1153,8 @@ impl BoundStatement {
     /// [`PreparedQuery::bind`] otherwise: no automaton compilation, cost
     /// linear in the graph size.
     pub fn bind(pq: Arc<PreparedQuery>, graph: Arc<GraphDb>) -> Result<BoundStatement, QueryError> {
-        Self::bind_with(pq, graph, EvalOptions::default())
-    }
-
-    /// [`bind`](Self::bind) with explicit default execution options.
-    pub fn bind_with(
-        pq: Arc<PreparedQuery>,
-        graph: Arc<GraphDb>,
-        options: EvalOptions,
-    ) -> Result<BoundStatement, QueryError> {
         let art = pq.bind_artifacts(&graph)?;
-        Ok(BoundStatement { pq, graph, art, options })
+        Ok(BoundStatement { pq, graph, art })
     }
 
     /// Reassembles a statement from artifacts decoded out of a snapshot
@@ -1189,9 +1165,8 @@ impl BoundStatement {
         pq: Arc<PreparedQuery>,
         graph: Arc<GraphDb>,
         art: BindArtifacts,
-        options: EvalOptions,
     ) -> BoundStatement {
-        BoundStatement { pq, graph, art, options }
+        BoundStatement { pq, graph, art }
     }
 
     /// The cached bind artifacts (read by the persistence layer).
@@ -1212,14 +1187,14 @@ impl BoundStatement {
     /// A borrowed [`BoundPlan`] over the cached bind artifacts (no copying;
     /// all `run*`/`check` entry points hang off the returned plan).
     pub fn plan(&self) -> BoundPlan<'_> {
-        self.plan_with(self.options)
+        self.plan_with(PlannerMode::default())
     }
 
-    /// A borrowed [`BoundPlan`] running with `options` instead of the
-    /// statement's defaults — how a server applies a per-request thread
-    /// count to a cached statement without rebinding it.
-    pub fn plan_with(&self, options: EvalOptions) -> BoundPlan<'_> {
-        BoundPlan { pq: &self.pq, graph: &self.graph, art: Cow::Borrowed(&self.art), options }
+    /// A borrowed [`BoundPlan`] planning with `planner` — how a server
+    /// applies a per-request planner mode to a cached statement without
+    /// rebinding it.
+    pub fn plan_with(&self, planner: PlannerMode) -> BoundPlan<'_> {
+        BoundPlan { pq: &self.pq, graph: &self.graph, art: Cow::Borrowed(&self.art), planner }
     }
 
     /// Convenience for [`BoundPlan::run`].
@@ -1251,10 +1226,10 @@ impl BoundStatement {
     }
 }
 
-/// Compile-time guarantee behind the frontier-parallel engine: everything a
-/// search worker reads — the compiled simulation tables, the per-query code
-/// indexes, and the bound plan itself — is shareable across the scoped
-/// threads by reference. The tables are written once (behind
+/// Compile-time guarantee behind shared statements: everything a run reads —
+/// the compiled simulation tables, the per-query code indexes, and the bound
+/// plan itself — is shareable across threads by reference, so one cached
+/// statement serves concurrent requests. The tables are written once (behind
 /// `Arc`/`OnceLock`) and only ever read afterwards; if mutable or
 /// thread-local state sneaks into any of these types, this stops compiling
 /// before a data race can exist.

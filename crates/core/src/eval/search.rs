@@ -20,26 +20,9 @@
 //! pointers hold `u32` state indices, and expansion reuses scratch buffers,
 //! so the hot loop performs no allocation. The classical cloned-state
 //! formulation is retained in [`super::reference`] for differential testing.
-//!
-//! # Frontier parallelism
-//!
-//! With [`EvalOptions::threads`](crate::eval::EvalOptions) > 1 the BFS runs
-//! level-synchronously: the states of one level are partitioned into
-//! contiguous chunks and expanded by scoped worker threads
-//! ([`std::thread::scope`]) that share the frozen
-//! [`ShardedArena`](super::dense::ShardedArena) lock-free (reads only; the
-//! compiled sim tables are likewise read-only shared, asserted `Sync` in
-//! [`super::prepared`]). Each worker records its discoveries in expansion
-//! order; between levels the coordinator merges the per-worker buffers *in
-//! chunk order*, which is exactly the order the sequential frontier would
-//! have produced — so state ids, parent pointers, the first accepting state,
-//! the reconstructed witness, and even the visited-state counts are
-//! bit-identical to the sequential engine. Levels smaller than
-//! `EvalOptions::min_parallel_level` expand inline on the calling thread;
-//! tiny searches never pay a thread handoff.
 
 use crate::error::QueryError;
-use crate::eval::dense::{self, odometer_next, Arena, Layout, ShardedArena};
+use crate::eval::dense::{odometer_next, Arena, Layout};
 use crate::eval::plan;
 use crate::eval::prepared::{BoundPlan, RelSim};
 use ecrpq_automata::alphabet::Symbol;
@@ -103,11 +86,10 @@ enum Option1 {
     Pad,
 }
 
-/// The per-thread expansion engine: per-variable option lists, the odometer,
-/// and the scratch buffers of [`apply_key`], bundled so the sequential loop
-/// and every parallel worker expand states through the *same* code. The
-/// successors of one state are always emitted in odometer order — the
-/// ordering contract the deterministic merge relies on.
+/// The expansion engine: per-variable option lists, the odometer, and the
+/// scratch buffers of [`apply_key`], reused across states so the hot loop
+/// performs no allocation. The successors of one state are always emitted in
+/// odometer order, which fixes the arena's state numbering.
 struct Expander<'a, 'p> {
     problem: &'a SearchProblem<'p>,
     layout: &'a Layout,
@@ -215,9 +197,9 @@ impl<'a, 'p> Expander<'a, 'p> {
     }
 }
 
-/// Consistency prechecks shared by both engines: pinned paths must connect
-/// the candidate endpoints, and repeated relational atoms must agree.
-/// `Some(outcome)` short-circuits the search with a rejection.
+/// Consistency prechecks: pinned paths must connect the candidate
+/// endpoints, and repeated relational atoms must agree. `Some(outcome)`
+/// short-circuits the search with a rejection.
 fn precheck(problem: &SearchProblem<'_>) -> Option<SearchOutcome> {
     let pq = problem.plan.pq;
     for p in 0..pq.path_vars.len() {
@@ -254,62 +236,31 @@ fn initial_key(problem: &SearchProblem<'_>, layout: &Layout, sims: &[&RelSim]) -
     initial
 }
 
-/// The shared engine preamble: compiled sims, the word layout, and the
-/// encoded initial state, with the two short-circuits both engines must
-/// take identically — the precheck rejection and the trivial depth-0
-/// accept (`states_visited: 1`, empty-parents witness). Hoisted so the
-/// sequential and parallel engines cannot drift on these paths.
-#[allow(clippy::type_complexity)]
-fn search_setup<'p>(
-    problem: &SearchProblem<'p>,
-) -> Result<(Vec<&'p RelSim>, Layout, Vec<u64>), SearchOutcome> {
+/// Runs the search: one FIFO queue, intern-as-you-expand. A precheck
+/// rejection visits no state; an initial state that already accepts counts
+/// as one visited state with an empty witness.
+pub(crate) fn run(problem: &SearchProblem<'_>) -> Result<SearchOutcome, QueryError> {
     if let Some(outcome) = precheck(problem) {
-        return Err(outcome);
+        return Ok(outcome);
     }
     let pq = problem.plan.pq;
     let sims: Vec<&RelSim> = pq.relations.iter().map(|r| r.sim(pq.code_base)).collect();
     let layout = Layout::new(pq.path_vars.len(), &sims, problem.plan.counters().len());
     let initial = initial_key(problem, &layout, &sims);
     if accepts_key(problem, &layout, &sims, &initial) {
-        let witness =
-            if problem.want_witness { Some(reconstruct(problem, &[], &[], 0)) } else { None };
-        return Err(SearchOutcome { accepted: true, states_visited: 1, witness });
+        let witness = problem.want_witness.then(|| reconstruct(problem, &[], &[], 0));
+        return Ok(SearchOutcome { accepted: true, states_visited: 1, witness });
     }
-    Ok((sims, layout, initial))
-}
-
-/// Seed of the parent-pointer / incoming-move tables (kept only when a
-/// witness must be reconstructed; indexed by arena id, with the sentinel
-/// entry for the initial state).
-fn witness_seed(problem: &SearchProblem<'_>) -> (Vec<u32>, Vec<MoveVec>) {
-    if problem.want_witness {
+    let mut arena = Arena::new(layout.words);
+    let (init_id, _) = arena.intern(&initial);
+    // Parent pointers and incoming moves, kept only when a witness must be
+    // reconstructed (indexed by arena id; the initial state's entry is the
+    // sentinel).
+    let (mut parents, mut moves): (Vec<u32>, Vec<MoveVec>) = if problem.want_witness {
         (vec![u32::MAX], vec![Vec::new()])
     } else {
         (Vec::new(), Vec::new())
-    }
-}
-
-/// Runs the search, dispatching on the bound plan's execution options:
-/// `threads > 1` selects the level-synchronous frontier-parallel engine,
-/// which produces bit-identical results (see the module docs).
-pub(crate) fn run(problem: &SearchProblem<'_>) -> Result<SearchOutcome, QueryError> {
-    let threads = problem.plan.options().effective_threads();
-    if threads > 1 {
-        run_parallel(problem, threads)
-    } else {
-        run_sequential(problem)
-    }
-}
-
-/// The sequential engine: one FIFO queue, intern-as-you-expand.
-fn run_sequential(problem: &SearchProblem<'_>) -> Result<SearchOutcome, QueryError> {
-    let (sims, layout, initial) = match search_setup(problem) {
-        Ok(setup) => setup,
-        Err(outcome) => return Ok(outcome),
     };
-    let mut arena = Arena::new(layout.words);
-    let (init_id, _) = arena.intern(&initial);
-    let (mut parents, mut moves) = witness_seed(problem);
     let mut queue: VecDeque<(u32, u32)> = VecDeque::new();
     queue.push_back((init_id, 0));
 
@@ -359,196 +310,6 @@ fn run_sequential(problem: &SearchProblem<'_>) -> Result<SearchOutcome, QueryErr
         }
     }
     Ok(SearchOutcome { accepted: false, states_visited: arena.len() as u64, witness: None })
-}
-
-/// One worker's discoveries from its chunk of a level, in expansion order.
-/// `groups` records, per source state (whether or not it emitted anything),
-/// how many candidates follow — the merge uses the group boundaries to
-/// replay the sequential engine's per-state budget checkpoints.
-struct CandBuf {
-    words: usize,
-    keys: Vec<u64>,
-    moves: Vec<MoveVec>,
-    groups: Vec<(u32, u32)>,
-}
-
-impl CandBuf {
-    fn new(words: usize) -> CandBuf {
-        CandBuf { words, keys: Vec::new(), moves: Vec::new(), groups: Vec::new() }
-    }
-
-    fn begin_group(&mut self, src: u32) {
-        self.groups.push((src, 0));
-    }
-
-    fn push(&mut self, key: &[u64], mv: Option<MoveVec>) {
-        self.keys.extend_from_slice(key);
-        if let Some(mv) = mv {
-            self.moves.push(mv);
-        }
-        self.groups.last_mut().expect("push after begin_group").1 += 1;
-    }
-
-    fn key(&self, idx: usize) -> &[u64] {
-        &self.keys[idx * self.words..(idx + 1) * self.words]
-    }
-}
-
-/// The frontier-parallel engine: level-synchronous BFS with parallel
-/// expansion and a deterministic sequential merge (see the module docs for
-/// why the merge order makes it bit-identical to [`run_sequential`]).
-fn run_parallel(problem: &SearchProblem<'_>, threads: usize) -> Result<SearchOutcome, QueryError> {
-    let (sims, layout, initial) = match search_setup(problem) {
-        Ok(setup) => setup,
-        Err(outcome) => return Ok(outcome),
-    };
-    let min_level = problem.plan.options().min_parallel_level.max(1);
-    let mut arena = ShardedArena::new(layout.words);
-    let (init_id, _) = arena.intern(&initial);
-    let (mut parents, mut moves) = witness_seed(problem);
-
-    let mut level: Vec<u32> = vec![init_id];
-    let mut next_level: Vec<u32> = Vec::new();
-    let mut inline_expander = Expander::new(problem, &layout, &sims);
-    let mut cur = vec![0u64; layout.words];
-    let mut depth: usize = 0;
-
-    loop {
-        if let Some(bound) = problem.step_bound {
-            if depth >= bound {
-                break;
-            }
-        }
-        next_level.clear();
-        let mut found: Option<u32> = None;
-
-        if level.len() < min_level {
-            // Small frontier: expand inline, intern-as-you-go — exactly the
-            // sequential engine restricted to this level.
-            'states: for &id in &level {
-                cur.copy_from_slice(arena.get(id));
-                inline_expander.expand(&cur, |next, mv| {
-                    let (nid, fresh) = arena.intern(next);
-                    if fresh {
-                        if problem.want_witness {
-                            parents.push(id);
-                            moves.push(mv.expect("witness mode emits moves"));
-                        }
-                        if accepts_key(problem, &layout, &sims, next) {
-                            found = Some(nid);
-                            return false;
-                        }
-                        next_level.push(nid);
-                    }
-                    true
-                });
-                if found.is_some() {
-                    break 'states;
-                }
-                if arena.len() > problem.max_states {
-                    return Err(budget_error(problem));
-                }
-            }
-        } else {
-            // Parallel expansion in bounded rounds via the shared fan-out
-            // of `dense`: each round freezes the arena, so every chunk's
-            // expander only reads it (lock-free `get`/`lookup`) to skip
-            // already-interned successors, and each round's discoveries
-            // merge before the next round starts — bounding the buffered
-            // candidates to one round's fan-out and keeping the budget
-            // checkpoints close behind the expansion.
-            'rounds: for round in level.chunks(dense::PARALLEL_ROUND_CAP) {
-                let mut bufs = {
-                    let arena = &arena;
-                    let layout = &layout;
-                    let sims = &sims;
-                    dense::expand_level_chunks(
-                        round,
-                        threads,
-                        min_level.div_ceil(2),
-                        || CandBuf::new(layout.words),
-                        |ids, buf| {
-                            let mut expander = Expander::new(problem, layout, sims);
-                            for &id in ids {
-                                buf.begin_group(id);
-                                expander.expand(arena.get(id), |next, mv| {
-                                    // Known states would be no-op interns;
-                                    // only genuinely new keys travel to the
-                                    // merge. (A state first discovered in
-                                    // this same round is not yet published,
-                                    // so several workers may emit it — the
-                                    // merge dedups, first in order wins.)
-                                    if arena.lookup(next).is_none() {
-                                        buf.push(next, mv);
-                                    }
-                                    true
-                                });
-                            }
-                        },
-                    )
-                };
-
-                // Deterministic merge: chunks in level order, groups in
-                // state order, candidates in odometer order — the exact
-                // sequence the sequential engine would have interned.
-                for buf in &mut bufs {
-                    let mut idx = 0;
-                    for g in 0..buf.groups.len() {
-                        let (src, count) = buf.groups[g];
-                        for _ in 0..count {
-                            let (nid, fresh, accepting) = {
-                                let key = buf.key(idx);
-                                let (nid, fresh) = arena.intern(key);
-                                let accepting =
-                                    fresh && accepts_key(problem, &layout, &sims, arena.get(nid));
-                                (nid, fresh, accepting)
-                            };
-                            if fresh {
-                                if problem.want_witness {
-                                    parents.push(src);
-                                    moves.push(std::mem::take(&mut buf.moves[idx]));
-                                }
-                                if accepting {
-                                    found = Some(nid);
-                                    break 'rounds;
-                                }
-                                next_level.push(nid);
-                            }
-                            idx += 1;
-                        }
-                        if arena.len() > problem.max_states {
-                            return Err(budget_error(problem));
-                        }
-                    }
-                }
-            }
-        }
-
-        if let Some(accepting) = found {
-            let witness = if problem.want_witness {
-                Some(reconstruct(problem, &parents, &moves, accepting))
-            } else {
-                None
-            };
-            return Ok(SearchOutcome {
-                accepted: true,
-                states_visited: arena.len() as u64,
-                witness,
-            });
-        }
-        if next_level.is_empty() {
-            break;
-        }
-        std::mem::swap(&mut level, &mut next_level);
-        depth += 1;
-    }
-    Ok(SearchOutcome { accepted: false, states_visited: arena.len() as u64, witness: None })
-}
-
-fn budget_error(problem: &SearchProblem<'_>) -> QueryError {
-    QueryError::BudgetExceeded {
-        what: format!("convolution search visited more than {} states", problem.max_states),
-    }
 }
 
 /// True if the encoded state is accepting: every path variable is finished or
@@ -665,4 +426,37 @@ fn reconstruct(
             path
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::eval::{EvalConfig, PreparedQuery};
+    use ecrpq_graph::generators;
+
+    /// Pins what the convolution search reports on a fixed ECRPQ — visited
+    /// states, candidates and verified counts in nodes and paths mode — and
+    /// the smallest state budget it completes in, so a change to the search
+    /// loop that visits states in another order or counts them differently
+    /// shows up here.
+    #[test]
+    fn search_counts_and_budget_are_pinned() {
+        let g = generators::random_graph(8, 2.0, &["a", "b"], 23);
+        let text = "Ans(x, y) <- (x, p1, z), (z, p2, y), L(p1) = a (a|b)*, R(p1, p2) = eq";
+        let q = crate::parse_query(text, g.alphabet()).unwrap();
+        let pq = PreparedQuery::prepare(&q).unwrap();
+        let plan = pq.bind(&g).unwrap();
+        let cfg = EvalConfig::default();
+        let (nodes, n) = plan.run_nodes(&cfg).unwrap();
+        let (paths, p) = plan.run(&cfg).unwrap();
+        let fits = |budget| {
+            let cfg = EvalConfig { max_search_states: budget, ..EvalConfig::default() };
+            plan.run_nodes(&cfg).is_ok()
+        };
+        let min_budget = (1..100_000).find(|&b| fits(b)).unwrap();
+        for (mode, answers, stats) in [("nodes", nodes.len(), n), ("paths", paths.len(), p)] {
+            let counts = (answers, stats.candidates, stats.verified, stats.search_states);
+            assert_eq!(counts, (6, 24, 6, 85), "{mode}: answers/candidates/verified/states");
+        }
+        assert_eq!(min_budget, 13, "the largest single search visits a different state count");
+    }
 }

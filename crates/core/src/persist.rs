@@ -32,7 +32,7 @@
 
 use crate::eval::plan::reach::CsrTable;
 use crate::eval::prepared::{BindArtifacts, CounterRow};
-use crate::eval::{BoundStatement, EvalOptions, PreparedQuery};
+use crate::eval::{BoundStatement, PreparedQuery};
 use crate::parse::parse_query;
 use ecrpq_automata::alphabet::{Alphabet, Symbol};
 use ecrpq_automata::persist as sim_codec;
@@ -364,8 +364,7 @@ fn decode_statement(
     }
 
     let art = decode_artifacts(d, &name, &pq, graph)?;
-    let statement =
-        BoundStatement::from_parts(Arc::new(pq), Arc::clone(graph), art, EvalOptions::default());
+    let statement = BoundStatement::from_parts(Arc::new(pq), Arc::clone(graph), art);
     Ok(WarmStatement { name, text, statement: Arc::new(statement) })
 }
 

@@ -7,10 +7,7 @@
 //!   load <graph> <generator-spec>      load from a generator (cycle:8:a, …)
 //!   load-edges <graph> <file>          load an edge-list file (read locally)
 //!   prepare <name> <query> <graph>     parse+compile over <graph>'s alphabet
-//!   run <name> <graph> [mode] [threads]
-//!                                      execute (mode: nodes|boolean|paths;
-//!                                      threads: intra-query workers ≤ the
-//!                                      server's --threads-cap)
+//!   run <name> <graph> [mode]          execute (mode: nodes|boolean|paths)
 //!   check <name> <graph> <json>        membership check; <json> supplies
 //!                                      {"nodes": […], "paths": […]}
 //!   add-edges <graph> <from> <label> <to> […]
@@ -104,18 +101,11 @@ fn main() {
             ok &= print_reply(client.prepare_for_graph(name, query, graph));
         }
         Some("run") => {
-            let usage = "run <name> <graph> [mode] [threads]";
+            let usage = "run <name> <graph> [mode]";
             let name = rest.get(1).unwrap_or_else(|| die(usage));
             let graph = rest.get(2).unwrap_or_else(|| die(usage));
             let mode = rest.get(3).map(String::as_str).unwrap_or("nodes");
-            ok &= match rest.get(4) {
-                Some(t) => {
-                    let threads =
-                        t.parse().unwrap_or_else(|_| die("run: threads must be a number"));
-                    print_reply(client.run_threads(name, graph, mode, threads))
-                }
-                None => print_reply(client.run_mode(name, graph, mode)),
-            };
+            ok &= print_reply(client.run_mode(name, graph, mode));
         }
         Some("check") => {
             let [name, graph, extra] = three(&rest, "check <name> <graph> <json>");

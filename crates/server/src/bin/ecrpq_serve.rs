@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! ecrpq-serve [--addr HOST:PORT] [--workers N] [--exec-workers N]
-//!             [--bound-capacity N] [--threads-cap N] [--open NAME=PATH]…
+//!             [--bound-capacity N] [--open NAME=PATH]…
 //!             [--slow-query-ms MS] [--metrics-addr HOST:PORT]
 //!             [--merge-threshold N] [--send-queue-cap N]
 //!             [--write-timeout-ms MS] [--version]
@@ -53,9 +53,6 @@ fn main() {
                 config.bound_capacity =
                     parse(&value(&mut it, "--bound-capacity"), "--bound-capacity")
             }
-            "--threads-cap" => {
-                config.threads_cap = parse(&value(&mut it, "--threads-cap"), "--threads-cap")
-            }
             "--open" => {
                 let spec = value(&mut it, "--open");
                 match spec.split_once('=') {
@@ -87,7 +84,7 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "usage: ecrpq-serve [--addr HOST:PORT] [--workers N] [--exec-workers N] \
-                     [--bound-capacity N] [--threads-cap N] [--open NAME=PATH]… \
+                     [--bound-capacity N] [--open NAME=PATH]… \
                      [--slow-query-ms MS] [--metrics-addr HOST:PORT] [--merge-threshold N] \
                      [--send-queue-cap N] [--write-timeout-ms MS] [--version]"
                 );

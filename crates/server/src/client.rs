@@ -196,25 +196,6 @@ impl Client {
         ]))
     }
 
-    /// `run` with an explicit mode and intra-query thread count (subject to
-    /// the server's `threads_cap`; the reply payload is identical at any
-    /// accepted thread count — the parallel engine is deterministic).
-    pub fn run_threads(
-        &mut self,
-        name: &str,
-        graph: &str,
-        mode: &str,
-        threads: usize,
-    ) -> Result<Value, ServerError> {
-        self.request(&Value::obj([
-            ("op", Value::str("run")),
-            ("name", Value::str(name)),
-            ("graph", Value::str(graph)),
-            ("mode", Value::str(mode)),
-            ("threads", Value::int(threads as u64)),
-        ]))
-    }
-
     /// `explain` a prepared statement against a cataloged graph: plans the
     /// query without enumerating answers and returns the planner's join
     /// order, per-atom BFS directions/pins, and estimated vs actual atom

@@ -11,16 +11,16 @@
 //! | `add_edges` | `graph`, plus `edges` (array of `[from, label, to]` string triples) and/or `text` (edge-list lines); optional `merge_threshold` (honored when the overlay is created) | applies the batch to the graph's live overlay: `added`, `removed`, `missing`, `nodes`, `edges`, `pending`, `version`, `merged` (true when the batch crossed the merge threshold and a fresh epoch was published), `merges`, `maintained` (statements kept incrementally up to date) |
 //! | `remove_edges` | like `add_edges` | removes *every* live instance of each triple (reply fields as `add_edges`; a triple matching nothing counts as `missing`) |
 //! | `prepare` | `name`, `query`, plus `alphabet` (label array) or `graph` (use its alphabet) | `name`, `node_vars`, `path_vars` |
-//! | `run` | `name`, `graph`, optional `mode` (`nodes`\|`boolean`\|`paths`), `limit`, `threads` (intra-query workers, 1..=the service's cap), `planner` (`cost`\|`static`) | `registry` (`hit`\|`miss`), `answers`/`answer`, `count`, `stats` |
+//! | `run` | `name`, `graph`, optional `mode` (`nodes`\|`boolean`\|`paths`), `limit`, `planner` (`cost`\|`static`) | `registry` (`hit`\|`miss`), `answers`/`answer`, `count`, `stats` |
 //! | `check` | `name`, `graph`, `nodes` (names), `paths` (alternating `[node, label, node, …]`) | `member` |
-//! | `explain` | `name`, `graph`, optional `threads`, `planner` | `planner`, `join_order`, `atoms` (per-atom direction/pin/estimated vs actual cardinalities), `stats`, `answers`, `text` (rendered plan) |
-//! | `trace` | like `run` (`name` *or* inline `query` text), `graph`, optional `mode`, `limit`, `threads`, `planner` | `run`'s fields plus `trace`: a wall-clock span tree (`resolve` → `run` with per-phase engine children → `render`; with `query`, also `parse`/`compile`/`bind`) and `server_latency_us`, the root-span duration also recorded into the request histogram |
-//! | `stats` | optional `graph` | `version`, `uptime_s`, catalog/registry/server counters incl. `threads_cap`; with `graph`, its `graph_stats` (per-label edge/endpoint counts, degree maxima, sampled reach fraction) |
+//! | `explain` | `name`, `graph`, optional `planner` | `planner`, `join_order`, `atoms` (per-atom direction/pin/estimated vs actual cardinalities), `stats`, `answers`, `text` (rendered plan) |
+//! | `trace` | like `run` (`name` *or* inline `query` text), `graph`, optional `mode`, `limit`, `planner` | `run`'s fields plus `trace`: a wall-clock span tree (`resolve` → `run` with per-phase engine children → `render`; with `query`, also `parse`/`compile`/`bind`) and `server_latency_us`, the root-span duration also recorded into the request histogram |
+//! | `stats` | optional `graph` | `version`, `uptime_s`, catalog/registry/server counters; with `graph`, its `graph_stats` (per-label edge/endpoint counts, degree maxima, sampled reach fraction) |
 //! | `metrics` | optional `format` (`text`\|`json`) | `text`: the metrics registry in Prometheus exposition format; `json`: structured families with estimated histogram quantiles |
 //! | `slowlog` | optional `limit` | `threshold_ms`, `entries` (ring buffer of requests slower than `--slow-query-ms`, newest first) |
 //! | `save` | `graph`, `path` | writes the binary snapshot to `path` and the compiled-statement sidecar to `path.art`; `graph`, `path`, `bytes`, `statements` (persisted) |
 //! | `open` | `name`, `path` | opens a snapshot under a *fresh* catalog name, warm-installing every sidecar statement; `graph`, `nodes`, `edges`, `statements` (warmed) |
-//! | `batch` | `requests` (array of sub-requests, each a `run`/`check`/`explain`/`stats` object; `op` defaults to `run`), plus batch-level defaults `name`, `graph`, `mode`, `threads`, `planner`, `limit` merged into every sub-request that omits them | `count`, `results` (one reply object per sub-request, in order; a failing sub yields `ok: false` *inside* `results`, never a batch-level error) |
+//! | `batch` | `requests` (array of sub-requests, each a `run`/`check`/`explain`/`stats` object; `op` defaults to `run`), plus batch-level defaults `name`, `graph`, `mode`, `planner`, `limit` merged into every sub-request that omits them | `count`, `results` (one reply object per sub-request, in order; a failing sub yields `ok: false` *inside* `results`, never a batch-level error) |
 //! | `close` | — | `closing: true`, then the connection ends |
 //! | `shutdown` | — | `shutting_down: true`, then the whole server stops |
 //!
@@ -46,10 +46,11 @@
 //! swaps it into the catalog. Readers that already resolved a graph handle
 //! keep their pinned epoch; re-`load`ing a graph discards its overlay.
 //!
-//! The parallel engine is deterministic, so a `threads` override can only
-//! change a run's latency, never its reply payload. Requests over the cap
-//! (or `threads: 0`) get a structured `ok: false` reply, like every other
-//! protocol error — never a dropped connection.
+//! Request fields an op does not read are ignored. A field an op does read
+//! but cannot decode (an unknown `mode` or `planner`, a `limit` or
+//! `merge_threshold` that is not a non-negative integer) gets a structured
+//! `ok: false` reply naming the field, like every other protocol error —
+//! never a dropped connection.
 
 use crate::catalog::{GraphCatalog, GraphSource};
 use crate::registry::StatementRegistry;
@@ -57,7 +58,7 @@ use crate::ServerError;
 use ecrpq::eval::{
     BoundStatement, EvalStats, MaintainedStatement, Mode, PlannerMode, PreparedQuery,
 };
-use ecrpq::{persist, EvalConfig, EvalOptions, Trace};
+use ecrpq::{persist, EvalConfig, Trace};
 use ecrpq_automata::Alphabet;
 use ecrpq_graph::delta::{LiveGraph, DEFAULT_MERGE_THRESHOLD};
 use ecrpq_graph::{snapshot, GraphDb, NodeId, Path};
@@ -114,12 +115,6 @@ pub struct ServiceStats {
     pub queue_depth: Arc<AtomicU64>,
 }
 
-/// Default per-pool cap on the intra-query worker threads one `run` request
-/// may ask for. Generous relative to typical core counts; the point of the
-/// cap is that no single request can claim an unbounded slice of the
-/// machine a worker pool shares.
-pub const DEFAULT_THREADS_CAP: usize = 8;
-
 /// Upper bound on sub-requests in one `batch` op — a framing sanity limit,
 /// not a throughput knob (a million-entry batch is almost certainly a bug
 /// or an attack, and it would pin a worker for its whole duration).
@@ -127,7 +122,7 @@ pub const MAX_BATCH: usize = 1024;
 
 /// Request fields that act as batch-level defaults, merged into every
 /// sub-request that omits them.
-const BATCH_DEFAULT_FIELDS: &[&str] = &["name", "graph", "mode", "threads", "planner", "limit"];
+const BATCH_DEFAULT_FIELDS: &[&str] = &["name", "graph", "mode", "planner", "limit"];
 
 /// Ring-buffer capacity of the slow-query log: enough recent offenders to
 /// diagnose a latency incident, small enough that the log itself is never a
@@ -198,8 +193,6 @@ pub struct Service {
     pub registry: StatementRegistry,
     /// Request/connection counters.
     pub stats: ServiceStats,
-    /// Upper bound on the `threads` field of `run` requests.
-    pub threads_cap: usize,
     /// Scrapeable telemetry: per-op latency histograms, cache hit-rate
     /// gauges, mirrored counters. Rendered by the `metrics` op and the
     /// `--metrics-addr` exposition endpoint.
@@ -223,7 +216,6 @@ impl Default for Service {
             catalog: GraphCatalog::default(),
             registry: StatementRegistry::default(),
             stats: ServiceStats::default(),
-            threads_cap: DEFAULT_THREADS_CAP,
             metrics: Arc::new(MetricsRegistry::new()),
             started: Instant::now(),
             slow_query_us: AtomicU64::new(0),
@@ -238,13 +230,6 @@ impl Service {
     /// A service with the given bound-plan cache capacity.
     pub fn new(bound_capacity: usize) -> Service {
         Service { registry: StatementRegistry::new(bound_capacity), ..Service::default() }
-    }
-
-    /// This service with a different cap on per-request intra-query threads
-    /// (at least 1).
-    pub fn with_threads_cap(mut self, cap: usize) -> Service {
-        self.threads_cap = cap.max(1);
-        self
     }
 
     /// This service logging every request slower than `ms` milliseconds to
@@ -396,7 +381,7 @@ impl Service {
 
     /// Runs a `batch` request: N read-only sub-requests sharing one
     /// resolution of every graph handle and bound statement they touch.
-    /// Batch-level `name`/`graph`/`mode`/`threads`/`planner`/`limit` fields
+    /// Batch-level `name`/`graph`/`mode`/`planner`/`limit` fields
     /// are defaults for sub-requests that omit them. Each sub-request gets
     /// its own entry in `results` (errors included), so one bad entry never
     /// loses the others' replies.
@@ -501,6 +486,7 @@ impl Service {
     fn op_mutate(&self, req: &Value, adds: bool) -> Result<Value, ServerError> {
         let gname = str_field(req, "graph")?;
         let triples = edge_triples(req)?;
+        let threshold = uint_field(req, "merge_threshold")?;
         let mut live_map = self.live.lock().unwrap();
         let state = match live_map.entry(gname.to_string()) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
@@ -509,11 +495,7 @@ impl Service {
                     .catalog
                     .get(gname)
                     .ok_or_else(|| ServerError(format!("unknown graph `{gname}`")))?;
-                let threshold = req
-                    .get("merge_threshold")
-                    .and_then(Value::as_u64)
-                    .map(|t| t as usize)
-                    .unwrap_or(self.merge_threshold);
+                let threshold = threshold.map_or(self.merge_threshold, |t| t as usize);
                 e.insert(LiveState {
                     live: LiveGraph::new(base, threshold),
                     maintained: HashMap::new(),
@@ -622,34 +604,6 @@ impl Service {
         ]))
     }
 
-    /// Resolves the optional `threads` and `planner` fields of a `run` or
-    /// `explain` request. `threads` is checked against the service's cap;
-    /// absent → the sequential default (1 thread). `planner` is `cost` (the
-    /// default) or `static`.
-    fn run_options(&self, req: &Value) -> Result<EvalOptions, ServerError> {
-        let mut options = EvalOptions::default();
-        if let Some(t) = req.get("threads") {
-            let t = t
-                .as_u64()
-                .ok_or_else(|| ServerError("`threads` must be a positive integer".into()))?;
-            if t == 0 || t as usize > self.threads_cap {
-                return Err(ServerError(format!(
-                    "`threads` must be between 1 and this server's cap of {} (got {t})",
-                    self.threads_cap
-                )));
-            }
-            options.threads = t as usize;
-        }
-        if let Some(p) = req.get("planner") {
-            options.planner = match p.as_str() {
-                Some("cost") | Some("cost-based") => PlannerMode::CostBased,
-                Some("static") => PlannerMode::Static,
-                _ => return Err(ServerError("`planner` must be `cost` or `static`".into())),
-            };
-        }
-        Ok(options)
-    }
-
     /// Resolves a graph handle through the per-request cache (one catalog
     /// lookup per distinct graph per request, however many sub-requests).
     fn graph_cached(
@@ -718,9 +672,9 @@ impl Service {
             Some(_) => None,
         };
         let gname = str_field(req, "graph")?;
-        let options = self.run_options(req)?;
+        let planner = planner_field(req)?;
         let mut config = EvalConfig::default();
-        if let Some(limit) = req.get("limit").and_then(Value::as_u64) {
+        if let Some(limit) = uint_field(req, "limit")? {
             config.answer_limit = limit as usize;
         }
         let mode = match req.get("mode").and_then(Value::as_str).unwrap_or("nodes") {
@@ -781,15 +735,13 @@ impl Service {
                     .scoped("compile", |_| PreparedQuery::prepare(&q))
                     .map_err(ServerError::msg)?;
                 let stmt = trace
-                    .scoped("bind", |_| {
-                        BoundStatement::bind_with(Arc::new(pq), Arc::clone(&graph), options)
-                    })
+                    .scoped("bind", |_| BoundStatement::bind(Arc::new(pq), Arc::clone(&graph)))
                     .map_err(ServerError::msg)?;
                 (Arc::new(stmt), "inline")
             }
             _ => unreachable!("a request decoded without a name carries inline text and a trace"),
         };
-        let plan = stmt.plan_with(options);
+        let plan = stmt.plan_with(planner);
         qtrace::end_span(&mut trace, resolve);
 
         let run = qtrace::begin_span(&mut trace, "run");
@@ -874,10 +826,10 @@ impl Service {
     /// direction and pinned source, estimated *and* actual cardinalities,
     /// plus a human-readable rendering under `text`.
     fn op_explain(&self, req: &Value, cache: &mut BatchCache) -> Result<Value, ServerError> {
-        let options = self.run_options(req)?;
+        let planner = planner_field(req)?;
         // Plans are explained against the merged graph, not the overlay.
         let (_, stmt, verdict) = self.bound_on_merged(req, cache)?;
-        let plan = stmt.plan_with(options);
+        let plan = stmt.plan_with(planner);
         let report = plan.explain(&EvalConfig::default()).map_err(ServerError::msg)?;
         let atoms: Vec<Value> = report
             .atoms
@@ -962,9 +914,7 @@ impl Service {
 
     /// The slow-query log, newest first (optionally capped by `limit`).
     fn op_slowlog(&self, req: &Value) -> Result<Value, ServerError> {
-        let limit = req
-            .get("limit")
-            .and_then(Value::as_u64)
+        let limit = uint_field(req, "limit")?
             .unwrap_or(SLOWLOG_CAPACITY as u64)
             .min(SLOWLOG_CAPACITY as u64) as usize;
         let log = self.slowlog.lock().unwrap();
@@ -1099,7 +1049,6 @@ impl Service {
             ("graphs", Value::int(self.catalog.len() as u64)),
             ("statements", Value::int(self.registry.len() as u64)),
             ("bound_cached", Value::int(self.registry.bound_len() as u64)),
-            ("threads_cap", Value::int(self.threads_cap as u64)),
             (
                 "registry",
                 Value::obj([
@@ -1358,6 +1307,26 @@ fn str_field<'a>(req: &'a Value, key: &str) -> Result<&'a str, ServerError> {
     req.get(key)
         .and_then(Value::as_str)
         .ok_or_else(|| ServerError(format!("request needs a string `{key}` field")))
+}
+
+/// An optional non-negative integer field: `None` when absent, an error
+/// naming the field when present with any other value.
+fn uint_field(req: &Value, key: &str) -> Result<Option<u64>, ServerError> {
+    req.get(key)
+        .map(|v| {
+            v.as_u64().ok_or_else(|| ServerError(format!("`{key}` must be a non-negative integer")))
+        })
+        .transpose()
+}
+
+/// The optional `planner` field of a `run`, `trace` or `explain` request:
+/// `cost` (the default) or `static`.
+fn planner_field(req: &Value) -> Result<PlannerMode, ServerError> {
+    match req.get("planner").map(Value::as_str) {
+        None | Some(Some("cost")) | Some(Some("cost-based")) => Ok(PlannerMode::CostBased),
+        Some(Some("static")) => Ok(PlannerMode::Static),
+        Some(_) => Err(ServerError("`planner` must be `cost` or `static`".into())),
+    }
 }
 
 /// The `(from, label, to)` triples of a mutation request: an `edges` array
@@ -1621,24 +1590,27 @@ mod tests {
         assert_error_reply(&s, r#"{"op":"run","name":"q","graph":"missing"}"#, "unknown graph");
         // Run an unregistered statement.
         assert_error_reply(&s, r#"{"op":"run","name":"nope","graph":"g"}"#, "unknown statement");
-        // Over-cap / zero / non-numeric intra-query thread requests.
-        let over = Service::default().threads_cap + 1;
-        assert_error_reply(
-            &s,
-            &format!(r#"{{"op":"run","name":"q","graph":"g","threads":{over}}}"#),
-            "cap",
-        );
-        assert_error_reply(&s, r#"{"op":"run","name":"q","graph":"g","threads":0}"#, "between");
-        assert_error_reply(
-            &s,
-            r#"{"op":"run","name":"q","graph":"g","threads":"many"}"#,
-            "positive integer",
-        );
+        // A `limit` that is not a non-negative integer is rejected, never
+        // replaced by the default (run, trace, a batch-level default, and
+        // the slow-query log alike).
+        for line in [
+            r#"{"op":"run","name":"q","graph":"g","limit":"5"}"#,
+            r#"{"op":"run","name":"q","graph":"g","limit":-1}"#,
+            r#"{"op":"run","name":"q","graph":"g","limit":1.5}"#,
+            r#"{"op":"trace","name":"q","graph":"g","limit":"5"}"#,
+            r#"{"op":"slowlog","limit":"x"}"#,
+        ] {
+            assert_error_reply(&s, line, "`limit` must be a non-negative integer");
+        }
+        let r = reply(&s, r#"{"op":"batch","name":"q","graph":"g","limit":-1,"requests":[{}]}"#);
+        let sub = &r.get("results").unwrap().as_arr().unwrap()[0];
+        assert_eq!(sub.get("ok").unwrap().as_bool(), Some(false));
+        assert!(sub.get("error").unwrap().as_str().unwrap().contains("`limit`"));
 
         // The connection state is intact: the same service still answers.
         let r = reply(&s, r#"{"op":"run","name":"q","graph":"g"}"#);
         assert_eq!(r.get("ok").unwrap().as_bool(), Some(true));
-        assert!(s.stats.errors.load(Ordering::Relaxed) >= 9);
+        assert!(s.stats.errors.load(Ordering::Relaxed) >= 12);
     }
 
     /// The `explain` op reports the chosen plan (direction, join order,
@@ -1698,7 +1670,7 @@ mod tests {
             r#"{"op":"prepare","name":"q","query":"Ans(x, y) <- (x, p, y), L(p) = a a","graph":"g"}"#,
         );
 
-        // Unloaded graph, unknown statement, malformed planner/threads, and
+        // Unloaded graph, unknown statement, malformed planner, and
         // a request missing its required fields.
         assert_error_reply(&s, r#"{"op":"explain","name":"q","graph":"missing"}"#, "unknown graph");
         assert_error_reply(
@@ -1711,7 +1683,7 @@ mod tests {
             r#"{"op":"explain","name":"q","graph":"g","planner":"oracle"}"#,
             "planner",
         );
-        assert_error_reply(&s, r#"{"op":"explain","name":"q","graph":"g","threads":0}"#, "between");
+        assert_error_reply(&s, r#"{"op":"explain","name":"q","graph":"g","planner":7}"#, "planner");
         assert_error_reply(&s, r#"{"op":"explain","name":"q"}"#, "graph");
         assert_error_reply(&s, r#"{"op":"explain","graph":"g"}"#, "name");
 
@@ -2041,33 +2013,40 @@ mod tests {
         );
     }
 
-    /// A `threads` override within the cap changes nothing about the reply
-    /// payload — the parallel engine is deterministic — and the cap is
-    /// surfaced by `stats`.
+    /// `threads` is no longer a request field: `run`, `trace`, `explain`
+    /// and a batch-level default carrying it — far above any cap the server
+    /// once had — are answered exactly as without it, and `stats` reports
+    /// no thread cap.
     #[test]
-    fn run_with_threads_is_deterministic_and_capped() {
+    fn retired_threads_field_is_ignored_on_the_wire() {
         let s = loaded_service();
         reply(
             &s,
             r#"{"op":"prepare","name":"q","query":"Ans(x, y) <- (x, p, y), L(p) = a a","graph":"g"}"#,
         );
-        let sequential = reply(&s, r#"{"op":"run","name":"q","graph":"g"}"#);
-        for t in [1, 2, 4] {
-            let parallel =
-                reply(&s, &format!(r#"{{"op":"run","name":"q","graph":"g","threads":{t}}}"#));
-            assert_eq!(
-                parallel.get("answers").unwrap(),
-                sequential.get("answers").unwrap(),
-                "threads={t} changed the answers"
-            );
-            assert_eq!(parallel.get("count").unwrap(), sequential.get("count").unwrap());
+        // The answers of a reply, or of every sub-reply of a batch.
+        let answers = |line: &str| -> Vec<String> {
+            let r = reply(&s, line);
+            let subs =
+                r.get("results").and_then(Value::as_arr).map_or(vec![&r], |rs| rs.iter().collect());
+            subs.iter()
+                .map(|sub| {
+                    assert_eq!(sub.get("ok").and_then(Value::as_bool), Some(true), "{line}");
+                    sub.get("answers").unwrap().to_string()
+                })
+                .collect()
+        };
+        for without in [
+            r#"{"op":"run","name":"q","graph":"g"}"#,
+            r#"{"op":"trace","name":"q","graph":"g"}"#,
+            r#"{"op":"explain","name":"q","graph":"g"}"#,
+            r#"{"op":"batch","name":"q","graph":"g","requests":[{},{"op":"explain"}]}"#,
+        ] {
+            let with = without.replacen(r#""graph":"g""#, r#""graph":"g","threads":64"#, 1);
+            assert_eq!(answers(&with), answers(without), "{with}");
         }
-        let st = reply(&s, r#"{"op":"stats"}"#);
-        assert_eq!(
-            st.get("threads_cap").unwrap().as_u64(),
-            Some(DEFAULT_THREADS_CAP as u64),
-            "stats must surface the per-pool thread cap"
-        );
+        let Value::Obj(stats) = reply(&s, r#"{"op":"stats"}"#) else { panic!("stats object") };
+        assert!(stats.iter().all(|(k, _)| !k.contains("thread")), "stats reports a thread knob");
     }
 
     #[test]
@@ -2429,6 +2408,14 @@ mod tests {
             (r#"{"op":"add_edges","graph":"g","edges":[["a","x"]]}"#, "[from, label, to]"),
             (r#"{"op":"add_edges","graph":"g","edges":[[1,2,3]]}"#, "must be strings"),
             (r#"{"op":"add_edges","graph":"g","text":"a x"}"#, "from label to"),
+            (
+                r#"{"op":"add_edges","graph":"g","edges":[["n0","a","n3"]],"merge_threshold":"x"}"#,
+                "`merge_threshold` must be a non-negative integer",
+            ),
+            (
+                r#"{"op":"remove_edges","graph":"g","edges":[["n0","a","n1"]],"merge_threshold":-1}"#,
+                "`merge_threshold` must be a non-negative integer",
+            ),
         ] {
             assert_error_reply(&s, line, needle);
         }
@@ -2449,6 +2436,9 @@ mod tests {
         }
         let second = reply(&s, r#"{"op":"add_edges","graph":"g","edges":[["n1","a","n4"]]}"#);
         let field = |r: &Value, k: &str| r.get(k).and_then(Value::as_u64).unwrap();
+        // The rejected first writes left no overlay behind: this is the
+        // overlay's first write.
+        assert_eq!(field(&first, "version"), 1);
         assert_eq!(field(&first, "pending"), 1);
         assert_eq!(field(&second, "pending"), 2, "a rejected request merged the overlay");
         assert_eq!(field(&second, "version"), field(&first, "version") + 1);

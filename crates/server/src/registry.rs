@@ -19,8 +19,7 @@
 //!
 //! ## Sharding
 //!
-//! Both maps are split into [`SHARD_COUNT`] hash-sharded shards (the
-//! `eval/dense.rs::ShardedArena` idiom applied to service state): statement
+//! Both maps are split into [`SHARD_COUNT`] hash-sharded shards: statement
 //! lookups shard by statement name, bound-plan lookups by `(statement,
 //! graph)`. A request takes exactly one statement-shard read lock and one
 //! bound-shard lock — two requests for different statements touch disjoint

@@ -38,9 +38,6 @@ pub struct ServerConfig {
     pub exec_workers: usize,
     /// Bound on the registry's cached `(statement, graph)` plans.
     pub bound_capacity: usize,
-    /// Per-pool cap on the intra-query `threads` a single `run` request may
-    /// ask for; over-cap requests get a structured error reply.
-    pub threads_cap: usize,
     /// Log requests slower than this many milliseconds to the slow-query
     /// ring buffer (read back via the `slowlog` op). 0 disables the log.
     pub slow_query_ms: u64,
@@ -83,7 +80,6 @@ impl Default for ServerConfig {
             workers,
             exec_workers: workers,
             bound_capacity: crate::registry::DEFAULT_BOUND_CAPACITY,
-            threads_cap: crate::protocol::DEFAULT_THREADS_CAP,
             slow_query_ms: 0,
             metrics_addr: None,
             send_queue_cap: DEFAULT_SEND_QUEUE_CAP,
@@ -121,7 +117,6 @@ impl Server {
         let addr = listener.local_addr()?;
         let service = Arc::new(
             Service::new(config.bound_capacity)
-                .with_threads_cap(config.threads_cap)
                 .with_slow_query_ms(config.slow_query_ms)
                 .with_merge_threshold(config.merge_threshold),
         );

@@ -1,16 +1,14 @@
 #!/usr/bin/env bash
 # Offline-safe CI check: build, tests, formatting, lints, server smoke.
 # Usage: scripts/check.sh [--bench-smoke] [--e2e-smoke] [--server-smoke]
-#                         [--parallel-smoke] [--storage-smoke]
-#                         [--serve-load-smoke] [--metrics-smoke]
-#                         [--mutation-smoke]
+#                         [--storage-smoke] [--serve-load-smoke]
+#                         [--metrics-smoke] [--mutation-smoke]
 # (from anywhere inside the repo)
 #
 # The default sequence is build (workspace, then the benchmarks/e2e package
 # against it) + tests + fmt + clippy + the parser and
-# examples gates + the concurrency gate + the parallel differential gate
-# (the frontier-parallel engine must be bit-identical to the sequential
-# reference at 1/2/4/8 threads) + the server smoke (an ephemeral-port
+# examples gates + the concurrency gate + the planner differential gate +
+# the server smoke (an ephemeral-port
 # ecrpq-serve driven through load/prepare/run/stats/shutdown by ecrpq-cli,
 # asserting that the second run of a prepared statement is a registry hit
 # with zero sim-table compilations) + the storage smoke (save on one server,
@@ -33,10 +31,6 @@
 #                  one performance instrument (see BENCHMARK.json).
 # --server-smoke   runs ONLY the release build and the server smoke gate —
 #                  the fast iteration loop while working on the server crate.
-# --parallel-smoke runs ONLY the tiny parallel differential gate (a handful
-#                  of corpus queries at 4 threads vs the reference engine) —
-#                  cheap enough for every PR, the fast loop while working on
-#                  the parallel engine.
 # --storage-smoke  runs ONLY the release build and the persistence smoke gate
 #                  (one server saves a graph + prepared statement, a fresh
 #                  server reopens the snapshot and its FIRST run must be a
@@ -72,7 +66,6 @@ repo_root=$(pwd)
 bench_smoke=0
 e2e_smoke=0
 server_smoke_only=0
-parallel_smoke_only=0
 storage_smoke_only=0
 serve_load_smoke_only=0
 metrics_smoke_only=0
@@ -82,7 +75,6 @@ for arg in "$@"; do
         --bench-smoke) bench_smoke=1 ;;
         --e2e-smoke) e2e_smoke=1 ;;
         --server-smoke) server_smoke_only=1 ;;
-        --parallel-smoke) parallel_smoke_only=1 ;;
         --storage-smoke) storage_smoke_only=1 ;;
         --serve-load-smoke) serve_load_smoke_only=1 ;;
         --metrics-smoke) metrics_smoke_only=1 ;;
@@ -355,14 +347,6 @@ if [[ "$serve_load_smoke_only" == 1 ]]; then
     exit 0
 fi
 
-if [[ "$parallel_smoke_only" == 1 ]]; then
-    run cargo test -q --offline -p ecrpq-integration --test parallel_differential \
-        parallel_smoke_tiny_corpus
-    echo
-    echo "Parallel smoke passed."
-    exit 0
-fi
-
 # --offline everywhere: the workspace has no external dependencies and the
 # build environment has no network.
 run cargo build --release --offline --workspace --all-targets
@@ -385,12 +369,6 @@ run cargo test -q --offline -p ecrpq-integration --test examples_smoke
 # Concurrency gate: the threaded corpus must match the single-threaded
 # reference engine (answers, verified counts, cache counters).
 run cargo test -q --offline -p ecrpq-integration --test concurrency
-
-# Parallel differential gate: the frontier-parallel engine must be
-# bit-identical to the sequential engines at every thread count — answers
-# (witnesses included), verified counts, membership verdicts, and answer
-# automata.
-run cargo test -q --offline -p ecrpq-integration --test parallel_differential
 
 # Planner differential gate: the cost-based planner may reorder joins, flip
 # BFS directions, and pin constants, but answers and verified counts must

@@ -8,7 +8,7 @@
 //! statement bound once (`BoundStatement`) and hammered from a worker pool
 //! behaves byte-for-byte like the one-shot single-threaded evaluator.
 
-use ecrpq::eval::{reference, BoundStatement, EvalOptions, EvalStats, PreparedQuery};
+use ecrpq::eval::{reference, BoundStatement, EvalStats, PreparedQuery};
 use ecrpq::prelude::*;
 use ecrpq_integration::corpus::{alphabet, random_constant_free_query_text};
 use ecrpq_integration::prop::Gen;
@@ -110,84 +110,6 @@ fn threaded_corpus_matches_single_threaded_reference() {
                     assert_eq!(
                         stats.sim_cache_hits, expected.warm_stats.sim_cache_hits,
                         "thread {t}: cache-hit count diverged for {text:?}"
-                    );
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().expect("worker thread panicked");
-    }
-}
-
-/// Inter- × intra-query concurrency: the server-level scenario where several
-/// worker threads hammer shared cached statements *and* every individual
-/// evaluation itself fans out over intra-query worker threads
-/// (`EvalOptions::threads > 1`, with `min_parallel_level` forced down so the
-/// tiny test frontiers really take the parallel code paths). Answers and
-/// `verified` counts must still match the single-threaded reference engine
-/// exactly, and — the cache-coherence half of the guarantee — warm parallel
-/// runs must never recompile a simulation table: `sim_cache_misses` stays 0
-/// no matter how many threads race through the shared artifacts.
-#[test]
-fn threaded_corpus_with_intra_query_parallelism() {
-    let al = alphabet();
-    let cfg = EvalConfig { max_search_states: 100_000, ..EvalConfig::default() };
-    let intra = EvalOptions { threads: 2, min_parallel_level: 1, ..EvalOptions::default() };
-    let mut gen = Gen::new(SEED ^ 0xBEEF);
-
-    let graphs: Vec<Arc<GraphDb>> =
-        vec![Arc::new(corpus_graph(&mut gen, 4, 7)), Arc::new(corpus_graph(&mut gen, 5, 9))];
-
-    let mut cases: Vec<(String, Arc<BoundStatement>, Expected)> = Vec::new();
-    for _ in 0..8 {
-        let text = random_constant_free_query_text(&mut gen);
-        let query = parse_query(&text, &al)
-            .unwrap_or_else(|e| panic!("corpus query must parse: {text:?}: {e}"));
-        let pq = Arc::new(PreparedQuery::prepare(&query).unwrap());
-        for graph in &graphs {
-            let stmt = Arc::new(
-                BoundStatement::bind_with(Arc::clone(&pq), Arc::clone(graph), intra).unwrap(),
-            );
-            let mut answers = reference::eval_nodes_with_stats(&query, graph, &cfg).unwrap().0;
-            answers.sort();
-            let (_, _) = stmt.run_nodes(&cfg).unwrap(); // warm the caches
-            let (mut warm_answers, warm_stats) = stmt.run_nodes(&cfg).unwrap();
-            warm_answers.sort();
-            assert_eq!(warm_answers, answers, "warm intra-parallel run diverged for {text:?}");
-            assert_eq!(
-                warm_stats.sim_cache_misses, 0,
-                "warm intra-parallel run must not compile for {text:?}"
-            );
-            let expected = Expected { answers, verified: warm_stats.verified, warm_stats };
-            cases.push((text.clone(), Arc::clone(&stmt), expected));
-        }
-    }
-
-    // Every client thread runs every case; every case itself runs on 2
-    // intra-query threads — THREADS × 2 workers collide on the same shared
-    // sim tables, arenas kept thread-local, and CSR adjacency.
-    let cases = Arc::new(cases);
-    let handles: Vec<_> = (0..THREADS)
-        .map(|t| {
-            let cases = Arc::clone(&cases);
-            let cfg = cfg.clone();
-            std::thread::spawn(move || {
-                for i in 0..cases.len() {
-                    let (text, stmt, expected) = &cases[(i + t * 5) % cases.len()];
-                    let (mut answers, stats) = stmt.run_nodes(&cfg).unwrap();
-                    answers.sort();
-                    assert_eq!(
-                        &answers, &expected.answers,
-                        "thread {t}: intra-parallel answers diverged for {text:?}"
-                    );
-                    assert_eq!(
-                        stats.verified, expected.verified,
-                        "thread {t}: intra-parallel verified count diverged for {text:?}"
-                    );
-                    assert_eq!(
-                        stats.sim_cache_misses, 0,
-                        "thread {t}: warm intra-parallel run recompiled artifacts for {text:?}"
                     );
                 }
             })

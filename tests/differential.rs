@@ -14,6 +14,7 @@ use ecrpq::prelude::*;
 use ecrpq_automata::builtin;
 use ecrpq_automata::semilinear::CmpOp;
 use ecrpq_graph::path::enumerate_paths;
+use ecrpq_integration::corpus::random_constant_free_query_text;
 use ecrpq_integration::prop::{self, Gen};
 
 const LABELS: [&str; 3] = ["a", "b", "c"];
@@ -81,6 +82,18 @@ fn engines_agree_on_relational_queries() {
             .unwrap();
         assert_engines_agree(&q, &db, "relational");
     });
+    // Textual corpus queries on two structured graph families: a string
+    // (line) graph and the REI gadget graph of the paper's PSPACE reduction.
+    let word = ["a", "b", "a", "b", "a", "b", "a"];
+    let families = [generators::string_graph(&word).0, generators::rei_gadget_graph(&["a", "b"])];
+    let mut gen = Gen::new(0x9A7A_11E1);
+    for _ in 0..7 {
+        let text = random_constant_free_query_text(&mut gen);
+        let q = parse_query(&text, &al).unwrap_or_else(|e| panic!("{text:?} must parse: {e}"));
+        for db in &families {
+            assert_engines_agree(&q, db, &text);
+        }
+    }
 }
 
 /// CRPQs with a repeated path variable (the same π bound by two atoms).
@@ -122,22 +135,27 @@ fn engines_agree_on_linear_constraints() {
 }
 
 /// Membership checks with pinned paths: both engines must return the same
-/// verdict for random (node, path) tuples, both valid and invalid.
+/// verdict for random (node, path) tuples, both valid and invalid — for the
+/// query built through the builder and for the same query parsed from text.
 #[test]
 fn engines_agree_on_pinned_path_membership() {
     let al = alphabet();
     let cfg = config();
     prop::check(CASES, 0xD1FF_0004, |g| {
         let db = graph(g);
+        let lang = language(g);
         let q = Ecrpq::builder(&al)
             .head_nodes(&["x"])
             .head_paths(&["p1", "p2"])
             .atom("x", "p1", "z")
             .atom("z", "p2", "y")
-            .language("p1", language(g))
+            .language("p1", lang)
             .relation(builtin::equal_length(&al), &["p1", "p2"])
             .build()
             .unwrap();
+        let text =
+            format!("Ans(x, p1, p2) <- (x, p1, z), (z, p2, y), L(p1) = {lang}, R(p1, p2) = el");
+        let parsed = parse_query(&text, &al).unwrap();
         let start = NodeId(g.index(5) as u32);
         let paths1 = enumerate_paths(&db, start, 3, 8);
         let p1 = paths1[g.index(paths1.len())].clone();
@@ -145,9 +163,11 @@ fn engines_agree_on_pinned_path_membership() {
         let p2 = paths2[g.index(paths2.len())].clone();
         let nodes = [start];
         let tuple = [p1, p2];
-        let dense = eval::check(&q, &db, &nodes, &tuple, &cfg).unwrap();
-        let refr = reference::check(&q, &db, &nodes, &tuple, &cfg).unwrap();
-        assert_eq!(dense, refr, "membership verdicts differ for {tuple:?}");
+        for q in [&q, &parsed] {
+            let dense = eval::check(q, &db, &nodes, &tuple, &cfg).unwrap();
+            let refr = reference::check(q, &db, &nodes, &tuple, &cfg).unwrap();
+            assert_eq!(dense, refr, "membership verdicts differ for {tuple:?}");
+        }
     });
 }
 
@@ -265,11 +285,7 @@ fn prepared_then_bound_matches_one_shot_and_reference() {
             // first-compile, not a recompilation. (The one-shot and reference
             // runs still plan cost-based, so this doubles as a cross-planner
             // differential check.)
-            let static_opts = eval::EvalOptions {
-                planner: eval::PlannerMode::Static,
-                ..eval::EvalOptions::default()
-            };
-            let bound = prepared.bind_with(&db, static_opts).unwrap();
+            let bound = prepared.bind_with(&db, eval::PlannerMode::Static).unwrap();
             let (mut prep_ans, prep_stats) = bound.run_nodes(&cfg).unwrap();
             let mut oneshot = eval::eval_nodes(&q, &db, &cfg).unwrap();
             let (mut refr, _) = reference::eval_nodes_with_stats(&q, &db, &cfg).unwrap();

@@ -9,7 +9,7 @@
 //! that promise with seeded mutation scripts (interleaved adds, removes,
 //! and query checkpoints), overlays that cross the merge threshold
 //! mid-script, and concurrent readers pinned to old epochs, comparing
-//! against cold re-runs at every thread count in {1, 2, 4, 8}.
+//! against cold re-runs.
 
 use ecrpq::eval::{BoundStatement, EvalStats, MaintainedStatement, PreparedQuery};
 use ecrpq::prelude::*;
@@ -18,7 +18,7 @@ use ecrpq_integration::prop::Gen;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+const READERS: usize = 4;
 const SEED: u64 = 0x11FE_64A7;
 
 /// The maintained statements the scripts run: plain CRPQs (exact
@@ -29,10 +29,6 @@ const QUERIES: [&str; 3] = [
     "Ans(x, y) <- (x, p, y), L(p) = (a|b)* c",
     "Ans(y) <- (x, p, y), L(p) = a a*, x = :n0",
 ];
-
-fn opts(threads: usize) -> EvalOptions {
-    EvalOptions { threads, min_parallel_level: 1, ..EvalOptions::default() }
-}
 
 type Triple = (String, String, String);
 
@@ -99,15 +95,13 @@ fn maintained_set(
         .collect()
 }
 
-/// Sorted node-mode answers + stats of a cold run of `pq` on `graph` at
-/// `threads` workers.
+/// Sorted node-mode answers + stats of a cold run of `pq` on `graph`.
 fn cold_run(
     pq: &Arc<PreparedQuery>,
     graph: &Arc<GraphDb>,
-    threads: usize,
     cfg: &EvalConfig,
 ) -> (Vec<Vec<NodeId>>, EvalStats) {
-    let stmt = BoundStatement::bind_with(Arc::clone(pq), Arc::clone(graph), opts(threads)).unwrap();
+    let stmt = BoundStatement::bind(Arc::clone(pq), Arc::clone(graph)).unwrap();
     let (mut nodes, stats) = stmt.run_nodes(cfg).unwrap();
     nodes.sort();
     (nodes, stats)
@@ -115,7 +109,7 @@ fn cold_run(
 
 /// The core differential script: interleaved adds/removes applied to one
 /// never-merging overlay with maintained statements, checkpointed every few
-/// steps against cold re-runs on the merged graph at every thread count.
+/// steps against cold re-runs on the merged graph.
 #[test]
 fn seeded_mutation_scripts_are_bit_identical_to_cold_reruns() {
     let mut gen = Gen::new(SEED);
@@ -144,20 +138,17 @@ fn seeded_mutation_scripts_are_bit_identical_to_cold_reruns() {
         }
         let merged = oracle.force_merge();
         for (qi, (pq, m)) in maintained.iter().enumerate() {
-            for &t in &THREAD_COUNTS {
-                let (cold, stats) = cold_run(pq, &merged, t, &cfg);
-                assert_eq!(
-                    m.answers(),
-                    &cold[..],
-                    "step {step} query {qi}: maintained answers diverged from the \
-                     cold re-run at {t} threads"
-                );
-                assert_eq!(
-                    m.stats().verified,
-                    stats.verified,
-                    "step {step} query {qi}: verified count diverged at {t} threads"
-                );
-            }
+            let (cold, stats) = cold_run(pq, &merged, &cfg);
+            assert_eq!(
+                m.answers(),
+                &cold[..],
+                "step {step} query {qi}: maintained answers diverged from the cold re-run"
+            );
+            assert_eq!(
+                m.stats().verified,
+                stats.verified,
+                "step {step} query {qi}: verified count diverged"
+            );
             assert_eq!(
                 m.stats().sim_cache_misses,
                 0,
@@ -206,7 +197,7 @@ fn threshold_crossing_merges_preserve_the_differential_contract() {
         }
         let merged = oracle.force_merge();
         for (qi, (pq, m)) in maintained.iter().enumerate() {
-            let (cold, stats) = cold_run(pq, &merged, 1, &cfg);
+            let (cold, stats) = cold_run(pq, &merged, &cfg);
             assert_eq!(
                 m.answers(),
                 &cold[..],
@@ -222,8 +213,8 @@ fn threshold_crossing_merges_preserve_the_differential_contract() {
 
 /// Readers pinned to an old epoch keep seeing that epoch's answers, bit for
 /// bit, while a writer applies batches and publishes merges underneath
-/// them. One reader per thread count in {1, 2, 4, 8}, each re-running its
-/// pinned statement in a loop until the writer finishes.
+/// them. Each of `READERS` readers re-runs its pinned statement in a loop
+/// until the writer finishes.
 #[test]
 fn concurrent_readers_pinned_to_old_epochs_see_stable_answers() {
     let mut gen = Gen::new(SEED ^ 0xC0);
@@ -232,18 +223,15 @@ fn concurrent_readers_pinned_to_old_epochs_see_stable_answers() {
         Arc::new(GraphDb::from_edge_list(&base_text(&mut gen, nodes, 40)).unwrap().sealed_copy());
     let cfg = EvalConfig::default();
     let pq = prepared("Ans(x, y) <- (x, p, y), L(p) = a a*", base.alphabet());
-    let (baseline, base_stats) = cold_run(&pq, &base, 1, &cfg);
+    let (baseline, base_stats) = cold_run(&pq, &base, &cfg);
     let baseline = Arc::new(baseline);
 
     let stop = Arc::new(AtomicBool::new(false));
-    let readers: Vec<_> = THREAD_COUNTS
-        .iter()
-        .map(|&t| {
+    let readers: Vec<_> = (0..READERS)
+        .map(|r| {
             // Each reader owns a statement bound to the *pre-mutation*
             // epoch; the Arc pin keeps that epoch alive across merges.
-            let stmt = Arc::new(
-                BoundStatement::bind_with(Arc::clone(&pq), Arc::clone(&base), opts(t)).unwrap(),
-            );
+            let stmt = Arc::new(BoundStatement::bind(Arc::clone(&pq), Arc::clone(&base)).unwrap());
             let (stop, baseline, cfg) = (Arc::clone(&stop), Arc::clone(&baseline), cfg.clone());
             std::thread::spawn(move || {
                 let mut runs = 0u32;
@@ -252,9 +240,9 @@ fn concurrent_readers_pinned_to_old_epochs_see_stable_answers() {
                     nodes.sort();
                     assert_eq!(
                         nodes, *baseline,
-                        "a reader pinned to the old epoch saw mutated answers at {t} threads"
+                        "reader {r}, pinned to the old epoch, saw mutated answers"
                     );
-                    assert_eq!(stats.verified, base_stats.verified, "verified drifted at {t}");
+                    assert_eq!(stats.verified, base_stats.verified, "reader {r}: verified drifted");
                     runs += 1;
                 }
                 runs
@@ -280,7 +268,7 @@ fn concurrent_readers_pinned_to_old_epochs_see_stable_answers() {
 
     // The final epoch does reflect the mutations: the fresh-node pair is an
     // answer there but can't be in the pinned baseline.
-    let (after, _) = cold_run(&pq, &epoch, 1, &cfg);
+    let (after, _) = cold_run(&pq, &epoch, &cfg);
     let w0 = epoch.node_by_name("w0").expect("merge must carry new nodes");
     let w1 = epoch.node_by_name("w1").unwrap();
     assert!(after.contains(&vec![w0, w1]), "the merged epoch must reflect the adds");

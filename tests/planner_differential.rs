@@ -7,9 +7,9 @@
 //! 1. A seeded corpus of random queries over graph families chosen so the
 //!    cost-based and static planners actually disagree (rare-label
 //!    languages, bound constants, chains with one selective atom). Every
-//!    case is run under both planner modes, at every thread count in
-//!    {1, 2, 4, 8}, and against the classical reference engine; answer
-//!    sets and `verified` counts must be identical everywhere.
+//!    case is run under both planner modes and against the classical
+//!    reference engine; answer sets and `verified` counts must be identical
+//!    everywhere.
 //! 2. Handcrafted instances where the divergence is *guaranteed* (a
 //!    reverse-favored language, a pinnable bound constant, a selective
 //!    chain), asserted via the `explain` surface: the two planners must
@@ -20,17 +20,12 @@
 //!    representative queries, so the EXPLAIN surface (join order,
 //!    directions, pins, estimated vs actual cardinalities) stays stable.
 
-use ecrpq::eval::{reference, EvalOptions, ExplainReport, PlannerMode, PreparedQuery};
+use ecrpq::eval::{reference, ExplainReport, PlannerMode, PreparedQuery};
 use ecrpq::prelude::*;
 use ecrpq_integration::corpus::{alphabet, random_constant_free_query_text};
 use ecrpq_integration::prop::Gen;
 
-const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const SEED: u64 = 0x9_1A27_0006;
-
-fn opts(planner: PlannerMode, threads: usize) -> EvalOptions {
-    EvalOptions { planner, threads, min_parallel_level: 1 }
-}
 
 fn config() -> EvalConfig {
     EvalConfig { max_search_states: 100_000, ..EvalConfig::default() }
@@ -71,8 +66,7 @@ fn plans_differ(a: &ExplainReport, b: &ExplainReport) -> bool {
             .any(|(x, y)| x.direction != y.direction || x.pinned != y.pinned)
 }
 
-/// Runs one (query, graph) case under both planners at every thread count
-/// and checks answers + `verified` against the reference engine. Returns
+/// Runs one (query, graph) case under both planners and checks answers + `verified` against the reference engine. Returns
 /// whether the two planners produced different plans for this case, or
 /// `None` when the reference engine blows the search budget (no ground
 /// truth — the corpus skips such cases).
@@ -84,23 +78,20 @@ fn check_case(what: &str, query: &Ecrpq, g: &GraphDb, cfg: &EvalConfig) -> Optio
 
     let pq = PreparedQuery::prepare(query).unwrap();
     for planner in [PlannerMode::CostBased, PlannerMode::Static] {
-        for &t in &THREAD_COUNTS {
-            let plan = pq.bind_with(g, opts(planner, t)).unwrap();
-            let (nodes, stats) = plan.run_nodes(cfg).unwrap();
-            assert_eq!(
-                sorted(nodes),
-                ref_nodes,
-                "{what}: answer set diverged from reference ({planner:?}, {t} threads)"
-            );
-            assert_eq!(
-                stats.verified, ref_stats.verified,
-                "{what}: verified count diverged from reference ({planner:?}, {t} threads)"
-            );
-        }
+        let (nodes, stats) = pq.bind_with(g, planner).unwrap().run_nodes(cfg).unwrap();
+        assert_eq!(
+            sorted(nodes),
+            ref_nodes,
+            "{what}: answer set diverged from reference ({planner:?})"
+        );
+        assert_eq!(
+            stats.verified, ref_stats.verified,
+            "{what}: verified count diverged from reference ({planner:?})"
+        );
     }
 
-    let cost = pq.bind_with(g, opts(PlannerMode::CostBased, 1)).unwrap().explain(cfg).unwrap();
-    let stat = pq.bind_with(g, opts(PlannerMode::Static, 1)).unwrap().explain(cfg).unwrap();
+    let cost = pq.bind_with(g, PlannerMode::CostBased).unwrap().explain(cfg).unwrap();
+    let stat = pq.bind_with(g, PlannerMode::Static).unwrap().explain(cfg).unwrap();
     assert_eq!(cost.answers, stat.answers, "{what}: explain answer counts diverged");
     Some(plans_differ(&cost, &stat))
 }
@@ -167,7 +158,7 @@ fn reverse_favored_language_flips_direction_but_not_answers() {
     assert!(diverged, "cost planner should flip the BFS direction on a reverse-favored instance");
 
     let pq = PreparedQuery::prepare(&query).unwrap();
-    let report = pq.bind_with(&db, opts(PlannerMode::CostBased, 1)).unwrap().explain(&cfg).unwrap();
+    let report = pq.bind_with(&db, PlannerMode::CostBased).unwrap().explain(&cfg).unwrap();
     assert_eq!(report.atoms[0].direction.to_string(), "reverse");
 }
 
@@ -183,10 +174,10 @@ fn bound_constant_pins_the_bfs_without_changing_answers() {
         .expect("reference engine must stay within budget");
 
     let pq = PreparedQuery::prepare(&query).unwrap();
-    let report = pq.bind_with(&db, opts(PlannerMode::CostBased, 1)).unwrap().explain(&cfg).unwrap();
+    let report = pq.bind_with(&db, PlannerMode::CostBased).unwrap().explain(&cfg).unwrap();
     assert_eq!(report.atoms[0].pinned.as_deref(), Some("v1"), "BFS must be pinned to v1");
     assert_eq!(report.atoms[0].direction.to_string(), "reverse");
-    let unpinned = pq.bind_with(&db, opts(PlannerMode::Static, 1)).unwrap().explain(&cfg).unwrap();
+    let unpinned = pq.bind_with(&db, PlannerMode::Static).unwrap().explain(&cfg).unwrap();
     assert!(
         report.atoms[0].actual_pairs <= unpinned.atoms[0].actual_pairs,
         "pinning must not materialize more pairs than the full scan"
@@ -211,8 +202,8 @@ fn selective_chain_reorders_the_join_without_changing_answers() {
         .expect("reference engine must stay within budget");
 
     let pq = PreparedQuery::prepare(&query).unwrap();
-    let cost = pq.bind_with(&db, opts(PlannerMode::CostBased, 1)).unwrap().explain(&cfg).unwrap();
-    let stat = pq.bind_with(&db, opts(PlannerMode::Static, 1)).unwrap().explain(&cfg).unwrap();
+    let cost = pq.bind_with(&db, PlannerMode::CostBased).unwrap().explain(&cfg).unwrap();
+    let stat = pq.bind_with(&db, PlannerMode::Static).unwrap().explain(&cfg).unwrap();
     assert!(
         plans_differ(&cost, &stat),
         "cost planner should reorder the selective chain (cost: {:?}, static: {:?})",
@@ -232,7 +223,7 @@ fn explain_text(query_text: &str, db: &GraphDb, planner: PlannerMode) -> String 
     let al = db.alphabet().clone();
     let query = parse_query(query_text, &al).unwrap();
     let pq = PreparedQuery::prepare(&query).unwrap();
-    pq.bind_with(db, opts(planner, 1)).unwrap().explain(&config()).unwrap().to_string()
+    pq.bind_with(db, planner).unwrap().explain(&config()).unwrap().to_string()
 }
 
 #[test]
