@@ -126,6 +126,7 @@ impl Phase {
 /// the connect storm's accept-queue churn out of the wall clock.
 fn connect_admitted(addr: SocketAddr) -> Option<TcpStream> {
     let stream = TcpStream::connect(addr).expect("connect load client");
+    stream.set_nodelay(true).expect("set TCP_NODELAY");
     if (&stream).write_all(b"{\"op\":\"stats\"}\n").is_err() {
         return None; // server hung up before the probe landed: rejected
     }

@@ -8,11 +8,16 @@
 //!
 //! **Pipelining.** [`Client::send`] writes a request without waiting for
 //! its reply (tag it via [`Client::tagged`] to allow out-of-order
-//! completion); [`Client::flush`] pushes the burst out in one syscall and
-//! [`Client::recv`] reads the next reply off the wire. The caller matches
-//! tagged replies to requests by their echoed `id`. **Batching.**
+//! completion); [`Client::flush`] pushes the burst out and [`Client::recv`]
+//! reads the next reply off the wire. The caller matches tagged replies to
+//! requests by their echoed `id`. **Batching.**
 //! [`Client::batch_runs`] wraps N runs of one statement into a single
 //! `batch` request.
+//!
+//! **Framing.** The socket has `TCP_NODELAY` set, and every request line,
+//! newline included, goes to the write buffer in one `write_all`: a request
+//! larger than the buffer leaves in one `write` instead of a body plus a
+//! 1-byte segment that Nagle's algorithm holds for the server's delayed ACK.
 
 use crate::ServerError;
 use ecrpq_util::json::{self, Value};
@@ -37,6 +42,7 @@ impl Client {
     /// admission (or tunnel the connection) themselves before handing the
     /// socket to the protocol client. No bytes may be in flight.
     pub fn from_stream(stream: TcpStream) -> Result<Client, ServerError> {
+        stream.set_nodelay(true).map_err(ServerError::msg)?;
         let read_half = stream.try_clone().map_err(ServerError::msg)?;
         Ok(Client { reader: BufReader::new(read_half), writer: BufWriter::new(stream) })
     }
@@ -70,10 +76,15 @@ impl Client {
     /// Sends one raw request line and parses the reply line (without
     /// interpreting `ok`).
     pub fn request_raw(&mut self, line: &str) -> Result<Value, ServerError> {
-        self.writer.write_all(line.trim_end().as_bytes()).map_err(ServerError::msg)?;
-        self.writer.write_all(b"\n").map_err(ServerError::msg)?;
-        self.writer.flush().map_err(ServerError::msg)?;
+        self.write_line(line.trim_end().to_string())?;
+        self.flush()?;
         self.recv()
+    }
+
+    /// Appends the newline and hands the whole line to the writer at once.
+    fn write_line(&mut self, mut line: String) -> Result<(), ServerError> {
+        line.push('\n');
+        self.writer.write_all(line.as_bytes()).map_err(ServerError::msg)
     }
 
     /// Writes one request without flushing or waiting for its reply — the
@@ -82,11 +93,12 @@ impl Client {
     /// [`tagged`](Self::tagged) so out-of-order completions stay
     /// matchable).
     pub fn send(&mut self, req: &Value) -> Result<(), ServerError> {
-        self.writer.write_all(req.to_string().as_bytes()).map_err(ServerError::msg)?;
-        self.writer.write_all(b"\n").map_err(ServerError::msg)
+        self.write_line(req.to_string())
     }
 
-    /// Flushes buffered pipelined requests to the server in one syscall.
+    /// Flushes buffered pipelined requests to the server. Requests enter the
+    /// 8 KB write buffer whole, so a burst that fits leaves in one `write`
+    /// and a larger one in several, each ending on a line boundary.
     pub fn flush(&mut self) -> Result<(), ServerError> {
         self.writer.flush().map_err(ServerError::msg)
     }

@@ -257,12 +257,16 @@ impl Service {
     pub fn dispatch(&self, line: &str) -> (String, Control) {
         match json::parse(line.trim()) {
             Ok(req) => self.dispatch_req(&req),
-            Err(e) => {
-                self.stats.requests.fetch_add(1, Ordering::Relaxed);
-                self.stats.errors.fetch_add(1, Ordering::Relaxed);
-                (error_obj(&format!("bad request JSON: {e}"), None).to_string(), Control::Continue)
-            }
+            Err(e) => (self.reject_line(&format!("bad request JSON: {e}")), Control::Continue),
         }
+    }
+
+    /// The `ok:false` reply to a request line that never reached an op (not
+    /// UTF-8, not JSON), counted as a request and an error.
+    pub fn reject_line(&self, message: &str) -> String {
+        self.stats.requests.fetch_add(1, Ordering::Relaxed);
+        self.stats.errors.fetch_add(1, Ordering::Relaxed);
+        error_obj(message, None).to_string()
     }
 
     /// Dispatches an already-parsed request (the pipelined transport parses

@@ -11,6 +11,14 @@
 //! once per burst (when no tagged work is pending and no further complete
 //! request line is already buffered), not once per reply.
 //!
+//! Framing: every accepted socket has `TCP_NODELAY` set, and every reply
+//! line, newline included, goes to the writer in one `write_all`. A reply
+//! smaller than the write buffer coalesces with its burst; a larger one
+//! bypasses the buffer and leaves in one `write`, so no trailing segment
+//! waits on Nagle's algorithm for the peer's delayed ACK. Request lines are
+//! read as bytes and decoded once complete: a line split by a read timeout
+//! loses nothing, and one that is not UTF-8 gets an `ok:false` reply.
+//!
 //! Shutdown (from a request or from [`ServerHandle::shutdown`]) flips a
 //! flag and pokes the listener with a loopback connection so `accept`
 //! wakes up, then joins the listener and drains both pools.
@@ -318,9 +326,10 @@ impl ConnShared {
     /// writer lock, so the pending==0 check and the flush it triggers are
     /// atomic against concurrent completions. The flush-on-last-pending rule
     /// is what coalesces a burst of pipelined replies into one syscall.
-    fn finish_tagged(&self, reply: &str) {
+    fn finish_tagged(&self, mut reply: String) {
+        reply.push('\n');
         let mut w = self.writer.lock().unwrap();
-        let mut ok = w.write_all(reply.as_bytes()).and_then(|()| w.write_all(b"\n")).is_ok();
+        let mut ok = w.write_all(reply.as_bytes()).is_ok();
         let remaining = self.pending.fetch_sub(1, Ordering::SeqCst) - 1;
         if ok && remaining == 0 {
             ok = w.flush().is_ok();
@@ -332,10 +341,10 @@ impl ConnShared {
 
     /// Writes one in-order reply, flushing only when `flush` says the burst
     /// is over. Returns false on write failure.
-    fn write_ordered(&self, reply: &str, flush: bool) -> bool {
+    fn write_ordered(&self, mut reply: String, flush: bool) -> bool {
+        reply.push('\n');
         let mut w = self.writer.lock().unwrap();
-        let ok = w.write_all(reply.as_bytes()).and_then(|()| w.write_all(b"\n")).is_ok()
-            && (!flush || w.flush().is_ok());
+        let ok = w.write_all(reply.as_bytes()).is_ok() && (!flush || w.flush().is_ok());
         if !ok {
             self.failed.store(true, Ordering::SeqCst);
         }
@@ -370,6 +379,7 @@ fn serve_connection(
 ) -> Control {
     let _ = stream.set_read_timeout(Some(IDLE_POLL));
     let _ = stream.set_write_timeout(write_timeout);
+    let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else { return Control::Close };
     let mut reader = BufReader::new(read_half);
     let shared = Arc::new(ConnShared {
@@ -377,14 +387,14 @@ fn serve_connection(
         pending: AtomicUsize::new(0),
         failed: AtomicBool::new(false),
     });
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        // Read one full line; timeouts keep any partial data in `line` and
-        // just give the stop flag (and the write-failure latch) a chance to
-        // end the connection.
+        // Read one full line as bytes; timeouts keep any partial data in
+        // `line` (even half a UTF-8 character) and just give the stop flag
+        // (and the write-failure latch) a chance to end the connection.
         loop {
-            match reader.read_line(&mut line) {
+            match reader.read_until(b'\n', &mut line) {
                 Ok(0) => {
                     // EOF: finish in-flight tagged work so every accepted
                     // request still gets its reply flushed (the client may
@@ -410,15 +420,23 @@ fn serve_connection(
                 }
             }
         }
-        if line.trim().is_empty() {
-            continue;
-        }
+        let text = match std::str::from_utf8(&line) {
+            Ok(text) if text.trim().is_empty() => continue,
+            Ok(text) => text,
+            Err(e) => {
+                let reply = service.reject_line(&format!("request line is not UTF-8: {e}"));
+                if !shared.write_ordered(reply, !has_buffered_line(&reader)) {
+                    return Control::Close;
+                }
+                continue;
+            }
+        };
         // Parse once: the id tag decides the dispatch path, and
         // `dispatch_req` reuses the parsed request.
-        let Ok(req) = json::parse(line.trim()) else {
+        let Ok(req) = json::parse(text.trim()) else {
             // Malformed JSON: the plain dispatcher builds the error reply.
-            let (reply, _) = service.dispatch(&line);
-            if !shared.write_ordered(&reply, !has_buffered_line(&reader)) {
+            let (reply, _) = service.dispatch(text);
+            if !shared.write_ordered(reply, !has_buffered_line(&reader)) {
                 return Control::Close;
             }
             continue;
@@ -440,7 +458,7 @@ fn serve_connection(
                      {send_queue_cap} tagged replies pending and unread; \
                      read replies or pipeline less deeply\"}}"
                 );
-                let _ = shared.write_ordered(&reply, true);
+                let _ = shared.write_ordered(reply, true);
                 shared.drain();
                 shared.failed.store(true, Ordering::SeqCst);
                 // End with FIN, not RST: half-close the write side and
@@ -460,13 +478,13 @@ fn serve_connection(
             let job_req = Arc::clone(&req);
             let submitted = exec.execute(move || {
                 let (reply, _) = job_service.dispatch_req(&job_req);
-                job_shared.finish_tagged(&reply);
+                job_shared.finish_tagged(reply);
             });
             if !submitted {
                 // Pool already shut down (server stopping): the request was
                 // admitted, so answer it inline rather than dropping it.
                 let (reply, _) = service.dispatch_req(&req);
-                shared.finish_tagged(&reply);
+                shared.finish_tagged(reply);
             }
         } else {
             // Untagged (or invalid tag, which dispatch_req rejects with a
@@ -477,7 +495,7 @@ fn serve_connection(
             shared.drain();
             let (reply, control) = service.dispatch_req(&req);
             let flush = control != Control::Continue || !has_buffered_line(&reader);
-            if !shared.write_ordered(&reply, flush) {
+            if !shared.write_ordered(reply, flush) {
                 return Control::Close;
             }
             if control != Control::Continue {
@@ -700,6 +718,56 @@ mod tests {
             st.get("admission").unwrap().get("reply_overflows").unwrap().as_u64().unwrap();
         assert!(overflows >= 1, "stats must surface the overflow: {st:?}");
         c.close().unwrap();
+        handle.shutdown();
+    }
+
+    /// Reads `n` reply lines off a raw connection.
+    fn read_replies(stream: &TcpStream, n: usize) -> Vec<json::Value> {
+        stream.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
+        let mut reader = BufReader::new(stream);
+        (0..n)
+            .map(|_| {
+                let mut line = String::new();
+                assert!(reader.read_line(&mut line).unwrap() > 0, "server closed the connection");
+                json::parse(line.trim()).unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn non_utf8_line_gets_an_error_reply_and_the_connection_keeps_serving() {
+        let handle = Server::spawn(ServerConfig { workers: 2, ..ServerConfig::default() }).unwrap();
+        let mut raw = TcpStream::connect(handle.addr()).unwrap();
+        raw.write_all(b"{\"op\":\"st\xFFats\"}\n{\"op\":\"stats\"}\n").unwrap();
+        let replies = read_replies(&raw, 2);
+        assert_eq!(replies[0].get("ok").and_then(|v| v.as_bool()), Some(false));
+        let err = replies[0].get("error").and_then(|v| v.as_str()).unwrap();
+        assert!(err.contains("not UTF-8"), "unexpected error: {err}");
+        assert_eq!(replies[1].get("ok").and_then(|v| v.as_bool()), Some(true), "{:?}", replies[1]);
+        assert!(replies[1].get("admission").is_some(), "second reply must be stats");
+        handle.shutdown();
+    }
+
+    #[test]
+    fn request_split_inside_a_utf8_character_across_a_read_timeout_loses_nothing() {
+        let handle = Server::spawn(ServerConfig { workers: 2, ..ServerConfig::default() }).unwrap();
+        let mut raw = TcpStream::connect(handle.addr()).unwrap();
+        // `é` is 0xC3 0xA9; the pause outlasts the server's read timeout.
+        raw.write_all(b"{\"op\":\"load\",\"graph\":\"g\",\"edges\":\"caf\xC3").unwrap();
+        std::thread::sleep(IDLE_POLL + std::time::Duration::from_millis(100));
+        raw.write_all(b"\xA9 a b\\n\"}\n").unwrap();
+        raw.write_all(
+            b"{\"op\":\"prepare\",\"name\":\"q\",\"query\":\"Ans(x, y) <- (x, p, y), L(p) = a\",\
+              \"graph\":\"g\"}\n{\"op\":\"run\",\"name\":\"q\",\"graph\":\"g\"}\n",
+        )
+        .unwrap();
+        let replies = read_replies(&raw, 3);
+        for r in &replies {
+            assert_eq!(r.get("ok").and_then(|v| v.as_bool()), Some(true), "{r:?}");
+        }
+        let answers = replies[2].get("answers").and_then(|v| v.as_arr()).unwrap();
+        let row = answers[0].as_arr().unwrap();
+        assert_eq!(row[0].as_str(), Some("café"));
         handle.shutdown();
     }
 

@@ -11,7 +11,10 @@
 # the server smoke (an ephemeral-port
 # ecrpq-serve driven through load/prepare/run/stats/shutdown by ecrpq-cli,
 # asserting that the second run of a prepared statement is a registry hit
-# with zero sim-table compilations) + the storage smoke (save on one server,
+# with zero sim-table compilations, and that 50 runs whose ~13 KB replies
+# outgrow the server's 8 KB write buffer take under 1 s on one connection:
+# a reply sent as body plus a separate newline waits ~40 ms for a delayed
+# ACK) + the storage smoke (save on one server,
 # reopen on a fresh one, first run must be warm) + the serve-load smoke (a
 # short open-loop burst through the legacy/pipelined/batch protocol shapes
 # past the server's admission capacity; the harness asserts zero dropped
@@ -148,11 +151,28 @@ server_smoke() {
         exit 1
     fi
     "$cli" --addr "$addr" stats
+
+    # Wire framing: replies larger than the write buffer must leave in one
+    # write on a TCP_NODELAY socket, or each one waits ~40 ms.
+    "$cli" --addr "$addr" load big cycle:1000:a > /dev/null
+    "$cli" --addr "$addr" prepare one_hop 'Ans(x, y) <- (x, p, y), L(p) = a' big > /dev/null
+    local start_ns elapsed_ms
+    start_ns=$(date +%s%N)
+    for _ in $(seq 1 50); do
+        echo '{"op":"run","name":"one_hop","graph":"big"}'
+    done | "$cli" --addr "$addr" script > /dev/null
+    elapsed_ms=$(( ($(date +%s%N) - start_ns) / 1000000 ))
+    echo "    50 runs with ~13 KB replies on one connection: ${elapsed_ms} ms"
+    if (( elapsed_ms >= 1000 )); then
+        echo "server smoke FAILED: large replies stall (>= 1 s for 50 runs)" >&2
+        exit 1
+    fi
+
     "$cli" --addr "$addr" shutdown
     wait "$server_pid"
     server_pid=""
     rm -f "$log"
-    echo "    server smoke OK (second run: registry hit, sim_cache_misses=0)"
+    echo "    server smoke OK (second run: registry hit, sim_cache_misses=0; large replies do not stall)"
 }
 
 # Persistence gate: one server saves a graph plus a prepared statement; a

@@ -293,3 +293,46 @@ fn protocol_error_goldens() {
     c.close().expect("close");
     handle.shutdown();
 }
+
+/// The median of `n` timings of `op`.
+fn median_of(n: usize, mut op: impl FnMut()) -> Duration {
+    let mut times: Vec<Duration> = (0..n)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            op();
+            start.elapsed()
+        })
+        .collect();
+    times.sort();
+    times[n / 2]
+}
+
+/// A message larger than the 8 KB write buffer must leave as one `write` on
+/// a `TCP_NODELAY` socket in both directions. Sent as a body plus a separate
+/// newline, the newline waits on Nagle's algorithm for the peer's ~40 ms
+/// delayed ACK. Medians, so that quick-ACK at connection start or a loaded
+/// host cannot flip the verdict.
+#[test]
+fn messages_over_the_write_buffer_do_not_wait_for_a_delayed_ack() {
+    let handle = Server::spawn(ServerConfig { workers: 2, ..ServerConfig::default() })
+        .expect("spawn server");
+    let mut c = Client::connect(handle.addr()).expect("connect");
+    c.load_generator("big", "cycle:1000:a").expect("load graph");
+    c.prepare_for_graph("one_hop", "Ans(x, y) <- (x, p, y), L(p) = a", "big").expect("prepare");
+    let reply_bytes = c.run("one_hop", "big").expect("warm run").to_string().len();
+    assert!(reply_bytes > 8 * 1024, "the reply must outgrow the write buffer: {reply_bytes} B");
+
+    let read = median_of(31, || {
+        c.run("one_hop", "big").expect("run");
+    });
+    assert!(read < Duration::from_millis(20), "median > 8 KB reply took {read:?}");
+
+    let edges: String = (0..1000).map(|i| format!("n{i} a n{}\n", i + 1)).collect();
+    assert!(edges.len() > 8 * 1024, "the request must outgrow the write buffer");
+    let load = median_of(31, || {
+        c.load_edges("inline", &edges).expect("load inline edges");
+    });
+    assert!(load < Duration::from_millis(20), "median > 8 KB request took {load:?}");
+    c.close().expect("close");
+    handle.shutdown();
+}
