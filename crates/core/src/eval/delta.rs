@@ -158,9 +158,11 @@ impl MaintainedStatement {
 
     /// Recomputes the rows of `sources` with the cold pipeline's kernel over
     /// the overlay's adjacency, then re-enumerates the answer set with the
-    /// cold pipeline's join — same candidate counting, same head dedup,
-    /// `verified` = distinct heads. Answers come out sorted (the canonical
-    /// order the serve path renders).
+    /// cold pipeline's join — same candidate counting, same head dedup
+    /// (skipped, as on a cold run, when
+    /// [`heads_are_distinct`](crate::eval::PreparedQuery::heads_are_distinct)
+    /// holds), `verified` = distinct heads. Answers come out sorted (the
+    /// canonical order the serve path renders).
     fn refresh(
         &mut self,
         view: GraphView<'_>,
@@ -183,11 +185,12 @@ impl MaintainedStatement {
         // take them back afterwards, so they are never held twice.
         let rels: Vec<ReachRel> =
             std::mem::take(&mut self.reach).into_iter().map(ReachRel::from_fwd).collect();
-        let mut seen_heads: HashSet<Vec<NodeId>> = HashSet::new();
+        let mut seen_heads: Option<HashSet<Vec<NodeId>>> =
+            (!pq.heads_are_distinct(&art.constants)).then(HashSet::new);
         let mut answers: Vec<Vec<NodeId>> = Vec::new();
         let visit = |sigma: &[NodeId]| {
             let head: Vec<NodeId> = pq.head_node_idx.iter().map(|&i| sigma[i]).collect();
-            if seen_heads.insert(head.clone()) {
+            if seen_heads.as_mut().is_none_or(|seen| seen.insert(head.clone())) {
                 answers.push(head);
             }
             true
@@ -299,6 +302,36 @@ mod tests {
         let cold_stmt = statement("Ans(u, v) <- (u, p, v), L(p) = x*", &merged);
         let (cold, _) = cold_answers(&cold_stmt, &config);
         assert_eq!(m.answers(), &cold[..]);
+    }
+
+    #[test]
+    fn maintained_head_dedup_is_skipped_exactly_when_heads_are_distinct() {
+        use crate::eval::prepared::tests::{dedup_graph, DEDUP_CASES};
+        let config = EvalConfig::default();
+        for (text, distinct) in DEDUP_CASES {
+            let mut live = LiveGraph::new(Arc::new(dedup_graph()), 1_000_000);
+            let stmt = statement(text, live.base());
+            assert_eq!(stmt.prepared().heads_are_distinct(&stmt.artifacts().constants), distinct);
+            let mut m = MaintainedStatement::try_new(Arc::clone(&stmt), live.view(), &config)
+                .unwrap()
+                .expect("plain CRPQ is maintainable");
+            let out = live.apply(
+                &[triple("v3", "a", "w"), triple("w", "b", "v0"), triple("v0", "a", "v5")],
+                &[triple("v0", "a", "v1")],
+            );
+            m.apply(live.view(), &out.batch, &config).unwrap();
+
+            // The reference engine on the merged graph always deduplicates.
+            let merged = live.force_merge();
+            let q = parse_query(text, merged.alphabet()).unwrap();
+            let (mut refr, rs) =
+                crate::eval::reference::eval_nodes_with_stats(&q, &merged, &config).unwrap();
+            refr.sort();
+            assert!(!refr.is_empty(), "{text}");
+            assert_eq!(m.answers(), &refr[..], "{text}");
+            assert_eq!((m.stats().candidates, m.stats().verified), (rs.candidates, rs.verified));
+            assert_eq!(rs.candidates > rs.verified, !distinct, "{text}: {rs:?}");
+        }
     }
 
     #[test]

@@ -487,6 +487,18 @@ impl PreparedQuery {
         &self.query
     }
 
+    /// True when no two candidate assignments can share a head tuple, so a
+    /// nodes-mode run needs no head-dedup set. The candidate join yields
+    /// pairwise-distinct assignments (every variable iterates distinct
+    /// values), so when the head's node variables cover every node variable
+    /// not pinned to one of `constants`, distinct assignments have distinct
+    /// heads. A property of the query and its bound constants, never of the
+    /// graph.
+    pub(crate) fn heads_are_distinct(&self, constants: &[(usize, NodeId)]) -> bool {
+        (0..self.node_vars.len())
+            .all(|v| self.head_node_idx.contains(&v) || constants.iter().any(|&(c, _)| c == v))
+    }
+
     /// Binds the prepared query to one graph: resolves named-node constants,
     /// builds the symbol translation and a label-translated CSR adjacency,
     /// and resolves deferred label-count coefficients. No automaton is
@@ -857,6 +869,12 @@ impl<'a> BoundPlan<'a> {
     /// [`run_mode`](Self::run_mode) with an explicit verification engine
     /// (the reference engine reruns the same pipeline for the differential
     /// suites).
+    ///
+    /// A nodes-mode run deduplicates heads — a candidate whose head was
+    /// already answered is skipped before verification — only when two
+    /// candidates can share a head, i.e. unless
+    /// [`PreparedQuery::heads_are_distinct`] holds. The reference engine
+    /// always keeps the set, so the differential suites check the skip.
     pub(crate) fn run_engine(
         &self,
         mode: Mode,
@@ -908,7 +926,9 @@ impl<'a> BoundPlan<'a> {
             if self.counters().is_empty() { None } else { Some(self.step_bound(config)) };
 
         let mut answers: Vec<Answer> = Vec::new();
-        let mut seen_heads: HashSet<Vec<NodeId>> = HashSet::new();
+        let dedup_heads = mode == Mode::Nodes
+            && (engine == Engine::Reference || !pq.heads_are_distinct(self.constants()));
+        let mut seen_heads: Option<HashSet<Vec<NodeId>>> = dedup_heads.then(HashSet::new);
         let mut seen_answers: HashSet<(Vec<NodeId>, Vec<Path>)> = HashSet::new();
         let mut error: Option<QueryError> = None;
         let mut verified: u64 = 0;
@@ -926,7 +946,7 @@ impl<'a> BoundPlan<'a> {
             &mut stats,
             |sigma| {
                 let head: Vec<NodeId> = pq.head_node_idx.iter().map(|&i| sigma[i]).collect();
-                if mode == Mode::Nodes && seen_heads.contains(&head) {
+                if seen_heads.as_ref().is_some_and(|seen| seen.contains(&head)) {
                     return true;
                 }
                 // Verify the candidate with the convolution search (the
@@ -957,7 +977,9 @@ impl<'a> BoundPlan<'a> {
                     }
                 }
                 verified += 1;
-                seen_heads.insert(head.clone());
+                if let Some(seen) = &mut seen_heads {
+                    seen.insert(head.clone());
+                }
                 if mode == Mode::Paths {
                     if seen_answers.insert((head.clone(), paths.clone())) {
                         answers.push(Answer { nodes: head, paths });
@@ -1248,7 +1270,7 @@ const _: fn() = || {
 };
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ecrpq_automata::builtin;
     use ecrpq_graph::generators;
@@ -1404,6 +1426,54 @@ mod tests {
             let (ans, stats) = h.join().unwrap();
             assert_eq!(ans, borrowed);
             assert_eq!(stats.sim_cache_misses, 0, "cached statement must not recompile");
+        }
+    }
+
+    /// The head-dedup cases: (query, whether its heads are provably
+    /// distinct). Over the `v0…` graph of [`dedup_graph`].
+    pub(crate) const DEDUP_CASES: [(&str, bool); 4] = [
+        // The head covers every node variable: the set is skipped.
+        ("Ans(x, y) <- (x, p, y), L(p) = a (a|b)*", true),
+        // A repeated head variable leaves `y` uncovered: kept.
+        ("Ans(x, x) <- (x, p, y), L(p) = a (a|b)*", false),
+        // A projection: kept.
+        ("Ans(x) <- (x, p, y), L(p) = a (a|b)*", false),
+        // The only non-head variable is pinned to a constant: skipped.
+        ("Ans(y, z) <- (x, p, y), (y, q, z), L(p) = a, L(q) = b*, x = :v0", true),
+    ];
+
+    /// A seeded random graph over named nodes `v0…v11`, labels `a`/`b`.
+    pub(crate) fn dedup_graph() -> GraphDb {
+        let mut rng = ecrpq_graph::prng::SplitMix64::seed_from_u64(11);
+        let mut text = String::from("v0 a v1\n");
+        for _ in 0..30 {
+            let (f, t) = (rng.gen_index(12), rng.gen_index(12));
+            let l = ["a", "b"][rng.gen_index(2)];
+            text.push_str(&format!("v{f} {l} v{t}\n"));
+        }
+        GraphDb::from_edge_list(&text).unwrap()
+    }
+
+    #[test]
+    fn head_dedup_is_skipped_exactly_when_heads_are_distinct() {
+        let g = dedup_graph();
+        let cfg = EvalConfig::default();
+        for (text, distinct) in DEDUP_CASES {
+            let q = crate::parse::parse_query(text, g.alphabet()).unwrap();
+            let pq = PreparedQuery::prepare(&q).unwrap();
+            let plan = pq.bind(&g).unwrap();
+            assert_eq!(pq.heads_are_distinct(plan.constants()), distinct, "{text}");
+            // The reference engine always deduplicates: answers in the same
+            // order, the same candidates and verified counts.
+            let (dense, ds) = plan.run_mode(Mode::Nodes, &cfg, None).unwrap();
+            let (refr, rs) = plan.run_engine(Mode::Nodes, &cfg, Engine::Reference, None).unwrap();
+            let dense: Vec<Vec<NodeId>> = dense.into_iter().map(|a| a.nodes).collect();
+            let refr: Vec<Vec<NodeId>> = refr.into_iter().map(|a| a.nodes).collect();
+            assert!(!dense.is_empty(), "{text}");
+            assert_eq!(dense, refr, "{text}");
+            assert_eq!((ds.candidates, ds.verified), (rs.candidates, rs.verified), "{text}");
+            // Kept sets matter here: the join yields duplicate heads.
+            assert_eq!(ds.candidates > ds.verified, !distinct, "{text}: {ds:?}");
         }
     }
 

@@ -167,14 +167,14 @@ impl<'a> GraphView<'a> {
         self.base.node_by_name(name).or_else(|| self.delta.new_name_index.get(name).copied())
     }
 
-    /// A printable identifier for a node (its name, or `n<i>`).
-    pub fn node_display(&self, node: NodeId) -> String {
-        let name = if node.index() < self.delta.base_nodes {
-            self.base.node_name(node).map(str::to_string)
+    /// The name of a node, if it has one (base first, then
+    /// delta-introduced nodes).
+    pub fn node_name(&self, node: NodeId) -> Option<&'a str> {
+        if node.index() < self.delta.base_nodes {
+            self.base.node_name(node)
         } else {
-            self.delta.new_name(node.index()).map(str::to_string)
-        };
-        name.unwrap_or_else(|| format!("n{}", node.0))
+            self.delta.new_name(node.index())
+        }
     }
 }
 
@@ -480,13 +480,15 @@ mod tests {
 
     /// Collects the overlay's edges as display triples, sorted.
     fn view_edges(v: &GraphView) -> Vec<(String, String, String)> {
+        let display =
+            |n: NodeId| v.node_name(n).map_or_else(|| format!("n{}", n.0), str::to_string);
         let mut out = Vec::new();
         for i in 0..v.num_nodes() {
             v.for_each_out(NodeId(i as u32), |l, t| {
                 out.push((
-                    v.node_display(NodeId(i as u32)),
+                    display(NodeId(i as u32)),
                     v.alphabet().label(l).to_string(),
-                    v.node_display(t),
+                    display(t),
                 ));
             });
         }

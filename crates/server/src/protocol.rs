@@ -289,14 +289,16 @@ impl Service {
             },
         };
         self.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
-        // The reply text starts at a page, not at zero. A large reply is
-        // rendered right above its (much larger) value tree at the top of
-        // the heap; grown from nothing, its first doublings are chunks small
-        // enough for malloc's per-thread cache, and a remainder `realloc`
-        // parks there sits just under the heap top and keeps the freed tree
-        // from going back to the system (measured: one 1 MB reply in 50–100;
-        // resident memory then stays at its peak and the next large reply
-        // lands on top of it).
+        // The reply text starts at a page, not at zero, and so does the
+        // answer-row text `rows_reply` renders. A large reply is rendered
+        // at the top of the heap, right above the row text it embeds, which
+        // is freed as soon as the reply is written; grown from nothing, a
+        // buffer's first doublings are chunks small enough for malloc's
+        // per-thread cache, and a remainder `realloc` parks there sits just
+        // under the heap top and keeps the freed memory below it from going
+        // back to the system (measured when replies were built as `Value`
+        // trees: one 1 MB reply in 50–100; resident memory then stays at
+        // its peak and the next large reply lands on top of it).
         let mut text = String::with_capacity(4096);
         write!(text, "{reply}").expect("writing to a String cannot fail");
         (text, control)
@@ -715,9 +717,9 @@ impl Service {
                     }
                     if current {
                         let m = &state.maintained[name];
-                        let rows =
-                            m.answers().iter().map(|row| node_row(row, |n| view.node_display(n)));
-                        return Ok(rows_reply(verdict, rows.collect(), &m.stats()));
+                        return Ok(rows_reply(verdict, m.answers(), &m.stats(), |out, row| {
+                            write_nodes(out, row, |n| view.node_name(n))
+                        }));
                     }
                 }
                 // Everything else runs on a sealed epoch: merge the pending
@@ -754,27 +756,28 @@ impl Service {
         qtrace::end_span(&mut trace, run);
 
         let render = qtrace::begin_span(&mut trace, "render");
-        let display = |n| graph.node_display(n);
+        let graph: &GraphDb = &graph;
         let fields = match mode {
             Mode::Boolean => vec![
                 ("registry", Value::str(verdict)),
                 ("answer", Value::Bool(!answers.is_empty())),
                 ("stats", stats_value(&stats)),
             ],
-            Mode::Nodes => {
-                let rows = answers.iter().map(|a| node_row(&a.nodes, display));
-                rows_reply(verdict, rows.collect(), &stats)
-            }
-            Mode::Paths => {
-                let rows = answers.iter().map(|a| {
-                    let paths = a.paths.iter().map(|p| path_value(p, &graph)).collect();
-                    Value::obj([
-                        ("nodes", node_row(&a.nodes, display)),
-                        ("paths", Value::Arr(paths)),
-                    ])
-                });
-                rows_reply(verdict, rows.collect(), &stats)
-            }
+            Mode::Nodes => rows_reply(verdict, &answers, &stats, |out, a| {
+                write_nodes(out, &a.nodes, |n| graph.node_name(n))
+            }),
+            Mode::Paths => rows_reply(verdict, &answers, &stats, |out, a| {
+                out.push_str("{\"nodes\":");
+                write_nodes(out, &a.nodes, |n| graph.node_name(n));
+                out.push_str(",\"paths\":[");
+                for (i, path) in a.paths.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_path(out, path, graph);
+                }
+                out.push_str("]}");
+            }),
         };
         qtrace::end_span(&mut trace, render);
         Ok(fields)
@@ -1388,33 +1391,72 @@ fn stats_value(stats: &EvalStats) -> Value {
     ])
 }
 
-/// One answer row's node tuple — the only place node rows are rendered,
-/// over a sealed graph's or an overlay's `node_display`.
-fn node_row(nodes: &[NodeId], display: impl Fn(NodeId) -> String) -> Value {
-    Value::Arr(nodes.iter().map(|&n| Value::str(display(n))).collect())
-}
-
-/// The reply fields of a row-valued (`nodes`/`paths`) run.
-fn rows_reply(verdict: &str, rows: Vec<Value>, stats: &EvalStats) -> Vec<(&'static str, Value)> {
+/// The reply fields of a row-valued (`nodes`/`paths`) run, with the one
+/// writer of answer rows: `write_row` appends each row's JSON text straight
+/// from the borrowed answers — no `Value` per row or per node — and the
+/// `answers` array joins the reply as [`Value::Raw`]. The text starts at a
+/// page for the allocator reason [`Service::dispatch_req`] gives.
+fn rows_reply<R>(
+    verdict: &str,
+    rows: &[R],
+    stats: &EvalStats,
+    mut write_row: impl FnMut(&mut String, &R),
+) -> Vec<(&'static str, Value)> {
+    let mut text = String::with_capacity(4096);
+    text.push('[');
+    for (i, row) in rows.iter().enumerate() {
+        if i > 0 {
+            text.push(',');
+        }
+        write_row(&mut text, row);
+    }
+    text.push(']');
     vec![
         ("registry", Value::str(verdict)),
         ("count", Value::int(rows.len() as u64)),
-        ("answers", Value::Arr(rows)),
+        ("answers", Value::Raw(text)),
         ("stats", stats_value(stats)),
     ]
 }
 
-/// A path as the alternating `[node, label, node, …]` array the protocol
-/// uses in both directions.
-fn path_value(path: &Path, graph: &GraphDb) -> Value {
-    let mut items = Vec::with_capacity(path.nodes().len() + path.label().len());
+/// Appends a node tuple as a JSON array of node tokens, naming nodes
+/// through a sealed graph's or an overlay's `node_name`.
+fn write_nodes<'g>(out: &mut String, nodes: &[NodeId], name: impl Fn(NodeId) -> Option<&'g str>) {
+    out.push('[');
+    for (i, &n) in nodes.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_node(out, n, name(n));
+    }
+    out.push(']');
+}
+
+/// Appends one node token as a JSON string: a named node's name, escaped
+/// from the borrowed `&str`, or `n<i>` for an anonymous node — the tokens
+/// [`resolve_node`] accepts.
+fn write_node(out: &mut String, node: NodeId, name: Option<&str>) {
+    out.push('"');
+    match name {
+        Some(name) => json::escape_into(out, name),
+        None => write!(out, "n{}", node.0).expect("writing to a String cannot fail"),
+    }
+    out.push('"');
+}
+
+/// Appends a path as the alternating `[node, label, node, …]` array the
+/// protocol uses in both directions.
+fn write_path(out: &mut String, path: &Path, graph: &GraphDb) {
+    out.push('[');
     for (i, &n) in path.nodes().iter().enumerate() {
         if i > 0 {
-            items.push(Value::str(graph.alphabet().label(path.label()[i - 1])));
+            out.push_str(",\"");
+            json::escape_into(out, graph.alphabet().label(path.label()[i - 1]));
+            out.push_str("\",");
         }
-        items.push(Value::str(graph.node_display(n)));
+        write_node(out, n, graph.node_name(n));
     }
-    Value::Arr(items)
+    out.push(']');
 }
 
 /// Resolves a protocol node token: a node name, or `n<i>` for an anonymous
@@ -2448,5 +2490,124 @@ mod tests {
         assert_eq!(field(&second, "version"), field(&first, "version") + 1);
         assert_eq!(field(&second, "merges"), field(&first, "merges"));
         assert_eq!(field(&second, "merges"), 0);
+    }
+
+    /// A client that escapes non-BMP characters as UTF-16 surrogate pairs
+    /// (Python's `json.dumps` does by default) names the node it means, and
+    /// a lone surrogate is a parse error at its byte offset.
+    #[test]
+    fn surrogate_pair_escapes_name_the_node_they_spell() {
+        let s = Service::new(8);
+        let r = reply(&s, r#"{"op":"load","graph":"u","edges":"x\ud83d\ude00 a b\n"}"#);
+        assert_eq!(r.get("ok").unwrap().as_bool(), Some(true));
+        reply(
+            &s,
+            r#"{"op":"prepare","name":"q","query":"Ans(x, y) <- (x, p, y), L(p) = a","graph":"u"}"#,
+        );
+        let (text, _) = s.dispatch(r#"{"op":"run","name":"q","graph":"u"}"#);
+        assert!(text.contains(r#""answers":[["x😀","b"]]"#), "{text}");
+        assert_error_reply(
+            &s,
+            r#"{"op":"load","graph":"v","edges":"x\ud83d a b\n"}"#,
+            "unpaired surrogate \\ud83d at byte 35",
+        );
+    }
+
+    /// A service holding graph `g` whose node names need every escape the
+    /// JSON writer knows (`"`, `\`, `\t`, a control character), non-ASCII
+    /// names (`é`, a non-BMP `😀`), and anonymous nodes (`n0`, `n4`).
+    fn escape_heavy_service() -> Service {
+        let mut g = GraphDb::empty();
+        let n0 = g.add_node();
+        let quote = g.add_named_node("q\"uote");
+        let back = g.add_named_node("back\\slash");
+        let cafe = g.add_named_node("café");
+        let n4 = g.add_node();
+        let emoji = g.add_named_node("x😀");
+        let ctrl = g.add_named_node("tab\there\u{1}");
+        for (f, l, t) in [
+            (n0, "a", quote),
+            (quote, "a", back),
+            (back, "b", cafe),
+            (cafe, "a", n4),
+            (n4, "b", emoji),
+            (emoji, "a", ctrl),
+            (ctrl, "a", n0),
+            (quote, "b", emoji),
+        ] {
+            g.add_edge_labeled(f, l, t);
+        }
+        let s = Service::new(8);
+        s.catalog.insert("g", Arc::new(g));
+        for (name, query) in [
+            ("e", "Ans(x, y) <- (x, p, y), L(p) = a"),
+            ("ab", "Ans(x, p) <- (x, p, y), L(p) = a b"),
+            ("none", "Ans(x, y) <- (x, p, y), L(p) = b b"),
+        ] {
+            let line =
+                format!(r#"{{"op":"prepare","name":"{name}","query":"{query}","graph":"g"}}"#);
+            assert_eq!(reply(&s, &line).get("ok").unwrap().as_bool(), Some(true));
+        }
+        s
+    }
+
+    /// Reply bytes are pinned: every row-valued reply shape (nodes, paths,
+    /// `limit`, zero rows, boolean, id-tagged, `batch`, `trace`, and a
+    /// maintained read of a dirty overlay) over names that need escaping
+    /// renders exactly these lines.
+    #[test]
+    fn row_replies_are_byte_identical_to_the_goldens() {
+        let s = escape_heavy_service();
+        let goldens: [(&str, &str); 8] = [
+            (
+                r#"{"op":"run","name":"e","graph":"g"}"#,
+                r##"{"ok":true,"registry":"miss","count":5,"answers":[["n0","q\"uote"],["q\"uote","back\\slash"],["café","n4"],["x😀","tab\there\u0001"],["tab\there\u0001","n0"]],"stats":{"candidates":5,"verified":5,"search_states":0,"sim_cache_hits":0,"sim_cache_misses":1}}"##,
+            ),
+            (
+                r#"{"op":"run","name":"ab","graph":"g","mode":"paths"}"#,
+                r##"{"ok":true,"registry":"miss","count":3,"answers":[{"nodes":["n0"],"paths":[["n0","a","q\"uote","b","x😀"]]},{"nodes":["q\"uote"],"paths":[["q\"uote","a","back\\slash","b","café"]]},{"nodes":["café"],"paths":[["café","a","n4","b","x😀"]]}],"stats":{"candidates":3,"verified":3,"search_states":9,"sim_cache_hits":0,"sim_cache_misses":2}}"##,
+            ),
+            (
+                r#"{"op":"run","name":"ab","graph":"g","mode":"paths","limit":1}"#,
+                r##"{"ok":true,"registry":"hit","count":1,"answers":[{"nodes":["n0"],"paths":[["n0","a","q\"uote","b","x😀"]]}],"stats":{"candidates":1,"verified":1,"search_states":3,"sim_cache_hits":2,"sim_cache_misses":0}}"##,
+            ),
+            (
+                r#"{"op":"run","name":"e","graph":"g","mode":"boolean"}"#,
+                r##"{"ok":true,"registry":"hit","answer":true,"stats":{"candidates":1,"verified":1,"search_states":0,"sim_cache_hits":1,"sim_cache_misses":0}}"##,
+            ),
+            (
+                r#"{"op":"run","name":"none","graph":"g"}"#,
+                r##"{"ok":true,"registry":"miss","count":0,"answers":[],"stats":{"candidates":0,"verified":0,"search_states":0,"sim_cache_hits":0,"sim_cache_misses":1}}"##,
+            ),
+            (
+                r#"{"id":"t\"1","op":"run","name":"e","graph":"g"}"#,
+                r##"{"id":"t\"1","ok":true,"registry":"hit","count":5,"answers":[["n0","q\"uote"],["q\"uote","back\\slash"],["café","n4"],["x😀","tab\there\u0001"],["tab\there\u0001","n0"]],"stats":{"candidates":5,"verified":5,"search_states":0,"sim_cache_hits":1,"sim_cache_misses":0}}"##,
+            ),
+            (
+                r#"{"op":"batch","graph":"g","requests":[{"name":"e"},{"name":"ab","mode":"paths"}]}"#,
+                r##"{"ok":true,"count":2,"results":[{"ok":true,"registry":"hit","count":5,"answers":[["n0","q\"uote"],["q\"uote","back\\slash"],["café","n4"],["x😀","tab\there\u0001"],["tab\there\u0001","n0"]],"stats":{"candidates":5,"verified":5,"search_states":0,"sim_cache_hits":1,"sim_cache_misses":0}},{"ok":true,"registry":"hit","count":3,"answers":[{"nodes":["n0"],"paths":[["n0","a","q\"uote","b","x😀"]]},{"nodes":["q\"uote"],"paths":[["q\"uote","a","back\\slash","b","café"]]},{"nodes":["café"],"paths":[["café","a","n4","b","x😀"]]}],"stats":{"candidates":3,"verified":3,"search_states":9,"sim_cache_hits":2,"sim_cache_misses":0}}]}"##,
+            ),
+            (
+                r#"{"op":"add_edges","graph":"g","edges":[["n4","a","new \"😀\\"],["new \"😀\\","a","n0"]]}"#,
+                r##"{"ok":true,"graph":"g","added":2,"removed":0,"missing":0,"nodes":8,"edges":10,"pending":2,"version":1,"merged":false,"merges":0,"maintained":0}"##,
+            ),
+        ];
+        for (line, golden) in goldens {
+            let (text, _) = s.dispatch(line);
+            assert_eq!(text, golden, "reply to {line}");
+        }
+        // A maintained read of the dirty overlay.
+        let (text, _) = s.dispatch(r#"{"op":"run","name":"e","graph":"g"}"#);
+        assert_eq!(
+            text,
+            r##"{"ok":true,"registry":"hit","count":7,"answers":[["n0","q\"uote"],["q\"uote","back\\slash"],["café","n4"],["n4","new \"😀\\"],["x😀","tab\there\u0001"],["tab\there\u0001","n0"],["new \"😀\\","n0"]],"stats":{"candidates":7,"verified":7,"search_states":0,"sim_cache_hits":1,"sim_cache_misses":0}}"##
+        );
+        // `trace` carries timings after its `answers`; the prefix is pinned.
+        let (text, _) = s.dispatch(r#"{"op":"trace","name":"e","graph":"g"}"#);
+        let cut = text.find(r#","trace":"#).expect("a trace reply carries `trace`");
+        assert_eq!(
+            &text[..cut],
+            r##"{"ok":true,"registry":"hit","count":7,"answers":[["n0","q\"uote"],["q\"uote","back\\slash"],["café","n4"],["n4","new \"😀\\"],["x😀","tab\there\u0001"],["tab\there\u0001","n0"],["new \"😀\\","n0"]],"stats":{"candidates":7,"verified":7,"search_states":0,"sim_cache_hits":0,"sim_cache_misses":1}"##
+        );
     }
 }

@@ -8,6 +8,13 @@
 //! subset of JSON those consumers need is supported: objects, arrays,
 //! strings, booleans, integers, and finite floats (non-finite floats
 //! serialize as `null`, which JSON requires).
+//!
+//! One escaper serves every writer: [`escape_into`] appends a string's
+//! escaped form to a `String`, copying the runs that need no escaping as
+//! slices, and [`Value::Str`]'s `Display` runs the same loop through the
+//! `Formatter`, so rendering a reply allocates nothing per string. A writer
+//! that renders a large part of a reply itself (the server's answer rows)
+//! hands the text over as [`Value::Raw`], which `Display` writes verbatim.
 
 use crate::Measurement;
 use std::fmt;
@@ -15,18 +22,39 @@ use std::fmt;
 /// Escapes a string for inclusion in a JSON document (without quotes).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    escape_into(&mut out, s);
     out
+}
+
+/// Appends the escaped form of `s` (without quotes) to `out`.
+pub fn escape_into(out: &mut String, s: &str) {
+    write_escaped(out, s).expect("writing to a String cannot fail");
+}
+
+/// The one escaping loop: `"`, `\`, and the control characters below
+/// U+0020 are escaped (`\n`, `\r`, `\t` by name, the rest as `\u00xx`);
+/// every run of other characters is written as one slice. The escaped
+/// bytes are all ASCII, so slicing at them never splits a UTF-8 sequence.
+fn write_escaped(w: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let named = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        w.write_str(&s[run..i])?;
+        match named {
+            Some(e) => w.write_str(e)?,
+            None => write!(w, "\\u{b:04x}")?,
+        }
+        run = i + 1;
+    }
+    w.write_str(&s[run..])
 }
 
 /// Serializes an `f64` as a JSON number, or `null` when non-finite.
@@ -75,10 +103,8 @@ pub fn experiment(id: &str, mode: &str, measurements: &[Measurement]) -> String 
 // Parsing (the server's request lines, the benchmarks' result documents)
 // ---------------------------------------------------------------------------
 
-/// A parsed JSON value. The parser covers the documents this module itself
-/// emits (and general JSON built from them); the one known gap is `\u`
-/// surrogate-pair escapes, which decode as two replacement characters — this
-/// module's writer never emits them, so its own documents round-trip exactly.
+/// A JSON value. The parser covers the documents this module itself emits
+/// and general JSON built from them, `\u` surrogate pairs included.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     /// `null` (also produced for non-finite floats by [`number`]).
@@ -93,6 +119,10 @@ pub enum Value {
     Arr(Vec<Value>),
     /// An object as ordered key/value pairs.
     Obj(Vec<(String, Value)>),
+    /// JSON text that is already rendered, which `Display` writes verbatim.
+    /// Only writers build it (the server renders its answer rows into one);
+    /// [`parse`] never produces it, and the accessors treat it as opaque.
+    Raw(String),
 }
 
 impl Value {
@@ -176,7 +206,12 @@ impl fmt::Display for Value {
                 write!(f, "{}", *x as i64)
             }
             Value::Num(x) => write!(f, "{x:?}"),
-            Value::Str(s) => write!(f, "\"{}\"", escape(s)),
+            Value::Str(s) => {
+                f.write_str("\"")?;
+                write_escaped(f, s)?;
+                f.write_str("\"")
+            }
+            Value::Raw(text) => f.write_str(text),
             Value::Arr(items) => {
                 f.write_str("[")?;
                 for (i, v) in items.iter().enumerate() {
@@ -193,7 +228,9 @@ impl fmt::Display for Value {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write!(f, "\"{}\":{v}", escape(k))?;
+                    f.write_str("\"")?;
+                    write_escaped(f, k)?;
+                    write!(f, "\":{v}")?;
                 }
                 f.write_str("}")
             }
@@ -327,16 +364,8 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                            16,
-                        )
-                        .map_err(|e| e.to_string())?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
+                        out.push(parse_unicode_escape(b, pos)?);
+                        continue;
                     }
                     _ => return Err(format!("bad escape at byte {pos}")),
                 }
@@ -360,6 +389,35 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
+/// Decodes the `\uXXXX` escape whose `u` is at `b[*pos]`, or a UTF-16
+/// surrogate pair `\uD8xx\uDCxx` spelled as two such escapes, leaving
+/// `*pos` just past it. A lone or reversed surrogate is an error naming the
+/// byte offset of its backslash, never a substituted character.
+fn parse_unicode_escape(b: &[u8], pos: &mut usize) -> Result<char, String> {
+    let at = *pos - 1;
+    let high = hex4(b, *pos + 1).ok_or_else(|| format!("bad \\u escape at byte {at}"))?;
+    *pos += 5;
+    let code = match high {
+        0xd800..=0xdbff => {
+            let low = match (b.get(*pos..*pos + 2), hex4(b, *pos + 2)) {
+                (Some(b"\\u"), Some(low @ 0xdc00..=0xdfff)) => low,
+                _ => return Err(format!("unpaired surrogate \\u{high:04x} at byte {at}")),
+            };
+            *pos += 6;
+            0x10000 + ((high - 0xd800) << 10) + (low - 0xdc00)
+        }
+        0xdc00..=0xdfff => return Err(format!("unpaired surrogate \\u{high:04x} at byte {at}")),
+        code => code,
+    };
+    Ok(char::from_u32(code).expect("a non-surrogate code point below 0x110000 is a char"))
+}
+
+/// The value of exactly four hex digits at `b[start..start + 4]`.
+fn hex4(b: &[u8], start: usize) -> Option<u32> {
+    let digits = b.get(start..start + 4)?;
+    digits.iter().try_fold(0, |acc, &d| Some(acc * 16 + (d as char).to_digit(16)?))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -372,6 +430,75 @@ mod tests {
     fn escapes_specials() {
         assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(escape("\u{1}"), "\\u0001");
+    }
+
+    /// The escaper as it was first written, one `char` at a time: the
+    /// reference the slice-copying loop must match byte for byte.
+    fn escape_by_chars(s: &str) -> String {
+        let mut out = String::new();
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn escape_into_matches_the_per_char_escaper_on_random_strings() {
+        // Every char below 0x20 appears, next to ASCII, 2-, 3- and 4-byte
+        // UTF-8 and the two characters that always need escaping.
+        let mut pool: Vec<char> = (0u8..0x20).map(char::from).collect();
+        pool.extend(['"', '\\', 'a', 'Z', '/', ' ', '\u{7f}', 'é', 'ß', '€', '\u{2028}', '😀']);
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        for _ in 0..2_000 {
+            let len = next(24);
+            let s: String = (0..len).map(|_| pool[next(pool.len())]).collect();
+            let want = escape_by_chars(&s);
+            let mut got = String::from("prefix");
+            escape_into(&mut got, &s);
+            assert_eq!(&got["prefix".len()..], want, "{s:?}");
+            assert_eq!(escape(&s), want);
+            assert_eq!(Value::str(s.as_str()).to_string(), format!("\"{want}\""));
+            assert_eq!(parse(&format!("\"{want}\"")).unwrap(), Value::str(s.as_str()));
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_decode_surrogate_pairs_and_reject_lone_surrogates() {
+        let s = |text: &str| parse(text).map(|v| v.as_str().unwrap().to_string());
+        assert_eq!(s(r#""x\ud83d\ude00""#).unwrap(), "x😀");
+        assert_eq!(s(r#""\uD83D\uDE00!""#).unwrap(), "😀!");
+        assert_eq!(s(r#""\u00e9\u0041""#).unwrap(), "éA");
+        // A lone high or low surrogate, or a reversed pair, is an error at
+        // the byte offset of its backslash, not a replacement character.
+        assert_eq!(s(r#""ab\ud83d""#).unwrap_err(), "unpaired surrogate \\ud83d at byte 3");
+        assert_eq!(s(r#""\ud83dx""#).unwrap_err(), "unpaired surrogate \\ud83d at byte 1");
+        assert_eq!(s(r#""\ud83d\u0041""#).unwrap_err(), "unpaired surrogate \\ud83d at byte 1");
+        assert_eq!(s(r#""\ude00\ud83d""#).unwrap_err(), "unpaired surrogate \\ude00 at byte 1");
+        // Exactly four hex digits.
+        assert_eq!(s(r#""\u+041""#).unwrap_err(), "bad \\u escape at byte 1");
+        assert_eq!(s(r#""\u04""#).unwrap_err(), "bad \\u escape at byte 1");
+        assert!(s(r#""\u0""#).is_err());
+    }
+
+    #[test]
+    fn raw_values_render_verbatim() {
+        let v =
+            Value::obj([("ok", Value::Bool(true)), ("answers", Value::Raw("[[\"a\"]]".into()))]);
+        assert_eq!(v.to_string(), r#"{"ok":true,"answers":[["a"]]}"#);
     }
 
     #[test]

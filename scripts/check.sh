@@ -14,7 +14,9 @@
 # with zero sim-table compilations, and that 50 runs whose ~13 KB replies
 # outgrow the server's 8 KB write buffer take under 1 s on one connection:
 # a reply sent as body plus a separate newline waits ~40 ms for a delayed
-# ACK) + the storage smoke (save on one server,
+# ACK; and that the bytes of two replies, read raw over bash /dev/tcp — the
+# 1,000-row run, and runs over node names that need JSON escaping — hash to
+# pinned SHA-256 values) + the storage smoke (save on one server,
 # reopen on a fresh one, first run must be warm) + the serve-load smoke (a
 # short open-loop burst through the legacy/pipelined/batch protocol shapes
 # past the server's admission capacity; the harness asserts zero dropped
@@ -168,11 +170,48 @@ server_smoke() {
         exit 1
     fi
 
+    # Reply bytes: the 1,000-row reply above and a run over names that need
+    # escaping, read raw over bash /dev/tcp (no CLI in between), must hash
+    # to the pinned values.
+    check_reply_bytes one_hop "$addr" \
+        0e3d822260e1b87f3d5fc235da34e24f83788060cb72a22fe35edc3bb85bc688 \
+        '{"op":"run","name":"one_hop","graph":"big"}'
+    check_reply_bytes escapes "$addr" \
+        d3a88de32999cc5b50282838711b73ea8bac53c2fa0ffbe193aea096305b9721 \
+        '{"op":"load","graph":"esc","json":{"nodes":["lone\\ly"],"edges":[["q\"uote","a","back\\slash"],["back\\slash","b","café"],["café","a","x😀"],["x😀","a","tab\there\u0001"],["tab\there\u0001","a","q\"uote"]]}}' \
+        '{"op":"prepare","name":"esc_hop","query":"Ans(x, y) <- (x, p, y), L(p) = a","graph":"esc"}' \
+        '{"op":"run","name":"esc_hop","graph":"esc"}' \
+        '{"op":"prepare","name":"esc_ab","query":"Ans(x, p) <- (x, p, y), L(p) = a b","graph":"esc"}' \
+        '{"op":"run","name":"esc_ab","graph":"esc","mode":"paths"}'
+
     "$cli" --addr "$addr" shutdown
     wait "$server_pid"
     server_pid=""
     rm -f "$log"
-    echo "    server smoke OK (second run: registry hit, sim_cache_misses=0; large replies do not stall)"
+    echo "    server smoke OK (second run: registry hit, sim_cache_misses=0; large replies do not stall; reply bytes pinned)"
+}
+
+# Sends the request lines after $1 (a host:port) and then `close` over one
+# raw bash /dev/tcp connection, and prints every byte the server writes back
+# until it closes the connection.
+raw_replies() {
+    local addr=$1
+    shift
+    (exec 3<>"/dev/tcp/${addr%:*}/${addr#*:}" && printf '%s\n' "$@" '{"op":"close"}' >&3 && cat <&3)
+}
+
+# check_reply_bytes NAME ADDR SHA256 REQUEST...: the raw reply bytes to the
+# requests must hash to SHA256, or the smoke fails.
+check_reply_bytes() {
+    local name=$1 addr=$2 want=$3 got
+    shift 3
+    got=$(raw_replies "$addr" "$@" | sha256sum | cut -d' ' -f1)
+    if [[ "$got" != "$want" ]]; then
+        echo "server smoke FAILED: the $name reply bytes changed (sha256 $got, pinned $want)" >&2
+        raw_replies "$addr" "$@" | head -c 600 >&2
+        exit 1
+    fi
+    echo "    $name reply bytes match (sha256 ${want:0:12}…)"
 }
 
 # Persistence gate: one server saves a graph plus a prepared statement; a
