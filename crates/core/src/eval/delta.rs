@@ -10,7 +10,7 @@
 //!
 //! There is no second evaluator here. The rows come from the cold
 //! pipeline's own product-BFS kernel (`plan::reach`) walking the overlay's
-//! adjacency instead of a bound CSR, and the answers from the cold
+//! adjacency instead of the base graph's, and the answers from the cold
 //! pipeline's own candidate join (`plan::enumerate_candidates`) over those
 //! rows; this module only decides *which* sources to recompute.
 //!
@@ -352,7 +352,7 @@ mod tests {
     /// seeded random graphs, CRPQ atoms, and mutation scripts — including
     /// new nodes, a label only the query alphabet knows (`c`), and a label
     /// nobody has seen (`z`) — the overlay-backed kernel's rows equal the
-    /// CSR-backed kernel's rows on the force-merged graph, forward and
+    /// kernel's rows over the force-merged (sealed CSR) graph, forward and
     /// reverse, pinned and unpinned, for all three constraint kinds.
     #[test]
     fn overlay_kernel_rows_match_csr_kernel_rows_on_the_merged_graph() {

@@ -3,8 +3,8 @@
 //! Every reachability relation in the crate — cold runs, membership checks,
 //! explain, and the incrementally maintained rows of `eval::delta` — comes
 //! out of [`product_rows`]. The kernel is statically generic over *where
-//! successors come from* ([`Successors`]: one direction of a bound plan's
-//! pre-translated CSR, or a live-graph overlay) and over *how the unary
+//! successors come from* ([`Successors`]: one direction of the bound graph's
+//! own adjacency, or a live-graph overlay) and over *how the unary
 //! constraint steps* ([`Constraint`]: none, a sparse NFA, or compiled
 //! simulation tables), so each combination monomorphizes to the loop one
 //! would write by hand for it.
@@ -53,65 +53,39 @@ fn transpose(rows: &[Vec<NodeId>]) -> Vec<Vec<NodeId>> {
     out
 }
 
-/// Where the kernel's successors come from; labels are merged-alphabet
-/// symbols.
+/// Where the kernel's successors come from. Labels are the source's own
+/// symbols; a constraint is built over [`symbol_map`](Self::symbol_map), so
+/// translating them into the merged alphabet costs nothing per edge.
 pub(crate) trait Successors {
     fn num_nodes(&self) -> usize;
+    /// The merged-alphabet symbol of each source label.
+    fn symbol_map(&self) -> &[Symbol];
     /// Calls `f(label, target)` for every edge leaving `v`.
     fn for_each(&self, v: u32, f: impl FnMut(Symbol, u32));
 }
 
-/// One direction of a graph's adjacency in CSR form, labels pre-translated
-/// into a bound plan's merged alphabet; built once per graph at bind time.
-#[derive(Clone, Debug)]
-pub(crate) struct CsrTable {
-    /// Per-node row offsets (`nodes + 1` entries).
-    pub off: Vec<u32>,
-    /// The neighbor at the other end of each edge.
-    pub to: Vec<u32>,
-    /// Each edge's merged-alphabet label.
-    pub label: Vec<Symbol>,
+/// One direction of the bound graph's own adjacency — out-edges, or with
+/// `IN` in-edges — with the bind's symbol map. The direction is a type
+/// parameter, so each one monomorphizes to its own loop.
+pub(crate) struct GraphEdges<'a, const IN: bool> {
+    pub graph: &'a GraphDb,
+    pub symbol_map: &'a [Symbol],
 }
 
-impl CsrTable {
-    /// The out-edges of `graph` — or with `rev` its in-edges — with labels
-    /// translated through `symbol_map`. Either way a node's row lists its
-    /// neighbors in the graph's edge order (sources ascending, each
-    /// source's out-edges in order).
-    pub fn build(graph: &GraphDb, symbol_map: &[Symbol], rev: bool) -> CsrTable {
-        let n = graph.num_nodes();
-        let mut off = vec![0u32; n + 1];
-        for v in graph.nodes() {
-            let degree =
-                if rev { graph.in_degrees()[v.index()] } else { graph.out_edges(v).len() as u32 };
-            off[v.index() + 1] = off[v.index()] + degree;
-        }
-        let total = off[n] as usize;
-        let (mut to, mut label) = (vec![0u32; total], vec![Symbol(0); total]);
-        let mut cursor = off.clone();
-        for v in graph.nodes() {
-            for &(l, t) in graph.out_edges(v) {
-                let (row, neighbor) = if rev { (t, v) } else { (v, t) };
-                let c = cursor[row.index()] as usize;
-                to[c] = neighbor.0;
-                label[c] = symbol_map[l.index()];
-                cursor[row.index()] += 1;
-            }
-        }
-        CsrTable { off, to, label }
-    }
-}
-
-impl Successors for CsrTable {
+impl<const IN: bool> Successors for GraphEdges<'_, IN> {
     fn num_nodes(&self) -> usize {
-        self.off.len() - 1
+        self.graph.num_nodes()
+    }
+
+    fn symbol_map(&self) -> &[Symbol] {
+        self.symbol_map
     }
 
     #[inline]
     fn for_each(&self, v: u32, mut f: impl FnMut(Symbol, u32)) {
-        let (lo, hi) = (self.off[v as usize] as usize, self.off[v as usize + 1] as usize);
-        for (&label, &to) in self.label[lo..hi].iter().zip(&self.to[lo..hi]) {
-            f(label, to);
+        let row = if IN { self.graph.in_edges(NodeId(v)) } else { self.graph.out_edges(NodeId(v)) };
+        for &(label, to) in row {
+            f(label, to.0);
         }
     }
 }
@@ -146,9 +120,13 @@ impl Successors for Overlay<'_> {
         self.view.num_nodes()
     }
 
+    fn symbol_map(&self) -> &[Symbol] {
+        &self.symbol_map
+    }
+
     #[inline]
     fn for_each(&self, v: u32, mut f: impl FnMut(Symbol, u32)) {
-        self.view.for_each_out(NodeId(v), |label, to| f(self.symbol_map[label.index()], to.0));
+        self.view.for_each_out(NodeId(v), |label, to| f(label, to.0));
     }
 }
 
@@ -157,7 +135,8 @@ pub(crate) trait Constraint {
     fn num_states(&self) -> usize;
     fn for_each_initial(&self, f: impl FnMut(u32));
     fn is_accepting(&self, q: u32) -> bool;
-    /// Calls `f` on every state reachable from `q` by reading `label`.
+    /// Calls `f` on every state reachable from `q` by reading `label`, a
+    /// label of the successor source the constraint was built for.
     fn step(&self, q: u32, label: Symbol, f: impl FnMut(u32));
 }
 
@@ -188,15 +167,17 @@ impl Constraint for Unconstrained {
 /// transition lists with precomputed sparse ε-closures.
 struct SparseNfa<'a> {
     nfa: &'a Nfa<Symbol>,
+    /// The successor source's label → merged symbol.
+    symbol_map: &'a [Symbol],
     closures: Vec<Vec<u32>>,
     init: Vec<u32>,
 }
 
 impl<'a> SparseNfa<'a> {
-    fn new(nfa: &'a Nfa<Symbol>) -> SparseNfa<'a> {
+    fn new(nfa: &'a Nfa<Symbol>, symbol_map: &'a [Symbol]) -> SparseNfa<'a> {
         let closures =
             (0..nfa.num_states().max(1) as u32).map(|q| nfa.epsilon_closure(&[q])).collect();
-        SparseNfa { nfa, closures, init: nfa.epsilon_closure(nfa.initial()) }
+        SparseNfa { nfa, symbol_map, closures, init: nfa.epsilon_closure(nfa.initial()) }
     }
 }
 
@@ -215,6 +196,7 @@ impl Constraint for SparseNfa<'_> {
 
     #[inline]
     fn step(&self, q: u32, label: Symbol, mut f: impl FnMut(u32)) {
+        let label = self.symbol_map[label.index()];
         for (t, nq) in self.nfa.transitions_from(q) {
             if *t == label {
                 self.closures[*nq as usize].iter().copied().for_each(&mut f);
@@ -226,7 +208,8 @@ impl Constraint for SparseNfa<'_> {
 /// The compiled simulation tables of a constraint.
 struct Tables<'a> {
     sim: &'a CompactNfa<Symbol>,
-    /// Merged symbol → dense sim symbol id (`None`, or past the end: the
+    /// The successor source's label → dense sim symbol id, the source's
+    /// symbol map folded in so an edge costs one lookup (`None`: the
     /// constraint never reads this label, so the edge is dead for this
     /// variable).
     label_map: Vec<Option<u32>>,
@@ -234,12 +217,14 @@ struct Tables<'a> {
 }
 
 impl<'a> Tables<'a> {
-    fn new(sim: &'a CompactNfa<Symbol>) -> Tables<'a> {
+    fn new(sim: &'a CompactNfa<Symbol>, symbol_map: &[Symbol]) -> Tables<'a> {
         let len = sim.symbols().iter().map(|s| s.index() + 1).max().unwrap_or(0);
-        let mut label_map = vec![None; len];
+        let mut sid_of = vec![None; len];
         for (sid, sym) in sim.symbols().iter().enumerate() {
-            label_map[sym.index()] = Some(sid as u32);
+            sid_of[sym.index()] = Some(sid as u32);
         }
+        let label_map =
+            symbol_map.iter().map(|s| sid_of.get(s.index()).copied().flatten()).collect();
         Tables { sim, label_map, init: sim.initial_set() }
     }
 }
@@ -259,7 +244,7 @@ impl Constraint for Tables<'_> {
 
     #[inline]
     fn step(&self, q: u32, label: Symbol, mut f: impl FnMut(u32)) {
-        let Some(&Some(sid)) = self.label_map.get(label.index()) else {
+        let Some(sid) = self.label_map[label.index()] else {
             return;
         };
         for (bi, &block) in self.sim.row(q, sid).iter().enumerate() {
@@ -369,11 +354,11 @@ pub(crate) fn reach_rows<A: Successors>(
             } else {
                 &*u.nfa
             };
-            product_rows(adj, &SparseNfa::new(nfa), sources)
+            product_rows(adj, &SparseNfa::new(nfa, adj.symbol_map()), sources)
         }
         Some(_) => {
             let sim = if rev { pq.unary_rev_sim(p, stats) } else { pq.unary_sim(p, stats) };
-            product_rows(adj, &Tables::new(&sim), sources)
+            product_rows(adj, &Tables::new(&sim, adj.symbol_map()), sources)
         }
     }
 }
@@ -388,7 +373,7 @@ pub(crate) fn reachability(bound: &BoundPlan<'_>, p: usize, stats: &mut EvalStat
 /// Computes the reachability relation of path variable `p` over the bound
 /// plan's graph, following the planned strategy of `atom`.
 ///
-/// Under [`Direction::Reverse`] the BFS walks the reverse CSR with the
+/// Under [`Direction::Reverse`] the BFS walks the graph's in-edges with the
 /// reversed constraint automaton: a reverse walk from `t` reading the
 /// reversed word visits exactly the nodes `u` with a satisfying `u → t`
 /// path, so each start computes one `bwd` row and `fwd` follows by
@@ -409,7 +394,11 @@ pub(crate) fn reachability_planned(
         Some(c) => vec![c.0],
         None => (0..n as u32).collect(),
     };
-    let rows = reach_rows(bound.pq, p, rev, bound.csr(rev), &sources, stats);
+    let rows = if rev {
+        reach_rows(bound.pq, p, true, &bound.edges::<true>(), &sources, stats)
+    } else {
+        reach_rows(bound.pq, p, false, &bound.edges::<false>(), &sources, stats)
+    };
     // Scatter per-source rows into a full table (a pinned BFS leaves every
     // other row empty); the other side follows by transposition.
     let mut primary: Vec<Vec<NodeId>> = vec![Vec::new(); n];
@@ -421,5 +410,52 @@ pub(crate) fn reachability_planned(
         ReachRel { fwd: rel.bwd, bwd: rel.fwd }
     } else {
         rel
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::parse::parse_query;
+    use ecrpq_graph::generators;
+
+    /// The kernel reads either adjacency layout: over a graph in row form
+    /// and over its sealed (CSR) copy it yields identical rows, forward and
+    /// reverse, under every constraint kind.
+    #[test]
+    fn kernel_rows_match_on_row_and_csr_layouts() {
+        for seed in 0..8u64 {
+            let row_form = generators::random_graph(40, 2.5, &["a", "b", "c"], seed);
+            let sealed = row_form.sealed_copy();
+            let sources: Vec<u32> = (0..40).collect();
+            for lang in ["a*", "a (b | c)* a", ".* c"] {
+                let text = format!("Ans(x, y) <- (x, p, y), L(p) = {lang}");
+                let query = parse_query(&text, row_form.alphabet()).unwrap();
+                let pq = PreparedQuery::prepare(&query).unwrap();
+                let u = pq.unary[0].as_ref().unwrap();
+                let rev_nfa = u.nfa.reverse();
+                let mut stats = EvalStats::default();
+                let (sim, rev_sim) = (pq.unary_sim(0, &mut stats), pq.unary_rev_sim(0, &mut stats));
+                let rows = |g: &GraphDb| {
+                    let bound = pq.bind(g).unwrap();
+                    let (out, inn) = (bound.edges::<false>(), bound.edges::<true>());
+                    let map = out.symbol_map;
+                    [
+                        product_rows(&out, &Unconstrained, &sources),
+                        product_rows(&inn, &Unconstrained, &sources),
+                        product_rows(&out, &SparseNfa::new(&u.nfa, map), &sources),
+                        product_rows(&inn, &SparseNfa::new(&rev_nfa, map), &sources),
+                        product_rows(&out, &Tables::new(&sim, map), &sources),
+                        product_rows(&inn, &Tables::new(&rev_sim, map), &sources),
+                    ]
+                };
+                let ctx = format!("seed {seed}, `{lang}`");
+                let got = rows(&row_form);
+                assert_eq!(got, rows(&sealed), "{ctx}");
+                // The two constraint forms agree, and the rows are not vacuous.
+                assert_eq!((&got[2], &got[3]), (&got[4], &got[5]), "{ctx}");
+                assert!(got[4].iter().any(|row| !row.is_empty()), "{ctx}");
+            }
+        }
     }
 }

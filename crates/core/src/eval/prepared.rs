@@ -13,17 +13,17 @@
 //!    per evaluation);
 //! 3. **bind/execute** — [`PreparedQuery::bind`] resolves everything that
 //!    depends on one concrete graph (named-node constants, the symbol
-//!    translation into the merged alphabet, a CSR adjacency with
-//!    pre-translated labels, label-count coefficients for graph-only labels)
-//!    into a [`BoundPlan`], whose [`run_mode`](BoundPlan::run_mode) (and the
-//!    `run*` conveniences over it) executes the query.
+//!    translation into the merged alphabet, label-count coefficients for
+//!    graph-only labels — never a copy of the edges) into a [`BoundPlan`],
+//!    whose [`run_mode`](BoundPlan::run_mode) (and the `run*` conveniences
+//!    over it) executes the query.
 //!
 //! `prepare(&query)?` once, then `.bind(&graph)?.run(&config)` as many times
 //! as there are graphs: nothing automaton-shaped is recompiled on reuse, and
 //! the cache-hit counters of [`EvalStats`] prove it.
 
 use crate::error::QueryError;
-use crate::eval::plan::reach::CsrTable;
+use crate::eval::plan::reach::GraphEdges;
 use crate::eval::plan::{self, Engine, EvalStats, Mode, ReachRel};
 use crate::eval::search::SearchProblem;
 use crate::eval::{Answer, EvalConfig, PlannerMode};
@@ -500,9 +500,10 @@ impl PreparedQuery {
     }
 
     /// Binds the prepared query to one graph: resolves named-node constants,
-    /// builds the symbol translation and a label-translated CSR adjacency,
-    /// and resolves deferred label-count coefficients. No automaton is
-    /// compiled here — binding is cheap and linear in the graph size.
+    /// builds the symbol translation, and resolves deferred label-count
+    /// coefficients. No automaton is compiled and no edge is copied — the
+    /// run reads the graph's own adjacency — so binding costs O(labels +
+    /// constants), independent of the graph size.
     pub fn bind<'a>(&'a self, graph: &'a GraphDb) -> Result<BoundPlan<'a>, QueryError> {
         self.bind_with(graph, PlannerMode::default())
     }
@@ -555,19 +556,11 @@ impl PreparedQuery {
             row[sym.index()] += d.coeff;
         }
 
-        // CSR adjacency with labels pre-translated into the merged alphabet,
-        // shared by every reachability computation on this plan — and its
-        // reverse view, for planner-chosen reverse BFS.
-        let fwd = CsrTable::build(graph, &graph_symbol_map, false);
-        let rev = CsrTable::build(graph, &graph_symbol_map, true);
-
         Ok(BindArtifacts {
             merged_len: merged_alphabet.len(),
             graph_symbol_map,
             constants,
             counters,
-            fwd,
-            rev,
         })
     }
 
@@ -715,8 +708,8 @@ fn compile_counters(
 }
 
 /// Everything [`PreparedQuery::bind`] resolves against one concrete graph:
-/// the symbol translation into the merged alphabet, resolved node constants,
-/// counters with bind-time labels, and a label-translated CSR adjacency.
+/// the symbol translation into the merged alphabet (one entry per graph
+/// label), resolved node constants, and counters with bind-time labels.
 ///
 /// Owned and clonable so a bound plan can outlive a borrow: [`BoundPlan`]
 /// holds it as [`Cow`] (owned when freshly bound, borrowed when viewed
@@ -731,16 +724,13 @@ pub(crate) struct BindArtifacts {
     pub(crate) constants: Vec<(usize, NodeId)>,
     /// Linear-constraint rows with bind-time labels resolved.
     pub(crate) counters: Vec<CounterRow>,
-    /// Forward CSR adjacency (out-edges).
-    pub(crate) fwd: CsrTable,
-    /// Reverse CSR adjacency (in-edges), for planner-chosen reverse BFS.
-    pub(crate) rev: CsrTable,
 }
 
 /// A prepared query bound to one concrete graph: symbol translation, resolved
-/// node constants, resolved counters, and a label-translated CSR adjacency.
+/// node constants, and resolved counters.
 ///
-/// Binding performs no automaton compilation; `run*` reuses everything the
+/// Binding performs no automaton compilation and copies no edge; `run*`
+/// reads the graph's own adjacency and reuses everything the
 /// [`PreparedQuery`] (and the relations inside it) already compiled.
 #[derive(Debug)]
 pub struct BoundPlan<'a> {
@@ -785,15 +775,11 @@ impl<'a> BoundPlan<'a> {
         self.art.graph_symbol_map[graph_label.index()]
     }
 
-    /// One direction of the label-translated CSR adjacency — out-edges, or
-    /// with `rev` the in-edges — as the reachability kernel's successor
-    /// source.
-    pub(crate) fn csr(&self, rev: bool) -> &CsrTable {
-        if rev {
-            &self.art.rev
-        } else {
-            &self.art.fwd
-        }
+    /// One direction of the graph's adjacency — out-edges, or with `IN` the
+    /// in-edges — with the symbol map into the merged alphabet, as the
+    /// reachability kernel's successor source.
+    pub(crate) fn edges<const IN: bool>(&self) -> GraphEdges<'_, IN> {
+        GraphEdges { graph: self.graph, symbol_map: &self.art.graph_symbol_map }
     }
 
     /// Derives the step bound used when counters are present.
@@ -1172,8 +1158,8 @@ pub struct BoundStatement {
 
 impl BoundStatement {
     /// Binds `pq` to `graph`, keeping shared handles to both. Exactly
-    /// [`PreparedQuery::bind`] otherwise: no automaton compilation, cost
-    /// linear in the graph size.
+    /// [`PreparedQuery::bind`] otherwise: no automaton compilation, no edge
+    /// copied, cost O(labels + constants).
     pub fn bind(pq: Arc<PreparedQuery>, graph: Arc<GraphDb>) -> Result<BoundStatement, QueryError> {
         let art = pq.bind_artifacts(&graph)?;
         Ok(BoundStatement { pq, graph, art })

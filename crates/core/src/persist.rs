@@ -14,8 +14,10 @@
 //!   tables, and forward *and reverse* unary tables ([`warm_full`] forces
 //!   the reverse tables before writing, because the planner may pick a
 //!   reverse BFS on its very first run),
-//! - the statement's [`BindArtifacts`] — the label-translated CSR adjacency
-//!   and resolved constants/counters binding produces.
+//! - the statement's [`BindArtifacts`] — the graph-to-query symbol map and
+//!   the resolved constants/counters binding produces. No adjacency: a run
+//!   reads the reopened graph's own, so a sidecar's size depends on the
+//!   statements and the graph's alphabet, never on its edge count.
 //!
 //! Loading re-prepares the statement from its text (cheap — parsing and
 //! plan numbering, no table compilation), seeds every memoized `OnceLock`
@@ -30,7 +32,6 @@
 //!
 //! [`warm_full`]: PreparedQuery::warm_full
 
-use crate::eval::plan::reach::CsrTable;
 use crate::eval::prepared::{BindArtifacts, CounterRow};
 use crate::eval::{BoundStatement, PreparedQuery};
 use crate::parse::parse_query;
@@ -44,7 +45,7 @@ use std::sync::Arc;
 /// Magic bytes identifying a compiled-artifact sidecar file.
 pub const MAGIC: [u8; 8] = *b"ECRPQART";
 /// The sidecar format version this build writes and reads.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 const SEC_GRAPH_ID: u32 = 1;
 const SEC_STATEMENTS: u32 = 2;
@@ -208,16 +209,6 @@ fn skip_artifacts(d: &mut Decoder<'_>) -> Result<(), StorageError> {
         }
         d.u8("counter op")?;
         d.i64("counter constant")?;
-    }
-    for what in [
-        "forward offsets",
-        "forward targets",
-        "reverse offsets",
-        "reverse sources",
-        "forward labels",
-        "reverse labels",
-    ] {
-        d.vec_u32(what)?;
     }
     Ok(())
 }
@@ -391,13 +382,6 @@ fn encode_artifacts(a: &BindArtifacts, e: &mut Encoder) {
         });
         e.i64(row.constant);
     }
-    for arr in [&a.fwd.off, &a.fwd.to, &a.rev.off, &a.rev.to] {
-        e.slice_u32(arr);
-    }
-    for table in [&a.fwd, &a.rev] {
-        let label: Vec<u32> = table.label.iter().map(|s| s.0).collect();
-        e.slice_u32(&label);
-    }
 }
 
 fn decode_artifacts(
@@ -409,7 +393,6 @@ fn decode_artifacts(
     let corrupt =
         |what: &str| StorageError::Corrupt(format!("statement `{name}`: bind artifacts: {what}"));
     let n = graph.num_nodes();
-    let m = graph.num_edges();
 
     let merged_len = d.u64("merged alphabet size")? as usize;
     let graph_symbol_map: Vec<Symbol> =
@@ -465,38 +448,7 @@ fn decode_artifacts(
         counters.push(CounterRow { length_coeff, symbol_coeff, op, constant });
     }
 
-    // On disk: both directions' offsets and neighbors, then both label arrays.
-    let mut fwd = CsrTable {
-        off: d.vec_u32("forward offsets")?,
-        to: d.vec_u32("forward targets")?,
-        label: Vec::new(),
-    };
-    let mut rev = CsrTable {
-        off: d.vec_u32("reverse offsets")?,
-        to: d.vec_u32("reverse sources")?,
-        label: Vec::new(),
-    };
-    fwd.label = d.vec_u32("forward labels")?.into_iter().map(Symbol).collect();
-    rev.label = d.vec_u32("reverse labels")?.into_iter().map(Symbol).collect();
-    for CsrTable { off, to, label } in [&fwd, &rev] {
-        if off.len() != n + 1 || off[0] != 0 || off[n] as usize != m {
-            return Err(corrupt("CSR offsets have the wrong shape"));
-        }
-        if off.windows(2).any(|w| w[1] < w[0]) {
-            return Err(corrupt("CSR offsets are not monotone"));
-        }
-        if to.len() != m || label.len() != m {
-            return Err(corrupt("CSR arrays do not match the edge count"));
-        }
-        if to.iter().any(|&t| t as usize >= n) {
-            return Err(corrupt("CSR target beyond the node count"));
-        }
-        if label.iter().any(|l| l.index() >= merged_len) {
-            return Err(corrupt("CSR label beyond the merged alphabet"));
-        }
-    }
-
-    Ok(BindArtifacts { merged_len, graph_symbol_map, constants, counters, fwd, rev })
+    Ok(BindArtifacts { merged_len, graph_symbol_map, constants, counters })
 }
 
 #[cfg(test)]
@@ -600,5 +552,34 @@ mod tests {
         for len in (0..bytes.len()).step_by(7) {
             assert!(sidecar_entries(&bytes[..len]).is_err());
         }
+    }
+
+    /// The sidecar holds no adjacency: one statement bound to a 1k-edge and
+    /// to a 20k-edge graph over the same alphabet writes the same number of
+    /// bytes.
+    #[test]
+    fn sidecar_size_does_not_scale_with_edges() {
+        let len = |edges: usize| {
+            let g = Arc::new(generators::random_graph(edges / 4, 4.0, &["a", "b"], 9));
+            assert_eq!(g.num_edges(), edges);
+            let query = parse_query(QUERIES[1], g.alphabet()).unwrap();
+            let pq = Arc::new(PreparedQuery::prepare(&query).unwrap());
+            let stmt = BoundStatement::bind(pq, g).unwrap();
+            write_sidecar(7, &[SidecarStatement { name: "q", text: QUERIES[1], stmt: &stmt }]).len()
+        };
+        assert_eq!(len(1_000), len(20_000));
+    }
+
+    /// A sidecar of an older format version is a structured version
+    /// mismatch, from both the reader and the entry lister.
+    #[test]
+    fn version_one_sidecar_is_a_version_mismatch() {
+        let (graph, id, stmt) = setup(QUERIES[0]);
+        let mut bytes =
+            write_sidecar(id, &[SidecarStatement { name: "q", text: QUERIES[0], stmt: &stmt }]);
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let expected = StorageError::VersionMismatch { found: 1, expected: FORMAT_VERSION };
+        assert_eq!(read_sidecar(&bytes, id, &graph).unwrap_err(), expected);
+        assert_eq!(sidecar_entries(&bytes).unwrap_err(), expected);
     }
 }

@@ -486,9 +486,9 @@ impl GraphDb {
 
     /// Parses a simple edge-list format: one edge per line, `source label
     /// target`, with `#` comments and blank lines ignored. Node tokens become
-    /// named nodes.
+    /// named nodes. The result is sealed (see [`GraphBuilder`]).
     pub fn from_edge_list(text: &str) -> Result<GraphDb, String> {
-        let mut g = GraphDb::empty();
+        let mut g = GraphBuilder::default();
         for (lineno, line) in text.lines().enumerate() {
             let line = line.trim();
             if line.is_empty() || line.starts_with('#') {
@@ -501,11 +501,11 @@ impl GraphDb {
                     lineno + 1
                 ));
             }
-            let from = g.add_named_node(parts[0]);
-            let to = g.add_named_node(parts[2]);
-            g.add_edge_labeled(from, parts[1], to);
+            let from = g.named_node(parts[0]);
+            let to = g.named_node(parts[2]);
+            g.edge(from, parts[1], to);
         }
-        Ok(g)
+        Ok(g.build())
     }
 
     /// Renders the graph in the edge-list format accepted by
@@ -521,6 +521,81 @@ impl GraphDb {
             ));
         }
         out
+    }
+}
+
+/// Collects named nodes and labeled edges, then builds the sealed graph —
+/// CSR adjacency in both directions — in one counting pass: the loaders'
+/// constructor ([`GraphDb::from_edge_list`], the server's JSON source).
+///
+/// Node ids and labels are numbered in first-seen order and every row keeps
+/// edge-insertion order, exactly as the same calls through
+/// [`GraphDb::add_named_node`] / [`GraphDb::add_edge_labeled`] would number
+/// and order them, so traversal order and snapshot bytes do not depend on
+/// which way a graph was built.
+#[derive(Debug, Default)]
+pub struct GraphBuilder {
+    alphabet: Alphabet,
+    names: Vec<Option<String>>,
+    index: HashMap<String, NodeId>,
+    edges: Vec<Edge>,
+}
+
+impl GraphBuilder {
+    /// The node named `name`, added on first sight.
+    pub fn named_node(&mut self, name: &str) -> NodeId {
+        if let Some(&id) = self.index.get(name) {
+            return id;
+        }
+        let id = NodeId(self.names.len() as u32);
+        self.names.push(Some(name.to_string()));
+        self.index.insert(name.to_string(), id);
+        id
+    }
+
+    /// Adds the edge `(from, label, to)`, interning the label on first sight.
+    pub fn edge(&mut self, from: NodeId, label: &str, to: NodeId) {
+        let label = self.alphabet.intern(label);
+        self.edges.push(Edge { from, label, to });
+    }
+
+    /// The sealed graph.
+    pub fn build(self) -> GraphDb {
+        let n = self.names.len();
+        // Counting sort of the edges by row key; stable, so each row lists
+        // its edges in insertion order.
+        let seal = |key: fn(&Edge) -> (NodeId, (Symbol, NodeId))| {
+            let mut degree = vec![0u32; n];
+            for e in &self.edges {
+                degree[key(e).0.index()] += 1;
+            }
+            let mut off = Vec::with_capacity(n + 1);
+            off.push(0u32);
+            for &d in &degree {
+                off.push(off[off.len() - 1] + d);
+            }
+            let mut cursor = off.clone();
+            let mut edges = vec![(Symbol(0), NodeId(0)); self.edges.len()];
+            for e in &self.edges {
+                let (row, entry) = key(e);
+                edges[cursor[row.index()] as usize] = entry;
+                cursor[row.index()] += 1;
+            }
+            (Adjacency::Csr { off, edges }, degree)
+        };
+        let (out_edges, out_degree) = seal(|e| (e.from, (e.label, e.to)));
+        let (in_edges, in_degree) = seal(|e| (e.to, (e.label, e.from)));
+        GraphDb {
+            alphabet: self.alphabet,
+            node_names: NodeNames::Rows(self.names),
+            name_index: OnceLock::from(self.index),
+            out_edges,
+            in_edges,
+            out_degree,
+            in_degree,
+            num_edges: self.edges.len(),
+            stats_cache: OnceLock::new(),
+        }
     }
 }
 
@@ -684,5 +759,83 @@ mod tests {
         // Re-sealing the mutated graph round-trips.
         let resealed = sealed.sealed_copy();
         assert_eq!(resealed.to_edge_list(), sealed.to_edge_list());
+    }
+
+    /// A seeded random edge list over `v0..v{nodes}` with parallel edges,
+    /// self-loops and labels first seen in a random order.
+    fn random_edges(seed: u64) -> Vec<(String, String, String)> {
+        let mut rng = crate::prng::SplitMix64::seed_from_u64(seed);
+        let nodes = 1 + rng.gen_index(12);
+        let labels = ["d", "a", "c", "b"];
+        let mut edges: Vec<(String, String, String)> = Vec::new();
+        for _ in 0..rng.gen_index(4 * nodes + 1) {
+            let from = format!("v{}", rng.gen_index(nodes));
+            let label = labels[rng.gen_index(labels.len())].to_string();
+            let to = match rng.gen_index(4) {
+                0 => from.clone(),
+                _ => format!("v{}", rng.gen_index(nodes)),
+            };
+            if rng.gen_index(5) == 0 {
+                edges.push((from.clone(), label.clone(), to.clone()));
+            }
+            edges.push((from, label, to));
+        }
+        edges
+    }
+
+    /// Asserts `a` and `b` are the same graph down to row order, including
+    /// the bytes (so the id) of their snapshots.
+    fn assert_identical(a: &GraphDb, b: &GraphDb, ctx: &str) {
+        assert_eq!(a.num_nodes(), b.num_nodes(), "{ctx}");
+        assert_eq!(a.num_edges(), b.num_edges(), "{ctx}");
+        let labels = |g: &GraphDb| -> Vec<String> {
+            g.alphabet().iter().map(|(_, l)| l.to_string()).collect()
+        };
+        assert_eq!(labels(a), labels(b), "{ctx}");
+        for v in a.nodes() {
+            assert_eq!(a.node_name(v), b.node_name(v), "{ctx}, {v:?}");
+            assert_eq!(a.out_edges(v), b.out_edges(v), "{ctx}, out-row of {v:?}");
+            assert_eq!(a.in_edges(v), b.in_edges(v), "{ctx}, in-row of {v:?}");
+        }
+        assert_eq!(a.out_degrees(), b.out_degrees(), "{ctx}");
+        assert_eq!(a.in_degrees(), b.in_degrees(), "{ctx}");
+        let snap = |g: &GraphDb| crate::snapshot::write_snapshot(g).unwrap();
+        assert_eq!(snap(a), snap(b), "{ctx}, snapshot bytes");
+    }
+
+    /// The loader's CSR constructor builds exactly the graph the per-edge
+    /// mutating API builds — same ids, labels, rows in insertion order,
+    /// degrees and snapshot bytes — and a later mutation unseals it into
+    /// the same graph the mutating API reaches.
+    #[test]
+    fn builder_graph_equals_the_incrementally_built_graph() {
+        for seed in 0..64u64 {
+            let edges = random_edges(seed);
+            let ctx = format!("seed {seed}");
+            let text: String = edges.iter().map(|(f, l, t)| format!("{f} {l} {t}\n")).collect();
+            let mut built = GraphDb::from_edge_list(&text).unwrap();
+            let mut twin = GraphDb::empty();
+            for (f, l, t) in &edges {
+                let (from, to) = (twin.add_named_node(f), twin.add_named_node(t));
+                twin.add_edge_labeled(from, l, to);
+            }
+            assert!(matches!(built.out_edges, Adjacency::Csr { .. }), "{ctx}");
+            assert!(matches!(built.in_edges, Adjacency::Csr { .. }), "{ctx}");
+            assert_identical(&built, &twin, &ctx);
+
+            for g in [&mut built, &mut twin] {
+                let fresh = g.add_named_node("fresh");
+                let v0 = g.node_by_name("v0").unwrap_or(fresh);
+                g.add_edge_labeled(v0, "a", fresh);
+                g.add_edge_labeled(fresh, "e", v0);
+                if let Some((f, l, t)) = edges.first() {
+                    let (f, t) = (g.node_by_name(f).unwrap(), g.node_by_name(t).unwrap());
+                    let l = g.alphabet().sym(l);
+                    assert!(g.remove_edge(f, l, t) >= 1);
+                }
+            }
+            assert!(matches!(built.out_edges, Adjacency::Rows(_)), "{ctx}");
+            assert_identical(&built, &twin, &format!("{ctx}, mutated"));
+        }
     }
 }

@@ -32,7 +32,7 @@ pub mod snapshot;
 pub mod stats;
 
 pub use delta::{EdgeDelta, GraphView, LiveGraph};
-pub use graph::{Edge, GraphDb, NodeId};
+pub use graph::{Edge, GraphBuilder, GraphDb, NodeId};
 pub use path::Path;
 pub use stats::GraphStats;
 

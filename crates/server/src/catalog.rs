@@ -22,7 +22,7 @@
 
 use crate::registry::{shard_of, ShardCounters, SHARD_COUNT};
 use crate::ServerError;
-use ecrpq_graph::{generators, GraphDb};
+use ecrpq_graph::{generators, GraphBuilder, GraphDb};
 use ecrpq_util::json::Value;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -167,13 +167,13 @@ pub fn build_graph(source: &GraphSource) -> Result<GraphDb, ServerError> {
 }
 
 /// Parses the `{"edges": [[src, label, dst], …], "nodes": [name, …]}` graph
-/// format.
+/// format into a sealed graph (see [`GraphBuilder`]).
 fn graph_from_json(v: &Value) -> Result<GraphDb, ServerError> {
-    let mut g = GraphDb::empty();
+    let mut g = GraphBuilder::default();
     for n in v.get("nodes").and_then(Value::as_arr).unwrap_or(&[]) {
         let name =
             n.as_str().ok_or_else(|| ServerError("`nodes` entries must be strings".into()))?;
-        g.add_named_node(name);
+        g.named_node(name);
     }
     let edges = v
         .get("edges")
@@ -187,11 +187,11 @@ fn graph_from_json(v: &Value) -> Result<GraphDb, ServerError> {
             (Some(s), Some(l), Some(d)) => (s, l, d),
             _ => return Err(ServerError("edge triple components must be strings".into())),
         };
-        let from = g.add_named_node(src);
-        let to = g.add_named_node(dst);
-        g.add_edge_labeled(from, label, to);
+        let from = g.named_node(src);
+        let to = g.named_node(dst);
+        g.edge(from, label, to);
     }
-    Ok(g)
+    Ok(g.build())
 }
 
 /// Builds a graph from a generator spec (colon-separated fields).
@@ -283,5 +283,71 @@ mod tests {
         assert!(g.node_by_name("lonely").is_some());
         let bad = ecrpq_util::json::parse(r#"{"edges": [["a", "x"]]}"#).unwrap();
         assert!(build_graph(&GraphSource::Json(bad)).is_err());
+    }
+
+    /// The JSON source builds the sealed graph the per-edge mutating API
+    /// builds: same rows in insertion order and the same snapshot bytes
+    /// (which also encode ids, names, labels and degrees) — also after a
+    /// later mutation unseals it.
+    #[test]
+    fn json_graph_equals_the_incrementally_built_graph() {
+        use ecrpq_graph::prng::SplitMix64;
+        use ecrpq_graph::snapshot::write_snapshot;
+
+        let assert_identical = |a: &GraphDb, b: &GraphDb, ctx: &str| {
+            assert_eq!(a.num_nodes(), b.num_nodes(), "{ctx}");
+            for v in a.nodes() {
+                assert_eq!(a.out_edges(v), b.out_edges(v), "{ctx}, out-row of {v:?}");
+                assert_eq!(a.in_edges(v), b.in_edges(v), "{ctx}, in-row of {v:?}");
+            }
+            assert_eq!(write_snapshot(a).unwrap(), write_snapshot(b).unwrap(), "{ctx}");
+        };
+        for seed in 0..32u64 {
+            let mut rng = SplitMix64::seed_from_u64(seed);
+            let nodes = 1 + rng.gen_index(10);
+            let isolated: Vec<String> =
+                (0..rng.gen_index(3)).map(|i| format!("\"lonely{i}\"")).collect();
+            // Parallel edges, self-loops, labels first seen in seeded order.
+            let mut edges = Vec::new();
+            for _ in 0..rng.gen_index(4 * nodes + 1) {
+                let from = format!("v{}", rng.gen_index(nodes));
+                let to = match rng.gen_index(4) {
+                    0 => from.clone(),
+                    _ => format!("v{}", rng.gen_index(nodes)),
+                };
+                let label = ["y", "x", "z"][rng.gen_index(3)];
+                if rng.gen_index(5) == 0 {
+                    edges.push((from.clone(), label, to.clone()));
+                }
+                edges.push((from, label, to));
+            }
+            let triples: Vec<String> =
+                edges.iter().map(|(f, l, t)| format!(r#"["{f}","{l}","{t}"]"#)).collect();
+            let text =
+                format!(r#"{{"nodes":[{}],"edges":[{}]}}"#, isolated.join(","), triples.join(","));
+            let json = ecrpq_util::json::parse(&text).unwrap();
+            let mut built = build_graph(&GraphSource::Json(json)).unwrap();
+            let mut twin = GraphDb::empty();
+            for name in &isolated {
+                twin.add_named_node(name.trim_matches('"'));
+            }
+            for (f, l, t) in &edges {
+                let (from, to) = (twin.add_named_node(f), twin.add_named_node(t));
+                twin.add_edge_labeled(from, l, to);
+            }
+            let ctx = format!("seed {seed}");
+            assert_identical(&built, &twin, &ctx);
+
+            for g in [&mut built, &mut twin] {
+                let fresh = g.add_named_node("fresh");
+                g.add_edge_labeled(fresh, "w", fresh);
+                if let Some((f, l, t)) = edges.last() {
+                    let (f, t) = (g.node_by_name(f).unwrap(), g.node_by_name(t).unwrap());
+                    let l = g.alphabet().sym(l);
+                    assert!(g.remove_edge(f, l, t) >= 1);
+                }
+            }
+            assert_identical(&built, &twin, &format!("{ctx}, mutated"));
+        }
     }
 }

@@ -1236,7 +1236,8 @@ impl Service {
         if art_path.exists() {
             let art = std::fs::read(&art_path)
                 .map_err(|e| ServerError(format!("cannot read `{}`: {e}", art_path.display())))?;
-            let statements = persist::read_sidecar(&art, id, &graph).map_err(ServerError::msg)?;
+            let statements = persist::read_sidecar(&art, id, &graph)
+                .map_err(|e| ServerError(format!("sidecar `{}`: {e}", art_path.display())))?;
             warmed = statements.len() as u64;
             for w in statements {
                 self.registry.install_warm(&w.name, &w.text, name, w.statement);

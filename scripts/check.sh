@@ -17,7 +17,8 @@
 # ACK; and that the bytes of two replies, read raw over bash /dev/tcp — the
 # 1,000-row run, and runs over node names that need JSON escaping — hash to
 # pinned SHA-256 values) + the storage smoke (save on one server,
-# reopen on a fresh one, first run must be warm) + the serve-load smoke (a
+# reopen on a fresh one, first run must be warm; the sidecar of a ~15k-edge
+# graph stays under 8 KiB, since it holds no adjacency) + the serve-load smoke (a
 # short open-loop burst through the legacy/pipelined/batch protocol shapes
 # past the server's admission capacity; the harness asserts zero dropped
 # replies and that client-observed rejections equal the server's admission
@@ -39,7 +40,8 @@
 # --storage-smoke  runs ONLY the release build and the persistence smoke gate
 #                  (one server saves a graph + prepared statement, a fresh
 #                  server reopens the snapshot and its FIRST run must be a
-#                  registry hit with zero sim-table compilations) — the fast
+#                  registry hit with zero sim-table compilations; a ~15k-edge
+#                  graph's sidecar must stay under 8 KiB) — the fast
 #                  loop while working on the storage layer. The same gate is
 #                  part of the default sequence.
 # --serve-load-smoke
@@ -218,6 +220,8 @@ check_reply_bytes() {
 # brand-new server reopens the snapshot and its FIRST run must already be a
 # registry hit that compiles nothing — proving the snapshot and the
 # compiled-artifact sidecar actually carry the warm state across processes.
+# The sidecar holds compiled tables and per-label bind data but no adjacency,
+# so saving a ~15k-edge graph must write one of a few KiB, not hundreds.
 storage_smoke() {
     echo
     echo "==> storage smoke (save -> fresh server reopen -> warm first run)"
@@ -232,9 +236,18 @@ storage_smoke() {
     "$cli" --addr "$server_addr" prepare q 'Ans(x, y) <- (x, p, y), L(p) = a a' g
     "$cli" --addr "$server_addr" run q g > /dev/null   # bind + compile, so save persists warm state
     "$cli" --addr "$server_addr" save g "$snap"
+    "$cli" --addr "$server_addr" load big 'random:5000:3:a|b:1'
+    "$cli" --addr "$server_addr" run q big > /dev/null
+    "$cli" --addr "$server_addr" save big "$dir/big.snap"
     "$cli" --addr "$server_addr" shutdown
     wait "$server_pid"
     server_pid=""
+    local art_bytes
+    art_bytes=$(wc -c < "$dir/big.snap.art")
+    if (( art_bytes > 8192 )); then
+        echo "storage smoke FAILED: a 15k-edge graph's sidecar is $art_bytes bytes (bound 8192)" >&2
+        exit 1
+    fi
 
     log2=$(mktemp)
     start_server "$log2"
@@ -255,7 +268,7 @@ storage_smoke() {
     server_pid=""
     rm -rf "$dir"
     rm -f "$log1" "$log2"
-    echo "    storage smoke OK (first run after reopen: registry hit, sim_cache_misses=0)"
+    echo "    storage smoke OK (first run after reopen: registry hit, sim_cache_misses=0; 15k-edge sidecar $art_bytes bytes)"
 }
 
 # Observability gate: trace spans must be present and monotonic with phase

@@ -215,3 +215,41 @@ fn service_save_open_warm_differential() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A sidecar written by the previous format version (v1, which carried the
+/// adjacency) fails `open` — the request `ecrpq-serve --open` sends — with
+/// the structured version mismatch naming the file, and publishes nothing:
+/// never a panic, never a silent cold start.
+#[test]
+fn version_one_sidecar_fails_open_naming_the_file() {
+    let dir = std::env::temp_dir().join(format!("ecrpq-it-v1-sidecar-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let snap = dir.join("g.snap");
+    let snap_str = snap.to_str().expect("utf-8 temp path");
+
+    let s1 = Service::new(8);
+    reply(&s1, r#"{"op":"load","graph":"g","generator":"cycle:8:a"}"#);
+    reply(
+        &s1,
+        r#"{"op":"prepare","name":"q","query":"Ans(x, y) <- (x, p, y), L(p) = a a","graph":"g"}"#,
+    );
+    let r = reply(&s1, &format!(r#"{{"op":"save","graph":"g","path":"{snap_str}"}}"#));
+    assert_eq!(r.get("statements").and_then(json::Value::as_u64), Some(1));
+
+    let art_path = persist::sidecar_path(&snap);
+    let mut art = std::fs::read(&art_path).expect("sidecar written");
+    art[8..12].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&art_path, &art).expect("rewrite sidecar");
+
+    let s2 = Service::new(8);
+    let r = reply(&s2, &format!(r#"{{"op":"open","name":"g2","path":"{snap_str}"}}"#));
+    assert_eq!(r.get("ok").and_then(json::Value::as_bool), Some(false), "{r:?}");
+    let msg = r.get("error").and_then(json::Value::as_str).expect("error message");
+    let expected = StorageError::VersionMismatch { found: 1, expected: persist::FORMAT_VERSION };
+    assert!(msg.contains(&expected.to_string()), "unexpected error: {msg}");
+    assert!(msg.contains(art_path.to_str().unwrap()), "error must name the file: {msg}");
+    let r = reply(&s2, r#"{"op":"run","name":"q","graph":"g2"}"#);
+    assert_eq!(r.get("ok").and_then(json::Value::as_bool), Some(false), "graph was published");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
