@@ -174,7 +174,7 @@ impl MaintainedStatement {
         let mut stats = EvalStats::default();
         let overlay = Overlay::new(view, pq, art);
         for (p, table) in self.reach.iter_mut().enumerate() {
-            let rows = reach_rows(pq, p, false, &overlay, sources, &mut stats);
+            let rows = reach_rows(pq, p, &overlay, sources, &mut stats);
             for (row, &src) in rows.into_iter().zip(sources) {
                 table[src as usize] = row;
             }
@@ -364,7 +364,7 @@ mod tests {
             [None, Some("a*"), Some("a b* c"), Some("(a | c)+"), Some("b c* | a"), Some(".* c")];
         let alphabet = Alphabet::from_labels(["a", "b", "c"]);
         let all_rows = |adj: &Overlay<'_>, pq: &PreparedQuery, sources: &[u32]| {
-            reach_rows(pq, 0, false, adj, sources, &mut EvalStats::default())
+            reach_rows(pq, 0, adj, sources, &mut EvalStats::default())
         };
         for seed in 0..48u64 {
             let mut rng = SplitMix64::seed_from_u64(seed);

@@ -57,6 +57,9 @@ fn transpose(rows: &[Vec<NodeId>]) -> Vec<Vec<NodeId>> {
 /// symbols; a constraint is built over [`symbol_map`](Self::symbol_map), so
 /// translating them into the merged alphabet costs nothing per edge.
 pub(crate) trait Successors {
+    /// True when the edges run backwards (in-edges): the kernel then steps
+    /// the reversed constraint.
+    const REVERSE: bool = false;
     fn num_nodes(&self) -> usize;
     /// The merged-alphabet symbol of each source label.
     fn symbol_map(&self) -> &[Symbol];
@@ -73,6 +76,8 @@ pub(crate) struct GraphEdges<'a, const IN: bool> {
 }
 
 impl<const IN: bool> Successors for GraphEdges<'_, IN> {
+    const REVERSE: bool = IN;
+
     fn num_nodes(&self) -> usize {
         self.graph.num_nodes()
     }
@@ -330,16 +335,16 @@ pub(crate) fn product_rows<A: Successors, C: Constraint>(
 
 /// The rows of path variable `p`'s relation from `sources` over `adj`,
 /// stepping whichever constraint form the prepared query holds for `p`.
-/// With `rev`, `adj` is a reverse adjacency and the constraint is reversed
-/// to match (the sparse reversal is built per call — that arm is rare and
-/// the reversal is linear in the automaton, dwarfed by the BFS passes).
+/// Over a reverse adjacency ([`Successors::REVERSE`]) the constraint is
+/// reversed to match (the sparse reversal is built per call — that arm is
+/// rare and the reversal is linear in the automaton, dwarfed by the BFS
+/// passes).
 /// Compiled tables come from the prepared query's (and, for
 /// single-projection constraints, the relation's) cache — recorded in
 /// `stats` as a hit or miss, fetched once per call.
 pub(crate) fn reach_rows<A: Successors>(
     pq: &PreparedQuery,
     p: usize,
-    rev: bool,
     adj: &A,
     sources: &[u32],
     stats: &mut EvalStats,
@@ -348,7 +353,7 @@ pub(crate) fn reach_rows<A: Successors>(
         None => product_rows(adj, &Unconstrained, sources),
         Some(u) if !u.dense => {
             let reversed;
-            let nfa = if rev {
+            let nfa = if A::REVERSE {
                 reversed = u.nfa.reverse();
                 &reversed
             } else {
@@ -357,7 +362,7 @@ pub(crate) fn reach_rows<A: Successors>(
             product_rows(adj, &SparseNfa::new(nfa, adj.symbol_map()), sources)
         }
         Some(_) => {
-            let sim = if rev { pq.unary_rev_sim(p, stats) } else { pq.unary_sim(p, stats) };
+            let sim = if A::REVERSE { pq.unary_rev_sim(p, stats) } else { pq.unary_sim(p, stats) };
             product_rows(adj, &Tables::new(&sim, adj.symbol_map()), sources)
         }
     }
@@ -395,9 +400,9 @@ pub(crate) fn reachability_planned(
         None => (0..n as u32).collect(),
     };
     let rows = if rev {
-        reach_rows(bound.pq, p, true, &bound.edges::<true>(), &sources, stats)
+        reach_rows(bound.pq, p, &bound.edges::<true>(), &sources, stats)
     } else {
-        reach_rows(bound.pq, p, false, &bound.edges::<false>(), &sources, stats)
+        reach_rows(bound.pq, p, &bound.edges::<false>(), &sources, stats)
     };
     // Scatter per-source rows into a full table (a pinned BFS leaves every
     // other row empty); the other side follows by transposition.
