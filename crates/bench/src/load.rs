@@ -22,10 +22,10 @@
 //!   needs.
 //!
 //! Per series: `p50`/`p95`/`p99` latency and `persec` (seconds per completed
-//! request — the reciprocal of throughput, so lower is better and the
-//! harness's regression gate applies unchanged). The `persec` notes carry
-//! saturation throughput, accepted/rejected connection counts, and the
-//! speedup over the legacy series measured in the same sweep point.
+//! request — the reciprocal of throughput, so lower is better like every
+//! other series). The `persec` notes carry saturation throughput,
+//! accepted/rejected connection counts, and the speedup over the legacy
+//! series measured in the same sweep point.
 //!
 //! Each phase settles admission before it starts measuring: every
 //! connection sends one untagged `stats` probe, learns whether it was
@@ -40,10 +40,11 @@
 //! `rejected` admission counter delta, and the accepted count must equal
 //! `min(conns, workers)` exactly.
 
-use crate::{workloads, Measurement};
+use ecrpq_integration::fig1;
 use ecrpq_server::client::Client;
 use ecrpq_server::server::{Server, ServerConfig, ServerHandle};
 use ecrpq_util::json::{self, Value};
+use ecrpq_util::Measurement;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
@@ -149,9 +150,9 @@ fn connect_admitted(addr: SocketAddr) -> Option<TcpStream> {
 
 /// Runs the load family over the configured connection sweep.
 pub fn load_family(cfg: &LoadConfig) -> Vec<Measurement> {
-    let graph = workloads::data_complexity_graph(cfg.n, 7);
+    let graph = fig1::data_complexity_graph(cfg.n, 7);
     let query_text = {
-        let (_, ecrpq) = workloads::data_queries(&graph);
+        let (_, ecrpq) = fig1::data_queries(&graph);
         ecrpq.to_string()
     };
     let edges = graph.to_edge_list();

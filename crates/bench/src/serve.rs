@@ -15,11 +15,12 @@
 //! sim-table compilations — the serving layer is what is measured, not the
 //! compile phase.
 
-use crate::{workloads, Measurement};
+use ecrpq_integration::fig1;
 use ecrpq_server::client::Client;
 use ecrpq_server::protocol::REQUEST_HISTOGRAM;
 use ecrpq_server::server::{Server, ServerConfig};
 use ecrpq_util::json::Value;
+use ecrpq_util::Measurement;
 use std::time::Instant;
 
 /// Statement and graph names used by the workload.
@@ -38,11 +39,11 @@ pub(crate) fn percentile(sorted: &[f64], p: f64) -> f64 {
 /// Runs the serve family: for each entry of `client_threads`, `requests`
 /// requests per client against a graph of `n` nodes.
 pub fn serve_family(client_threads: &[usize], requests: usize, n: usize) -> Vec<Measurement> {
-    let graph = workloads::data_complexity_graph(n, 7);
+    let graph = fig1::data_complexity_graph(n, 7);
     let query_text = {
         // The ECRPQ of the data-complexity family, in textual form (Display
         // emits the parser's syntax).
-        let (_, ecrpq) = workloads::data_queries(&graph);
+        let (_, ecrpq) = fig1::data_queries(&graph);
         ecrpq.to_string()
     };
     let edges = graph.to_edge_list();

@@ -5,11 +5,14 @@
 //! Besides the target entries, the crate provides [`prop`], a minimal
 //! dependency-free property-testing helper used by `tests/properties.rs` in
 //! place of `proptest` (the build environment is offline): seeded case
-//! generation with shrink-free failure reporting, and [`corpus`], the seeded
+//! generation with shrink-free failure reporting; [`corpus`], the seeded
 //! random textual-query generator shared by the parser round-trip suite and
-//! the concurrency differential test.
+//! the concurrency differential test; and [`fig1`], the query and graph
+//! builders of the paper's Figure 1 rows (pinned by `tests/fig1_shapes.rs`).
 
 #![warn(missing_docs)]
+
+pub mod fig1;
 
 pub mod corpus {
     //! The seeded textual-query corpus: random well-formed ECRPQ texts over
@@ -209,5 +212,35 @@ pub mod prop {
                 }
             });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::fig1::*;
+    use ecrpq::eval::{self, EvalConfig};
+    use ecrpq_automata::Alphabet;
+
+    #[test]
+    fn count_a_mod_language_counts() {
+        let al = Alphabet::from_labels(["a", "b"]);
+        let nfa = count_a_mod_language(&al, 3);
+        let (a, b) = (al.sym("a"), al.sym("b"));
+        assert!(!nfa.accepts(&[]));
+        assert!(nfa.accepts(&[a, a, a]));
+        assert!(nfa.accepts(&[a, a, a, a, a, a]));
+        assert!(!nfa.accepts(&[a, a]));
+        assert!(!nfa.accepts(&[a, b, a]));
+    }
+
+    #[test]
+    fn rei_queries_are_satisfiable() {
+        let cfg = EvalConfig::default();
+        let (q, g) = rei_query(2, true);
+        assert!(eval::eval_boolean(&q, &g, &cfg).unwrap());
+        let (q, g) = rei_query(2, false);
+        assert!(eval::eval_boolean(&q, &g, &cfg).unwrap());
+        let (q, g) = repetition_query(2);
+        assert!(eval::eval_boolean(&q, &g, &cfg).unwrap());
     }
 }

@@ -15,11 +15,6 @@
 //! * [`trace`] — a wall-clock span collector for per-query phase timing
 //!   (the engine's `run_mode(.., Some(&mut trace))` and the server's `trace`
 //!   op).
-//!
-//! Historically both lived in `ecrpq-bench`; they were promoted here when
-//! the server crate started needing the same serialization code.
-//! `ecrpq_bench::json` and `ecrpq_bench::Measurement` remain available as
-//! re-exports, so existing callers compile unchanged.
 
 #![warn(missing_docs)]
 

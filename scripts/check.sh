@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Offline-safe CI check: build, tests, formatting, lints, server smoke.
-# Usage: scripts/check.sh [--bench-smoke] [--e2e-smoke] [--server-smoke]
-#                         [--storage-smoke] [--serve-load-smoke]
-#                         [--metrics-smoke] [--mutation-smoke]
+# Usage: scripts/check.sh [--e2e-smoke] [--server-smoke] [--storage-smoke]
+#                         [--serve-load-smoke] [--metrics-smoke]
+#                         [--mutation-smoke]
 # (from anywhere inside the repo)
 #
 # The default sequence is build (workspace, then the benchmarks/e2e package
-# against it) + tests + fmt + clippy + the parser and
+# against it) + tests (the Figure 1 rows among them, pinned as exact counts
+# by tests/fig1_shapes.rs) + fmt + clippy + the parser and
 # examples gates + the concurrency gate + the planner differential gate +
 # the server smoke (an ephemeral-port
 # ecrpq-serve driven through load/prepare/run/stats/shutdown by ecrpq-cli,
@@ -27,10 +28,6 @@
 # must stay a registry hit, and the remove must restore the pre-mutation
 # answers bit for bit).
 #
-# --bench-smoke    additionally runs the benchmark harness on the smallest
-#                  size point of each experiment family (in a scratch
-#                  directory), so bench bit-rot fails fast without paying for
-#                  a full sweep.
 # --e2e-smoke      additionally runs the end-to-end served-query benchmark
 #                  with 2 s windows (bash benchmarks/e2e/run.sh --smoke): every
 #                  workload, untraced and traced, every reply verified — the
@@ -70,7 +67,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 repo_root=$(pwd)
 
-bench_smoke=0
 e2e_smoke=0
 server_smoke_only=0
 storage_smoke_only=0
@@ -79,7 +75,6 @@ metrics_smoke_only=0
 mutation_smoke_only=0
 for arg in "$@"; do
     case "$arg" in
-        --bench-smoke) bench_smoke=1 ;;
         --e2e-smoke) e2e_smoke=1 ;;
         --server-smoke) server_smoke_only=1 ;;
         --storage-smoke) storage_smoke_only=1 ;;
@@ -467,13 +462,6 @@ metrics_smoke
 # Mutation smoke is part of the default sequence too: live-graph writes must
 # be visible to the next run without cold rebinds, and reversible.
 mutation_smoke
-
-if [[ "$bench_smoke" == 1 ]]; then
-    scratch=$(mktemp -d)
-    echo
-    echo "==> harness smoke run (smallest point of every experiment family)"
-    (cd "$scratch" && "$repo_root/target/release/harness" smoke)
-fi
 
 if [[ "$e2e_smoke" == 1 ]]; then
     run bash benchmarks/e2e/run.sh --smoke

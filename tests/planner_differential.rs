@@ -97,7 +97,7 @@ fn check_case(what: &str, query: &Ecrpq, g: &GraphDb, cfg: &EvalConfig) -> Optio
 }
 
 #[test]
-fn corpus_answers_identical_across_planners_threads_and_reference() {
+fn corpus_answers_identical_across_planners_and_reference() {
     let al = alphabet();
     let cfg = config();
     let mut gen = Gen::new(SEED);
