@@ -3,26 +3,10 @@
 //!
 //! A request is one JSON object per line with an `op` field; the reply is
 //! one JSON object per line with an `ok` field (plus `error` when `ok` is
-//! `false`). Serialization reuses the shared `ecrpq_util::json` writer.
-//!
-//! | op | request fields | reply fields |
-//! |----|----------------|--------------|
-//! | `load` | `graph`, plus one of `edges` (inline edge-list text), `path` (edge-list file), `json` (inline `{"edges": …}`), `json_path`, `generator` (e.g. `cycle:8:a`) | `graph`, `nodes`, `edges` |
-//! | `add_edges` | `graph`, plus `edges` (array of `[from, label, to]` string triples) and/or `text` (edge-list lines); optional `merge_threshold` (honored when the overlay is created) | applies the batch to the graph's live overlay: `added`, `removed`, `missing`, `nodes`, `edges`, `pending`, `version`, `merged` (true when the batch crossed the merge threshold and a fresh epoch was published), `merges`, `maintained` (statements kept incrementally up to date) |
-//! | `remove_edges` | like `add_edges` | removes *every* live instance of each triple (reply fields as `add_edges`; a triple matching nothing counts as `missing`) |
-//! | `prepare` | `name`, `query`, plus `alphabet` (label array) or `graph` (use its alphabet) | `name`, `node_vars`, `path_vars` |
-//! | `run` | `name`, `graph`, optional `mode` (`nodes`\|`boolean`\|`paths`), `limit`, `planner` (`cost`\|`static`) | `registry` (`hit`\|`miss`), `answers`/`answer`, `count`, `stats` |
-//! | `check` | `name`, `graph`, `nodes` (names), `paths` (alternating `[node, label, node, …]`) | `member` |
-//! | `explain` | `name`, `graph`, optional `planner` | `planner`, `join_order`, `atoms` (per-atom direction/pin/estimated vs actual cardinalities), `stats`, `answers`, `text` (rendered plan) |
-//! | `trace` | like `run` (`name` *or* inline `query` text), `graph`, optional `mode`, `limit`, `planner` | `run`'s fields plus `trace`: a wall-clock span tree (`resolve` → `run` with per-phase engine children → `render`; with `query`, also `parse`/`compile`/`bind`) and `server_latency_us`, the root-span duration also recorded into the request histogram |
-//! | `stats` | optional `graph` | `version`, `uptime_s`, catalog/registry/server counters; with `graph`, its `graph_stats` (per-label edge/endpoint counts, degree maxima, sampled reach fraction) |
-//! | `metrics` | optional `format` (`text`\|`json`) | `text`: the metrics registry in Prometheus exposition format; `json`: structured families with estimated histogram quantiles |
-//! | `slowlog` | optional `limit` | `threshold_ms`, `entries` (ring buffer of requests slower than `--slow-query-ms`, newest first) |
-//! | `save` | `graph`, `path` | writes the binary snapshot to `path` and the compiled-statement sidecar to `path.art`; `graph`, `path`, `bytes`, `statements` (persisted) |
-//! | `open` | `name`, `path` | opens a snapshot under a *fresh* catalog name, warm-installing every sidecar statement; `graph`, `nodes`, `edges`, `statements` (warmed) |
-//! | `batch` | `requests` (array of sub-requests, each a `run`/`check`/`explain`/`stats` object; `op` defaults to `run`), plus batch-level defaults `name`, `graph`, `mode`, `planner`, `limit` merged into every sub-request that omits them | `count`, `results` (one reply object per sub-request, in order; a failing sub yields `ok: false` *inside* `results`, never a batch-level error) |
-//! | `close` | — | `closing: true`, then the connection ends |
-//! | `shutdown` | — | `shutting_down: true`, then the whole server stops |
+//! `false`). Serialization reuses the shared `ecrpq_util::json` writer. Each
+//! request is decoded once, up front, into a typed request (`request`
+//! module: the op table and every op's fields); the op handlers take its
+//! decoded arguments and never read the JSON themselves.
 //!
 //! **Pipelining.** Every request may carry an optional `"id"` tag (string
 //! or integer). The reply echoes the tag, and a tagged request may be
@@ -45,12 +29,6 @@
 //! per-graph `stats`) first merges the delta into a fresh sealed epoch and
 //! swaps it into the catalog. Readers that already resolved a graph handle
 //! keep their pinned epoch; re-`load`ing a graph discards its overlay.
-//!
-//! Request fields an op does not read are ignored. A field an op does read
-//! but cannot decode (an unknown `mode` or `planner`, a `limit` or
-//! `merge_threshold` that is not a non-negative integer) gets a structured
-//! `ok: false` reply naming the field, like every other protocol error —
-//! never a dropped connection.
 
 use crate::catalog::{GraphCatalog, GraphSource};
 use crate::registry::StatementRegistry;
@@ -120,10 +98,6 @@ pub struct ServiceStats {
 /// or an attack, and it would pin a worker for its whole duration).
 pub const MAX_BATCH: usize = 1024;
 
-/// Request fields that act as batch-level defaults, merged into every
-/// sub-request that omits them.
-const BATCH_DEFAULT_FIELDS: &[&str] = &["name", "graph", "mode", "planner", "limit"];
-
 /// Ring-buffer capacity of the slow-query log: enough recent offenders to
 /// diagnose a latency incident, small enough that the log itself is never a
 /// memory concern.
@@ -154,7 +128,7 @@ pub struct SlowEntry {
 /// makes batching cheaper than N single requests; single requests get a
 /// fresh (empty, allocation-free) one.
 #[derive(Default)]
-struct BatchCache {
+pub(crate) struct BatchCache {
     graphs: HashMap<String, Arc<GraphDb>>,
     bound: HashMap<(String, String), Arc<BoundStatement>>,
 }
@@ -163,7 +137,7 @@ impl BatchCache {
     /// Drops every memoized handle for `gname` — called when a live-overlay
     /// flush publishes a fresh epoch mid-request, so later resolutions see
     /// the merged graph instead of a stale pin.
-    fn invalidate_graph(&mut self, gname: &str) {
+    pub(crate) fn invalidate_graph(&mut self, gname: &str) {
         self.graphs.remove(gname);
         self.bound.retain(|(_, g), _| g != gname);
     }
@@ -172,14 +146,14 @@ impl BatchCache {
 /// The live (mutable) state of one cataloged graph: the delta overlay and
 /// the statements whose nodes-mode answer sets are maintained against it.
 #[derive(Debug)]
-struct LiveState {
+pub(crate) struct LiveState {
     /// Delta overlay over the cataloged epoch; merging swaps a fresh sealed
     /// epoch into the catalog.
-    live: LiveGraph,
+    pub(crate) live: LiveGraph,
     /// Incrementally maintained statements, by registry name. Only
     /// maintainable statements (exact relaxation, dense unary plans) are
     /// kept; everything else forces a merge and a cold run.
-    maintained: HashMap<String, MaintainedStatement>,
+    pub(crate) maintained: HashMap<String, MaintainedStatement>,
 }
 
 /// The transport-independent query service: a graph catalog, a statement
@@ -255,38 +229,34 @@ impl Service {
     /// Dispatches one request line, returning the reply line (no trailing
     /// newline) and what the transport should do next.
     pub fn dispatch(&self, line: &str) -> (String, Control) {
-        match json::parse(line.trim()) {
-            Ok(req) => self.dispatch_req(&req),
-            Err(e) => (self.reject_line(&format!("bad request JSON: {e}")), Control::Continue),
+        match parse_request(line) {
+            Ok((req, id)) => self.dispatch_req(&req, id.as_ref()),
+            Err(e) => (self.reject_line(&e.0), Control::Continue),
         }
     }
 
     /// The `ok:false` reply to a request line that never reached an op (not
-    /// UTF-8, not JSON), counted as a request and an error.
+    /// UTF-8, not JSON, a malformed `id` tag), counted as a request and an
+    /// error.
     pub fn reject_line(&self, message: &str) -> String {
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
         self.stats.errors.fetch_add(1, Ordering::Relaxed);
         error_obj(message, None).to_string()
     }
 
-    /// Dispatches an already-parsed request (the pipelined transport parses
-    /// each line once, to read the `id` tag, before handing it here). Any
-    /// valid `id` is echoed into the reply — including error replies.
-    pub fn dispatch_req(&self, req: &Value) -> (String, Control) {
+    /// Dispatches a request already split by [`parse_request`] into its
+    /// object and its validated `id` tag (the pipelined transport reads the
+    /// tag to pick a dispatch path). The tag is echoed into the reply —
+    /// including error replies.
+    pub fn dispatch_req(&self, req: &Value, id: Option<&Value>) -> (String, Control) {
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
         self.stats.in_flight.fetch_add(1, Ordering::Relaxed);
-        let (reply, control) = match request_id(req) {
+        let (reply, control) = match self.dispatch_value(req, id.is_some()) {
+            Ok((reply, control)) => (with_id(reply, id), control),
             Err(e) => {
                 self.stats.errors.fetch_add(1, Ordering::Relaxed);
-                (error_obj(&e.0, None), Control::Continue)
+                (error_obj(&e.0, id), Control::Continue)
             }
-            Ok(id) => match self.dispatch_value(req) {
-                Ok((reply, control)) => (with_id(reply, id), control),
-                Err(e) => {
-                    self.stats.errors.fetch_add(1, Ordering::Relaxed);
-                    (error_obj(&e.0, id), Control::Continue)
-                }
-            },
         };
         self.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
         // The reply text starts at a page, not at zero, and so does the
@@ -304,44 +274,23 @@ impl Service {
         (text, control)
     }
 
-    fn dispatch_value(&self, req: &Value) -> Result<(Value, Control), ServerError> {
-        let op = req
-            .get("op")
-            .and_then(Value::as_str)
-            .ok_or_else(|| ServerError("request needs a string `op` field".into()))?;
-        let mut cache = BatchCache::default();
+    /// Decodes and executes one request, recording its latency, error and
+    /// slow-log entry under its op.
+    fn dispatch_value(&self, req: &Value, tagged: bool) -> Result<(Value, Control), ServerError> {
+        let req = Request::decode(req)?;
+        let op = req.op;
         let start = Instant::now();
-        let result = match op {
-            "load" => self.op_load(req).map(|r| (r, Control::Continue)),
-            "add_edges" => self.op_mutate(req, true).map(|r| (r, Control::Continue)),
-            "remove_edges" => self.op_mutate(req, false).map(|r| (r, Control::Continue)),
-            "prepare" => self.op_prepare(req).map(|r| (r, Control::Continue)),
-            "run" => self.op_run(req, &mut cache).map(|r| (r, Control::Continue)),
-            "check" => self.op_check(req, &mut cache).map(|r| (r, Control::Continue)),
-            "explain" => self.op_explain(req, &mut cache).map(|r| (r, Control::Continue)),
-            "trace" => self.op_trace(req, &mut cache).map(|r| (r, Control::Continue)),
-            "stats" => self.op_stats(req).map(|r| (r, Control::Continue)),
-            "metrics" => self.op_metrics(req).map(|r| (r, Control::Continue)),
-            "slowlog" => self.op_slowlog(req).map(|r| (r, Control::Continue)),
-            "batch" => self.op_batch(req).map(|r| (r, Control::Continue)),
-            "save" => self.op_save(req).map(|r| (r, Control::Continue)),
-            "open" => self.op_open(req).map(|r| (r, Control::Continue)),
-            "close" => ensure_untagged(req, "close")
-                .map(|()| (ok_obj([("closing", Value::Bool(true))]), Control::Close)),
-            "shutdown" => ensure_untagged(req, "shutdown")
-                .map(|()| (ok_obj([("shutting_down", Value::Bool(true))]), Control::Shutdown)),
-            other => Err(ServerError(format!("unknown op `{other}`"))),
-        };
+        let result = self.execute(req, tagged);
         let micros = start.elapsed().as_micros() as u64;
         // The `trace` op records its *root-span* duration itself, so the
         // span tree and the histogram sample are the same measurement; every
         // other op records the full dispatch duration here.
-        if op != "trace" {
-            self.record_request(op, micros);
+        if op != Op::Read(ReadOp::Trace) {
+            self.record_request(op.name(), micros);
         }
         if result.is_err() {
             self.metrics
-                .counter_with("ecrpq_op_errors_total", &[("op", op)], "Errors by op.")
+                .counter_with("ecrpq_op_errors_total", &[("op", op.name())], "Errors by op.")
                 .inc();
         }
         self.note_slow(op, req, micros, result.is_err());
@@ -361,7 +310,7 @@ impl Service {
 
     /// Appends a slow-log entry when the slow-query threshold is enabled
     /// and exceeded.
-    fn note_slow(&self, op: &str, req: &Value, micros: u64, error: bool) {
+    fn note_slow(&self, op: Op, req: Request<'_>, micros: u64, error: bool) {
         let threshold = self.slow_query_us.load(Ordering::Relaxed);
         if threshold == 0 || micros < threshold {
             return;
@@ -371,9 +320,9 @@ impl Service {
             .map(|d| d.as_millis() as u64)
             .unwrap_or(0);
         let entry = SlowEntry {
-            op: op.to_string(),
-            name: req.get("name").and_then(Value::as_str).map(str::to_string),
-            graph: req.get("graph").and_then(Value::as_str).map(str::to_string),
+            op: op.name().to_string(),
+            name: req.opt_str("name").ok().flatten().map(str::to_string),
+            graph: req.opt_str("graph").ok().flatten().map(str::to_string),
             micros,
             at_epoch_ms,
             error,
@@ -387,31 +336,16 @@ impl Service {
 
     /// Runs a `batch` request: N read-only sub-requests sharing one
     /// resolution of every graph handle and bound statement they touch.
-    /// Batch-level `name`/`graph`/`mode`/`planner`/`limit` fields
-    /// are defaults for sub-requests that omit them. Each sub-request gets
-    /// its own entry in `results` (errors included), so one bad entry never
-    /// loses the others' replies.
-    fn op_batch(&self, req: &Value) -> Result<Value, ServerError> {
-        let subs = req
-            .get("requests")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| ServerError("batch needs a `requests` array".into()))?;
-        if subs.is_empty() {
-            return Err(ServerError("batch `requests` must not be empty".into()));
-        }
-        if subs.len() > MAX_BATCH {
-            return Err(ServerError(format!(
-                "batch too large: {} requests (cap {MAX_BATCH})",
-                subs.len()
-            )));
-        }
-        let defaults: Vec<(&str, &Value)> =
-            BATCH_DEFAULT_FIELDS.iter().filter_map(|&k| req.get(k).map(|v| (k, v))).collect();
+    /// Each sub-request gets its own entry in `results` (errors included),
+    /// so one bad entry never loses the others' replies.
+    pub(crate) fn op_batch<'a>(
+        &self,
+        entries: impl ExactSizeIterator<Item = Result<(ReadOp, Request<'a>), ServerError>>,
+    ) -> Value {
         let mut cache = BatchCache::default();
-        self.stats.batched.fetch_add(subs.len() as u64, Ordering::Relaxed);
-        let results: Vec<Value> = subs
-            .iter()
-            .map(|sub| match self.run_batch_sub(sub, &defaults, &mut cache) {
+        self.stats.batched.fetch_add(entries.len() as u64, Ordering::Relaxed);
+        let results: Vec<Value> = entries
+            .map(|entry| match entry.and_then(|(op, req)| self.read(op, req, &mut cache)) {
                 Ok(v) => v,
                 Err(e) => {
                     self.stats.errors.fetch_add(1, Ordering::Relaxed);
@@ -419,57 +353,11 @@ impl Service {
                 }
             })
             .collect();
-        Ok(ok_obj([("count", Value::int(results.len() as u64)), ("results", Value::Arr(results))]))
+        ok_obj([("count", Value::int(results.len() as u64)), ("results", Value::Arr(results))])
     }
 
-    /// One sub-request of a batch: merge the batch-level defaults, restrict
-    /// to the read-only ops, and execute against the shared cache.
-    fn run_batch_sub(
-        &self,
-        sub: &Value,
-        defaults: &[(&str, &Value)],
-        cache: &mut BatchCache,
-    ) -> Result<Value, ServerError> {
-        let Value::Obj(pairs) = sub else {
-            return Err(ServerError("each batch entry must be a request object".into()));
-        };
-        let mut merged = pairs.clone();
-        for &(k, v) in defaults {
-            if sub.get(k).is_none() {
-                merged.push((k.to_string(), v.clone()));
-            }
-        }
-        let merged = Value::Obj(merged);
-        match merged.get("op").and_then(Value::as_str).unwrap_or("run") {
-            "run" => self.op_run(&merged, cache),
-            "check" => self.op_check(&merged, cache),
-            "explain" => self.op_explain(&merged, cache),
-            "trace" => self.op_trace(&merged, cache),
-            "stats" => self.op_stats(&merged),
-            other => Err(ServerError(format!(
-                "batch entries may only be run/check/explain/trace/stats, got `{other}`"
-            ))),
-        }
-    }
-
-    fn op_load(&self, req: &Value) -> Result<Value, ServerError> {
-        let name = str_field(req, "graph")?;
-        let source = if let Some(text) = req.get("edges").and_then(Value::as_str) {
-            GraphSource::EdgeListText(text.to_string())
-        } else if let Some(path) = req.get("path").and_then(Value::as_str) {
-            GraphSource::EdgeListFile(path.to_string())
-        } else if let Some(v) = req.get("json") {
-            GraphSource::Json(v.clone())
-        } else if let Some(path) = req.get("json_path").and_then(Value::as_str) {
-            GraphSource::JsonFile(path.to_string())
-        } else if let Some(spec) = req.get("generator").and_then(Value::as_str) {
-            GraphSource::Generator(spec.to_string())
-        } else {
-            return Err(ServerError(
-                "load needs one of `edges`, `path`, `json`, `json_path`, `generator`".into(),
-            ));
-        };
-        let graph = self.catalog.load(name, &source)?;
+    pub(crate) fn op_load(&self, name: &str, source: &GraphSource) -> Result<Value, ServerError> {
+        let graph = self.catalog.load(name, source)?;
         // A (re)load replaces the graph wholesale: any live overlay of the
         // old epoch describes a graph that no longer exists.
         self.live.lock().unwrap().remove(name);
@@ -489,10 +377,13 @@ impl Service {
     /// is built (maintenance-on-write); if the batch crossed the merge
     /// threshold, the fresh sealed epoch is published to the catalog and the
     /// maintained statements are rebound onto it.
-    fn op_mutate(&self, req: &Value, adds: bool) -> Result<Value, ServerError> {
-        let gname = str_field(req, "graph")?;
-        let triples = edge_triples(req)?;
-        let threshold = uint_field(req, "merge_threshold")?;
+    pub(crate) fn op_mutate(
+        &self,
+        gname: &str,
+        triples: &[(String, String, String)],
+        adds: bool,
+        threshold: Option<u64>,
+    ) -> Result<Value, ServerError> {
         let mut live_map = self.live.lock().unwrap();
         let state = match live_map.entry(gname.to_string()) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
@@ -511,9 +402,9 @@ impl Service {
 
         let empty: [(String, String, String); 0] = [];
         let out = if adds {
-            state.live.apply(&triples, &empty)
+            state.live.apply(triples, &empty)
         } else {
-            state.live.apply(&empty, &triples)
+            state.live.apply(&empty, triples)
         };
 
         // Maintenance-on-write: every maintained statement absorbs the
@@ -557,7 +448,7 @@ impl Service {
     /// already describe the merged graph, so only the statement handle
     /// changes). A statement that no longer rebinds to the same prepared
     /// query — re-`prepare`d or evicted meanwhile — is dropped.
-    fn publish_merge(&self, gname: &str, state: &mut LiveState, epoch: &Arc<GraphDb>) {
+    pub(crate) fn publish_merge(&self, gname: &str, state: &mut LiveState, epoch: &Arc<GraphDb>) {
         self.catalog.insert(gname, Arc::clone(epoch));
         self.metrics
             .counter("ecrpq_merges_total", "Live-overlay deltas merged into fresh epochs.")
@@ -575,7 +466,7 @@ impl Service {
     /// fresh epoch, making the cataloged graph current. Returns true when a
     /// merge actually happened — the caller's per-request cache must then
     /// drop its pinned handles. No-op for graphs without a live overlay.
-    fn flush_live(&self, gname: &str) -> bool {
+    pub(crate) fn flush_live(&self, gname: &str) -> bool {
         let mut live_map = self.live.lock().unwrap();
         let Some(state) = live_map.get_mut(gname).filter(|s| s.live.pending() > 0) else {
             return false;
@@ -585,24 +476,68 @@ impl Service {
         true
     }
 
-    fn op_prepare(&self, req: &Value) -> Result<Value, ServerError> {
-        let name = str_field(req, "name")?;
-        let text = str_field(req, "query")?;
-        let alphabet = if let Some(labels) = req.get("alphabet").and_then(Value::as_arr) {
-            let labels: Vec<&str> = labels
-                .iter()
-                .map(|l| {
-                    l.as_str()
-                        .ok_or_else(|| ServerError("`alphabet` entries must be strings".into()))
-                })
-                .collect::<Result<_, _>>()?;
-            Alphabet::from_labels(labels)
-        } else if let Some(gname) = req.get("graph").and_then(Value::as_str) {
-            self.graph(gname)?.alphabet().clone()
-        } else {
-            return Err(ServerError("prepare needs an `alphabet` array or a `graph` name".into()));
+    /// The read side of a live graph, for `run` and `trace`. With pending
+    /// overlay writes on the graph, an untraced nodes-mode run of a named
+    /// statement is answered from its incrementally maintained answer set
+    /// (built on first use) — the reply fields come back. Any other request,
+    /// and any statement the maintainer cannot handle, merges the overlay
+    /// into a fresh epoch and drops the request's pins on the old one, to
+    /// run cold on the merged graph (`None`). The statement name is checked
+    /// first, so a request about to be rejected merges nothing.
+    pub(crate) fn maintained_read(
+        &self,
+        run: &Run<'_>,
+        traced: bool,
+        config: &EvalConfig,
+        cache: &mut BatchCache,
+    ) -> Result<Option<Vec<(&'static str, Value)>>, ServerError> {
+        let gname = run.graph;
+        let mut live_map = self.live.lock().expect("live-state lock poisoned");
+        let Some(state) = live_map.get_mut(gname).filter(|s| s.live.pending() > 0) else {
+            return Ok(None);
         };
-        let stmt = self.registry.prepare(name, text, &alphabet)?;
+        if let Target::Named(name) = run.target {
+            self.registry.require(name)?;
+            if !traced && run.mode == Mode::Nodes {
+                let base = Arc::clone(state.live.base());
+                let (stmt, verdict) = self.bound_cached(cache, name, gname, &base)?;
+                let mut current =
+                    state.maintained.get(name).is_some_and(|m| Arc::ptr_eq(m.statement(), &stmt));
+                let view = state.live.view();
+                if !current {
+                    // First dirty read of this binding: build its maintained
+                    // state, unless it is not maintainable (inexact
+                    // relaxation) and must run cold.
+                    if let Some(m) = MaintainedStatement::try_new(stmt, view, config)
+                        .map_err(ServerError::msg)?
+                    {
+                        state.maintained.insert(name.to_string(), m);
+                        current = true;
+                    }
+                }
+                if current {
+                    let m = &state.maintained[name];
+                    return Ok(Some(rows_reply(verdict, m.answers(), &m.stats(), |out, row| {
+                        write_nodes(out, row, |n| view.node_name(n))
+                    })));
+                }
+            }
+        }
+        // Everything else runs on a sealed epoch: merge the pending writes
+        // and drop the request's pins on the old one.
+        let epoch = state.live.force_merge();
+        self.publish_merge(gname, state, &epoch);
+        cache.invalidate_graph(gname);
+        Ok(None)
+    }
+
+    pub(crate) fn op_prepare(
+        &self,
+        name: &str,
+        text: &str,
+        alphabet: &Alphabet,
+    ) -> Result<Value, ServerError> {
+        let stmt = self.registry.prepare(name, text, alphabet)?;
         Ok(ok_obj([
             ("name", Value::str(name)),
             ("node_vars", Value::int(stmt.prepared.query().node_vars().len() as u64)),
@@ -629,7 +564,7 @@ impl Service {
     /// reply's `registry` verdict. The first resolution reports the
     /// registry's own `hit`/`miss`; later sub-requests reuse the memoized
     /// `Arc` and report a hit (they paid no lookup at all).
-    fn bound_cached(
+    pub(crate) fn bound_cached(
         &self,
         cache: &mut BatchCache,
         name: &str,
@@ -645,119 +580,60 @@ impl Service {
         Ok((plan, if hit { "hit" } else { "miss" }))
     }
 
-    fn op_run(&self, req: &Value, cache: &mut BatchCache) -> Result<Value, ServerError> {
-        self.run_request(req, cache, None).map(ok_obj)
-    }
-
-    /// The one decode → resolve → execute → render path behind `run` and
-    /// `trace`; returns the reply fields. With a `trace` it records the
-    /// `resolve` / `run` (with the engine's child spans) / `render` phases
-    /// into it and accepts inline `query` text in place of a statement
-    /// `name`, traced through `parse` → `compile` → `bind` without touching
-    /// the registry.
+    /// The one resolve → execute → render path behind `run` and `trace`;
+    /// returns the reply fields. With a `trace` it records the `resolve` /
+    /// `run` (with the engine's child spans) / `render` phases into it; an
+    /// inline query is traced through `parse` → `compile` → `bind` without
+    /// touching the registry.
     ///
-    /// The request is decoded and its statement name checked before
-    /// anything is touched, so a rejected request leaves the server as it
-    /// found it. With pending overlay writes on the graph, an untraced
-    /// nodes-mode request is answered from the incrementally maintained
-    /// answer set (built on first use); any other request — and any
-    /// statement the maintainer cannot handle — first merges the overlay
-    /// into a fresh epoch and runs cold on that.
+    /// With pending overlay writes on the graph, the request is first
+    /// offered to [`maintained_read`](Self::maintained_read), which answers
+    /// it or merges the overlay; anything it does not answer runs cold on
+    /// the sealed epoch.
     fn run_request(
         &self,
-        req: &Value,
+        run: &Run<'_>,
         cache: &mut BatchCache,
         mut trace: Option<&mut Trace>,
     ) -> Result<Vec<(&'static str, Value)>, ServerError> {
         let resolve = qtrace::begin_span(&mut trace, "resolve");
-        // Inline `query` text in place of a statement `name` is a tracing
-        // feature: a plain `run` never reads the field.
-        let inline = req.get("query").and_then(Value::as_str).filter(|_| trace.is_some());
-        let name = match inline {
-            None => Some(str_field(req, "name")?),
-            Some(_) => None,
-        };
-        let gname = str_field(req, "graph")?;
-        let planner = planner_field(req)?;
         let mut config = EvalConfig::default();
-        if let Some(limit) = uint_field(req, "limit")? {
+        if let Some(limit) = run.limit {
             config.answer_limit = limit as usize;
         }
-        let mode = match req.get("mode").and_then(Value::as_str).unwrap_or("nodes") {
-            "nodes" => Mode::Nodes,
-            "boolean" => Mode::Boolean,
-            "paths" => Mode::Paths,
-            other => return Err(ServerError(format!("unknown run mode `{other}`"))),
-        };
-
-        {
-            let mut live_map = self.live.lock().unwrap();
-            if let Some(state) = live_map.get_mut(gname).filter(|s| s.live.pending() > 0) {
-                if let Some(name) = name {
-                    self.registry.require(name)?;
-                }
-                if let (Some(name), None, Mode::Nodes) = (name, &trace, mode) {
-                    let base = Arc::clone(state.live.base());
-                    let (stmt, verdict) = self.bound_cached(cache, name, gname, &base)?;
-                    let mut current = state
-                        .maintained
-                        .get(name)
-                        .is_some_and(|m| Arc::ptr_eq(m.statement(), &stmt));
-                    let view = state.live.view();
-                    if !current {
-                        // First dirty read of this binding: build its
-                        // maintained state, unless it is not maintainable
-                        // (inexact relaxation) and must run cold.
-                        if let Some(m) = MaintainedStatement::try_new(stmt, view, &config)
-                            .map_err(ServerError::msg)?
-                        {
-                            state.maintained.insert(name.to_string(), m);
-                            current = true;
-                        }
-                    }
-                    if current {
-                        let m = &state.maintained[name];
-                        return Ok(rows_reply(verdict, m.answers(), &m.stats(), |out, row| {
-                            write_nodes(out, row, |n| view.node_name(n))
-                        }));
-                    }
-                }
-                // Everything else runs on a sealed epoch: merge the pending
-                // writes and drop the request's pins on the old one.
-                let epoch = state.live.force_merge();
-                self.publish_merge(gname, state, &epoch);
-                cache.invalidate_graph(gname);
-            }
+        if let Some(fields) = self.maintained_read(run, trace.is_some(), &config, cache)? {
+            return Ok(fields);
         }
 
+        let gname = run.graph;
         let graph = self.graph_cached(cache, gname)?;
-        let (stmt, verdict) = match (name, inline, trace.as_deref_mut()) {
-            (Some(name), ..) => self.bound_cached(cache, name, gname, &graph)?,
-            (None, Some(text), Some(trace)) => {
-                let q = trace
-                    .scoped("parse", |_| ecrpq::parse_query(text, graph.alphabet()))
+        let (stmt, verdict) = match run.target {
+            Target::Named(name) => self.bound_cached(cache, name, gname, &graph)?,
+            Target::Inline(text) => {
+                let span = qtrace::begin_span(&mut trace, "parse");
+                let q = ecrpq::parse_query(text, graph.alphabet()).map_err(ServerError::msg)?;
+                qtrace::end_span(&mut trace, span);
+                let span = qtrace::begin_span(&mut trace, "compile");
+                let pq = PreparedQuery::prepare(&q).map_err(ServerError::msg)?;
+                qtrace::end_span(&mut trace, span);
+                let span = qtrace::begin_span(&mut trace, "bind");
+                let stmt = BoundStatement::bind(Arc::new(pq), Arc::clone(&graph))
                     .map_err(ServerError::msg)?;
-                let pq = trace
-                    .scoped("compile", |_| PreparedQuery::prepare(&q))
-                    .map_err(ServerError::msg)?;
-                let stmt = trace
-                    .scoped("bind", |_| BoundStatement::bind(Arc::new(pq), Arc::clone(&graph)))
-                    .map_err(ServerError::msg)?;
+                qtrace::end_span(&mut trace, span);
                 (Arc::new(stmt), "inline")
             }
-            _ => unreachable!("a request decoded without a name carries inline text and a trace"),
         };
-        let plan = stmt.plan_with(planner);
+        let plan = stmt.plan_with(run.planner);
         qtrace::end_span(&mut trace, resolve);
 
-        let run = qtrace::begin_span(&mut trace, "run");
+        let span = qtrace::begin_span(&mut trace, "run");
         let (answers, stats) =
-            plan.run_mode(mode, &config, trace.as_deref_mut()).map_err(ServerError::msg)?;
-        qtrace::end_span(&mut trace, run);
+            plan.run_mode(run.mode, &config, trace.as_deref_mut()).map_err(ServerError::msg)?;
+        qtrace::end_span(&mut trace, span);
 
         let render = qtrace::begin_span(&mut trace, "render");
         let graph: &GraphDb = &graph;
-        let fields = match mode {
+        let fields = match run.mode {
             Mode::Boolean => vec![
                 ("registry", Value::str(verdict)),
                 ("answer", Value::Bool(!answers.is_empty())),
@@ -783,17 +659,16 @@ impl Service {
         Ok(fields)
     }
 
-    /// Resolves a request's `name` statement on the *current* state of its
-    /// `graph`, for the ops that read a sealed epoch (`check`, `explain`):
-    /// pending overlay writes are merged first — once the statement name is
-    /// known to exist, so a request about to be rejected merges nothing.
+    /// Resolves statement `name` on the *current* state of graph `gname`,
+    /// for the ops that read a sealed epoch (`check`, `explain`): pending
+    /// overlay writes are merged first — once the statement name is known
+    /// to exist, so a request about to be rejected merges nothing.
     fn bound_on_merged(
         &self,
-        req: &Value,
+        name: &str,
+        gname: &str,
         cache: &mut BatchCache,
     ) -> Result<(Arc<GraphDb>, Arc<BoundStatement>, &'static str), ServerError> {
-        let name = str_field(req, "name")?;
-        let gname = str_field(req, "graph")?;
         self.registry.require(name)?;
         if self.flush_live(gname) {
             cache.invalidate_graph(gname);
@@ -803,27 +678,19 @@ impl Service {
         Ok((graph, stmt, verdict))
     }
 
-    fn op_check(&self, req: &Value, cache: &mut BatchCache) -> Result<Value, ServerError> {
-        let (graph, plan, verdict) = self.bound_on_merged(req, cache)?;
-        let nodes: Vec<NodeId> = req
-            .get("nodes")
-            .and_then(Value::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .map(|v| {
-                let name = v
-                    .as_str()
-                    .ok_or_else(|| ServerError("`nodes` entries must be strings".into()))?;
-                resolve_node(&graph, name)
-            })
-            .collect::<Result<_, _>>()?;
-        let paths: Vec<Path> = req
-            .get("paths")
-            .and_then(Value::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .map(|v| parse_path(&graph, v))
-            .collect::<Result<_, _>>()?;
+    fn op_check(
+        &self,
+        name: &str,
+        gname: &str,
+        nodes: Strs<'_>,
+        paths: Paths<'_>,
+        cache: &mut BatchCache,
+    ) -> Result<Value, ServerError> {
+        let (graph, plan, verdict) = self.bound_on_merged(name, gname, cache)?;
+        let nodes: Vec<NodeId> =
+            nodes.iter().map(|n| resolve_node(&graph, n)).collect::<Result<_, _>>()?;
+        let paths: Vec<Path> =
+            paths.iter().map(|p| resolve_path(&graph, p)).collect::<Result<_, _>>()?;
         let member =
             plan.check(&nodes, &paths, &EvalConfig::default()).map_err(ServerError::msg)?;
         Ok(ok_obj([("registry", Value::str(verdict)), ("member", Value::Bool(member))]))
@@ -832,10 +699,15 @@ impl Service {
     /// Reports the planner's view of a run: join order, per-atom BFS
     /// direction and pinned source, estimated *and* actual cardinalities,
     /// plus a human-readable rendering under `text`.
-    fn op_explain(&self, req: &Value, cache: &mut BatchCache) -> Result<Value, ServerError> {
-        let planner = planner_field(req)?;
+    fn op_explain(
+        &self,
+        planner: PlannerMode,
+        name: &str,
+        gname: &str,
+        cache: &mut BatchCache,
+    ) -> Result<Value, ServerError> {
         // Plans are explained against the merged graph, not the overlay.
-        let (_, stmt, verdict) = self.bound_on_merged(req, cache)?;
+        let (_, stmt, verdict) = self.bound_on_merged(name, gname, cache)?;
         let plan = stmt.plan_with(planner);
         let report = plan.explain(&EvalConfig::default()).map_err(ServerError::msg)?;
         let atoms: Vec<Value> = report
@@ -880,17 +752,17 @@ impl Service {
 
     /// EXPLAIN ANALYZE for the serve path: runs like `run` (through the
     /// same [`run_request`](Self::run_request)) while collecting a
-    /// wall-clock span tree — `resolve` (field parsing + catalog/registry
-    /// lookups), `run` (with the engine's `plan` / per-atom `reach:<var>` /
-    /// `compile` / `search` child spans and their measured-vs-estimated
-    /// cardinality attributes), and `render` (answer serialization). The
-    /// root span's duration is recorded into the per-op request histogram
-    /// and echoed as `server_latency_us`, so the span tree and the
-    /// histogram sample are the same measurement.
-    fn op_trace(&self, req: &Value, cache: &mut BatchCache) -> Result<Value, ServerError> {
+    /// wall-clock span tree — `resolve` (catalog/registry lookups), `run`
+    /// (with the engine's `plan` / per-atom `reach:<var>` / `compile` /
+    /// `search` child spans and their measured-vs-estimated cardinality
+    /// attributes), and `render` (answer serialization). The root span's
+    /// duration is recorded into the per-op request histogram and echoed as
+    /// `server_latency_us`, so the span tree and the histogram sample are
+    /// the same measurement.
+    fn op_trace(&self, run: &Run<'_>, cache: &mut BatchCache) -> Result<Value, ServerError> {
         let mut trace = Trace::new();
         let root = trace.begin("request");
-        let mut fields = self.run_request(req, cache, Some(&mut trace))?;
+        let mut fields = self.run_request(run, cache, Some(&mut trace))?;
         trace.end(root);
 
         let total_ns = trace.spans[root].dur_ns;
@@ -908,22 +780,16 @@ impl Service {
     /// Dumps the metrics registry: Prometheus exposition text by default,
     /// or structured JSON (with per-histogram estimated quantiles) under
     /// `format: "json"`. Point-in-time gauges are refreshed first.
-    fn op_metrics(&self, req: &Value) -> Result<Value, ServerError> {
-        match req.get("format").and_then(Value::as_str).unwrap_or("text") {
-            "text" => Ok(ok_obj([("text", Value::str(self.render_metrics()))])),
-            "json" => {
-                self.refresh_gauges();
-                Ok(ok_obj([("metrics", self.metrics.to_value())]))
-            }
-            other => Err(ServerError(format!("`format` must be `text` or `json`, got `{other}`"))),
+    pub(crate) fn op_metrics(&self, json: bool) -> Value {
+        if !json {
+            return ok_obj([("text", Value::str(self.render_metrics()))]);
         }
+        self.refresh_gauges();
+        ok_obj([("metrics", self.metrics.to_value())])
     }
 
     /// The slow-query log, newest first (optionally capped by `limit`).
-    fn op_slowlog(&self, req: &Value) -> Result<Value, ServerError> {
-        let limit = uint_field(req, "limit")?
-            .unwrap_or(SLOWLOG_CAPACITY as u64)
-            .min(SLOWLOG_CAPACITY as u64) as usize;
+    pub(crate) fn op_slowlog(&self, limit: usize) -> Value {
         let log = self.slowlog.lock().unwrap();
         let entries: Vec<Value> = log
             .iter()
@@ -940,11 +806,11 @@ impl Service {
                 ])
             })
             .collect();
-        Ok(ok_obj([
+        ok_obj([
             ("threshold_ms", Value::int(self.slow_query_us.load(Ordering::Relaxed) / 1000)),
             ("count", Value::int(entries.len() as u64)),
             ("entries", Value::Arr(entries)),
-        ]))
+        ])
     }
 
     /// Refreshes gauges and renders the full registry in Prometheus text
@@ -1038,7 +904,7 @@ impl Service {
         }
     }
 
-    fn op_stats(&self, req: &Value) -> Result<Value, ServerError> {
+    pub(crate) fn op_stats(&self, gname: Option<&str>) -> Result<Value, ServerError> {
         let reg = self.registry.stats();
         let shard_obj = |c: &crate::registry::ShardCounters| {
             Value::obj([
@@ -1096,8 +962,7 @@ impl Service {
         ];
         // With a `graph` field, that graph's statistics describe its merged
         // state — pending overlay writes are flushed before reporting.
-        let gname_opt = req.get("graph").and_then(Value::as_str);
-        if let Some(gname) = gname_opt {
+        if let Some(gname) = gname {
             self.flush_live(gname);
         }
         {
@@ -1121,7 +986,7 @@ impl Service {
         }
         // Include the planner's statistics of the requested graph (cached
         // on the graph since load time).
-        if let Some(gname) = gname_opt {
+        if let Some(gname) = gname {
             let graph = self.graph(gname)?;
             let gs = graph.stats();
             let labels: Vec<Value> = graph
@@ -1159,9 +1024,7 @@ impl Service {
     /// of every registered statement that binds against this graph.
     /// Statements that cannot bind (say, a constant node the graph lacks)
     /// are skipped rather than failing the save.
-    fn op_save(&self, req: &Value) -> Result<Value, ServerError> {
-        let gname = str_field(req, "graph")?;
-        let path = str_field(req, "path")?;
+    pub(crate) fn op_save(&self, gname: &str, path: &str) -> Result<Value, ServerError> {
         // Snapshots persist the merged graph, never a half-applied overlay.
         self.flush_live(gname);
         let graph = self.graph(gname)?;
@@ -1218,9 +1081,7 @@ impl Service {
     /// registry — bound, with every sim table seeded — before the graph
     /// becomes visible, so the first `run` is a registry hit with zero
     /// sim-table compilations.
-    fn op_open(&self, req: &Value) -> Result<Value, ServerError> {
-        let name = str_field(req, "name")?;
-        let path = str_field(req, "path")?;
+    pub(crate) fn op_open(&self, name: &str, path: &str) -> Result<Value, ServerError> {
         if self.catalog.get(name).is_some() {
             return Err(ServerError(format!(
                 "graph `{name}` is already cataloged; `open` needs a fresh name (use `load` to replace)"
@@ -1283,80 +1144,250 @@ fn with_id(reply: Value, id: Option<&Value>) -> Value {
     }
 }
 
-/// Rejects an `id` tag on a connection-lifecycle op: `close` and
-/// `shutdown` end the request stream, so they are ordered by nature — a
-/// tagged (concurrently dispatched) one could race past requests it was
-/// meant to follow.
-fn ensure_untagged(req: &Value, op: &str) -> Result<(), ServerError> {
-    if request_id(req)?.is_some() {
-        return Err(ServerError(format!(
-            "`{op}` must not carry an `id` tag: lifecycle ops are connection-ordered"
-        )));
-    }
-    Ok(())
-}
-
-/// Extracts and validates a request's optional `id` tag: a string or a
-/// non-negative integer. Anything else (float, bool, object, array, null)
-/// is a protocol error — a tag the client cannot reliably match replies by
-/// must be rejected loudly, not echoed approximately.
-pub fn request_id(req: &Value) -> Result<Option<&Value>, ServerError> {
-    match req.get("id") {
-        None => Ok(None),
-        Some(id @ Value::Str(_)) => Ok(Some(id)),
-        Some(id @ Value::Num(_)) if id.as_u64().is_some() => Ok(Some(id)),
-        Some(other) => {
-            Err(ServerError(format!("`id` must be a string or non-negative integer, got {other}")))
+/// Parses one request line into its object and its validated `id` tag,
+/// which is taken out of the object. A tag is a string or a non-negative
+/// integer; anything else (float, bool, object, array, null) is a protocol
+/// error — a tag the client cannot reliably match replies by must be
+/// rejected loudly, not echoed approximately.
+pub fn parse_request(line: &str) -> Result<(Value, Option<Value>), ServerError> {
+    let mut req =
+        json::parse(line.trim()).map_err(|e| ServerError(format!("bad request JSON: {e}")))?;
+    let Value::Obj(pairs) = &mut req else { return Ok((req, None)) };
+    let Some(at) = pairs.iter().position(|(k, _)| k == "id") else { return Ok((req, None)) };
+    match &pairs[at].1 {
+        Value::Str(_) => {}
+        id @ Value::Num(_) if id.as_u64().is_some() => {}
+        other => {
+            return Err(ServerError(format!(
+                "`id` must be a string or non-negative integer, got {other}"
+            )))
         }
     }
+    let id = pairs.remove(at).1;
+    Ok((req, Some(id)))
 }
 
-fn str_field<'a>(req: &'a Value, key: &str) -> Result<&'a str, ServerError> {
-    req.get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| ServerError(format!("request needs a string `{key}` field")))
+/// The op table: every op's wire name. A request's `op` is looked up here
+/// once; [`Op::name`] reads the name back for metric labels and the
+/// slow-query log.
+///
+/// | op | request fields | reply fields |
+/// |----|----------------|--------------|
+/// | `load` | `graph`, plus one of `edges` (inline edge-list text), `path` (edge-list file), `json` (inline `{"edges": …}`), `json_path`, `generator` (e.g. `cycle:8:a`) | `graph`, `nodes`, `edges` |
+/// | `add_edges` | `graph`, plus `edges` (array of `[from, label, to]` string triples) and/or `text` (edge-list lines); optional `merge_threshold` (honored when the overlay is created) | applies the batch to the graph's live overlay: `added`, `removed`, `missing`, `nodes`, `edges`, `pending`, `version`, `merged` (true when the batch crossed the merge threshold and a fresh epoch was published), `merges`, `maintained` (statements kept incrementally up to date) |
+/// | `remove_edges` | like `add_edges` | removes *every* live instance of each triple (reply fields as `add_edges`; a triple matching nothing counts as `missing`) |
+/// | `prepare` | `name`, `query`, plus `alphabet` (label array) or `graph` (use its alphabet) | `name`, `node_vars`, `path_vars` |
+/// | `run` | `name`, `graph`, optional `mode` (`nodes`\|`boolean`\|`paths`), `limit`, `planner` (`cost`\|`static`) | `registry` (`hit`\|`miss`), `answers`/`answer`, `count`, `stats` |
+/// | `check` | `name`, `graph`, `nodes` (names), `paths` (alternating `[node, label, node, …]`) | `member` |
+/// | `explain` | `name`, `graph`, optional `planner` | `planner`, `join_order`, `atoms` (per-atom direction/pin/estimated vs actual cardinalities), `stats`, `answers`, `text` (rendered plan) |
+/// | `trace` | like `run` (`name` *or* inline `query` text), `graph`, optional `mode`, `limit`, `planner` | `run`'s fields plus `trace`: a wall-clock span tree (`resolve` → `run` with per-phase engine children → `render`; with `query`, also `parse`/`compile`/`bind`) and `server_latency_us`, the root-span duration also recorded into the request histogram |
+/// | `stats` | optional `graph` | `version`, `uptime_s`, catalog/registry/server counters; with `graph`, its `graph_stats` (per-label edge/endpoint counts, degree maxima, sampled reach fraction) |
+/// | `metrics` | optional `format` (`text`\|`json`) | `text`: the metrics registry in Prometheus exposition format; `json`: structured families with estimated histogram quantiles |
+/// | `slowlog` | optional `limit` | `threshold_ms`, `entries` (ring buffer of requests slower than `--slow-query-ms`, newest first) |
+/// | `save` | `graph`, `path` | writes the binary snapshot to `path` and the compiled-statement sidecar to `path.art`; `graph`, `path`, `bytes`, `statements` (persisted) |
+/// | `open` | `name`, `path` | opens a snapshot under a *fresh* catalog name, warm-installing every sidecar statement; `graph`, `nodes`, `edges`, `statements` (warmed) |
+/// | `batch` | `requests` (array of sub-requests, each a `run`/`check`/`explain`/`trace`/`stats` object; `op` defaults to `run`); a sub-request reads any field it omits from the batch object, so batch-level `name`, `graph`, `mode`, `planner`, `limit` act as defaults | `count`, `results` (one reply object per sub-request, in order; a failing sub yields `ok: false` *inside* `results`, never a batch-level error) |
+/// | `close` | — | `closing: true`, then the connection ends |
+/// | `shutdown` | — | `shutting_down: true`, then the whole server stops |
+///
+/// Each field has one type: a string, a non-negative integer (`limit`,
+/// `merge_threshold`), or an array of strings (`alphabet`, `nodes`, each
+/// `paths` entry). Absent optional fields take their defaults; fields an op
+/// does not read are ignored. A field an op reads but cannot decode (the
+/// wrong type, an unknown `mode`, `planner` or `format`) gets a structured
+/// `ok: false` reply naming the field — never a silent default, never a
+/// dropped connection — before the request touches any server state.
+const OPS: [(&str, Op); 16] = [
+    ("load", Op::Load),
+    ("add_edges", Op::AddEdges),
+    ("remove_edges", Op::RemoveEdges),
+    ("prepare", Op::Prepare),
+    ("run", Op::Read(ReadOp::Run)),
+    ("check", Op::Read(ReadOp::Check)),
+    ("explain", Op::Read(ReadOp::Explain)),
+    ("trace", Op::Read(ReadOp::Trace)),
+    ("stats", Op::Read(ReadOp::Stats)),
+    ("metrics", Op::Metrics),
+    ("slowlog", Op::Slowlog),
+    ("batch", Op::Batch),
+    ("save", Op::Save),
+    ("open", Op::Open),
+    ("close", Op::Close),
+    ("shutdown", Op::Shutdown),
+];
+
+/// A protocol op (see [`OPS`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Op {
+    Load,
+    AddEdges,
+    RemoveEdges,
+    Prepare,
+    Read(ReadOp),
+    Metrics,
+    Slowlog,
+    Batch,
+    Save,
+    Open,
+    Close,
+    Shutdown,
 }
 
-/// An optional non-negative integer field: `None` when absent, an error
-/// naming the field when present with any other value.
-fn uint_field(req: &Value, key: &str) -> Result<Option<u64>, ServerError> {
-    req.get(key)
-        .map(|v| {
-            v.as_u64().ok_or_else(|| ServerError(format!("`{key}` must be a non-negative integer")))
-        })
-        .transpose()
+/// The read-only ops, the only ones a `batch` may carry.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum ReadOp {
+    Run,
+    Check,
+    Explain,
+    Trace,
+    Stats,
 }
 
-/// The optional `planner` field of a `run`, `trace` or `explain` request:
-/// `cost` (the default) or `static`.
-fn planner_field(req: &Value) -> Result<PlannerMode, ServerError> {
-    match req.get("planner").map(Value::as_str) {
-        None | Some(Some("cost")) | Some(Some("cost-based")) => Ok(PlannerMode::CostBased),
-        Some(Some("static")) => Ok(PlannerMode::Static),
-        Some(_) => Err(ServerError("`planner` must be `cost` or `static`".into())),
+impl Op {
+    /// The op's wire name.
+    pub(crate) fn name(self) -> &'static str {
+        OPS.iter().find(|(_, op)| *op == self).expect("every op is in the table").0
+    }
+
+    fn named(name: &str) -> Option<Op> {
+        OPS.iter().find(|(n, _)| *n == name).map(|&(_, op)| op)
     }
 }
 
-/// The `(from, label, to)` triples of a mutation request: an `edges` array
-/// of 3-element string arrays, and/or `text` edge-list lines (`from label
-/// to` per line, blank lines skipped). At least one triple is required.
-fn edge_triples(req: &Value) -> Result<Vec<(String, String, String)>, ServerError> {
-    let mut out = Vec::new();
-    if let Some(arr) = req.get("edges").and_then(Value::as_arr) {
-        for e in arr {
-            let items = e.as_arr().filter(|items| items.len() == 3).ok_or_else(|| {
+/// A decoded request: its op, looked up once in the op table, and its
+/// fields, read through strict accessors — a present field of the wrong
+/// type is an error naming it. A `batch` entry reads any field it lacks
+/// from its batch object.
+#[derive(Clone, Copy)]
+pub(crate) struct Request<'a> {
+    pub(crate) op: Op,
+    own: &'a [(String, Value)],
+    batch: &'a [(String, Value)],
+}
+
+impl<'a> Request<'a> {
+    pub(crate) fn decode(req: &'a Value) -> Result<Request<'a>, ServerError> {
+        let (Value::Obj(own), Some(name)) = (req, req.get("op").and_then(Value::as_str)) else {
+            return Err(ServerError("request needs a string `op` field".into()));
+        };
+        let op = Op::named(name).ok_or_else(|| ServerError(format!("unknown op `{name}`")))?;
+        Ok(Request { op, own, batch: &[] })
+    }
+
+    /// One entry of this `batch` request: a read, `run` by default.
+    fn entry(self, v: &'a Value) -> Result<(ReadOp, Request<'a>), ServerError> {
+        let Value::Obj(own) = v else {
+            return Err(ServerError("each batch entry must be a request object".into()));
+        };
+        // The entry's own `op` only: the batch's is `batch`.
+        let name = Request { op: self.op, own, batch: &[] }.opt_str("op")?.unwrap_or("run");
+        match Op::named(name) {
+            Some(op @ Op::Read(read)) => Ok((read, Request { op, own, batch: self.own })),
+            _ => Err(ServerError(format!(
+                "batch entries may only be run/check/explain/trace/stats, got `{name}`"
+            ))),
+        }
+    }
+
+    fn get(self, key: &str) -> Option<&'a Value> {
+        let find = |pairs: &'a [(String, Value)]| pairs.iter().find(|(k, _)| k == key);
+        find(self.own).or_else(|| find(self.batch)).map(|(_, v)| v)
+    }
+
+    fn str(self, key: &str) -> Result<&'a str, ServerError> {
+        self.get(key)
+            .and_then(Value::as_str)
+            .ok_or_else(|| ServerError(format!("request needs a string `{key}` field")))
+    }
+
+    pub(crate) fn opt_str(self, key: &str) -> Result<Option<&'a str>, ServerError> {
+        self.get(key)
+            .map(|v| v.as_str().ok_or_else(|| ServerError(format!("`{key}` must be a string"))))
+            .transpose()
+    }
+
+    fn opt_uint(self, key: &str) -> Result<Option<u64>, ServerError> {
+        let err = || ServerError(format!("`{key}` must be a non-negative integer"));
+        self.get(key).map(|v| v.as_u64().ok_or_else(err)).transpose()
+    }
+
+    /// An array-of-strings field; an absent one reads as empty.
+    fn strs(self, key: &str) -> Result<Strs<'a>, ServerError> {
+        let err = || ServerError(format!("`{key}` must be an array of strings"));
+        self.get(key).map_or(Ok(Strs(&[])), |v| Strs::new(v).ok_or_else(err))
+    }
+
+    /// An array field; an absent one reads as empty.
+    fn list(self, key: &str) -> Result<&'a [Value], ServerError> {
+        let err = || ServerError(format!("`{key}` must be an array"));
+        self.get(key).map_or(Ok(&[]), |v| v.as_arr().ok_or_else(err))
+    }
+
+    /// The arguments of a `run`, or with `traced`, of a `trace`, which may
+    /// name inline `query` text in place of a statement.
+    fn run(self, traced: bool) -> Result<Run<'a>, ServerError> {
+        let inline = if traced { self.opt_str("query")? } else { None };
+        let target = match inline {
+            Some(text) => Target::Inline(text),
+            None => Target::Named(self.str("name")?),
+        };
+        Ok(Run {
+            target,
+            graph: self.str("graph")?,
+            planner: self.planner()?,
+            limit: self.opt_uint("limit")?,
+            mode: match self.opt_str("mode")?.unwrap_or("nodes") {
+                "nodes" => Mode::Nodes,
+                "boolean" => Mode::Boolean,
+                "paths" => Mode::Paths,
+                other => return Err(ServerError(format!("unknown run mode `{other}`"))),
+            },
+        })
+    }
+
+    /// The optional `planner`: `cost` (the default) or `static`.
+    fn planner(self) -> Result<PlannerMode, ServerError> {
+        match self.opt_str("planner")? {
+            None | Some("cost" | "cost-based") => Ok(PlannerMode::CostBased),
+            Some("static") => Ok(PlannerMode::Static),
+            Some(_) => Err(ServerError("`planner` must be `cost` or `static`".into())),
+        }
+    }
+
+    /// The one graph source of a `load`: the first source field present.
+    fn graph_source(self) -> Result<GraphSource, ServerError> {
+        Ok(if let Some(text) = self.opt_str("edges")? {
+            GraphSource::EdgeListText(text.to_string())
+        } else if let Some(path) = self.opt_str("path")? {
+            GraphSource::EdgeListFile(path.to_string())
+        } else if let Some(v) = self.get("json") {
+            GraphSource::Json(v.clone())
+        } else if let Some(path) = self.opt_str("json_path")? {
+            GraphSource::JsonFile(path.to_string())
+        } else if let Some(spec) = self.opt_str("generator")? {
+            GraphSource::Generator(spec.to_string())
+        } else {
+            return Err(ServerError(
+                "load needs one of `edges`, `path`, `json`, `json_path`, `generator`".into(),
+            ));
+        })
+    }
+
+    /// The triples of a mutation: an `edges` array of `[from, label, to]`
+    /// string arrays, and/or `text` edge-list lines (`from label to` per
+    /// line, blank lines skipped). At least one triple is required.
+    fn edge_triples(self) -> Result<Vec<(String, String, String)>, ServerError> {
+        let mut out = Vec::new();
+        for e in self.list("edges")? {
+            e.as_arr().filter(|items| items.len() == 3).ok_or_else(|| {
                 ServerError("`edges` entries must be [from, label, to] arrays".into())
             })?;
-            let mut strs = items.iter().map(|v| {
-                v.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| ServerError("`edges` triple components must be strings".into()))
-            });
-            out.push((strs.next().unwrap()?, strs.next().unwrap()?, strs.next().unwrap()?));
+            let triple = Strs::new(e)
+                .ok_or_else(|| ServerError("`edges` triple components must be strings".into()))?;
+            let mut s = triple.iter().map(str::to_string);
+            out.extend(s.next().zip(s.next()).zip(s.next()).map(|((f, l), t)| (f, l, t)));
         }
-    }
-    if let Some(text) = req.get("text").and_then(Value::as_str) {
-        for line in text.lines() {
+        for line in self.opt_str("text")?.unwrap_or("").lines() {
             let mut parts = line.split_whitespace();
             match (parts.next(), parts.next(), parts.next(), parts.next()) {
                 (None, ..) => {}
@@ -1371,18 +1402,173 @@ fn edge_triples(req: &Value) -> Result<Vec<(String, String, String)>, ServerErro
                 }
             }
         }
+        if out.is_empty() {
+            return Err(ServerError(
+                "mutation needs a non-empty `edges` array and/or `text` edge lines".into(),
+            ));
+        }
+        Ok(out)
     }
-    if out.is_empty() {
-        return Err(ServerError(
-            "mutation needs a non-empty `edges` array and/or `text` edge lines".into(),
-        ));
+
+    /// The `paths` of a `check`: string arrays of odd length.
+    fn paths(self) -> Result<Paths<'a>, ServerError> {
+        let paths = self.list("paths")?;
+        for p in paths {
+            let p = Strs::new(p)
+                .ok_or_else(|| ServerError("each path must be an array of strings".into()))?;
+            if p.0.len() % 2 == 0 {
+                return Err(ServerError(
+                    "a path array alternates node, label, node, … (odd length)".into(),
+                ));
+            }
+        }
+        Ok(Paths(paths))
     }
-    Ok(out)
+}
+
+/// The arguments of a `run` or `trace`.
+pub(crate) struct Run<'a> {
+    pub(crate) target: Target<'a>,
+    pub(crate) graph: &'a str,
+    pub(crate) planner: PlannerMode,
+    pub(crate) limit: Option<u64>,
+    pub(crate) mode: Mode,
+}
+
+/// What a `run` or `trace` evaluates: a registered statement, or query
+/// text parsed, compiled and bound for one `trace` alone.
+#[derive(Clone, Copy)]
+pub(crate) enum Target<'a> {
+    Named(&'a str),
+    Inline(&'a str),
+}
+
+/// A JSON array checked to hold only strings, read without copying them.
+#[derive(Clone, Copy)]
+pub(crate) struct Strs<'a>(&'a [Value]);
+
+impl<'a> Strs<'a> {
+    fn new(v: &'a Value) -> Option<Strs<'a>> {
+        v.as_arr().filter(|items| items.iter().all(|s| s.as_str().is_some())).map(Strs)
+    }
+
+    pub(crate) fn iter(self) -> impl Iterator<Item = &'a str> {
+        self.0.iter().filter_map(Value::as_str)
+    }
+}
+
+/// The checked `paths` of a `check`.
+#[derive(Clone, Copy)]
+pub(crate) struct Paths<'a>(&'a [Value]);
+
+impl<'a> Paths<'a> {
+    pub(crate) fn iter(self) -> impl Iterator<Item = Strs<'a>> {
+        self.0.iter().map(|p| Strs(p.as_arr().unwrap_or_default()))
+    }
+}
+
+impl Service {
+    /// The one dispatch: decodes the arguments of the request's op and
+    /// hands them to its handler, so a request is decoded in full before it
+    /// touches the server. `tagged` says the line carried an `id`, which
+    /// `close` and `shutdown` must not: they end the request stream, and a
+    /// concurrently dispatched one could race past requests it was meant to
+    /// follow. Only those two end anything; every other op keeps the
+    /// connection reading.
+    fn execute(&self, req: Request<'_>, tagged: bool) -> Result<(Value, Control), ServerError> {
+        let reply = match req.op {
+            Op::Load => self.op_load(req.str("graph")?, &req.graph_source()?)?,
+            Op::AddEdges | Op::RemoveEdges => {
+                let (graph, edges) = (req.str("graph")?, req.edge_triples()?);
+                let threshold = req.opt_uint("merge_threshold")?;
+                self.op_mutate(graph, &edges, req.op == Op::AddEdges, threshold)?
+            }
+            Op::Prepare => {
+                let (name, query) = (req.str("name")?, req.str("query")?);
+                let alphabet = if req.get("alphabet").is_some() {
+                    Alphabet::from_labels(req.strs("alphabet")?.iter())
+                } else if let Some(graph) = req.opt_str("graph")? {
+                    self.graph(graph)?.alphabet().clone()
+                } else {
+                    return Err(ServerError(
+                        "prepare needs an `alphabet` array or a `graph` name".into(),
+                    ));
+                };
+                self.op_prepare(name, query, &alphabet)?
+            }
+            Op::Read(op) => self.read(op, req, &mut BatchCache::default())?,
+            Op::Metrics => match req.opt_str("format")?.unwrap_or("text") {
+                "text" => self.op_metrics(false),
+                "json" => self.op_metrics(true),
+                other => {
+                    return Err(ServerError(format!(
+                        "`format` must be `text` or `json`, got `{other}`"
+                    )))
+                }
+            },
+            Op::Slowlog => {
+                let limit = req.opt_uint("limit")?.unwrap_or(u64::MAX);
+                self.op_slowlog(limit.min(SLOWLOG_CAPACITY as u64) as usize)
+            }
+            Op::Batch => {
+                let entries = req
+                    .get("requests")
+                    .and_then(Value::as_arr)
+                    .ok_or_else(|| ServerError("batch needs a `requests` array".into()))?;
+                if entries.is_empty() {
+                    return Err(ServerError("batch `requests` must not be empty".into()));
+                }
+                if entries.len() > MAX_BATCH {
+                    return Err(ServerError(format!(
+                        "batch too large: {} requests (cap {MAX_BATCH})",
+                        entries.len()
+                    )));
+                }
+                self.op_batch(entries.iter().map(|e| req.entry(e)))
+            }
+            Op::Save => self.op_save(req.str("graph")?, req.str("path")?)?,
+            Op::Open => self.op_open(req.str("name")?, req.str("path")?)?,
+            Op::Close | Op::Shutdown if tagged => {
+                return Err(ServerError(format!(
+                    "`{}` must not carry an `id` tag: lifecycle ops are connection-ordered",
+                    req.op.name()
+                )))
+            }
+            Op::Close => return Ok((ok_obj([("closing", Value::Bool(true))]), Control::Close)),
+            Op::Shutdown => {
+                return Ok((ok_obj([("shutting_down", Value::Bool(true))]), Control::Shutdown))
+            }
+        };
+        Ok((reply, Control::Continue))
+    }
+
+    /// Decodes and executes one read — a request on its own or a `batch`
+    /// entry — against the request's cache.
+    pub(crate) fn read(
+        &self,
+        op: ReadOp,
+        req: Request<'_>,
+        cache: &mut BatchCache,
+    ) -> Result<Value, ServerError> {
+        match op {
+            ReadOp::Run => self.run_request(&req.run(false)?, cache, None).map(ok_obj),
+            ReadOp::Trace => self.op_trace(&req.run(true)?, cache),
+            ReadOp::Check => {
+                let (name, graph) = (req.str("name")?, req.str("graph")?);
+                self.op_check(name, graph, req.strs("nodes")?, req.paths()?, cache)
+            }
+            ReadOp::Explain => {
+                let planner = req.planner()?;
+                self.op_explain(planner, req.str("name")?, req.str("graph")?, cache)
+            }
+            ReadOp::Stats => self.op_stats(req.opt_str("graph")?),
+        }
+    }
 }
 
 /// [`EvalStats`] as a reply object, including the sim-table cache counters
 /// that prove (or disprove) compiled-artifact reuse.
-fn stats_value(stats: &EvalStats) -> Value {
+pub(crate) fn stats_value(stats: &EvalStats) -> Value {
     Value::obj([
         ("candidates", Value::int(stats.candidates)),
         ("verified", Value::int(stats.verified)),
@@ -1397,7 +1583,7 @@ fn stats_value(stats: &EvalStats) -> Value {
 /// from the borrowed answers — no `Value` per row or per node — and the
 /// `answers` array joins the reply as [`Value::Raw`]. The text starts at a
 /// page for the allocator reason [`Service::dispatch_req`] gives.
-fn rows_reply<R>(
+pub(crate) fn rows_reply<R>(
     verdict: &str,
     rows: &[R],
     stats: &EvalStats,
@@ -1422,7 +1608,11 @@ fn rows_reply<R>(
 
 /// Appends a node tuple as a JSON array of node tokens, naming nodes
 /// through a sealed graph's or an overlay's `node_name`.
-fn write_nodes<'g>(out: &mut String, nodes: &[NodeId], name: impl Fn(NodeId) -> Option<&'g str>) {
+pub(crate) fn write_nodes<'g>(
+    out: &mut String,
+    nodes: &[NodeId],
+    name: impl Fn(NodeId) -> Option<&'g str>,
+) {
     out.push('[');
     for (i, &n) in nodes.iter().enumerate() {
         if i > 0 {
@@ -1479,19 +1669,10 @@ fn resolve_node(graph: &GraphDb, token: &str) -> Result<NodeId, ServerError> {
     Err(ServerError(format!("unknown node `{token}`")))
 }
 
-/// Parses the alternating `[node, label, node, …]` path format.
-fn parse_path(graph: &GraphDb, v: &Value) -> Result<Path, ServerError> {
-    let items = v.as_arr().ok_or_else(|| ServerError("each path must be an array".into()))?;
-    if items.len() % 2 == 0 {
-        return Err(ServerError(
-            "a path array alternates node, label, node, … (odd length)".into(),
-        ));
-    }
-    let mut nodes = Vec::with_capacity(items.len() / 2 + 1);
-    let mut labels = Vec::with_capacity(items.len() / 2);
-    for (i, item) in items.iter().enumerate() {
-        let s =
-            item.as_str().ok_or_else(|| ServerError("path components must be strings".into()))?;
+/// Resolves a decoded `[node, label, node, …]` path against the graph.
+fn resolve_path(graph: &GraphDb, items: Strs<'_>) -> Result<Path, ServerError> {
+    let (mut nodes, mut labels) = (Vec::new(), Vec::new());
+    for (i, s) in items.iter().enumerate() {
         if i % 2 == 0 {
             nodes.push(resolve_node(graph, s)?);
         } else {
@@ -1658,6 +1839,46 @@ mod tests {
         let r = reply(&s, r#"{"op":"run","name":"q","graph":"g"}"#);
         assert_eq!(r.get("ok").unwrap().as_bool(), Some(true));
         assert!(s.stats.errors.load(Ordering::Relaxed) >= 12);
+    }
+
+    /// A field an op reads, present with the wrong type, is rejected with an
+    /// error naming it — never read as its default, never skipped for
+    /// another field — and the rejected request changes nothing.
+    #[test]
+    fn mistyped_fields_are_rejected_by_name() {
+        let s = loaded_service();
+        reply(&s, r#"{"op":"prepare","name":"q","query":"Ans(x, y) <- (x, p, y)","graph":"g"}"#);
+        for (line, field) in [
+            (r#"{"op":"run","name":"q","graph":"g","mode":1}"#, "mode"),
+            (r#"{"op":"metrics","format":5}"#, "format"),
+            (r#"{"op":"batch","name":"q","graph":"g","requests":[{"op":7}]}"#, "op"),
+            (r#"{"op":"check","name":"q","graph":"g","nodes":"n0"}"#, "nodes"),
+            (
+                r#"{"op":"prepare","name":"p","query":"Ans(x) <- (x, p, y)","alphabet":"a","graph":"g"}"#,
+                "alphabet",
+            ),
+            (r#"{"op":"stats","graph":5}"#, "graph"),
+            (r#"{"op":"trace","name":"q","graph":"g","query":5}"#, "query"),
+            (r#"{"op":"load","graph":"h","edges":5,"generator":"cycle:3:a"}"#, "edges"),
+        ] {
+            let r = reply(&s, line);
+            // A batch itself succeeds; its entry carries the error.
+            let r = r.get("results").and_then(Value::as_arr).map_or(&r, |results| &results[0]);
+            assert_eq!(r.get("ok").and_then(Value::as_bool), Some(false), "{line} -> {r}");
+            let msg = r.get("error").and_then(Value::as_str).unwrap();
+            assert!(msg.contains(&format!("`{field}`")), "{line}: {msg:?} does not name `{field}`");
+        }
+        assert!(s.catalog.get("h").is_none(), "a rejected load cataloged its graph");
+        assert_eq!(s.registry.len(), 1, "a rejected prepare registered its statement");
+    }
+
+    /// Every op in the table reads back under the name it was looked up by.
+    #[test]
+    fn op_table_names_round_trip() {
+        for (name, op) in OPS {
+            assert_eq!(Op::named(name), Some(op));
+            assert_eq!(op.name(), name);
+        }
     }
 
     /// The `explain` op reports the chosen plan (direction, join order,
@@ -2478,6 +2699,8 @@ mod tests {
             (r#"{"op":"trace","name":"q","graph":"g","mode":"bogus"}"#, "unknown run mode"),
             (r#"{"op":"run","name":"nope","graph":"g","mode":"boolean"}"#, "unknown statement"),
             (r#"{"op":"trace","name":"nope","graph":"g"}"#, "unknown statement"),
+            (r#"{"op":"check","name":"q","graph":"g","nodes":[1,2]}"#, "`nodes`"),
+            (r#"{"op":"check","name":"q","graph":"g","paths":[["n0","a"]]}"#, "odd length"),
         ] {
             assert_error_reply(&s, line, needle);
         }

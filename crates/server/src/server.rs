@@ -25,7 +25,7 @@
 
 use crate::pool::ThreadPool;
 use crate::protocol::{self, Control, Service};
-use ecrpq_util::json;
+use crate::ServerError;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -420,28 +420,23 @@ fn serve_connection(
                 }
             }
         }
-        let text = match std::str::from_utf8(&line) {
+        // Parse once, reading the id tag once: it decides the dispatch path.
+        let parsed = match std::str::from_utf8(&line) {
             Ok(text) if text.trim().is_empty() => continue,
-            Ok(text) => text,
+            Ok(text) => protocol::parse_request(text),
+            Err(e) => Err(ServerError(format!("request line is not UTF-8: {e}"))),
+        };
+        let (req, id) = match parsed {
+            Ok(parsed) => parsed,
             Err(e) => {
-                let reply = service.reject_line(&format!("request line is not UTF-8: {e}"));
+                let reply = service.reject_line(&e.0);
                 if !shared.write_ordered(reply, !has_buffered_line(&reader)) {
                     return Control::Close;
                 }
                 continue;
             }
         };
-        // Parse once: the id tag decides the dispatch path, and
-        // `dispatch_req` reuses the parsed request.
-        let Ok(req) = json::parse(text.trim()) else {
-            // Malformed JSON: the plain dispatcher builds the error reply.
-            let (reply, _) = service.dispatch(text);
-            if !shared.write_ordered(reply, !has_buffered_line(&reader)) {
-                return Control::Close;
-            }
-            continue;
-        };
-        if matches!(protocol::request_id(&req), Ok(Some(_))) {
+        if let Some(id) = id {
             // Bound the reply send-queue before admitting more tagged work:
             // a reader that stalls (or pipelines far past any sane depth)
             // would otherwise buffer replies without bound. The connection
@@ -449,12 +444,8 @@ fn serve_connection(
             // flush itself is bounded by the socket write timeout.
             if shared.pending.load(Ordering::SeqCst) >= send_queue_cap {
                 service.stats.reply_overflows.fetch_add(1, Ordering::Relaxed);
-                let id = protocol::request_id(&req)
-                    .ok()
-                    .flatten()
-                    .map_or_else(String::new, |id| format!("\"id\":{id},"));
                 let reply = format!(
-                    "{{\"ok\":false,{id}\"error\":\"reply queue overflow: \
+                    "{{\"ok\":false,\"id\":{id},\"error\":\"reply queue overflow: \
                      {send_queue_cap} tagged replies pending and unread; \
                      read replies or pipeline less deeply\"}}"
                 );
@@ -472,28 +463,27 @@ fn serve_connection(
             // Tagged: dispatch concurrently, reply written on completion.
             service.stats.pipelined.fetch_add(1, Ordering::Relaxed);
             shared.pending.fetch_add(1, Ordering::SeqCst);
-            let req = Arc::new(req);
+            let job = Arc::new((req, id));
             let job_service = Arc::clone(service);
             let job_shared = Arc::clone(&shared);
-            let job_req = Arc::clone(&req);
+            let job_req = Arc::clone(&job);
             let submitted = exec.execute(move || {
-                let (reply, _) = job_service.dispatch_req(&job_req);
+                let (reply, _) = job_service.dispatch_req(&job_req.0, Some(&job_req.1));
                 job_shared.finish_tagged(reply);
             });
             if !submitted {
                 // Pool already shut down (server stopping): the request was
                 // admitted, so answer it inline rather than dropping it.
-                let (reply, _) = service.dispatch_req(&req);
+                let (reply, _) = service.dispatch_req(&job.0, Some(&job.1));
                 shared.finish_tagged(reply);
             }
         } else {
-            // Untagged (or invalid tag, which dispatch_req rejects with a
-            // structured error): barrier, then strict in-order inline
-            // execution. Flush only when the input buffer holds no further
-            // complete request — a burst of untagged requests coalesces
-            // into one flush too.
+            // Untagged: barrier, then strict in-order inline execution.
+            // Flush only when the input buffer holds no further complete
+            // request — a burst of untagged requests coalesces into one
+            // flush too.
             shared.drain();
-            let (reply, control) = service.dispatch_req(&req);
+            let (reply, control) = service.dispatch_req(&req, None);
             let flush = control != Control::Continue || !has_buffered_line(&reader);
             if !shared.write_ordered(reply, flush) {
                 return Control::Close;
@@ -537,6 +527,7 @@ fn discard_input(reader: &mut BufReader<TcpStream>) {
 mod tests {
     use super::*;
     use crate::client::Client;
+    use ecrpq_util::json;
 
     #[test]
     fn spawn_roundtrip_and_graceful_shutdown() {
