@@ -49,6 +49,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+mod admin;
+mod live;
+mod mutate;
+mod query;
+mod request;
+
+use live::LiveState;
+pub use request::parse_request;
+use request::{Op, ReadOp, Request};
+
 /// What the transport should do after writing a reply.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Control {
@@ -121,39 +131,6 @@ pub struct SlowEntry {
     pub at_epoch_ms: u64,
     /// True when the request was answered with `ok: false`.
     pub error: bool,
-}
-
-/// Per-request memo of resolved graph handles and bound statements. A
-/// `batch` shares one across all its sub-requests — the amortization that
-/// makes batching cheaper than N single requests; single requests get a
-/// fresh (empty, allocation-free) one.
-#[derive(Default)]
-pub(crate) struct BatchCache {
-    graphs: HashMap<String, Arc<GraphDb>>,
-    bound: HashMap<(String, String), Arc<BoundStatement>>,
-}
-
-impl BatchCache {
-    /// Drops every memoized handle for `gname` — called when a live-overlay
-    /// flush publishes a fresh epoch mid-request, so later resolutions see
-    /// the merged graph instead of a stale pin.
-    pub(crate) fn invalidate_graph(&mut self, gname: &str) {
-        self.graphs.remove(gname);
-        self.bound.retain(|(_, g), _| g != gname);
-    }
-}
-
-/// The live (mutable) state of one cataloged graph: the delta overlay and
-/// the statements whose nodes-mode answer sets are maintained against it.
-#[derive(Debug)]
-pub(crate) struct LiveState {
-    /// Delta overlay over the cataloged epoch; merging swaps a fresh sealed
-    /// epoch into the catalog.
-    pub(crate) live: LiveGraph,
-    /// Incrementally maintained statements, by registry name. Only
-    /// maintainable statements (exact relaxation, dense unary plans) are
-    /// kept; everything else forces a merge and a cold run.
-    pub(crate) maintained: HashMap<String, MaintainedStatement>,
 }
 
 /// The transport-independent query service: a graph catalog, a statement
@@ -334,787 +311,6 @@ impl Service {
         log.push_back(entry);
     }
 
-    /// Runs a `batch` request: N read-only sub-requests sharing one
-    /// resolution of every graph handle and bound statement they touch.
-    /// Each sub-request gets its own entry in `results` (errors included),
-    /// so one bad entry never loses the others' replies.
-    pub(crate) fn op_batch<'a>(
-        &self,
-        entries: impl ExactSizeIterator<Item = Result<(ReadOp, Request<'a>), ServerError>>,
-    ) -> Value {
-        let mut cache = BatchCache::default();
-        self.stats.batched.fetch_add(entries.len() as u64, Ordering::Relaxed);
-        let results: Vec<Value> = entries
-            .map(|entry| match entry.and_then(|(op, req)| self.read(op, req, &mut cache)) {
-                Ok(v) => v,
-                Err(e) => {
-                    self.stats.errors.fetch_add(1, Ordering::Relaxed);
-                    error_obj(&e.0, None)
-                }
-            })
-            .collect();
-        ok_obj([("count", Value::int(results.len() as u64)), ("results", Value::Arr(results))])
-    }
-
-    pub(crate) fn op_load(&self, name: &str, source: &GraphSource) -> Result<Value, ServerError> {
-        let graph = self.catalog.load(name, source)?;
-        // A (re)load replaces the graph wholesale: any live overlay of the
-        // old epoch describes a graph that no longer exists.
-        self.live.lock().unwrap().remove(name);
-        // Warm the per-graph statistics cache at load time, off the query
-        // path: every later bind/plan (and the `stats` op) reads it for free.
-        let _ = graph.stats();
-        Ok(ok_obj([
-            ("graph", Value::str(name)),
-            ("nodes", Value::int(graph.num_nodes() as u64)),
-            ("edges", Value::int(graph.num_edges() as u64)),
-        ]))
-    }
-
-    /// Applies one `add_edges` (`adds = true`) or `remove_edges` batch to
-    /// the graph's live overlay, creating the overlay on first mutation.
-    /// Every maintained statement is updated incrementally before the reply
-    /// is built (maintenance-on-write); if the batch crossed the merge
-    /// threshold, the fresh sealed epoch is published to the catalog and the
-    /// maintained statements are rebound onto it.
-    pub(crate) fn op_mutate(
-        &self,
-        gname: &str,
-        triples: &[(String, String, String)],
-        adds: bool,
-        threshold: Option<u64>,
-    ) -> Result<Value, ServerError> {
-        let mut live_map = self.live.lock().unwrap();
-        let state = match live_map.entry(gname.to_string()) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let base = self
-                    .catalog
-                    .get(gname)
-                    .ok_or_else(|| ServerError(format!("unknown graph `{gname}`")))?;
-                let threshold = threshold.map_or(self.merge_threshold, |t| t as usize);
-                e.insert(LiveState {
-                    live: LiveGraph::new(base, threshold),
-                    maintained: HashMap::new(),
-                })
-            }
-        };
-
-        let empty: [(String, String, String); 0] = [];
-        let out = if adds {
-            state.live.apply(triples, &empty)
-        } else {
-            state.live.apply(&empty, triples)
-        };
-
-        // Maintenance-on-write: every maintained statement absorbs the
-        // batch now, so the next nodes-mode run is a pure answer read. A
-        // statement whose update fails (budget) drops back to cold runs.
-        let config = EvalConfig::default();
-        let LiveState { live, maintained } = state;
-        maintained.retain(|_, m| m.apply(live.view(), &out.batch, &config).is_ok());
-
-        if let Some(epoch) = &out.merged {
-            self.publish_merge(gname, state, epoch);
-        }
-
-        let m = &self.metrics;
-        m.counter("ecrpq_mutation_batches_total", "add_edges/remove_edges batches applied.").inc();
-        let kind = if adds { "added" } else { "removed" };
-        m.counter_with(
-            "ecrpq_mutation_edges_total",
-            &[("kind", kind)],
-            "Edge instances added/removed through the mutation ops.",
-        )
-        .add((out.counts.added + out.counts.removed) as u64);
-
-        Ok(ok_obj([
-            ("graph", Value::str(gname)),
-            ("added", Value::int(out.counts.added as u64)),
-            ("removed", Value::int(out.counts.removed as u64)),
-            ("missing", Value::int(out.counts.missing as u64)),
-            ("nodes", Value::int(out.nodes as u64)),
-            ("edges", Value::int(out.edges as u64)),
-            ("pending", Value::int(out.pending as u64)),
-            ("version", Value::int(out.version)),
-            ("merged", Value::Bool(out.merged.is_some())),
-            ("merges", Value::int(out.merges)),
-            ("maintained", Value::int(state.maintained.len() as u64)),
-        ]))
-    }
-
-    /// Publishes a freshly merged epoch: swaps it into the catalog and
-    /// rebinds every maintained statement onto it (the maintained rows
-    /// already describe the merged graph, so only the statement handle
-    /// changes). A statement that no longer rebinds to the same prepared
-    /// query — re-`prepare`d or evicted meanwhile — is dropped.
-    pub(crate) fn publish_merge(&self, gname: &str, state: &mut LiveState, epoch: &Arc<GraphDb>) {
-        self.catalog.insert(gname, Arc::clone(epoch));
-        self.metrics
-            .counter("ecrpq_merges_total", "Live-overlay deltas merged into fresh epochs.")
-            .inc();
-        state.maintained.retain(|sname, m| match self.registry.bound(sname, gname, epoch) {
-            Ok((stmt, _)) if Arc::ptr_eq(stmt.prepared(), m.statement().prepared()) => {
-                m.rebase(stmt);
-                true
-            }
-            _ => false,
-        });
-    }
-
-    /// Merges `gname`'s pending overlay delta (if any) and publishes the
-    /// fresh epoch, making the cataloged graph current. Returns true when a
-    /// merge actually happened — the caller's per-request cache must then
-    /// drop its pinned handles. No-op for graphs without a live overlay.
-    pub(crate) fn flush_live(&self, gname: &str) -> bool {
-        let mut live_map = self.live.lock().unwrap();
-        let Some(state) = live_map.get_mut(gname).filter(|s| s.live.pending() > 0) else {
-            return false;
-        };
-        let epoch = state.live.force_merge();
-        self.publish_merge(gname, state, &epoch);
-        true
-    }
-
-    /// The read side of a live graph, for `run` and `trace`. With pending
-    /// overlay writes on the graph, an untraced nodes-mode run of a named
-    /// statement is answered from its incrementally maintained answer set
-    /// (built on first use) — the reply fields come back. Any other request,
-    /// and any statement the maintainer cannot handle, merges the overlay
-    /// into a fresh epoch and drops the request's pins on the old one, to
-    /// run cold on the merged graph (`None`). The statement name is checked
-    /// first, so a request about to be rejected merges nothing.
-    pub(crate) fn maintained_read(
-        &self,
-        run: &Run<'_>,
-        traced: bool,
-        config: &EvalConfig,
-        cache: &mut BatchCache,
-    ) -> Result<Option<Vec<(&'static str, Value)>>, ServerError> {
-        let gname = run.graph;
-        let mut live_map = self.live.lock().expect("live-state lock poisoned");
-        let Some(state) = live_map.get_mut(gname).filter(|s| s.live.pending() > 0) else {
-            return Ok(None);
-        };
-        if let Target::Named(name) = run.target {
-            self.registry.require(name)?;
-            if !traced && run.mode == Mode::Nodes {
-                let base = Arc::clone(state.live.base());
-                let (stmt, verdict) = self.bound_cached(cache, name, gname, &base)?;
-                let mut current =
-                    state.maintained.get(name).is_some_and(|m| Arc::ptr_eq(m.statement(), &stmt));
-                let view = state.live.view();
-                if !current {
-                    // First dirty read of this binding: build its maintained
-                    // state, unless it is not maintainable (inexact
-                    // relaxation) and must run cold.
-                    if let Some(m) = MaintainedStatement::try_new(stmt, view, config)
-                        .map_err(ServerError::msg)?
-                    {
-                        state.maintained.insert(name.to_string(), m);
-                        current = true;
-                    }
-                }
-                if current {
-                    let m = &state.maintained[name];
-                    return Ok(Some(rows_reply(verdict, m.answers(), &m.stats(), |out, row| {
-                        write_nodes(out, row, |n| view.node_name(n))
-                    })));
-                }
-            }
-        }
-        // Everything else runs on a sealed epoch: merge the pending writes
-        // and drop the request's pins on the old one.
-        let epoch = state.live.force_merge();
-        self.publish_merge(gname, state, &epoch);
-        cache.invalidate_graph(gname);
-        Ok(None)
-    }
-
-    pub(crate) fn op_prepare(
-        &self,
-        name: &str,
-        text: &str,
-        alphabet: &Alphabet,
-    ) -> Result<Value, ServerError> {
-        let stmt = self.registry.prepare(name, text, alphabet)?;
-        Ok(ok_obj([
-            ("name", Value::str(name)),
-            ("node_vars", Value::int(stmt.prepared.query().node_vars().len() as u64)),
-            ("path_vars", Value::int(stmt.prepared.query().path_vars().len() as u64)),
-        ]))
-    }
-
-    /// Resolves a graph handle through the per-request cache (one catalog
-    /// lookup per distinct graph per request, however many sub-requests).
-    fn graph_cached(
-        &self,
-        cache: &mut BatchCache,
-        name: &str,
-    ) -> Result<Arc<GraphDb>, ServerError> {
-        if let Some(g) = cache.graphs.get(name) {
-            return Ok(Arc::clone(g));
-        }
-        let g = self.graph(name)?;
-        cache.graphs.insert(name.to_string(), Arc::clone(&g));
-        Ok(g)
-    }
-
-    /// Resolves a bound statement through the per-request cache, with the
-    /// reply's `registry` verdict. The first resolution reports the
-    /// registry's own `hit`/`miss`; later sub-requests reuse the memoized
-    /// `Arc` and report a hit (they paid no lookup at all).
-    pub(crate) fn bound_cached(
-        &self,
-        cache: &mut BatchCache,
-        name: &str,
-        gname: &str,
-        graph: &Arc<GraphDb>,
-    ) -> Result<(Arc<BoundStatement>, &'static str), ServerError> {
-        let key = (name.to_string(), gname.to_string());
-        if let Some(plan) = cache.bound.get(&key) {
-            return Ok((Arc::clone(plan), "hit"));
-        }
-        let (plan, hit) = self.registry.bound(name, gname, graph)?;
-        cache.bound.insert(key, Arc::clone(&plan));
-        Ok((plan, if hit { "hit" } else { "miss" }))
-    }
-
-    /// The one resolve → execute → render path behind `run` and `trace`;
-    /// returns the reply fields. With a `trace` it records the `resolve` /
-    /// `run` (with the engine's child spans) / `render` phases into it; an
-    /// inline query is traced through `parse` → `compile` → `bind` without
-    /// touching the registry.
-    ///
-    /// With pending overlay writes on the graph, the request is first
-    /// offered to [`maintained_read`](Self::maintained_read), which answers
-    /// it or merges the overlay; anything it does not answer runs cold on
-    /// the sealed epoch.
-    fn run_request(
-        &self,
-        run: &Run<'_>,
-        cache: &mut BatchCache,
-        mut trace: Option<&mut Trace>,
-    ) -> Result<Vec<(&'static str, Value)>, ServerError> {
-        let resolve = qtrace::begin_span(&mut trace, "resolve");
-        let mut config = EvalConfig::default();
-        if let Some(limit) = run.limit {
-            config.answer_limit = limit as usize;
-        }
-        if let Some(fields) = self.maintained_read(run, trace.is_some(), &config, cache)? {
-            return Ok(fields);
-        }
-
-        let gname = run.graph;
-        let graph = self.graph_cached(cache, gname)?;
-        let (stmt, verdict) = match run.target {
-            Target::Named(name) => self.bound_cached(cache, name, gname, &graph)?,
-            Target::Inline(text) => {
-                let span = qtrace::begin_span(&mut trace, "parse");
-                let q = ecrpq::parse_query(text, graph.alphabet()).map_err(ServerError::msg)?;
-                qtrace::end_span(&mut trace, span);
-                let span = qtrace::begin_span(&mut trace, "compile");
-                let pq = PreparedQuery::prepare(&q).map_err(ServerError::msg)?;
-                qtrace::end_span(&mut trace, span);
-                let span = qtrace::begin_span(&mut trace, "bind");
-                let stmt = BoundStatement::bind(Arc::new(pq), Arc::clone(&graph))
-                    .map_err(ServerError::msg)?;
-                qtrace::end_span(&mut trace, span);
-                (Arc::new(stmt), "inline")
-            }
-        };
-        let plan = stmt.plan_with(run.planner);
-        qtrace::end_span(&mut trace, resolve);
-
-        let span = qtrace::begin_span(&mut trace, "run");
-        let (answers, stats) =
-            plan.run_mode(run.mode, &config, trace.as_deref_mut()).map_err(ServerError::msg)?;
-        qtrace::end_span(&mut trace, span);
-
-        let render = qtrace::begin_span(&mut trace, "render");
-        let graph: &GraphDb = &graph;
-        let fields = match run.mode {
-            Mode::Boolean => vec![
-                ("registry", Value::str(verdict)),
-                ("answer", Value::Bool(!answers.is_empty())),
-                ("stats", stats_value(&stats)),
-            ],
-            Mode::Nodes => rows_reply(verdict, &answers, &stats, |out, a| {
-                write_nodes(out, &a.nodes, |n| graph.node_name(n))
-            }),
-            Mode::Paths => rows_reply(verdict, &answers, &stats, |out, a| {
-                out.push_str("{\"nodes\":");
-                write_nodes(out, &a.nodes, |n| graph.node_name(n));
-                out.push_str(",\"paths\":[");
-                for (i, path) in a.paths.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_path(out, path, graph);
-                }
-                out.push_str("]}");
-            }),
-        };
-        qtrace::end_span(&mut trace, render);
-        Ok(fields)
-    }
-
-    /// Resolves statement `name` on the *current* state of graph `gname`,
-    /// for the ops that read a sealed epoch (`check`, `explain`): pending
-    /// overlay writes are merged first — once the statement name is known
-    /// to exist, so a request about to be rejected merges nothing.
-    fn bound_on_merged(
-        &self,
-        name: &str,
-        gname: &str,
-        cache: &mut BatchCache,
-    ) -> Result<(Arc<GraphDb>, Arc<BoundStatement>, &'static str), ServerError> {
-        self.registry.require(name)?;
-        if self.flush_live(gname) {
-            cache.invalidate_graph(gname);
-        }
-        let graph = self.graph_cached(cache, gname)?;
-        let (stmt, verdict) = self.bound_cached(cache, name, gname, &graph)?;
-        Ok((graph, stmt, verdict))
-    }
-
-    fn op_check(
-        &self,
-        name: &str,
-        gname: &str,
-        nodes: Strs<'_>,
-        paths: Paths<'_>,
-        cache: &mut BatchCache,
-    ) -> Result<Value, ServerError> {
-        let (graph, plan, verdict) = self.bound_on_merged(name, gname, cache)?;
-        let nodes: Vec<NodeId> =
-            nodes.iter().map(|n| resolve_node(&graph, n)).collect::<Result<_, _>>()?;
-        let paths: Vec<Path> =
-            paths.iter().map(|p| resolve_path(&graph, p)).collect::<Result<_, _>>()?;
-        let member =
-            plan.check(&nodes, &paths, &EvalConfig::default()).map_err(ServerError::msg)?;
-        Ok(ok_obj([("registry", Value::str(verdict)), ("member", Value::Bool(member))]))
-    }
-
-    /// Reports the planner's view of a run: join order, per-atom BFS
-    /// direction and pinned source, estimated *and* actual cardinalities,
-    /// plus a human-readable rendering under `text`.
-    fn op_explain(
-        &self,
-        planner: PlannerMode,
-        name: &str,
-        gname: &str,
-        cache: &mut BatchCache,
-    ) -> Result<Value, ServerError> {
-        // Plans are explained against the merged graph, not the overlay.
-        let (_, stmt, verdict) = self.bound_on_merged(name, gname, cache)?;
-        let plan = stmt.plan_with(planner);
-        let report = plan.explain(&EvalConfig::default()).map_err(ServerError::msg)?;
-        let atoms: Vec<Value> = report
-            .atoms
-            .iter()
-            .map(|a| {
-                Value::obj([
-                    ("path_var", Value::str(&a.path_var)),
-                    ("from", Value::str(&a.from_var)),
-                    ("to", Value::str(&a.to_var)),
-                    ("direction", Value::str(a.direction.to_string())),
-                    (
-                        "pinned",
-                        match &a.pinned {
-                            Some(p) => Value::str(p),
-                            None => Value::Null,
-                        },
-                    ),
-                    ("automaton_states", Value::int(a.automaton_states as u64)),
-                    // Infinite estimates (the static planner's "don't know")
-                    // serialize as null.
-                    ("est_pairs", Value::Num(a.est_pairs)),
-                    ("est_fwd_frontier", Value::Num(a.est_fwd_frontier)),
-                    ("est_rev_frontier", Value::Num(a.est_rev_frontier)),
-                    ("actual_pairs", Value::int(a.actual_pairs)),
-                ])
-            })
-            .collect();
-        Ok(ok_obj([
-            ("registry", Value::str(verdict)),
-            ("planner", Value::str(report.planner_name())),
-            (
-                "join_order",
-                Value::Arr(report.join_order.iter().map(|v| Value::str(v.as_str())).collect()),
-            ),
-            ("atoms", Value::Arr(atoms)),
-            ("stats", stats_value(&report.stats)),
-            ("answers", Value::int(report.answers)),
-            ("text", Value::str(report.to_string())),
-        ]))
-    }
-
-    /// EXPLAIN ANALYZE for the serve path: runs like `run` (through the
-    /// same [`run_request`](Self::run_request)) while collecting a
-    /// wall-clock span tree — `resolve` (catalog/registry lookups), `run`
-    /// (with the engine's `plan` / per-atom `reach:<var>` / `compile` /
-    /// `search` child spans and their measured-vs-estimated cardinality
-    /// attributes), and `render` (answer serialization). The root span's
-    /// duration is recorded into the per-op request histogram and echoed as
-    /// `server_latency_us`, so the span tree and the histogram sample are
-    /// the same measurement.
-    fn op_trace(&self, run: &Run<'_>, cache: &mut BatchCache) -> Result<Value, ServerError> {
-        let mut trace = Trace::new();
-        let root = trace.begin("request");
-        let mut fields = self.run_request(run, cache, Some(&mut trace))?;
-        trace.end(root);
-
-        let total_ns = trace.spans[root].dur_ns;
-        self.record_request("trace", total_ns / 1000);
-        fields.push((
-            "trace",
-            Value::obj([
-                ("spans", trace.to_value()),
-                ("server_latency_us", Value::Num(total_ns as f64 / 1000.0)),
-            ]),
-        ));
-        Ok(ok_obj(fields))
-    }
-
-    /// Dumps the metrics registry: Prometheus exposition text by default,
-    /// or structured JSON (with per-histogram estimated quantiles) under
-    /// `format: "json"`. Point-in-time gauges are refreshed first.
-    pub(crate) fn op_metrics(&self, json: bool) -> Value {
-        if !json {
-            return ok_obj([("text", Value::str(self.render_metrics()))]);
-        }
-        self.refresh_gauges();
-        ok_obj([("metrics", self.metrics.to_value())])
-    }
-
-    /// The slow-query log, newest first (optionally capped by `limit`).
-    pub(crate) fn op_slowlog(&self, limit: usize) -> Value {
-        let log = self.slowlog.lock().unwrap();
-        let entries: Vec<Value> = log
-            .iter()
-            .rev()
-            .take(limit)
-            .map(|e| {
-                Value::obj([
-                    ("op", Value::str(e.op.as_str())),
-                    ("name", e.name.as_deref().map(Value::str).unwrap_or(Value::Null)),
-                    ("graph", e.graph.as_deref().map(Value::str).unwrap_or(Value::Null)),
-                    ("micros", Value::int(e.micros)),
-                    ("at_epoch_ms", Value::int(e.at_epoch_ms)),
-                    ("error", Value::Bool(e.error)),
-                ])
-            })
-            .collect();
-        ok_obj([
-            ("threshold_ms", Value::int(self.slow_query_us.load(Ordering::Relaxed) / 1000)),
-            ("count", Value::int(entries.len() as u64)),
-            ("entries", Value::Arr(entries)),
-        ])
-    }
-
-    /// Refreshes gauges and renders the full registry in Prometheus text
-    /// exposition format — the body served by `ecrpq-serve --metrics-addr`
-    /// and the `metrics` op's `text` format.
-    pub fn render_metrics(&self) -> String {
-        self.refresh_gauges();
-        self.metrics.render()
-    }
-
-    /// Computes the point-in-time gauges (uptime, queue depth, cache hit
-    /// rates per cache and per shard) and mirrors the transport counters
-    /// into the registry. Called at scrape/render time, off the query path.
-    fn refresh_gauges(&self) {
-        let m = &self.metrics;
-        m.gauge("ecrpq_uptime_seconds", "Seconds since service start.")
-            .set(self.started.elapsed().as_secs_f64());
-        m.gauge("ecrpq_queue_depth", "Pipeline-pool jobs queued but not yet started.")
-            .set(self.stats.queue_depth.load(Ordering::Relaxed) as f64);
-        m.gauge("ecrpq_in_flight", "Requests currently executing.")
-            .set(self.stats.in_flight.load(Ordering::Relaxed) as f64);
-        m.gauge("ecrpq_active_connections", "Connections holding an admission slot.")
-            .set(self.stats.active.load(Ordering::Relaxed) as f64);
-        for (name, help, v) in [
-            (
-                "ecrpq_connections_total",
-                "Connections accepted.",
-                self.stats.connections.load(Ordering::Relaxed),
-            ),
-            (
-                "ecrpq_rejected_total",
-                "Connections rejected at admission.",
-                self.stats.rejected.load(Ordering::Relaxed),
-            ),
-            (
-                "ecrpq_requests_total",
-                "Requests dispatched.",
-                self.stats.requests.load(Ordering::Relaxed),
-            ),
-            (
-                "ecrpq_errors_total",
-                "Requests answered with ok:false.",
-                self.stats.errors.load(Ordering::Relaxed),
-            ),
-            (
-                "ecrpq_pipelined_total",
-                "Tagged requests run on the pipeline pool.",
-                self.stats.pipelined.load(Ordering::Relaxed),
-            ),
-            (
-                "ecrpq_batched_total",
-                "Sub-requests executed through the batch op.",
-                self.stats.batched.load(Ordering::Relaxed),
-            ),
-            (
-                "ecrpq_reply_overflow_total",
-                "Connections failed on reply send-queue overflow.",
-                self.stats.reply_overflows.load(Ordering::Relaxed),
-            ),
-        ] {
-            m.counter(name, help).store(v);
-        }
-        let rate = |hits: u64, misses: u64| {
-            if hits + misses == 0 {
-                0.0
-            } else {
-                hits as f64 / (hits + misses) as f64
-            }
-        };
-        let reg = self.registry.stats();
-        m.gauge_with("ecrpq_cache_hit_rate", &[("cache", "registry")], "Cache lookup hit rate.")
-            .set(rate(reg.hits, reg.misses));
-        m.counter_with("ecrpq_cache_evictions_total", &[("cache", "registry")], "Cache evictions.")
-            .store(reg.evictions);
-        let (cat_hits, cat_misses) = self.catalog.lookup_counters();
-        m.gauge_with("ecrpq_cache_hit_rate", &[("cache", "catalog")], "Cache lookup hit rate.")
-            .set(rate(cat_hits, cat_misses));
-        for (cache_name, shards) in [
-            ("registry", self.registry.shard_counters()),
-            ("catalog", self.catalog.shard_counters()),
-        ] {
-            for (i, c) in shards.iter().enumerate() {
-                let shard = i.to_string();
-                m.gauge_with(
-                    "ecrpq_shard_hit_rate",
-                    &[("cache", cache_name), ("shard", &shard)],
-                    "Per-shard cache lookup hit rate.",
-                )
-                .set(rate(c.hits, c.misses));
-            }
-        }
-    }
-
-    pub(crate) fn op_stats(&self, gname: Option<&str>) -> Result<Value, ServerError> {
-        let reg = self.registry.stats();
-        let shard_obj = |c: &crate::registry::ShardCounters| {
-            Value::obj([
-                ("hits", Value::int(c.hits)),
-                ("misses", Value::int(c.misses)),
-                ("evictions", Value::int(c.evictions)),
-            ])
-        };
-        let reg_shards: Vec<Value> = self.registry.shard_counters().iter().map(shard_obj).collect();
-        let cat_shards: Vec<Value> = self.catalog.shard_counters().iter().map(shard_obj).collect();
-        let (cat_hits, cat_misses) = self.catalog.lookup_counters();
-        let mut pairs = vec![
-            ("version", Value::str(env!("CARGO_PKG_VERSION"))),
-            ("uptime_s", Value::int(self.uptime_s())),
-            ("graphs", Value::int(self.catalog.len() as u64)),
-            ("statements", Value::int(self.registry.len() as u64)),
-            ("bound_cached", Value::int(self.registry.bound_len() as u64)),
-            (
-                "registry",
-                Value::obj([
-                    ("hits", Value::int(reg.hits)),
-                    ("misses", Value::int(reg.misses)),
-                    ("evictions", Value::int(reg.evictions)),
-                    ("prepared", Value::int(reg.prepared)),
-                    ("shards", Value::Arr(reg_shards)),
-                ]),
-            ),
-            (
-                "catalog",
-                Value::obj([
-                    ("hits", Value::int(cat_hits)),
-                    ("misses", Value::int(cat_misses)),
-                    ("shards", Value::Arr(cat_shards)),
-                ]),
-            ),
-            (
-                "admission",
-                Value::obj([
-                    ("accepted", Value::int(self.stats.connections.load(Ordering::Relaxed))),
-                    ("rejected", Value::int(self.stats.rejected.load(Ordering::Relaxed))),
-                    ("active", Value::int(self.stats.active.load(Ordering::Relaxed))),
-                    ("in_flight", Value::int(self.stats.in_flight.load(Ordering::Relaxed))),
-                    ("queue_depth", Value::int(self.stats.queue_depth.load(Ordering::Relaxed))),
-                    ("pipelined", Value::int(self.stats.pipelined.load(Ordering::Relaxed))),
-                    ("batched", Value::int(self.stats.batched.load(Ordering::Relaxed))),
-                    (
-                        "reply_overflows",
-                        Value::int(self.stats.reply_overflows.load(Ordering::Relaxed)),
-                    ),
-                ]),
-            ),
-            ("connections", Value::int(self.stats.connections.load(Ordering::Relaxed))),
-            ("requests", Value::int(self.stats.requests.load(Ordering::Relaxed))),
-            ("errors", Value::int(self.stats.errors.load(Ordering::Relaxed))),
-        ];
-        // With a `graph` field, that graph's statistics describe its merged
-        // state — pending overlay writes are flushed before reporting.
-        if let Some(gname) = gname {
-            self.flush_live(gname);
-        }
-        {
-            let live_map = self.live.lock().unwrap();
-            let mut entries: Vec<(&String, &LiveState)> = live_map.iter().collect();
-            entries.sort_by(|a, b| a.0.cmp(b.0));
-            let lives: Vec<Value> = entries
-                .iter()
-                .map(|(name, st)| {
-                    Value::obj([
-                        ("graph", Value::str(name.as_str())),
-                        ("pending", Value::int(st.live.pending() as u64)),
-                        ("version", Value::int(st.live.version())),
-                        ("merges", Value::int(st.live.merges())),
-                        ("merge_threshold", Value::int(st.live.merge_threshold() as u64)),
-                        ("maintained", Value::int(st.maintained.len() as u64)),
-                    ])
-                })
-                .collect();
-            pairs.push(("live", Value::Arr(lives)));
-        }
-        // Include the planner's statistics of the requested graph (cached
-        // on the graph since load time).
-        if let Some(gname) = gname {
-            let graph = self.graph(gname)?;
-            let gs = graph.stats();
-            let labels: Vec<Value> = graph
-                .alphabet()
-                .iter()
-                .zip(gs.labels.iter())
-                .map(|((_, label), ls)| {
-                    Value::obj([
-                        ("label", Value::str(label)),
-                        ("edges", Value::int(ls.edges)),
-                        ("sources", Value::int(ls.sources)),
-                        ("targets", Value::int(ls.targets)),
-                    ])
-                })
-                .collect();
-            pairs.push(("graph", Value::str(gname)));
-            pairs.push((
-                "graph_stats",
-                Value::obj([
-                    ("nodes", Value::int(gs.nodes)),
-                    ("edges", Value::int(gs.edges)),
-                    ("labels", Value::Arr(labels)),
-                    ("max_out_degree", Value::int(gs.max_out_degree)),
-                    ("max_in_degree", Value::int(gs.max_in_degree)),
-                    ("avg_degree", Value::Num(gs.avg_degree())),
-                    ("reach_fraction", Value::Num(gs.reach_fraction)),
-                ]),
-            ));
-        }
-        Ok(ok_obj(pairs))
-    }
-
-    /// Persists a cataloged graph as a binary snapshot at `path`, plus a
-    /// `path.art` sidecar holding the compiled sim tables and bind artifacts
-    /// of every registered statement that binds against this graph.
-    /// Statements that cannot bind (say, a constant node the graph lacks)
-    /// are skipped rather than failing the save.
-    pub(crate) fn op_save(&self, gname: &str, path: &str) -> Result<Value, ServerError> {
-        // Snapshots persist the merged graph, never a half-applied overlay.
-        self.flush_live(gname);
-        let graph = self.graph(gname)?;
-        let bytes = snapshot::write_snapshot(&graph).map_err(ServerError::msg)?;
-        std::fs::write(path, &bytes)
-            .map_err(|e| ServerError(format!("cannot write `{path}`: {e}")))?;
-        let id = snapshot::snapshot_id(&bytes);
-
-        // Every statement that binds to this graph rides along in the
-        // sidecar. Binding here also seeds this server's own cache.
-        let mut bound: Vec<(String, String, Arc<ecrpq::BoundStatement>)> = Vec::new();
-        for (sname, stext) in self.registry.summaries() {
-            if let Ok((plan, _)) = self.registry.bound(&sname, gname, &graph) {
-                bound.push((sname, stext, plan));
-            }
-        }
-        let entries: Vec<persist::SidecarStatement<'_>> = bound
-            .iter()
-            .map(|(name, text, plan)| persist::SidecarStatement { name, text, stmt: plan })
-            .collect();
-        let art = persist::write_sidecar(id, &entries);
-        let art_path = persist::sidecar_path(std::path::Path::new(path));
-        // The rewrite drops any sidecar entry whose statement was since
-        // re-prepared (same name, new text) or unregistered; `sidecar_gc`
-        // reports how many such orphans the previous file carried. An
-        // absent or unreadable previous sidecar counts zero.
-        let live: std::collections::HashSet<(&str, &str)> =
-            bound.iter().map(|(n, t, _)| (n.as_str(), t.as_str())).collect();
-        let sidecar_gc = std::fs::read(&art_path)
-            .ok()
-            .and_then(|old| persist::sidecar_entries(&old).ok())
-            .map(|old| {
-                old.iter().filter(|(n, t)| !live.contains(&(n.as_str(), t.as_str()))).count() as u64
-            })
-            .unwrap_or(0);
-        if sidecar_gc > 0 {
-            self.metrics
-                .counter("ecrpq_sidecar_gc_total", "Orphaned sidecar entries dropped by save.")
-                .add(sidecar_gc);
-        }
-        std::fs::write(&art_path, &art)
-            .map_err(|e| ServerError(format!("cannot write `{}`: {e}", art_path.display())))?;
-        Ok(ok_obj([
-            ("graph", Value::str(gname)),
-            ("path", Value::str(path)),
-            ("bytes", Value::int(bytes.len() as u64)),
-            ("statements", Value::int(entries.len() as u64)),
-            ("sidecar_gc", Value::int(sidecar_gc)),
-        ]))
-    }
-
-    /// Opens a snapshot file under a fresh catalog name. If the `path.art`
-    /// sidecar is present its statements are warm-installed into the
-    /// registry — bound, with every sim table seeded — before the graph
-    /// becomes visible, so the first `run` is a registry hit with zero
-    /// sim-table compilations.
-    pub(crate) fn op_open(&self, name: &str, path: &str) -> Result<Value, ServerError> {
-        if self.catalog.get(name).is_some() {
-            return Err(ServerError(format!(
-                "graph `{name}` is already cataloged; `open` needs a fresh name (use `load` to replace)"
-            )));
-        }
-        let bytes =
-            std::fs::read(path).map_err(|e| ServerError(format!("cannot read `{path}`: {e}")))?;
-        let graph = Arc::new(snapshot::read_snapshot(&bytes).map_err(ServerError::msg)?);
-        let id = snapshot::snapshot_id(&bytes);
-
-        let art_path = persist::sidecar_path(std::path::Path::new(path));
-        let mut warmed = 0u64;
-        if art_path.exists() {
-            let art = std::fs::read(&art_path)
-                .map_err(|e| ServerError(format!("cannot read `{}`: {e}", art_path.display())))?;
-            let statements = persist::read_sidecar(&art, id, &graph)
-                .map_err(|e| ServerError(format!("sidecar `{}`: {e}", art_path.display())))?;
-            warmed = statements.len() as u64;
-            for w in statements {
-                self.registry.install_warm(&w.name, &w.text, name, w.statement);
-            }
-        }
-        // Publish the graph only after the sidecar validated cleanly: a
-        // corrupt sidecar must not leave a half-opened snapshot behind.
-        self.catalog.insert(name, Arc::clone(&graph));
-        Ok(ok_obj([
-            ("graph", Value::str(name)),
-            ("nodes", Value::int(graph.num_nodes() as u64)),
-            ("edges", Value::int(graph.num_edges() as u64)),
-            ("statements", Value::int(warmed)),
-        ]))
-    }
-
     fn graph(&self, name: &str) -> Result<Arc<GraphDb>, ServerError> {
         self.catalog.get(name).ok_or_else(|| ServerError(format!("unknown graph `{name}`")))
     }
@@ -1144,550 +340,9 @@ fn with_id(reply: Value, id: Option<&Value>) -> Value {
     }
 }
 
-/// Parses one request line into its object and its validated `id` tag,
-/// which is taken out of the object. A tag is a string or a non-negative
-/// integer; anything else (float, bool, object, array, null) is a protocol
-/// error — a tag the client cannot reliably match replies by must be
-/// rejected loudly, not echoed approximately.
-pub fn parse_request(line: &str) -> Result<(Value, Option<Value>), ServerError> {
-    let mut req =
-        json::parse(line.trim()).map_err(|e| ServerError(format!("bad request JSON: {e}")))?;
-    let Value::Obj(pairs) = &mut req else { return Ok((req, None)) };
-    let Some(at) = pairs.iter().position(|(k, _)| k == "id") else { return Ok((req, None)) };
-    match &pairs[at].1 {
-        Value::Str(_) => {}
-        id @ Value::Num(_) if id.as_u64().is_some() => {}
-        other => {
-            return Err(ServerError(format!(
-                "`id` must be a string or non-negative integer, got {other}"
-            )))
-        }
-    }
-    let id = pairs.remove(at).1;
-    Ok((req, Some(id)))
-}
-
-/// The op table: every op's wire name. A request's `op` is looked up here
-/// once; [`Op::name`] reads the name back for metric labels and the
-/// slow-query log.
-///
-/// | op | request fields | reply fields |
-/// |----|----------------|--------------|
-/// | `load` | `graph`, plus one of `edges` (inline edge-list text), `path` (edge-list file), `json` (inline `{"edges": …}`), `json_path`, `generator` (e.g. `cycle:8:a`) | `graph`, `nodes`, `edges` |
-/// | `add_edges` | `graph`, plus `edges` (array of `[from, label, to]` string triples) and/or `text` (edge-list lines); optional `merge_threshold` (honored when the overlay is created) | applies the batch to the graph's live overlay: `added`, `removed`, `missing`, `nodes`, `edges`, `pending`, `version`, `merged` (true when the batch crossed the merge threshold and a fresh epoch was published), `merges`, `maintained` (statements kept incrementally up to date) |
-/// | `remove_edges` | like `add_edges` | removes *every* live instance of each triple (reply fields as `add_edges`; a triple matching nothing counts as `missing`) |
-/// | `prepare` | `name`, `query`, plus `alphabet` (label array) or `graph` (use its alphabet) | `name`, `node_vars`, `path_vars` |
-/// | `run` | `name`, `graph`, optional `mode` (`nodes`\|`boolean`\|`paths`), `limit`, `planner` (`cost`\|`static`) | `registry` (`hit`\|`miss`), `answers`/`answer`, `count`, `stats` |
-/// | `check` | `name`, `graph`, `nodes` (names), `paths` (alternating `[node, label, node, …]`) | `member` |
-/// | `explain` | `name`, `graph`, optional `planner` | `planner`, `join_order`, `atoms` (per-atom direction/pin/estimated vs actual cardinalities), `stats`, `answers`, `text` (rendered plan) |
-/// | `trace` | like `run` (`name` *or* inline `query` text), `graph`, optional `mode`, `limit`, `planner` | `run`'s fields plus `trace`: a wall-clock span tree (`resolve` → `run` with per-phase engine children → `render`; with `query`, also `parse`/`compile`/`bind`) and `server_latency_us`, the root-span duration also recorded into the request histogram |
-/// | `stats` | optional `graph` | `version`, `uptime_s`, catalog/registry/server counters; with `graph`, its `graph_stats` (per-label edge/endpoint counts, degree maxima, sampled reach fraction) |
-/// | `metrics` | optional `format` (`text`\|`json`) | `text`: the metrics registry in Prometheus exposition format; `json`: structured families with estimated histogram quantiles |
-/// | `slowlog` | optional `limit` | `threshold_ms`, `entries` (ring buffer of requests slower than `--slow-query-ms`, newest first) |
-/// | `save` | `graph`, `path` | writes the binary snapshot to `path` and the compiled-statement sidecar to `path.art`; `graph`, `path`, `bytes`, `statements` (persisted) |
-/// | `open` | `name`, `path` | opens a snapshot under a *fresh* catalog name, warm-installing every sidecar statement; `graph`, `nodes`, `edges`, `statements` (warmed) |
-/// | `batch` | `requests` (array of sub-requests, each a `run`/`check`/`explain`/`trace`/`stats` object; `op` defaults to `run`); a sub-request reads any field it omits from the batch object, so batch-level `name`, `graph`, `mode`, `planner`, `limit` act as defaults | `count`, `results` (one reply object per sub-request, in order; a failing sub yields `ok: false` *inside* `results`, never a batch-level error) |
-/// | `close` | — | `closing: true`, then the connection ends |
-/// | `shutdown` | — | `shutting_down: true`, then the whole server stops |
-///
-/// Each field has one type: a string, a non-negative integer (`limit`,
-/// `merge_threshold`), or an array of strings (`alphabet`, `nodes`, each
-/// `paths` entry). Absent optional fields take their defaults; fields an op
-/// does not read are ignored. A field an op reads but cannot decode (the
-/// wrong type, an unknown `mode`, `planner` or `format`) gets a structured
-/// `ok: false` reply naming the field — never a silent default, never a
-/// dropped connection — before the request touches any server state.
-const OPS: [(&str, Op); 16] = [
-    ("load", Op::Load),
-    ("add_edges", Op::AddEdges),
-    ("remove_edges", Op::RemoveEdges),
-    ("prepare", Op::Prepare),
-    ("run", Op::Read(ReadOp::Run)),
-    ("check", Op::Read(ReadOp::Check)),
-    ("explain", Op::Read(ReadOp::Explain)),
-    ("trace", Op::Read(ReadOp::Trace)),
-    ("stats", Op::Read(ReadOp::Stats)),
-    ("metrics", Op::Metrics),
-    ("slowlog", Op::Slowlog),
-    ("batch", Op::Batch),
-    ("save", Op::Save),
-    ("open", Op::Open),
-    ("close", Op::Close),
-    ("shutdown", Op::Shutdown),
-];
-
-/// A protocol op (see [`OPS`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Op {
-    Load,
-    AddEdges,
-    RemoveEdges,
-    Prepare,
-    Read(ReadOp),
-    Metrics,
-    Slowlog,
-    Batch,
-    Save,
-    Open,
-    Close,
-    Shutdown,
-}
-
-/// The read-only ops, the only ones a `batch` may carry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum ReadOp {
-    Run,
-    Check,
-    Explain,
-    Trace,
-    Stats,
-}
-
-impl Op {
-    /// The op's wire name.
-    pub(crate) fn name(self) -> &'static str {
-        OPS.iter().find(|(_, op)| *op == self).expect("every op is in the table").0
-    }
-
-    fn named(name: &str) -> Option<Op> {
-        OPS.iter().find(|(n, _)| *n == name).map(|&(_, op)| op)
-    }
-}
-
-/// A decoded request: its op, looked up once in the op table, and its
-/// fields, read through strict accessors — a present field of the wrong
-/// type is an error naming it. A `batch` entry reads any field it lacks
-/// from its batch object.
-#[derive(Clone, Copy)]
-pub(crate) struct Request<'a> {
-    pub(crate) op: Op,
-    own: &'a [(String, Value)],
-    batch: &'a [(String, Value)],
-}
-
-impl<'a> Request<'a> {
-    pub(crate) fn decode(req: &'a Value) -> Result<Request<'a>, ServerError> {
-        let (Value::Obj(own), Some(name)) = (req, req.get("op").and_then(Value::as_str)) else {
-            return Err(ServerError("request needs a string `op` field".into()));
-        };
-        let op = Op::named(name).ok_or_else(|| ServerError(format!("unknown op `{name}`")))?;
-        Ok(Request { op, own, batch: &[] })
-    }
-
-    /// One entry of this `batch` request: a read, `run` by default.
-    fn entry(self, v: &'a Value) -> Result<(ReadOp, Request<'a>), ServerError> {
-        let Value::Obj(own) = v else {
-            return Err(ServerError("each batch entry must be a request object".into()));
-        };
-        // The entry's own `op` only: the batch's is `batch`.
-        let name = Request { op: self.op, own, batch: &[] }.opt_str("op")?.unwrap_or("run");
-        match Op::named(name) {
-            Some(op @ Op::Read(read)) => Ok((read, Request { op, own, batch: self.own })),
-            _ => Err(ServerError(format!(
-                "batch entries may only be run/check/explain/trace/stats, got `{name}`"
-            ))),
-        }
-    }
-
-    fn get(self, key: &str) -> Option<&'a Value> {
-        let find = |pairs: &'a [(String, Value)]| pairs.iter().find(|(k, _)| k == key);
-        find(self.own).or_else(|| find(self.batch)).map(|(_, v)| v)
-    }
-
-    fn str(self, key: &str) -> Result<&'a str, ServerError> {
-        self.get(key)
-            .and_then(Value::as_str)
-            .ok_or_else(|| ServerError(format!("request needs a string `{key}` field")))
-    }
-
-    pub(crate) fn opt_str(self, key: &str) -> Result<Option<&'a str>, ServerError> {
-        self.get(key)
-            .map(|v| v.as_str().ok_or_else(|| ServerError(format!("`{key}` must be a string"))))
-            .transpose()
-    }
-
-    fn opt_uint(self, key: &str) -> Result<Option<u64>, ServerError> {
-        let err = || ServerError(format!("`{key}` must be a non-negative integer"));
-        self.get(key).map(|v| v.as_u64().ok_or_else(err)).transpose()
-    }
-
-    /// An array-of-strings field; an absent one reads as empty.
-    fn strs(self, key: &str) -> Result<Strs<'a>, ServerError> {
-        let err = || ServerError(format!("`{key}` must be an array of strings"));
-        self.get(key).map_or(Ok(Strs(&[])), |v| Strs::new(v).ok_or_else(err))
-    }
-
-    /// An array field; an absent one reads as empty.
-    fn list(self, key: &str) -> Result<&'a [Value], ServerError> {
-        let err = || ServerError(format!("`{key}` must be an array"));
-        self.get(key).map_or(Ok(&[]), |v| v.as_arr().ok_or_else(err))
-    }
-
-    /// The arguments of a `run`, or with `traced`, of a `trace`, which may
-    /// name inline `query` text in place of a statement.
-    fn run(self, traced: bool) -> Result<Run<'a>, ServerError> {
-        let inline = if traced { self.opt_str("query")? } else { None };
-        let target = match inline {
-            Some(text) => Target::Inline(text),
-            None => Target::Named(self.str("name")?),
-        };
-        Ok(Run {
-            target,
-            graph: self.str("graph")?,
-            planner: self.planner()?,
-            limit: self.opt_uint("limit")?,
-            mode: match self.opt_str("mode")?.unwrap_or("nodes") {
-                "nodes" => Mode::Nodes,
-                "boolean" => Mode::Boolean,
-                "paths" => Mode::Paths,
-                other => return Err(ServerError(format!("unknown run mode `{other}`"))),
-            },
-        })
-    }
-
-    /// The optional `planner`: `cost` (the default) or `static`.
-    fn planner(self) -> Result<PlannerMode, ServerError> {
-        match self.opt_str("planner")? {
-            None | Some("cost" | "cost-based") => Ok(PlannerMode::CostBased),
-            Some("static") => Ok(PlannerMode::Static),
-            Some(_) => Err(ServerError("`planner` must be `cost` or `static`".into())),
-        }
-    }
-
-    /// The one graph source of a `load`: the first source field present.
-    fn graph_source(self) -> Result<GraphSource, ServerError> {
-        Ok(if let Some(text) = self.opt_str("edges")? {
-            GraphSource::EdgeListText(text.to_string())
-        } else if let Some(path) = self.opt_str("path")? {
-            GraphSource::EdgeListFile(path.to_string())
-        } else if let Some(v) = self.get("json") {
-            GraphSource::Json(v.clone())
-        } else if let Some(path) = self.opt_str("json_path")? {
-            GraphSource::JsonFile(path.to_string())
-        } else if let Some(spec) = self.opt_str("generator")? {
-            GraphSource::Generator(spec.to_string())
-        } else {
-            return Err(ServerError(
-                "load needs one of `edges`, `path`, `json`, `json_path`, `generator`".into(),
-            ));
-        })
-    }
-
-    /// The triples of a mutation: an `edges` array of `[from, label, to]`
-    /// string arrays, and/or `text` edge-list lines (`from label to` per
-    /// line, blank lines skipped). At least one triple is required.
-    fn edge_triples(self) -> Result<Vec<(String, String, String)>, ServerError> {
-        let mut out = Vec::new();
-        for e in self.list("edges")? {
-            e.as_arr().filter(|items| items.len() == 3).ok_or_else(|| {
-                ServerError("`edges` entries must be [from, label, to] arrays".into())
-            })?;
-            let triple = Strs::new(e)
-                .ok_or_else(|| ServerError("`edges` triple components must be strings".into()))?;
-            let mut s = triple.iter().map(str::to_string);
-            out.extend(s.next().zip(s.next()).zip(s.next()).map(|((f, l), t)| (f, l, t)));
-        }
-        for line in self.opt_str("text")?.unwrap_or("").lines() {
-            let mut parts = line.split_whitespace();
-            match (parts.next(), parts.next(), parts.next(), parts.next()) {
-                (None, ..) => {}
-                (Some(f), Some(l), Some(t), None) => {
-                    out.push((f.to_string(), l.to_string(), t.to_string()));
-                }
-                _ => {
-                    return Err(ServerError(format!(
-                        "each `text` edge line must be `from label to`, got `{}`",
-                        line.trim()
-                    )));
-                }
-            }
-        }
-        if out.is_empty() {
-            return Err(ServerError(
-                "mutation needs a non-empty `edges` array and/or `text` edge lines".into(),
-            ));
-        }
-        Ok(out)
-    }
-
-    /// The `paths` of a `check`: string arrays of odd length.
-    fn paths(self) -> Result<Paths<'a>, ServerError> {
-        let paths = self.list("paths")?;
-        for p in paths {
-            let p = Strs::new(p)
-                .ok_or_else(|| ServerError("each path must be an array of strings".into()))?;
-            if p.0.len() % 2 == 0 {
-                return Err(ServerError(
-                    "a path array alternates node, label, node, … (odd length)".into(),
-                ));
-            }
-        }
-        Ok(Paths(paths))
-    }
-}
-
-/// The arguments of a `run` or `trace`.
-pub(crate) struct Run<'a> {
-    pub(crate) target: Target<'a>,
-    pub(crate) graph: &'a str,
-    pub(crate) planner: PlannerMode,
-    pub(crate) limit: Option<u64>,
-    pub(crate) mode: Mode,
-}
-
-/// What a `run` or `trace` evaluates: a registered statement, or query
-/// text parsed, compiled and bound for one `trace` alone.
-#[derive(Clone, Copy)]
-pub(crate) enum Target<'a> {
-    Named(&'a str),
-    Inline(&'a str),
-}
-
-/// A JSON array checked to hold only strings, read without copying them.
-#[derive(Clone, Copy)]
-pub(crate) struct Strs<'a>(&'a [Value]);
-
-impl<'a> Strs<'a> {
-    fn new(v: &'a Value) -> Option<Strs<'a>> {
-        v.as_arr().filter(|items| items.iter().all(|s| s.as_str().is_some())).map(Strs)
-    }
-
-    pub(crate) fn iter(self) -> impl Iterator<Item = &'a str> {
-        self.0.iter().filter_map(Value::as_str)
-    }
-}
-
-/// The checked `paths` of a `check`.
-#[derive(Clone, Copy)]
-pub(crate) struct Paths<'a>(&'a [Value]);
-
-impl<'a> Paths<'a> {
-    pub(crate) fn iter(self) -> impl Iterator<Item = Strs<'a>> {
-        self.0.iter().map(|p| Strs(p.as_arr().unwrap_or_default()))
-    }
-}
-
-impl Service {
-    /// The one dispatch: decodes the arguments of the request's op and
-    /// hands them to its handler, so a request is decoded in full before it
-    /// touches the server. `tagged` says the line carried an `id`, which
-    /// `close` and `shutdown` must not: they end the request stream, and a
-    /// concurrently dispatched one could race past requests it was meant to
-    /// follow. Only those two end anything; every other op keeps the
-    /// connection reading.
-    fn execute(&self, req: Request<'_>, tagged: bool) -> Result<(Value, Control), ServerError> {
-        let reply = match req.op {
-            Op::Load => self.op_load(req.str("graph")?, &req.graph_source()?)?,
-            Op::AddEdges | Op::RemoveEdges => {
-                let (graph, edges) = (req.str("graph")?, req.edge_triples()?);
-                let threshold = req.opt_uint("merge_threshold")?;
-                self.op_mutate(graph, &edges, req.op == Op::AddEdges, threshold)?
-            }
-            Op::Prepare => {
-                let (name, query) = (req.str("name")?, req.str("query")?);
-                let alphabet = if req.get("alphabet").is_some() {
-                    Alphabet::from_labels(req.strs("alphabet")?.iter())
-                } else if let Some(graph) = req.opt_str("graph")? {
-                    self.graph(graph)?.alphabet().clone()
-                } else {
-                    return Err(ServerError(
-                        "prepare needs an `alphabet` array or a `graph` name".into(),
-                    ));
-                };
-                self.op_prepare(name, query, &alphabet)?
-            }
-            Op::Read(op) => self.read(op, req, &mut BatchCache::default())?,
-            Op::Metrics => match req.opt_str("format")?.unwrap_or("text") {
-                "text" => self.op_metrics(false),
-                "json" => self.op_metrics(true),
-                other => {
-                    return Err(ServerError(format!(
-                        "`format` must be `text` or `json`, got `{other}`"
-                    )))
-                }
-            },
-            Op::Slowlog => {
-                let limit = req.opt_uint("limit")?.unwrap_or(u64::MAX);
-                self.op_slowlog(limit.min(SLOWLOG_CAPACITY as u64) as usize)
-            }
-            Op::Batch => {
-                let entries = req
-                    .get("requests")
-                    .and_then(Value::as_arr)
-                    .ok_or_else(|| ServerError("batch needs a `requests` array".into()))?;
-                if entries.is_empty() {
-                    return Err(ServerError("batch `requests` must not be empty".into()));
-                }
-                if entries.len() > MAX_BATCH {
-                    return Err(ServerError(format!(
-                        "batch too large: {} requests (cap {MAX_BATCH})",
-                        entries.len()
-                    )));
-                }
-                self.op_batch(entries.iter().map(|e| req.entry(e)))
-            }
-            Op::Save => self.op_save(req.str("graph")?, req.str("path")?)?,
-            Op::Open => self.op_open(req.str("name")?, req.str("path")?)?,
-            Op::Close | Op::Shutdown if tagged => {
-                return Err(ServerError(format!(
-                    "`{}` must not carry an `id` tag: lifecycle ops are connection-ordered",
-                    req.op.name()
-                )))
-            }
-            Op::Close => return Ok((ok_obj([("closing", Value::Bool(true))]), Control::Close)),
-            Op::Shutdown => {
-                return Ok((ok_obj([("shutting_down", Value::Bool(true))]), Control::Shutdown))
-            }
-        };
-        Ok((reply, Control::Continue))
-    }
-
-    /// Decodes and executes one read — a request on its own or a `batch`
-    /// entry — against the request's cache.
-    pub(crate) fn read(
-        &self,
-        op: ReadOp,
-        req: Request<'_>,
-        cache: &mut BatchCache,
-    ) -> Result<Value, ServerError> {
-        match op {
-            ReadOp::Run => self.run_request(&req.run(false)?, cache, None).map(ok_obj),
-            ReadOp::Trace => self.op_trace(&req.run(true)?, cache),
-            ReadOp::Check => {
-                let (name, graph) = (req.str("name")?, req.str("graph")?);
-                self.op_check(name, graph, req.strs("nodes")?, req.paths()?, cache)
-            }
-            ReadOp::Explain => {
-                let planner = req.planner()?;
-                self.op_explain(planner, req.str("name")?, req.str("graph")?, cache)
-            }
-            ReadOp::Stats => self.op_stats(req.opt_str("graph")?),
-        }
-    }
-}
-
-/// [`EvalStats`] as a reply object, including the sim-table cache counters
-/// that prove (or disprove) compiled-artifact reuse.
-pub(crate) fn stats_value(stats: &EvalStats) -> Value {
-    Value::obj([
-        ("candidates", Value::int(stats.candidates)),
-        ("verified", Value::int(stats.verified)),
-        ("search_states", Value::int(stats.search_states)),
-        ("sim_cache_hits", Value::int(stats.sim_cache_hits)),
-        ("sim_cache_misses", Value::int(stats.sim_cache_misses)),
-    ])
-}
-
-/// The reply fields of a row-valued (`nodes`/`paths`) run, with the one
-/// writer of answer rows: `write_row` appends each row's JSON text straight
-/// from the borrowed answers — no `Value` per row or per node — and the
-/// `answers` array joins the reply as [`Value::Raw`]. The text starts at a
-/// page for the allocator reason [`Service::dispatch_req`] gives.
-pub(crate) fn rows_reply<R>(
-    verdict: &str,
-    rows: &[R],
-    stats: &EvalStats,
-    mut write_row: impl FnMut(&mut String, &R),
-) -> Vec<(&'static str, Value)> {
-    let mut text = String::with_capacity(4096);
-    text.push('[');
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            text.push(',');
-        }
-        write_row(&mut text, row);
-    }
-    text.push(']');
-    vec![
-        ("registry", Value::str(verdict)),
-        ("count", Value::int(rows.len() as u64)),
-        ("answers", Value::Raw(text)),
-        ("stats", stats_value(stats)),
-    ]
-}
-
-/// Appends a node tuple as a JSON array of node tokens, naming nodes
-/// through a sealed graph's or an overlay's `node_name`.
-pub(crate) fn write_nodes<'g>(
-    out: &mut String,
-    nodes: &[NodeId],
-    name: impl Fn(NodeId) -> Option<&'g str>,
-) {
-    out.push('[');
-    for (i, &n) in nodes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_node(out, n, name(n));
-    }
-    out.push(']');
-}
-
-/// Appends one node token as a JSON string: a named node's name, escaped
-/// from the borrowed `&str`, or `n<i>` for an anonymous node — the tokens
-/// [`resolve_node`] accepts.
-fn write_node(out: &mut String, node: NodeId, name: Option<&str>) {
-    out.push('"');
-    match name {
-        Some(name) => json::escape_into(out, name),
-        None => write!(out, "n{}", node.0).expect("writing to a String cannot fail"),
-    }
-    out.push('"');
-}
-
-/// Appends a path as the alternating `[node, label, node, …]` array the
-/// protocol uses in both directions.
-fn write_path(out: &mut String, path: &Path, graph: &GraphDb) {
-    out.push('[');
-    for (i, &n) in path.nodes().iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\"");
-            json::escape_into(out, graph.alphabet().label(path.label()[i - 1]));
-            out.push_str("\",");
-        }
-        write_node(out, n, graph.node_name(n));
-    }
-    out.push(']');
-}
-
-/// Resolves a protocol node token: a node name, or `n<i>` for an anonymous
-/// node — exactly the tokens [`GraphDb::node_display`] emits. A bare index
-/// or an `n<i>` pointing at a *named* node is rejected rather than silently
-/// resolved, so a stale or mistyped token cannot validate against the wrong
-/// node.
-fn resolve_node(graph: &GraphDb, token: &str) -> Result<NodeId, ServerError> {
-    if let Some(id) = graph.node_by_name(token) {
-        return Ok(id);
-    }
-    if let Some(digits) = token.strip_prefix('n') {
-        if let Ok(i) = digits.parse::<u32>() {
-            if (i as usize) < graph.num_nodes() && graph.node_name(NodeId(i)).is_none() {
-                return Ok(NodeId(i));
-            }
-        }
-    }
-    Err(ServerError(format!("unknown node `{token}`")))
-}
-
-/// Resolves a decoded `[node, label, node, …]` path against the graph.
-fn resolve_path(graph: &GraphDb, items: Strs<'_>) -> Result<Path, ServerError> {
-    let (mut nodes, mut labels) = (Vec::new(), Vec::new());
-    for (i, s) in items.iter().enumerate() {
-        if i % 2 == 0 {
-            nodes.push(resolve_node(graph, s)?);
-        } else {
-            let sym = graph
-                .alphabet()
-                .symbol(s)
-                .ok_or_else(|| ServerError(format!("unknown edge label `{s}`")))?;
-            labels.push(sym);
-        }
-    }
-    Ok(Path::new(nodes, labels))
-}
-
 #[cfg(test)]
 mod tests {
+    use super::request::OPS;
     use super::*;
 
     fn reply(service: &Service, line: &str) -> Value {

@@ -1,0 +1,93 @@
+//! The write ops: `load` replaces a cataloged graph, `add_edges` /
+//! `remove_edges` write into its live overlay.
+
+use super::*;
+
+impl Service {
+    pub(crate) fn op_load(&self, name: &str, source: &GraphSource) -> Result<Value, ServerError> {
+        let graph = self.catalog.load(name, source)?;
+        // A (re)load replaces the graph wholesale: any live overlay of the
+        // old epoch describes a graph that no longer exists.
+        self.live.lock().unwrap().remove(name);
+        // Warm the per-graph statistics cache at load time, off the query
+        // path: every later bind/plan (and the `stats` op) reads it for free.
+        let _ = graph.stats();
+        Ok(ok_obj([
+            ("graph", Value::str(name)),
+            ("nodes", Value::int(graph.num_nodes() as u64)),
+            ("edges", Value::int(graph.num_edges() as u64)),
+        ]))
+    }
+
+    /// Applies one `add_edges` (`adds = true`) or `remove_edges` batch to
+    /// the graph's live overlay, creating the overlay on first mutation.
+    /// Every maintained statement is updated incrementally before the reply
+    /// is built (maintenance-on-write); if the batch crossed the merge
+    /// threshold, the fresh sealed epoch is published to the catalog and the
+    /// maintained statements are rebound onto it.
+    pub(crate) fn op_mutate(
+        &self,
+        gname: &str,
+        triples: &[(String, String, String)],
+        adds: bool,
+        threshold: Option<u64>,
+    ) -> Result<Value, ServerError> {
+        let mut live_map = self.live.lock().unwrap();
+        let state = match live_map.entry(gname.to_string()) {
+            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
+            std::collections::hash_map::Entry::Vacant(e) => {
+                let base = self
+                    .catalog
+                    .get(gname)
+                    .ok_or_else(|| ServerError(format!("unknown graph `{gname}`")))?;
+                let threshold = threshold.map_or(self.merge_threshold, |t| t as usize);
+                e.insert(LiveState {
+                    live: LiveGraph::new(base, threshold),
+                    maintained: HashMap::new(),
+                })
+            }
+        };
+
+        let empty: [(String, String, String); 0] = [];
+        let out = if adds {
+            state.live.apply(triples, &empty)
+        } else {
+            state.live.apply(&empty, triples)
+        };
+
+        // Maintenance-on-write: every maintained statement absorbs the
+        // batch now, so the next nodes-mode run is a pure answer read. A
+        // statement whose update fails (budget) drops back to cold runs.
+        let config = EvalConfig::default();
+        let LiveState { live, maintained } = state;
+        maintained.retain(|_, m| m.apply(live.view(), &out.batch, &config).is_ok());
+
+        if let Some(epoch) = &out.merged {
+            self.publish_merge(gname, state, epoch);
+        }
+
+        let m = &self.metrics;
+        m.counter("ecrpq_mutation_batches_total", "add_edges/remove_edges batches applied.").inc();
+        let kind = if adds { "added" } else { "removed" };
+        m.counter_with(
+            "ecrpq_mutation_edges_total",
+            &[("kind", kind)],
+            "Edge instances added/removed through the mutation ops.",
+        )
+        .add((out.counts.added + out.counts.removed) as u64);
+
+        Ok(ok_obj([
+            ("graph", Value::str(gname)),
+            ("added", Value::int(out.counts.added as u64)),
+            ("removed", Value::int(out.counts.removed as u64)),
+            ("missing", Value::int(out.counts.missing as u64)),
+            ("nodes", Value::int(out.nodes as u64)),
+            ("edges", Value::int(out.edges as u64)),
+            ("pending", Value::int(out.pending as u64)),
+            ("version", Value::int(out.version)),
+            ("merged", Value::Bool(out.merged.is_some())),
+            ("merges", Value::int(out.merges)),
+            ("maintained", Value::int(state.maintained.len() as u64)),
+        ]))
+    }
+}

@@ -1,0 +1,419 @@
+//! The read ops: statement resolution through the per-request cache, `run`,
+//! `trace`, `check`, `explain`, `batch`, `prepare`, and answer rendering.
+
+use super::request::{Paths, ReadOp, Request, Run, Strs, Target};
+use super::*;
+
+/// Per-request memo of resolved graph handles and bound statements. A
+/// `batch` shares one across all its sub-requests — the amortization that
+/// makes batching cheaper than N single requests; single requests get a
+/// fresh (empty, allocation-free) one.
+#[derive(Default)]
+pub(crate) struct BatchCache {
+    graphs: HashMap<String, Arc<GraphDb>>,
+    bound: HashMap<(String, String), Arc<BoundStatement>>,
+}
+
+impl BatchCache {
+    /// Drops every memoized handle for `gname` — called when a live-overlay
+    /// flush publishes a fresh epoch mid-request, so later resolutions see
+    /// the merged graph instead of a stale pin.
+    pub(crate) fn invalidate_graph(&mut self, gname: &str) {
+        self.graphs.remove(gname);
+        self.bound.retain(|(_, g), _| g != gname);
+    }
+}
+
+impl Service {
+    /// Runs a `batch` request: N read-only sub-requests sharing one
+    /// resolution of every graph handle and bound statement they touch.
+    /// Each sub-request gets its own entry in `results` (errors included),
+    /// so one bad entry never loses the others' replies.
+    pub(crate) fn op_batch<'a>(
+        &self,
+        entries: impl ExactSizeIterator<Item = Result<(ReadOp, Request<'a>), ServerError>>,
+    ) -> Value {
+        let mut cache = BatchCache::default();
+        self.stats.batched.fetch_add(entries.len() as u64, Ordering::Relaxed);
+        let results: Vec<Value> = entries
+            .map(|entry| match entry.and_then(|(op, req)| self.read(op, req, &mut cache)) {
+                Ok(v) => v,
+                Err(e) => {
+                    self.stats.errors.fetch_add(1, Ordering::Relaxed);
+                    error_obj(&e.0, None)
+                }
+            })
+            .collect();
+        ok_obj([("count", Value::int(results.len() as u64)), ("results", Value::Arr(results))])
+    }
+
+    pub(crate) fn op_prepare(
+        &self,
+        name: &str,
+        text: &str,
+        alphabet: &Alphabet,
+    ) -> Result<Value, ServerError> {
+        let stmt = self.registry.prepare(name, text, alphabet)?;
+        Ok(ok_obj([
+            ("name", Value::str(name)),
+            ("node_vars", Value::int(stmt.prepared.query().node_vars().len() as u64)),
+            ("path_vars", Value::int(stmt.prepared.query().path_vars().len() as u64)),
+        ]))
+    }
+
+    /// Resolves a graph handle through the per-request cache (one catalog
+    /// lookup per distinct graph per request, however many sub-requests).
+    fn graph_cached(
+        &self,
+        cache: &mut BatchCache,
+        name: &str,
+    ) -> Result<Arc<GraphDb>, ServerError> {
+        if let Some(g) = cache.graphs.get(name) {
+            return Ok(Arc::clone(g));
+        }
+        let g = self.graph(name)?;
+        cache.graphs.insert(name.to_string(), Arc::clone(&g));
+        Ok(g)
+    }
+
+    /// Resolves a bound statement through the per-request cache, with the
+    /// reply's `registry` verdict. The first resolution reports the
+    /// registry's own `hit`/`miss`; later sub-requests reuse the memoized
+    /// `Arc` and report a hit (they paid no lookup at all).
+    pub(crate) fn bound_cached(
+        &self,
+        cache: &mut BatchCache,
+        name: &str,
+        gname: &str,
+        graph: &Arc<GraphDb>,
+    ) -> Result<(Arc<BoundStatement>, &'static str), ServerError> {
+        let key = (name.to_string(), gname.to_string());
+        if let Some(plan) = cache.bound.get(&key) {
+            return Ok((Arc::clone(plan), "hit"));
+        }
+        let (plan, hit) = self.registry.bound(name, gname, graph)?;
+        cache.bound.insert(key, Arc::clone(&plan));
+        Ok((plan, if hit { "hit" } else { "miss" }))
+    }
+
+    /// The one resolve → execute → render path behind `run` and `trace`;
+    /// returns the reply fields. With a `trace` it records the `resolve` /
+    /// `run` (with the engine's child spans) / `render` phases into it; an
+    /// inline query is traced through `parse` → `compile` → `bind` without
+    /// touching the registry.
+    ///
+    /// With pending overlay writes on the graph, the request is first
+    /// offered to [`maintained_read`](Self::maintained_read), which answers
+    /// it or merges the overlay; anything it does not answer runs cold on
+    /// the sealed epoch.
+    pub(crate) fn run_request(
+        &self,
+        run: &Run<'_>,
+        cache: &mut BatchCache,
+        mut trace: Option<&mut Trace>,
+    ) -> Result<Vec<(&'static str, Value)>, ServerError> {
+        let resolve = qtrace::begin_span(&mut trace, "resolve");
+        let mut config = EvalConfig::default();
+        if let Some(limit) = run.limit {
+            config.answer_limit = limit as usize;
+        }
+        if let Some(fields) = self.maintained_read(run, trace.is_some(), &config, cache)? {
+            return Ok(fields);
+        }
+
+        let gname = run.graph;
+        let graph = self.graph_cached(cache, gname)?;
+        let (stmt, verdict) = match run.target {
+            Target::Named(name) => self.bound_cached(cache, name, gname, &graph)?,
+            Target::Inline(text) => {
+                let span = qtrace::begin_span(&mut trace, "parse");
+                let q = ecrpq::parse_query(text, graph.alphabet()).map_err(ServerError::msg)?;
+                qtrace::end_span(&mut trace, span);
+                let span = qtrace::begin_span(&mut trace, "compile");
+                let pq = PreparedQuery::prepare(&q).map_err(ServerError::msg)?;
+                qtrace::end_span(&mut trace, span);
+                let span = qtrace::begin_span(&mut trace, "bind");
+                let stmt = BoundStatement::bind(Arc::new(pq), Arc::clone(&graph))
+                    .map_err(ServerError::msg)?;
+                qtrace::end_span(&mut trace, span);
+                (Arc::new(stmt), "inline")
+            }
+        };
+        let plan = stmt.plan_with(run.planner);
+        qtrace::end_span(&mut trace, resolve);
+
+        let span = qtrace::begin_span(&mut trace, "run");
+        let (answers, stats) =
+            plan.run_mode(run.mode, &config, trace.as_deref_mut()).map_err(ServerError::msg)?;
+        qtrace::end_span(&mut trace, span);
+
+        let render = qtrace::begin_span(&mut trace, "render");
+        let graph: &GraphDb = &graph;
+        let fields = match run.mode {
+            Mode::Boolean => vec![
+                ("registry", Value::str(verdict)),
+                ("answer", Value::Bool(!answers.is_empty())),
+                ("stats", stats_value(&stats)),
+            ],
+            Mode::Nodes => rows_reply(verdict, &answers, &stats, |out, a| {
+                write_nodes(out, &a.nodes, |n| graph.node_name(n))
+            }),
+            Mode::Paths => rows_reply(verdict, &answers, &stats, |out, a| {
+                out.push_str("{\"nodes\":");
+                write_nodes(out, &a.nodes, |n| graph.node_name(n));
+                out.push_str(",\"paths\":[");
+                for (i, path) in a.paths.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_path(out, path, graph);
+                }
+                out.push_str("]}");
+            }),
+        };
+        qtrace::end_span(&mut trace, render);
+        Ok(fields)
+    }
+
+    /// Resolves statement `name` on the *current* state of graph `gname`,
+    /// for the ops that read a sealed epoch (`check`, `explain`): pending
+    /// overlay writes are merged first — once the statement name is known
+    /// to exist, so a request about to be rejected merges nothing.
+    fn bound_on_merged(
+        &self,
+        name: &str,
+        gname: &str,
+        cache: &mut BatchCache,
+    ) -> Result<(Arc<GraphDb>, Arc<BoundStatement>, &'static str), ServerError> {
+        self.registry.require(name)?;
+        if self.flush_live(gname) {
+            cache.invalidate_graph(gname);
+        }
+        let graph = self.graph_cached(cache, gname)?;
+        let (stmt, verdict) = self.bound_cached(cache, name, gname, &graph)?;
+        Ok((graph, stmt, verdict))
+    }
+
+    pub(crate) fn op_check(
+        &self,
+        name: &str,
+        gname: &str,
+        nodes: Strs<'_>,
+        paths: Paths<'_>,
+        cache: &mut BatchCache,
+    ) -> Result<Value, ServerError> {
+        let (graph, plan, verdict) = self.bound_on_merged(name, gname, cache)?;
+        let nodes: Vec<NodeId> =
+            nodes.iter().map(|n| resolve_node(&graph, n)).collect::<Result<_, _>>()?;
+        let paths: Vec<Path> =
+            paths.iter().map(|p| resolve_path(&graph, p)).collect::<Result<_, _>>()?;
+        let member =
+            plan.check(&nodes, &paths, &EvalConfig::default()).map_err(ServerError::msg)?;
+        Ok(ok_obj([("registry", Value::str(verdict)), ("member", Value::Bool(member))]))
+    }
+
+    /// Reports the planner's view of a run: join order, per-atom BFS
+    /// direction and pinned source, estimated *and* actual cardinalities,
+    /// plus a human-readable rendering under `text`.
+    pub(crate) fn op_explain(
+        &self,
+        planner: PlannerMode,
+        name: &str,
+        gname: &str,
+        cache: &mut BatchCache,
+    ) -> Result<Value, ServerError> {
+        // Plans are explained against the merged graph, not the overlay.
+        let (_, stmt, verdict) = self.bound_on_merged(name, gname, cache)?;
+        let plan = stmt.plan_with(planner);
+        let report = plan.explain(&EvalConfig::default()).map_err(ServerError::msg)?;
+        let atoms: Vec<Value> = report
+            .atoms
+            .iter()
+            .map(|a| {
+                Value::obj([
+                    ("path_var", Value::str(&a.path_var)),
+                    ("from", Value::str(&a.from_var)),
+                    ("to", Value::str(&a.to_var)),
+                    ("direction", Value::str(a.direction.to_string())),
+                    (
+                        "pinned",
+                        match &a.pinned {
+                            Some(p) => Value::str(p),
+                            None => Value::Null,
+                        },
+                    ),
+                    ("automaton_states", Value::int(a.automaton_states as u64)),
+                    // Infinite estimates (the static planner's "don't know")
+                    // serialize as null.
+                    ("est_pairs", Value::Num(a.est_pairs)),
+                    ("est_fwd_frontier", Value::Num(a.est_fwd_frontier)),
+                    ("est_rev_frontier", Value::Num(a.est_rev_frontier)),
+                    ("actual_pairs", Value::int(a.actual_pairs)),
+                ])
+            })
+            .collect();
+        Ok(ok_obj([
+            ("registry", Value::str(verdict)),
+            ("planner", Value::str(report.planner_name())),
+            (
+                "join_order",
+                Value::Arr(report.join_order.iter().map(|v| Value::str(v.as_str())).collect()),
+            ),
+            ("atoms", Value::Arr(atoms)),
+            ("stats", stats_value(&report.stats)),
+            ("answers", Value::int(report.answers)),
+            ("text", Value::str(report.to_string())),
+        ]))
+    }
+
+    /// EXPLAIN ANALYZE for the serve path: runs like `run` (through the
+    /// same [`run_request`](Self::run_request)) while collecting a
+    /// wall-clock span tree — `resolve` (catalog/registry lookups), `run`
+    /// (with the engine's `plan` / per-atom `reach:<var>` / `compile` /
+    /// `search` child spans and their measured-vs-estimated cardinality
+    /// attributes), and `render` (answer serialization). The root span's
+    /// duration is recorded into the per-op request histogram and echoed as
+    /// `server_latency_us`, so the span tree and the histogram sample are
+    /// the same measurement.
+    pub(crate) fn op_trace(
+        &self,
+        run: &Run<'_>,
+        cache: &mut BatchCache,
+    ) -> Result<Value, ServerError> {
+        let mut trace = Trace::new();
+        let root = trace.begin("request");
+        let mut fields = self.run_request(run, cache, Some(&mut trace))?;
+        trace.end(root);
+
+        let total_ns = trace.spans[root].dur_ns;
+        self.record_request("trace", total_ns / 1000);
+        fields.push((
+            "trace",
+            Value::obj([
+                ("spans", trace.to_value()),
+                ("server_latency_us", Value::Num(total_ns as f64 / 1000.0)),
+            ]),
+        ));
+        Ok(ok_obj(fields))
+    }
+}
+
+/// [`EvalStats`] as a reply object, including the sim-table cache counters
+/// that prove (or disprove) compiled-artifact reuse.
+pub(crate) fn stats_value(stats: &EvalStats) -> Value {
+    Value::obj([
+        ("candidates", Value::int(stats.candidates)),
+        ("verified", Value::int(stats.verified)),
+        ("search_states", Value::int(stats.search_states)),
+        ("sim_cache_hits", Value::int(stats.sim_cache_hits)),
+        ("sim_cache_misses", Value::int(stats.sim_cache_misses)),
+    ])
+}
+
+/// The reply fields of a row-valued (`nodes`/`paths`) run, with the one
+/// writer of answer rows: `write_row` appends each row's JSON text straight
+/// from the borrowed answers — no `Value` per row or per node — and the
+/// `answers` array joins the reply as [`Value::Raw`]. The text starts at a
+/// page for the allocator reason [`Service::dispatch_req`] gives.
+pub(crate) fn rows_reply<R>(
+    verdict: &str,
+    rows: &[R],
+    stats: &EvalStats,
+    mut write_row: impl FnMut(&mut String, &R),
+) -> Vec<(&'static str, Value)> {
+    let mut text = String::with_capacity(4096);
+    text.push('[');
+    for (i, row) in rows.iter().enumerate() {
+        if i > 0 {
+            text.push(',');
+        }
+        write_row(&mut text, row);
+    }
+    text.push(']');
+    vec![
+        ("registry", Value::str(verdict)),
+        ("count", Value::int(rows.len() as u64)),
+        ("answers", Value::Raw(text)),
+        ("stats", stats_value(stats)),
+    ]
+}
+
+/// Appends a node tuple as a JSON array of node tokens, naming nodes
+/// through a sealed graph's or an overlay's `node_name`.
+pub(crate) fn write_nodes<'g>(
+    out: &mut String,
+    nodes: &[NodeId],
+    name: impl Fn(NodeId) -> Option<&'g str>,
+) {
+    out.push('[');
+    for (i, &n) in nodes.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_node(out, n, name(n));
+    }
+    out.push(']');
+}
+
+/// Appends one node token as a JSON string: a named node's name, escaped
+/// from the borrowed `&str`, or `n<i>` for an anonymous node — the tokens
+/// [`resolve_node`] accepts.
+fn write_node(out: &mut String, node: NodeId, name: Option<&str>) {
+    out.push('"');
+    match name {
+        Some(name) => json::escape_into(out, name),
+        None => write!(out, "n{}", node.0).expect("writing to a String cannot fail"),
+    }
+    out.push('"');
+}
+
+/// Appends a path as the alternating `[node, label, node, …]` array the
+/// protocol uses in both directions.
+fn write_path(out: &mut String, path: &Path, graph: &GraphDb) {
+    out.push('[');
+    for (i, &n) in path.nodes().iter().enumerate() {
+        if i > 0 {
+            out.push_str(",\"");
+            json::escape_into(out, graph.alphabet().label(path.label()[i - 1]));
+            out.push_str("\",");
+        }
+        write_node(out, n, graph.node_name(n));
+    }
+    out.push(']');
+}
+
+/// Resolves a protocol node token: a node name, or `n<i>` for an anonymous
+/// node — exactly the tokens [`GraphDb::node_display`] emits. A bare index
+/// or an `n<i>` pointing at a *named* node is rejected rather than silently
+/// resolved, so a stale or mistyped token cannot validate against the wrong
+/// node.
+fn resolve_node(graph: &GraphDb, token: &str) -> Result<NodeId, ServerError> {
+    if let Some(id) = graph.node_by_name(token) {
+        return Ok(id);
+    }
+    if let Some(digits) = token.strip_prefix('n') {
+        if let Ok(i) = digits.parse::<u32>() {
+            if (i as usize) < graph.num_nodes() && graph.node_name(NodeId(i)).is_none() {
+                return Ok(NodeId(i));
+            }
+        }
+    }
+    Err(ServerError(format!("unknown node `{token}`")))
+}
+
+/// Resolves a decoded `[node, label, node, …]` path against the graph.
+fn resolve_path(graph: &GraphDb, items: Strs<'_>) -> Result<Path, ServerError> {
+    let (mut nodes, mut labels) = (Vec::new(), Vec::new());
+    for (i, s) in items.iter().enumerate() {
+        if i % 2 == 0 {
+            nodes.push(resolve_node(graph, s)?);
+        } else {
+            let sym = graph
+                .alphabet()
+                .symbol(s)
+                .ok_or_else(|| ServerError(format!("unknown edge label `{s}`")))?;
+            labels.push(sym);
+        }
+    }
+    Ok(Path::new(nodes, labels))
+}
