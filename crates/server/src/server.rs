@@ -429,6 +429,9 @@ fn serve_connection(
         let (req, id) = match parsed {
             Ok(parsed) => parsed,
             Err(e) => {
+                // The rejection is an untagged reply: it waits for in-flight
+                // tagged work like any untagged request.
+                shared.drain();
                 let reply = service.reject_line(&e.0);
                 if !shared.write_ordered(reply, !has_buffered_line(&reader)) {
                     return Control::Close;
