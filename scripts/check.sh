@@ -12,7 +12,9 @@
 # the server smoke (an ephemeral-port
 # ecrpq-serve driven through load/prepare/run/stats/shutdown by ecrpq-cli,
 # asserting that the second run of a prepared statement is a registry hit
-# with zero sim-table compilations, and that 50 runs whose ~13 KB replies
+# with zero sim-table compilations, that a run whose `mode` is a number is
+# rejected with an error naming `mode` while a valid run after it still
+# succeeds, and that 50 runs whose ~13 KB replies
 # outgrow the server's 8 KB write buffer take under 1 s on one connection:
 # a reply sent as body plus a separate newline waits ~40 ms for a delayed
 # ACK; and that the bytes of two replies, read raw over bash /dev/tcp — the
@@ -151,6 +153,23 @@ server_smoke() {
     fi
     "$cli" --addr "$addr" stats
 
+    # Strict field types: a present field of the wrong type is rejected with
+    # an error naming it (never read as its default), and the connection and
+    # server keep serving.
+    local mistyped
+    if mistyped=$("$cli" --addr "$addr" raw '{"op":"run","name":"q","graph":"g","mode":1}'); then
+        echo "server smoke FAILED: a run with a numeric \`mode\` must be rejected: $mistyped" >&2
+        exit 1
+    fi
+    if ! grep -q '`mode`' <<< "$mistyped"; then
+        echo "server smoke FAILED: the mistyped-field error must name \`mode\`: $mistyped" >&2
+        exit 1
+    fi
+    if ! "$cli" --addr "$addr" raw '{"op":"run","name":"q","graph":"g"}' > /dev/null; then
+        echo "server smoke FAILED: a valid run after a rejected one must succeed" >&2
+        exit 1
+    fi
+
     # Wire framing: replies larger than the write buffer must leave in one
     # write on a TCP_NODELAY socket, or each one waits ~40 ms.
     "$cli" --addr "$addr" load big cycle:1000:a > /dev/null
@@ -185,7 +204,7 @@ server_smoke() {
     wait "$server_pid"
     server_pid=""
     rm -f "$log"
-    echo "    server smoke OK (second run: registry hit, sim_cache_misses=0; large replies do not stall; reply bytes pinned)"
+    echo "    server smoke OK (second run: registry hit, sim_cache_misses=0; mistyped field rejected by name; large replies do not stall; reply bytes pinned)"
 }
 
 # Sends the request lines after $1 (a host:port) and then `close` over one
