@@ -255,22 +255,21 @@ impl Service {
     /// slow-log entry under its op.
     fn dispatch_value(&self, req: &Value, tagged: bool) -> Result<(Value, Control), ServerError> {
         let req = Request::decode(req)?;
-        let op = req.op;
         let start = Instant::now();
         let result = self.execute(req, tagged);
         let micros = start.elapsed().as_micros() as u64;
         // The `trace` op records its *root-span* duration itself, so the
         // span tree and the histogram sample are the same measurement; every
         // other op records the full dispatch duration here.
-        if op != Op::Read(ReadOp::Trace) {
-            self.record_request(op.name(), micros);
+        if req.op != Op::Read(ReadOp::Trace) {
+            self.record_request(req.op.name(), micros);
         }
         if result.is_err() {
             self.metrics
-                .counter_with("ecrpq_op_errors_total", &[("op", op.name())], "Errors by op.")
+                .counter_with("ecrpq_op_errors_total", &[("op", req.op.name())], "Errors by op.")
                 .inc();
         }
-        self.note_slow(op, req, micros, result.is_err());
+        self.note_slow(req, micros, result.is_err());
         result
     }
 
@@ -287,7 +286,7 @@ impl Service {
 
     /// Appends a slow-log entry when the slow-query threshold is enabled
     /// and exceeded.
-    fn note_slow(&self, op: Op, req: Request<'_>, micros: u64, error: bool) {
+    fn note_slow(&self, req: Request<'_>, micros: u64, error: bool) {
         let threshold = self.slow_query_us.load(Ordering::Relaxed);
         if threshold == 0 || micros < threshold {
             return;
@@ -297,7 +296,7 @@ impl Service {
             .map(|d| d.as_millis() as u64)
             .unwrap_or(0);
         let entry = SlowEntry {
-            op: op.name().to_string(),
+            op: req.op.name().to_string(),
             name: req.opt_str("name").ok().flatten().map(str::to_string),
             graph: req.opt_str("graph").ok().flatten().map(str::to_string),
             micros,
