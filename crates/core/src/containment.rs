@@ -27,7 +27,7 @@ use crate::error::QueryError;
 use crate::eval::{self, EvalConfig};
 use crate::query::Ecrpq;
 use ecrpq_automata::alphabet::Symbol;
-use ecrpq_graph::{GraphDb, NodeId, Path};
+use ecrpq_graph::{GraphBuilder, GraphDb, NodeId, Path};
 use std::collections::HashMap;
 
 /// The result of a bounded containment check.
@@ -209,7 +209,7 @@ fn canonical_graph(
     q: &Ecrpq,
     labeling: &HashMap<String, Vec<Symbol>>,
 ) -> (GraphDb, HashMap<String, NodeId>, HashMap<String, Path>) {
-    let mut graph = GraphDb::new(q.alphabet.clone());
+    let mut graph = GraphBuilder::new(q.alphabet.clone());
     let mut node_map: HashMap<String, NodeId> = HashMap::new();
     let mut path_map: HashMap<String, Path> = HashMap::new();
     for (i, atom) in q.atoms.iter().enumerate() {
@@ -248,7 +248,7 @@ fn canonical_graph(
         }
         path_map.insert(atom.path.name().to_string(), Path::new(nodes, word.clone()));
     }
-    (graph, node_map, path_map)
+    (graph.build(), node_map, path_map)
 }
 
 #[cfg(test)]

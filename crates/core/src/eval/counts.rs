@@ -62,7 +62,7 @@ mod tests {
     use crate::eval::{self, EvalConfig};
     use crate::query::Ecrpq;
     use ecrpq_graph::generators;
-    use ecrpq_graph::GraphDb;
+    use ecrpq_graph::GraphBuilder;
 
     /// The paper's airline example (Section 8.2): an itinerary where at least
     /// 80% of the journey duration is with Singapore Airlines (label `SQ`).
@@ -70,7 +70,7 @@ mod tests {
     fn airline_fraction_constraint() {
         // Hand-built network: London → Sydney has two routes; one is 5 SQ
         // segments, the other is 2 SQ segments + 3 BA segments.
-        let mut g = GraphDb::empty();
+        let mut g = GraphBuilder::default();
         let london = g.add_named_node("London");
         let sydney = g.add_named_node("Sydney");
         let mut prev = london;
@@ -96,6 +96,7 @@ mod tests {
         }
         g.add_edge_labeled(prev, "BA", sydney);
 
+        let g = g.build();
         let al = g.alphabet().clone();
         let build = |percent: i64| {
             let mut b = Ecrpq::builder(&al)
@@ -161,11 +162,12 @@ mod tests {
         // the cycle's nodes are anonymous, so binding by name fails — rebuild
         // with an explicit named graph instead.
         assert!(q.is_ok());
-        let mut g2 = GraphDb::empty();
+        let mut g2 = GraphBuilder::default();
         let n0 = g2.add_named_node("n0");
         let n1 = g2.add_named_node("n1");
         g2.add_edge_labeled(n0, "a", n1);
         g2.add_edge_labeled(n1, "a", n0);
+        let g2 = g2.build();
         let al2 = g2.alphabet().clone();
         let q2 = Ecrpq::builder(&al2)
             .atom("x", "p", "y")

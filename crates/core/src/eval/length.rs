@@ -233,7 +233,7 @@ mod tests {
     #[test]
     fn qlen_is_an_over_approximation_of_equality() {
         // Graph: two parallel length-2 paths with different labels.
-        let mut g = ecrpq_graph::GraphDb::empty();
+        let mut g = ecrpq_graph::GraphBuilder::default();
         let s = g.add_named_node("s");
         let m1 = g.add_named_node("m1");
         let t = g.add_named_node("t");
@@ -243,6 +243,7 @@ mod tests {
         g.add_edge_labeled(m1, "a", t);
         g.add_edge_labeled(t, "b", m2);
         g.add_edge_labeled(m2, "b", u);
+        let g = g.build();
         let al = g.alphabet().clone();
         // squares query: (x, π1, z), (z, π2, y), π1 = π2
         let q = Ecrpq::builder(&al)

@@ -501,8 +501,13 @@ mod tests {
         assert!(eval_crpq_neg(&phi, &g, &al, &asg, &cfg()).unwrap());
 
         // Add a b-labeled edge 0 → 1 and the property fails.
-        let mut g2 = g.clone();
-        g2.add_edge_labeled(NodeId(0), "b", NodeId(1));
+        let mut g2 = ecrpq_graph::GraphBuilder::default();
+        let n = g2.add_nodes(3);
+        for i in 0..3 {
+            g2.add_edge_labeled(n[i], "a", n[(i + 1) % 3]);
+        }
+        g2.add_edge_labeled(n[0], "b", n[1]);
+        let g2 = g2.build();
         let al2 = g2.alphabet().clone();
         let phi2 = Formula::forall_path(
             "pi",
@@ -516,13 +521,14 @@ mod tests {
     #[test]
     fn two_distinct_paths() {
         // Graph with exactly two parallel a-paths 0 → 1.
-        let mut g = ecrpq_graph::GraphDb::empty();
+        let mut g = ecrpq_graph::GraphBuilder::default();
         let n0 = g.add_node();
         let n1 = g.add_node();
         let mid = g.add_node();
         g.add_edge_labeled(n0, "a", n1);
         g.add_edge_labeled(n0, "a", mid);
         g.add_edge_labeled(mid, "a", n1);
+        let g = g.build();
         let al = g.alphabet().clone();
         let body = |p: &str| Formula::edge("x", p, "y").and(Formula::lang(p, "a*", &al).unwrap());
         let phi = Formula::exists_path(
@@ -549,12 +555,13 @@ mod tests {
     /// x towards two different targets (false on a DAG with duplicated labels).
     #[test]
     fn bounded_ecrpq_neg_with_relations() {
-        let mut g = ecrpq_graph::GraphDb::empty();
+        let mut g = ecrpq_graph::GraphBuilder::default();
         let n0 = g.add_node();
         let n1 = g.add_node();
         let n2 = g.add_node();
         g.add_edge_labeled(n0, "a", n1);
         g.add_edge_labeled(n0, "a", n2);
+        let g = g.build();
         let al = g.alphabet().clone();
         let eq = builtin::equality(&al);
         // ∃π1 ∃π2 ((x,π1,y) ∧ (x,π2,z) ∧ ¬(y = z) ∧ π1 = π2 ∧ |π1| ≥ 1)

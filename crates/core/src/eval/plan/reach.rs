@@ -417,50 +417,3 @@ pub(crate) fn reachability_planned(
         rel
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::parse::parse_query;
-    use ecrpq_graph::generators;
-
-    /// The kernel reads either adjacency layout: over a graph in row form
-    /// and over its sealed (CSR) copy it yields identical rows, forward and
-    /// reverse, under every constraint kind.
-    #[test]
-    fn kernel_rows_match_on_row_and_csr_layouts() {
-        for seed in 0..8u64 {
-            let row_form = generators::random_graph(40, 2.5, &["a", "b", "c"], seed);
-            let sealed = row_form.sealed_copy();
-            let sources: Vec<u32> = (0..40).collect();
-            for lang in ["a*", "a (b | c)* a", ".* c"] {
-                let text = format!("Ans(x, y) <- (x, p, y), L(p) = {lang}");
-                let query = parse_query(&text, row_form.alphabet()).unwrap();
-                let pq = PreparedQuery::prepare(&query).unwrap();
-                let u = pq.unary[0].as_ref().unwrap();
-                let rev_nfa = u.nfa.reverse();
-                let mut stats = EvalStats::default();
-                let (sim, rev_sim) = (pq.unary_sim(0, &mut stats), pq.unary_rev_sim(0, &mut stats));
-                let rows = |g: &GraphDb| {
-                    let bound = pq.bind(g).unwrap();
-                    let (out, inn) = (bound.edges::<false>(), bound.edges::<true>());
-                    let map = out.symbol_map;
-                    [
-                        product_rows(&out, &Unconstrained, &sources),
-                        product_rows(&inn, &Unconstrained, &sources),
-                        product_rows(&out, &SparseNfa::new(&u.nfa, map), &sources),
-                        product_rows(&inn, &SparseNfa::new(&rev_nfa, map), &sources),
-                        product_rows(&out, &Tables::new(&sim, map), &sources),
-                        product_rows(&inn, &Tables::new(&rev_sim, map), &sources),
-                    ]
-                };
-                let ctx = format!("seed {seed}, `{lang}`");
-                let got = rows(&row_form);
-                assert_eq!(got, rows(&sealed), "{ctx}");
-                // The two constraint forms agree, and the rows are not vacuous.
-                assert_eq!((&got[2], &got[3]), (&got[4], &got[5]), "{ctx}");
-                assert!(got[4].iter().any(|row| !row.is_empty()), "{ctx}");
-            }
-        }
-    }
-}

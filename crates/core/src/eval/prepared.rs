@@ -1259,7 +1259,7 @@ const _: fn() = || {
 pub(crate) mod tests {
     use super::*;
     use ecrpq_automata::builtin;
-    use ecrpq_graph::generators;
+    use ecrpq_graph::{generators, GraphBuilder};
 
     fn same_length_query(al: &Alphabet) -> Ecrpq {
         Ecrpq::builder(al)
@@ -1357,10 +1357,11 @@ pub(crate) mod tests {
 
     #[test]
     fn bind_resolves_constants_per_graph() {
-        let mut g1 = GraphDb::empty();
+        let mut g1 = GraphBuilder::default();
         let a1 = g1.add_named_node("start");
         let b1 = g1.add_named_node("end");
         g1.add_edge_labeled(a1, "a", b1);
+        let g1 = g1.build();
         let al = g1.alphabet().clone();
         let q = Ecrpq::builder(&al)
             .head_nodes(&["y"])
@@ -1468,13 +1469,14 @@ pub(crate) mod tests {
         // Query alphabet {a}; the graph additionally has label `z`, which no
         // relation can read — paths through `z` edges must not satisfy the
         // equality relation, and unconstrained reachability must still work.
-        let mut g = GraphDb::empty();
+        let mut g = GraphBuilder::default();
         let n0 = g.add_named_node("n0");
         let n1 = g.add_named_node("n1");
         let n2 = g.add_named_node("n2");
         g.add_edge_labeled(n0, "a", n1);
         g.add_edge_labeled(n1, "a", n2);
         g.add_edge_labeled(n0, "z", n1); // foreign label
+        let g = g.build();
         let al = Alphabet::from_labels(["a"]);
         let q = Ecrpq::builder(&al)
             .head_nodes(&["x", "y"])

@@ -19,7 +19,7 @@
 //! use ecrpq::prelude::*;
 //!
 //! // A small graph: advisor edges between people.
-//! let mut g = GraphDb::empty();
+//! let mut g = GraphBuilder::default();
 //! let alice = g.add_named_node("alice");
 //! let bob = g.add_named_node("bob");
 //! let carol = g.add_named_node("carol");
@@ -29,6 +29,7 @@
 //! g.add_edge_labeled(carol, "advisor", emma);
 //! g.add_edge_labeled(bob, "advisor", dana);
 //! g.add_edge_labeled(dana, "advisor", emma);
+//! let g = g.build();
 //!
 //! // "Pairs of people with same-length advisor chains to a common ancestor" —
 //! // the introduction's example that CRPQs cannot express.
@@ -95,5 +96,5 @@ pub mod prelude {
     pub use crate::QueryError;
     pub use ecrpq_automata::builtin;
     pub use ecrpq_automata::{Alphabet, Regex, RegularRelation, Symbol};
-    pub use ecrpq_graph::{generators, GraphDb, NodeId, Path};
+    pub use ecrpq_graph::{generators, GraphBuilder, GraphDb, NodeId, Path};
 }

@@ -7,11 +7,11 @@
 //! owned by a [`LiveGraph`]. Reads that must see the writes evaluate over
 //! the [`GraphView`] overlay (base rows filtered by tombstones, plus the
 //! delta rows). When the accumulated delta crosses a threshold,
-//! [`LiveGraph::apply`] merges it into a fresh *sealed* `GraphDb` (CSR
-//! adjacency, arena names) and hands the new epoch back for the catalog to
-//! swap in; old readers keep their pinned `Arc`s.
+//! [`LiveGraph::apply`] writes the next epoch's CSR arrays and name arena
+//! directly from the base's and the delta's, and hands the new `GraphDb`
+//! back for the catalog to swap in; old readers keep their pinned `Arc`s.
 
-use crate::graph::{Edge, GraphDb, NodeId};
+use crate::graph::{Csr, Edge, GraphDb, NodeId};
 use ecrpq_automata::alphabet::{Alphabet, Symbol};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -33,8 +33,8 @@ pub struct EdgeDelta {
     base_nodes: usize,
     /// Number of base-alphabet labels.
     base_labels: usize,
-    /// Added edges, in application order.
-    added: Vec<Edge>,
+    /// Number of live added edge instances (cancelled adds excluded).
+    added: usize,
     /// Added edges grouped by source / target for overlay row reads.
     added_out: HashMap<u32, Vec<(Symbol, NodeId)>>,
     added_in: HashMap<u32, Vec<(Symbol, NodeId)>>,
@@ -42,8 +42,9 @@ pub struct EdgeDelta {
     removed: HashSet<(u32, u32, u32)>,
     /// How many base edge instances the tombstones cover.
     removed_base_instances: usize,
-    /// Names of delta-introduced nodes (id = `base_nodes + index`).
-    new_names: Vec<Option<String>>,
+    /// Names of delta-introduced nodes (id = `base_nodes + index`); a
+    /// delta only introduces named nodes.
+    new_names: Vec<String>,
     new_name_index: HashMap<String, NodeId>,
     /// Applied operations since creation (adds + removes), for the merge
     /// threshold.
@@ -56,7 +57,7 @@ impl EdgeDelta {
             alphabet: base.alphabet().clone(),
             base_nodes: base.num_nodes(),
             base_labels: base.alphabet().len(),
-            added: Vec::new(),
+            added: 0,
             added_out: HashMap::new(),
             added_in: HashMap::new(),
             removed: HashSet::new(),
@@ -87,17 +88,10 @@ impl EdgeDelta {
         self.ops == 0
     }
 
-    /// Name of a delta-introduced node, if any (`id >= base_nodes`).
-    fn new_name(&self, id: usize) -> Option<&str> {
-        self.new_names[id - self.base_nodes].as_deref()
-    }
-
-    fn add_new_node(&mut self, name: Option<&str>) -> NodeId {
+    fn add_new_node(&mut self, name: &str) -> NodeId {
         let id = NodeId(self.num_nodes() as u32);
-        self.new_names.push(name.map(str::to_string));
-        if let Some(n) = name {
-            self.new_name_index.insert(n.to_string(), id);
-        }
+        self.new_names.push(name.to_string());
+        self.new_name_index.insert(name.to_string(), id);
         id
     }
 }
@@ -119,7 +113,7 @@ impl<'a> GraphView<'a> {
 
     /// Total edges in the overlay.
     pub fn num_edges(&self) -> usize {
-        self.base.num_edges() - self.delta.removed_base_instances + self.delta.added.len()
+        self.base.num_edges() - self.delta.removed_base_instances + self.delta.added
     }
 
     /// The overlay alphabet.
@@ -173,7 +167,7 @@ impl<'a> GraphView<'a> {
         if node.index() < self.delta.base_nodes {
             self.base.node_name(node)
         } else {
-            self.delta.new_name(node.index())
+            Some(&self.delta.new_names[node.index() - self.delta.base_nodes])
         }
     }
 }
@@ -282,24 +276,10 @@ impl LiveGraph {
     /// denotes the anonymous in-range node `i` (mirroring the protocol's
     /// node-resolution rule); anything else becomes a fresh named node.
     fn resolve_or_add(&mut self, token: &str) -> NodeId {
-        if let Some(id) = self.view().node_by_name(token) {
-            return id;
+        match self.view().node_by_name(token).or_else(|| self.anon_in_range(token)) {
+            Some(id) => id,
+            None => self.delta.add_new_node(token),
         }
-        if let Some(rest) = token.strip_prefix('n') {
-            if let Ok(i) = rest.parse::<u32>() {
-                let anon = if (i as usize) < self.delta.base_nodes {
-                    self.base.node_name(NodeId(i)).is_none()
-                } else if (i as usize) < self.delta.num_nodes() {
-                    self.delta.new_name(i as usize).is_none()
-                } else {
-                    false
-                };
-                if anon {
-                    return NodeId(i);
-                }
-            }
-        }
-        self.delta.add_new_node(Some(token))
     }
 
     /// Applies one batch of edge additions and removals, given as
@@ -322,7 +302,7 @@ impl LiveGraph {
             let to = self.resolve_or_add(t);
             let label = self.delta.alphabet.intern(l);
             let edge = Edge { from, label, to };
-            self.delta.added.push(edge);
+            self.delta.added += 1;
             self.delta.added_out.entry(from.0).or_default().push((label, to));
             self.delta.added_in.entry(to.0).or_default().push((label, from));
             self.delta.ops += 1;
@@ -355,7 +335,7 @@ impl LiveGraph {
                 if let Some(row) = self.delta.added_in.get_mut(&to.0) {
                     row.retain(|&(l2, f2)| !(l2 == label && f2 == from));
                 }
-                self.delta.added.retain(|e| !(e.from == from && e.label == label && e.to == to));
+                self.delta.added -= hit;
             }
             // Then tombstone live base instances (only base labels/nodes can
             // have any).
@@ -405,19 +385,12 @@ impl LiveGraph {
         }
     }
 
-    /// `n<i>` for an in-range *anonymous* node `i`, mirroring the
-    /// protocol's resolution rule (used on the remove path, which must not
-    /// create nodes).
+    /// `n<i>` ([`NodeId::parse_anon`]) for an in-range *anonymous* node
+    /// `i`, mirroring the protocol's resolution rule. Only the base has
+    /// anonymous nodes.
     fn anon_in_range(&self, token: &str) -> Option<NodeId> {
-        let i: u32 = token.strip_prefix('n')?.parse().ok()?;
-        let anon = if (i as usize) < self.delta.base_nodes {
-            self.base.node_name(NodeId(i)).is_none()
-        } else if (i as usize) < self.delta.num_nodes() {
-            self.delta.new_name(i as usize).is_none()
-        } else {
-            return None;
-        };
-        anon.then_some(NodeId(i))
+        let id = NodeId::parse_anon(token)?;
+        (id.index() < self.delta.base_nodes && self.base.node_name(id).is_none()).then_some(id)
     }
 
     /// Merges `base + delta` into a fresh sealed epoch, resets the delta,
@@ -431,39 +404,66 @@ impl LiveGraph {
         self.merge()
     }
 
+    /// Writes the next epoch: out-row `v` is base row `v` minus tombstones,
+    /// then `added_out[v]` (in-rows likewise from `added_in`); names are the
+    /// base arena plus the new names; the alphabet is the overlay's.
     fn merge(&mut self) -> Arc<GraphDb> {
-        // Clone the base (preserving its representation — a sealed base
-        // exercises the unseal-on-mutate paths) and replay the delta.
-        let mut g: GraphDb = (*self.base).clone();
-        // Tombstones first: they target base instances only, so they must
-        // run before re-added identical triples land.
-        for &(f, l, t) in &self.delta.removed {
-            g.remove_edge(NodeId(f), Symbol(l), NodeId(t));
+        let (base, delta) = (&*self.base, &self.delta);
+        let (n, m) = (delta.num_nodes(), self.view().num_edges());
+        let out_dead = delta.removed.iter().map(|&(f, l, t)| (f, (Symbol(l), NodeId(t))));
+        let in_dead = delta.removed.iter().map(|&(f, l, t)| (t, (Symbol(l), NodeId(f))));
+        let out_edges = merge_rows(&base.out_edges, out_dead.collect(), &delta.added_out, n, m);
+        let in_edges = merge_rows(&base.in_edges, in_dead.collect(), &delta.added_in, n, m);
+        let mut names = base.node_names.clone();
+        for name in &delta.new_names {
+            names.push(Some(name));
         }
-        for name in &self.delta.new_names {
-            match name {
-                Some(n) => {
-                    g.add_named_node(n);
-                }
-                None => {
-                    g.add_node();
-                }
-            }
-        }
-        for (sym, label) in self.delta.alphabet.iter() {
-            if sym.index() >= self.delta.base_labels {
-                g.alphabet_mut().intern(label);
-            }
-        }
-        for e in &self.delta.added {
-            g.add_edge(e.from, e.label, e.to);
-        }
-        let sealed = Arc::new(g.sealed_copy());
-        self.base = Arc::clone(&sealed);
-        self.delta = EdgeDelta::new(&sealed);
+        let merged =
+            Arc::new(GraphDb::from_parts(delta.alphabet.clone(), names, out_edges, in_edges));
+        self.base = Arc::clone(&merged);
+        self.delta = EdgeDelta::new(&merged);
         self.merges += 1;
-        sealed
+        merged
     }
+}
+
+/// One direction of a merged epoch's adjacency over `nodes` nodes: base row
+/// `v` without its tombstoned `(v, entry)` pairs in `dead`, then `added[v]`.
+/// Tombstones and added rows are sorted by row and walked alongside the
+/// nodes, so a row with no tombstone is one `extend_from_slice`.
+fn merge_rows(
+    base: &Csr,
+    mut dead: Vec<(u32, (Symbol, NodeId))>,
+    added: &HashMap<u32, Vec<(Symbol, NodeId)>>,
+    nodes: usize,
+    edges: usize,
+) -> Csr {
+    dead.sort_unstable_by_key(|&(v, _)| v);
+    let mut added: Vec<(u32, &[(Symbol, NodeId)])> =
+        added.iter().map(|(&v, row)| (v, row.as_slice())).collect();
+    added.sort_unstable_by_key(|&(v, _)| v);
+    let (mut dead, mut added) = (dead.as_slice(), added.as_slice());
+    let mut out = Csr { off: Vec::with_capacity(nodes + 1), edges: Vec::with_capacity(edges) };
+    out.off.push(0);
+    for v in 0..nodes as u32 {
+        if (v as usize) + 1 < base.off.len() {
+            let row = base.row(v as usize);
+            let k = dead.iter().take_while(|&&(r, _)| r == v).count();
+            if k == 0 {
+                out.edges.extend_from_slice(row);
+            } else {
+                let here = &dead[..k];
+                out.edges.extend(row.iter().filter(|&e| !here.iter().any(|(_, d)| d == e)));
+                dead = &dead[k..];
+            }
+        }
+        if let Some((&(_, row), rest)) = added.split_first().filter(|((r, _), _)| *r == v) {
+            out.edges.extend_from_slice(row);
+            added = rest;
+        }
+        out.off.push(out.edges.len() as u32);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -609,6 +609,128 @@ mod tests {
         // Node identity survives the merge: names resolve to the same ids.
         for name in ["a", "b", "c", "n9", "e"] {
             assert!(merged.node_by_name(name).is_some(), "{name} lost in merge");
+        }
+    }
+
+    /// A merged epoch is exactly the graph a `GraphBuilder` makes from the
+    /// surviving edges in insertion order, base names declared first in id
+    /// order, then the new names, labels in interning order: the same rows
+    /// both ways and the same snapshot bytes. Seeded batches mix parallel
+    /// edges, cancelled adds, re-adds after tombstones, and new nodes and
+    /// labels, over three merges.
+    #[test]
+    fn merged_epoch_rows_and_bytes_equal_a_builder_twin() {
+        use crate::prng::SplitMix64;
+        use crate::snapshot::write_snapshot;
+        use crate::GraphBuilder;
+
+        fn note(seen: &mut Vec<String>, s: &str) {
+            if !seen.iter().any(|x| x == s) {
+                seen.push(s.to_string());
+            }
+        }
+        // Node and label pools grow each round, so later batches introduce
+        // new nodes and labels.
+        let pick = |rng: &mut SplitMix64, round: usize| {
+            let node = |rng: &mut SplitMix64| format!("v{}", rng.gen_index(6 + 3 * round));
+            let from = node(rng);
+            let label = ["a", "b", "c", "d"][rng.gen_index((2 + round).min(4))];
+            (from, label.to_string(), node(rng))
+        };
+        for seed in 0..16u64 {
+            let mut rng = SplitMix64::seed_from_u64(seed);
+            let mut edges: Vec<(String, String, String)> = Vec::new();
+            for _ in 0..12 {
+                let t = pick(&mut rng, 0);
+                if rng.gen_index(4) == 0 {
+                    edges.push(t.clone());
+                }
+                edges.push(t);
+            }
+            let text: String = edges.iter().map(|(f, l, t)| format!("{f} {l} {t}\n")).collect();
+            let (mut names, mut labels) = (Vec::new(), Vec::new());
+            for (f, l, t) in &edges {
+                note(&mut names, f);
+                note(&mut names, t);
+                note(&mut labels, l);
+            }
+            let mut live =
+                LiveGraph::new(Arc::new(GraphDb::from_edge_list(&text).unwrap()), 1 << 20);
+            let mut removed: Vec<(String, String, String)> = Vec::new();
+            for round in 1..=3 {
+                for _ in 0..4 {
+                    let mut adds = Vec::new();
+                    for _ in 0..rng.gen_index(5) {
+                        let t = match rng.gen_index(3) {
+                            0 if !removed.is_empty() => {
+                                removed[rng.gen_index(removed.len())].clone()
+                            }
+                            _ => pick(&mut rng, round),
+                        };
+                        if rng.gen_index(4) == 0 {
+                            adds.push(t.clone());
+                        }
+                        adds.push(t);
+                    }
+                    let mut removes = Vec::new();
+                    for _ in 0..rng.gen_index(4) {
+                        removes.push(match rng.gen_index(3) {
+                            0 if !adds.is_empty() => adds[rng.gen_index(adds.len())].clone(),
+                            1 if !edges.is_empty() => edges[rng.gen_index(edges.len())].clone(),
+                            _ => pick(&mut rng, round + 1),
+                        });
+                    }
+                    live.apply(&adds, &removes);
+                    // The reference: adds land first, then each remove takes
+                    // out every live instance of its triple.
+                    for (f, l, t) in &adds {
+                        note(&mut names, f);
+                        note(&mut names, t);
+                        note(&mut labels, l);
+                    }
+                    edges.extend(adds);
+                    for t in removes {
+                        edges.retain(|e| *e != t);
+                        removed.push(t);
+                    }
+                }
+                let merged = live.force_merge();
+                let mut twin =
+                    GraphBuilder::new(Alphabet::from_labels(labels.iter().map(|l| l.as_str())));
+                for name in &names {
+                    twin.add_named_node(name);
+                }
+                for (f, l, t) in &edges {
+                    let (from, to) = (twin.add_named_node(f), twin.add_named_node(t));
+                    twin.add_edge_labeled(from, l, to);
+                }
+                let twin = twin.build();
+                let ctx = format!("seed {seed}, merge {round}");
+                assert_eq!(merged.num_nodes(), twin.num_nodes(), "{ctx}");
+                for v in twin.nodes() {
+                    assert_eq!(merged.out_edges(v), twin.out_edges(v), "{ctx}, out-row {v:?}");
+                    assert_eq!(merged.in_edges(v), twin.in_edges(v), "{ctx}, in-row {v:?}");
+                }
+                let snap = |g: &GraphDb| write_snapshot(g).unwrap();
+                assert_eq!(snap(&merged), snap(&twin), "{ctx}, snapshot bytes");
+            }
+        }
+    }
+
+    /// Only the canonical `n<i>` that `node_display` emits names an
+    /// anonymous node; `n03` or `n+4` is a fresh named node on an add and
+    /// matches nothing on a remove.
+    #[test]
+    fn only_canonical_anon_tokens_resolve() {
+        let base = Arc::new(crate::generators::cycle_graph(6, "a"));
+        for (adds, removes, nodes, edges) in [
+            (vec![triple("n3", "a", "n4")], vec![], 6, 7),
+            (vec![triple("n03", "a", "n+4")], vec![], 8, 7),
+            (vec![], vec![triple("n0", "a", "n1")], 6, 5),
+            (vec![], vec![triple("n00", "a", "n01")], 6, 6),
+        ] {
+            let out = LiveGraph::new(Arc::clone(&base), 1000).apply(&adds, &removes);
+            assert_eq!((out.nodes, out.edges), (nodes, edges), "{adds:?} {removes:?}");
         }
     }
 

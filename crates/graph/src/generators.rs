@@ -10,14 +10,24 @@
 //! route-finding example of Section 8.2), and academic-genealogy graphs (the
 //! advisor example of the introduction).
 
-use crate::graph::{GraphDb, NodeId};
+use crate::graph::{GraphBuilder, GraphDb, NodeId};
 use crate::prng::SplitMix64;
 use ecrpq_automata::alphabet::{Alphabet, Symbol};
 
 /// A uniformly random Σ-labeled graph with `num_nodes` nodes and
 /// `num_nodes · avg_degree` edges, labels drawn uniformly from `labels`.
 pub fn random_graph(num_nodes: usize, avg_degree: f64, labels: &[&str], seed: u64) -> GraphDb {
-    let mut g = GraphDb::new(Alphabet::from_labels(labels.iter().copied()));
+    random_graph_builder(num_nodes, avg_degree, labels, seed).build()
+}
+
+/// [`random_graph`] before it is built, for fixtures that add to it.
+pub fn random_graph_builder(
+    num_nodes: usize,
+    avg_degree: f64,
+    labels: &[&str],
+    seed: u64,
+) -> GraphBuilder {
+    let mut g = GraphBuilder::new(Alphabet::from_labels(labels.iter().copied()));
     let nodes = g.add_nodes(num_nodes);
     let syms: Vec<Symbol> = g.alphabet().symbols().collect();
     let mut rng = SplitMix64::seed_from_u64(seed);
@@ -33,24 +43,24 @@ pub fn random_graph(num_nodes: usize, avg_degree: f64, labels: &[&str], seed: u6
 
 /// A directed cycle of `n` nodes, all edges labeled `label`.
 pub fn cycle_graph(n: usize, label: &str) -> GraphDb {
-    let mut g = GraphDb::empty();
+    let mut g = GraphBuilder::default();
     let nodes = g.add_nodes(n);
     for i in 0..n {
         g.add_edge_labeled(nodes[i], label, nodes[(i + 1) % n]);
     }
-    g
+    g.build()
 }
 
 /// The string graph `G_s` of Proposition 3.2: a simple path `v0 → v1 → … →
 /// vn` whose i-th edge is labeled with the i-th letter of `word`. Returns the
 /// graph together with its first and last nodes.
 pub fn string_graph(word: &[&str]) -> (GraphDb, NodeId, NodeId) {
-    let mut g = GraphDb::empty();
+    let mut g = GraphBuilder::default();
     let nodes = g.add_nodes(word.len() + 1);
     for (i, l) in word.iter().enumerate() {
         g.add_edge_labeled(nodes[i], l, nodes[i + 1]);
     }
-    (g, nodes[0], *nodes.last().unwrap())
+    (g.build(), nodes[0], *nodes.last().unwrap())
 }
 
 /// The graph `G_Σ` used in the PSPACE-hardness proof of Theorem 6.3: for each
@@ -59,7 +69,7 @@ pub fn string_graph(word: &[&str]) -> (GraphDb, NodeId, NodeId) {
 /// ordered pair of distinct nodes as prescribed in the proof.
 pub fn rei_gadget_graph(labels: &[&str]) -> GraphDb {
     let n = labels.len();
-    let mut g = GraphDb::new(Alphabet::from_labels(labels.iter().copied()));
+    let mut g = GraphBuilder::new(Alphabet::from_labels(labels.iter().copied()));
     let nodes: Vec<NodeId> = (0..n + 1).map(|i| g.add_named_node(&format!("v{i}"))).collect();
     let syms: Vec<Symbol> = g.alphabet().symbols().collect();
     for i in 0..n + 1 {
@@ -72,7 +82,7 @@ pub fn rei_gadget_graph(labels: &[&str]) -> GraphDb {
             g.add_edge(nodes[i], label, nodes[j]);
         }
     }
-    g
+    g.build()
 }
 
 /// Description of an RDF-style workload graph for ρ-queries.
@@ -95,7 +105,7 @@ pub fn rdf_subproperty_graph(
 ) -> RdfWorkload {
     assert!(num_properties >= 2);
     let labels: Vec<String> = (0..num_properties).map(|i| format!("p{i}")).collect();
-    let mut g = GraphDb::new(Alphabet::from_labels(labels.iter().map(|s| s.as_str())));
+    let mut g = GraphBuilder::new(Alphabet::from_labels(labels.iter().map(|s| s.as_str())));
     let nodes: Vec<NodeId> =
         (0..num_entities).map(|i| g.add_named_node(&format!("e{i}"))).collect();
     let syms: Vec<Symbol> = g.alphabet().symbols().collect();
@@ -109,7 +119,7 @@ pub fn rdf_subproperty_graph(
     }
     let subproperties: Vec<(Symbol, Symbol)> =
         (0..num_properties / 2).map(|i| (syms[2 * i], syms[2 * i + 1])).collect();
-    RdfWorkload { graph: g, subproperties }
+    RdfWorkload { graph: g.build(), subproperties }
 }
 
 /// A DNA-style sequence graph: the concatenation of two sequence paths (one
@@ -129,8 +139,8 @@ pub struct SequencePair {
 /// label set). When `with_eps_loops` is set, every node carries an
 /// `eps`-labeled self-loop (used by the alignment query of Section 4).
 pub fn sequence_pair_graph(seq1: &[&str], seq2: &[&str], with_eps_loops: bool) -> SequencePair {
-    let mut g = GraphDb::empty();
-    let build = |g: &mut GraphDb, seq: &[&str], tag: &str| -> (NodeId, NodeId) {
+    let mut g = GraphBuilder::default();
+    let build = |g: &mut GraphBuilder, seq: &[&str], tag: &str| -> (NodeId, NodeId) {
         let nodes: Vec<NodeId> =
             (0..seq.len() + 1).map(|i| g.add_named_node(&format!("{tag}{i}"))).collect();
         for (i, l) in seq.iter().enumerate() {
@@ -141,12 +151,11 @@ pub fn sequence_pair_graph(seq1: &[&str], seq2: &[&str], with_eps_loops: bool) -
     let first = build(&mut g, seq1, "s");
     let second = build(&mut g, seq2, "t");
     if with_eps_loops {
-        let all: Vec<NodeId> = g.nodes().collect();
-        for v in all {
-            g.add_edge_labeled(v, "eps", v);
+        for v in 0..(seq1.len() + seq2.len() + 2) as u32 {
+            g.add_edge_labeled(NodeId(v), "eps", NodeId(v));
         }
     }
-    SequencePair { graph: g, first, second }
+    SequencePair { graph: g.build(), first, second }
 }
 
 /// A random DNA word of the given length over {A, C, G, T}.
@@ -168,7 +177,7 @@ pub fn flight_network(
     segments: usize,
     seed: u64,
 ) -> GraphDb {
-    let mut g = GraphDb::new(Alphabet::from_labels(airlines.iter().copied()));
+    let mut g = GraphBuilder::new(Alphabet::from_labels(airlines.iter().copied()));
     let cities: Vec<NodeId> =
         (0..num_cities).map(|i| g.add_named_node(&format!("city{i}"))).collect();
     let syms: Vec<Symbol> = g.alphabet().symbols().collect();
@@ -188,14 +197,14 @@ pub fn flight_network(
             prev = next;
         }
     }
-    g
+    g.build()
 }
 
 /// An academic-genealogy graph (the introduction's student–advisor example):
 /// a random forest of `advisor`-labeled edges from students to advisors, with
 /// `num_people` people. Person `i` is the named node `person{i}`.
 pub fn academic_genealogy(num_people: usize, seed: u64) -> GraphDb {
-    let mut g = GraphDb::new(Alphabet::from_labels(["advisor"]));
+    let mut g = GraphBuilder::new(Alphabet::from_labels(["advisor"]));
     let people: Vec<NodeId> =
         (0..num_people).map(|i| g.add_named_node(&format!("person{i}"))).collect();
     let advisor = g.alphabet().sym("advisor");
@@ -205,7 +214,7 @@ pub fn academic_genealogy(num_people: usize, seed: u64) -> GraphDb {
         let adv = people[rng.gen_index(i)];
         g.add_edge(people[i], advisor, adv);
     }
-    g
+    g.build()
 }
 
 #[cfg(test)]

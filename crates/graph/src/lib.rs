@@ -7,12 +7,13 @@
 //! and 8.2).
 //!
 //! ```
-//! use ecrpq_graph::graph::GraphDb;
+//! use ecrpq_graph::graph::GraphBuilder;
 //!
-//! let mut g = GraphDb::empty();
+//! let mut g = GraphBuilder::default();
 //! let alice = g.add_named_node("alice");
 //! let bob = g.add_named_node("bob");
 //! g.add_edge_labeled(alice, "knows", bob);
+//! let g = g.build();
 //! assert_eq!(g.num_edges(), 1);
 //!
 //! // The graph is an NFA over its alphabet once endpoints are fixed.

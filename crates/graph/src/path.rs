@@ -135,14 +135,7 @@ mod tests {
     use super::*;
 
     fn triangle() -> GraphDb {
-        let mut g = GraphDb::empty();
-        let a = g.add_named_node("a");
-        let b = g.add_named_node("b");
-        let c = g.add_named_node("c");
-        g.add_edge_labeled(a, "x", b);
-        g.add_edge_labeled(b, "y", c);
-        g.add_edge_labeled(c, "z", a);
-        g
+        GraphDb::from_edge_list("a x b\nb y c\nc z a\n").unwrap()
     }
 
     #[test]

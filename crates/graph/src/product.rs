@@ -136,12 +136,7 @@ mod tests {
     use ecrpq_automata::alphabet::convolution;
 
     fn two_cycle() -> GraphDb {
-        let mut g = GraphDb::empty();
-        let a = g.add_named_node("a");
-        let b = g.add_named_node("b");
-        g.add_edge_labeled(a, "x", b);
-        g.add_edge_labeled(b, "y", a);
-        g
+        GraphDb::from_edge_list("a x b\nb y a\n").unwrap()
     }
 
     #[test]

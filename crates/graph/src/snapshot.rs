@@ -11,23 +11,25 @@
 //! | 3 | names   | per-node optional name strings |
 //! | 4 | forward | forward CSR: offsets, labels, targets |
 //! | 5 | reverse | reverse CSR: offsets, labels, sources |
-//! | 6 | degrees | cached out-/in-degree arrays |
+//! | 6 | degrees | out-/in-degree arrays (derived from the CSR offsets) |
 //! | 7 | stats   | the planner's [`GraphStats`] |
 //!
-//! [`read_snapshot`] preallocates the name interner, adjacency vectors, and
-//! degree arrays from the header counts, so the warm path performs zero
-//! rehash or regrow work, and it validates every offset, label, and target
-//! against the header counts before constructing the graph — a corrupted
-//! snapshot is a structured [`StorageError`], never a panic downstream.
+//! [`read_snapshot`] preallocates the name arena and adjacency arrays from
+//! the header counts, so the warm path performs zero rehash or regrow work,
+//! and it validates every offset, label, and target against the header
+//! counts, and every CSR row against the degree section, before constructing
+//! the graph — a corrupted snapshot is a structured [`StorageError`], never
+//! a panic downstream. The graph keeps no degree arrays: the degree section
+//! is only a cross-check of the offsets.
 
-use crate::graph::{Adjacency, GraphDb, NodeId, NodeNames};
+use crate::graph::{Csr, GraphDb, NodeId, NodeNames, ANON_SPAN};
 use crate::stats::{GraphStats, LabelStats};
 use ecrpq_automata::alphabet::{Alphabet, Symbol};
 use ecrpq_storage::{fnv1a64, Container, Decoder, Encoder, Writer};
 use std::path::Path;
 
 pub use ecrpq_storage::StorageError;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Edge count above which [`read_snapshot`] decodes the names, forward-CSR,
 /// and reverse-CSR sections on separate threads. Below this the sections are
@@ -136,9 +138,10 @@ pub fn write_snapshot(g: &GraphDb) -> Result<Vec<u8>, StorageError> {
     w.section(SEC_FWD, encode_csr(&g.out_edges, n, m));
     w.section(SEC_REV, encode_csr(&g.in_edges, n, m));
 
+    let degrees = |csr: &Csr| -> Vec<u32> { csr.off.windows(2).map(|w| w[1] - w[0]).collect() };
     let mut e = Encoder::with_capacity(8 * n + 32);
-    e.slice_u32(&g.out_degree);
-    e.slice_u32(&g.in_degree);
+    e.slice_u32(&degrees(&g.out_edges));
+    e.slice_u32(&degrees(&g.in_edges));
     w.section(SEC_DEGREES, e);
 
     let mut e = Encoder::new();
@@ -149,7 +152,7 @@ pub fn write_snapshot(g: &GraphDb) -> Result<Vec<u8>, StorageError> {
 }
 
 /// Reconstructs a graph from snapshot bytes, validating shapes, offsets,
-/// labels, and targets along the way. The returned graph is bit-identical
+/// labels, targets and row lengths along the way. The returned graph is bit-identical
 /// to the one that was saved: same node ids, same adjacency order, same
 /// cached statistics.
 pub fn read_snapshot(bytes: &[u8]) -> Result<GraphDb, StorageError> {
@@ -185,7 +188,8 @@ pub fn read_snapshot(bytes: &[u8]) -> Result<GraphDb, StorageError> {
         return Err(StorageError::Corrupt("duplicate label in alphabet section".to_string()));
     }
 
-    // Degrees first: the adjacency build uses them as exact capacities.
+    // Degrees first: every CSR row is checked against them, then they are
+    // dropped.
     let mut d = Decoder::new(c.section(SEC_DEGREES)?);
     let out_degree = d.vec_u32("out-degrees")?;
     let in_degree = d.vec_u32("in-degrees")?;
@@ -231,22 +235,12 @@ pub fn read_snapshot(bytes: &[u8]) -> Result<GraphDb, StorageError> {
         return Err(StorageError::Corrupt("stats do not match the header counts".to_string()));
     }
 
-    let stats_cache = OnceLock::new();
-    let _ = stats_cache.set(Arc::new(stats));
     // The name index stays unbuilt: `GraphDb` derives it lazily from
     // `node_names` the first time a name is actually looked up, so opening
     // never pays for a string hash map it may not need.
-    Ok(GraphDb {
-        alphabet,
-        node_names,
-        name_index: OnceLock::new(),
-        out_edges,
-        in_edges,
-        out_degree,
-        in_degree,
-        num_edges: m,
-        stats_cache,
-    })
+    let g = GraphDb::from_parts(alphabet, node_names, out_edges, in_edges);
+    let _ = g.stats_cache.set(Arc::new(stats));
+    Ok(g)
 }
 
 /// Decodes the names section: the per-node optional name strings, validated
@@ -266,7 +260,7 @@ fn decode_names(payload: &[u8], n: usize, named: usize) -> Result<NodeNames, Sto
     for _ in 0..n {
         let marker = d.u32("node name")?;
         if marker == ANON {
-            spans.push((u32::MAX, 0));
+            spans.push(ANON_SPAN);
         } else {
             let name = d.str_slice(marker as usize, "node name")?;
             hashes.push(fnv1a64(name.as_bytes()));
@@ -288,7 +282,7 @@ fn decode_names(payload: &[u8], n: usize, named: usize) -> Result<NodeNames, Sto
         let mut seen: std::collections::HashSet<&str> =
             std::collections::HashSet::with_capacity(named);
         for &(off, len) in &spans {
-            if (off, len) == (u32::MAX, 0) {
+            if (off, len) == ANON_SPAN {
                 continue;
             }
             let name = &text[off as usize..(off + len) as usize];
@@ -297,7 +291,7 @@ fn decode_names(payload: &[u8], n: usize, named: usize) -> Result<NodeNames, Sto
             }
         }
     }
-    Ok(NodeNames::Arena { text, spans })
+    Ok(NodeNames { text, spans })
 }
 
 /// Writes a snapshot of `g` to `path`, returning the snapshot id.
@@ -314,24 +308,11 @@ pub fn open(path: &Path) -> Result<(GraphDb, u64), StorageError> {
     Ok((g, snapshot_id(&bytes)))
 }
 
-fn encode_csr(adjacency: &Adjacency, n: usize, m: usize) -> Encoder {
+fn encode_csr(csr: &Csr, n: usize, m: usize) -> Encoder {
     let mut e = Encoder::with_capacity(4 * (n + 1) + 8 * m + 32);
-    let mut offsets = Vec::with_capacity(n + 1);
-    let mut off = 0u32;
-    offsets.push(0);
-    for v in 0..n {
-        off += adjacency.row(v).len() as u32;
-        offsets.push(off);
-    }
-    e.slice_u32(&offsets);
-    let mut labels = Vec::with_capacity(m);
-    let mut targets = Vec::with_capacity(m);
-    for v in 0..n {
-        for &(label, to) in adjacency.row(v) {
-            labels.push(label.0);
-            targets.push(to.0);
-        }
-    }
+    e.slice_u32(&csr.off);
+    let labels: Vec<u32> = csr.edges.iter().map(|&(label, _)| label.0).collect();
+    let targets: Vec<u32> = csr.edges.iter().map(|&(_, to)| to.0).collect();
     e.slice_u32(&labels);
     e.slice_u32(&targets);
     e
@@ -344,7 +325,7 @@ fn decode_csr(
     m: usize,
     num_labels: usize,
     degrees: &[u32],
-) -> Result<Adjacency, StorageError> {
+) -> Result<Csr, StorageError> {
     let mut d = Decoder::new(payload);
     let offsets = d.vec_u32(&format!("{what} offsets"))?;
     let labels = d.vec_u32(&format!("{what} labels"))?;
@@ -359,8 +340,8 @@ fn decode_csr(
         )));
     }
     // Validate each flat array in one pass, then every row boundary against
-    // the cached degrees; the graph keeps the CSR arrays as its sealed
-    // adjacency representation, so there is no per-row build at all.
+    // the degree section; the graph keeps the CSR arrays as its adjacency,
+    // so there is no per-row build at all.
     if let Some(&label) = labels.iter().find(|&&l| l as usize >= num_labels) {
         return Err(StorageError::Corrupt(format!(
             "{what} CSR references label {label} beyond the alphabet"
@@ -375,13 +356,13 @@ fn decode_csr(
         let (lo, hi) = (offsets[v], offsets[v + 1]);
         if hi < lo || hi as usize > m || hi - lo != degrees[v] {
             return Err(StorageError::Corrupt(format!(
-                "{what} CSR row {v} disagrees with the cached degree array"
+                "{what} CSR row {v} disagrees with the degree section"
             )));
         }
     }
     let edges: Vec<(Symbol, NodeId)> =
         labels.iter().zip(&targets).map(|(&l, &t)| (Symbol(l), NodeId(t))).collect();
-    Ok(Adjacency::Csr { off: offsets, edges })
+    Ok(Csr { off: offsets, edges })
 }
 
 fn encode_stats(s: &GraphStats, e: &mut Encoder) {
@@ -447,13 +428,13 @@ mod tests {
             generators::random_graph(64, 3.0, &["a", "b", "c"], 7),
             {
                 // Mixed named and anonymous nodes.
-                let mut g = GraphDb::empty();
+                let mut g = crate::GraphBuilder::default();
                 let a = g.add_named_node("start");
                 let anon = g.add_node();
                 let b = g.add_named_node("end");
                 g.add_edge_labeled(a, "x", anon);
                 g.add_edge_labeled(anon, "y", b);
-                g
+                g.build()
             },
         ]
     }
@@ -517,6 +498,47 @@ mod tests {
             let mut flipped = bytes.clone();
             flipped[i] ^= 0x10;
             assert!(read_snapshot(&flipped).is_err(), "flip at byte {i} decoded");
+        }
+    }
+
+    /// The degree section only cross-checks the CSR offsets, but the check
+    /// stays: a degree section with a valid checksum that moves one edge
+    /// from node 1's row to node 0's (out- or in-degrees) is `Corrupt`.
+    /// Checksums stop the flip fuzz above before this check is reached.
+    #[test]
+    fn degree_section_disagreeing_with_the_csr_is_corrupt() {
+        let g = generators::random_graph(8, 2.0, &["a", "b"], 3);
+        let bytes = write_snapshot(&g).unwrap();
+        let c = Container::open(&bytes, MAGIC, FORMAT_VERSION).unwrap();
+        for tamper in [None, Some(0), Some(1)] {
+            let mut d = Decoder::new(c.section(SEC_DEGREES).unwrap());
+            let mut degrees = [d.vec_u32("out").unwrap(), d.vec_u32("in").unwrap()];
+            if let Some(which) = tamper {
+                let row = degrees[which].iter().position(|&d| d > 0).unwrap();
+                degrees[which][row] -= 1;
+                degrees[which][(row + 1) % 8] += 1;
+            }
+            let mut w = Writer::new(MAGIC, FORMAT_VERSION);
+            for tag in SEC_HEADER..=SEC_STATS {
+                let mut e = Encoder::new();
+                if tag == SEC_DEGREES {
+                    e.slice_u32(&degrees[0]);
+                    e.slice_u32(&degrees[1]);
+                } else {
+                    e.raw(c.section(tag).unwrap());
+                }
+                w.section(tag, e);
+            }
+            let rebuilt = w.finish();
+            match tamper {
+                None => assert_eq!(rebuilt, bytes, "re-encoding is faithful"),
+                Some(which) => match read_snapshot(&rebuilt) {
+                    Err(StorageError::Corrupt(msg)) => {
+                        assert!(msg.contains("degree section"), "{msg}")
+                    }
+                    other => panic!("tampered degrees {which}: {other:?}"),
+                },
+            }
         }
     }
 

@@ -37,7 +37,7 @@ pub fn count_a_mod_language(alphabet: &Alphabet, modulus: usize) -> Nfa<Symbol> 
 /// A random graph with an embedded `a^4 b^4` chain whose endpoints are the
 /// named nodes `chain_start` / `chain_mid` / `chain_end`.
 pub fn data_complexity_graph(n: usize, seed: u64) -> GraphDb {
-    let mut g = generators::random_graph(n, 2.0, &["a", "b"], seed);
+    let mut g = generators::random_graph_builder(n, 2.0, &["a", "b"], seed);
     let start = g.add_named_node("chain_start");
     let mid = g.add_named_node("chain_mid");
     let end = g.add_named_node("chain_end");
@@ -57,7 +57,7 @@ pub fn data_complexity_graph(n: usize, seed: u64) -> GraphDb {
         prev = x;
     }
     g.add_edge(prev, b, end);
-    g
+    g.build()
 }
 
 /// The (CRPQ, ECRPQ) Boolean query pair of the data-complexity row, pinned

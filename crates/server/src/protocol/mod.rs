@@ -472,6 +472,11 @@ mod tests {
         assert_error_reply(&s, r#"{"op":"run","name":"q","graph":"missing"}"#, "unknown graph");
         // Run an unregistered statement.
         assert_error_reply(&s, r#"{"op":"run","name":"nope","graph":"g"}"#, "unknown statement");
+        // Only the canonical `n<i>` names an anonymous node.
+        for nodes in [r#"["n+0","n1"]"#, r#"["n0","n01"]"#] {
+            let line = format!(r#"{{"op":"check","name":"q","graph":"g","nodes":{nodes}}}"#);
+            assert_error_reply(&s, &line, "unknown node");
+        }
         // A `limit` that is not a non-negative integer is rejected, never
         // replaced by the default (run, trace, a batch-level default, and
         // the slow-query log alike).
@@ -1395,7 +1400,7 @@ mod tests {
     /// JSON writer knows (`"`, `\`, `\t`, a control character), non-ASCII
     /// names (`é`, a non-BMP `😀`), and anonymous nodes (`n0`, `n4`).
     fn escape_heavy_service() -> Service {
-        let mut g = GraphDb::empty();
+        let mut g = ecrpq_graph::GraphBuilder::default();
         let n0 = g.add_node();
         let quote = g.add_named_node("q\"uote");
         let back = g.add_named_node("back\\slash");
@@ -1416,7 +1421,7 @@ mod tests {
             g.add_edge_labeled(f, l, t);
         }
         let s = Service::new(8);
-        s.catalog.insert("g", Arc::new(g));
+        s.catalog.insert("g", Arc::new(g.build()));
         for (name, query) in [
             ("e", "Ans(x, y) <- (x, p, y), L(p) = a"),
             ("ab", "Ans(x, p) <- (x, p, y), L(p) = a b"),

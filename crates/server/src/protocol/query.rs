@@ -383,22 +383,19 @@ fn write_path(out: &mut String, path: &Path, graph: &GraphDb) {
 }
 
 /// Resolves a protocol node token: a node name, or `n<i>` for an anonymous
-/// node — exactly the tokens [`GraphDb::node_display`] emits. A bare index
-/// or an `n<i>` pointing at a *named* node is rejected rather than silently
+/// node — exactly the tokens [`GraphDb::node_display`] emits
+/// ([`NodeId::parse_anon`]). A bare index, a non-canonical `n+1` / `n01`, or
+/// an `n<i>` pointing at a *named* node is rejected rather than silently
 /// resolved, so a stale or mistyped token cannot validate against the wrong
 /// node.
 fn resolve_node(graph: &GraphDb, token: &str) -> Result<NodeId, ServerError> {
     if let Some(id) = graph.node_by_name(token) {
         return Ok(id);
     }
-    if let Some(digits) = token.strip_prefix('n') {
-        if let Ok(i) = digits.parse::<u32>() {
-            if (i as usize) < graph.num_nodes() && graph.node_name(NodeId(i)).is_none() {
-                return Ok(NodeId(i));
-            }
-        }
+    match NodeId::parse_anon(token) {
+        Some(id) if id.index() < graph.num_nodes() && graph.node_name(id).is_none() => Ok(id),
+        _ => Err(ServerError(format!("unknown node `{token}`"))),
     }
-    Err(ServerError(format!("unknown node `{token}`")))
 }
 
 /// Resolves a decoded `[node, label, node, …]` path against the graph.

@@ -10,7 +10,7 @@ fn main() -> Result<(), QueryError> {
     // ----------------------------------------------------------------- graph
     // The introduction's academic-genealogy example: a single edge label
     // `advisor` from each student to their advisor.
-    let mut g = GraphDb::empty();
+    let mut g = GraphBuilder::default();
     let people = ["ada", "grace", "alan", "kurt", "alonzo", "david"];
     for p in people {
         g.add_named_node(p);
@@ -26,6 +26,7 @@ fn main() -> Result<(), QueryError> {
         let a = g.add_named_node(advisor);
         g.add_edge_labeled(s, "advisor", a);
     }
+    let g = g.build();
     println!("graph: {} nodes, {} edges", g.num_nodes(), g.num_edges());
 
     let alphabet = g.alphabet().clone();
@@ -77,12 +78,13 @@ fn main() -> Result<(), QueryError> {
     // compiled automaton (the stats prove it: zero cache misses on reuse).
     let prepared = PreparedQuery::prepare(&same_generation)?;
     let (answers1, stats1) = prepared.bind(&g)?.run_nodes(&config)?;
-    let mut g2 = GraphDb::empty();
+    let mut g2 = GraphBuilder::default();
     for (student, advisor) in [("x", "y"), ("y", "z"), ("w", "z")] {
         let s = g2.add_named_node(student);
         let a = g2.add_named_node(advisor);
         g2.add_edge_labeled(s, "advisor", a);
     }
+    let g2 = g2.build();
     let (answers2, stats2) = prepared.bind(&g2)?.run_nodes(&config)?;
     println!(
         "\nprepared query over two graphs: {} and {} answers; \

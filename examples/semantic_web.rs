@@ -14,7 +14,7 @@ use ecrpq_automata::builtin::rho_isomorphism;
 fn main() -> Result<(), QueryError> {
     // An RDF-style graph. Properties: `authored ≺ contributedTo`,
     // `advised ≺ influenced`.
-    let mut g = GraphDb::empty();
+    let mut g = GraphBuilder::default();
     let triples = [
         ("turing", "authored", "computability_paper"),
         ("church", "contributedTo", "computability_paper"),
@@ -31,6 +31,7 @@ fn main() -> Result<(), QueryError> {
         let on = g.add_named_node(o);
         g.add_edge_labeled(sn, p, on);
     }
+    let g = g.build();
     let alphabet = g.alphabet().clone();
     let subproperties = vec![
         (alphabet.sym("authored"), alphabet.sym("contributedTo")),

@@ -28,7 +28,9 @@
 # counter) + the metrics smoke + the mutation smoke (add_edges/remove_edges
 # on a live overlay: the delta must be visible to the very next run, which
 # must stay a registry hit, and the remove must restore the pre-mutation
-# answers bit for bit).
+# answers bit for bit; then the same add and remove on a second graph with
+# merge_threshold 1, so each write merges a new epoch end to end and the
+# runs over the merged epochs give the same answers).
 #
 # --e2e-smoke      additionally runs the end-to-end served-query benchmark
 #                  with 2 s windows (bash benchmarks/e2e/run.sh --smoke): every
@@ -61,9 +63,11 @@
 #                  (load -> prepare -> run, then add_edges must change the
 #                  answers while the re-run stays a registry hit — the
 #                  delta-maintained path, no rebind — and remove_edges must
-#                  return the answers to exactly the pre-mutation set) —
-#                  the fast loop while working on the mutation layer. The
-#                  same gate is part of the default sequence.
+#                  return the answers to exactly the pre-mutation set; the
+#                  same two writes on a graph with merge_threshold 1 must
+#                  each merge, with the same answers, ending at 2 merges and
+#                  0 pending) — the fast loop while working on the mutation
+#                  layer. The same gate is part of the default sequence.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -343,7 +347,7 @@ mutation_smoke() {
     echo
     echo "==> mutation smoke (add_edges/remove_edges round-trip on a live overlay)"
     local cli="$repo_root/target/release/ecrpq-cli"
-    local log before after reverted
+    local log before after reverted merged live
     log=$(mktemp)
     start_server "$log"
 
@@ -372,11 +376,37 @@ mutation_smoke() {
         exit 1
     fi
 
+    # The same two writes on g2 with merge_threshold 1: each one merges the
+    # overlay into a new epoch, and runs over the merged epochs must give the
+    # answers the overlay gave.
+    "$cli" --addr "$server_addr" load g2 cycle:6:a
+    merged=$("$cli" --addr "$server_addr" raw \
+        '{"op":"add_edges","graph":"g2","edges":[["n0","a","n3"]],"merge_threshold":1}')
+    echo "$merged"
+    if ! grep -q '"merged":true' <<< "$merged"; then
+        echo "mutation smoke FAILED: a write at merge_threshold 1 must merge" >&2
+        exit 1
+    fi
+    if [[ "$(answers_of "$("$cli" --addr "$server_addr" run q g2)")" != "$(answers_of "$after")" ]]; then
+        echo "mutation smoke FAILED: the merged epoch must answer as the overlay did" >&2
+        exit 1
+    fi
+    "$cli" --addr "$server_addr" remove-edges g2 n0 a n3
+    if [[ "$(answers_of "$("$cli" --addr "$server_addr" run q g2)")" != "$(answers_of "$before")" ]]; then
+        echo "mutation smoke FAILED: the second merge must restore the pre-mutation answers" >&2
+        exit 1
+    fi
+    live=$("$cli" --addr "$server_addr" stats g2 2>/dev/null | grep -o '{"graph":"g2"[^}]*}')
+    if ! grep -q '"merges":2' <<< "$live" || ! grep -q '"pending":0' <<< "$live"; then
+        echo "mutation smoke FAILED: g2 must report 2 merges and 0 pending, got: $live" >&2
+        exit 1
+    fi
+
     "$cli" --addr "$server_addr" shutdown
     wait "$server_pid"
     server_pid=""
     rm -f "$log"
-    echo "    mutation smoke OK (delta visible + registry hit, remove restores answers)"
+    echo "    mutation smoke OK (delta visible + registry hit, remove restores answers, 2 merges end to end)"
 }
 
 if [[ "$mutation_smoke_only" == 1 ]]; then

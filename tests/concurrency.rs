@@ -20,7 +20,7 @@ const SEED: u64 = 0xC0C0_0001;
 
 /// A small seeded random graph over the corpus alphabet.
 fn corpus_graph(gen: &mut Gen, nodes: usize, edges: usize) -> GraphDb {
-    let mut db = GraphDb::new(alphabet());
+    let mut db = GraphBuilder::new(alphabet());
     let ids = db.add_nodes(nodes);
     for _ in 0..edges {
         let from = ids[gen.index(nodes)];
@@ -28,7 +28,7 @@ fn corpus_graph(gen: &mut Gen, nodes: usize, edges: usize) -> GraphDb {
         let to = ids[gen.index(nodes)];
         db.add_edge(from, label, to);
     }
-    db
+    db.build()
 }
 
 /// The single-threaded expectation for one (query, graph) pair.

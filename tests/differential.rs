@@ -26,7 +26,7 @@ fn alphabet() -> Alphabet {
 
 /// A small random graph over 5 nodes and 3 labels.
 fn graph(g: &mut Gen) -> GraphDb {
-    let mut db = GraphDb::new(alphabet());
+    let mut db = GraphBuilder::new(alphabet());
     let nodes = db.add_nodes(5);
     let num_edges = g.range(2, 11);
     for _ in 0..num_edges {
@@ -35,7 +35,7 @@ fn graph(g: &mut Gen) -> GraphDb {
         let to = nodes[g.index(5)];
         db.add_edge(from, label, to);
     }
-    db
+    db.build()
 }
 
 /// A random regular-language constraint string.
@@ -358,12 +358,13 @@ fn oversized_relation_automata_fall_back_correctly() {
     // a^2100 as a 2101-state chain NFA — past the ~2k dense-engine bound.
     const LEN: usize = 2100;
     const CYCLE: usize = 30; // LEN % CYCLE == 0, so a^LEN loops back to start
-    let mut g = GraphDb::new(Alphabet::from_labels(["a"]));
+    let mut g = GraphBuilder::new(Alphabet::from_labels(["a"]));
     let nodes = g.add_nodes(CYCLE);
     let a = g.alphabet().sym("a");
     for i in 0..CYCLE {
         g.add_edge(nodes[i], a, nodes[(i + 1) % CYCLE]);
     }
+    let g = g.build();
     let mut chain = ecrpq_automata::Nfa::new();
     let states = chain.add_states(LEN + 1);
     chain.add_initial(states[0]);

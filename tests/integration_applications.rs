@@ -17,7 +17,7 @@ fn cfg() -> EvalConfig {
 /// ρ-isomorphic property sequences.
 #[test]
 fn rho_iso_association_end_to_end() {
-    let mut g = GraphDb::empty();
+    let mut g = GraphBuilder::default();
     // worksAt ≺ affiliatedWith; alice-worksAt->acme, bob-affiliatedWith->initech
     for (s, p, o) in [
         ("alice", "worksAt", "acme"),
@@ -28,6 +28,7 @@ fn rho_iso_association_end_to_end() {
         let on = g.add_named_node(o);
         g.add_edge_labeled(sn, p, on);
     }
+    let g = g.build();
     let al = g.alphabet().clone();
     let sub = vec![(al.sym("worksAt"), al.sym("affiliatedWith"))];
     let rho = rho_isomorphism(&al, &sub, false);
@@ -147,7 +148,7 @@ fn alignment_extracts_the_mismatch() {
 #[test]
 fn route_finding_with_occurrence_constraints() {
     // Two routes from src to dst: 4 SQ segments, or 1 SQ + 3 BA segments.
-    let mut g = GraphDb::empty();
+    let mut g = GraphBuilder::default();
     let src = g.add_named_node("src");
     let dst = g.add_named_node("dst");
     let mut prev = src;
@@ -166,6 +167,7 @@ fn route_finding_with_occurrence_constraints() {
         prev = n;
     }
     g.add_edge_labeled(prev, "BA", dst);
+    let g = g.build();
     let al = g.alphabet().clone();
 
     let with_constraints = |constraints: Vec<ecrpq::query::QLinearConstraint>| {

@@ -209,12 +209,13 @@ fn answer_automaton_cross_check() {
 /// nodes related" form.
 #[test]
 fn boolean_queries_with_constants() {
-    let mut g = GraphDb::empty();
+    let mut g = GraphBuilder::default();
     let a = g.add_named_node("a");
     let b = g.add_named_node("b");
     let c = g.add_named_node("c");
     g.add_edge_labeled(a, "r", b);
     g.add_edge_labeled(b, "r", c);
+    let g = g.build();
     let al = g.alphabet().clone();
     let reachable = |from: &str, to: &str| {
         Ecrpq::builder(&al)

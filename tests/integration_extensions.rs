@@ -152,7 +152,7 @@ fn universal_quantification_over_paths() {
 /// different targets, and its negation.
 #[test]
 fn bounded_ecrpq_negation_on_dags() {
-    let mut g = GraphDb::empty();
+    let mut g = GraphBuilder::default();
     let r = g.add_named_node("r");
     let u = g.add_named_node("u");
     let v = g.add_named_node("v");
@@ -160,6 +160,7 @@ fn bounded_ecrpq_negation_on_dags() {
     g.add_edge_labeled(r, "a", u);
     g.add_edge_labeled(u, "b", v);
     g.add_edge_labeled(u, "b", w);
+    let g = g.build();
     let al = g.alphabet().clone();
     let eq = builtin::equality(&al);
     let two_equal = Formula::exists_path(

@@ -114,8 +114,7 @@ fn cold_run(
 fn seeded_mutation_scripts_are_bit_identical_to_cold_reruns() {
     let mut gen = Gen::new(SEED);
     let nodes = 24;
-    let base =
-        Arc::new(GraphDb::from_edge_list(&base_text(&mut gen, nodes, 60)).unwrap().sealed_copy());
+    let base = Arc::new(GraphDb::from_edge_list(&base_text(&mut gen, nodes, 60)).unwrap());
     let cfg = EvalConfig::default();
 
     // `live` never merges; `oracle` replays the same script and is merged at
@@ -170,8 +169,7 @@ fn seeded_mutation_scripts_are_bit_identical_to_cold_reruns() {
 fn threshold_crossing_merges_preserve_the_differential_contract() {
     let mut gen = Gen::new(SEED ^ 0x77);
     let nodes = 16;
-    let base =
-        Arc::new(GraphDb::from_edge_list(&base_text(&mut gen, nodes, 40)).unwrap().sealed_copy());
+    let base = Arc::new(GraphDb::from_edge_list(&base_text(&mut gen, nodes, 40)).unwrap());
     let cfg = EvalConfig::default();
 
     let mut live = LiveGraph::new(Arc::clone(&base), 5);
@@ -219,8 +217,7 @@ fn threshold_crossing_merges_preserve_the_differential_contract() {
 fn concurrent_readers_pinned_to_old_epochs_see_stable_answers() {
     let mut gen = Gen::new(SEED ^ 0xC0);
     let nodes = 16;
-    let base =
-        Arc::new(GraphDb::from_edge_list(&base_text(&mut gen, nodes, 40)).unwrap().sealed_copy());
+    let base = Arc::new(GraphDb::from_edge_list(&base_text(&mut gen, nodes, 40)).unwrap());
     let cfg = EvalConfig::default();
     let pq = prepared("Ans(x, y) <- (x, p, y), L(p) = a a*", base.alphabet());
     let (baseline, base_stats) = cold_run(&pq, &base, &cfg);

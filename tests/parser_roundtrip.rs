@@ -67,7 +67,7 @@ fn parsed_and_reparsed_queries_evaluate_identically() {
         }
         let q1 = parse_query(&text, &al).unwrap();
         let q2 = parse_query(&q1.to_string(), &al).unwrap();
-        let mut db = GraphDb::new(al.clone());
+        let mut db = GraphBuilder::new(al.clone());
         let nodes = db.add_nodes(4);
         for _ in 0..g.range(2, 8) {
             let from = nodes[g.index(4)];
@@ -75,6 +75,7 @@ fn parsed_and_reparsed_queries_evaluate_identically() {
             let to = nodes[g.index(4)];
             db.add_edge(from, label, to);
         }
+        let db = db.build();
         let mut a1 = eval::eval_nodes(&q1, &db, &cfg).unwrap();
         let mut a2 = eval::eval_nodes(&q2, &db, &cfg).unwrap();
         a1.sort();

@@ -40,7 +40,7 @@ fn sorted(mut rows: Vec<Vec<NodeId>>) -> Vec<Vec<NodeId>> {
 /// label distribution (many `a`, few `b`, one `c` edge), so label frequency
 /// actually matters to the cost model.
 fn skewed_graph(gen: &mut Gen, nodes: usize) -> GraphDb {
-    let mut db = GraphDb::new(alphabet());
+    let mut db = GraphBuilder::new(alphabet());
     let ids = db.add_nodes(nodes);
     for _ in 0..nodes * 3 {
         let from = ids[gen.index(nodes)];
@@ -53,7 +53,7 @@ fn skewed_graph(gen: &mut Gen, nodes: usize) -> GraphDb {
         db.add_edge(from, Symbol(1), to);
     }
     db.add_edge(ids[gen.index(nodes)], Symbol(2), ids[gen.index(nodes)]);
-    db
+    db.build()
 }
 
 /// True when the two planners chose observably different plans: a different
@@ -106,7 +106,7 @@ fn corpus_answers_identical_across_planners_and_reference() {
     let graphs = vec![
         ("skewed", skewed_graph(&mut gen, 12)),
         ("random", {
-            let mut db = GraphDb::new(alphabet());
+            let mut db = GraphBuilder::new(alphabet());
             let ids = db.add_nodes(6);
             for _ in 0..14 {
                 let from = ids[gen.index(6)];
@@ -114,7 +114,7 @@ fn corpus_answers_identical_across_planners_and_reference() {
                 let to = ids[gen.index(6)];
                 db.add_edge(from, label, to);
             }
-            db
+            db.build()
         }),
     ];
 
@@ -143,7 +143,7 @@ fn corpus_answers_identical_across_planners_and_reference() {
 fn reverse_favored_language_flips_direction_but_not_answers() {
     let cfg = config();
     let mut gen = Gen::new(SEED ^ 0xB);
-    let mut db = GraphDb::new(alphabet());
+    let mut db = GraphBuilder::new(alphabet());
     let ids = db.add_nodes(40);
     for _ in 0..120 {
         let from = ids[gen.index(40)];
@@ -151,6 +151,7 @@ fn reverse_favored_language_flips_direction_but_not_answers() {
         db.add_edge(from, Symbol(0), to);
     }
     db.add_edge(ids[3], Symbol(1), ids[7]);
+    let db = db.build();
 
     let query = parse_query("Ans(x0, x1) <- (x0, p0, x1), L(p0) = a* b", &alphabet()).unwrap();
     let diverged = check_case("reverse-favored a* b", &query, &db, &cfg)

@@ -31,7 +31,7 @@ fn word(g: &mut Gen, max_len: usize) -> Vec<Symbol> {
 
 /// A small random graph: 1..14 random edges over 6 nodes and 2 labels.
 fn graph(g: &mut Gen) -> GraphDb {
-    let mut db = GraphDb::new(alphabet());
+    let mut db = GraphBuilder::new(alphabet());
     let nodes = db.add_nodes(6);
     let num_edges = g.range(1, 13);
     for _ in 0..num_edges {
@@ -40,7 +40,7 @@ fn graph(g: &mut Gen) -> GraphDb {
         let to = nodes[g.index(6)];
         db.add_edge(from, label, to);
     }
-    db
+    db.build()
 }
 
 /// NFA product recognizes exactly the intersection of the languages.

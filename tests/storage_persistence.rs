@@ -73,12 +73,13 @@ fn snapshot_roundtrip_preserves_every_observable() {
 /// Anonymous nodes (no name) interleave with named ones and survive intact.
 #[test]
 fn snapshot_roundtrip_keeps_anonymous_nodes() {
-    let mut g = GraphDb::new(ecrpq::prelude::Alphabet::from_labels(["a"]));
+    let mut g = ecrpq::prelude::GraphBuilder::new(ecrpq::prelude::Alphabet::from_labels(["a"]));
     let a = g.add_named_node("alpha");
     let anon = g.add_node();
     let b = g.add_named_node("beta");
     g.add_edge_labeled(a, "a", anon);
     g.add_edge_labeled(anon, "a", b);
+    let g = g.build();
 
     let bytes = snapshot::write_snapshot(&g).expect("snapshot must serialize");
     let r = snapshot::read_snapshot(&bytes).expect("snapshot must reopen");
