@@ -218,8 +218,8 @@ fn spawn_warm_server(workers: usize, edges: &str, query_text: &str) -> ServerHan
     let mut setup = Client::connect(handle.addr()).expect("connect setup client");
     setup.load_edges(GRAPH, edges).expect("load graph");
     setup.prepare_for_graph(STMT, query_text, GRAPH).expect("prepare statement");
-    setup.run_mode(STMT, GRAPH, "boolean").expect("warmup run");
-    let warm = setup.run_mode(STMT, GRAPH, "boolean").expect("second warmup run");
+    setup.run_in_mode(STMT, GRAPH, "boolean").expect("warmup run");
+    let warm = setup.run_in_mode(STMT, GRAPH, "boolean").expect("second warmup run");
     assert_eq!(warm.get("registry").and_then(Value::as_str), Some("hit"));
     setup.close().expect("close setup client");
     handle
@@ -297,7 +297,8 @@ fn legacy_conn(addr: SocketAddr, requests: usize, barrier: &Barrier) -> ConnOutc
     let mut latencies = Vec::with_capacity(requests);
     for _ in 0..requests {
         let start = Instant::now();
-        let reply = client.run_mode(STMT, GRAPH, "boolean").expect("legacy run on admitted conn");
+        let reply =
+            client.run_in_mode(STMT, GRAPH, "boolean").expect("legacy run on admitted conn");
         latencies.push(start.elapsed().as_secs_f64());
         debug_assert_eq!(reply.get("registry").and_then(Value::as_str), Some("hit"));
     }

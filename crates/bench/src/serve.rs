@@ -60,8 +60,8 @@ pub fn serve_family(client_threads: &[usize], requests: usize, n: usize) -> Vec<
         let mut setup = Client::connect(addr).expect("connect setup client");
         setup.load_edges(GRAPH, &edges).expect("load graph");
         setup.prepare_for_graph(STMT, &query_text, GRAPH).expect("prepare statement");
-        setup.run_mode(STMT, GRAPH, "boolean").expect("warmup run");
-        let warm = setup.run_mode(STMT, GRAPH, "boolean").expect("second warmup run");
+        setup.run_in_mode(STMT, GRAPH, "boolean").expect("warmup run");
+        let warm = setup.run_in_mode(STMT, GRAPH, "boolean").expect("second warmup run");
         assert_eq!(warm.get("registry").and_then(Value::as_str), Some("hit"));
         let misses =
             warm.get("stats").and_then(|s| s.get("sim_cache_misses")).and_then(Value::as_u64);
@@ -88,7 +88,7 @@ pub fn serve_family(client_threads: &[usize], requests: usize, n: usize) -> Vec<
                     let mut latencies = Vec::with_capacity(requests);
                     for _ in 0..requests {
                         let start = Instant::now();
-                        let reply = client.run_mode(STMT, GRAPH, "boolean").expect("bench run");
+                        let reply = client.run_in_mode(STMT, GRAPH, "boolean").expect("bench run");
                         latencies.push(start.elapsed().as_secs_f64());
                         debug_assert_eq!(
                             reply.get("registry").and_then(Value::as_str),

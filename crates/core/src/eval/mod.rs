@@ -83,7 +83,9 @@ pub struct EvalConfig {
     pub max_search_states: usize,
     /// Maximum number of candidate node assignments examined.
     pub max_candidates: usize,
-    /// Maximum number of answers materialized by [`eval_with_paths`].
+    /// Maximum number of answers materialized by [`eval_with_paths`]: the
+    /// row cap of a paths-mode run (0 means no rows). Node and Boolean runs
+    /// ignore it.
     pub answer_limit: usize,
     /// Maximum number of global convolution steps when counters (linear
     /// constraints) are present; `None` derives a bound from the graph and

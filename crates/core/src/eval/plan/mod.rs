@@ -11,7 +11,7 @@
 //! join [`enumerate_candidates`] over those relations, and each candidate is
 //! verified by the convolution search of [`super::search`] (skipped for
 //! plain CRPQs, for which the relaxation is exact). Cold runs
-//! ([`BoundPlan::run_mode`](super::prepared::BoundPlan::run_mode)) and
+//! ([`BoundPlan::run_rows`](super::prepared::BoundPlan::run_rows)) and
 //! incrementally maintained statements ([`super::delta`]) are the same
 //! kernel and the same join over different adjacencies.
 
@@ -44,9 +44,9 @@ pub struct EvalStats {
     pub sim_cache_misses: u64,
 }
 
-/// What a run should produce ([`BoundPlan::run_mode`]).
+/// What a run should produce ([`BoundPlan::run_rows`]).
 ///
-/// [`BoundPlan::run_mode`]: super::prepared::BoundPlan::run_mode
+/// [`BoundPlan::run_rows`]: super::prepared::BoundPlan::run_rows
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mode {
     /// Head-node tuples only.

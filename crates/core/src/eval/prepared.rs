@@ -15,8 +15,8 @@
 //!    depends on one concrete graph (named-node constants, the symbol
 //!    translation into the merged alphabet, label-count coefficients for
 //!    graph-only labels — never a copy of the edges) into a [`BoundPlan`],
-//!    whose [`run_mode`](BoundPlan::run_mode) (and the `run*` conveniences
-//!    over it) executes the query.
+//!    whose [`run_rows`](BoundPlan::run_rows) (and the collecting `run*`
+//!    conveniences over it) executes the query.
 //!
 //! `prepare(&query)?` once, then `.bind(&graph)?.run(&config)` as many times
 //! as there are graphs: nothing automaton-shaped is recompiled on reuse, and
@@ -803,14 +803,17 @@ impl<'a> BoundPlan<'a> {
         &self,
         config: &EvalConfig,
     ) -> Result<(Vec<Vec<NodeId>>, EvalStats), QueryError> {
-        let (answers, stats) = self.run_mode(Mode::Nodes, config, None)?;
-        Ok((answers.into_iter().map(|a| a.nodes).collect(), stats))
+        let mut rows = Vec::new();
+        let stats =
+            self.run_rows(Mode::Nodes, config, None, |nodes, _| rows.push(nodes.to_vec()))?;
+        Ok((rows, stats))
     }
 
     /// Runs the query as a Boolean query (stops at the first answer).
     pub fn run_boolean(&self, config: &EvalConfig) -> Result<(bool, EvalStats), QueryError> {
-        let (answers, stats) = self.run_mode(Mode::Boolean, config, None)?;
-        Ok((!answers.is_empty(), stats))
+        let mut holds = false;
+        let stats = self.run_rows(Mode::Boolean, config, None, |_, _| holds = true)?;
+        Ok((holds, stats))
     }
 
     /// Runs the query, materializing up to `config.answer_limit` answers
@@ -833,26 +836,66 @@ impl<'a> BoundPlan<'a> {
         self.check_engine(nodes, paths, config, Engine::Dense)
     }
 
-    /// The one run entry point: evaluates the plan in `mode` ([`Mode::Nodes`]
-    /// answers carry head-node tuples only, [`Mode::Boolean`] stops at the
-    /// first answer, [`Mode::Paths`] materializes up to
-    /// `config.answer_limit` witness-carrying answers). With a `trace`, the
-    /// run records per-phase wall-clock spans into it — `plan`, per-atom
-    /// `reach:<var>` BFS, sim-table `compile`, product `search` — with
-    /// measured pair counts next to the planner's estimates as span
-    /// attributes: the engine half of the server's EXPLAIN ANALYZE-style
-    /// `trace` op. Without one it pays one `Option` check per phase and no
-    /// clock reads.
+    /// [`run_rows`](Self::run_rows) with its rows collected as [`Answer`]s,
+    /// in the order the sink receives them.
     pub fn run_mode(
         &self,
         mode: Mode,
         config: &EvalConfig,
         trace: Option<&mut Trace>,
     ) -> Result<(Vec<Answer>, EvalStats), QueryError> {
-        self.run_engine(mode, config, Engine::Dense, trace)
+        self.collect_engine(mode, config, Engine::Dense, trace)
     }
 
-    /// [`run_mode`](Self::run_mode) with an explicit verification engine
+    /// The one run entry point: evaluates the plan in `mode` and hands each
+    /// answer row to `sink` the moment it is verified, so a caller that
+    /// writes rows out (the server's reply text) never holds them all.
+    ///
+    /// The sink receives the row's head-node values and, in [`Mode::Paths`],
+    /// one witness path per head path variable (an empty slice otherwise),
+    /// both borrowed for the call only. Rows come in join order — the
+    /// planner's variable order, candidates in ascending node order within
+    /// it — which is the order of [`run_mode`](Self::run_mode)'s answers.
+    /// [`Mode::Nodes`] hands each head tuple once. [`Mode::Paths`] hands
+    /// each `(nodes, paths)` row once and stops after `config.answer_limit`
+    /// rows; with a limit of 0 it verifies no candidate. [`Mode::Boolean`]
+    /// stops at the first row, so its sink is called at most once. On an
+    /// error (a candidate or search-state budget exceeded) the run stops and
+    /// returns it; rows handed over before it were verified answers, but the
+    /// set is incomplete, so a caller discards what it built from them.
+    ///
+    /// With a `trace`, the run records per-phase wall-clock spans into it —
+    /// `plan`, per-atom `reach:<var>` BFS, sim-table `compile`, product
+    /// `search` (the sink runs inside it) — with measured pair counts next
+    /// to the planner's estimates as span attributes: the engine half of
+    /// the server's EXPLAIN ANALYZE-style `trace` op. Without one it pays
+    /// one `Option` check per phase and no clock reads.
+    pub fn run_rows(
+        &self,
+        mode: Mode,
+        config: &EvalConfig,
+        trace: Option<&mut Trace>,
+        mut sink: impl FnMut(&[NodeId], &[Path]),
+    ) -> Result<EvalStats, QueryError> {
+        self.run_engine(mode, config, Engine::Dense, trace, &mut sink)
+    }
+
+    /// [`run_mode`](Self::run_mode) with an explicit verification engine.
+    pub(crate) fn collect_engine(
+        &self,
+        mode: Mode,
+        config: &EvalConfig,
+        engine: Engine,
+        trace: Option<&mut Trace>,
+    ) -> Result<(Vec<Answer>, EvalStats), QueryError> {
+        let mut answers = Vec::new();
+        let stats = self.run_engine(mode, config, engine, trace, &mut |nodes, paths| {
+            answers.push(Answer { nodes: nodes.to_vec(), paths: paths.to_vec() })
+        })?;
+        Ok((answers, stats))
+    }
+
+    /// [`run_rows`](Self::run_rows) with an explicit verification engine
     /// (the reference engine reruns the same pipeline for the differential
     /// suites).
     ///
@@ -861,13 +904,17 @@ impl<'a> BoundPlan<'a> {
     /// candidates can share a head, i.e. unless
     /// [`PreparedQuery::heads_are_distinct`] holds. The reference engine
     /// always keeps the set, so the differential suites check the skip.
+    ///
+    /// The sink is a trait object, so this loop is compiled once, not once
+    /// per caller's closure.
     pub(crate) fn run_engine(
         &self,
         mode: Mode,
         config: &EvalConfig,
         engine: Engine,
         mut trace: Option<&mut Trace>,
-    ) -> Result<(Vec<Answer>, EvalStats), QueryError> {
+        sink: &mut dyn FnMut(&[NodeId], &[Path]),
+    ) -> Result<EvalStats, QueryError> {
         let pq = self.pq;
         let mut stats = EvalStats::default();
 
@@ -911,83 +958,92 @@ impl<'a> BoundPlan<'a> {
         let step_bound =
             if self.counters().is_empty() { None } else { Some(self.step_bound(config)) };
 
-        let mut answers: Vec<Answer> = Vec::new();
         let dedup_heads = mode == Mode::Nodes
             && (engine == Engine::Reference || !pq.heads_are_distinct(self.constants()));
         let mut seen_heads: Option<HashSet<Vec<NodeId>>> = dedup_heads.then(HashSet::new);
         let mut seen_answers: HashSet<(Vec<NodeId>, Vec<Path>)> = HashSet::new();
+        let mut head: Vec<NodeId> = Vec::with_capacity(pq.head_node_idx.len());
+        let mut rows: usize = 0;
         let mut error: Option<QueryError> = None;
         let mut verified: u64 = 0;
         let mut search_states: u64 = 0;
 
         let order = Some(qplan.order.as_slice());
         let search_span = qtrace::begin_span(&mut trace, "search");
-        plan::enumerate_candidates(
-            pq,
-            self.graph.num_nodes(),
-            self.constants(),
-            &reach,
-            order,
-            config,
-            &mut stats,
-            |sigma| {
-                let head: Vec<NodeId> = pq.head_node_idx.iter().map(|&i| sigma[i]).collect();
-                if seen_heads.as_ref().is_some_and(|seen| seen.contains(&head)) {
-                    return true;
-                }
-                // Verify the candidate with the convolution search (the
-                // relaxation is exact for plain CRPQs in node modes).
-                let mut paths = Vec::new();
-                if needs_search {
-                    let problem = SearchProblem {
-                        plan: self,
-                        sigma: sigma.to_vec(),
-                        pinned: vec![None; pq.path_vars.len()],
-                        want_witness: mode == Mode::Paths,
-                        step_bound,
-                        max_states: config.max_search_states,
-                    };
-                    let out = match engine.run(&problem) {
-                        Ok(out) => out,
-                        Err(e) => {
-                            error = Some(e);
-                            return false;
-                        }
-                    };
-                    search_states += out.states_visited;
-                    if !out.accepted {
+        // A paths run capped at zero rows has nothing to verify.
+        if mode != Mode::Paths || config.answer_limit > 0 {
+            plan::enumerate_candidates(
+                pq,
+                self.graph.num_nodes(),
+                self.constants(),
+                &reach,
+                order,
+                config,
+                &mut stats,
+                |sigma| {
+                    head.clear();
+                    head.extend(pq.head_node_idx.iter().map(|&i| sigma[i]));
+                    if seen_heads.as_ref().is_some_and(|seen| seen.contains(head.as_slice())) {
                         return true;
                     }
-                    if let Some(w) = out.witness {
-                        paths = pq.head_path_idx.iter().map(|&p| w[p].clone()).collect();
+                    // Verify the candidate with the convolution search (the
+                    // relaxation is exact for plain CRPQs in node modes).
+                    let mut paths = Vec::new();
+                    if needs_search {
+                        let problem = SearchProblem {
+                            plan: self,
+                            sigma: sigma.to_vec(),
+                            pinned: vec![None; pq.path_vars.len()],
+                            want_witness: mode == Mode::Paths,
+                            step_bound,
+                            max_states: config.max_search_states,
+                        };
+                        let out = match engine.run(&problem) {
+                            Ok(out) => out,
+                            Err(e) => {
+                                error = Some(e);
+                                return false;
+                            }
+                        };
+                        search_states += out.states_visited;
+                        if !out.accepted {
+                            return true;
+                        }
+                        if let Some(w) = out.witness {
+                            paths = pq.head_path_idx.iter().map(|&p| w[p].clone()).collect();
+                        }
                     }
-                }
-                verified += 1;
-                if let Some(seen) = &mut seen_heads {
-                    seen.insert(head.clone());
-                }
-                if mode == Mode::Paths {
-                    if seen_answers.insert((head.clone(), paths.clone())) {
-                        answers.push(Answer { nodes: head, paths });
+                    verified += 1;
+                    if let Some(seen) = &mut seen_heads {
+                        seen.insert(head.clone());
                     }
-                    return answers.len() < config.answer_limit;
-                }
-                answers.push(Answer { nodes: head, paths });
-                mode != Mode::Boolean
-            },
-        )?;
+                    if mode == Mode::Paths {
+                        let row = (head.clone(), paths);
+                        if !seen_answers.contains(&row) {
+                            sink(&row.0, &row.1);
+                            rows += 1;
+                            seen_answers.insert(row);
+                        }
+                        return rows < config.answer_limit;
+                    }
+                    sink(&head, &paths);
+                    rows += 1;
+                    mode != Mode::Boolean
+                },
+            )?;
+        }
 
         stats.verified = verified;
         stats.search_states = search_states;
         qtrace::span_attr(&mut trace, search_span, "candidates", stats.candidates);
         qtrace::span_attr(&mut trace, search_span, "verified", stats.verified);
         qtrace::span_attr(&mut trace, search_span, "search_states", stats.search_states);
-        qtrace::span_attr(&mut trace, search_span, "answers", answers.len() as u64);
+        qtrace::span_attr(&mut trace, search_span, "answers", rows as u64);
         qtrace::end_span(&mut trace, search_span);
         if let Some(e) = error {
             return Err(e);
         }
-        Ok((answers, stats))
+        Ok(stats)
     }
 
     /// The membership check with an explicit verification engine.
@@ -1106,7 +1162,9 @@ impl<'a> BoundPlan<'a> {
         let pq = self.pq;
         let qplan = plan::cost::plan_query(self, self.constants(), self.planner);
         let mut trace = Trace::new();
-        let (answers, run_stats) = self.run_mode(Mode::Nodes, config, Some(&mut trace))?;
+        let mut answers: u64 = 0;
+        let run_stats =
+            self.run_rows(Mode::Nodes, config, Some(&mut trace), |_, _| answers += 1)?;
         let actual_pairs: Vec<u64> = trace
             .spans
             .iter()
@@ -1135,7 +1193,7 @@ impl<'a> BoundPlan<'a> {
             join_order: qplan.order.iter().map(|&v| pq.node_vars[v].clone()).collect(),
             atoms,
             stats: run_stats,
-            answers: answers.len() as u64,
+            answers,
         })
     }
 }
@@ -1453,7 +1511,8 @@ pub(crate) mod tests {
             // The reference engine always deduplicates: answers in the same
             // order, the same candidates and verified counts.
             let (dense, ds) = plan.run_mode(Mode::Nodes, &cfg, None).unwrap();
-            let (refr, rs) = plan.run_engine(Mode::Nodes, &cfg, Engine::Reference, None).unwrap();
+            let (refr, rs) =
+                plan.collect_engine(Mode::Nodes, &cfg, Engine::Reference, None).unwrap();
             let dense: Vec<Vec<NodeId>> = dense.into_iter().map(|a| a.nodes).collect();
             let refr: Vec<Vec<NodeId>> = refr.into_iter().map(|a| a.nodes).collect();
             assert!(!dense.is_empty(), "{text}");
@@ -1462,6 +1521,87 @@ pub(crate) mod tests {
             // Kept sets matter here: the join yields duplicate heads.
             assert_eq!(ds.candidates > ds.verified, !distinct, "{text}: {ds:?}");
         }
+    }
+
+    /// The sink corpus: a CRPQ, ECRPQs with `el` and `edit_le_1`, linear
+    /// constraints, and a projection that repeats heads (so nodes mode keeps
+    /// its head-dedup set). Path variables sit in the head, so paths mode
+    /// hands over witnesses.
+    const SINK_CASES: [&str; 5] = [
+        "Ans(x, y, p) <- (x, p, y), L(p) = a (a|b)*",
+        "Ans(x, y, p, q) <- (x, p, z), (z, q, y), L(p) = a+, R(p, q) = el",
+        "Ans(x, p, q) <- (x, p, y), (y, q, z), L(p) = a b?, R(p, q) = edit_le_1",
+        "Ans(x, y, p) <- (x, p, y), len(p) >= 2, count(a, p) <= 1",
+        "Ans(x) <- (x, p, y), L(p) = a (a|b)*",
+    ];
+
+    /// Every row [`BoundPlan::run_rows`] hands over, collected as answers.
+    fn sunk(plan: &BoundPlan<'_>, mode: Mode, cfg: &EvalConfig) -> (Vec<Answer>, EvalStats) {
+        let mut rows = Vec::new();
+        let stats = plan
+            .run_rows(mode, cfg, None, |nodes, paths| {
+                rows.push(Answer { nodes: nodes.to_vec(), paths: paths.to_vec() })
+            })
+            .unwrap();
+        (rows, stats)
+    }
+
+    #[test]
+    fn the_sink_and_the_collecting_wrappers_agree() {
+        let cfg = EvalConfig { max_search_states: 200_000, ..EvalConfig::default() };
+        for seed in 0..4 {
+            let g = generators::random_graph(7, 1.8, &["a", "b"], seed);
+            for text in SINK_CASES {
+                let what = format!("seed {seed}: {text}");
+                let q = crate::parse::parse_query(text, g.alphabet()).unwrap();
+                let pq = PreparedQuery::prepare(&q).unwrap();
+                let plan = pq.bind(&g).unwrap();
+                // One run compiles what this binding needs, so every later
+                // run reports the same cache hits.
+                plan.run_with_paths(&cfg).unwrap();
+                for mode in [Mode::Nodes, Mode::Paths, Mode::Boolean] {
+                    let (rows, stats) = sunk(&plan, mode, &cfg);
+                    let (answers, collected) = plan.run_mode(mode, &cfg, None).unwrap();
+                    assert_eq!(rows, answers, "{what} ({mode:?})");
+                    assert_eq!(stats, collected, "{what} ({mode:?})");
+                }
+                // Nodes mode: one row per head, the rows `run_nodes` returns.
+                let (rows, stats) = sunk(&plan, Mode::Nodes, &cfg);
+                let nodes: Vec<Vec<NodeId>> = rows.iter().map(|a| a.nodes.clone()).collect();
+                let distinct: HashSet<&Vec<NodeId>> = nodes.iter().collect();
+                assert_eq!(distinct.len(), nodes.len(), "{what}: a head was handed over twice");
+                assert_eq!(plan.run_nodes(&cfg).unwrap(), (nodes, stats), "{what}");
+                if !pq.heads_are_distinct(plan.constants()) && !rows.is_empty() {
+                    assert!(stats.candidates > stats.verified, "{what}: heads must repeat");
+                }
+                // Boolean mode: the sink is called at most once.
+                let (first, _) = sunk(&plan, Mode::Boolean, &cfg);
+                assert_eq!(first.len(), usize::from(!rows.is_empty()), "{what}");
+                assert_eq!(plan.run_boolean(&cfg).unwrap().0, !rows.is_empty(), "{what}");
+                // Paths mode truncates at the limit to a prefix of the full run.
+                let (full, _) = sunk(&plan, Mode::Paths, &cfg);
+                for limit in [1, 2] {
+                    let capped = EvalConfig { answer_limit: limit, ..cfg.clone() };
+                    let (rows, _) = sunk(&plan, Mode::Paths, &capped);
+                    assert_eq!(rows, full[..limit.min(full.len())], "{what}: limit {limit}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_zero_answer_limit_verifies_no_candidate() {
+        let g = generators::cycle_graph(6, "a");
+        let q = crate::parse::parse_query("Ans(x, y, p) <- (x, p, y), L(p) = a a", g.alphabet())
+            .unwrap();
+        let pq = PreparedQuery::prepare(&q).unwrap();
+        let plan = pq.bind(&g).unwrap();
+        let cfg = EvalConfig { answer_limit: 0, ..EvalConfig::default() };
+        let (answers, stats) = plan.run_with_paths(&cfg).unwrap();
+        assert!(answers.is_empty(), "{answers:?}");
+        assert_eq!((stats.candidates, stats.verified), (0, 0), "{stats:?}");
+        let one = EvalConfig { answer_limit: 1, ..EvalConfig::default() };
+        assert_eq!(plan.run_with_paths(&one).unwrap().0.len(), 1);
     }
 
     #[test]

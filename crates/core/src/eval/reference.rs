@@ -31,7 +31,7 @@ pub fn eval_nodes_with_stats(
 ) -> Result<(Vec<Vec<NodeId>>, EvalStats), QueryError> {
     let bound = PreparedQuery::prepare(query)?;
     let (answers, stats) =
-        bound.bind(graph)?.run_engine(Mode::Nodes, config, Engine::Reference, None)?;
+        bound.bind(graph)?.collect_engine(Mode::Nodes, config, Engine::Reference, None)?;
     Ok((answers.into_iter().map(|a| a.nodes).collect(), stats))
 }
 
@@ -44,7 +44,7 @@ pub fn eval_with_paths(
 ) -> Result<Vec<Answer>, QueryError> {
     let bound = PreparedQuery::prepare(query)?;
     let (answers, _) =
-        bound.bind(graph)?.run_engine(Mode::Paths, config, Engine::Reference, None)?;
+        bound.bind(graph)?.collect_engine(Mode::Paths, config, Engine::Reference, None)?;
     Ok(answers)
 }
 

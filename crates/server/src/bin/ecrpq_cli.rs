@@ -105,7 +105,7 @@ fn main() {
             let name = rest.get(1).unwrap_or_else(|| die(usage));
             let graph = rest.get(2).unwrap_or_else(|| die(usage));
             let mode = rest.get(3).map(String::as_str).unwrap_or("nodes");
-            ok &= print_reply(client.run_mode(name, graph, mode));
+            ok &= print_reply(client.run_in_mode(name, graph, mode));
         }
         Some("check") => {
             let [name, graph, extra] = three(&rest, "check <name> <graph> <json>");

@@ -199,7 +199,12 @@ impl Client {
     }
 
     /// `run` with an explicit mode (`nodes`, `boolean`, or `paths`).
-    pub fn run_mode(&mut self, name: &str, graph: &str, mode: &str) -> Result<Value, ServerError> {
+    pub fn run_in_mode(
+        &mut self,
+        name: &str,
+        graph: &str,
+        mode: &str,
+    ) -> Result<Value, ServerError> {
         self.request(&Value::obj([
             ("op", Value::str("run")),
             ("name", Value::str(name)),
@@ -293,10 +298,11 @@ impl Client {
         ]))
     }
 
-    /// `trace` a prepared statement: runs it like [`run_mode`](Self::run_mode)
-    /// but the reply additionally carries `trace.spans` (the phase span tree,
-    /// start/duration in microseconds) and `trace.server_latency_us` (the
-    /// latency the server recorded for this request in its own histogram).
+    /// `trace` a prepared statement: runs it like
+    /// [`run_in_mode`](Self::run_in_mode) but the reply additionally carries
+    /// `trace.spans` (the phase span tree, start/duration in microseconds)
+    /// and `trace.server_latency_us` (the latency the server recorded for
+    /// this request in its own histogram).
     pub fn trace(&mut self, name: &str, graph: &str, mode: &str) -> Result<Value, ServerError> {
         self.request(&Value::obj([
             ("op", Value::str("trace")),

@@ -237,7 +237,7 @@ impl Service {
         };
         self.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
         // The reply text starts at a page, not at zero, and so does the
-        // answer-row text `rows_reply` renders. A large reply is rendered
+        // answer-row text of `RowsText`. A large reply is rendered
         // at the top of the heap, right above the row text it embeds, which
         // is freed as soon as the reply is written; grown from nothing, a
         // buffer's first doublings are chunks small enough for malloc's
@@ -1435,13 +1435,13 @@ mod tests {
     }
 
     /// Reply bytes are pinned: every row-valued reply shape (nodes, paths,
-    /// `limit`, zero rows, boolean, id-tagged, `batch`, `trace`, and a
+    /// `limit` 1 and 0, zero rows, boolean, id-tagged, `batch`, `trace`, and a
     /// maintained read of a dirty overlay) over names that need escaping
     /// renders exactly these lines.
     #[test]
     fn row_replies_are_byte_identical_to_the_goldens() {
         let s = escape_heavy_service();
-        let goldens: [(&str, &str); 8] = [
+        let goldens: [(&str, &str); 9] = [
             (
                 r#"{"op":"run","name":"e","graph":"g"}"#,
                 r##"{"ok":true,"registry":"miss","count":5,"answers":[["n0","q\"uote"],["q\"uote","back\\slash"],["café","n4"],["x😀","tab\there\u0001"],["tab\there\u0001","n0"]],"stats":{"candidates":5,"verified":5,"search_states":0,"sim_cache_hits":0,"sim_cache_misses":1}}"##,
@@ -1453,6 +1453,10 @@ mod tests {
             (
                 r#"{"op":"run","name":"ab","graph":"g","mode":"paths","limit":1}"#,
                 r##"{"ok":true,"registry":"hit","count":1,"answers":[{"nodes":["n0"],"paths":[["n0","a","q\"uote","b","x😀"]]}],"stats":{"candidates":1,"verified":1,"search_states":3,"sim_cache_hits":2,"sim_cache_misses":0}}"##,
+            ),
+            (
+                r#"{"op":"run","name":"ab","graph":"g","mode":"paths","limit":0}"#,
+                r##"{"ok":true,"registry":"hit","count":0,"answers":[],"stats":{"candidates":0,"verified":0,"search_states":0,"sim_cache_hits":2,"sim_cache_misses":0}}"##,
             ),
             (
                 r#"{"op":"run","name":"e","graph":"g","mode":"boolean"}"#,

@@ -98,8 +98,9 @@ impl Service {
 
     /// The one resolve → execute → render path behind `run` and `trace`;
     /// returns the reply fields. With a `trace` it records the `resolve` /
-    /// `run` (with the engine's child spans) / `render` phases into it; an
-    /// inline query is traced through `parse` → `compile` → `bind` without
+    /// `run` (with the engine's child spans; answer rows are written inside
+    /// its `search`) / `render` (field assembly) phases into it; an inline
+    /// query is traced through `parse` → `compile` → `bind` without
     /// touching the registry.
     ///
     /// With pending overlay writes on the graph, the request is first
@@ -142,34 +143,28 @@ impl Service {
         let plan = stmt.plan_with(run.planner);
         qtrace::end_span(&mut trace, resolve);
 
+        // Each verified row is written into the reply text as the join
+        // yields it; no answer set is built.
         let span = qtrace::begin_span(&mut trace, "run");
-        let (answers, stats) =
-            plan.run_mode(run.mode, &config, trace.as_deref_mut()).map_err(ServerError::msg)?;
+        let graph: &GraphDb = &graph;
+        let mut rows = RowsText::default();
+        let stats = plan
+            .run_rows(run.mode, &config, trace.as_deref_mut(), |nodes, paths| match run.mode {
+                Mode::Boolean => rows.count += 1,
+                Mode::Nodes => rows.push(|out| write_nodes(out, nodes, |n| graph.node_name(n))),
+                Mode::Paths => rows.push(|out| write_paths_row(out, nodes, paths, graph)),
+            })
+            .map_err(ServerError::msg)?;
         qtrace::end_span(&mut trace, span);
 
         let render = qtrace::begin_span(&mut trace, "render");
-        let graph: &GraphDb = &graph;
         let fields = match run.mode {
             Mode::Boolean => vec![
                 ("registry", Value::str(verdict)),
-                ("answer", Value::Bool(!answers.is_empty())),
+                ("answer", Value::Bool(rows.count > 0)),
                 ("stats", stats_value(&stats)),
             ],
-            Mode::Nodes => rows_reply(verdict, &answers, &stats, |out, a| {
-                write_nodes(out, &a.nodes, |n| graph.node_name(n))
-            }),
-            Mode::Paths => rows_reply(verdict, &answers, &stats, |out, a| {
-                out.push_str("{\"nodes\":");
-                write_nodes(out, &a.nodes, |n| graph.node_name(n));
-                out.push_str(",\"paths\":[");
-                for (i, path) in a.paths.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_path(out, path, graph);
-                }
-                out.push_str("]}");
-            }),
+            Mode::Nodes | Mode::Paths => rows.into_fields(verdict, &stats),
         };
         qtrace::end_span(&mut trace, render);
         Ok(fields)
@@ -271,10 +266,10 @@ impl Service {
     /// wall-clock span tree — `resolve` (catalog/registry lookups), `run`
     /// (with the engine's `plan` / per-atom `reach:<var>` / `compile` /
     /// `search` child spans and their measured-vs-estimated cardinality
-    /// attributes), and `render` (answer serialization). The root span's
-    /// duration is recorded into the per-op request histogram and echoed as
-    /// `server_latency_us`, so the span tree and the histogram sample are
-    /// the same measurement.
+    /// attributes; answer rows are written inside `search`), and `render`
+    /// (reply field assembly). The root span's duration is recorded into
+    /// the per-op request histogram and echoed as `server_latency_us`, so
+    /// the span tree and the histogram sample are the same measurement.
     pub(crate) fn op_trace(
         &self,
         run: &Run<'_>,
@@ -310,32 +305,56 @@ pub(crate) fn stats_value(stats: &EvalStats) -> Value {
     ])
 }
 
-/// The reply fields of a row-valued (`nodes`/`paths`) run, with the one
-/// writer of answer rows: `write_row` appends each row's JSON text straight
-/// from the borrowed answers — no `Value` per row or per node — and the
-/// `answers` array joins the reply as [`Value::Raw`]. The text starts at a
-/// page for the allocator reason [`Service::dispatch_req`] gives.
+/// The `answers` array of a row-valued (`nodes`/`paths`) reply as JSON
+/// text, with its row count: the one writer of answer rows. Each row is
+/// appended straight from borrowed values — no `Value` per row or per node
+/// — and the array joins the reply as [`Value::Raw`].
+#[derive(Default)]
+struct RowsText {
+    text: String,
+    count: u64,
+}
+
+impl RowsText {
+    /// Appends one row, written by `write_row`.
+    fn push(&mut self, write_row: impl FnOnce(&mut String)) {
+        if self.count == 0 {
+            // The text starts at a page, for the allocator reason
+            // [`Service::dispatch_req`] gives.
+            self.text.reserve(4096);
+            self.text.push('[');
+        } else {
+            self.text.push(',');
+        }
+        write_row(&mut self.text);
+        self.count += 1;
+    }
+
+    /// The reply fields: `registry`, `count`, `answers`, `stats`.
+    fn into_fields(mut self, verdict: &str, stats: &EvalStats) -> Vec<(&'static str, Value)> {
+        self.text.push_str(if self.count == 0 { "[]" } else { "]" });
+        vec![
+            ("registry", Value::str(verdict)),
+            ("count", Value::int(self.count)),
+            ("answers", Value::Raw(self.text)),
+            ("stats", stats_value(stats)),
+        ]
+    }
+}
+
+/// The reply fields of a row-valued run over an answer set already held
+/// (a maintained read), each row appended by `write_row`.
 pub(crate) fn rows_reply<R>(
     verdict: &str,
     rows: &[R],
     stats: &EvalStats,
     mut write_row: impl FnMut(&mut String, &R),
 ) -> Vec<(&'static str, Value)> {
-    let mut text = String::with_capacity(4096);
-    text.push('[');
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            text.push(',');
-        }
-        write_row(&mut text, row);
+    let mut text = RowsText::default();
+    for row in rows {
+        text.push(|out| write_row(out, row));
     }
-    text.push(']');
-    vec![
-        ("registry", Value::str(verdict)),
-        ("count", Value::int(rows.len() as u64)),
-        ("answers", Value::Raw(text)),
-        ("stats", stats_value(stats)),
-    ]
+    text.into_fields(verdict, stats)
 }
 
 /// Appends a node tuple as a JSON array of node tokens, naming nodes
@@ -365,6 +384,21 @@ fn write_node(out: &mut String, node: NodeId, name: Option<&str>) {
         None => write!(out, "n{}", node.0).expect("writing to a String cannot fail"),
     }
     out.push('"');
+}
+
+/// Appends a paths-mode row: `{"nodes":[…],"paths":[[node, label, node,
+/// …], …]}`.
+fn write_paths_row(out: &mut String, nodes: &[NodeId], paths: &[Path], graph: &GraphDb) {
+    out.push_str("{\"nodes\":");
+    write_nodes(out, nodes, |n| graph.node_name(n));
+    out.push_str(",\"paths\":[");
+    for (i, path) in paths.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_path(out, path, graph);
+    }
+    out.push_str("]}");
 }
 
 /// Appends a path as the alternating `[node, label, node, …]` array the

@@ -13,7 +13,7 @@
 //!   and a Prometheus-text-format renderer; the server's scrapeable
 //!   telemetry is built on this.
 //! * [`trace`] — a wall-clock span collector for per-query phase timing
-//!   (the engine's `run_mode(.., Some(&mut trace))` and the server's `trace`
+//!   (the engine's `run_rows(.., Some(&mut trace), ..)` and the server's `trace`
 //!   op).
 
 #![warn(missing_docs)]

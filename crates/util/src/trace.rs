@@ -6,7 +6,7 @@
 //! integer attributes (pair counts, candidate counts, …) attached per span.
 //! The collector is deliberately dumb: a `Vec` of spans and a stack of open
 //! indices, no locking, no global state. The engine only pays for it when a
-//! caller hands `BoundPlan::run_mode` (in `ecrpq`) a trace; the untraced
+//! caller hands `BoundPlan::run_rows` (in `ecrpq`) a trace; the untraced
 //! path passes `None` and records nothing.
 //!
 //! [`Trace::to_value`] renders the span tree as JSON for the server's

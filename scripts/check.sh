@@ -19,13 +19,15 @@
 # a reply sent as body plus a separate newline waits ~40 ms for a delayed
 # ACK; and that the bytes of two replies, read raw over bash /dev/tcp — the
 # 1,000-row run, and runs over node names that need JSON escaping — hash to
-# pinned SHA-256 values) + the storage smoke (save on one server,
-# reopen on a fresh one, first run must be warm; the sidecar of a ~15k-edge
-# graph stays under 8 KiB, since it holds no adjacency) + the serve-load smoke (a
-# short open-loop burst through the legacy/pipelined/batch protocol shapes
-# past the server's admission capacity; the harness asserts zero dropped
-# replies and that client-observed rejections equal the server's admission
-# counter) + the metrics smoke + the mutation smoke (add_edges/remove_edges
+# pinned SHA-256 values, and that a paths-mode run over those names replies
+# no rows with `"limit":0` and two with `"limit":2`) + the storage smoke
+# (save on one server, reopen on a fresh one, first run must be warm; the
+# sidecar of a ~15k-edge graph stays under 8 KiB, since it holds no
+# adjacency) + the serve-load smoke (a short open-loop burst through the
+# legacy/pipelined/batch protocol shapes past the server's admission
+# capacity; the harness asserts zero dropped replies and that
+# client-observed rejections equal the server's admission counter) + the
+# metrics smoke + the mutation smoke (add_edges/remove_edges
 # on a live overlay: the delta must be visible to the very next run, which
 # must stay a registry hit, and the remove must restore the pre-mutation
 # answers bit for bit; then the same add and remove on a second graph with
@@ -204,11 +206,28 @@ server_smoke() {
         '{"op":"prepare","name":"esc_ab","query":"Ans(x, p) <- (x, p, y), L(p) = a b","graph":"esc"}' \
         '{"op":"run","name":"esc_ab","graph":"esc","mode":"paths"}'
 
+    # `limit` caps paths-mode rows, and 0 means none: over the `esc` graph
+    # loaded above, whose one-hop `a` paths are four rows.
+    "$cli" --addr "$addr" prepare esc_path 'Ans(x, p) <- (x, p, y), L(p) = a' esc > /dev/null
+    local limited
+    limited=$("$cli" --addr "$addr" raw \
+        '{"op":"run","name":"esc_path","graph":"esc","mode":"paths","limit":0}')
+    if ! grep -q '"count":0,"answers":\[\]' <<< "$limited"; then
+        echo "server smoke FAILED: a paths run with limit 0 must have no rows: $limited" >&2
+        exit 1
+    fi
+    limited=$("$cli" --addr "$addr" raw \
+        '{"op":"run","name":"esc_path","graph":"esc","mode":"paths","limit":2}')
+    if ! grep -q '"count":2,' <<< "$limited"; then
+        echo "server smoke FAILED: a paths run with limit 2 must have two rows: $limited" >&2
+        exit 1
+    fi
+
     "$cli" --addr "$addr" shutdown
     wait "$server_pid"
     server_pid=""
     rm -f "$log"
-    echo "    server smoke OK (second run: registry hit, sim_cache_misses=0; mistyped field rejected by name; large replies do not stall; reply bytes pinned)"
+    echo "    server smoke OK (second run: registry hit, sim_cache_misses=0; mistyped field rejected by name; large replies do not stall; reply bytes pinned; paths limit 0 and 2 honoured)"
 }
 
 # Sends the request lines after $1 (a host:port) and then `close` over one

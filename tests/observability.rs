@@ -32,7 +32,7 @@ fn spawn_observed() -> ServerHandle {
     let mut c = Client::connect(handle.addr()).expect("connect setup");
     c.load_generator(GRAPH, "cycle:8:a").expect("load graph");
     c.prepare_for_graph(STMT, "Ans(x, y) <- (x, p, y), L(p) = a a", GRAPH).expect("prepare");
-    c.run_mode(STMT, GRAPH, "nodes").expect("warm run");
+    c.run_in_mode(STMT, GRAPH, "nodes").expect("warm run");
     c.close().expect("close setup");
     handle
 }
@@ -59,7 +59,7 @@ fn metrics_endpoint_reconciles_with_requests_sent() {
     let handle = spawn_observed();
     let mut c = Client::connect(handle.addr()).expect("connect");
     for _ in 0..5 {
-        c.run_mode(STMT, GRAPH, "nodes").expect("run");
+        c.run_in_mode(STMT, GRAPH, "nodes").expect("run");
     }
 
     let text = scrape(&handle);
@@ -155,7 +155,7 @@ fn assert_monotonic(span: &Value, window: &mut (f64, f64)) {
 fn trace_over_tcp_is_monotonic_and_reconciles_with_recorded_latency() {
     let handle = spawn_observed();
     let mut c = Client::connect(handle.addr()).expect("connect");
-    let expected = c.run_mode(STMT, GRAPH, "nodes").expect("plain run");
+    let expected = c.run_in_mode(STMT, GRAPH, "nodes").expect("plain run");
 
     let reply = c.trace(STMT, GRAPH, "nodes").expect("trace");
     assert_eq!(reply.get("answers"), expected.get("answers"), "tracing changed answers");

@@ -9,10 +9,11 @@
 //! all 256² = 65,536 `(u, u')` rows (about 1 MB of text).
 //!
 //! The bound is on the peak *above* the level before the dispatch: the
-//! answers, anything rendered from them, and the reply text. A renderer
-//! that materializes a heap object per row or per node name (a `Value`
-//! tree beside the text), or a head-dedup set holding a clone of every
-//! answer, lands far above it.
+//! row text, the reply text that embeds it, and anything else the run
+//! allocates. A run that collects its answers before writing them (48 B
+//! plus one heap tuple per row), a renderer that materializes a heap object
+//! per row or per node name (a `Value` tree beside the text), or a
+//! head-dedup set holding a clone of every answer, lands above it.
 
 use ecrpq_graph::prng::SplitMix64;
 use ecrpq_server::protocol::Service;
@@ -72,10 +73,12 @@ const SIDE: usize = 256;
 
 /// Peak heap growth allowed for the one dispatch, in bytes. Measured on
 /// x86-64 Linux (debug and release alike): 10,430,646 B when the reply is
-/// built as a `Value` per row and per node name next to a head-dedup set,
-/// 5,535,638 B with rows written straight into the reply text and no set;
-/// the bound sits halfway between the two in ratio (their geometric mean).
-const PEAK_BOUND: usize = 7_600_000;
+/// built as a `Value` per row and per node name next to a head-dedup set;
+/// 5,535,638 B with rows written into the reply text from a collected
+/// answer vector; 4,026,426 B with each row written as the join verifies
+/// it, no answer vector at all. The bound sits halfway between the last two
+/// in ratio (their geometric mean, 4.72 MB, rounded down).
+const PEAK_BOUND: usize = 4_700_000;
 
 /// The edge list: `u_i -a-> v_i -b-> u_{i+1}` around a ring (so every `u`
 /// reaches every `u` through `(a b)+`) plus one seeded random `a` and `b`

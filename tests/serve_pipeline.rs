@@ -25,7 +25,7 @@ fn spawn_prepared(workers: usize) -> ServerHandle {
     let mut c = Client::connect(handle.addr()).expect("connect setup");
     c.load_generator(GRAPH, "cycle:8:a").expect("load graph");
     c.prepare_for_graph(STMT, "Ans(x, y) <- (x, p, y), L(p) = a a", GRAPH).expect("prepare");
-    c.run_mode(STMT, GRAPH, "boolean").expect("warm run");
+    c.run_in_mode(STMT, GRAPH, "boolean").expect("warm run");
     c.close().expect("close setup");
     handle
 }
