@@ -39,7 +39,6 @@ pub mod alphabet;
 pub mod builtin;
 pub mod dfa;
 pub mod nfa;
-pub mod persist;
 pub mod regex;
 pub mod relation;
 pub mod semilinear;

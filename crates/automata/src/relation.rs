@@ -151,21 +151,6 @@ impl RegularRelation {
         self.sim.get().is_some()
     }
 
-    /// Seeds the memoized compiled simulation with a table decoded from a
-    /// snapshot sidecar, so the first evaluation after a warm reopen skips
-    /// the compile entirely. A no-op (returning `false`) if a compilation
-    /// already happened — the memoized value wins.
-    pub fn seed_compiled_sim(&self, sim: Arc<CompactNfa<TupleSym>>) -> bool {
-        self.sim.set(sim).is_ok()
-    }
-
-    /// Seeds the memoized tape-`tape` projection simulation with a decoded
-    /// table; see [`seed_compiled_sim`](Self::seed_compiled_sim).
-    pub fn seed_projection_sim(&self, tape: usize, sim: Arc<CompactNfa<Symbol>>) -> bool {
-        assert!(tape < self.arity);
-        self.projection_sims[tape].set(sim).is_ok()
-    }
-
     /// The tape-`i` projection compiled into dense simulation tables,
     /// memoized like [`compiled_sim`](Self::compiled_sim). This is what the
     /// reachability pass of the evaluator runs, so caching it here shares the

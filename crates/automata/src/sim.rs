@@ -32,16 +32,6 @@ impl StateSet {
         StateSet { blocks: vec![0; blocks] }
     }
 
-    /// Wraps an existing block vector.
-    pub fn from_blocks(blocks: Vec<u64>) -> StateSet {
-        StateSet { blocks }
-    }
-
-    /// Number of 64-state blocks.
-    pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// The raw blocks.
     #[inline]
     pub fn as_blocks(&self) -> &[u64] {
@@ -214,72 +204,6 @@ impl<S: Clone + Eq + Hash + Ord> CompactNfa<S> {
             initial,
             accepting,
         }
-    }
-
-    /// Reassembles a compiled automaton from raw parts produced by
-    /// [`CompactNfa::table_raw`] and friends — the persistence codec in
-    /// [`crate::persist`] is the intended caller. Every array shape is
-    /// validated against `num_states` and `symbols`, so a corrupted snapshot
-    /// cannot smuggle in a table the simulation accessors would index out of
-    /// bounds.
-    pub fn from_raw_parts(
-        num_states: usize,
-        symbols: Vec<S>,
-        table: Vec<u64>,
-        closures: Vec<u64>,
-        initial: StateSet,
-        accepting: Vec<u64>,
-    ) -> Result<CompactNfa<S>, String> {
-        let blocks = num_states.div_ceil(64).max(1);
-        let num_symbols = symbols.len();
-        let want_table = num_states.max(1) * num_symbols.max(1) * blocks;
-        if table.len() != want_table {
-            return Err(format!(
-                "transition table has {} words, expected {want_table}",
-                table.len()
-            ));
-        }
-        let want_closures = num_states.max(1) * blocks;
-        if closures.len() != want_closures {
-            return Err(format!(
-                "closure table has {} words, expected {want_closures}",
-                closures.len()
-            ));
-        }
-        if initial.num_blocks() != blocks {
-            return Err(format!(
-                "initial set has {} blocks, expected {blocks}",
-                initial.num_blocks()
-            ));
-        }
-        if accepting.len() != blocks {
-            return Err(format!("accepting row has {} blocks, expected {blocks}", accepting.len()));
-        }
-        let sym_index: HashMap<S, u32> =
-            symbols.iter().enumerate().map(|(i, s)| (s.clone(), i as u32)).collect();
-        if sym_index.len() != num_symbols {
-            return Err("duplicate interned symbol".to_string());
-        }
-        Ok(CompactNfa {
-            num_states,
-            blocks,
-            symbols,
-            sym_index,
-            table,
-            closures,
-            initial,
-            accepting,
-        })
-    }
-
-    /// The raw row-major transition table (for the persistence codec).
-    pub fn table_raw(&self) -> &[u64] {
-        &self.table
-    }
-
-    /// The raw per-state ε-closure table (for the persistence codec).
-    pub fn closures_raw(&self) -> &[u64] {
-        &self.closures
     }
 
     /// Number of states of the compiled automaton.

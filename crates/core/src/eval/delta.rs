@@ -170,7 +170,7 @@ impl MaintainedStatement {
         config: &EvalConfig,
     ) -> Result<(), QueryError> {
         let pq = self.stmt.prepared();
-        let art = self.stmt.artifacts();
+        let art = &self.stmt.art;
         let mut stats = EvalStats::default();
         let overlay = Overlay::new(view, pq, art);
         for (p, table) in self.reach.iter_mut().enumerate() {
@@ -311,7 +311,7 @@ mod tests {
         for (text, distinct) in DEDUP_CASES {
             let mut live = LiveGraph::new(Arc::new(dedup_graph()), 1_000_000);
             let stmt = statement(text, live.base());
-            assert_eq!(stmt.prepared().heads_are_distinct(&stmt.artifacts().constants), distinct);
+            assert_eq!(stmt.prepared().heads_are_distinct(&stmt.art.constants), distinct);
             let mut m = MaintainedStatement::try_new(Arc::clone(&stmt), live.view(), &config)
                 .unwrap()
                 .expect("plain CRPQ is maintainable");
@@ -418,7 +418,7 @@ mod tests {
                     }
                     let pq = Arc::new(pq);
                     let stmt = BoundStatement::bind(Arc::clone(&pq), Arc::clone(&base)).unwrap();
-                    let overlay = Overlay::new(view, &pq, stmt.artifacts());
+                    let overlay = Overlay::new(view, &pq, &stmt.art);
                     let rows = all_rows(&overlay, &pq, &sources);
                     assert_eq!(all_rows(&overlay, &pq, &[pin.0]), [rows[pin.index()].clone()]);
                     cases.push((text.clone(), sparse, pq, rows));

@@ -11,9 +11,11 @@
 //!    CRPQ evaluation step (and a sound relaxation of the ECRPQ).
 //! 2. **Candidate assignments.** The relational part is evaluated as a
 //!    conjunctive query over those binary relations by a backtracking join
-//!    (or, for acyclic queries, by the Yannakakis-style semi-join pass in
-//!    [`crate::eval::acyclic`]), yielding candidate assignments of the node
-//!    variables.
+//!    (`plan::enumerate_candidates`), yielding candidate assignments of the
+//!    node variables. It is the one candidate join, for acyclic queries too:
+//!    [`acyclic::eval_acyclic_crpq`] is a separate Yannakakis-style
+//!    evaluator (Theorem 6.5) that no evaluation path calls; tests use it as
+//!    a cross-check.
 //! 3. **Convolution search.** For each candidate, the on-the-fly product of
 //!    the padded graph power `G^m` with the relation automata is searched for
 //!    an accepting run (Theorem 6.3's PSPACE procedure, Theorem 6.1's

@@ -594,9 +594,9 @@ impl PreparedQuery {
     /// [`warm`](Self::warm) plus the *reversed* unary tables: forces every
     /// compiled artifact any run of this query could ever touch, including
     /// the reverse-BFS tables the planner may pick at evaluation time. The
-    /// snapshot sidecar writer calls this before serializing, so a warm
-    /// reopen reports zero `sim_cache_misses` no matter which direction the
-    /// planner chooses.
+    /// snapshot sidecar reader calls this on every statement it re-prepares,
+    /// so the first run after a warm reopen reports zero `sim_cache_misses`
+    /// no matter which direction the planner chooses.
     pub fn warm_full(&self) -> (u64, u64) {
         let (hits, misses) = self.warm();
         let mut stats = EvalStats::default();
@@ -1211,7 +1211,7 @@ impl<'a> BoundPlan<'a> {
 pub struct BoundStatement {
     pq: Arc<PreparedQuery>,
     graph: Arc<GraphDb>,
-    art: BindArtifacts,
+    pub(crate) art: BindArtifacts,
 }
 
 impl BoundStatement {
@@ -1221,23 +1221,6 @@ impl BoundStatement {
     pub fn bind(pq: Arc<PreparedQuery>, graph: Arc<GraphDb>) -> Result<BoundStatement, QueryError> {
         let art = pq.bind_artifacts(&graph)?;
         Ok(BoundStatement { pq, graph, art })
-    }
-
-    /// Reassembles a statement from artifacts decoded out of a snapshot
-    /// sidecar — the persistence layer's constructor. The caller
-    /// (`crate::persist`) has already validated the artifacts against the
-    /// graph, so no rebind happens here.
-    pub(crate) fn from_parts(
-        pq: Arc<PreparedQuery>,
-        graph: Arc<GraphDb>,
-        art: BindArtifacts,
-    ) -> BoundStatement {
-        BoundStatement { pq, graph, art }
-    }
-
-    /// The cached bind artifacts (read by the persistence layer).
-    pub(crate) fn artifacts(&self) -> &BindArtifacts {
-        &self.art
     }
 
     /// The prepared query this statement binds.

@@ -58,7 +58,7 @@ const ANON: u32 = u32::MAX;
 /// header plus each section's `(tag, length, checksum)` triple. Payload bytes
 /// are already summarized by the per-section checksums, so the id is
 /// content-sensitive without rescanning multi-megabyte payloads on every
-/// open. Compiled-artifact sidecars record this to refuse pairing with a
+/// open. Statement sidecars record this to refuse pairing with a
 /// different graph. Structurally malformed bytes fall back to hashing
 /// everything — [`read_snapshot`] rejects such files anyway, so the fallback
 /// only has to be deterministic.

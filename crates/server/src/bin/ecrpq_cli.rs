@@ -22,10 +22,11 @@
 //!                                      directions, estimated vs actual atom
 //!                                      cardinalities; planner: cost|static)
 //!   save <graph> <path>                persist a binary snapshot (+ a
-//!                                      <path>.art compiled-statement
-//!                                      sidecar) on the server's filesystem
+//!                                      <path>.art statement sidecar) on
+//!                                      the server's filesystem
 //!   open <name> <path>                 open a snapshot under a fresh name,
-//!                                      warm-installing sidecar statements
+//!                                      re-preparing and warming sidecar
+//!                                      statements
 //!   trace <name> <graph> [mode]        run with phase tracing: the reply
 //!                                      carries the span tree and the
 //!                                      server-recorded latency; the tree is

@@ -30,9 +30,9 @@
 //! client sends `{"op":"shutdown"}` (or the process is killed).
 //!
 //! Each `--open NAME=PATH` (repeatable) opens a binary snapshot into the
-//! catalog before the listening line is printed, warm-installing its
-//! compiled-statement sidecar if present — so the server answers its first
-//! request with a fully warm registry.
+//! catalog before the listening line is printed, re-preparing, binding and
+//! compiling the statements of its sidecar if present — so the server
+//! answers its first request with a fully warm registry.
 
 use ecrpq_server::server::{Server, ServerConfig};
 use ecrpq_util::json::Value;

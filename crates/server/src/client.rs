@@ -241,7 +241,7 @@ impl Client {
     }
 
     /// `save` a cataloged graph as a binary snapshot at `path` (plus its
-    /// `path.art` compiled-statement sidecar).
+    /// `path.art` statement sidecar).
     pub fn save(&mut self, graph: &str, path: &str) -> Result<Value, ServerError> {
         self.request(&Value::obj([
             ("op", Value::str("save")),
@@ -250,8 +250,8 @@ impl Client {
         ]))
     }
 
-    /// `open` a snapshot file under a fresh catalog name, warm-installing
-    /// any sidecar statements.
+    /// `open` a snapshot file under a fresh catalog name, re-preparing and
+    /// warming any sidecar statements.
     pub fn open(&mut self, name: &str, path: &str) -> Result<Value, ServerError> {
         self.request(&Value::obj([
             ("op", Value::str("open")),

@@ -247,8 +247,8 @@ impl Service {
     }
 
     /// Persists a cataloged graph as a binary snapshot at `path`, plus a
-    /// `path.art` sidecar holding the compiled sim tables and bind artifacts
-    /// of every registered statement that binds against this graph.
+    /// `path.art` sidecar holding the name and text of every registered
+    /// statement that binds against this graph; nothing is compiled.
     /// Statements that cannot bind (say, a constant node the graph lacks)
     /// are skipped rather than failing the save.
     pub(crate) fn op_save(&self, gname: &str, path: &str) -> Result<Value, ServerError> {
@@ -304,10 +304,10 @@ impl Service {
     }
 
     /// Opens a snapshot file under a fresh catalog name. If the `path.art`
-    /// sidecar is present its statements are warm-installed into the
-    /// registry — bound, with every sim table seeded — before the graph
-    /// becomes visible, so the first `run` is a registry hit with zero
-    /// sim-table compilations.
+    /// sidecar is present its statements are re-prepared from their texts,
+    /// bound, and compiled ([`persist::read_sidecar`]), then installed into
+    /// the registry before the graph becomes visible, so the first `run` is
+    /// a registry hit with zero sim-table compilations.
     pub(crate) fn op_open(&self, name: &str, path: &str) -> Result<Value, ServerError> {
         if self.catalog.get(name).is_some() {
             return Err(ServerError(format!(

@@ -44,8 +44,8 @@ pub fn parse_request(line: &str) -> Result<(Value, Option<Value>), ServerError> 
 /// | `stats` | optional `graph` | `version`, `uptime_s`, catalog/registry/server counters; with `graph`, its `graph_stats` (per-label edge/endpoint counts, degree maxima, sampled reach fraction) |
 /// | `metrics` | optional `format` (`text`\|`json`) | `text`: the metrics registry in Prometheus exposition format; `json`: structured families with estimated histogram quantiles |
 /// | `slowlog` | optional `limit` | `threshold_ms`, `entries` (ring buffer of requests slower than `--slow-query-ms`, newest first) |
-/// | `save` | `graph`, `path` | writes the binary snapshot to `path` and the compiled-statement sidecar to `path.art`; `graph`, `path`, `bytes`, `statements` (persisted) |
-/// | `open` | `name`, `path` | opens a snapshot under a *fresh* catalog name, warm-installing every sidecar statement; `graph`, `nodes`, `edges`, `statements` (warmed) |
+/// | `save` | `graph`, `path` | writes the binary snapshot to `path` and the statement sidecar (names and texts, nothing compiled) to `path.art`; `graph`, `path`, `bytes`, `statements` (persisted), `sidecar_gc` |
+/// | `open` | `name`, `path` | opens a snapshot under a *fresh* catalog name; every sidecar statement is re-prepared from its text, bound and compiled before the graph is published, then installed warm; `graph`, `nodes`, `edges`, `statements` (warmed) |
 /// | `batch` | `requests` (array of sub-requests, each a `run`/`check`/`explain`/`trace`/`stats` object; `op` defaults to `run`); a sub-request reads any field it omits from the batch object, so batch-level `name`, `graph`, `mode`, `planner`, `limit` act as defaults | `count`, `results` (one reply object per sub-request, in order; a failing sub yields `ok: false` *inside* `results`, never a batch-level error) |
 /// | `close` | — | `closing: true`, then the connection ends |
 /// | `shutdown` | — | `shutting_down: true`, then the whole server stops |

@@ -261,13 +261,13 @@ impl StatementRegistry {
         self.bound.iter().map(|s| s.lock().unwrap().counters).collect()
     }
 
-    /// Installs a statement reassembled from a snapshot sidecar: registers
-    /// it (replacing any previous statement with the name) *and* seeds the
+    /// Installs a statement rebuilt from a snapshot sidecar: registers it
+    /// (replacing any previous statement with the name) *and* seeds the
     /// bound-plan cache with its already-bound plan. The cached entry shares
     /// the registered statement's `Arc<PreparedQuery>` handle, so the next
-    /// [`bound`](Self::bound) call is a **hit** — the warm path never
-    /// parses, compiles, or binds. Does not bump the `prepared` counter:
-    /// nothing was compiled.
+    /// [`bound`](Self::bound) call is a **hit**. The sidecar reader has
+    /// already parsed, compiled and bound the plan; this only installs it,
+    /// so the `prepared` counter is not bumped.
     pub fn install_warm(
         &self,
         name: &str,

@@ -1,7 +1,7 @@
 //! Versioned, checksummed binary container format for ECRPQ snapshots.
 //!
 //! Every on-disk artifact in this workspace — `GraphDb` snapshots and the
-//! compiled-statement sidecars that ride next to them — shares one container
+//! statement sidecars that ride next to them — shares one container
 //! layout defined here:
 //!
 //! ```text
@@ -191,11 +191,6 @@ impl Encoder {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends a little-endian `i64`.
-    pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends a little-endian IEEE-754 `f64`.
     pub fn f64(&mut self, v: f64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -223,15 +218,6 @@ impl Encoder {
 
     /// Appends a `u64` element count followed by each element little-endian.
     pub fn slice_u64(&mut self, v: &[u64]) {
-        self.u64(v.len() as u64);
-        self.buf.reserve(v.len() * 8);
-        for &x in v {
-            self.buf.extend_from_slice(&x.to_le_bytes());
-        }
-    }
-
-    /// Appends a `u64` element count followed by each element little-endian.
-    pub fn slice_i64(&mut self, v: &[i64]) {
         self.u64(v.len() as u64);
         self.buf.reserve(v.len() * 8);
         for &x in v {
@@ -345,12 +331,6 @@ impl<'a> Decoder<'a> {
         Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
     }
 
-    /// Reads a little-endian `i64`.
-    pub fn i64(&mut self, what: &str) -> Result<i64, StorageError> {
-        let b = self.take(8, what)?;
-        Ok(i64::from_le_bytes(b.try_into().expect("8-byte slice")))
-    }
-
     /// Reads a little-endian IEEE-754 `f64`.
     pub fn f64(&mut self, what: &str) -> Result<f64, StorageError> {
         let b = self.take(8, what)?;
@@ -393,14 +373,6 @@ impl<'a> Decoder<'a> {
         let body = &self.buf[self.pos..self.pos + count * 8];
         self.pos += count * 8;
         Ok(body.chunks_exact(8).map(|b| u64::from_le_bytes(b.try_into().expect("8B"))).collect())
-    }
-
-    /// Reads a `u64` element count, then that many `i64`s (bounds-validated).
-    pub fn vec_i64(&mut self, what: &str) -> Result<Vec<i64>, StorageError> {
-        let count = self.counted(8, what)?;
-        let body = &self.buf[self.pos..self.pos + count * 8];
-        self.pos += count * 8;
-        Ok(body.chunks_exact(8).map(|b| i64::from_le_bytes(b.try_into().expect("8B"))).collect())
     }
 
     /// Validates an element count of `width`-byte items against the bytes
@@ -541,7 +513,7 @@ mod tests {
         e.slice_u32(&[1, 2, 3]);
         w.section(10, e);
         let mut e = Encoder::new();
-        e.i64(-5);
+        e.u64(5);
         e.f64(0.25);
         w.section(11, e);
         w.finish()
@@ -557,7 +529,7 @@ mod tests {
         assert_eq!(d.vec_u32("v").unwrap(), vec![1, 2, 3]);
         d.finish("s10").unwrap();
         let mut d = Decoder::new(c.section(11).unwrap());
-        assert_eq!(d.i64("i").unwrap(), -5);
+        assert_eq!(d.u64("u").unwrap(), 5);
         assert_eq!(d.f64("f").unwrap(), 0.25);
         d.finish("s11").unwrap();
         assert_eq!(c.optional_section(99).unwrap(), None);

@@ -15,8 +15,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Statements persisted alongside the differential graphs: a plain
-/// concatenation, and a shape with a length constraint so the sidecar
-/// carries counter-augmented sim tables too.
+/// concatenation, and a shape with a length constraint so the reopen
+/// rebuilds counter-augmented sim tables too.
 const QUERIES: [&str; 2] =
     ["Ans(x, y) <- (x, p, y), L(p) = a b", "Ans(x, y) <- (x, p, y), L(p) = a b a b, len(p) <= 4"];
 
@@ -217,10 +217,10 @@ fn service_save_open_warm_differential() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A sidecar written by the previous format version (v1, which carried the
-/// adjacency) fails `open` — the request `ecrpq-serve --open` sends — with
-/// the structured version mismatch naming the file, and publishes nothing:
-/// never a panic, never a silent cold start.
+/// A sidecar written by an older format version (v1 carried the adjacency,
+/// v2 the compiled tables) fails `open` — the request `ecrpq-serve --open`
+/// sends — with the structured version mismatch naming the file, and
+/// publishes nothing: never a panic, never a silent cold start.
 #[test]
 fn version_one_sidecar_fails_open_naming_the_file() {
     let dir = std::env::temp_dir().join(format!("ecrpq-it-v1-sidecar-{}", std::process::id()));
@@ -238,19 +238,24 @@ fn version_one_sidecar_fails_open_naming_the_file() {
     assert_eq!(r.get("statements").and_then(json::Value::as_u64), Some(1));
 
     let art_path = persist::sidecar_path(&snap);
-    let mut art = std::fs::read(&art_path).expect("sidecar written");
-    art[8..12].copy_from_slice(&1u32.to_le_bytes());
-    std::fs::write(&art_path, &art).expect("rewrite sidecar");
+    let saved = std::fs::read(&art_path).expect("sidecar written");
+    for (i, old) in [1u32, 2].into_iter().enumerate() {
+        let mut art = saved.clone();
+        art[8..12].copy_from_slice(&old.to_le_bytes());
+        std::fs::write(&art_path, &art).expect("rewrite sidecar");
 
-    let s2 = Service::new(8);
-    let r = reply(&s2, &format!(r#"{{"op":"open","name":"g2","path":"{snap_str}"}}"#));
-    assert_eq!(r.get("ok").and_then(json::Value::as_bool), Some(false), "{r:?}");
-    let msg = r.get("error").and_then(json::Value::as_str).expect("error message");
-    let expected = StorageError::VersionMismatch { found: 1, expected: persist::FORMAT_VERSION };
-    assert!(msg.contains(&expected.to_string()), "unexpected error: {msg}");
-    assert!(msg.contains(art_path.to_str().unwrap()), "error must name the file: {msg}");
-    let r = reply(&s2, r#"{"op":"run","name":"q","graph":"g2"}"#);
-    assert_eq!(r.get("ok").and_then(json::Value::as_bool), Some(false), "graph was published");
+        let s2 = Service::new(8);
+        let name = format!("g{}", i + 2);
+        let r = reply(&s2, &format!(r#"{{"op":"open","name":"{name}","path":"{snap_str}"}}"#));
+        assert_eq!(r.get("ok").and_then(json::Value::as_bool), Some(false), "{r:?}");
+        let msg = r.get("error").and_then(json::Value::as_str).expect("error message");
+        let expected =
+            StorageError::VersionMismatch { found: old, expected: persist::FORMAT_VERSION };
+        assert!(msg.contains(&expected.to_string()), "unexpected error: {msg}");
+        assert!(msg.contains(art_path.to_str().unwrap()), "error must name the file: {msg}");
+        let r = reply(&s2, &format!(r#"{{"op":"run","name":"q","graph":"{name}"}}"#));
+        assert_eq!(r.get("ok").and_then(json::Value::as_bool), Some(false), "graph was published");
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }
