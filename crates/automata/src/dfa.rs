@@ -357,7 +357,7 @@ pub fn language_equivalent<S: Clone + Eq + Hash + Ord>(
 const REDUCE_MAX_NFA_STATES: usize = 512;
 
 /// Best-effort, bounded minimization of an NFA about to be compiled into
-/// dense simulation tables ([`CompactNfa`](crate::sim::CompactNfa)): trim
+/// simulation form ([`CompactNfa`](crate::sim::CompactNfa)): trim
 /// dead and unreachable states, then — if the automaton is small enough —
 /// determinize with a state cap, minimize with Hopcroft's algorithm, and
 /// adopt the result only when it is strictly smaller than the trimmed input.

@@ -35,12 +35,11 @@ pub struct RegularRelation {
     name: Option<String>,
     /// Memoized per-tape projections (index = tape), shared across clones.
     projections: Arc<Vec<OnceLock<Arc<Nfa<Symbol>>>>>,
-    /// Memoized dense simulation tables of the relation automaton, shared
-    /// across clones: preparing the same relation into several queries (or
-    /// the same prepared query against several graphs) compiles the tables
-    /// exactly once.
+    /// Memoized compiled form of the relation automaton, shared across
+    /// clones: preparing the same relation into several queries (or the same
+    /// prepared query against several graphs) compiles it exactly once.
     sim: Arc<OnceLock<Arc<CompactNfa<TupleSym>>>>,
-    /// Memoized dense simulation tables of the per-tape projections (the
+    /// Memoized compiled forms of the per-tape projections (the
     /// unary constraints the reachability pass runs), shared across clones.
     projection_sims: Arc<Vec<OnceLock<Arc<CompactNfa<Symbol>>>>>,
     /// Memoized largest component-symbol index over all transition letters
@@ -132,13 +131,13 @@ impl RegularRelation {
         Arc::clone(cached)
     }
 
-    /// The relation automaton compiled into dense simulation tables, memoized
+    /// The relation automaton compiled for simulation, memoized
     /// behind the shared handle: every clone of this relation (every query it
     /// is prepared into, every graph a prepared query is bound to) reuses one
     /// compilation.
     pub fn compiled_sim(&self) -> Arc<CompactNfa<TupleSym>> {
-        // Minimize before building tables: the state count sets the bitset
-        // row width of every downstream product search.
+        // Minimize before compiling: the state count sets the bitset width
+        // of every downstream product search key.
         Arc::clone(
             self.sim
                 .get_or_init(|| Arc::new(CompactNfa::compile(&dfa::reduce_for_tables(&self.nfa)))),
@@ -151,7 +150,7 @@ impl RegularRelation {
         self.sim.get().is_some()
     }
 
-    /// The tape-`i` projection compiled into dense simulation tables,
+    /// The tape-`i` projection compiled for simulation,
     /// memoized like [`compiled_sim`](Self::compiled_sim). This is what the
     /// reachability pass of the evaluator runs, so caching it here shares the
     /// compiled unary constraint across every evaluation of the relation.

@@ -1,14 +1,16 @@
-//! Dense NFA simulation: compiled transition tables and bitset state sets.
+//! Compiled NFA simulation: ε-closed successor lists and bitset state sets.
 //!
 //! [`Nfa::step`](crate::nfa::Nfa::step) rescans every outgoing transition of
 //! every current state, re-sorts the successor list, and recomputes the
 //! ε-closure on each call. That is fine for one-shot acceptance checks, but
 //! the convolution search of the ECRPQ evaluator performs millions of steps
 //! over the *same* automaton. [`CompactNfa`] moves all of that work to
-//! compile time: symbols are interned to dense ids, ε-closures are
-//! precomputed per state, and for every `(state, symbol)` pair the table
-//! stores the ε-closed successor *set* as a bitset row. One simulation step
-//! is then a table lookup plus a bitwise OR per current state, and the
+//! compile time: symbols are interned to dense ids, and for every
+//! `(state, symbol)` pair it stores the sorted ε-closed successor list, all
+//! lists in one CSR pair. Compiling costs time and memory linear in those
+//! lists, so any automaton compiles, whatever its size. State *sets* stay
+//! fixed-width bitsets ([`StateSet`]), which search keys embed verbatim: one
+//! simulation step sets the bits of one list per current state, and the
 //! accepting test is a bitwise AND against the accepting-set row.
 
 use crate::nfa::{Nfa, StateId};
@@ -117,9 +119,11 @@ impl StateSet {
 /// An [`Nfa`] compiled for fast repeated simulation.
 ///
 /// Compilation interns the distinct transition symbols to dense ids and
-/// precomputes, for every `(state, symbol id)` pair, the bitset of states
+/// stores, for every `(state, symbol id)` pair, the sorted list of states
 /// reachable by reading the symbol and then following ε-transitions. The
-/// original symbol type is retained only for the symbol-interning table; the
+/// lists share one CSR pair (offsets + states), so the compiled form is
+/// linear in the ε-closed transitions at any automaton size. The original
+/// symbol type is retained only for the symbol-interning table; the
 /// simulation itself never touches it.
 #[derive(Clone, Debug)]
 pub struct CompactNfa<S> {
@@ -127,64 +131,94 @@ pub struct CompactNfa<S> {
     blocks: usize,
     symbols: Vec<S>,
     sym_index: HashMap<S, u32>,
-    /// Row-major table: `table[(q * num_symbols + s) * blocks ..][..blocks]`
-    /// is the ε-closed successor set of state `q` on symbol id `s`.
-    table: Vec<u64>,
-    /// Per-state ε-closure bitsets, `blocks` words each.
-    closures: Vec<u64>,
+    /// `succ[offsets[i]..offsets[i + 1]]` with `i = q * num_symbols + s` is
+    /// the ε-closed successor list of state `q` on symbol id `s`.
+    offsets: Vec<u32>,
+    /// Every successor list, sorted and duplicate-free, back to back.
+    succ: Vec<StateId>,
     /// ε-closed initial set.
     initial: StateSet,
     /// Accepting states as one bitset row.
     accepting: Vec<u64>,
 }
 
+/// The ε-closure of every state as sorted lists in one CSR pair: the
+/// closure of `q` is `states[offsets[q]..offsets[q + 1]]`.
+fn epsilon_closures<S: Clone + Eq + Hash + Ord>(nfa: &Nfa<S>) -> (Vec<usize>, Vec<StateId>) {
+    let n = nfa.num_states();
+    let mut offsets = Vec::with_capacity(n + 1);
+    let mut states: Vec<StateId> = Vec::new();
+    let mut stamp = vec![StateId::MAX; n];
+    let mut stack: Vec<StateId> = Vec::new();
+    offsets.push(0);
+    for q in 0..n as StateId {
+        let start = states.len();
+        stamp[q as usize] = q;
+        states.push(q);
+        stack.push(q);
+        while let Some(p) = stack.pop() {
+            for &r in nfa.epsilon_from(p) {
+                if stamp[r as usize] != q {
+                    stamp[r as usize] = q;
+                    states.push(r);
+                    stack.push(r);
+                }
+            }
+        }
+        states[start..].sort_unstable();
+        offsets.push(states.len());
+    }
+    (offsets, states)
+}
+
 impl<S: Clone + Eq + Hash + Ord> CompactNfa<S> {
-    /// Compiles an NFA into table form. Duplicate transitions collapse into
-    /// the same bitset bits, so the result is insensitive to the
-    /// duplicate-arc blowup of product constructions.
+    /// Compiles an NFA into successor-list form. Duplicate transitions and
+    /// overlapping ε-closures collapse into one list entry, so the result is
+    /// insensitive to the duplicate-arc blowup of product constructions.
     pub fn compile(nfa: &Nfa<S>) -> CompactNfa<S> {
         let n = nfa.num_states();
         let blocks = n.div_ceil(64).max(1);
         let symbols = nfa.symbols_used();
         let sym_index: HashMap<S, u32> =
             symbols.iter().enumerate().map(|(i, s)| (s.clone(), i as u32)).collect();
+        let (cl_off, cl) = epsilon_closures(nfa);
 
-        // Per-state ε-closures, by depth-first search over ε-edges.
-        let mut closures = vec![0u64; n.max(1) * blocks];
-        let mut stack: Vec<StateId> = Vec::new();
-        for q in 0..n {
-            let row = &mut closures[q * blocks..(q + 1) * blocks];
-            row[q / 64] |= 1 << (q % 64);
-            stack.push(q as StateId);
-            while let Some(p) = stack.pop() {
-                for &r in nfa.epsilon_from(p) {
-                    let (bi, bit) = (r as usize / 64, 1u64 << (r % 64));
-                    if row[bi] & bit == 0 {
-                        row[bi] |= bit;
-                        stack.push(r);
+        // succ(q, s) = ⋃ { closure(to) : (s, to) ∈ δ(q) }, one symbol id
+        // after another so the offsets come out in table order.
+        let num_symbols = symbols.len();
+        let mut offsets: Vec<u32> = Vec::with_capacity(n * num_symbols + 1);
+        let mut succ: Vec<StateId> = Vec::new();
+        let mut arcs: Vec<(u32, StateId)> = Vec::new();
+        offsets.push(0);
+        for q in 0..n as StateId {
+            arcs.clear();
+            arcs.extend(nfa.transitions_from(q).iter().map(|(s, to)| (sym_index[s], *to)));
+            arcs.sort_unstable();
+            arcs.dedup();
+            let mut arcs = arcs.iter().peekable();
+            for sid in 0..num_symbols as u32 {
+                let start = succ.len();
+                while let Some(&(_, to)) = arcs.next_if(|&&(s, _)| s == sid) {
+                    succ.extend_from_slice(&cl[cl_off[to as usize]..cl_off[to as usize + 1]]);
+                }
+                succ[start..].sort_unstable();
+                let mut kept = start;
+                for i in start..succ.len() {
+                    if kept == start || succ[kept - 1] != succ[i] {
+                        succ[kept] = succ[i];
+                        kept += 1;
                     }
                 }
-            }
-        }
-
-        // Transition table: row(q, s) = ⋃ { closure(to) : (s, to) ∈ δ(q) }.
-        let num_symbols = symbols.len();
-        let mut table = vec![0u64; n.max(1) * num_symbols.max(1) * blocks];
-        for q in 0..n {
-            for (s, to) in nfa.transitions_from(q as StateId) {
-                let sid = sym_index[s] as usize;
-                let base = (q * num_symbols + sid) * blocks;
-                let closure = &closures[*to as usize * blocks..(*to as usize + 1) * blocks];
-                for (b, c) in table[base..base + blocks].iter_mut().zip(closure) {
-                    *b |= c;
-                }
+                succ.truncate(kept);
+                offsets.push(u32::try_from(kept).expect("successor lists exceed u32 offsets"));
             }
         }
 
         let mut initial = StateSet::empty(blocks);
         for &q in nfa.initial() {
-            let closure = &closures[q as usize * blocks..(q as usize + 1) * blocks];
-            initial.union_with(closure);
+            for &r in &cl[cl_off[q as usize]..cl_off[q as usize + 1]] {
+                initial.insert(r);
+            }
         }
 
         let mut accepting = vec![0u64; blocks];
@@ -194,16 +228,7 @@ impl<S: Clone + Eq + Hash + Ord> CompactNfa<S> {
             }
         }
 
-        CompactNfa {
-            num_states: n,
-            blocks,
-            symbols,
-            sym_index,
-            table,
-            closures,
-            initial,
-            accepting,
-        }
+        CompactNfa { num_states: n, blocks, symbols, sym_index, offsets, succ, initial, accepting }
     }
 
     /// Number of states of the compiled automaton.
@@ -262,11 +287,11 @@ impl<S: Clone + Eq + Hash + Ord> CompactNfa<S> {
         row.iter().zip(&self.accepting).any(|(b, a)| b & a != 0)
     }
 
-    /// The precomputed ε-closed successor row of `(q, sym id)`.
+    /// The sorted ε-closed successor list of `(q, sym id)`.
     #[inline]
-    pub fn row(&self, q: StateId, sid: u32) -> &[u64] {
-        let base = (q as usize * self.symbols.len() + sid as usize) * self.blocks;
-        &self.table[base..base + self.blocks]
+    pub fn row(&self, q: StateId, sid: u32) -> &[StateId] {
+        let i = q as usize * self.symbols.len() + sid as usize;
+        &self.succ[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// One simulation step, writing into `out` (which is cleared first):
@@ -274,10 +299,7 @@ impl<S: Clone + Eq + Hash + Ord> CompactNfa<S> {
     /// then taking ε-transitions.
     #[inline]
     pub fn step_into(&self, current: &StateSet, sid: u32, out: &mut StateSet) {
-        out.clear();
-        for q in current.iter() {
-            out.union_with(self.row(q, sid));
-        }
+        self.step_blocks_into(current.as_blocks(), sid, out);
     }
 
     /// Steps a raw block row (a state set embedded in a larger key buffer),
@@ -285,21 +307,20 @@ impl<S: Clone + Eq + Hash + Ord> CompactNfa<S> {
     #[inline]
     pub fn step_blocks_into(&self, current: &[u64], sid: u32, out: &mut StateSet) -> bool {
         out.clear();
+        let mut any = false;
         for (bi, &block) in current.iter().enumerate() {
             let mut b = block;
             while b != 0 {
                 let q = bi as u32 * 64 + b.trailing_zeros();
                 b &= b - 1;
-                out.union_with(self.row(q, sid));
+                let row = self.row(q, sid);
+                any |= !row.is_empty();
+                for &r in row {
+                    out.insert(r);
+                }
             }
         }
-        !out.is_empty()
-    }
-
-    /// The ε-closure of a single state as a raw bitset row.
-    #[inline]
-    pub fn closure_row(&self, q: StateId) -> &[u64] {
-        &self.closures[q as usize * self.blocks..(q as usize + 1) * self.blocks]
+        any
     }
 
     /// Convenience acceptance check over a word of symbols (slow path; the
@@ -382,18 +403,90 @@ mod tests {
         assert!(!c.accepts(&[7]));
     }
 
+    /// SplitMix64, for the seeded random automata below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    /// A random ε-NFA over symbols `0..3` with `n` states: each arc is
+    /// drawn twice with probability 1/4 (duplicate arcs), and a ring of ε
+    /// edges through a random tenth of the states closes ε-cycles.
+    fn random_nfa(rng: &mut Rng, n: usize) -> Nfa<u32> {
+        let mut a = Nfa::new();
+        a.add_states(n);
+        for _ in 0..1 + rng.below(3) {
+            a.add_initial(rng.below(n) as StateId);
+        }
+        for q in 0..n as StateId {
+            a.set_accepting(q, rng.below(4) == 0);
+            for _ in 0..rng.below(4) {
+                let (s, to) = (rng.below(3) as u32, rng.below(n) as StateId);
+                a.add_transition(q, s, to);
+                if rng.below(4) == 0 {
+                    a.add_transition(q, s, to);
+                }
+            }
+            if rng.below(6) == 0 {
+                a.add_epsilon(q, rng.below(n) as StateId);
+            }
+        }
+        let ring: Vec<StateId> = (0..n.div_ceil(10)).map(|_| rng.below(n) as StateId).collect();
+        for (i, &q) in ring.iter().enumerate() {
+            a.add_epsilon(q, ring[(i + 1) % ring.len()]);
+        }
+        a
+    }
+
+    /// `row`, `step_into` and `step_blocks_into` agree with `Nfa::step`
+    /// and `epsilon_closure` from the initial set and random state subsets:
+    /// on `(0 1)*` and on random ε-NFAs of 1, 2 and 3 bitset blocks and past
+    /// 2,048 states.
     #[test]
     fn compiled_step_matches_nfa_step() {
-        let a = word_nfa(&[0, 1]);
-        let s = a.star();
-        let c = CompactNfa::compile(&s);
-        let init = s.epsilon_closure(s.initial());
-        assert_eq!(c.initial_set().to_vec(), init);
-        let after = s.step(&init, &0);
-        let sid = c.sym_id(&0).unwrap();
-        let mut out = StateSet::empty(c.blocks());
-        c.step_into(&c.initial_set(), sid, &mut out);
-        assert_eq!(out.to_vec(), after);
+        let mut rng = Rng(0x5EED);
+        let mut inputs = vec![word_nfa(&[0, 1]).star()];
+        for n in [1, 37, 64, 100, 150, 192, 2_100] {
+            inputs.push(random_nfa(&mut rng, n));
+        }
+        for a in inputs {
+            let n = a.num_states();
+            let c = CompactNfa::compile(&a);
+            assert_eq!(c.blocks(), n.div_ceil(64), "{n} states");
+            assert_eq!(c.initial_set().to_vec(), a.epsilon_closure(a.initial()), "{n} states");
+            for q in 0..n as StateId {
+                assert_eq!(c.is_accepting(q), a.is_accepting(q));
+            }
+            for sym in a.symbols_used() {
+                let sid = c.sym_id(&sym).unwrap();
+                let probes = if n > 200 { 64 } else { n };
+                for q in (0..probes).map(|_| rng.below(n) as StateId) {
+                    assert_eq!(c.row(q, sid), a.step(&[q], &sym), "{n} states, row({q}, {sym})");
+                }
+                for i in 0..32 {
+                    let subset: Vec<StateId> = match i {
+                        0 => a.epsilon_closure(a.initial()),
+                        _ => (0..n as StateId).filter(|_| rng.below(5) == 0).collect(),
+                    };
+                    let mut current = StateSet::empty(c.blocks());
+                    subset.iter().for_each(|&q| current.insert(q));
+                    let want = a.step(&subset, &sym);
+                    let mut out = StateSet::empty(c.blocks());
+                    c.step_into(&current, sid, &mut out);
+                    assert_eq!(out.to_vec(), want, "{n} states, step {subset:?} on {sym}");
+                    let mut raw = StateSet::empty(c.blocks());
+                    let nonempty = c.step_blocks_into(current.as_blocks(), sid, &mut raw);
+                    assert_eq!((nonempty, raw), (!want.is_empty(), out));
+                }
+            }
+        }
     }
 
     #[test]

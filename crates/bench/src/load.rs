@@ -9,7 +9,7 @@
 //!   other series is compared against.
 //! * **`load_pipe_*`** — an *open-loop* pipelined client: every connection
 //!   schedules tagged `run` requests on a fixed timer (offered load is
-//!   [`OVERDRIVE`]× the measured legacy saturation throughput, so the server
+//!   `OVERDRIVE`× the measured legacy saturation throughput, so the server
 //!   — not the client — is the bottleneck) and a separate reader matches
 //!   out-of-order replies by their echoed `id`. Latency is measured from the
 //!   request's *scheduled* arrival time, not its actual send time, so

@@ -10,7 +10,7 @@
 //! tuple of paths.
 //!
 //! The construction explores exactly the states of the convolution search of
-//! [`super::search`], so it stays polynomial in the size of the graph for a
+//! `eval::search`, so it stays polynomial in the size of the graph for a
 //! fixed query (Theorem 6.1), and exponential only in the query.
 
 use crate::error::QueryError;
@@ -23,7 +23,6 @@ use ecrpq_automata::alphabet::{Symbol, TupleSym};
 use ecrpq_automata::nfa::{Nfa, StateId};
 use ecrpq_automata::sim::StateSet;
 use ecrpq_graph::{GraphDb, NodeId, Path};
-use std::collections::{HashMap, VecDeque};
 
 /// A letter of the path-tuple encoding alphabet `V^k ∪ (Σ⊥)^k`.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -130,9 +129,7 @@ impl BoundPlan<'_> {
         // Nodes.
         let mut nfa: Nfa<EncLetter> = Nfa::new();
         let mut stats = plan::EvalStats::default();
-        if pq.dense_search {
-            pq.force_rel_sims(&mut stats);
-        }
+        pq.force_rel_sims(&mut stats);
 
         // Enumerate candidates via the same machinery as the evaluator, with
         // the head node variables joining the constants.
@@ -276,12 +273,6 @@ fn add_candidate_automaton(
             return Ok(());
         }
     }
-    if !pq.dense_search {
-        // Oversized relation automata: fall back to the classical
-        // cloned-state construction (see the note on
-        // `PreparedQuery::dense_search`).
-        return add_candidate_automaton_classic(nfa, plan, sigma, config);
-    }
     let num_paths = pq.path_vars.len();
     let head = &pq.head_path_idx;
     let sims: Vec<&RelSim> = pq.relations.iter().map(|r| r.sim(pq.code_base)).collect();
@@ -388,182 +379,6 @@ fn apply_move(
         }
     }
     plan::advance_relations(plan.pq, sims, rel_off, rel_blocks, letters, cur, rel_scratch, next)
-}
-
-// ---------------------------------------------------------------------------
-// Classical fallback (oversized relation automata)
-// ---------------------------------------------------------------------------
-
-/// Search state used by the classical answer-automaton construction: current
-/// node per path variable plus a "finished" flag, and the relation state
-/// sets as sorted vectors.
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct AState {
-    pos: Vec<(NodeId, bool)>,
-    rel: Vec<Vec<StateId>>,
-}
-
-/// The classical cloned-state construction, retained for queries whose
-/// relation automata exceed the dense-table size bound: sparse sorted-vector
-/// state sets stepped through [`Nfa::step`] scale with the reachable
-/// frontier instead of the automaton size.
-fn add_candidate_automaton_classic(
-    nfa: &mut Nfa<EncLetter>,
-    plan: &BoundPlan<'_>,
-    sigma: &[NodeId],
-    config: &EvalConfig,
-) -> Result<(), QueryError> {
-    let pq = plan.pq;
-    let graph = plan.graph;
-    let num_paths = pq.path_vars.len();
-    let head = &pq.head_path_idx;
-
-    let initial = AState {
-        pos: (0..num_paths).map(|p| (sigma[pq.path_from[p]], false)).collect(),
-        rel: pq.relations.iter().map(|r| r.nfa.epsilon_closure(r.nfa.initial())).collect(),
-    };
-
-    // Each search state becomes *two* automaton states: one expecting the
-    // next Nodes letter ("before nodes") and one expecting the next
-    // convolution letter ("after nodes").
-    let mut before_ids: HashMap<AState, StateId> = HashMap::new();
-    let mut after_ids: HashMap<AState, StateId> = HashMap::new();
-    let mut queue: VecDeque<AState> = VecDeque::new();
-
-    let accepts = |s: &AState| -> bool {
-        s.pos.iter().enumerate().all(|(p, &(node, done))| done || node == sigma[pq.path_to[p]])
-            && pq
-                .relations
-                .iter()
-                .enumerate()
-                .all(|(j, r)| s.rel[j].iter().any(|&q| r.nfa.is_accepting(q)))
-    };
-
-    fn intern(
-        s: &AState,
-        nfa: &mut Nfa<EncLetter>,
-        before: &mut HashMap<AState, StateId>,
-        after: &mut HashMap<AState, StateId>,
-        queue: &mut VecDeque<AState>,
-        head: &[usize],
-        accepting: bool,
-    ) -> (StateId, StateId) {
-        if let (Some(&b), Some(&a)) = (before.get(s), after.get(s)) {
-            return (b, a);
-        }
-        let b = nfa.add_state();
-        let a = nfa.add_state();
-        let node_letter = EncLetter::Nodes(head.iter().map(|&p| s.pos[p].0).collect());
-        nfa.add_transition(b, node_letter, a);
-        nfa.set_accepting(a, accepting);
-        before.insert(s.clone(), b);
-        after.insert(s.clone(), a);
-        queue.push_back(s.clone());
-        (b, a)
-    }
-
-    let (b0, _a0) =
-        intern(&initial, nfa, &mut before_ids, &mut after_ids, &mut queue, head, accepts(&initial));
-    nfa.add_initial(b0);
-
-    let mut visited_budget = config.max_search_states;
-    while let Some(state) = queue.pop_front() {
-        if visited_budget == 0 {
-            return Err(QueryError::BudgetExceeded {
-                what: "answer-automaton construction exceeded the state budget".to_string(),
-            });
-        }
-        visited_budget -= 1;
-        let from_after = after_ids[&state];
-        let mut options: Vec<Vec<Option<(Symbol, NodeId)>>> = Vec::with_capacity(num_paths);
-        let mut dead = false;
-        for p in 0..num_paths {
-            let (node, done) = state.pos[p];
-            let mut opts: Vec<Option<(Symbol, NodeId)>> = Vec::new();
-            if done {
-                opts.push(None);
-            } else {
-                for &(label, to) in graph.out_edges(node) {
-                    opts.push(Some((label, to)));
-                }
-                if node == sigma[pq.path_to[p]] {
-                    opts.push(None); // finish here
-                }
-            }
-            if opts.is_empty() {
-                dead = true;
-                break;
-            }
-            options.push(opts);
-        }
-        if dead {
-            continue;
-        }
-        let mut choice = vec![0usize; num_paths];
-        'outer: loop {
-            let picks: Vec<Option<(Symbol, NodeId)>> =
-                (0..num_paths).map(|p| options[p][choice[p]]).collect();
-            if picks.iter().any(|o| o.is_some()) {
-                if let Some(next) = apply_move_classic(plan, &state, &picks) {
-                    let letter = EncLetter::Letter(TupleSym::new(
-                        head.iter().map(|&p| picks[p].map(|(l, _)| plan.translate(l))).collect(),
-                    ));
-                    let acc = accepts(&next);
-                    let (nb, _na) =
-                        intern(&next, nfa, &mut before_ids, &mut after_ids, &mut queue, head, acc);
-                    nfa.add_transition(from_after, letter, nb);
-                }
-            }
-            let mut i = 0;
-            loop {
-                if i == num_paths {
-                    break 'outer;
-                }
-                choice[i] += 1;
-                if choice[i] < options[i].len() {
-                    break;
-                }
-                choice[i] = 0;
-                i += 1;
-            }
-        }
-    }
-    Ok(())
-}
-
-fn apply_move_classic(
-    plan: &BoundPlan<'_>,
-    state: &AState,
-    picks: &[Option<(Symbol, NodeId)>],
-) -> Option<AState> {
-    let mut pos = Vec::with_capacity(picks.len());
-    let mut letters: Vec<Option<Symbol>> = Vec::with_capacity(picks.len());
-    for (p, pick) in picks.iter().enumerate() {
-        match pick {
-            Some((label, to)) => {
-                pos.push((*to, false));
-                letters.push(Some(plan.translate(*label)));
-            }
-            None => {
-                pos.push((state.pos[p].0, true));
-                letters.push(None);
-            }
-        }
-    }
-    let mut rel = Vec::with_capacity(plan.pq.relations.len());
-    for (j, r) in plan.pq.relations.iter().enumerate() {
-        let tuple: Vec<Option<Symbol>> = r.tapes.iter().map(|&t| letters[t]).collect();
-        if tuple.iter().all(|c| c.is_none()) {
-            rel.push(state.rel[j].clone());
-            continue;
-        }
-        let next = r.nfa.step(&state.rel[j], &TupleSym::new(tuple));
-        if next.is_empty() {
-            return None;
-        }
-        rel.push(next);
-    }
-    Some(AState { pos, rel })
 }
 
 #[cfg(test)]

@@ -5,10 +5,11 @@
 //! rows `Σ coef·target op constant` where each target is either the length of
 //! a path variable or the number of occurrences of a label on it. The main
 //! evaluator handles such queries directly: the convolution search of
-//! [`super::search`] tracks the value of every constraint row along the run
+//! `eval::search` tracks the value of every constraint row along the run
 //! and only accepts runs whose final values satisfy all rows, with the number
 //! of global steps bounded by the small-model bound of Lemma 8.6 (clamped and
-//! configurable through [`EvalConfig::max_convolution_steps`]).
+//! configurable through
+//! [`EvalConfig::max_convolution_steps`](crate::eval::EvalConfig::max_convolution_steps)).
 //!
 //! This module adds convenience constructors for common constraint shapes —
 //! notably the paper's running example "at least `p`% of the journey is with

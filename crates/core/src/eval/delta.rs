@@ -16,10 +16,10 @@
 //!
 //! Maintenance is restricted to the statements where the relaxation is
 //! *exact* (plain CRPQs: no wide relations, no relational repetition, no
-//! counters) running in nodes mode with table-compiled (dense) unary
-//! constraints — precisely the shape where the answer set is fully
-//! determined by the per-path-variable reachability relations. Everything
-//! else falls back to a cold run on the merged graph.
+//! counters) running in nodes mode — precisely the shape where the answer
+//! set is fully determined by the per-path-variable reachability relations,
+//! whatever the size of their unary constraints. Everything else falls back
+//! to a cold run on the merged graph.
 //!
 //! The correctness contract is differential: a maintained answer set must be
 //! bit-identical (answers, `verified`, `candidates`) to a cold re-run of the
@@ -55,8 +55,7 @@ pub struct MaintainedStatement {
 
 impl MaintainedStatement {
     /// Builds the maintained state of `stmt` over the current overlay, or
-    /// `None` if the statement is not maintainable (inexact relaxation, or a
-    /// unary constraint too large for table compilation).
+    /// `None` if the statement is not maintainable (inexact relaxation).
     pub fn try_new(
         stmt: Arc<BoundStatement>,
         view: GraphView<'_>,
@@ -64,9 +63,6 @@ impl MaintainedStatement {
     ) -> Result<Option<MaintainedStatement>, QueryError> {
         let pq = stmt.prepared();
         if !pq.relaxation_is_exact {
-            return Ok(None);
-        }
-        if pq.unary.iter().any(|u| u.as_ref().is_some_and(|u| !u.dense)) {
             return Ok(None);
         }
         let n = view.num_nodes();
@@ -353,7 +349,7 @@ mod tests {
     /// new nodes, a label only the query alphabet knows (`c`), and a label
     /// nobody has seen (`z`) — the overlay-backed kernel's rows equal the
     /// kernel's rows over the force-merged (sealed CSR) graph, forward and
-    /// reverse, pinned and unpinned, for all three constraint kinds.
+    /// reverse, pinned and unpinned, with and without a constraint.
     #[test]
     fn overlay_kernel_rows_match_csr_kernel_rows_on_the_merged_graph() {
         use crate::eval::plan::cost::{AtomPlan, Direction};
@@ -405,31 +401,21 @@ mod tests {
                     None => "Ans(x, y) <- (x, p, y)".to_string(),
                     Some(l) => format!("Ans(x, y) <- (x, p, y), L(p) = {l}"),
                 };
-                // Constraint kinds: none, compiled tables, and — the same
-                // language with table compilation vetoed — the sparse NFA.
-                for sparse in [false, true] {
-                    if sparse && lang.is_none() {
-                        continue;
-                    }
-                    let mut pq =
-                        PreparedQuery::prepare(&parse_query(&text, &alphabet).unwrap()).unwrap();
-                    if sparse {
-                        pq.unary[0].as_mut().unwrap().dense = false;
-                    }
-                    let pq = Arc::new(pq);
-                    let stmt = BoundStatement::bind(Arc::clone(&pq), Arc::clone(&base)).unwrap();
-                    let overlay = Overlay::new(view, &pq, &stmt.art);
-                    let rows = all_rows(&overlay, &pq, &sources);
-                    assert_eq!(all_rows(&overlay, &pq, &[pin.0]), [rows[pin.index()].clone()]);
-                    cases.push((text.clone(), sparse, pq, rows));
-                }
+                let pq = Arc::new(
+                    PreparedQuery::prepare(&parse_query(&text, &alphabet).unwrap()).unwrap(),
+                );
+                let stmt = BoundStatement::bind(Arc::clone(&pq), Arc::clone(&base)).unwrap();
+                let overlay = Overlay::new(view, &pq, &stmt.art);
+                let rows = all_rows(&overlay, &pq, &sources);
+                assert_eq!(all_rows(&overlay, &pq, &[pin.0]), [rows[pin.index()].clone()]);
+                cases.push((text, pq, rows));
             }
 
             // Phase 2: the CSR-backed kernel on the merged graph.
             let merged = live.force_merge();
             assert_eq!(merged.num_nodes(), n);
-            for (text, sparse, pq, rows) in cases {
-                let ctx = format!("seed {seed}, `{text}`, sparse {sparse}");
+            for (text, pq, rows) in cases {
+                let ctx = format!("seed {seed}, `{text}`");
                 let bound = pq.bind(&merged).unwrap();
                 let rel = ReachRel::from_fwd(rows);
                 for dir in [Direction::Forward, Direction::Reverse] {

@@ -21,7 +21,7 @@ pub(crate) mod reach;
 pub(crate) use reach::{reachability, reachability_planned, ReachRel};
 
 use crate::error::QueryError;
-use crate::eval::prepared::{tuple_code, PreparedQuery, RelSim};
+use crate::eval::prepared::{PreparedQuery, RelSim};
 use crate::eval::search::{SearchOutcome, SearchProblem};
 use crate::eval::{reference, search, EvalConfig};
 use ecrpq_graph::NodeId;
@@ -85,8 +85,7 @@ pub(crate) fn advance_relations(
             next[off..off + nb].copy_from_slice(&cur[off..off + nb]);
             continue;
         }
-        let code = tuple_code(&r.tapes, letters, pq.alphabet_len, pq.code_base);
-        let Some(sid) = rs.codes.get(code) else {
+        let Some(sid) = rs.letter_id(&r.tapes, letters, pq.alphabet_len, pq.code_base) else {
             return false; // letter not in the relation's alphabet
         };
         if !rs.sim.step_blocks_into(&cur[off..off + nb], sid, &mut rel_scratch[j]) {
@@ -263,8 +262,8 @@ fn intersect_sorted(a: &[NodeId], b: &[NodeId]) -> Vec<NodeId> {
 // ---------------------------------------------------------------------------
 
 /// Which candidate-verification engine to use: the dense product engine
-/// (default) or the retained reference implementation (classic cloned-state
-/// BFS, kept for differential testing).
+/// (every run) or the reference implementation (classic cloned-state BFS,
+/// the differential oracle of the test suites only).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Engine {
     Dense,
@@ -274,11 +273,8 @@ pub(crate) enum Engine {
 impl Engine {
     pub(crate) fn run(self, problem: &SearchProblem<'_>) -> Result<SearchOutcome, QueryError> {
         match self {
-            // Oversized relation automata (see `dense_eligible`) make the
-            // fixed-width bitset rows of the dense engine counterproductive;
-            // such problems run on the sparse classical loop instead.
-            Engine::Dense if problem.plan.pq.dense_search => search::run(problem),
-            Engine::Dense | Engine::Reference => reference::run(problem),
+            Engine::Dense => search::run(problem),
+            Engine::Reference => reference::run(problem),
         }
     }
 }

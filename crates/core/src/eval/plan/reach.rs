@@ -5,15 +5,14 @@
 //! out of [`product_rows`]. The kernel is statically generic over *where
 //! successors come from* ([`Successors`]: one direction of the bound graph's
 //! own adjacency, or a live-graph overlay) and over *how the unary
-//! constraint steps* ([`Constraint`]: none, a sparse NFA, or compiled
-//! simulation tables), so each combination monomorphizes to the loop one
+//! constraint steps* ([`Constraint`]: none, or a compiled automaton's
+//! successor lists), so each combination monomorphizes to the loop one
 //! would write by hand for it.
 
 use crate::eval::plan::cost::{AtomPlan, Direction};
 use crate::eval::plan::EvalStats;
 use crate::eval::prepared::{BindArtifacts, BoundPlan, PreparedQuery};
 use ecrpq_automata::alphabet::Symbol;
-use ecrpq_automata::nfa::Nfa;
 use ecrpq_automata::sim::{CompactNfa, StateSet};
 use ecrpq_graph::delta::GraphView;
 use ecrpq_graph::{GraphDb, NodeId};
@@ -167,50 +166,7 @@ impl Constraint for Unconstrained {
     }
 }
 
-/// A constraint NFA too big for table compilation (e.g. the 30k-state
-/// intersection of several counting languages), stepped through its
-/// transition lists with precomputed sparse ε-closures.
-struct SparseNfa<'a> {
-    nfa: &'a Nfa<Symbol>,
-    /// The successor source's label → merged symbol.
-    symbol_map: &'a [Symbol],
-    closures: Vec<Vec<u32>>,
-    init: Vec<u32>,
-}
-
-impl<'a> SparseNfa<'a> {
-    fn new(nfa: &'a Nfa<Symbol>, symbol_map: &'a [Symbol]) -> SparseNfa<'a> {
-        let closures =
-            (0..nfa.num_states().max(1) as u32).map(|q| nfa.epsilon_closure(&[q])).collect();
-        SparseNfa { nfa, symbol_map, closures, init: nfa.epsilon_closure(nfa.initial()) }
-    }
-}
-
-impl Constraint for SparseNfa<'_> {
-    fn num_states(&self) -> usize {
-        self.closures.len()
-    }
-
-    fn for_each_initial(&self, f: impl FnMut(u32)) {
-        self.init.iter().copied().for_each(f);
-    }
-
-    fn is_accepting(&self, q: u32) -> bool {
-        self.nfa.is_accepting(q)
-    }
-
-    #[inline]
-    fn step(&self, q: u32, label: Symbol, mut f: impl FnMut(u32)) {
-        let label = self.symbol_map[label.index()];
-        for (t, nq) in self.nfa.transitions_from(q) {
-            if *t == label {
-                self.closures[*nq as usize].iter().copied().for_each(&mut f);
-            }
-        }
-    }
-}
-
-/// The compiled simulation tables of a constraint.
+/// The compiled successor lists of a constraint.
 struct Tables<'a> {
     sim: &'a CompactNfa<Symbol>,
     /// The successor source's label → dense sim symbol id, the source's
@@ -248,16 +204,9 @@ impl Constraint for Tables<'_> {
     }
 
     #[inline]
-    fn step(&self, q: u32, label: Symbol, mut f: impl FnMut(u32)) {
-        let Some(sid) = self.label_map[label.index()] else {
-            return;
-        };
-        for (bi, &block) in self.sim.row(q, sid).iter().enumerate() {
-            let mut b = block;
-            while b != 0 {
-                f(bi as u32 * 64 + b.trailing_zeros());
-                b &= b - 1;
-            }
+    fn step(&self, q: u32, label: Symbol, f: impl FnMut(u32)) {
+        if let Some(sid) = self.label_map[label.index()] {
+            self.sim.row(q, sid).iter().copied().for_each(f);
         }
     }
 }
@@ -334,14 +283,12 @@ pub(crate) fn product_rows<A: Successors, C: Constraint>(
 }
 
 /// The rows of path variable `p`'s relation from `sources` over `adj`,
-/// stepping whichever constraint form the prepared query holds for `p`.
-/// Over a reverse adjacency ([`Successors::REVERSE`]) the constraint is
-/// reversed to match (the sparse reversal is built per call — that arm is
-/// rare and the reversal is linear in the automaton, dwarfed by the BFS
-/// passes).
-/// Compiled tables come from the prepared query's (and, for
-/// single-projection constraints, the relation's) cache — recorded in
-/// `stats` as a hit or miss, fetched once per call.
+/// stepping `p`'s compiled constraint (none when `p` is unconstrained). Over
+/// a reverse adjacency ([`Successors::REVERSE`]) the constraint is the
+/// reversed automaton, to match. The compiled automaton comes from the
+/// prepared query's (and, for single-projection constraints, the
+/// relation's) cache — recorded in `stats` as a hit or miss, fetched once
+/// per call.
 pub(crate) fn reach_rows<A: Successors>(
     pq: &PreparedQuery,
     p: usize,
@@ -349,23 +296,11 @@ pub(crate) fn reach_rows<A: Successors>(
     sources: &[u32],
     stats: &mut EvalStats,
 ) -> Vec<Vec<NodeId>> {
-    match pq.unary[p].as_ref() {
-        None => product_rows(adj, &Unconstrained, sources),
-        Some(u) if !u.dense => {
-            let reversed;
-            let nfa = if A::REVERSE {
-                reversed = u.nfa.reverse();
-                &reversed
-            } else {
-                &*u.nfa
-            };
-            product_rows(adj, &SparseNfa::new(nfa, adj.symbol_map()), sources)
-        }
-        Some(_) => {
-            let sim = if A::REVERSE { pq.unary_rev_sim(p, stats) } else { pq.unary_sim(p, stats) };
-            product_rows(adj, &Tables::new(&sim, adj.symbol_map()), sources)
-        }
+    if pq.unary[p].is_none() {
+        return product_rows(adj, &Unconstrained, sources);
     }
+    let sim = if A::REVERSE { pq.unary_rev_sim(p, stats) } else { pq.unary_sim(p, stats) };
+    product_rows(adj, &Tables::new(&sim, adj.symbol_map()), sources)
 }
 
 /// Computes the reachability relation of path variable `p` over the bound

@@ -7,7 +7,7 @@
 //!    [`Ecrpq`] (queries can also be built programmatically);
 //! 2. **compile** — [`PreparedQuery::prepare`] validates the query, numbers
 //!    its variables densely, intersects per-path unary constraints, and owns
-//!    the lazily compiled dense simulation tables of every relation automaton
+//!    the lazily compiled simulation automata of every relation automaton
 //!    (shared with the [`RegularRelation`] memoization in `ecrpq_automata`,
 //!    so the same relation compiles once per process, not once per query or
 //!    per evaluation);
@@ -40,28 +40,6 @@ use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
-/// Upper bound on automaton states for the dense engine. Above this, the
-/// per-`(state, symbol)` bitset table and the fixed-width bitset rows
-/// embedded in search keys stop paying for themselves (a 28k-state
-/// edit-distance automaton would need a multi-gigabyte table and 3.5 KB per
-/// stored search state); such queries fall back to the sparse reference
-/// verifier.
-const DENSE_MAX_STATES: usize = 2048;
-
-/// Upper bound on dense transition-table size (in `u64` words, 32 MB).
-const DENSE_MAX_TABLE_WORDS: usize = 1 << 22;
-
-/// True if `nfa` is small enough for dense table compilation.
-pub(crate) fn dense_eligible<S: Clone + Eq + std::hash::Hash + Ord>(nfa: &Nfa<S>) -> bool {
-    let n = nfa.num_states();
-    if n > DENSE_MAX_STATES {
-        return false;
-    }
-    let blocks = n.div_ceil(64).max(1);
-    let syms = nfa.symbols_used().len().max(1);
-    n.max(1) * blocks * syms <= DENSE_MAX_TABLE_WORDS
-}
-
 /// Largest direct-indexed code table (entries). Below this the tuple-code
 /// lookup is one array index; above it, a hash probe.
 const CODE_MAP_DENSE_LIMIT: u64 = 1 << 16;
@@ -70,7 +48,7 @@ const CODE_MAP_DENSE_LIMIT: u64 = 1 << 16;
 /// (move, relation); a direct-indexed table avoids hashing entirely whenever
 /// `(|A|+2)^arity` is small, which covers every realistic query alphabet.
 #[derive(Clone, Debug)]
-pub(crate) enum CodeMap {
+enum CodeMap {
     Dense(Vec<u32>),
     Hash(HashMap<u64, u32>),
 }
@@ -79,7 +57,7 @@ impl CodeMap {
     /// The dense symbol id of an encoded tuple letter, if the relation reads
     /// that letter at all.
     #[inline]
-    pub fn get(&self, code: u64) -> Option<u32> {
+    fn get(&self, code: u64) -> Option<u32> {
         match self {
             CodeMap::Dense(table) => {
                 table.get(code as usize).copied().filter(|&sid| sid != u32::MAX)
@@ -106,16 +84,12 @@ fn letter_digit(letter: Option<Symbol>, alphabet_len: usize, base: u64) -> u64 {
 }
 
 /// Encodes the convolution letter a relation reads (the projection of the
-/// per-variable letters onto its tapes) as one `u64`, for lookup in
-/// [`RelSim::codes`]. `alphabet_len`/`base` must be the prepared query's
-/// [`PreparedQuery::alphabet_len`]/[`PreparedQuery::code_base`].
+/// per-variable letters onto its tapes) as one `u64`, for lookup in a
+/// [`CodeMap`]. `alphabet_len`/`base` must be the prepared query's
+/// [`PreparedQuery::alphabet_len`]/[`PreparedQuery::code_base`], and
+/// `base^tapes.len()` must fit in `u64`.
 #[inline]
-pub(crate) fn tuple_code(
-    tapes: &[usize],
-    letters: &[Option<Symbol>],
-    alphabet_len: usize,
-    base: u64,
-) -> u64 {
+fn tuple_code(tapes: &[usize], letters: &[Option<Symbol>], alphabet_len: usize, base: u64) -> u64 {
     let mut code = 0u64;
     let mut mult = 1u64;
     for &t in tapes {
@@ -125,21 +99,22 @@ pub(crate) fn tuple_code(
     code
 }
 
-/// Dense simulation tables of one relation automaton plus the tuple-letter
-/// code index used to avoid materializing `TupleSym` values in the hot loop.
-/// The tables themselves come from the [`RegularRelation`] memoization; only
-/// the (cheap) code index is built per prepared query.
+/// The compiled successor lists of one relation automaton plus the
+/// tuple-letter code index used to avoid materializing `TupleSym` values in
+/// the hot loop. The compiled automaton comes from the [`RegularRelation`]
+/// memoization; only the (cheap) code index is built per prepared query.
 #[derive(Clone, Debug)]
 pub(crate) struct RelSim {
-    /// Dense transition tables + ε-closures + bitset state sets (shared with
-    /// every other prepared query using this relation).
+    /// The compiled automaton (shared with every other prepared query using
+    /// this relation).
     pub sim: Arc<CompactNfa<TupleSym>>,
-    /// Encoded tuple letter → dense symbol id of `sim`.
-    pub codes: CodeMap,
+    /// Encoded tuple letter → dense symbol id of `sim`; `None` when the
+    /// code of a letter, `code_base^arity`, does not fit in `u64`.
+    codes: Option<CodeMap>,
 }
 
 impl RelSim {
-    fn build(rel: &RegularRelation, code_base: u64) -> RelSim {
+    fn build(rel: &RegularRelation, arity: usize, code_base: u64) -> RelSim {
         let sim = rel.compiled_sim();
         let pairs = sim.symbols().iter().enumerate().map(|(sid, t)| {
             let mut code = 0u64;
@@ -160,18 +135,41 @@ impl RelSim {
             }
             (code, sid as u32)
         });
-        let arity = sim.symbols().first().map_or(0, |t| t.arity());
-        let space = code_base.saturating_pow(arity as u32);
-        let codes = if space <= CODE_MAP_DENSE_LIMIT {
-            let mut table = vec![u32::MAX; space as usize];
-            for (code, sid) in pairs {
-                table[code as usize] = sid;
+        let codes = match code_base.checked_pow(arity as u32) {
+            None => None,
+            Some(space) if space <= CODE_MAP_DENSE_LIMIT => {
+                let mut table = vec![u32::MAX; space as usize];
+                for (code, sid) in pairs {
+                    table[code as usize] = sid;
+                }
+                Some(CodeMap::Dense(table))
             }
-            CodeMap::Dense(table)
-        } else {
-            CodeMap::Hash(pairs.collect())
+            Some(_) => Some(CodeMap::Hash(pairs.collect())),
         };
         RelSim { sim, codes }
+    }
+
+    /// The symbol id of the convolution letter the relation on `tapes`
+    /// reads when the path variables read `letters` (merged-alphabet
+    /// symbols, `None` = `⊥`), or `None` if the relation never reads it.
+    /// `alphabet_len`/`code_base` are the prepared query's. A relation whose
+    /// letter codes would overflow `u64` looks the letter itself up.
+    #[inline]
+    pub fn letter_id(
+        &self,
+        tapes: &[usize],
+        letters: &[Option<Symbol>],
+        alphabet_len: usize,
+        code_base: u64,
+    ) -> Option<u32> {
+        if let Some(codes) = &self.codes {
+            return codes.get(tuple_code(tapes, letters, alphabet_len, code_base));
+        }
+        // A foreign label reads as no relation symbol, as its digit would.
+        if tapes.iter().any(|&t| letters[t].is_some_and(|s| s.index() >= alphabet_len)) {
+            return None;
+        }
+        self.sim.sym_id(&TupleSym::new(tapes.iter().map(|&t| letters[t]).collect()))
     }
 }
 
@@ -192,10 +190,11 @@ pub(crate) struct CompiledRel {
 }
 
 impl CompiledRel {
-    /// The compiled simulation tables (built on first call, then cached both
-    /// here and — for the expensive table part — inside the relation).
+    /// The compiled automaton and its code index (built on first call, then
+    /// cached both here and — for the compiled automaton — inside the
+    /// relation).
     pub fn sim(&self, code_base: u64) -> &RelSim {
-        self.sim_cell.get_or_init(|| RelSim::build(&self.rel, code_base))
+        self.sim_cell.get_or_init(|| RelSim::build(&self.rel, self.tapes.len(), code_base))
     }
 }
 
@@ -216,8 +215,6 @@ pub(crate) struct UnaryPlan {
     /// planner-chosen reverse BFS (owned by this query — the relation cache
     /// only stores forward projections).
     pub(crate) rev_sim_cell: OnceLock<Arc<CompactNfa<Symbol>>>,
-    /// Precomputed [`dense_eligible`] verdict.
-    pub dense: bool,
 }
 
 /// A compiled linear-constraint row: per path variable, a length coefficient
@@ -302,16 +299,13 @@ pub struct PreparedQuery {
     /// Size of the query alphabet (merged indices at or past this are
     /// foreign graph labels).
     pub(crate) alphabet_len: usize,
-    /// Radix for [`tuple_code`]: digit 0 is `⊥`, digits `1..=|Σ|` are query
-    /// symbols, and the top digit is reserved for foreign graph labels.
+    /// Radix of the tuple-letter codes of [`RelSim::letter_id`]: digit 0 is
+    /// `⊥`, digits `1..=|Σ|` are query symbols, and the top digit is
+    /// reserved for foreign graph labels.
     pub(crate) code_base: u64,
     /// True if verification by convolution search is unnecessary (plain CRPQ
     /// without repetition or counters).
     pub(crate) relaxation_is_exact: bool,
-    /// True if every relation automaton is small enough for the dense
-    /// product engine; otherwise candidate verification and the
-    /// answer-automaton construction fall back to the sparse classical loop.
-    pub(crate) dense_search: bool,
     /// Per node variable: total unary-automaton states over incident path
     /// variables — the selectivity hint the join-order heuristic combines
     /// with variable connectivity.
@@ -360,8 +354,8 @@ impl PreparedQuery {
         }
         let code_base = max_sym + 2;
 
-        // Compile relation atoms. The dense simulation tables are built
-        // lazily (see [`CompiledRel::sim`]); only the size check runs here.
+        // Compile relation atoms. The simulation automata are compiled
+        // lazily (see [`CompiledRel::sim`]).
         let relations: Vec<CompiledRel> = query
             .relations
             .iter()
@@ -372,13 +366,6 @@ impl PreparedQuery {
                 sim_cell: OnceLock::new(),
             })
             .collect();
-        // Dense engines also require every relation's tuple-letter code to
-        // fit in u64 (`tuple_code` packs one base-`code_base` digit per
-        // tape); otherwise codes could wrap and collide, so such queries use
-        // the reference engine, which never encodes letters.
-        let dense_search = relations.iter().all(|r| {
-            dense_eligible(&r.nfa) && code_base.checked_pow(r.tapes.len() as u32).is_some()
-        });
 
         // Per-path unary constraint: intersection of projections of every
         // relation atom that mentions the path variable. A single-projection
@@ -394,17 +381,12 @@ impl PreparedQuery {
             .iter()
             .map(|srcs| match srcs.as_slice() {
                 [] => None,
-                &[(j, tape)] => {
-                    let nfa = query.relations[j].relation.project(tape);
-                    let dense = dense_eligible(&nfa);
-                    Some(UnaryPlan {
-                        nfa,
-                        source: Some((j, tape)),
-                        sim_cell: OnceLock::new(),
-                        rev_sim_cell: OnceLock::new(),
-                        dense,
-                    })
-                }
+                &[(j, tape)] => Some(UnaryPlan {
+                    nfa: query.relations[j].relation.project(tape),
+                    source: Some((j, tape)),
+                    sim_cell: OnceLock::new(),
+                    rev_sim_cell: OnceLock::new(),
+                }),
                 srcs => {
                     let mut acc: Option<Arc<Nfa<Symbol>>> = None;
                     for &(j, tape) in srcs {
@@ -414,14 +396,11 @@ impl PreparedQuery {
                             Some(existing) => Arc::new(existing.intersect(&proj).trim()),
                         });
                     }
-                    let nfa = acc.expect("non-empty source list");
-                    let dense = dense_eligible(&nfa);
                     Some(UnaryPlan {
-                        nfa,
+                        nfa: acc.expect("non-empty source list"),
                         source: None,
                         sim_cell: OnceLock::new(),
                         rev_sim_cell: OnceLock::new(),
-                        dense,
                     })
                 }
             })
@@ -477,7 +456,6 @@ impl PreparedQuery {
             deferred_counts,
             code_base,
             relaxation_is_exact,
-            dense_search,
             var_weight,
         })
     }
@@ -573,18 +551,16 @@ impl PreparedQuery {
         self.bind(graph)?.run(config)
     }
 
-    /// Forces compilation of every automaton artifact the dense engines can
-    /// use (relation tables and dense-eligible unary tables). Returns the
-    /// cache counters: `(hits, misses)` — on a warmed query the second call
+    /// Forces compilation of every automaton artifact a forward run can use
+    /// (relation automata and unary constraints). Returns the cache
+    /// counters: `(hits, misses)` — on a warmed query the second call
     /// reports only hits. Used by the benchmark harness to measure compile
     /// cost as an explicit, separate phase.
     pub fn warm(&self) -> (u64, u64) {
         let mut stats = EvalStats::default();
-        if self.dense_search {
-            self.force_rel_sims(&mut stats);
-        }
+        self.force_rel_sims(&mut stats);
         for p in 0..self.path_vars.len() {
-            if self.unary[p].as_ref().is_some_and(|u| u.dense) {
+            if self.unary[p].is_some() {
                 let _ = self.unary_sim(p, &mut stats);
             }
         }
@@ -601,14 +577,14 @@ impl PreparedQuery {
         let (hits, misses) = self.warm();
         let mut stats = EvalStats::default();
         for p in 0..self.path_vars.len() {
-            if self.unary[p].as_ref().is_some_and(|u| u.dense) {
+            if self.unary[p].is_some() {
                 let _ = self.unary_rev_sim(p, &mut stats);
             }
         }
         (hits + stats.sim_cache_hits, misses + stats.sim_cache_misses)
     }
 
-    /// Compiles (or fetches) the dense tables of every relation automaton,
+    /// Compiles (or fetches) the successor lists of every relation automaton,
     /// recording cache hits/misses. A hit means the expensive table
     /// compilation was skipped because a previous run (or another query
     /// sharing the relation) already built it.
@@ -942,7 +918,7 @@ impl<'a> BoundPlan<'a> {
             .collect();
 
         let needs_search = !pq.relaxation_is_exact || mode == Mode::Paths;
-        if needs_search && engine == Engine::Dense && pq.dense_search {
+        if needs_search && engine == Engine::Dense {
             let sp = qtrace::begin_span(&mut trace, "compile");
             let before = (stats.sim_cache_hits, stats.sim_cache_misses);
             pq.force_rel_sims(&mut stats);
@@ -1293,7 +1269,6 @@ const _: fn() = || {
     assert_sync_send::<RelSim>();
     assert_sync_send::<CompactNfa<TupleSym>>();
     assert_sync_send::<CompactNfa<Symbol>>();
-    assert_sync_send::<CodeMap>();
 };
 
 #[cfg(test)]

@@ -1,13 +1,17 @@
 //! The retained reference implementation of the convolution search.
 //!
 //! This is the classical formulation the dense product engine of
-//! [`super::search`] replaced: search states are plain structs holding
+//! `eval::search` replaced: search states are plain structs holding
 //! cloned `Vec`s (positions, relation state-sets, counters), deduplicated
 //! through a `HashSet<State>`, with parent pointers in a
-//! `HashMap<State, (State, MoveVec)>`. It is kept — unoptimized on purpose —
-//! as the ground truth for the differential property suite
-//! (`tests/differential.rs`): both engines must agree on acceptance,
-//! answer sets, and verified counts on every input.
+//! `HashMap<State, (State, MoveVec)>`, and relation automata stepped by
+//! [`Nfa::step`](ecrpq_automata::nfa::Nfa::step) on their uncompiled form.
+//! It is the differential oracle only: no production run reaches it, only
+//! `Engine::Reference`, which the entry points below select. It is kept
+//! unoptimized on purpose as the ground truth for the differential suites
+//! (`tests/differential.rs`, `tests/planner_differential.rs`): both engines
+//! must agree on acceptance, answer sets, and verified counts on every
+//! input.
 
 use crate::error::QueryError;
 use crate::eval::plan::{Engine, Mode};

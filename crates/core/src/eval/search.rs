@@ -12,14 +12,16 @@
 //! convolution), advances every relation automaton on the projection of the
 //! step onto its tapes, and updates the counters.
 //!
-//! This is the dense product engine: a state is one flat row of `u64` words —
-//! one position word per path variable, the bitset blocks of every relation
-//! automaton's current state set (stepped through the precompiled tables of
+//! This is the one production verification engine, for automata of any
+//! size: a state is one flat row of `u64` words — one position word per path
+//! variable, the bitset blocks of every relation automaton's current state
+//! set (stepped through the precompiled successor lists of
 //! [`CompactNfa`](ecrpq_automata::sim::CompactNfa)), and one word per counter
 //! — interned into an arena of [`super::dense`]. The BFS queue and parent
 //! pointers hold `u32` state indices, and expansion reuses scratch buffers,
 //! so the hot loop performs no allocation. The classical cloned-state
-//! formulation is retained in [`super::reference`] for differential testing.
+//! formulation is retained in [`super::reference`] as the differential
+//! oracle of the test suites.
 
 use crate::error::QueryError;
 use crate::eval::dense::{odometer_next, Arena, Layout};

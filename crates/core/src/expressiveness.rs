@@ -1,7 +1,7 @@
 //! Expressiveness tools (Proposition 3.2 and the pattern-matching application
 //! of Section 4).
 //!
-//! * [`strings_of_crpq`] implements the construction in the proof of
+//! * [`StringsOracle`] implements the construction in the proof of
 //!   Proposition 3.2: for a CRPQ `Q` with head `Ans(x, y)`, the set
 //!   `strings(Q) = { s | (v0, v|s|) ∈ Q(G_s) }` of strings on whose string
 //!   graph `Q` connects the endpoints is regular, and an NFA for it can be

@@ -61,7 +61,7 @@ pub struct GraphStats {
 
 impl GraphStats {
     /// Computes statistics for a graph in one pass over nodes and edges plus
-    /// [`SAMPLE_SOURCES`] label-blind BFS traversals. Deterministic: the
+    /// `SAMPLE_SOURCES` label-blind BFS traversals. Deterministic: the
     /// sample PRNG is fixed-seeded.
     pub fn compute(g: &GraphDb) -> GraphStats {
         let n = g.num_nodes();

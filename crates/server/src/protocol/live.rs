@@ -13,8 +13,8 @@ pub(crate) struct LiveState {
     /// epoch into the catalog.
     pub(crate) live: LiveGraph,
     /// Incrementally maintained statements, by registry name. Only
-    /// maintainable statements (exact relaxation, dense unary plans) are
-    /// kept; everything else forces a merge and a cold run.
+    /// maintainable statements (exact relaxation) are kept; everything else
+    /// forces a merge and a cold run.
     pub(crate) maintained: HashMap<String, MaintainedStatement>,
 }
 

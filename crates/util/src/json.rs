@@ -2,7 +2,7 @@
 //!
 //! The build environment is fully offline, so instead of `serde` the
 //! workspace serializes with this module: the benchmark harness writes its
-//! [`Measurement`](crate::Measurement) documents with it, and the query
+//! [`Measurement`] documents with it, and the query
 //! server reads and writes its line-delimited request/response protocol
 //! through [`Value`] and its [`std::fmt::Display`] serializer. Only the
 //! subset of JSON those consumers need is supported: objects, arrays,

@@ -7,7 +7,7 @@
 #
 # The default sequence is build (workspace, then the benchmarks/e2e package
 # against it) + tests (the Figure 1 rows among them, pinned as exact counts
-# by tests/fig1_shapes.rs) + fmt + clippy + the parser and
+# by tests/fig1_shapes.rs) + fmt + clippy + rustdoc (-D warnings) + the parser and
 # examples gates + the concurrency gate + the planner differential gate +
 # the server smoke (an ephemeral-port
 # ecrpq-serve driven through load/prepare/run/stats/shutdown by ecrpq-cli,
@@ -497,6 +497,8 @@ CARGO_TARGET_DIR="$repo_root/target" run cargo build --release --offline \
 run cargo test -q --offline --workspace
 run cargo fmt --check
 run cargo clippy --offline --workspace --all-targets -- -D warnings
+# Rustdoc gate: a doc link to a renamed, deleted or private item fails here.
+RUSTDOCFLAGS="-D warnings" run cargo doc --offline --no-deps --workspace
 
 # Parser gates: the bounded seeded fuzz smoke (mutated query text must never
 # panic the parser) plus the round-trip property suite, and the examples —

@@ -3,16 +3,16 @@
 //!
 //! Every test generates seeded random multi-label graphs and queries and
 //! asserts that `ecrpq::eval` (the dense engine: interned flat-`u64` states,
-//! bitset relation state sets stepped through precompiled tables) and
+//! bitset relation state sets stepped through precompiled successor lists) and
 //! `ecrpq::eval::reference` (the classical cloned-state BFS) agree exactly:
 //! identical answer sets, identical `EvalStats::verified` counts, identical
 //! membership verdicts for pinned paths, and answer-automaton emptiness
 //! verdicts consistent with the reference answer set.
 
-use ecrpq::eval::{self, answers, reference, EvalConfig};
+use ecrpq::eval::{self, answers, reference, Direction, EvalConfig};
 use ecrpq::prelude::*;
-use ecrpq_automata::builtin;
 use ecrpq_automata::semilinear::CmpOp;
+use ecrpq_automata::{builtin, TupleSym};
 use ecrpq_graph::path::enumerate_paths;
 use ecrpq_integration::corpus::random_constant_free_query_text;
 use ecrpq_integration::prop::{self, Gen};
@@ -349,17 +349,18 @@ fn prepared_check_and_answer_automaton_match_one_shot() {
     });
 }
 
-/// The size-gated fallback paths: a relation automaton past the dense-engine
-/// state bound must route candidate verification, reachability, and the
-/// answer-automaton construction through the classical sparse code while
-/// producing exactly the reference answers.
+/// Automata past 2,048 states — once routed to a sparse fallback — run on
+/// the one engine: candidate verification, the membership check, forward
+/// and pinned reverse reachability, and the answer-automaton construction
+/// all step the compiled successor lists and produce exactly the reference
+/// answers.
 #[test]
-fn oversized_relation_automata_fall_back_correctly() {
-    // a^2100 as a 2101-state chain NFA — past the ~2k dense-engine bound.
+fn large_automata_run_on_the_one_engine() {
+    // a^2100 as a 2101-state chain NFA.
     const LEN: usize = 2100;
     const CYCLE: usize = 30; // LEN % CYCLE == 0, so a^LEN loops back to start
     let mut g = GraphBuilder::new(Alphabet::from_labels(["a"]));
-    let nodes = g.add_nodes(CYCLE);
+    let nodes: Vec<NodeId> = (0..CYCLE).map(|i| g.add_named_node(&format!("v{i}"))).collect();
     let a = g.alphabet().sym("a");
     for i in 0..CYCLE {
         g.add_edge(nodes[i], a, nodes[(i + 1) % CYCLE]);
@@ -374,19 +375,18 @@ fn oversized_relation_automata_fall_back_correctly() {
     }
     let al = g.alphabet().clone();
     let rel = ecrpq_automata::RegularRelation::from_language(&chain);
-    assert!(rel.num_states() > 2048, "test must exceed the dense-engine bound");
+    assert!(rel.num_states() > 2048, "test must exceed the old 2,048-state bound");
 
     // Head paths force the convolution search even for this arity-1 query.
     let q = Ecrpq::builder(&al)
         .head_nodes(&["x", "y"])
         .head_paths(&["p"])
         .atom("x", "p", "y")
-        .relation(rel, &["p"])
+        .relation(rel.clone(), &["p"])
         .build()
         .unwrap();
     let cfg = EvalConfig { max_search_states: 500_000, ..EvalConfig::default() };
 
-    // Dense entry point (which must dispatch to the fallback) vs reference.
     let (dense, dense_stats) = eval::eval_nodes_with_stats(&q, &g, &cfg).unwrap();
     let (refr, ref_stats) = reference::eval_nodes_with_stats(&q, &g, &cfg).unwrap();
     assert_eq!(sorted(dense.clone()), sorted(refr));
@@ -396,8 +396,8 @@ fn oversized_relation_automata_fall_back_correctly() {
         (0..CYCLE as u32).map(|i| vec![NodeId(i), NodeId(i)]).collect();
     assert_eq!(sorted(dense), expected);
 
-    // Answer automaton (classical fallback): non-empty exactly at (v, v),
-    // accepting the a^LEN path and rejecting the short cycle.
+    // Answer automaton: non-empty exactly at (v, v), accepting the a^LEN
+    // path and rejecting the short cycle.
     let aut = answers::answer_automaton(&q, &g, &[nodes[0], nodes[0]], &cfg).unwrap();
     assert!(!aut.is_empty());
     let mut long_path = ecrpq_graph::Path::empty(nodes[0]);
@@ -408,8 +408,93 @@ fn oversized_relation_automata_fall_back_correctly() {
             short_path.push(a, nodes[(i + 1) % CYCLE]);
         }
     }
-    assert!(aut.contains(&[long_path]));
-    assert!(!aut.contains(&[short_path]));
+    assert!(aut.contains(&[long_path.clone()]));
+    assert!(!aut.contains(&[short_path.clone()]));
     let aut_off = answers::answer_automaton(&q, &g, &[nodes[0], nodes[1]], &cfg).unwrap();
     assert!(aut_off.is_empty());
+
+    // The membership check agrees with the reference engine's.
+    let prepared = eval::prepare(&q).unwrap();
+    let bound = prepared.bind(&g).unwrap();
+    let ends = [nodes[0], nodes[0]];
+    for path in [long_path, short_path] {
+        let tuple = [path];
+        assert_eq!(
+            bound.check(&ends, &tuple, &cfg).unwrap(),
+            reference::check(&q, &g, &ends, &tuple, &cfg).unwrap(),
+            "membership of a path of length {}",
+            tuple[0].len()
+        );
+    }
+
+    // With `y` bound, the cost-based planner pins a reverse BFS over the
+    // reversed chain at `y`; its answers are column `y` of the forward rows
+    // the static planner's all-sources BFS computes.
+    for (i, &y) in nodes.iter().enumerate().step_by(7) {
+        let q = Ecrpq::builder(&al)
+            .head_nodes(&["x"])
+            .atom("x", "p", "y")
+            .relation(rel.clone(), &["p"])
+            .bind_node("y", &format!("v{i}"))
+            .build()
+            .unwrap();
+        let prepared = eval::prepare(&q).unwrap();
+        let report = prepared.bind(&g).unwrap().explain(&cfg).unwrap();
+        assert_eq!(report.atoms[0].direction, Direction::Reverse, "v{i}");
+        assert_eq!(report.atoms[0].pinned.as_deref(), Some(format!("v{i}").as_str()));
+        let (column, _) = prepared.bind(&g).unwrap().run_nodes(&cfg).unwrap();
+        let (forward, _) =
+            prepared.bind_with(&g, PlannerMode::Static).unwrap().run_nodes(&cfg).unwrap();
+        let want: Vec<Vec<NodeId>> =
+            expected.iter().filter(|row| row[1] == y).map(|row| vec![row[0]]).collect();
+        assert_eq!(sorted(forward), want, "v{i}");
+        assert_eq!(sorted(column), want, "v{i}");
+    }
+}
+
+/// A relation whose tuple-letter codes overflow `u64`: five tapes over a
+/// 7,200-label query alphabet make `(7,200 + 2)^5` codes, so the engine
+/// looks each letter up as a `TupleSym`. The relation makes its five paths
+/// read one word, letter by letter; `zz` is a graph label the query
+/// alphabet lacks, which no relation reads.
+#[test]
+fn engines_agree_on_relations_with_wide_tuple_letters() {
+    const LABELS: usize = 7_200;
+    assert!((LABELS as u64 + 2).checked_pow(5).is_none(), "codes must overflow u64");
+    let al = Alphabet::from_labels((0..LABELS).map(|i| format!("l{i}")));
+    let mut same_word = ecrpq_automata::Nfa::new();
+    let q0 = same_word.add_state();
+    same_word.add_initial(q0);
+    same_word.set_accepting(q0, true);
+    for l in ["l0", "l1", "l2"] {
+        let s = Some(al.sym(l));
+        same_word.add_transition(q0, TupleSym::new(vec![s; 5]), q0);
+    }
+    let rel = RegularRelation::from_nfa(5, same_word);
+    let q = Ecrpq::builder(&al)
+        .head_nodes(&["x", "y", "z"])
+        .atom("x", "p1", "y")
+        .atom("x", "p2", "y")
+        .atom("x", "p3", "z")
+        .atom("x", "p4", "z")
+        .atom("x", "p5", "z")
+        .relation(rel, &["p1", "p2", "p3", "p4", "p5"])
+        .build()
+        .unwrap();
+    prop::check(6, 0xD1FF_000B, |g| {
+        let mut db = GraphBuilder::new(Alphabet::from_labels(["l0", "l1", "l2", "zz"]));
+        let nodes = db.add_nodes(5);
+        for _ in 0..g.range(4, 10) {
+            let (from, to) = (nodes[g.index(5)], nodes[g.index(5)]);
+            db.add_edge(from, Symbol(g.index(4) as u32), to);
+        }
+        let db = db.build();
+        let cfg = config();
+        let (dense, dense_stats) = eval::eval_nodes_with_stats(&q, &db, &cfg).unwrap();
+        let (refr, ref_stats) = reference::eval_nodes_with_stats(&q, &db, &cfg).unwrap();
+        assert!(!dense.is_empty(), "the empty word relates every x to itself");
+        assert_eq!(sorted(dense), sorted(refr), "answer sets differ");
+        assert_eq!(dense_stats.verified, ref_stats.verified, "verified counts differ");
+        assert_eq!(dense_stats.search_states, ref_stats.search_states, "search states differ");
+    });
 }

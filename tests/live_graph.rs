@@ -22,7 +22,7 @@ const READERS: usize = 4;
 const SEED: u64 = 0x11FE_64A7;
 
 /// The maintained statements the scripts run: plain CRPQs (exact
-/// relaxation, dense unaries — the maintainable shape), one of them pinned
+/// relaxation — the maintainable shape), one of them pinned
 /// to a node constant.
 const QUERIES: [&str; 3] = [
     "Ans(x, y) <- (x, p, y), L(p) = a b* a",
@@ -270,4 +270,51 @@ fn concurrent_readers_pinned_to_old_epochs_see_stable_answers() {
     let w1 = epoch.node_by_name("w1").unwrap();
     assert!(after.contains(&vec![w0, w1]), "the merged epoch must reflect the adds");
     assert!(!baseline.contains(&vec![w0, w1]));
+}
+
+/// A unary constraint far past 2,048 states — the 2,101-state chain
+/// `a^2100` — is maintained like any other: the statement is maintainable,
+/// and after an add batch (a chord across a 30-cycle and a detour through a
+/// new node) its answers equal a cold run on the merged graph.
+#[test]
+fn large_unary_constraints_are_maintained() {
+    const LEN: usize = 2100;
+    let text: String = (0..30).map(|i| format!("n{i} a n{}\n", (i + 1) % 30)).collect();
+    let base = Arc::new(GraphDb::from_edge_list(&text).unwrap());
+    let a = base.alphabet().sym("a");
+    let mut chain = ecrpq_automata::Nfa::new();
+    let states = chain.add_states(LEN + 1);
+    chain.add_initial(states[0]);
+    chain.set_accepting(states[LEN], true);
+    for i in 0..LEN {
+        chain.add_transition(states[i], a, states[i + 1]);
+    }
+    let rel = RegularRelation::from_language(&chain);
+    assert!(rel.num_states() > 2048, "the constraint must exceed the old 2,048-state bound");
+    let q = Ecrpq::builder(base.alphabet())
+        .head_nodes(&["x", "y"])
+        .atom("x", "p", "y")
+        .relation(rel, &["p"])
+        .build()
+        .unwrap();
+    let pq = Arc::new(PreparedQuery::prepare(&q).unwrap());
+    let cfg = EvalConfig::default();
+    let mut live = LiveGraph::new(Arc::clone(&base), usize::MAX / 2);
+    let stmt = Arc::new(BoundStatement::bind(Arc::clone(&pq), Arc::clone(&base)).unwrap());
+    let mut m = MaintainedStatement::try_new(stmt, live.view(), &cfg)
+        .unwrap()
+        .expect("a large unary constraint is maintainable");
+    let (before, _) = cold_run(&pq, &base, &cfg);
+    assert_eq!(m.answers(), &before[..]);
+    assert_eq!(before.len(), 30, "a^2100 goes once round the cycle 70 times");
+
+    let edge = |f: &str, t: &str| (f.to_string(), "a".to_string(), t.to_string());
+    let out = live.apply(&[edge("n0", "n7"), edge("n12", "m0"), edge("m0", "n13")], &[]);
+    m.apply(live.view(), &out.batch, &cfg).unwrap();
+    let merged = live.force_merge();
+    let (cold, stats) = cold_run(&pq, &merged, &cfg);
+    assert_ne!(cold, before, "the batch must change the answers");
+    assert_eq!(m.answers(), &cold[..], "maintained answers diverged from the cold run");
+    assert_eq!(m.stats().verified, stats.verified, "verified count diverged");
+    assert_eq!(m.stats().sim_cache_misses, 0, "the maintained path recompiled a constraint");
 }
