@@ -9,6 +9,7 @@
 //! backtracks into dead branches.
 
 use crate::error::QueryError;
+use crate::eval::plan::reach::reach_rows;
 use crate::eval::plan::{self, ReachRel};
 use crate::eval::prepared::PreparedQuery;
 use crate::eval::EvalConfig;
@@ -44,8 +45,12 @@ pub fn eval_acyclic_crpq(
     let bound = prepared.bind(graph)?;
     let pq = bound.prepared();
     let mut stats = plan::EvalStats::default();
-    let reach: Vec<ReachRel> =
-        (0..pq.path_vars.len()).map(|p| plan::reachability(&bound, p, &mut stats)).collect();
+    let sources: Vec<u32> = (0..graph.num_nodes() as u32).collect();
+    let reach: Vec<ReachRel> = (0..pq.path_vars.len())
+        .map(|p| {
+            ReachRel::from_fwd(reach_rows(pq, p, &bound.edges::<false>(), &sources, &mut stats))
+        })
+        .collect();
 
     let num_vars = pq.node_vars.len();
     let edges: Vec<AtomEdge> = (0..pq.path_vars.len())

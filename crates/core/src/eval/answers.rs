@@ -9,19 +9,24 @@
 //! `v̄0 ā1 v̄1 ā2 … āp v̄p`, and uniquely determines (and is determined by) the
 //! tuple of paths.
 //!
-//! The construction explores exactly the states of the convolution search of
-//! `eval::search`, so it stays polynomial in the size of the graph for a
-//! fixed query (Theorem 6.1), and exponential only in the query.
+//! The automaton is the convolution search's product with its transitions
+//! kept. Candidates come from the evaluator's own plan, reachability and
+//! join, with the head values forced like a membership check forces them;
+//! each candidate's product is explored with the search's own state
+//! encoding, expander, initial state and acceptance test, so the
+//! construction visits exactly the states the search would. It stays
+//! polynomial in the size of the graph for a fixed query (Theorem 6.1), and
+//! exponential only in the query.
 
 use crate::error::QueryError;
-use crate::eval::dense::{odometer_next, Arena, Layout};
-use crate::eval::plan;
+use crate::eval::dense::{Arena, Layout};
+use crate::eval::plan::{self, EvalStats};
 use crate::eval::prepared::{BoundPlan, PreparedQuery, RelSim};
+use crate::eval::search::{self, Expander, SearchProblem};
 use crate::eval::EvalConfig;
 use crate::query::Ecrpq;
 use ecrpq_automata::alphabet::{Symbol, TupleSym};
 use ecrpq_automata::nfa::{Nfa, StateId};
-use ecrpq_automata::sim::StateSet;
 use ecrpq_graph::{GraphDb, NodeId, Path};
 
 /// A letter of the path-tuple encoding alphabet `V^k ∪ (Σ⊥)^k`.
@@ -102,7 +107,9 @@ pub fn answer_automaton(
 impl BoundPlan<'_> {
     /// Builds the answer automaton of Proposition 5.2 for this plan's head
     /// path variables with the head node variables bound to `nodes`
-    /// (prepared-pipeline counterpart of [`answer_automaton`]).
+    /// (prepared-pipeline counterpart of [`answer_automaton`]). A head value
+    /// that conflicts with a node constant of the query leaves the automaton
+    /// empty, as it leaves [`check`](Self::check) false.
     pub fn answer_automaton(
         &self,
         nodes: &[NodeId],
@@ -121,145 +128,34 @@ impl BoundPlan<'_> {
                 "answer automata are not defined for queries with linear constraints".to_string(),
             ));
         }
-        let arity = pq.head_path_idx.len();
 
-        // Build one product automaton per Q-compatible candidate assignment σ
-        // that extends the given head nodes, and take their union. The states
-        // are the convolution-search states; transitions alternate Letter and
-        // Nodes.
+        // The union of one product automaton per candidate assignment σ
+        // that extends the head values.
         let mut nfa: Nfa<EncLetter> = Nfa::new();
-        let mut stats = plan::EvalStats::default();
-        pq.force_rel_sims(&mut stats);
-
-        // Enumerate candidates via the same machinery as the evaluator, with
-        // the head node variables joining the constants.
-        let mut constants = self.constants().to_vec();
-        for (i, &vi) in pq.head_node_idx.iter().enumerate() {
-            constants.push((vi, nodes[i]));
-        }
-        let reach: Vec<plan::ReachRel> =
-            (0..pq.path_vars.len()).map(|p| plan::reachability(self, p, &mut stats)).collect();
-
-        let mut err: Option<QueryError> = None;
-        let n = self.graph.num_nodes();
-        plan::enumerate_candidates(pq, n, &constants, &reach, None, config, &mut stats, |sigma| {
-            if let Err(e) = add_candidate_automaton(&mut nfa, self, sigma, config) {
-                err = Some(e);
-                return false;
+        if let Some(forced) = self.forced(nodes, &[]) {
+            let mut stats = EvalStats::default();
+            let (order, reach) = self.plan_reach(&forced, &mut stats, &mut None);
+            let mut err: Option<QueryError> = None;
+            let n = self.graph.num_nodes();
+            plan::enumerate_candidates(pq, n, &forced, &reach, &order, config, &mut stats, |s| {
+                err = add_candidate_automaton(&mut nfa, self, s, config).err();
+                err.is_none()
+            })?;
+            if let Some(e) = err {
+                return Err(e);
             }
-            true
-        })?;
-        if let Some(e) = err {
-            return Err(e);
         }
-        Ok(AnswerAutomaton { nfa: nfa.trim(), arity })
+        Ok(AnswerAutomaton { nfa: nfa.trim(), arity: pq.head_path_idx.len() })
     }
 }
 
-// The construction explores the same product states as the convolution
-// search, using the same dense encoding: a state is one flat row of `u64`
-// words — one position word per path variable (`node << 1 | done`) followed
-// by the bitset blocks of every relation automaton's state set — interned
-// into the arena of [`super::dense`]. Each interned state owns a pair of
-// automaton states ("before nodes" / "after nodes"); the pair table is
-// indexed by the `u32` arena ids, and since ids are handed out in discovery
-// order, expanding ids `0, 1, 2, …` in turn is the breadth-first traversal.
-
-/// Per-variable expansion options plus the scratch of [`apply_move`]: the
-/// answer-automaton counterpart of the search's expander. Successors are
-/// always emitted in odometer order.
-struct AnswersExpander<'a, 'p> {
-    plan: &'a BoundPlan<'p>,
-    sigma: &'a [NodeId],
-    layout: &'a Layout,
-    sims: &'a [&'a RelSim],
-    options: Vec<Vec<Option<(Symbol, NodeId)>>>,
-    choice: Vec<usize>,
-    letters: Vec<Option<Symbol>>,
-    head_letters: Vec<Option<Symbol>>,
-    next: Vec<u64>,
-    rel_scratch: Vec<StateSet>,
-}
-
-impl<'a, 'p> AnswersExpander<'a, 'p> {
-    fn new(
-        plan: &'a BoundPlan<'p>,
-        sigma: &'a [NodeId],
-        layout: &'a Layout,
-        sims: &'a [&'a RelSim],
-    ) -> Self {
-        let num_paths = layout.num_paths;
-        AnswersExpander {
-            plan,
-            sigma,
-            layout,
-            sims,
-            options: vec![Vec::new(); num_paths],
-            choice: vec![0usize; num_paths],
-            letters: vec![None; num_paths],
-            head_letters: vec![None; plan.pq.head_path_idx.len()],
-            next: vec![0u64; layout.words],
-            rel_scratch: sims.iter().map(|rs| StateSet::empty(rs.sim.blocks())).collect(),
-        }
-    }
-
-    /// Emits every admissible global successor of `cur` in odometer order:
-    /// `emit(next_key, head_letters)` receives the successor key and the
-    /// convolution letter projected onto the head path variables.
-    fn expand(&mut self, cur: &[u64], mut emit: impl FnMut(&[u64], &[Option<Symbol>])) {
-        let plan = self.plan;
-        let pq = plan.pq;
-        let graph = plan.graph;
-        let num_paths = self.layout.num_paths;
-
-        for (p, &w) in cur.iter().enumerate().take(num_paths) {
-            let opts = &mut self.options[p];
-            opts.clear();
-            let node = NodeId((w >> 1) as u32);
-            let done = w & 1 == 1;
-            if done {
-                opts.push(None);
-            } else {
-                for &(label, to) in graph.out_edges(node) {
-                    opts.push(Some((label, to)));
-                }
-                if node == self.sigma[pq.path_to[p]] {
-                    opts.push(None); // finish here
-                }
-            }
-            if opts.is_empty() {
-                return; // dead: this variable can neither move nor finish
-            }
-        }
-        self.choice.fill(0);
-        loop {
-            let any_real = (0..num_paths).any(|p| self.options[p][self.choice[p]].is_some());
-            if any_real
-                && apply_move(
-                    plan,
-                    self.sims,
-                    &self.layout.rel_off,
-                    &self.layout.rel_blocks,
-                    cur,
-                    &self.options,
-                    &self.choice,
-                    &mut self.letters,
-                    &mut self.rel_scratch,
-                    &mut self.next,
-                )
-            {
-                for (h, &p) in self.head_letters.iter_mut().zip(&pq.head_path_idx) {
-                    *h = self.options[p][self.choice[p]].map(|(l, _)| plan.translate(l));
-                }
-                emit(&self.next, &self.head_letters);
-            }
-            if !odometer_next(&mut self.choice, |i| self.options[i].len()) {
-                return;
-            }
-        }
-    }
-}
-
+/// Adds the product automaton of candidate `sigma` to `nfa`. Its states are
+/// the search states of `sigma`'s convolution search, each split into a
+/// "before nodes" / "after nodes" pair linked by the head paths' `Nodes`
+/// letter; a search step becomes a `Letter` transition from the after-state
+/// of its source to the before-state of its target. States are interned
+/// into the search's arena, whose ids are handed out in discovery order, so
+/// expanding ids `0, 1, 2, …` in turn is the breadth-first traversal.
 fn add_candidate_automaton(
     nfa: &mut Nfa<EncLetter>,
     plan: &BoundPlan<'_>,
@@ -267,69 +163,41 @@ fn add_candidate_automaton(
     config: &EvalConfig,
 ) -> Result<(), QueryError> {
     let pq = plan.pq;
-    // Check repeated-atom endpoint consistency.
-    for &(p, f, t) in &pq.extra_endpoints {
-        if sigma[f] != sigma[pq.path_from[p]] || sigma[t] != sigma[pq.path_to[p]] {
-            return Ok(());
-        }
+    let problem = SearchProblem {
+        plan,
+        sigma: sigma.to_vec(),
+        pinned: vec![None; pq.path_vars.len()],
+        want_witness: true,
+        step_bound: None,
+        max_states: config.max_search_states,
+    };
+    if search::precheck(&problem).is_some() {
+        return Ok(()); // repeated atoms disagree on an endpoint
     }
-    let num_paths = pq.path_vars.len();
-    let head = &pq.head_path_idx;
     let sims: Vec<&RelSim> = pq.relations.iter().map(|r| r.sim(pq.code_base)).collect();
-
-    // Same word layout as the convolution search, without counters.
-    let layout = Layout::new(num_paths, &sims, 0);
-    let words = layout.words;
-
-    let accepts_key = |key: &[u64]| -> bool {
-        (0..num_paths)
-            .all(|p| key[p] & 1 == 1 || NodeId((key[p] >> 1) as u32) == sigma[pq.path_to[p]])
-            && sims.iter().enumerate().all(|(j, rs)| {
-                rs.sim.any_accepting_blocks(
-                    &key[layout.rel_off[j]..layout.rel_off[j] + layout.rel_blocks[j]],
-                )
-            })
-    };
-
-    let mut arena = Arena::new(words);
-    // Per arena id: the (before-nodes, after-nodes) automaton state pair.
-    let mut pairs: Vec<(StateId, StateId)> = Vec::new();
-
-    // Intern helper: creates the before/after pair for a fresh state, linked
-    // by the Nodes letter of the head path variables.
-    let intern = |key: &[u64],
-                  nfa: &mut Nfa<EncLetter>,
-                  arena: &mut Arena,
-                  pairs: &mut Vec<(StateId, StateId)>|
-     -> (StateId, StateId) {
+    let layout = Layout::new(pq.path_vars.len(), &sims, 0);
+    let head = &pq.head_path_idx;
+    let mut arena = Arena::new(layout.words);
+    // Arena id `i` owns the automaton states `base + 2i` (before nodes) and
+    // `base + 2i + 1` (after nodes), both added when `i` is first interned.
+    let base = nfa.num_states() as StateId;
+    let intern = |key: &[u64], nfa: &mut Nfa<EncLetter>, arena: &mut Arena| -> StateId {
         let (id, fresh) = arena.intern(key);
-        if !fresh {
-            return pairs[id as usize];
+        if fresh {
+            let (b, a) = (nfa.add_state(), nfa.add_state());
+            debug_assert_eq!(b, base + 2 * id);
+            // An unpinned path can only have finished at `σ(path_to[p])`.
+            let at = |p: usize| search::word_node(key[p]).unwrap_or(sigma[pq.path_to[p]]);
+            nfa.add_transition(b, EncLetter::Nodes(head.iter().map(|&p| at(p)).collect()), a);
+            nfa.set_accepting(a, search::accepts_key(&problem, &layout, &sims, key));
         }
-        let b = nfa.add_state();
-        let a = nfa.add_state();
-        let node_letter =
-            EncLetter::Nodes(head.iter().map(|&p| NodeId((key[p] >> 1) as u32)).collect());
-        nfa.add_transition(b, node_letter, a);
-        nfa.set_accepting(a, accepts_key(key));
-        pairs.push((b, a));
-        (b, a)
+        base + 2 * id
     };
 
-    // Encode the initial state.
-    let mut initial = vec![0u64; words];
-    for p in 0..num_paths {
-        initial[p] = (sigma[pq.path_from[p]].0 as u64) << 1;
-    }
-    for (j, rs) in sims.iter().enumerate() {
-        initial[layout.rel_off[j]..layout.rel_off[j] + layout.rel_blocks[j]]
-            .copy_from_slice(rs.sim.initial_set().as_blocks());
-    }
-    let (b0, _a0) = intern(&initial, nfa, &mut arena, &mut pairs);
+    let b0 = intern(&search::initial_key(&problem, &layout, &sims), nfa, &mut arena);
     nfa.add_initial(b0);
-
-    let mut expander = AnswersExpander::new(plan, sigma, &layout, &sims);
-    let mut cur = vec![0u64; words];
+    let mut expander = Expander::new(&problem, &layout, &sims);
+    let mut cur = vec![0u64; layout.words];
     let mut id = 0u32;
     while (id as usize) < arena.len() {
         if id as usize >= config.max_search_states {
@@ -337,48 +205,17 @@ fn add_candidate_automaton(
                 what: "answer-automaton construction exceeded the state budget".to_string(),
             });
         }
-        let from_after = pairs[id as usize].1;
         cur.copy_from_slice(arena.get(id));
-        expander.expand(&cur, |next, head_letters| {
-            let letter = EncLetter::Letter(TupleSym::new(head_letters.to_vec()));
-            let (nb, _na) = intern(next, nfa, &mut arena, &mut pairs);
-            nfa.add_transition(from_after, letter, nb);
+        expander.expand(&cur, |next, mv| {
+            let mv = mv.expect("witness mode emits moves");
+            let letter = head.iter().map(|&p| mv[p].map(|(l, _)| plan.translate(l))).collect();
+            let to = intern(next, nfa, &mut arena);
+            nfa.add_transition(base + 2 * id + 1, EncLetter::Letter(TupleSym::new(letter)), to);
+            true
         });
         id += 1;
     }
     Ok(())
-}
-
-/// Applies the global move selected by `choice` to the encoded state `cur`,
-/// writing the successor into `next`. Returns `false` if some relation
-/// automaton has no matching transition.
-#[allow(clippy::too_many_arguments)]
-fn apply_move(
-    plan: &BoundPlan<'_>,
-    sims: &[&RelSim],
-    rel_off: &[usize],
-    rel_blocks: &[usize],
-    cur: &[u64],
-    options: &[Vec<Option<(Symbol, NodeId)>>],
-    choice: &[usize],
-    letters: &mut [Option<Symbol>],
-    rel_scratch: &mut [StateSet],
-    next: &mut [u64],
-) -> bool {
-    let num_paths = options.len();
-    for p in 0..num_paths {
-        match options[p][choice[p]] {
-            Some((label, to)) => {
-                next[p] = (to.0 as u64) << 1;
-                letters[p] = Some(plan.translate(label));
-            }
-            None => {
-                next[p] = cur[p] | 1; // keep the node, set the done flag
-                letters[p] = None;
-            }
-        }
-    }
-    plan::advance_relations(plan.pq, sims, rel_off, rel_blocks, letters, cur, rel_scratch, next)
 }
 
 #[cfg(test)]
@@ -468,6 +305,29 @@ mod tests {
         } else {
             panic!("expected a convolution letter");
         }
+    }
+
+    /// A head value that conflicts with a node constant on the same
+    /// variable leaves no candidate: the automaton is empty, as the
+    /// membership check is false; the agreeing value keeps its answers.
+    #[test]
+    fn head_value_conflicting_with_a_constant_yields_an_empty_automaton() {
+        let g = generators::rei_gadget_graph(&["a"]);
+        let q =
+            crate::parse_query("Ans(x, p) <- (x, p, y), L(p) = a+, x = :v0", g.alphabet()).unwrap();
+        let (v0, v1) = (g.node_by_name("v0").unwrap(), g.node_by_name("v1").unwrap());
+        let a = g.alphabet().sym("a");
+        let cfg = EvalConfig::default();
+        let paths = [Path::new(vec![v1, v0], vec![a])];
+        let aut = answer_automaton(&q, &g, &[v1], &cfg).unwrap();
+        assert!(aut.is_empty());
+        assert!(!aut.contains(&paths));
+        assert!(!eval::check(&q, &g, &[v1], &paths, &cfg).unwrap());
+        assert!(!eval::reference::check(&q, &g, &[v1], &paths, &cfg).unwrap());
+        let paths = [Path::new(vec![v0, v1], vec![a])];
+        let aut = answer_automaton(&q, &g, &[v0], &cfg).unwrap();
+        assert!(aut.contains(&paths));
+        assert!(eval::check(&q, &g, &[v0], &paths, &cfg).unwrap());
     }
 
     /// Pins the shape of the constructed automata (state and transition

@@ -12,7 +12,9 @@
 //! pipeline's own product-BFS kernel (`plan::reach`) walking the overlay's
 //! adjacency instead of the base graph's, and the answers from the cold
 //! pipeline's own candidate join (`plan::enumerate_candidates`) over those
-//! rows; this module only decides *which* sources to recompute.
+//! rows, in the join order the cold planner (`plan::cost::plan_query`) chose
+//! once when the statement was built; this module only decides *which*
+//! sources to recompute.
 //!
 //! Maintenance is restricted to the statements where the relaxation is
 //! *exact* (plain CRPQs: no wide relations, no relational repetition, no
@@ -26,6 +28,7 @@
 //! statement on the merged graph. `tests/live_graph.rs` enforces it.
 
 use crate::error::QueryError;
+use crate::eval::plan::cost::plan_query;
 use crate::eval::plan::reach::{reach_rows, Overlay};
 use crate::eval::plan::{self, ReachRel};
 use crate::eval::prepared::BoundStatement;
@@ -40,6 +43,11 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct MaintainedStatement {
     stmt: Arc<BoundStatement>,
+    /// The join order, planned once on the base graph the statement was
+    /// built over. Join order never changes the candidates, so it is kept
+    /// across [`apply`](Self::apply) and [`rebase`](Self::rebase): no
+    /// planner work on the write path.
+    order: Vec<usize>,
     /// Overlay node count the reachability rows cover.
     num_nodes: usize,
     /// Per path variable: sorted successor rows over the overlay
@@ -67,8 +75,10 @@ impl MaintainedStatement {
         }
         let n = view.num_nodes();
         let reach = vec![vec![Vec::new(); n]; pq.path_vars.len()];
+        let order = plan_query(&stmt.plan(), &stmt.art.constants).order;
         let mut this = MaintainedStatement {
             stmt,
+            order,
             num_nodes: n,
             reach,
             answers: Vec::new(),
@@ -196,7 +206,7 @@ impl MaintainedStatement {
             self.num_nodes,
             &art.constants,
             &rels,
-            None,
+            &self.order,
             config,
             &mut stats,
             visit,
@@ -420,7 +430,13 @@ mod tests {
                 let rel = ReachRel::from_fwd(rows);
                 for dir in [Direction::Forward, Direction::Reverse] {
                     let mut stats = EvalStats::default();
-                    let atom = AtomPlan { dir, ..AtomPlan::forward_full() };
+                    let atom = AtomPlan {
+                        dir,
+                        pin: None,
+                        est_pairs: 1.0,
+                        est_fwd_frontier: 1.0,
+                        est_rev_frontier: 1.0,
+                    };
                     let full = plan::reachability_planned(&bound, 0, &atom, &mut stats);
                     assert_eq!(full.fwd, rel.fwd, "{ctx}, {dir} unpinned fwd");
                     assert_eq!(full.bwd, rel.bwd, "{ctx}, {dir} unpinned bwd");

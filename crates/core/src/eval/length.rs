@@ -23,7 +23,7 @@
 //! an [`QueryError::Unsupported`] error rather than silently approximating.
 
 use crate::error::QueryError;
-use crate::eval::plan::{self, ReachRel};
+use crate::eval::plan;
 use crate::eval::prepared::{BoundPlan, PreparedQuery};
 use crate::eval::EvalConfig;
 use crate::query::{CountTarget, Ecrpq};
@@ -98,8 +98,7 @@ pub fn eval_qlen(
 
     // Reachability join for the node variables (unary constraints are exact).
     let mut stats = plan::EvalStats::default();
-    let reach: Vec<ReachRel> =
-        (0..num_paths).map(|p| plan::reachability(&bound, p, &mut stats)).collect();
+    let (order, reach) = bound.plan_reach(bound.constants(), &mut stats, &mut None);
 
     let mut answers: HashSet<Vec<NodeId>> = HashSet::new();
     let mut error: Option<QueryError> = None;
@@ -109,7 +108,7 @@ pub fn eval_qlen(
         graph.num_nodes(),
         bound.constants(),
         &reach,
-        None,
+        &order,
         config,
         &mut stats,
         |sigma| {

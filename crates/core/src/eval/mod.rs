@@ -8,7 +8,11 @@
 //!    projections of wider relation atoms) are intersected into one NFA; the
 //!    product of that NFA with the graph gives, for every relational atom, the
 //!    binary reachability relation over nodes. This is exactly the classical
-//!    CRPQ evaluation step (and a sound relaxation of the ECRPQ).
+//!    CRPQ evaluation step (and a sound relaxation of the ECRPQ). The one
+//!    cost-based planner (`plan::cost::plan_query`) first picks each atom's
+//!    BFS direction, pins a BFS to a forced value where it can, and orders
+//!    the join; `BoundPlan::plan_reach` is this plan → reachability stage
+//!    for runs, membership checks, answer automata and `Q_len` alike.
 //! 2. **Candidate assignments.** The relational part is evaluated as a
 //!    conjunctive query over those binary relations by a backtracking join
 //!    (`plan::enumerate_candidates`), yielding candidate assignments of the
@@ -24,7 +28,9 @@
 //!
 //! Path outputs are produced either as explicit witness paths
 //! ([`eval_with_paths`]) or as an automaton representing the full (possibly
-//! infinite) answer set ([`crate::eval::answers`], Proposition 5.2).
+//! infinite) answer set ([`crate::eval::answers`], Proposition 5.2): the
+//! same product, explored with the search's own expander, with its
+//! transitions kept.
 
 pub mod acyclic;
 pub mod answers;
@@ -47,26 +53,6 @@ pub use delta::MaintainedStatement;
 pub use plan::cost::{Direction, ExplainAtom, ExplainReport};
 pub use plan::{EvalStats, Mode};
 pub use prepared::{BoundPlan, BoundStatement, PreparedQuery};
-
-/// How a bound plan picks its join order, BFS directions, and constant
-/// pushdown.
-///
-/// Both modes produce identical answers — the planner only reorders the
-/// work (`tests/planner_differential.rs` enforces this). `Static` is kept as
-/// an explicit mode so benchmarks and the differential suite can compare
-/// against the pre-planner behavior.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum PlannerMode {
-    /// Cost-based planning (the default): graph statistics
-    /// ([`ecrpq_graph::GraphStats`]) and automaton language shape drive the
-    /// join order, per-atom forward/reverse BFS direction, and single-source
-    /// pushdown of bound constants.
-    #[default]
-    CostBased,
-    /// The legacy static heuristic: join order from automaton-size weights
-    /// only, always-forward all-sources BFS.
-    Static,
-}
 
 /// Compiles a query into its graph-independent prepared form (the
 /// compile phase of the parse → compile → bind/execute pipeline). Alias for

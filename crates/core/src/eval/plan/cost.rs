@@ -2,20 +2,21 @@
 //! statistics × automaton language shape, driving join order, BFS direction,
 //! and constant pushdown.
 //!
-//! The planner runs at the start of every evaluation (it is a few array
-//! scans, far below the cost of one reachability BFS) and produces a
-//! [`QueryPlan`]: one [`AtomPlan`] per path variable — BFS direction
-//! ([`Direction`]), an optional pinned single source (selectivity pushdown
-//! of a bound constant), and an estimated pair cardinality — plus the node
-//! variable join order consumed by `enumerate_candidates`.
+//! [`plan_query`] is the one producer of a join order. Every evaluation
+//! plans first (a few array scans, far below the cost of one reachability
+//! BFS) — runs, membership checks, answer automata and `Q_len` through
+//! `BoundPlan::plan_reach`, a maintained statement once when it is built —
+//! and gets a [`QueryPlan`]: one [`AtomPlan`] per path variable — BFS
+//! direction ([`Direction`]), an optional pinned single source (selectivity
+//! pushdown of a forced value), and an estimated pair cardinality — plus the
+//! node variable join order consumed by `enumerate_candidates`.
 //!
 //! **Plan choice never changes answers.** Reverse BFS over the reverse CSR
 //! with the reversed constraint automaton computes the same binary relation;
 //! a pinned source restricts the relation to rows the join provably probes
 //! (the pinned variable is a constant everywhere); the join order only
 //! reorders the backtracking enumeration. `tests/planner_differential.rs`
-//! holds all three equal against the static planner and the reference
-//! engine.
+//! holds answers and `verified` counts equal to the reference engine's.
 //!
 //! The cost model is deliberately coarse — selectivity *ranking* is what
 //! drives the wins, not absolute accuracy:
@@ -30,7 +31,7 @@
 //!   is the sampled average reachable fraction of the graph.
 
 use crate::eval::prepared::{BoundPlan, PreparedQuery};
-use crate::eval::{EvalStats, PlannerMode};
+use crate::eval::EvalStats;
 use ecrpq_automata::alphabet::Symbol;
 use ecrpq_automata::nfa::Nfa;
 use ecrpq_graph::stats::{GraphStats, LabelStats};
@@ -74,19 +75,6 @@ pub(crate) struct AtomPlan {
     pub est_rev_frontier: f64,
 }
 
-impl AtomPlan {
-    /// The static plan of every atom: full all-sources forward BFS.
-    pub fn forward_full() -> AtomPlan {
-        AtomPlan {
-            dir: Direction::Forward,
-            pin: None,
-            est_pairs: f64::INFINITY,
-            est_fwd_frontier: f64::INFINITY,
-            est_rev_frontier: f64::INFINITY,
-        }
-    }
-}
-
 /// The full plan of one evaluation: per-atom strategies plus the node
 /// variable join order.
 #[derive(Clone, Debug)]
@@ -97,68 +85,20 @@ pub(crate) struct QueryPlan {
     pub order: Vec<usize>,
 }
 
-/// Plans one evaluation of `bound` under `mode`. `constants` are the node
-/// variables with forced values — the plan's resolved constants for a run,
-/// or the values forced by a membership check.
-pub(crate) fn plan_query(
-    bound: &BoundPlan<'_>,
-    constants: &[(usize, NodeId)],
-    mode: PlannerMode,
-) -> QueryPlan {
+/// Plans one evaluation of `bound`: the one producer of a join order.
+/// `constants` are the node variables with forced values — the plan's
+/// resolved constants for a run, or the values forced by a membership check
+/// or an answer automaton's head.
+pub(crate) fn plan_query(bound: &BoundPlan<'_>, constants: &[(usize, NodeId)]) -> QueryPlan {
     let pq = bound.prepared();
     let edges = super::join_edges(pq);
-    match mode {
-        PlannerMode::Static => QueryPlan {
-            atoms: (0..pq.path_vars.len()).map(|_| AtomPlan::forward_full()).collect(),
-            order: static_order(pq, constants, &edges),
-        },
-        PlannerMode::CostBased => {
-            let gstats = bound.graph().stats();
-            let merged = merged_label_stats(bound, &gstats);
-            let const_map: HashMap<usize, NodeId> = constants.iter().copied().collect();
-            let atoms: Vec<AtomPlan> = (0..pq.path_vars.len())
-                .map(|p| plan_atom(pq, p, &gstats, &merged, &const_map))
-                .collect();
-            let order = cost_order(pq, constants, &edges, &atoms);
-            QueryPlan { atoms, order }
-        }
-    }
-}
-
-/// The legacy static variable order: constants first, then a
-/// connectivity-greedy order tie-broken by the prepared query's
-/// automaton-size weights. Kept bit-identical to the pre-planner behavior —
-/// benchmarks and the differential suite compare against it.
-pub(crate) fn static_order(
-    pq: &PreparedQuery,
-    constants: &[(usize, NodeId)],
-    edges: &[super::JoinEdge],
-) -> Vec<usize> {
-    let num_vars = pq.node_vars.len();
-    let mut order: Vec<usize> = Vec::new();
-    let mut placed = vec![false; num_vars];
-    for &(v, _) in constants {
-        if !placed[v] {
-            placed[v] = true;
-            order.push(v);
-        }
-    }
-    while order.len() < num_vars {
-        // prefer a variable adjacent to an already-placed one
-        let next = (0..num_vars)
-            .filter(|&v| !placed[v])
-            .max_by_key(|&v| {
-                let connectivity = edges
-                    .iter()
-                    .filter(|e| (e.from == v && placed[e.to]) || (e.to == v && placed[e.from]))
-                    .count();
-                (connectivity, std::cmp::Reverse(pq.var_weight[v]))
-            })
-            .unwrap();
-        placed[next] = true;
-        order.push(next);
-    }
-    order
+    let gstats = bound.graph().stats();
+    let merged = merged_label_stats(bound, &gstats);
+    let const_map: HashMap<usize, NodeId> = constants.iter().copied().collect();
+    let atoms: Vec<AtomPlan> =
+        (0..pq.path_vars.len()).map(|p| plan_atom(pq, p, &gstats, &merged, &const_map)).collect();
+    let order = cost_order(pq, constants, &edges, &atoms);
+    QueryPlan { atoms, order }
 }
 
 /// The cost-based variable order: constants first, then greedily the
@@ -377,8 +317,6 @@ pub struct ExplainAtom {
 /// by goldens in `tests/planner_differential.rs`.
 #[derive(Clone, Debug)]
 pub struct ExplainReport {
-    /// The planner mode that produced the plan.
-    pub planner: PlannerMode,
     /// Node-variable join order (names, constants first).
     pub join_order: Vec<String>,
     /// Per-atom strategies and cardinalities.
@@ -390,24 +328,14 @@ pub struct ExplainReport {
     pub answers: u64,
 }
 
-impl ExplainReport {
-    /// Short name of the planner mode (`cost-based` / `static`).
-    pub fn planner_name(&self) -> &'static str {
-        match self.planner {
-            PlannerMode::CostBased => "cost-based",
-            PlannerMode::Static => "static",
-        }
-    }
-}
-
 impl fmt::Display for ExplainReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "plan ({})", self.planner_name())?;
+        writeln!(f, "plan (cost-based)")?;
         writeln!(f, "  join order: {}", self.join_order.join(", "))?;
         for a in &self.atoms {
-            write!(
+            writeln!(
                 f,
-                "  atom {}: ({}) -[{}]-> ({}) dir={} pin={} states={}",
+                "  atom {}: ({}) -[{}]-> ({}) dir={} pin={} states={} est_pairs={:.1} actual_pairs={}",
                 a.path_var,
                 a.from_var,
                 a.path_var,
@@ -415,12 +343,9 @@ impl fmt::Display for ExplainReport {
                 a.direction,
                 a.pinned.as_deref().unwrap_or("-"),
                 a.automaton_states,
+                a.est_pairs,
+                a.actual_pairs,
             )?;
-            if a.est_pairs.is_finite() {
-                writeln!(f, " est_pairs={:.1} actual_pairs={}", a.est_pairs, a.actual_pairs)?;
-            } else {
-                writeln!(f, " est_pairs=- actual_pairs={}", a.actual_pairs)?;
-            }
         }
         writeln!(
             f,

@@ -1,27 +1,30 @@
-//! The evaluation driver: the one reachability kernel, the one candidate
-//! join, and the shared relation-advancing step of the dense engines.
+//! The evaluation driver: the one planner, the one reachability kernel and
+//! the one candidate join.
 //!
 //! Query *compilation* lives in [`super::prepared`]: a graph-independent
 //! [`PreparedQuery`](super::prepared::PreparedQuery) built once per query,
 //! and a cheap per-graph [`BoundPlan`](super::prepared::BoundPlan). This
-//! module holds the pieces every evaluation is assembled from:
-//! per-path-variable reachability relations come from the product-BFS
-//! kernel of [`reach`] (generic over the adjacency it walks and the
-//! constraint it steps), candidate node assignments from the backtracking
-//! join [`enumerate_candidates`] over those relations, and each candidate is
-//! verified by the convolution search of [`super::search`] (skipped for
-//! plain CRPQs, for which the relaxation is exact). Cold runs
-//! ([`BoundPlan::run_rows`](super::prepared::BoundPlan::run_rows)) and
-//! incrementally maintained statements ([`super::delta`]) are the same
-//! kernel and the same join over different adjacencies.
+//! module holds the pieces every evaluation is assembled from: the join
+//! order, BFS directions and pins of [`cost::plan_query`], per-path-variable
+//! reachability relations from the product-BFS kernel of [`reach`] (generic
+//! over the adjacency it walks and the constraint it steps), and candidate
+//! node assignments from the backtracking join [`enumerate_candidates`] over
+//! those relations. `BoundPlan::plan_reach` runs the first two for cold
+//! runs, membership checks, answer automata and `Q_len` alike; each
+//! candidate is then verified by the convolution search of
+//! [`super::search`] (skipped for plain CRPQs, for which the relaxation is
+//! exact) or, for an answer automaton, explored by the same search
+//! expander. Incrementally maintained statements ([`super::delta`]) plan
+//! once and run the same kernel and the same join over an overlay's
+//! adjacency.
 
 pub(crate) mod cost;
 pub(crate) mod reach;
 
-pub(crate) use reach::{reachability, reachability_planned, ReachRel};
+pub(crate) use reach::{reachability_planned, ReachRel};
 
 use crate::error::QueryError;
-use crate::eval::prepared::{PreparedQuery, RelSim};
+use crate::eval::prepared::PreparedQuery;
 use crate::eval::search::{SearchOutcome, SearchProblem};
 use crate::eval::{reference, search, EvalConfig};
 use ecrpq_graph::NodeId;
@@ -57,45 +60,6 @@ pub enum Mode {
     Paths,
 }
 
-/// Advances every relation automaton of an encoded search state on the
-/// global step described by `letters` (per-variable merged-alphabet letters,
-/// `None` = `⊥`), reading the current bitset rows from `cur` and writing the
-/// successor rows into `next` at the offsets given by `rel_off`/`rel_blocks`.
-/// Returns `false` if some relation has no matching transition. Shared by
-/// the convolution search and the answer-automaton construction so the two
-/// dense engines cannot drift apart.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-pub(crate) fn advance_relations(
-    pq: &PreparedQuery,
-    sims: &[&RelSim],
-    rel_off: &[usize],
-    rel_blocks: &[usize],
-    letters: &[Option<ecrpq_automata::alphabet::Symbol>],
-    cur: &[u64],
-    rel_scratch: &mut [ecrpq_automata::sim::StateSet],
-    next: &mut [u64],
-) -> bool {
-    for (j, r) in pq.relations.iter().enumerate() {
-        let rs = sims[j];
-        let (off, nb) = (rel_off[j], rel_blocks[j]);
-        if r.tapes.iter().all(|&t| letters[t].is_none()) {
-            // This relation's convolution has already ended; it does not
-            // read ⊥-only letters.
-            next[off..off + nb].copy_from_slice(&cur[off..off + nb]);
-            continue;
-        }
-        let Some(sid) = rs.letter_id(&r.tapes, letters, pq.alphabet_len, pq.code_base) else {
-            return false; // letter not in the relation's alphabet
-        };
-        if !rs.sim.step_blocks_into(&cur[off..off + nb], sid, &mut rel_scratch[j]) {
-            return false;
-        }
-        next[off..off + nb].copy_from_slice(rel_scratch[j].as_blocks());
-    }
-    true
-}
-
 // ---------------------------------------------------------------------------
 // Candidate enumeration
 // ---------------------------------------------------------------------------
@@ -124,35 +88,28 @@ pub(crate) fn join_edges(pq: &PreparedQuery) -> Vec<JoinEdge> {
 /// Enumerates candidate node assignments consistent with the reachability
 /// relations, invoking `visit` on each; `visit` returns `false` to stop.
 /// This is the one candidate join: cold runs, membership checks, the
-/// answer-automaton and length-abstraction paths, and the maintained
-/// statements of [`super::delta`] (whose relations cover an overlay's
-/// `num_nodes`, delta-introduced nodes included) all enumerate through it.
+/// answer-automaton and length-abstraction paths (all through
+/// `BoundPlan::plan_reach`), and the maintained statements of
+/// [`super::delta`] (whose relations cover an overlay's `num_nodes`,
+/// delta-introduced nodes included) all enumerate through it.
 ///
 /// `constants` are the node variables with forced values (the plan's
-/// resolved constants, or the values forced by a membership check).
-/// `order` is the variable enumeration order from the planner; `None` falls
-/// back to the static order (for the callers that do not plan). Returns an
-/// error if the candidate budget is exceeded.
+/// resolved constants, or the values forced by a membership check or an
+/// answer automaton's head). `order` is the variable enumeration order from
+/// [`cost::plan_query`]. Returns an error if the candidate budget is
+/// exceeded.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn enumerate_candidates<F: FnMut(&[NodeId]) -> bool>(
     pq: &PreparedQuery,
     num_nodes: usize,
     constants: &[(usize, NodeId)],
     reach: &[ReachRel],
-    order: Option<&[usize]>,
+    order: &[usize],
     config: &EvalConfig,
     stats: &mut EvalStats,
     visit: F,
 ) -> Result<(), QueryError> {
     let edges = join_edges(pq);
-    let static_fallback;
-    let order: &[usize] = match order {
-        Some(o) => o,
-        None => {
-            static_fallback = cost::static_order(pq, constants, &edges);
-            &static_fallback
-        }
-    };
     let mut join = Join {
         order,
         edges: &edges,

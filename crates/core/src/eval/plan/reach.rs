@@ -1,8 +1,9 @@
 //! Per-atom reachability: the one `(node, constraint-state)` product BFS.
 //!
 //! Every reachability relation in the crate — cold runs, membership checks,
-//! explain, and the incrementally maintained rows of `eval::delta` — comes
-//! out of [`product_rows`]. The kernel is statically generic over *where
+//! answer automata, `Q_len` and explain (through [`reachability_planned`]),
+//! the incrementally maintained rows of `eval::delta`, and the acyclic-CRPQ
+//! cross-check (through [`reach_rows`]) — comes out of [`product_rows`]. The kernel is statically generic over *where
 //! successors come from* ([`Successors`]: one direction of the bound graph's
 //! own adjacency, or a live-graph overlay) and over *how the unary
 //! constraint steps* ([`Constraint`]: none, or a compiled automaton's
@@ -301,13 +302,6 @@ pub(crate) fn reach_rows<A: Successors>(
     }
     let sim = if A::REVERSE { pq.unary_rev_sim(p, stats) } else { pq.unary_sim(p, stats) };
     product_rows(adj, &Tables::new(&sim, adj.symbol_map()), sources)
-}
-
-/// Computes the reachability relation of path variable `p` over the bound
-/// plan's graph, with the default plan: all-sources forward BFS. Callers on
-/// the planned path use [`reachability_planned`] instead.
-pub(crate) fn reachability(bound: &BoundPlan<'_>, p: usize, stats: &mut EvalStats) -> ReachRel {
-    reachability_planned(bound, p, &AtomPlan::forward_full(), stats)
 }
 
 /// Computes the reachability relation of path variable `p` over the bound

@@ -26,7 +26,7 @@ use crate::error::QueryError;
 use crate::eval::plan::reach::GraphEdges;
 use crate::eval::plan::{self, Engine, EvalStats, Mode, ReachRel};
 use crate::eval::search::SearchProblem;
-use crate::eval::{Answer, EvalConfig, PlannerMode};
+use crate::eval::{Answer, EvalConfig};
 use crate::query::{CountTarget, Ecrpq, QLinearConstraint};
 use ecrpq_automata::alphabet::{Alphabet, Symbol, TupleSym};
 use ecrpq_automata::dfa;
@@ -306,10 +306,6 @@ pub struct PreparedQuery {
     /// True if verification by convolution search is unnecessary (plain CRPQ
     /// without repetition or counters).
     pub(crate) relaxation_is_exact: bool,
-    /// Per node variable: total unary-automaton states over incident path
-    /// variables — the selectivity hint the join-order heuristic combines
-    /// with variable connectivity.
-    pub(crate) var_weight: Vec<usize>,
 }
 
 impl PreparedQuery {
@@ -429,16 +425,6 @@ impl PreparedQuery {
         let relaxation_is_exact =
             !has_wide_relation && !query.has_relational_repetition() && counters.is_empty();
 
-        // Join-order hint: per node variable, the total state count of the
-        // unary automata on its incident path variables (smaller automata
-        // tend to give sparser reachability relations).
-        let mut var_weight = vec![0usize; node_vars.len()];
-        for p in 0..path_vars.len() {
-            let w = unary[p].as_ref().map_or(0, |u| u.nfa.num_states());
-            var_weight[path_from[p]] += w;
-            var_weight[path_to[p]] += w;
-        }
-
         Ok(PreparedQuery {
             alphabet_len: query.alphabet.len(),
             query: query.clone(),
@@ -456,7 +442,6 @@ impl PreparedQuery {
             deferred_counts,
             code_base,
             relaxation_is_exact,
-            var_weight,
         })
     }
 
@@ -483,18 +468,7 @@ impl PreparedQuery {
     /// run reads the graph's own adjacency — so binding costs O(labels +
     /// constants), independent of the graph size.
     pub fn bind<'a>(&'a self, graph: &'a GraphDb) -> Result<BoundPlan<'a>, QueryError> {
-        self.bind_with(graph, PlannerMode::default())
-    }
-
-    /// [`bind`](Self::bind) with an explicit planner mode. The mode travels
-    /// with the bound plan: every `run*`, `check`, `explain`, and
-    /// `answer_automaton` call on it plans with it.
-    pub fn bind_with<'a>(
-        &'a self,
-        graph: &'a GraphDb,
-        planner: PlannerMode,
-    ) -> Result<BoundPlan<'a>, QueryError> {
-        Ok(BoundPlan { pq: self, graph, art: Cow::Owned(self.bind_artifacts(graph)?), planner })
+        Ok(BoundPlan { pq: self, graph, art: Cow::Owned(self.bind_artifacts(graph)?) })
     }
 
     /// Computes everything [`bind`](Self::bind) resolves against one concrete
@@ -601,8 +575,8 @@ impl PreparedQuery {
 
     /// The compiled tables of path variable `p`'s unary constraint,
     /// recording a cache hit or miss. Single-projection constraints share
-    /// the relation's cache (closing the `plan::reachability` recompilation
-    /// item); intersected constraints cache inside this prepared query.
+    /// the relation's cache; intersected constraints cache inside this
+    /// prepared query.
     pub(crate) fn unary_sim(&self, p: usize, stats: &mut EvalStats) -> Arc<CompactNfa<Symbol>> {
         let u = self.unary[p].as_ref().expect("unary_sim on an unconstrained path variable");
         match u.source {
@@ -715,8 +689,6 @@ pub struct BoundPlan<'a> {
     /// The bind-time data: owned for a fresh [`PreparedQuery::bind`],
     /// borrowed (no copy) when viewed through a [`BoundStatement`].
     art: Cow<'a, BindArtifacts>,
-    /// Join-order / BFS-direction planning mode.
-    planner: PlannerMode,
 }
 
 impl<'a> BoundPlan<'a> {
@@ -894,28 +866,7 @@ impl<'a> BoundPlan<'a> {
         let pq = self.pq;
         let mut stats = EvalStats::default();
 
-        // Plan, then compute the reachability relation of every path
-        // variable with its planned direction and pin.
-        let sp = qtrace::begin_span(&mut trace, "plan");
-        let qplan = plan::cost::plan_query(self, self.constants(), self.planner);
-        qtrace::span_attr(&mut trace, sp, "atoms", pq.path_vars.len() as u64);
-        qtrace::end_span(&mut trace, sp);
-        let reach: Vec<ReachRel> = (0..pq.path_vars.len())
-            .map(|p| {
-                let sp = trace.as_mut().map(|t| t.begin(&format!("reach:{}", pq.path_vars[p])));
-                let r = plan::reachability_planned(self, p, &qplan.atoms[p], &mut stats);
-                if trace.is_some() {
-                    let pairs: u64 = r.fwd.iter().map(|row| row.len() as u64).sum();
-                    qtrace::span_attr(&mut trace, sp, "pairs", pairs);
-                    let est = qplan.atoms[p].est_pairs;
-                    if est.is_finite() {
-                        qtrace::span_attr(&mut trace, sp, "est_pairs", est.max(0.0) as u64);
-                    }
-                }
-                qtrace::end_span(&mut trace, sp);
-                r
-            })
-            .collect();
+        let (order, reach) = self.plan_reach(self.constants(), &mut stats, &mut trace);
 
         let needs_search = !pq.relaxation_is_exact || mode == Mode::Paths;
         if needs_search && engine == Engine::Dense {
@@ -944,7 +895,6 @@ impl<'a> BoundPlan<'a> {
         let mut verified: u64 = 0;
         let mut search_states: u64 = 0;
 
-        let order = Some(qplan.order.as_slice());
         let search_span = qtrace::begin_span(&mut trace, "search");
         // A paths run capped at zero rows has nothing to verify.
         if mode != Mode::Paths || config.answer_limit > 0 {
@@ -953,7 +903,7 @@ impl<'a> BoundPlan<'a> {
                 self.graph.num_nodes(),
                 self.constants(),
                 &reach,
-                order,
+                &order,
                 config,
                 &mut stats,
                 |sigma| {
@@ -1022,6 +972,72 @@ impl<'a> BoundPlan<'a> {
         Ok(stats)
     }
 
+    /// The plan → reachability stage of every evaluation: plans with
+    /// `forced` as the node variables' fixed values ([`plan::cost::plan_query`])
+    /// and computes every path variable's reachability relation with its
+    /// planned direction and pin. Returns the join order and the relations
+    /// the candidate join enumerates over. With a `trace`, records the
+    /// `plan` span and one `reach:<var>` span per path variable, carrying
+    /// the measured pair count next to the planner's estimate.
+    pub(crate) fn plan_reach(
+        &self,
+        forced: &[(usize, NodeId)],
+        stats: &mut EvalStats,
+        trace: &mut Option<&mut Trace>,
+    ) -> (Vec<usize>, Vec<ReachRel>) {
+        let pq = self.pq;
+        let sp = qtrace::begin_span(trace, "plan");
+        let qplan = plan::cost::plan_query(self, forced);
+        qtrace::span_attr(trace, sp, "atoms", pq.path_vars.len() as u64);
+        qtrace::end_span(trace, sp);
+        let reach = (0..pq.path_vars.len())
+            .map(|p| {
+                let sp = trace.as_mut().map(|t| t.begin(&format!("reach:{}", pq.path_vars[p])));
+                let r = plan::reachability_planned(self, p, &qplan.atoms[p], stats);
+                if trace.is_some() {
+                    let pairs: u64 = r.fwd.iter().map(|row| row.len() as u64).sum();
+                    qtrace::span_attr(trace, sp, "pairs", pairs);
+                    qtrace::span_attr(trace, sp, "est_pairs", qplan.atoms[p].est_pairs as u64);
+                }
+                qtrace::end_span(trace, sp);
+                r
+            })
+            .collect();
+        (qplan.order, reach)
+    }
+
+    /// The node values a membership check or an answer automaton forces:
+    /// the endpoints of the head paths `paths` (and of the repeated atoms of
+    /// their path variables), the head values `nodes` and the plan's
+    /// constants — sorted by variable, so the plan is deterministic, or
+    /// `None` when two of them disagree on one variable.
+    pub(crate) fn forced(&self, nodes: &[NodeId], paths: &[Path]) -> Option<Vec<(usize, NodeId)>> {
+        let pq = self.pq;
+        let pinned =
+            |p: usize| pq.head_path_idx.iter().position(|&h| h == p).and_then(|i| paths.get(i));
+        let ends = |p: usize, f: usize, t: usize| {
+            pinned(p).map(|path| [(f, path.start()), (t, path.end())])
+        };
+        let head_ends =
+            (0..pq.path_vars.len()).filter_map(|p| ends(p, pq.path_from[p], pq.path_to[p]));
+        let extra_ends = pq.extra_endpoints.iter().filter_map(|&(p, f, t)| ends(p, f, t));
+        let values = head_ends
+            .chain(extra_ends)
+            .flatten()
+            .chain(pq.head_node_idx.iter().copied().zip(nodes.iter().copied()))
+            .chain(self.constants().iter().copied());
+        let mut forced: Vec<(usize, NodeId)> = Vec::new();
+        for (var, value) in values {
+            match forced.iter().find(|&&(v, _)| v == var) {
+                Some(&(_, v)) if v != value => return None,
+                Some(_) => {}
+                None => forced.push((var, value)),
+            }
+        }
+        forced.sort_unstable();
+        Some(forced)
+    }
+
     /// The membership check with an explicit verification engine.
     pub(crate) fn check_engine(
         &self,
@@ -1044,65 +1060,22 @@ impl<'a> BoundPlan<'a> {
             }
         }
 
-        // Pin head paths and derive node-variable bindings from them and
-        // from the head node values / constants.
-        let mut pinned: Vec<Option<&Path>> = vec![None; pq.path_vars.len()];
-        let mut forced: HashMap<usize, NodeId> = HashMap::new();
-        let force = |var: usize, value: NodeId, forced: &mut HashMap<usize, NodeId>| -> bool {
-            match forced.get(&var) {
-                Some(&v) => v == value,
-                None => {
-                    forced.insert(var, value);
-                    true
-                }
-            }
+        let Some(forced) = self.forced(nodes, paths) else {
+            return Ok(false);
         };
-        for (i, &pi) in pq.head_path_idx.iter().enumerate() {
-            pinned[pi] = Some(&paths[i]);
-            if !force(pq.path_from[pi], paths[i].start(), &mut forced)
-                || !force(pq.path_to[pi], paths[i].end(), &mut forced)
-            {
-                return Ok(false);
-            }
+        let mut pinned: Vec<Option<&Path>> = vec![None; pq.path_vars.len()];
+        for (&p, path) in pq.head_path_idx.iter().zip(paths) {
+            pinned[p] = Some(path);
         }
-        for (i, &vi) in pq.head_node_idx.iter().enumerate() {
-            if !force(vi, nodes[i], &mut forced) {
-                return Ok(false);
-            }
-        }
-        for &(vi, n) in self.constants() {
-            if !force(vi, n, &mut forced) {
-                return Ok(false);
-            }
-        }
-        // Extra endpoint constraints from repeated atoms must also agree.
-        for &(p, f, t) in &pq.extra_endpoints {
-            if let Some(path) = pinned[p] {
-                if !force(f, path.start(), &mut forced) || !force(t, path.end(), &mut forced) {
-                    return Ok(false);
-                }
-            }
-        }
-
-        // Reachability for the remaining join, with forced values taking the
-        // place of the plan's constants. The forced list is sorted by
-        // variable index so the planner (and thus the plan) is deterministic
-        // regardless of `HashMap` iteration order.
         let mut stats = EvalStats::default();
-        let mut forced: Vec<(usize, NodeId)> = forced.into_iter().collect();
-        forced.sort_unstable();
-        let qplan = plan::cost::plan_query(self, &forced, self.planner);
-        let reach: Vec<ReachRel> = (0..pq.path_vars.len())
-            .map(|p| plan::reachability_planned(self, p, &qplan.atoms[p], &mut stats))
-            .collect();
+        let (order, reach) = self.plan_reach(&forced, &mut stats, &mut None);
 
         let step_bound =
             if self.counters().is_empty() { None } else { Some(self.step_bound(config)) };
         let mut found = false;
         let mut error: Option<QueryError> = None;
-        let order = Some(qplan.order.as_slice());
         let n = self.graph.num_nodes();
-        plan::enumerate_candidates(pq, n, &forced, &reach, order, config, &mut stats, |sigma| {
+        plan::enumerate_candidates(pq, n, &forced, &reach, &order, config, &mut stats, |sigma| {
             let problem = SearchProblem {
                 plan: self,
                 sigma: sigma.to_vec(),
@@ -1136,7 +1109,7 @@ impl<'a> BoundPlan<'a> {
     /// variable, in variable order).
     pub fn explain(&self, config: &EvalConfig) -> Result<crate::eval::ExplainReport, QueryError> {
         let pq = self.pq;
-        let qplan = plan::cost::plan_query(self, self.constants(), self.planner);
+        let qplan = plan::cost::plan_query(self, self.constants());
         let mut trace = Trace::new();
         let mut answers: u64 = 0;
         let run_stats =
@@ -1165,7 +1138,6 @@ impl<'a> BoundPlan<'a> {
             })
             .collect();
         Ok(crate::eval::ExplainReport {
-            planner: self.planner,
             join_order: qplan.order.iter().map(|&v| pq.node_vars[v].clone()).collect(),
             atoms,
             stats: run_stats,
@@ -1212,14 +1184,7 @@ impl BoundStatement {
     /// A borrowed [`BoundPlan`] over the cached bind artifacts (no copying;
     /// all `run*`/`check` entry points hang off the returned plan).
     pub fn plan(&self) -> BoundPlan<'_> {
-        self.plan_with(PlannerMode::default())
-    }
-
-    /// A borrowed [`BoundPlan`] planning with `planner` — how a server
-    /// applies a per-request planner mode to a cached statement without
-    /// rebinding it.
-    pub fn plan_with(&self, planner: PlannerMode) -> BoundPlan<'_> {
-        BoundPlan { pq: &self.pq, graph: &self.graph, art: Cow::Borrowed(&self.art), planner }
+        BoundPlan { pq: &self.pq, graph: &self.graph, art: Cow::Borrowed(&self.art) }
     }
 
     /// Convenience for [`BoundPlan::run`].

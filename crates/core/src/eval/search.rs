@@ -25,7 +25,6 @@
 
 use crate::error::QueryError;
 use crate::eval::dense::{odometer_next, Arena, Layout};
-use crate::eval::plan;
 use crate::eval::prepared::{BoundPlan, RelSim};
 use ecrpq_automata::alphabet::Symbol;
 use ecrpq_automata::sim::StateSet;
@@ -80,6 +79,12 @@ fn active_word(node: NodeId, step: u32) -> u64 {
     ((node.0 as u64 + 1) << 32) | step as u64
 }
 
+/// The current node of a position word, `None` for a finished path.
+#[inline]
+pub(crate) fn word_node(w: u64) -> Option<NodeId> {
+    (w != 0).then(|| NodeId((w >> 32) as u32 - 1))
+}
+
 /// One option for one path variable within a global step.
 #[derive(Clone, Copy)]
 enum Option1 {
@@ -91,8 +96,9 @@ enum Option1 {
 /// The expansion engine: per-variable option lists, the odometer, and the
 /// scratch buffers of [`apply_key`], reused across states so the hot loop
 /// performs no allocation. The successors of one state are always emitted in
-/// odometer order, which fixes the arena's state numbering.
-struct Expander<'a, 'p> {
+/// odometer order, which fixes the arena's state numbering. The search and
+/// the answer-automaton construction both expand with it.
+pub(crate) struct Expander<'a, 'p> {
     problem: &'a SearchProblem<'p>,
     layout: &'a Layout,
     sims: &'a [&'a RelSim],
@@ -104,7 +110,11 @@ struct Expander<'a, 'p> {
 }
 
 impl<'a, 'p> Expander<'a, 'p> {
-    fn new(problem: &'a SearchProblem<'p>, layout: &'a Layout, sims: &'a [&'a RelSim]) -> Self {
+    pub(crate) fn new(
+        problem: &'a SearchProblem<'p>,
+        layout: &'a Layout,
+        sims: &'a [&'a RelSim],
+    ) -> Self {
         let num_paths = layout.num_paths;
         Expander {
             problem,
@@ -122,7 +132,11 @@ impl<'a, 'p> Expander<'a, 'p> {
     /// odometer order: `emit(next_key, move)` (the move only materialized
     /// when a witness is wanted) returns `false` to stop early. States with
     /// a variable that can neither move nor finish emit nothing.
-    fn expand(&mut self, cur: &[u64], mut emit: impl FnMut(&[u64], Option<MoveVec>) -> bool) {
+    pub(crate) fn expand(
+        &mut self,
+        cur: &[u64],
+        mut emit: impl FnMut(&[u64], Option<MoveVec>) -> bool,
+    ) {
         let problem = self.problem;
         let plan = problem.plan;
         let num_paths = self.layout.num_paths;
@@ -202,7 +216,7 @@ impl<'a, 'p> Expander<'a, 'p> {
 /// Consistency prechecks: pinned paths must connect the candidate
 /// endpoints, and repeated relational atoms must agree. `Some(outcome)`
 /// short-circuits the search with a rejection.
-fn precheck(problem: &SearchProblem<'_>) -> Option<SearchOutcome> {
+pub(crate) fn precheck(problem: &SearchProblem<'_>) -> Option<SearchOutcome> {
     let pq = problem.plan.pq;
     for p in 0..pq.path_vars.len() {
         if let Some(path) = problem.pinned[p] {
@@ -224,7 +238,11 @@ fn precheck(problem: &SearchProblem<'_>) -> Option<SearchOutcome> {
 }
 
 /// Encodes the initial search state.
-fn initial_key(problem: &SearchProblem<'_>, layout: &Layout, sims: &[&RelSim]) -> Vec<u64> {
+pub(crate) fn initial_key(
+    problem: &SearchProblem<'_>,
+    layout: &Layout,
+    sims: &[&RelSim],
+) -> Vec<u64> {
     let pq = problem.plan.pq;
     let mut initial = vec![0u64; layout.words];
     for (p, w) in initial.iter_mut().enumerate().take(layout.num_paths) {
@@ -317,7 +335,7 @@ pub(crate) fn run(problem: &SearchProblem<'_>) -> Result<SearchOutcome, QueryErr
 /// True if the encoded state is accepting: every path variable is finished or
 /// can finish at its current node, every relation automaton's state set
 /// intersects its accepting set, and every counter row is satisfied.
-fn accepts_key(
+pub(crate) fn accepts_key(
     problem: &SearchProblem<'_>,
     layout: &Layout,
     sims: &[&RelSim],
@@ -375,17 +393,22 @@ fn apply_key(
     }
 
     // Advance every relation automaton on the projection of the step.
-    if !plan::advance_relations(
-        plan.pq,
-        sims,
-        &layout.rel_off,
-        &layout.rel_blocks,
-        letters,
-        cur,
-        rel_scratch,
-        next,
-    ) {
-        return false;
+    let pq = plan.pq;
+    for (j, r) in pq.relations.iter().enumerate() {
+        let (off, nb) = (layout.rel_off[j], layout.rel_blocks[j]);
+        if r.tapes.iter().all(|&t| letters[t].is_none()) {
+            // This relation's convolution has already ended; it does not
+            // read ⊥-only letters.
+            next[off..off + nb].copy_from_slice(&cur[off..off + nb]);
+            continue;
+        }
+        let Some(sid) = sims[j].letter_id(&r.tapes, letters, pq.alphabet_len, pq.code_base) else {
+            return false; // letter not in the relation's alphabet
+        };
+        if !sims[j].sim.step_blocks_into(&cur[off..off + nb], sid, &mut rel_scratch[j]) {
+            return false;
+        }
+        next[off..off + nb].copy_from_slice(rel_scratch[j].as_blocks());
     }
 
     // Update counters.

@@ -70,7 +70,7 @@ pub mod query;
 
 pub use ecrpq_util::trace::{Trace, TraceSpan};
 pub use error::QueryError;
-pub use eval::{Answer, BoundPlan, BoundStatement, EvalConfig, PlannerMode, PreparedQuery};
+pub use eval::{Answer, BoundPlan, BoundStatement, EvalConfig, PreparedQuery};
 
 /// Compile-time guarantee that the compiled query pipeline is shareable
 /// across threads: a server prepares a query once (`Arc<PreparedQuery>`),
@@ -88,9 +88,7 @@ pub use query::{CountTarget, Ecrpq, NodeVar, PathVar};
 
 /// Convenient re-exports for examples and downstream users.
 pub mod prelude {
-    pub use crate::eval::{
-        self, Answer, BoundPlan, BoundStatement, EvalConfig, PlannerMode, PreparedQuery,
-    };
+    pub use crate::eval::{self, Answer, BoundPlan, BoundStatement, EvalConfig, PreparedQuery};
     pub use crate::parse::{parse_query, parse_query_with, ParseError};
     pub use crate::query::{CountTarget, Ecrpq, NodeVar, PathVar};
     pub use crate::QueryError;

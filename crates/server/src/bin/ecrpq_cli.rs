@@ -18,9 +18,9 @@
 //!   remove-edges <graph> <from> <label> <to> […]
 //!                                      remove edge triples (unknown ones
 //!                                      count under `missing`)
-//!   explain <name> <graph> [planner]   show the query plan (join order, BFS
+//!   explain <name> <graph>             show the query plan (join order, BFS
 //!                                      directions, estimated vs actual atom
-//!                                      cardinalities; planner: cost|static)
+//!                                      cardinalities)
 //!   save <graph> <path>                persist a binary snapshot (+ a
 //!                                      <path>.art statement sidecar) on
 //!                                      the server's filesystem
@@ -131,13 +131,8 @@ fn main() {
             ok &= print_reply(client.remove_edges(g, &edges));
         }
         Some("explain") => {
-            let usage = "explain <name> <graph> [planner]";
-            let name = rest.get(1).unwrap_or_else(|| die(usage));
-            let graph = rest.get(2).unwrap_or_else(|| die(usage));
-            let reply = match rest.get(3) {
-                Some(planner) => client.explain_planner(name, graph, planner),
-                None => client.explain(name, graph),
-            };
+            let (name, graph) = two(&rest, "explain <name> <graph>");
+            let reply = client.explain(name, graph);
             // Render the plan for humans on stderr; stdout keeps the
             // one-JSON-line contract that scripts rely on.
             if let Ok(v) = &reply {

@@ -225,21 +225,6 @@ impl Client {
         ]))
     }
 
-    /// `explain` with an explicit planner (`cost` or `static`).
-    pub fn explain_planner(
-        &mut self,
-        name: &str,
-        graph: &str,
-        planner: &str,
-    ) -> Result<Value, ServerError> {
-        self.request(&Value::obj([
-            ("op", Value::str("explain")),
-            ("name", Value::str(name)),
-            ("graph", Value::str(graph)),
-            ("planner", Value::str(planner)),
-        ]))
-    }
-
     /// `save` a cataloged graph as a binary snapshot at `path` (plus its
     /// `path.art` statement sidecar).
     pub fn save(&mut self, graph: &str, path: &str) -> Result<Value, ServerError> {

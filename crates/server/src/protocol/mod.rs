@@ -33,9 +33,7 @@
 use crate::catalog::{GraphCatalog, GraphSource};
 use crate::registry::StatementRegistry;
 use crate::ServerError;
-use ecrpq::eval::{
-    BoundStatement, EvalStats, MaintainedStatement, Mode, PlannerMode, PreparedQuery,
-};
+use ecrpq::eval::{BoundStatement, EvalStats, MaintainedStatement, Mode, PreparedQuery};
 use ecrpq::{persist, EvalConfig, Trace};
 use ecrpq_automata::Alphabet;
 use ecrpq_graph::delta::{LiveGraph, DEFAULT_MERGE_THRESHOLD};
@@ -541,8 +539,8 @@ mod tests {
     }
 
     /// The `explain` op reports the chosen plan (direction, join order,
-    /// estimated vs actual cardinalities) for both planner modes, and the
-    /// `stats` op surfaces the graph statistics the planner consumes.
+    /// estimated vs actual cardinalities), and the `stats` op surfaces the
+    /// graph statistics the planner consumes.
     #[test]
     fn explain_reports_plan_and_stats_exposes_graph_statistics() {
         let s = loaded_service();
@@ -567,14 +565,6 @@ mod tests {
         assert!(text.contains("plan (cost-based)"), "rendered plan: {text}");
         assert!(text.contains("join order:"), "rendered plan: {text}");
 
-        // The static planner reports infinite (null) estimates but the same
-        // measured cardinalities.
-        let r = reply(&s, r#"{"op":"explain","name":"q","graph":"g","planner":"static"}"#);
-        assert_eq!(r.get("planner").unwrap().as_str(), Some("static"));
-        let atom = &r.get("atoms").unwrap().as_arr().unwrap()[0];
-        assert!(atom.get("est_pairs").unwrap().as_f64().is_none(), "static estimate is null");
-        assert_eq!(atom.get("actual_pairs").unwrap().as_u64(), Some(6));
-
         // `stats` with a graph name includes the cached graph statistics.
         let st = reply(&s, r#"{"op":"stats","graph":"g"}"#);
         let gs = st.get("graph_stats").unwrap();
@@ -597,20 +587,14 @@ mod tests {
             r#"{"op":"prepare","name":"q","query":"Ans(x, y) <- (x, p, y), L(p) = a a","graph":"g"}"#,
         );
 
-        // Unloaded graph, unknown statement, malformed planner, and
-        // a request missing its required fields.
+        // Unloaded graph, unknown statement, and a request missing its
+        // required fields.
         assert_error_reply(&s, r#"{"op":"explain","name":"q","graph":"missing"}"#, "unknown graph");
         assert_error_reply(
             &s,
             r#"{"op":"explain","name":"nope","graph":"g"}"#,
             "unknown statement",
         );
-        assert_error_reply(
-            &s,
-            r#"{"op":"explain","name":"q","graph":"g","planner":"oracle"}"#,
-            "planner",
-        );
-        assert_error_reply(&s, r#"{"op":"explain","name":"q","graph":"g","planner":7}"#, "planner");
         assert_error_reply(&s, r#"{"op":"explain","name":"q"}"#, "graph");
         assert_error_reply(&s, r#"{"op":"explain","graph":"g"}"#, "name");
 
@@ -940,12 +924,13 @@ mod tests {
         );
     }
 
-    /// `threads` is no longer a request field: `run`, `trace`, `explain`
-    /// and a batch-level default carrying it — far above any cap the server
-    /// once had — are answered exactly as without it, and `stats` reports
-    /// no thread cap.
+    /// `threads` and `planner` are no longer request fields: `run`,
+    /// `trace`, `explain` and a batch-level default carrying either — a
+    /// thread count far above any cap the server once had, or the retired
+    /// static planner — are answered exactly as without it, and `stats`
+    /// reports no thread cap.
     #[test]
-    fn retired_threads_field_is_ignored_on_the_wire() {
+    fn retired_threads_and_planner_fields_are_ignored_on_the_wire() {
         let s = loaded_service();
         reply(
             &s,
@@ -969,8 +954,11 @@ mod tests {
             r#"{"op":"explain","name":"q","graph":"g"}"#,
             r#"{"op":"batch","name":"q","graph":"g","requests":[{},{"op":"explain"}]}"#,
         ] {
-            let with = without.replacen(r#""graph":"g""#, r#""graph":"g","threads":64"#, 1);
-            assert_eq!(answers(&with), answers(without), "{with}");
+            for retired in [r#""threads":64"#, r#""planner":"static""#] {
+                let with =
+                    without.replacen(r#""graph":"g""#, &format!(r#""graph":"g",{retired}"#), 1);
+                assert_eq!(answers(&with), answers(without), "{with}");
+            }
         }
         let Value::Obj(stats) = reply(&s, r#"{"op":"stats"}"#) else { panic!("stats object") };
         assert!(stats.iter().all(|(k, _)| !k.contains("thread")), "stats reports a thread knob");

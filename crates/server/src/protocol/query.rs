@@ -140,7 +140,7 @@ impl Service {
                 (Arc::new(stmt), "inline")
             }
         };
-        let plan = stmt.plan_with(run.planner);
+        let plan = stmt.plan();
         qtrace::end_span(&mut trace, resolve);
 
         // Each verified row is written into the reply text as the join
@@ -212,15 +212,13 @@ impl Service {
     /// plus a human-readable rendering under `text`.
     pub(crate) fn op_explain(
         &self,
-        planner: PlannerMode,
         name: &str,
         gname: &str,
         cache: &mut BatchCache,
     ) -> Result<Value, ServerError> {
         // Plans are explained against the merged graph, not the overlay.
         let (_, stmt, verdict) = self.bound_on_merged(name, gname, cache)?;
-        let plan = stmt.plan_with(planner);
-        let report = plan.explain(&EvalConfig::default()).map_err(ServerError::msg)?;
+        let report = stmt.plan().explain(&EvalConfig::default()).map_err(ServerError::msg)?;
         let atoms: Vec<Value> = report
             .atoms
             .iter()
@@ -238,8 +236,6 @@ impl Service {
                         },
                     ),
                     ("automaton_states", Value::int(a.automaton_states as u64)),
-                    // Infinite estimates (the static planner's "don't know")
-                    // serialize as null.
                     ("est_pairs", Value::Num(a.est_pairs)),
                     ("est_fwd_frontier", Value::Num(a.est_fwd_frontier)),
                     ("est_rev_frontier", Value::Num(a.est_rev_frontier)),
@@ -249,7 +245,7 @@ impl Service {
             .collect();
         Ok(ok_obj([
             ("registry", Value::str(verdict)),
-            ("planner", Value::str(report.planner_name())),
+            ("planner", Value::str("cost-based")),
             (
                 "join_order",
                 Value::Arr(report.join_order.iter().map(|v| Value::str(v.as_str())).collect()),

@@ -37,26 +37,27 @@ pub fn parse_request(line: &str) -> Result<(Value, Option<Value>), ServerError> 
 /// | `add_edges` | `graph`, plus `edges` (array of `[from, label, to]` string triples) and/or `text` (edge-list lines); optional `merge_threshold` (honored when the overlay is created) | applies the batch to the graph's live overlay: `added`, `removed`, `missing`, `nodes`, `edges`, `pending`, `version`, `merged` (true when the batch crossed the merge threshold and a fresh epoch was published), `merges`, `maintained` (statements kept incrementally up to date) |
 /// | `remove_edges` | like `add_edges` | removes *every* live instance of each triple (reply fields as `add_edges`; a triple matching nothing counts as `missing`) |
 /// | `prepare` | `name`, `query`, plus `alphabet` (label array) or `graph` (use its alphabet) | `name`, `node_vars`, `path_vars` |
-/// | `run` | `name`, `graph`, optional `mode` (`nodes`\|`boolean`\|`paths`), `limit`, `planner` (`cost`\|`static`) | `registry` (`hit`\|`miss`), `answers`/`answer`, `count`, `stats` |
+/// | `run` | `name`, `graph`, optional `mode` (`nodes`\|`boolean`\|`paths`), `limit` | `registry` (`hit`\|`miss`), `answers`/`answer`, `count`, `stats` |
 /// | `check` | `name`, `graph`, `nodes` (names), `paths` (alternating `[node, label, node, …]`) | `member` |
-/// | `explain` | `name`, `graph`, optional `planner` | `planner`, `join_order`, `atoms` (per-atom direction/pin/estimated vs actual cardinalities), `stats`, `answers`, `text` (rendered plan) |
-/// | `trace` | like `run` (`name` *or* inline `query` text), `graph`, optional `mode`, `limit`, `planner` | `run`'s fields plus `trace`: a wall-clock span tree (`resolve` → `run` with per-phase engine children → `render`; with `query`, also `parse`/`compile`/`bind`) and `server_latency_us`, the root-span duration also recorded into the request histogram |
+/// | `explain` | `name`, `graph` | `planner` (always `cost-based`), `join_order`, `atoms` (per-atom direction/pin/estimated vs actual cardinalities), `stats`, `answers`, `text` (rendered plan) |
+/// | `trace` | like `run` (`name` *or* inline `query` text), `graph`, optional `mode`, `limit` | `run`'s fields plus `trace`: a wall-clock span tree (`resolve` → `run` with per-phase engine children → `render`; with `query`, also `parse`/`compile`/`bind`) and `server_latency_us`, the root-span duration also recorded into the request histogram |
 /// | `stats` | optional `graph` | `version`, `uptime_s`, catalog/registry/server counters; with `graph`, its `graph_stats` (per-label edge/endpoint counts, degree maxima, sampled reach fraction) |
 /// | `metrics` | optional `format` (`text`\|`json`) | `text`: the metrics registry in Prometheus exposition format; `json`: structured families with estimated histogram quantiles |
 /// | `slowlog` | optional `limit` | `threshold_ms`, `entries` (ring buffer of requests slower than `--slow-query-ms`, newest first) |
 /// | `save` | `graph`, `path` | writes the binary snapshot to `path` and the statement sidecar (names and texts, nothing compiled) to `path.art`; `graph`, `path`, `bytes`, `statements` (persisted), `sidecar_gc` |
 /// | `open` | `name`, `path` | opens a snapshot under a *fresh* catalog name; every sidecar statement is re-prepared from its text, bound and compiled before the graph is published, then installed warm; `graph`, `nodes`, `edges`, `statements` (warmed) |
-/// | `batch` | `requests` (array of sub-requests, each a `run`/`check`/`explain`/`trace`/`stats` object; `op` defaults to `run`); a sub-request reads any field it omits from the batch object, so batch-level `name`, `graph`, `mode`, `planner`, `limit` act as defaults | `count`, `results` (one reply object per sub-request, in order; a failing sub yields `ok: false` *inside* `results`, never a batch-level error) |
+/// | `batch` | `requests` (array of sub-requests, each a `run`/`check`/`explain`/`trace`/`stats` object; `op` defaults to `run`); a sub-request reads any field it omits from the batch object, so batch-level `name`, `graph`, `mode`, `limit` act as defaults | `count`, `results` (one reply object per sub-request, in order; a failing sub yields `ok: false` *inside* `results`, never a batch-level error) |
 /// | `close` | — | `closing: true`, then the connection ends |
 /// | `shutdown` | — | `shutting_down: true`, then the whole server stops |
 ///
 /// Each field has one type: a string, a non-negative integer (`limit`,
 /// `merge_threshold`), or an array of strings (`alphabet`, `nodes`, each
 /// `paths` entry). Absent optional fields take their defaults; fields an op
-/// does not read are ignored. A field an op reads but cannot decode (the
-/// wrong type, an unknown `mode`, `planner` or `format`) gets a structured
-/// `ok: false` reply naming the field — never a silent default, never a
-/// dropped connection — before the request touches any server state.
+/// does not read are ignored (the retired `threads` and `planner` fields
+/// among them). A field an op reads but cannot decode (the wrong type, an
+/// unknown `mode` or `format`) gets a structured `ok: false` reply naming
+/// the field — never a silent default, never a dropped connection — before
+/// the request touches any server state.
 pub(crate) const OPS: [(&str, Op); 16] = [
     ("load", Op::Load),
     ("add_edges", Op::AddEdges),
@@ -194,7 +195,6 @@ impl<'a> Request<'a> {
         Ok(Run {
             target,
             graph: self.str("graph")?,
-            planner: self.planner()?,
             limit: self.opt_uint("limit")?,
             mode: match self.opt_str("mode")?.unwrap_or("nodes") {
                 "nodes" => Mode::Nodes,
@@ -203,15 +203,6 @@ impl<'a> Request<'a> {
                 other => return Err(ServerError(format!("unknown run mode `{other}`"))),
             },
         })
-    }
-
-    /// The optional `planner`: `cost` (the default) or `static`.
-    fn planner(self) -> Result<PlannerMode, ServerError> {
-        match self.opt_str("planner")? {
-            None | Some("cost" | "cost-based") => Ok(PlannerMode::CostBased),
-            Some("static") => Ok(PlannerMode::Static),
-            Some(_) => Err(ServerError("`planner` must be `cost` or `static`".into())),
-        }
     }
 
     /// The one graph source of a `load`: the first source field present.
@@ -290,7 +281,6 @@ impl<'a> Request<'a> {
 pub(crate) struct Run<'a> {
     pub(crate) target: Target<'a>,
     pub(crate) graph: &'a str,
-    pub(crate) planner: PlannerMode,
     pub(crate) limit: Option<u64>,
     pub(crate) mode: Mode,
 }
@@ -421,10 +411,7 @@ impl Service {
                 let (name, graph) = (req.str("name")?, req.str("graph")?);
                 self.op_check(name, graph, req.strs("nodes")?, req.paths()?, cache)
             }
-            ReadOp::Explain => {
-                let planner = req.planner()?;
-                self.op_explain(planner, req.str("name")?, req.str("graph")?, cache)
-            }
+            ReadOp::Explain => self.op_explain(req.str("name")?, req.str("graph")?, cache),
             ReadOp::Stats => self.op_stats(req.opt_str("graph")?),
         }
     }

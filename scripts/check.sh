@@ -6,10 +6,10 @@
 # (from anywhere inside the repo)
 #
 # The default sequence is build (workspace, then the benchmarks/e2e package
-# against it) + tests (the Figure 1 rows among them, pinned as exact counts
-# by tests/fig1_shapes.rs) + fmt + clippy + rustdoc (-D warnings) + the parser and
-# examples gates + the concurrency gate + the planner differential gate +
-# the server smoke (an ephemeral-port
+# against it) + the workspace tests, run once (the Figure 1 rows among them,
+# pinned as exact counts by tests/fig1_shapes.rs, and the parser, examples,
+# concurrency and planner differential gates) + fmt + clippy + rustdoc
+# (-D warnings) + the server smoke (an ephemeral-port
 # ecrpq-serve driven through load/prepare/run/stats/shutdown by ecrpq-cli,
 # asserting that the second run of a prepared statement is a registry hit
 # with zero sim-table compilations, that a run whose `mode` is a number is
@@ -494,27 +494,23 @@ run cargo build --release --offline --workspace --all-targets
 # workspace's target directory, as benchmarks/e2e/run.sh arranges.)
 CARGO_TARGET_DIR="$repo_root/target" run cargo build --release --offline \
     --manifest-path benchmarks/e2e/Cargo.toml
+# The workspace tests include every gate of the ecrpq-integration package:
+# - parser gates (parser_roundtrip): the bounded seeded fuzz smoke (mutated
+#   query text must never panic the parser) plus the round-trip property
+#   suite; and the examples (examples_smoke), which all parse textual
+#   queries, must still run end to end;
+# - the concurrency gate (concurrency): the threaded corpus must match the
+#   single-threaded reference engine (answers, verified counts, cache
+#   counters);
+# - the planner differential gate (planner_differential): the cost-based
+#   planner may reorder joins, flip BFS directions, and pin constants, but
+#   answers and verified counts must match the reference engine everywhere
+#   — and the EXPLAIN goldens must not drift.
 run cargo test -q --offline --workspace
 run cargo fmt --check
 run cargo clippy --offline --workspace --all-targets -- -D warnings
 # Rustdoc gate: a doc link to a renamed, deleted or private item fails here.
 RUSTDOCFLAGS="-D warnings" run cargo doc --offline --no-deps --workspace
-
-# Parser gates: the bounded seeded fuzz smoke (mutated query text must never
-# panic the parser) plus the round-trip property suite, and the examples —
-# which all parse textual queries now — must still run end to end.
-run cargo test -q --offline -p ecrpq-integration --test parser_roundtrip
-run cargo test -q --offline -p ecrpq-integration --test examples_smoke
-
-# Concurrency gate: the threaded corpus must match the single-threaded
-# reference engine (answers, verified counts, cache counters).
-run cargo test -q --offline -p ecrpq-integration --test concurrency
-
-# Planner differential gate: the cost-based planner may reorder joins, flip
-# BFS directions, and pin constants, but answers and verified counts must
-# match the static plan and the reference engine everywhere — and the
-# EXPLAIN goldens must not drift.
-run cargo test -q --offline -p ecrpq-integration --test planner_differential
 
 # Server smoke is part of the default sequence: the binaries must round-trip
 # the full statement lifecycle over real TCP, not just in unit tests.

@@ -24,10 +24,10 @@ fn alphabet() -> Alphabet {
     Alphabet::from_labels(LABELS)
 }
 
-/// A small random graph over 5 nodes and 3 labels.
+/// A small random graph over 5 nodes `v0..v4` and 3 labels.
 fn graph(g: &mut Gen) -> GraphDb {
     let mut db = GraphBuilder::new(alphabet());
-    let nodes = db.add_nodes(5);
+    let nodes: Vec<NodeId> = (0..5).map(|i| db.add_named_node(&format!("v{i}"))).collect();
     let num_edges = g.range(2, 11);
     for _ in 0..num_edges {
         let from = nodes[g.index(5)];
@@ -226,31 +226,32 @@ fn answer_automaton_emptiness_matches_reference_answers() {
 }
 
 /// The two-sided variant with a relation: emptiness verdicts across all node
-/// pairs on a fixed small graph.
+/// pairs on a fixed small graph — with the join variable free, and bound to
+/// a constant, which the planner pushes into the answer automaton's
+/// reachability stage as a pinned BFS.
 #[test]
 fn answer_automaton_emptiness_with_relations() {
     let al = alphabet();
     let cfg = config();
     prop::check(8, 0xD1FF_0007, |g| {
         let db = graph(g);
-        let q = Ecrpq::builder(&al)
-            .head_nodes(&["x", "y"])
-            .head_paths(&["p1", "p2"])
-            .atom("x", "p1", "z")
-            .atom("z", "p2", "y")
-            .relation(builtin::equal_length(&al), &["p1", "p2"])
-            .build()
-            .unwrap();
-        let (ref_answers, _) = reference::eval_nodes_with_stats(&q, &db, &cfg).unwrap();
-        for x in 0..5u32 {
-            for y in 0..5u32 {
-                let aut =
-                    answers::answer_automaton(&q, &db, &[NodeId(x), NodeId(y)], &cfg).unwrap();
-                assert_eq!(
-                    !aut.is_empty(),
-                    ref_answers.contains(&vec![NodeId(x), NodeId(y)]),
-                    "emptiness disagrees at ({x},{y})"
-                );
+        let z = g.index(5);
+        for text in [
+            "Ans(x, y, p1, p2) <- (x, p1, z), (z, p2, y), R(p1, p2) = el".to_string(),
+            format!("Ans(x, y, p1, p2) <- (x, p1, z), (z, p2, y), R(p1, p2) = el, z = :v{z}"),
+        ] {
+            let q = parse_query(&text, &al).unwrap();
+            let (ref_answers, _) = reference::eval_nodes_with_stats(&q, &db, &cfg).unwrap();
+            for x in 0..5u32 {
+                for y in 0..5u32 {
+                    let nodes = [NodeId(x), NodeId(y)];
+                    let aut = answers::answer_automaton(&q, &db, &nodes, &cfg).unwrap();
+                    assert_eq!(
+                        !aut.is_empty(),
+                        ref_answers.contains(&nodes.to_vec()),
+                        "{text}: emptiness disagrees at ({x},{y})"
+                    );
+                }
             }
         }
     });
@@ -278,14 +279,7 @@ fn prepared_then_bound_matches_one_shot_and_reference() {
         let prepared = eval::prepare(&q).unwrap();
         for graph_idx in 0..3 {
             let db = graph(g);
-            // The cache contract below is about the prepared pipeline, so pin
-            // the planner to the static mode: the cost-based planner adapts
-            // BFS directions to each graph's statistics and may lazily
-            // compile reverse tables on a later graph — a legitimate
-            // first-compile, not a recompilation. (The one-shot and reference
-            // runs still plan cost-based, so this doubles as a cross-planner
-            // differential check.)
-            let bound = prepared.bind_with(&db, eval::PlannerMode::Static).unwrap();
+            let bound = prepared.bind(&db).unwrap();
             let (mut prep_ans, prep_stats) = bound.run_nodes(&cfg).unwrap();
             let mut oneshot = eval::eval_nodes(&q, &db, &cfg).unwrap();
             let (mut refr, _) = reference::eval_nodes_with_stats(&q, &db, &cfg).unwrap();
@@ -301,6 +295,10 @@ fn prepared_then_bound_matches_one_shot_and_reference() {
                     prep_stats.sim_cache_misses > 0,
                     "first run of a fresh prepared query must compile automata"
                 );
+                // The planner adapts BFS directions to each graph's
+                // statistics, so a later graph may need the reverse tables
+                // graph 0 did not: compile every table once, here.
+                prepared.warm_full();
             } else {
                 assert_eq!(
                     prep_stats.sim_cache_misses, 0,
@@ -428,8 +426,8 @@ fn large_automata_run_on_the_one_engine() {
     }
 
     // With `y` bound, the cost-based planner pins a reverse BFS over the
-    // reversed chain at `y`; its answers are column `y` of the forward rows
-    // the static planner's all-sources BFS computes.
+    // reversed chain at `y`; its answers are column `y` of the unpinned
+    // query's rows.
     for (i, &y) in nodes.iter().enumerate().step_by(7) {
         let q = Ecrpq::builder(&al)
             .head_nodes(&["x"])
@@ -443,11 +441,8 @@ fn large_automata_run_on_the_one_engine() {
         assert_eq!(report.atoms[0].direction, Direction::Reverse, "v{i}");
         assert_eq!(report.atoms[0].pinned.as_deref(), Some(format!("v{i}").as_str()));
         let (column, _) = prepared.bind(&g).unwrap().run_nodes(&cfg).unwrap();
-        let (forward, _) =
-            prepared.bind_with(&g, PlannerMode::Static).unwrap().run_nodes(&cfg).unwrap();
         let want: Vec<Vec<NodeId>> =
             expected.iter().filter(|row| row[1] == y).map(|row| vec![row[0]]).collect();
-        assert_eq!(sorted(forward), want, "v{i}");
         assert_eq!(sorted(column), want, "v{i}");
     }
 }

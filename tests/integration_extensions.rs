@@ -51,6 +51,28 @@ fn qlen_over_approximates_on_random_graphs() {
                 assert!(el_answers.contains(ans));
             }
         }
+
+        // A bound constant: the planner pins the reachability stage of
+        // Q_len at it. `el` is its own length abstraction, so here Q_len is
+        // exact and must equal the full evaluation. The copy names node `i`
+        // `v{i}` so a constant can refer to it.
+        let mut named = GraphBuilder::new(al.clone());
+        let ids: Vec<NodeId> =
+            g.nodes().map(|v| named.add_named_node(&format!("v{}", v.0))).collect();
+        for e in g.edges() {
+            named.add_edge(ids[e.from.index()], e.label, ids[e.to.index()]);
+        }
+        let named = named.build();
+        for z in [0, 5, 11] {
+            let text = format!("Ans(x, y) <- (x, p1, z), (z, p2, y), R(p1, p2) = el, z = :v{z}");
+            let q = parse_query(&text, &al).unwrap();
+            let mut full = eval::eval_nodes(&q, &named, &cfg()).unwrap();
+            let mut qlen = eval_qlen(&q, &named, &cfg()).unwrap();
+            full.sort();
+            qlen.sort();
+            assert!(!full.is_empty(), "seed {seed}: {text}");
+            assert_eq!(qlen, full, "seed {seed}: {text}");
+        }
     }
 }
 
