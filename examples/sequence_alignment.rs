@@ -29,8 +29,9 @@ fn main() -> Result<(), QueryError> {
 
     // ECRPQ check: are the two sequences within edit distance k? The reads
     // are at distance 2, so the sweep crosses from "no" to "yes" at k = 2.
-    // (k = 3 works too but its relation automaton makes a debug-profile run
-    // take a minute — keep the demo snappy.)
+    // (k = 3 works too, but in a debug build its relation automaton, 28,330
+    // states over these four labels, takes about 7 s to construct on a
+    // 2-vCPU machine — keep the demo snappy.)
     for k in 0..=2 {
         let q = parse_query(
             &format!(

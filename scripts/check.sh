@@ -17,7 +17,9 @@
 # succeeds, and that 50 runs whose ~13 KB replies
 # outgrow the server's 8 KB write buffer take under 1 s on one connection:
 # a reply sent as body plus a separate newline waits ~40 ms for a delayed
-# ACK; and that the bytes of two replies, read raw over bash /dev/tcp — the
+# ACK; that preparing an `edit_le_2` statement over a six-label graph, which
+# synchronizes a 4,075-state relation automaton, replies within 1 s; and
+# that the bytes of two replies, read raw over bash /dev/tcp — the
 # 1,000-row run, and runs over node names that need JSON escaping — hash to
 # pinned SHA-256 values, and that a paths-mode run over those names replies
 # no rows with `"limit":0` and two with `"limit":2`) + the storage smoke
@@ -193,6 +195,18 @@ server_smoke() {
         exit 1
     fi
 
+    # Relation construction: `edit_le_2` over six labels synchronizes into a
+    # 4,075-state, 314,088-transition automaton when it is prepared.
+    "$cli" --addr "$addr" load dna 'string:a c g t e f' > /dev/null
+    start_ns=$(date +%s%N)
+    "$cli" --addr "$addr" prepare near 'Ans(x, y) <- (x, p, y), (x, q, y), R(p, q) = edit_le_2' dna > /dev/null
+    elapsed_ms=$(( ($(date +%s%N) - start_ns) / 1000000 ))
+    echo "    prepare of edit_le_2 over six labels: ${elapsed_ms} ms"
+    if (( elapsed_ms >= 1000 )); then
+        echo "server smoke FAILED: building edit_le_2 over six labels takes >= 1 s" >&2
+        exit 1
+    fi
+
     # Reply bytes: the 1,000-row reply above and a run over names that need
     # escaping, read raw over bash /dev/tcp (no CLI in between), must hash
     # to the pinned values.
@@ -228,7 +242,7 @@ server_smoke() {
     wait "$server_pid"
     server_pid=""
     rm -f "$log"
-    echo "    server smoke OK (second run: registry hit, sim_cache_misses=0; mistyped field rejected by name; large replies do not stall; reply bytes pinned; paths limit 0 and 2 honoured)"
+    echo "    server smoke OK (second run: registry hit, sim_cache_misses=0; mistyped field rejected by name; large replies do not stall; edit_le_2 over six labels prepares within 1 s; reply bytes pinned; paths limit 0 and 2 honoured)"
 }
 
 # Sends the request lines after $1 (a host:port) and then `close` over one
