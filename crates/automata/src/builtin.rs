@@ -9,7 +9,7 @@
 
 use crate::alphabet::{Alphabet, Symbol, TupleSym};
 use crate::nfa::Nfa;
-use crate::relation::RegularRelation;
+use crate::relation::{RegularRelation, TooLarge, RELATION_BUDGET};
 use crate::transducer::edit_distance_transducer;
 use std::collections::HashMap;
 
@@ -132,8 +132,11 @@ pub fn morphism(alphabet: &Alphabet, mapping: &HashMap<Symbol, Symbol>) -> Regul
 }
 
 /// Bounded Hamming distance: equal-length words differing in at most `k`
-/// positions.
-pub fn hamming_leq(alphabet: &Alphabet, k: usize) -> RegularRelation {
+/// positions. [`TooLarge`] if its `k + 1` states, `(k + 1)·|Σ|` matches and
+/// `k·|Σ|·(|Σ| − 1)` substitutions pass the budget.
+pub fn hamming_leq(alphabet: &Alphabet, k: usize) -> Result<RegularRelation, TooLarge> {
+    let n = alphabet.len();
+    within_budget(k, n, n.saturating_mul(n.saturating_sub(1)))?;
     let mut nfa = Nfa::new();
     let states = nfa.add_states(k + 1);
     nfa.add_initial(states[0]);
@@ -151,16 +154,34 @@ pub fn hamming_leq(alphabet: &Alphabet, k: usize) -> RegularRelation {
             }
         }
     }
-    RegularRelation::from_nfa(2, nfa).named(&format!("hamming_le_{k}"))
+    Ok(RegularRelation::from_nfa(2, nfa).named(&format!("hamming_le_{k}")))
 }
 
 /// Bounded edit distance `D≤k`: pairs of words at Levenshtein distance at
 /// most `k` (insertions, deletions, substitutions). Built by synchronizing a
 /// bounded-delay transducer (Frougny–Sakarovitch; Section 4 of the paper).
-pub fn edit_distance_leq(alphabet: &Alphabet, k: usize) -> RegularRelation {
-    let transducer = edit_distance_transducer(alphabet, k);
-    let nfa = transducer.synchronize(k);
-    RegularRelation::from_nfa(2, nfa).named(&format!("edit_le_{k}"))
+/// [`TooLarge`] if the transducer (`k + 1` states, `(k + 1)·|Σ|` matches and
+/// `k·|Σ|·(|Σ| + 1)` edits) or the synchronized automaton passes the budget.
+pub fn edit_distance_leq(alphabet: &Alphabet, k: usize) -> Result<RegularRelation, TooLarge> {
+    let n = alphabet.len();
+    within_budget(k, n, n.saturating_mul(n + 1))?;
+    let nfa = edit_distance_transducer(alphabet, k).synchronize(k)?;
+    Ok(RegularRelation::from_nfa(2, nfa).named(&format!("edit_le_{k}")))
+}
+
+/// Checks, before anything is allocated, the size (states plus
+/// transitions) of an automaton with `k + 1` states that each have
+/// `per_state` transitions, the first `k` of them `per_step` more. The
+/// arithmetic saturates, so a huge `k` cannot wrap around the check.
+fn within_budget(k: usize, per_state: usize, per_step: usize) -> Result<(), TooLarge> {
+    let size = k
+        .saturating_add(1)
+        .saturating_mul(per_state + 1)
+        .saturating_add(k.saturating_mul(per_step));
+    if size > RELATION_BUDGET {
+        return Err(TooLarge);
+    }
+    Ok(())
 }
 
 /// The universal binary relation (any pair of words). Useful for padding
@@ -274,7 +295,7 @@ mod tests {
     fn hamming_relation() {
         let al = ab();
         let (a, b) = (al.sym("a"), al.sym("b"));
-        let h1 = hamming_leq(&al, 1);
+        let h1 = hamming_leq(&al, 1).unwrap();
         assert!(h1.contains(&[&[a, b, a], &[a, b, a]]));
         assert!(h1.contains(&[&[a, b, a], &[a, a, a]]));
         assert!(!h1.contains(&[&[a, b, a], &[b, a, a]]));
@@ -296,7 +317,7 @@ mod tests {
             vec![b, b, a, a],
         ];
         for k in 0..=2 {
-            let rel = edit_distance_leq(&al, k);
+            let rel = edit_distance_leq(&al, k).unwrap();
             for x in &words {
                 for y in &words {
                     let expected = levenshtein(x, y) <= k;

@@ -15,7 +15,30 @@ use crate::dfa::{self, complement_nfa};
 use crate::nfa::{Nfa, StateId};
 use crate::regex::{Regex, RegexError};
 use crate::sim::CompactNfa;
+use std::fmt;
 use std::sync::{Arc, OnceLock};
+
+/// The most states plus transitions a built-in relation's construction may
+/// produce: the transducer it is synchronized from, or the synchronized
+/// automaton before it is trimmed to co-reachable states. Bounded edit and
+/// Hamming distance grow with `k` (edit distance as |Σ|^O(k)), and a query
+/// names any `k`, so construction stops with [`TooLarge`] at this size
+/// instead of running for minutes or allocating until the process dies.
+/// `edit_le_3` over four labels fits: its synchronization finds 67,794
+/// states and 6,106,968 transitions, and keeps 28,330 and 2,359,504.
+pub const RELATION_BUDGET: usize = 1 << 23;
+
+/// A relation whose automaton would pass [`RELATION_BUDGET`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TooLarge;
+
+impl fmt::Display for TooLarge {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "its automaton passes the budget of {RELATION_BUDGET} states and transitions")
+    }
+}
+
+impl std::error::Error for TooLarge {}
 
 /// An n-ary regular relation over Σ, represented by a synchronous automaton
 /// over `(Σ⊥)^n`.

@@ -14,7 +14,6 @@
 //! accepting test is a bitwise AND against the accepting-set row.
 
 use crate::nfa::{Nfa, StateId};
-use std::collections::HashMap;
 use std::hash::Hash;
 
 /// A set of NFA states as a fixed-width block bitset.
@@ -129,8 +128,8 @@ impl StateSet {
 pub struct CompactNfa<S> {
     num_states: usize,
     blocks: usize,
+    /// Sorted and duplicate-free; a symbol's id is its index here.
     symbols: Vec<S>,
-    sym_index: HashMap<S, u32>,
     /// `succ[offsets[i]..offsets[i + 1]]` with `i = q * num_symbols + s` is
     /// the ε-closed successor list of state `q` on symbol id `s`.
     offsets: Vec<u32>,
@@ -179,8 +178,7 @@ impl<S: Clone + Eq + Hash + Ord> CompactNfa<S> {
         let n = nfa.num_states();
         let blocks = n.div_ceil(64).max(1);
         let symbols = nfa.symbols_used();
-        let sym_index: HashMap<S, u32> =
-            symbols.iter().enumerate().map(|(i, s)| (s.clone(), i as u32)).collect();
+        let sym_id = |s: &S| symbols.binary_search(s).expect("every transition symbol") as u32;
         let (cl_off, cl) = epsilon_closures(nfa);
 
         // succ(q, s) = ⋃ { closure(to) : (s, to) ∈ δ(q) }, one symbol id
@@ -192,7 +190,7 @@ impl<S: Clone + Eq + Hash + Ord> CompactNfa<S> {
         offsets.push(0);
         for q in 0..n as StateId {
             arcs.clear();
-            arcs.extend(nfa.transitions_from(q).iter().map(|(s, to)| (sym_index[s], *to)));
+            arcs.extend(nfa.transitions_from(q).iter().map(|(s, to)| (sym_id(s), *to)));
             arcs.sort_unstable();
             arcs.dedup();
             let mut arcs = arcs.iter().peekable();
@@ -228,7 +226,7 @@ impl<S: Clone + Eq + Hash + Ord> CompactNfa<S> {
             }
         }
 
-        CompactNfa { num_states: n, blocks, symbols, sym_index, offsets, succ, initial, accepting }
+        CompactNfa { num_states: n, blocks, symbols, offsets, succ, initial, accepting }
     }
 
     /// Number of states of the compiled automaton.
@@ -254,7 +252,7 @@ impl<S: Clone + Eq + Hash + Ord> CompactNfa<S> {
     /// The dense id of a symbol, if it labels any transition.
     #[inline]
     pub fn sym_id(&self, s: &S) -> Option<u32> {
-        self.sym_index.get(s).copied()
+        self.symbols.binary_search(s).ok().map(|i| i as u32)
     }
 
     /// The ε-closed initial state set.

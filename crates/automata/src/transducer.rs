@@ -25,6 +25,7 @@
 
 use crate::alphabet::{Alphabet, Symbol, TupleSym};
 use crate::nfa::{Nfa, StateId};
+use crate::relation::{TooLarge, RELATION_BUDGET};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -141,8 +142,9 @@ impl Transducer2 {
     /// it on accepting runs). The result accepts exactly the convolutions of
     /// accepted pairs whose runs respect that delay bound. Its states are
     /// numbered in discovery order, so equal transducers give equal
-    /// automata.
-    pub fn synchronize(&self, delay_bound: usize) -> Nfa<TupleSym> {
+    /// automata. Stops with [`TooLarge`] as soon as the states and
+    /// transitions found pass [`RELATION_BUDGET`].
+    pub fn synchronize(&self, delay_bound: usize) -> Result<Nfa<TupleSym>, TooLarge> {
         // All symbols that the transducer can ever consume; the synchronized
         // automaton's alphabet is derived from the convolution letters seen.
         // The construction works on their indices in this list.
@@ -192,6 +194,9 @@ impl Transducer2 {
                     arcs.extend(sync.found.iter().map(|&to| (from as StateId, li as u32, to)));
                 }
             }
+            if sync.configs.len() + arcs.len() > RELATION_BUDGET {
+                return Err(TooLarge);
+            }
             from += 1;
         }
 
@@ -222,7 +227,7 @@ impl Transducer2 {
         for q in initial.into_iter().filter(|&q| live[q as usize]) {
             nfa.add_initial(renumber[q as usize]);
         }
-        nfa
+        Ok(nfa)
     }
 }
 
@@ -726,7 +731,7 @@ mod tests {
             vec![vec![], vec![a], vec![b], vec![a, b], vec![b, a], vec![a, b, b], vec![b, a, a, b]];
         for k in 0..=2usize {
             let t = edit_distance_transducer(&al, k);
-            let sync = t.synchronize(k);
+            let sync = t.synchronize(k).unwrap();
             for x in &words {
                 for y in &words {
                     let conv = convolution(&[x, y]);
@@ -743,7 +748,7 @@ mod tests {
         let al = Alphabet::from_labels(["a", "b"]);
         let (a, b) = (al.sym("a"), al.sym("b"));
         let t = edit_distance_transducer(&al, 0);
-        let sync = t.synchronize(0);
+        let sync = t.synchronize(0).unwrap();
         assert!(sync.accepts(&convolution(&[&[a, b][..], &[a, b][..]])));
         assert!(!sync.accepts(&convolution(&[&[a, b][..], &[a][..]])));
         assert!(sync.accepts(&convolution(&[&[][..], &[][..]])));
@@ -763,7 +768,7 @@ mod tests {
             t.add_move(q0, Some(s), None, q1); // drop the first symbol of x
             t.add_move(q1, Some(s), Some(s), q1); // then copy
         }
-        let sync = t.synchronize(1);
+        let sync = t.synchronize(1).unwrap();
         assert!(sync.accepts(&convolution(&[&[a, b, a][..], &[b, a][..]])));
         assert!(!sync.accepts(&convolution(&[&[a, b, a][..], &[a, b][..]])));
         assert!(!sync.accepts(&convolution(&[&[][..], &[][..]])));
@@ -782,7 +787,7 @@ mod tests {
         let al = labels(2);
         cases.push(("shift".to_string(), al.clone(), shift_transducer(&al), 1));
         for (name, al, t, k) in &cases {
-            let new = t.synchronize(*k);
+            let new = t.synchronize(*k).unwrap();
             let reference = synchronize_reference(t, *k);
             assert_eq!(new.num_states(), reference.num_states(), "{name}: states");
             assert_eq!(new.num_transitions(), reference.num_transitions(), "{name}: transitions");
@@ -792,14 +797,14 @@ mod tests {
             }
         }
         let acgt = Alphabet::from_labels(["a", "c", "g", "t"]);
-        let nfa = edit_distance_leq(&acgt, 2).nfa().clone();
+        let nfa = edit_distance_leq(&acgt, 2).unwrap().nfa().clone();
         assert_eq!((nfa.num_states(), nfa.num_transitions()), (1_127, 47_600));
     }
 
     #[test]
     fn random_pairs_agree_with_levenshtein() {
         let al = labels(4);
-        let sync = edit_distance_transducer(&al, 2).synchronize(2);
+        let sync = edit_distance_transducer(&al, 2).synchronize(2).unwrap();
         let symbols: Vec<Symbol> = al.symbols().collect();
         let mut rng = Rng(42);
         let mut within = 0;
@@ -832,7 +837,8 @@ mod tests {
     #[test]
     fn two_builds_are_identical() {
         let al = Alphabet::from_labels(["a", "c", "g", "t"]);
-        let (first, second) = (edit_distance_leq(&al, 2), edit_distance_leq(&al, 2));
+        let (first, second) =
+            (edit_distance_leq(&al, 2).unwrap(), edit_distance_leq(&al, 2).unwrap());
         let (first, second) = (first.nfa(), second.nfa());
         assert_eq!(first.initial(), second.initial());
         assert_eq!(first.num_states(), second.num_states());
@@ -861,7 +867,7 @@ mod tests {
         t.add_move(q2, Some(a), Some(a), q1);
         let words = words_up_to(&al, 4);
         for k in 0..=1 {
-            let sync = t.synchronize(k);
+            let sync = t.synchronize(k).unwrap();
             for x in &words {
                 for y in &words {
                     let conv = convolution(&[x, y]);

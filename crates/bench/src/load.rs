@@ -160,7 +160,7 @@ pub fn load_family(cfg: &LoadConfig) -> Vec<Measurement> {
     let mut out = Vec::new();
     for &conns in &cfg.conns {
         // A fresh server per sweep point keeps the admission counters and
-        // shard statistics attributable to one phase triple.
+        // cache statistics attributable to one phase triple.
         let handle = spawn_warm_server(cfg.workers, &edges, &query_text);
         let addr = handle.addr();
         let expected_accepted = conns.min(cfg.workers);

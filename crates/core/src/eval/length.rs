@@ -294,7 +294,7 @@ mod tests {
         let q = Ecrpq::builder(&al)
             .atom("x", "p1", "y")
             .atom("y", "p2", "z")
-            .relation(builtin::edit_distance_leq(&al, 1), &["p1", "p2"])
+            .relation(builtin::edit_distance_leq(&al, 1).unwrap(), &["p1", "p2"])
             .build()
             .unwrap();
         assert!(matches!(

@@ -46,7 +46,7 @@ use ecrpq_automata::alphabet::{Alphabet, Symbol, TupleSym};
 use ecrpq_automata::builtin;
 use ecrpq_automata::nfa::Nfa;
 use ecrpq_automata::regex::{Regex, RegexError};
-use ecrpq_automata::relation::RegularRelation;
+use ecrpq_automata::relation::{RegularRelation, TooLarge};
 use ecrpq_automata::semilinear::CmpOp;
 use std::fmt;
 
@@ -386,7 +386,7 @@ impl<'a> Parser<'a> {
         // name; anything else is a regular expression over tuple letters.
         let relation = if text.chars().all(Self::is_ident_char) {
             match self.named_relation(&text) {
-                Some(rel) => {
+                Some(Ok(rel)) => {
                     if rel.arity() != paths.len() {
                         return Err(ParseError::new(
                             span,
@@ -399,6 +399,12 @@ impl<'a> Parser<'a> {
                         ));
                     }
                     rel
+                }
+                Some(Err(too_large)) => {
+                    return Err(ParseError::new(
+                        span,
+                        format!("relation `{text}` is too large: {too_large}"),
+                    ))
                 }
                 None => {
                     return Err(ParseError::new(
@@ -422,9 +428,11 @@ impl<'a> Parser<'a> {
     }
 
     /// Resolves a relation name: registry entries first, then built-ins.
-    fn named_relation(&self, name: &str) -> Option<RegularRelation> {
+    /// A bounded-distance built-in whose automaton would pass the relation
+    /// budget resolves to [`TooLarge`].
+    fn named_relation(&self, name: &str) -> Option<Result<RegularRelation, TooLarge>> {
         if let Some((_, rel)) = self.registry.iter().find(|(n, _)| *n == name) {
-            return Some(rel.clone());
+            return Some(Ok(rel.clone()));
         }
         if let Some(k) = name.strip_prefix("edit_le_").and_then(|s| s.parse::<usize>().ok()) {
             return Some(builtin::edit_distance_leq(self.alphabet, k));
@@ -432,15 +440,16 @@ impl<'a> Parser<'a> {
         if let Some(k) = name.strip_prefix("hamming_le_").and_then(|s| s.parse::<usize>().ok()) {
             return Some(builtin::hamming_leq(self.alphabet, k));
         }
-        match name {
-            "eq" | "equality" => Some(builtin::equality(self.alphabet)),
-            "el" | "equal_length" => Some(builtin::equal_length(self.alphabet)),
-            "len_lt" | "length_less" => Some(builtin::length_less(self.alphabet)),
-            "len_le" | "length_leq" => Some(builtin::length_leq(self.alphabet)),
-            "prefix" => Some(builtin::prefix(self.alphabet)),
-            "true" | "universal" => Some(builtin::universal(self.alphabet)),
-            _ => None,
-        }
+        let rel = match name {
+            "eq" | "equality" => builtin::equality(self.alphabet),
+            "el" | "equal_length" => builtin::equal_length(self.alphabet),
+            "len_lt" | "length_less" => builtin::length_less(self.alphabet),
+            "len_le" | "length_leq" => builtin::length_leq(self.alphabet),
+            "prefix" => builtin::prefix(self.alphabet),
+            "true" | "universal" => builtin::universal(self.alphabet),
+            _ => return None,
+        };
+        Some(Ok(rel))
     }
 
     /// Parses a linear constraint. `first` is a `len`/`count` keyword the
@@ -796,6 +805,32 @@ mod tests {
                 (err.span.start, err.span.end, err.message.as_str()),
                 (*start, *end, *message),
                 "for input {input:?}"
+            );
+        }
+    }
+
+    /// A bounded-distance relation past the relation budget is a parse
+    /// error naming it, not a build that runs for minutes (`edit_le_9`
+    /// stops partway through synchronization) or allocates `k + 1` states
+    /// (`hamming_le_4000000000` is refused before anything is built).
+    #[test]
+    fn relations_past_the_budget_are_refused() {
+        let acgt = Alphabet::from_labels(["a", "c", "g", "t"]);
+        let budget = ecrpq_automata::relation::RELATION_BUDGET;
+        for name in ["edit_le_9", "hamming_le_4000000000"] {
+            let input = format!("Ans() <- (x, p, y), (u, q, v), R(p, q) = {name}");
+            let err = parse_query(&input, &acgt).unwrap_err();
+            let start = input.len() - name.len();
+            assert_eq!(
+                (err.span.start, err.span.end, err.message),
+                (
+                    start,
+                    input.len(),
+                    format!(
+                        "relation `{name}` is too large: its automaton passes the budget of \
+                         {budget} states and transitions"
+                    )
+                ),
             );
         }
     }

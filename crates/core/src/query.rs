@@ -679,7 +679,7 @@ mod tests {
             .unwrap();
         assert!(q.relations[0].length_abstraction.is_some());
         assert!(infer_length_abstraction(&builtin::prefix(&al)).is_some());
-        assert!(infer_length_abstraction(&builtin::edit_distance_leq(&al, 1)).is_none());
+        assert!(infer_length_abstraction(&builtin::edit_distance_leq(&al, 1).unwrap()).is_none());
     }
 
     #[test]

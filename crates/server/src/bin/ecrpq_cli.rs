@@ -210,35 +210,18 @@ fn main() {
             };
             // A human-readable admission/backpressure summary on stderr;
             // stdout keeps the one-JSON-line contract that scripts rely on.
-            if let Ok(v) = &reply {
-                if let Some(adm) = v.get("admission") {
-                    let n = |k: &str| adm.get(k).and_then(Value::as_u64).unwrap_or(0);
-                    eprintln!(
-                        "admission: accepted {} rejected {} | in-flight {} queue_depth {} | \
-                         pipelined {} batched {}",
-                        n("accepted"),
-                        n("rejected"),
-                        n("in_flight"),
-                        n("queue_depth"),
-                        n("pipelined"),
-                        n("batched"),
-                    );
-                }
-                // Per-shard eviction totals for both caches, so a hot shard
-                // stands out without JSON spelunking.
-                for cache in ["registry", "catalog"] {
-                    if let Some(shards) = v.get(cache).and_then(|c| c.get("shards")) {
-                        let evs: Vec<String> = shards
-                            .as_arr()
-                            .unwrap_or(&[])
-                            .iter()
-                            .map(|s| {
-                                s.get("evictions").and_then(Value::as_u64).unwrap_or(0).to_string()
-                            })
-                            .collect();
-                        eprintln!("{cache} evictions by shard: [{}]", evs.join(","));
-                    }
-                }
+            if let Some(adm) = reply.as_ref().ok().and_then(|v| v.get("admission")) {
+                let n = |k: &str| adm.get(k).and_then(Value::as_u64).unwrap_or(0);
+                eprintln!(
+                    "admission: accepted {} rejected {} | in-flight {} queue_depth {} | \
+                     pipelined {} batched {}",
+                    n("accepted"),
+                    n("rejected"),
+                    n("in_flight"),
+                    n("queue_depth"),
+                    n("pipelined"),
+                    n("batched"),
+                );
             }
             ok &= print_reply(reply);
         }

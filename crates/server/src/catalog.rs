@@ -14,13 +14,7 @@
 //! Reloading a name replaces the stored handle; plans bound against the old
 //! graph keep their (still valid) `Arc` but the registry will rebind on the
 //! next request because the handle identity changed.
-//!
-//! Like the statement registry, the catalog map is hash-sharded
-//! ([`SHARD_COUNT`] shards keyed by graph name) so concurrent pipelined
-//! lookups of different graphs never contend on one lock, with per-shard
-//! hit/miss counters aggregated into the server's `stats` reply.
 
-use crate::registry::{shard_of, ShardCounters, SHARD_COUNT};
 use crate::ServerError;
 use ecrpq_graph::{generators, GraphBuilder, GraphDb};
 use ecrpq_util::json::Value;
@@ -43,27 +37,14 @@ pub enum GraphSource {
     Generator(String),
 }
 
-/// One shard of the catalog: its slice of the map plus lock-free lookup
-/// counters (a catalog "hit" is a [`GraphCatalog::get`] that found the
-/// name, a "miss" one that did not — the read path that every request
-/// pays).
+/// A thread-safe registry of named graphs, with lock-free lookup counters
+/// (a catalog "hit" is a [`GraphCatalog::get`] that found the name, a
+/// "miss" one that did not — the read path that every request pays).
 #[derive(Debug, Default)]
-struct CatalogShard {
-    map: RwLock<HashMap<String, Arc<GraphDb>>>,
+pub struct GraphCatalog {
+    graphs: RwLock<HashMap<String, Arc<GraphDb>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-}
-
-/// A thread-safe, hash-sharded registry of named graphs.
-#[derive(Debug)]
-pub struct GraphCatalog {
-    shards: Vec<CatalogShard>,
-}
-
-impl Default for GraphCatalog {
-    fn default() -> Self {
-        GraphCatalog { shards: (0..SHARD_COUNT).map(|_| CatalogShard::default()).collect() }
-    }
 }
 
 impl GraphCatalog {
@@ -74,24 +55,20 @@ impl GraphCatalog {
 
     /// Stores `graph` under `name`, replacing any previous graph.
     pub fn insert(&self, name: &str, graph: Arc<GraphDb>) {
-        self.shards[shard_of(name, None)].map.write().unwrap().insert(name.to_string(), graph);
+        self.graphs.write().unwrap().insert(name.to_string(), graph);
     }
 
-    /// The graph stored under `name`, counting the lookup on its shard.
+    /// The graph stored under `name`, counting the lookup.
     pub fn get(&self, name: &str) -> Option<Arc<GraphDb>> {
-        let shard = &self.shards[shard_of(name, None)];
-        let found = shard.map.read().unwrap().get(name).cloned();
-        if found.is_some() {
-            shard.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            shard.misses.fetch_add(1, Ordering::Relaxed);
-        }
+        let found = self.graphs.read().unwrap().get(name).cloned();
+        let counter = if found.is_some() { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
         found
     }
 
     /// Number of cataloged graphs.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.map.read().unwrap().len()).sum()
+        self.graphs.read().unwrap().len()
     }
 
     /// True if no graph is cataloged.
@@ -99,39 +76,16 @@ impl GraphCatalog {
         self.len() == 0
     }
 
-    /// Total lookup hits and misses across shards.
+    /// Total lookup hits and misses.
     pub fn lookup_counters(&self) -> (u64, u64) {
-        self.shards.iter().fold((0, 0), |(h, m), s| {
-            (h + s.hits.load(Ordering::Relaxed), m + s.misses.load(Ordering::Relaxed))
-        })
-    }
-
-    /// Per-shard lookup counters, in shard order (evictions always 0: the
-    /// catalog never evicts, graphs are replaced by name).
-    pub fn shard_counters(&self) -> Vec<ShardCounters> {
-        self.shards
-            .iter()
-            .map(|s| ShardCounters {
-                hits: s.hits.load(Ordering::Relaxed),
-                misses: s.misses.load(Ordering::Relaxed),
-                evictions: 0,
-            })
-            .collect()
+        (self.hits.load(Ordering::Relaxed), self.misses.load(Ordering::Relaxed))
     }
 
     /// Sorted `(name, nodes, edges)` summaries of every cataloged graph.
     pub fn summaries(&self) -> Vec<(String, usize, usize)> {
-        let mut out: Vec<(String, usize, usize)> = Vec::new();
-        for shard in &self.shards {
-            out.extend(
-                shard
-                    .map
-                    .read()
-                    .unwrap()
-                    .iter()
-                    .map(|(n, g)| (n.clone(), g.num_nodes(), g.num_edges())),
-            );
-        }
+        let graphs = self.graphs.read().unwrap();
+        let mut out: Vec<(String, usize, usize)> =
+            graphs.iter().map(|(n, g)| (n.clone(), g.num_nodes(), g.num_edges())).collect();
         out.sort();
         out
     }
@@ -236,7 +190,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_lookups_count_hits_and_misses() {
+    fn lookups_count_hits_and_misses() {
         let cat = GraphCatalog::new();
         for i in 0..10 {
             cat.load(&format!("g{i}"), &GraphSource::Generator("cycle:3:a".into())).unwrap();
@@ -248,12 +202,6 @@ mod tests {
         assert!(cat.get("absent").is_none());
         let (hits, misses) = cat.lookup_counters();
         assert_eq!((hits, misses), (10, 1));
-        let per_shard = cat.shard_counters();
-        assert_eq!(per_shard.len(), SHARD_COUNT);
-        assert_eq!(per_shard.iter().map(|c| c.hits).sum::<u64>(), hits);
-        assert_eq!(per_shard.iter().map(|c| c.misses).sum::<u64>(), misses);
-        // Ten distinct names must not all land in one shard.
-        assert!(per_shard.iter().filter(|c| c.hits > 0).count() > 1, "names should spread");
     }
 
     #[test]

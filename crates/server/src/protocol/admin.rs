@@ -49,7 +49,7 @@ impl Service {
     }
 
     /// Computes the point-in-time gauges (uptime, queue depth, cache hit
-    /// rates per cache and per shard) and mirrors the transport counters
+    /// rates) and mirrors the transport counters
     /// into the registry. Called at scrape/render time, off the query path.
     fn refresh_gauges(&self) {
         let m = &self.metrics;
@@ -115,33 +115,10 @@ impl Service {
         let (cat_hits, cat_misses) = self.catalog.lookup_counters();
         m.gauge_with("ecrpq_cache_hit_rate", &[("cache", "catalog")], "Cache lookup hit rate.")
             .set(rate(cat_hits, cat_misses));
-        for (cache_name, shards) in [
-            ("registry", self.registry.shard_counters()),
-            ("catalog", self.catalog.shard_counters()),
-        ] {
-            for (i, c) in shards.iter().enumerate() {
-                let shard = i.to_string();
-                m.gauge_with(
-                    "ecrpq_shard_hit_rate",
-                    &[("cache", cache_name), ("shard", &shard)],
-                    "Per-shard cache lookup hit rate.",
-                )
-                .set(rate(c.hits, c.misses));
-            }
-        }
     }
 
     pub(crate) fn op_stats(&self, gname: Option<&str>) -> Result<Value, ServerError> {
         let reg = self.registry.stats();
-        let shard_obj = |c: &crate::registry::ShardCounters| {
-            Value::obj([
-                ("hits", Value::int(c.hits)),
-                ("misses", Value::int(c.misses)),
-                ("evictions", Value::int(c.evictions)),
-            ])
-        };
-        let reg_shards: Vec<Value> = self.registry.shard_counters().iter().map(shard_obj).collect();
-        let cat_shards: Vec<Value> = self.catalog.shard_counters().iter().map(shard_obj).collect();
         let (cat_hits, cat_misses) = self.catalog.lookup_counters();
         let mut pairs = vec![
             ("version", Value::str(env!("CARGO_PKG_VERSION"))),
@@ -156,16 +133,11 @@ impl Service {
                     ("misses", Value::int(reg.misses)),
                     ("evictions", Value::int(reg.evictions)),
                     ("prepared", Value::int(reg.prepared)),
-                    ("shards", Value::Arr(reg_shards)),
                 ]),
             ),
             (
                 "catalog",
-                Value::obj([
-                    ("hits", Value::int(cat_hits)),
-                    ("misses", Value::int(cat_misses)),
-                    ("shards", Value::Arr(cat_shards)),
-                ]),
+                Value::obj([("hits", Value::int(cat_hits)), ("misses", Value::int(cat_misses))]),
             ),
             (
                 "admission",

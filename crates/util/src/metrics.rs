@@ -6,7 +6,7 @@
 //!
 //! * [`Counter`] — a monotonically increasing `AtomicU64`;
 //! * [`Gauge`] — a settable value (stored as `f64` bits, so both integral
-//!   gauges like queue depth and ratio gauges like shard hit rates fit);
+//!   gauges like queue depth and ratio gauges like cache hit rates fit);
 //! * [`Histogram`] — a fixed-boundary log-scale histogram of microsecond
 //!   latencies with a lock-free record path: every bucket is an
 //!   `AtomicU64`, boundaries grow by ~25% per bucket

@@ -18,8 +18,10 @@
 # outgrow the server's 8 KB write buffer take under 1 s on one connection:
 # a reply sent as body plus a separate newline waits ~40 ms for a delayed
 # ACK; that preparing an `edit_le_2` statement over a six-label graph, which
-# synchronizes a 4,075-state relation automaton, replies within 1 s; and
-# that the bytes of two replies, read raw over bash /dev/tcp — the
+# synchronizes a 4,075-state relation automaton, replies within 1 s; that
+# preparing `edit_le_9` over four labels, past the relation budget, replies
+# `ok:false` naming the relation within 1 s and a warm run on the same
+# connection still succeeds; and that the bytes of two replies, read raw over bash /dev/tcp — the
 # 1,000-row run, and runs over node names that need JSON escaping — hash to
 # pinned SHA-256 values, and that a paths-mode run over those names replies
 # no rows with `"limit":0` and two with `"limit":2`) + the storage smoke
@@ -207,6 +209,32 @@ server_smoke() {
         exit 1
     fi
 
+    # Relation budget: `edit_le_9` over four labels would synchronize for
+    # minutes; `prepare` must refuse it with an error naming the relation
+    # within 1 s, and the same connection must then serve a warm run.
+    "$cli" --addr "$addr" load acgt 'string:a c g t' > /dev/null
+    "$cli" --addr "$addr" prepare hop 'Ans(x, y) <- (x, p, y), L(p) = a' acgt > /dev/null
+    "$cli" --addr "$addr" run hop acgt > /dev/null
+    local budget_replies
+    start_ns=$(date +%s%N)
+    budget_replies=$(printf '%s\n' \
+        '{"op":"prepare","name":"far","query":"Ans(x, y) <- (x, p, y), (x, q, y), R(p, q) = edit_le_9","graph":"acgt"}' \
+        '{"op":"run","name":"hop","graph":"acgt"}' | "$cli" --addr "$addr" script) || true
+    elapsed_ms=$(( ($(date +%s%N) - start_ns) / 1000000 ))
+    echo "    prepare of edit_le_9 over four labels refused in ${elapsed_ms} ms"
+    if ! head -n 1 <<< "$budget_replies" | grep '"ok":false' | grep -q 'edit_le_9'; then
+        echo "server smoke FAILED: prepare of edit_le_9 must fail naming it: $budget_replies" >&2
+        exit 1
+    fi
+    if (( elapsed_ms >= 1000 )); then
+        echo "server smoke FAILED: refusing edit_le_9 takes >= 1 s" >&2
+        exit 1
+    fi
+    if ! sed -n 2p <<< "$budget_replies" | grep -q '"registry":"hit"'; then
+        echo "server smoke FAILED: a warm run after the refused prepare must succeed: $budget_replies" >&2
+        exit 1
+    fi
+
     # Reply bytes: the 1,000-row reply above and a run over names that need
     # escaping, read raw over bash /dev/tcp (no CLI in between), must hash
     # to the pinned values.
@@ -242,7 +270,7 @@ server_smoke() {
     wait "$server_pid"
     server_pid=""
     rm -f "$log"
-    echo "    server smoke OK (second run: registry hit, sim_cache_misses=0; mistyped field rejected by name; large replies do not stall; edit_le_2 over six labels prepares within 1 s; reply bytes pinned; paths limit 0 and 2 honoured)"
+    echo "    server smoke OK (second run: registry hit, sim_cache_misses=0; mistyped field rejected by name; large replies do not stall; edit_le_2 over six labels prepares within 1 s; edit_le_9 refused within 1 s; reply bytes pinned; paths limit 0 and 2 honoured)"
 }
 
 # Sends the request lines after $1 (a host:port) and then `close` over one

@@ -78,7 +78,7 @@ fn edit_distance_queries_match_levenshtein() {
             let q = Ecrpq::builder(&al)
                 .atom("x1", "p1", "y1")
                 .atom("x2", "p2", "y2")
-                .relation(edit_distance_leq(&al, k), &["p1", "p2"])
+                .relation(edit_distance_leq(&al, k).unwrap(), &["p1", "p2"])
                 .bind_node("x1", "s0")
                 .bind_node("y1", &format!("s{}", seq1.len()))
                 .bind_node("x2", "t0")

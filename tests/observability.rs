@@ -126,11 +126,12 @@ fn exposition_text_is_structurally_wellformed() {
         "ecrpq_uptime_seconds",
         "ecrpq_queue_depth",
         "ecrpq_cache_hit_rate",
-        "ecrpq_shard_hit_rate",
         "ecrpq_requests_total",
     ] {
         assert!(text.contains(family), "missing family `{family}`:\n{text}");
     }
+    // The caches are single maps: no per-shard gauge family.
+    assert!(!text.contains("shard_hit_rate"), "per-shard gauges are gone:\n{text}");
 
     handle.shutdown();
 }

@@ -107,7 +107,7 @@ fn builtin_relations_match_definitions() {
 #[test]
 fn edit_distance_relation_is_correct() {
     let al = alphabet();
-    let rels: Vec<_> = (0..3).map(|k| builtin::edit_distance_leq(&al, k)).collect();
+    let rels: Vec<_> = (0..3).map(|k| builtin::edit_distance_leq(&al, k).unwrap()).collect();
     prop::check(CASES, 0xED17, |g| {
         let w1 = word(g, 5);
         let w2 = word(g, 5);
