@@ -362,8 +362,10 @@ const REDUCE_MAX_NFA_STATES: usize = 512;
 /// determinize with a state cap, minimize with Hopcroft's algorithm, and
 /// adopt the result only when it is strictly smaller than the trimmed input.
 ///
-/// The language is always preserved exactly; only the state count (and hence
-/// every downstream bitset-row width) changes. When determinization would
+/// The language is always preserved exactly; only the state count changes.
+/// Fewer states mean fewer distinct state sets for a run's
+/// [`SetTable`](crate::sim::SetTable) to intern and narrower `(node, state)`
+/// rows in the reachability kernel. When determinization would
 /// blow past the cap, the trimmed original is returned unchanged, so this is
 /// safe to call unconditionally on the hot compile path.
 pub fn reduce_for_tables<S: Clone + Eq + Hash + Ord>(nfa: &Nfa<S>) -> Nfa<S> {

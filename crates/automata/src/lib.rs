@@ -50,7 +50,38 @@ pub use alphabet::{Alphabet, PadSymbol, Symbol, TupleSym};
 pub use nfa::{Nfa, StateId};
 pub use regex::Regex;
 pub use relation::RegularRelation;
-pub use sim::{CompactNfa, StateSet};
+pub use sim::{CompactNfa, SetTable};
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hashes the integer keys the constructions of this crate make (transducer
+/// configurations, interned state sets): a multiply-rotate step per 8-byte
+/// word, then murmur3's 64-bit finalizer. The keys are made by the program,
+/// not read from outside it, so SipHash's resistance to crafted collisions
+/// buys nothing here.
+#[derive(Default)]
+pub(crate) struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.0 = (self.0.rotate_left(26) ^ u64::from_ne_bytes(word))
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        let z = (self.0 ^ (self.0 >> 33)).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        let z = (z ^ (z >> 33)).wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+        z ^ (z >> 33)
+    }
+}
+
+/// A hash map over [`KeyHasher`].
+pub(crate) type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
 
 /// Compile-time guarantee that every automaton artifact the query pipeline
 /// shares across threads really is `Send + Sync`: relations memoize their

@@ -159,8 +159,8 @@ impl RegularRelation {
     /// is prepared into, every graph a prepared query is bound to) reuses one
     /// compilation.
     pub fn compiled_sim(&self) -> Arc<CompactNfa<TupleSym>> {
-        // Minimize before compiling: the state count sets the bitset width
-        // of every downstream product search key.
+        // Minimize before compiling: fewer states mean fewer distinct state
+        // sets for the product search to intern.
         Arc::clone(
             self.sim
                 .get_or_init(|| Arc::new(CompactNfa::compile(&dfa::reduce_for_tables(&self.nfa)))),

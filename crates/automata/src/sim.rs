@@ -1,4 +1,5 @@
-//! Compiled NFA simulation: ε-closed successor lists and bitset state sets.
+//! Compiled NFA simulation: ε-closed successor lists and interned state
+//! sets.
 //!
 //! [`Nfa::step`](crate::nfa::Nfa::step) rescans every outgoing transition of
 //! every current state, re-sorts the successor list, and recomputes the
@@ -8,112 +9,19 @@
 //! compile time: symbols are interned to dense ids, and for every
 //! `(state, symbol)` pair it stores the sorted ε-closed successor list, all
 //! lists in one CSR pair. Compiling costs time and memory linear in those
-//! lists, so any automaton compiles, whatever its size. State *sets* stay
-//! fixed-width bitsets ([`StateSet`]), which search keys embed verbatim: one
-//! simulation step sets the bits of one list per current state, and the
-//! accepting test is a bitwise AND against the accepting-set row.
+//! lists, so any automaton compiles, whatever its size.
+//!
+//! State *sets* are determinized only as far as a run goes: a [`SetTable`]
+//! interns each set the run reaches once, as a `u32` id, and memoises
+//! `(set, symbol) → set`, so a step taken before is a single lookup. This is
+//! the subset construction done lazily, over the sets a run touches rather
+//! than all of them. A search key embeds one word per automaton, whatever
+//! the automaton's size.
 
 use crate::nfa::{Nfa, StateId};
+use crate::KeyMap;
 use std::hash::Hash;
-
-/// A set of NFA states as a fixed-width block bitset.
-///
-/// All sets produced by one [`CompactNfa`] share the same block count, so
-/// union / intersection / equality are straight word-wise loops and a set can
-/// be embedded verbatim (as its `u64` blocks) into a larger encoded search
-/// key.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct StateSet {
-    blocks: Vec<u64>,
-}
-
-impl StateSet {
-    /// The empty set over `blocks` 64-state blocks.
-    pub fn empty(blocks: usize) -> StateSet {
-        StateSet { blocks: vec![0; blocks] }
-    }
-
-    /// The raw blocks.
-    #[inline]
-    pub fn as_blocks(&self) -> &[u64] {
-        &self.blocks
-    }
-
-    /// Inserts state `q`.
-    #[inline]
-    pub fn insert(&mut self, q: StateId) {
-        self.blocks[q as usize / 64] |= 1u64 << (q % 64);
-    }
-
-    /// True if the set contains `q`.
-    #[inline]
-    pub fn contains(&self, q: StateId) -> bool {
-        (self.blocks[q as usize / 64] >> (q % 64)) & 1 == 1
-    }
-
-    /// Removes every state.
-    #[inline]
-    pub fn clear(&mut self) {
-        self.blocks.fill(0);
-    }
-
-    /// True if no state is set.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.blocks.iter().all(|&b| b == 0)
-    }
-
-    /// Number of states in the set.
-    pub fn len(&self) -> usize {
-        self.blocks.iter().map(|b| b.count_ones() as usize).sum()
-    }
-
-    /// In-place union with a raw block row of the same width.
-    #[inline]
-    pub fn union_with(&mut self, row: &[u64]) {
-        debug_assert_eq!(self.blocks.len(), row.len());
-        for (b, r) in self.blocks.iter_mut().zip(row) {
-            *b |= r;
-        }
-    }
-
-    /// True if the set shares at least one state with the raw block row
-    /// (used for the accepting-intersection test).
-    #[inline]
-    pub fn intersects(&self, row: &[u64]) -> bool {
-        debug_assert_eq!(self.blocks.len(), row.len());
-        self.blocks.iter().zip(row).any(|(b, r)| b & r != 0)
-    }
-
-    /// Copies the contents of a raw block row into this set.
-    #[inline]
-    pub fn copy_from(&mut self, row: &[u64]) {
-        debug_assert_eq!(self.blocks.len(), row.len());
-        self.blocks.copy_from_slice(row);
-    }
-
-    /// Iterates over the member states in increasing order.
-    pub fn iter(&self) -> impl Iterator<Item = StateId> + '_ {
-        self.blocks.iter().enumerate().flat_map(|(bi, &block)| {
-            let mut b = block;
-            std::iter::from_fn(move || {
-                if b == 0 {
-                    None
-                } else {
-                    let bit = b.trailing_zeros();
-                    b &= b - 1;
-                    Some(bi as StateId * 64 + bit)
-                }
-            })
-        })
-    }
-
-    /// The member states as a sorted vector (compatible with the state lists
-    /// used by [`Nfa`]).
-    pub fn to_vec(&self) -> Vec<StateId> {
-        self.iter().collect()
-    }
-}
+use std::sync::Arc;
 
 /// An [`Nfa`] compiled for fast repeated simulation.
 ///
@@ -126,8 +34,6 @@ impl StateSet {
 /// simulation itself never touches it.
 #[derive(Clone, Debug)]
 pub struct CompactNfa<S> {
-    num_states: usize,
-    blocks: usize,
     /// Sorted and duplicate-free; a symbol's id is its index here.
     symbols: Vec<S>,
     /// `succ[offsets[i]..offsets[i + 1]]` with `i = q * num_symbols + s` is
@@ -135,10 +41,10 @@ pub struct CompactNfa<S> {
     offsets: Vec<u32>,
     /// Every successor list, sorted and duplicate-free, back to back.
     succ: Vec<StateId>,
-    /// ε-closed initial set.
-    initial: StateSet,
-    /// Accepting states as one bitset row.
-    accepting: Vec<u64>,
+    /// ε-closed initial set, sorted.
+    initial: Vec<StateId>,
+    /// Per state: whether it accepts.
+    accepting: Vec<bool>,
 }
 
 /// The ε-closure of every state as sorted lists in one CSR pair: the
@@ -176,7 +82,6 @@ impl<S: Clone + Eq + Hash + Ord> CompactNfa<S> {
     /// insensitive to the duplicate-arc blowup of product constructions.
     pub fn compile(nfa: &Nfa<S>) -> CompactNfa<S> {
         let n = nfa.num_states();
-        let blocks = n.div_ceil(64).max(1);
         let symbols = nfa.symbols_used();
         let sym_id = |s: &S| symbols.binary_search(s).expect("every transition symbol") as u32;
         let (cl_off, cl) = epsilon_closures(nfa);
@@ -212,31 +117,22 @@ impl<S: Clone + Eq + Hash + Ord> CompactNfa<S> {
             }
         }
 
-        let mut initial = StateSet::empty(blocks);
-        for &q in nfa.initial() {
-            for &r in &cl[cl_off[q as usize]..cl_off[q as usize + 1]] {
-                initial.insert(r);
-            }
-        }
+        let mut initial: Vec<StateId> = nfa
+            .initial()
+            .iter()
+            .flat_map(|&q| &cl[cl_off[q as usize]..cl_off[q as usize + 1]])
+            .copied()
+            .collect();
+        initial.sort_unstable();
+        initial.dedup();
+        let accepting = (0..n as StateId).map(|q| nfa.is_accepting(q)).collect();
 
-        let mut accepting = vec![0u64; blocks];
-        for q in 0..n as StateId {
-            if nfa.is_accepting(q) {
-                accepting[q as usize / 64] |= 1 << (q % 64);
-            }
-        }
-
-        CompactNfa { num_states: n, blocks, symbols, offsets, succ, initial, accepting }
+        CompactNfa { symbols, offsets, succ, initial, accepting }
     }
 
     /// Number of states of the compiled automaton.
     pub fn num_states(&self) -> usize {
-        self.num_states
-    }
-
-    /// Number of 64-state bitset blocks per state set.
-    pub fn blocks(&self) -> usize {
-        self.blocks
+        self.accepting.len()
     }
 
     /// The interned symbols, indexed by dense symbol id.
@@ -255,34 +151,15 @@ impl<S: Clone + Eq + Hash + Ord> CompactNfa<S> {
         self.symbols.binary_search(s).ok().map(|i| i as u32)
     }
 
-    /// The ε-closed initial state set.
-    pub fn initial_set(&self) -> StateSet {
-        self.initial.clone()
-    }
-
-    /// The accepting states as a raw bitset row.
-    #[inline]
-    pub fn accepting_row(&self) -> &[u64] {
-        &self.accepting
+    /// The ε-closed initial states, sorted.
+    pub fn initial(&self) -> &[StateId] {
+        &self.initial
     }
 
     /// True if state `q` is accepting.
     #[inline]
     pub fn is_accepting(&self, q: StateId) -> bool {
-        (self.accepting[q as usize / 64] >> (q % 64)) & 1 == 1
-    }
-
-    /// True if the set contains an accepting state.
-    #[inline]
-    pub fn any_accepting(&self, set: &StateSet) -> bool {
-        set.intersects(&self.accepting)
-    }
-
-    /// True if the raw block row contains an accepting state.
-    #[inline]
-    pub fn any_accepting_blocks(&self, row: &[u64]) -> bool {
-        debug_assert_eq!(row.len(), self.blocks);
-        row.iter().zip(&self.accepting).any(|(b, a)| b & a != 0)
+        self.accepting[q as usize]
     }
 
     /// The sorted ε-closed successor list of `(q, sym id)`.
@@ -292,60 +169,128 @@ impl<S: Clone + Eq + Hash + Ord> CompactNfa<S> {
         &self.succ[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
-    /// One simulation step, writing into `out` (which is cleared first):
-    /// all states reachable from `current` by reading symbol id `sid` and
-    /// then taking ε-transitions.
-    #[inline]
-    pub fn step_into(&self, current: &StateSet, sid: u32, out: &mut StateSet) {
-        self.step_blocks_into(current.as_blocks(), sid, out);
-    }
-
-    /// Steps a raw block row (a state set embedded in a larger key buffer),
-    /// writing into `out`. Returns `true` if the successor set is non-empty.
-    #[inline]
-    pub fn step_blocks_into(&self, current: &[u64], sid: u32, out: &mut StateSet) -> bool {
-        out.clear();
-        let mut any = false;
-        for (bi, &block) in current.iter().enumerate() {
-            let mut b = block;
-            while b != 0 {
-                let q = bi as u32 * 64 + b.trailing_zeros();
-                b &= b - 1;
-                let row = self.row(q, sid);
-                any |= !row.is_empty();
-                for &r in row {
-                    out.insert(r);
-                }
-            }
-        }
-        any
-    }
-
-    /// Convenience acceptance check over a word of symbols (slow path; the
-    /// engines use [`CompactNfa::step_into`] directly). Symbols the automaton
-    /// has never seen kill the run immediately.
+    /// Convenience acceptance check over a word of symbols, stepping a
+    /// fresh [`SetTable`]. Symbols the automaton has never seen kill the run
+    /// immediately.
     pub fn accepts(&self, word: &[S]) -> bool {
-        let mut current = self.initial_set();
-        let mut next = StateSet::empty(self.blocks);
+        let mut table = SetTable::default();
+        let mut set = table.initial(self);
         for s in word {
-            match self.sym_id(s) {
+            match self.sym_id(s).and_then(|sid| table.step(self, set, sid)) {
+                Some(next) => set = next,
                 None => return false,
-                Some(sid) => {
-                    self.step_into(&current, sid, &mut next);
-                    if next.is_empty() {
-                        return false;
-                    }
-                    std::mem::swap(&mut current, &mut next);
-                }
             }
         }
-        self.any_accepting(&current)
+        SetTable::accepting(set)
+    }
+}
+
+/// [`SetTable`] memo entry of a step not taken yet.
+const UNKNOWN: u32 = u32::MAX;
+/// [`SetTable`] memo entry of a step that reaches the empty set.
+const DEAD: u32 = u32::MAX - 1;
+
+/// The state sets that one run of a [`CompactNfa`] reaches, each interned
+/// once: the subset construction, built lazily.
+///
+/// A set is named by its *word*, `id << 1 | accepting`. Ids are dense and
+/// handed out in interning order, so two words are equal exactly when their
+/// sets are, and the low bit answers the acceptance test without a lookup.
+/// Each set owns one memo row, indexed by symbol id, that records where a
+/// step on that symbol leads; a step taken before is a single load. One
+/// table serves one automaton; the caller must pass that automaton to every
+/// call. [`clear`](Self::clear) forgets every set, so the words handed out
+/// before it mean nothing after it.
+#[derive(Clone, Debug, Default)]
+pub struct SetTable {
+    /// Per id: the set's states, sorted.
+    sets: Vec<Arc<[StateId]>>,
+    /// Set → word.
+    index: KeyMap<Arc<[StateId]>, u32>,
+    /// `memo[id * num_symbols + s]`: the word of set `id` stepped on symbol
+    /// id `s`, [`DEAD`] or [`UNKNOWN`].
+    memo: Vec<u32>,
+    /// The successor set being built.
+    scratch: Vec<StateId>,
+}
+
+impl SetTable {
+    /// True if the set named by `word` holds an accepting state.
+    #[inline]
+    pub fn accepting(word: u32) -> bool {
+        word & 1 == 1
+    }
+
+    /// The word of `nfa`'s ε-closed initial set.
+    pub fn initial<S: Clone + Eq + Hash + Ord>(&mut self, nfa: &CompactNfa<S>) -> u32 {
+        self.scratch.clear();
+        self.scratch.extend_from_slice(nfa.initial());
+        self.intern(nfa)
+    }
+
+    /// The word of the set reached from `word`'s set by reading symbol id
+    /// `sid` and then taking ε-transitions, or `None` if that set is empty.
+    /// Only a step not taken before reads the successor lists.
+    #[inline]
+    pub fn step<S: Clone + Eq + Hash + Ord>(
+        &mut self,
+        nfa: &CompactNfa<S>,
+        word: u32,
+        sid: u32,
+    ) -> Option<u32> {
+        let id = (word >> 1) as usize;
+        let slot = id * nfa.num_symbols() + sid as usize;
+        if self.memo[slot] == UNKNOWN {
+            self.scratch.clear();
+            for &q in self.sets[id].iter() {
+                self.scratch.extend_from_slice(nfa.row(q, sid));
+            }
+            self.memo[slot] = if self.scratch.is_empty() { DEAD } else { self.intern(nfa) };
+        }
+        Some(self.memo[slot]).filter(|&next| next != DEAD)
+    }
+
+    /// The word of the set in `scratch`, interned with an empty memo row if
+    /// it is new.
+    fn intern<S: Clone + Eq + Hash + Ord>(&mut self, nfa: &CompactNfa<S>) -> u32 {
+        self.scratch.sort_unstable();
+        self.scratch.dedup();
+        if let Some(&word) = self.index.get(self.scratch.as_slice()) {
+            return word;
+        }
+        let id = self.sets.len() as u32;
+        assert!(id < DEAD >> 1, "a run reached more than 2^31 - 1 state sets");
+        let word = id << 1 | self.scratch.iter().any(|&q| nfa.is_accepting(q)) as u32;
+        let set: Arc<[StateId]> = self.scratch.as_slice().into();
+        self.sets.push(Arc::clone(&set));
+        self.index.insert(set, word);
+        self.memo.resize(self.memo.len() + nfa.num_symbols(), UNKNOWN);
+        word
+    }
+
+    /// The member states of the set named by `word`, sorted.
+    #[cfg(test)]
+    fn members(&self, word: u32) -> &[StateId] {
+        &self.sets[(word >> 1) as usize]
+    }
+
+    /// Entries held: interned sets plus memo slots.
+    pub fn entries(&self) -> usize {
+        self.sets.len() + self.memo.len()
+    }
+
+    /// Forgets every set and every memoised step.
+    pub fn clear(&mut self) {
+        self.sets.clear();
+        self.index.clear();
+        self.memo.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{HashMap, HashSet};
 
     fn word_nfa(word: &[u32]) -> Nfa<u32> {
         let mut n = Nfa::new();
@@ -358,25 +303,39 @@ mod tests {
         n
     }
 
-    #[test]
-    fn stateset_basic_ops() {
-        let mut s = StateSet::empty(2);
-        assert!(s.is_empty());
-        s.insert(3);
-        s.insert(64);
-        s.insert(127);
-        assert_eq!(s.len(), 3);
-        assert!(s.contains(3) && s.contains(64) && s.contains(127));
-        assert!(!s.contains(4));
-        assert_eq!(s.to_vec(), vec![3, 64, 127]);
-        let mut t = StateSet::empty(2);
-        t.insert(64);
-        assert!(s.intersects(t.as_blocks()));
-        t.clear();
-        t.insert(5);
-        assert!(!s.intersects(t.as_blocks()));
-        s.union_with(t.as_blocks());
-        assert!(s.contains(5));
+    /// Steps `word` through `table` next to `Nfa::step` and checks every
+    /// set on the way: the table's members equal the NFA's ε-closed set, the
+    /// accepting bit matches the members, and equal sets get equal words
+    /// (`seen` maps every set met so far to its word). Returns whether the
+    /// table accepts the word.
+    fn walk<S: Clone + Eq + Hash + Ord + std::fmt::Debug>(
+        a: &Nfa<S>,
+        c: &CompactNfa<S>,
+        table: &mut SetTable,
+        seen: &mut HashMap<Vec<StateId>, u32>,
+        word: &[S],
+    ) -> bool {
+        let mut check = |table: &SetTable, set: u32, want: &[StateId]| {
+            assert_eq!(table.members(set), want, "word {word:?}");
+            let accepting = want.iter().any(|&q| a.is_accepting(q));
+            assert_eq!(SetTable::accepting(set), accepting, "word {word:?}");
+            assert_eq!(*seen.entry(want.to_vec()).or_insert(set), set, "word {word:?}");
+        };
+        let mut states = a.epsilon_closure(a.initial());
+        let mut set = table.initial(c);
+        check(table, set, &states);
+        for sym in word {
+            states = a.step(&states, sym);
+            match c.sym_id(sym).and_then(|sid| table.step(c, set, sid)) {
+                None => {
+                    assert!(states.is_empty(), "word {word:?}");
+                    return false;
+                }
+                Some(next) => set = next,
+            }
+            check(table, set, &states);
+        }
+        SetTable::accepting(set)
     }
 
     #[test]
@@ -386,6 +345,7 @@ mod tests {
         let b = word_nfa(&[1]);
         let ab_star = a.concat(&b).star();
         let c = CompactNfa::compile(&ab_star);
+        let (mut table, mut seen) = (SetTable::default(), HashMap::new());
         for w in [
             vec![],
             vec![0],
@@ -395,8 +355,14 @@ mod tests {
             vec![0, 1, 0, 1],
             vec![1, 0, 1, 0],
         ] {
+            let accepted = walk(&ab_star, &c, &mut table, &mut seen, &w);
+            assert_eq!(accepted, ab_star.accepts(&w), "word {w:?}");
             assert_eq!(c.accepts(&w), ab_star.accepts(&w), "word {w:?}");
         }
+        // The words reach three distinct sets — the initial one, the one
+        // after each `0` and the one after each `0 1` — however often they
+        // pass through them.
+        assert_eq!(seen.len(), 3);
         // unknown symbol never accepted
         assert!(!c.accepts(&[7]));
     }
@@ -443,10 +409,11 @@ mod tests {
         a
     }
 
-    /// `row`, `step_into` and `step_blocks_into` agree with `Nfa::step`
-    /// and `epsilon_closure` from the initial set and random state subsets:
-    /// on `(0 1)*` and on random ε-NFAs of 1, 2 and 3 bitset blocks and past
-    /// 2,048 states.
+    /// `row` agrees with `Nfa::step` on single states, and a [`SetTable`]
+    /// walked along random words agrees with `Nfa::step` and
+    /// `Nfa::accepts` word by word: on `(0 1)*` and on random ε-NFAs of up to
+    /// 192 states and past 2,048. One table serves all words of an
+    /// automaton, so later words step through memoised entries.
     #[test]
     fn compiled_step_matches_nfa_step() {
         let mut rng = Rng(0x5EED);
@@ -457,8 +424,7 @@ mod tests {
         for a in inputs {
             let n = a.num_states();
             let c = CompactNfa::compile(&a);
-            assert_eq!(c.blocks(), n.div_ceil(64), "{n} states");
-            assert_eq!(c.initial_set().to_vec(), a.epsilon_closure(a.initial()), "{n} states");
+            assert_eq!(c.initial(), a.epsilon_closure(a.initial()), "{n} states");
             for q in 0..n as StateId {
                 assert_eq!(c.is_accepting(q), a.is_accepting(q));
             }
@@ -468,32 +434,30 @@ mod tests {
                 for q in (0..probes).map(|_| rng.below(n) as StateId) {
                     assert_eq!(c.row(q, sid), a.step(&[q], &sym), "{n} states, row({q}, {sym})");
                 }
-                for i in 0..32 {
-                    let subset: Vec<StateId> = match i {
-                        0 => a.epsilon_closure(a.initial()),
-                        _ => (0..n as StateId).filter(|_| rng.below(5) == 0).collect(),
-                    };
-                    let mut current = StateSet::empty(c.blocks());
-                    subset.iter().for_each(|&q| current.insert(q));
-                    let want = a.step(&subset, &sym);
-                    let mut out = StateSet::empty(c.blocks());
-                    c.step_into(&current, sid, &mut out);
-                    assert_eq!(out.to_vec(), want, "{n} states, step {subset:?} on {sym}");
-                    let mut raw = StateSet::empty(c.blocks());
-                    let nonempty = c.step_blocks_into(current.as_blocks(), sid, &mut raw);
-                    assert_eq!((nonempty, raw), (!want.is_empty(), out));
-                }
             }
+            let (mut table, mut seen) = (SetTable::default(), HashMap::new());
+            for _ in 0..64 {
+                let word: Vec<u32> = (0..rng.below(12)).map(|_| rng.below(3) as u32).collect();
+                let accepted = walk(&a, &c, &mut table, &mut seen, &word);
+                assert_eq!(accepted, a.accepts(&word), "{n} states, word {word:?}");
+            }
+            // Distinct sets got distinct words.
+            let words: HashSet<u32> = seen.values().copied().collect();
+            assert_eq!(words.len(), seen.len(), "{n} states");
+            table.clear();
+            assert_eq!(table.entries(), 0);
+            let init = table.initial(&c);
+            assert_eq!((init >> 1, table.members(init)), (0, c.initial()), "{n} states");
         }
     }
 
     #[test]
     fn compile_handles_wide_automata() {
-        // more than 64 states forces multiple bitset blocks
+        // Far more states than one 64-bit word could name.
         let word: Vec<u32> = (0..100).map(|i| i % 3).collect();
         let n = word_nfa(&word);
         let c = CompactNfa::compile(&n);
-        assert!(c.blocks() >= 2);
+        assert_eq!(c.num_states(), 101);
         assert!(c.accepts(&word));
         let mut wrong = word.clone();
         wrong[50] = (wrong[50] + 1) % 3;
@@ -508,20 +472,24 @@ mod tests {
         }
         let c = CompactNfa::compile(&n);
         assert!(c.accepts(&[0]));
-        let mut out = StateSet::empty(c.blocks());
-        c.step_into(&c.initial_set(), c.sym_id(&0).unwrap(), &mut out);
-        assert_eq!(out.len(), 1);
+        let mut table = SetTable::default();
+        let init = table.initial(&c);
+        let next = table.step(&c, init, c.sym_id(&0).unwrap()).unwrap();
+        assert_eq!(table.members(next), &[1]);
     }
 
     #[test]
-    fn step_blocks_into_reports_emptiness() {
+    fn table_step_reports_emptiness() {
         let n = word_nfa(&[0, 1]);
         let c = CompactNfa::compile(&n);
-        let init = c.initial_set();
-        let mut out = StateSet::empty(c.blocks());
-        assert!(c.step_blocks_into(init.as_blocks(), c.sym_id(&0).unwrap(), &mut out));
-        // reading 0 again from state 1 dead-ends
-        let cur = out.clone();
-        assert!(!c.step_blocks_into(cur.as_blocks(), c.sym_id(&0).unwrap(), &mut out));
+        let mut table = SetTable::default();
+        let init = table.initial(&c);
+        let zero = c.sym_id(&0).unwrap();
+        let after = table.step(&c, init, zero).unwrap();
+        // reading 0 again from state 1 dead-ends, memoised or not
+        assert_eq!(table.step(&c, after, zero), None);
+        assert_eq!(table.step(&c, after, zero), None);
+        // two sets, each with a memo row of two symbols
+        assert_eq!(table.entries(), 2 + 2 * 2);
     }
 }

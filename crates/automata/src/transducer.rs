@@ -26,8 +26,7 @@
 use crate::alphabet::{Alphabet, Symbol, TupleSym};
 use crate::nfa::{Nfa, StateId};
 use crate::relation::{TooLarge, RELATION_BUDGET};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use crate::KeyMap;
 
 /// One transducer move: the symbol consumed on each tape (`None` = no
 /// consumption on that tape) and the successor state.
@@ -310,32 +309,6 @@ impl MoveIndex {
     }
 }
 
-/// Hashes the construction's integer keys: a multiply-rotate step per
-/// 8-byte word, then murmur3's 64-bit finalizer. The keys are made by the
-/// construction, not read from outside the program, so SipHash's resistance
-/// to crafted collisions buys nothing here.
-#[derive(Default)]
-struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.0 = (self.0.rotate_left(26) ^ u64::from_ne_bytes(word))
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        let z = (self.0 ^ (self.0 >> 33)).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-        let z = (z ^ (z >> 33)).wrapping_mul(0xC4CE_B9FE_1A85_EC53);
-        z ^ (z >> 33)
-    }
-}
-
-type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
-
 /// Id of the empty buffer.
 const EMPTY: u32 = 0;
 
@@ -533,7 +506,7 @@ mod tests {
     use crate::alphabet::{convolution, product_alphabet};
     use crate::builtin::{edit_distance_leq, levenshtein};
     use crate::dfa;
-    use std::collections::{HashSet, VecDeque};
+    use std::collections::{HashMap, HashSet, VecDeque};
 
     /// The construction before configurations were interned, kept as an
     /// oracle: each configuration owns its buffers, each closure collects

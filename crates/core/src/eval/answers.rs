@@ -27,6 +27,7 @@ use crate::eval::EvalConfig;
 use crate::query::Ecrpq;
 use ecrpq_automata::alphabet::{Symbol, TupleSym};
 use ecrpq_automata::nfa::{Nfa, StateId};
+use ecrpq_automata::sim::SetTable;
 use ecrpq_graph::{GraphDb, NodeId, Path};
 
 /// A letter of the path-tuple encoding alphabet `V^k ∪ (Σ⊥)^k`.
@@ -136,9 +137,10 @@ impl BoundPlan<'_> {
             let mut stats = EvalStats::default();
             let (order, reach) = self.plan_reach(&forced, &mut stats, &mut None);
             let mut err: Option<QueryError> = None;
+            let mut tables = vec![SetTable::default(); pq.relations.len()];
             let n = self.graph.num_nodes();
             plan::enumerate_candidates(pq, n, &forced, &reach, &order, config, &mut stats, |s| {
-                err = add_candidate_automaton(&mut nfa, self, s, config).err();
+                err = add_candidate_automaton(&mut nfa, self, s, config, &mut tables).err();
                 err.is_none()
             })?;
             if let Some(e) = err {
@@ -156,11 +158,14 @@ impl BoundPlan<'_> {
 /// of its source to the before-state of its target. States are interned
 /// into the search's arena, whose ids are handed out in discovery order, so
 /// expanding ids `0, 1, 2, …` in turn is the breadth-first traversal.
+/// `tables` are the relation set tables of the whole construction, as the
+/// search keeps them for a run.
 fn add_candidate_automaton(
     nfa: &mut Nfa<EncLetter>,
     plan: &BoundPlan<'_>,
     sigma: &[NodeId],
     config: &EvalConfig,
+    tables: &mut [SetTable],
 ) -> Result<(), QueryError> {
     let pq = plan.pq;
     let problem = SearchProblem {
@@ -175,7 +180,7 @@ fn add_candidate_automaton(
         return Ok(()); // repeated atoms disagree on an endpoint
     }
     let sims: Vec<&RelSim> = pq.relations.iter().map(|r| r.sim(pq.code_base)).collect();
-    let layout = Layout::new(pq.path_vars.len(), &sims, 0);
+    let layout = Layout::new(pq.path_vars.len(), sims.len(), 0);
     let head = &pq.head_path_idx;
     let mut arena = Arena::new(layout.words);
     // Arena id `i` owns the automaton states `base + 2i` (before nodes) and
@@ -189,14 +194,14 @@ fn add_candidate_automaton(
             // An unpinned path can only have finished at `σ(path_to[p])`.
             let at = |p: usize| search::word_node(key[p]).unwrap_or(sigma[pq.path_to[p]]);
             nfa.add_transition(b, EncLetter::Nodes(head.iter().map(|&p| at(p)).collect()), a);
-            nfa.set_accepting(a, search::accepts_key(&problem, &layout, &sims, key));
+            nfa.set_accepting(a, search::accepts_key(&problem, &layout, key));
         }
         base + 2 * id
     };
 
-    let b0 = intern(&search::initial_key(&problem, &layout, &sims), nfa, &mut arena);
+    let b0 = intern(&search::initial_key(&problem, &layout, &sims, tables), nfa, &mut arena);
     nfa.add_initial(b0);
-    let mut expander = Expander::new(&problem, &layout, &sims);
+    let mut expander = Expander::new(&problem, &layout, &sims, tables);
     let mut cur = vec![0u64; layout.words];
     let mut id = 0u32;
     while (id as usize) < arena.len() {

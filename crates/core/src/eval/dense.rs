@@ -2,27 +2,24 @@
 //! convolution search and the answer-automaton construction).
 //!
 //! Search states are encoded as fixed-width `u64` words (path positions,
-//! relation state-set bitset blocks, counter values) and interned into one
-//! contiguous `Vec<u64>`; deduplication goes through an open-addressing hash
-//! table that stores only `u32` state indices. Compared to hashing and
-//! cloning a `State { Vec<Pos>, Vec<Vec<StateId>>, Vec<i64> }` per visit,
-//! interning a state costs one hash of `words` machine words and (for fresh
-//! states) one `extend_from_slice` — no per-state allocation at all.
-
-use crate::eval::prepared::RelSim;
+//! one interned state-set word per relation automaton, counter values) and
+//! interned into one contiguous `Vec<u64>`; deduplication goes through an
+//! open-addressing hash table that stores only `u32` state indices. Compared
+//! to hashing and cloning a `State { Vec<Pos>, Vec<Vec<StateId>>, Vec<i64> }`
+//! per visit, interning a state costs one hash of `words` machine words and
+//! (for fresh states) one `extend_from_slice` — no per-state allocation at
+//! all. A key is `num_paths + num_relations + num_counters` words, whatever
+//! the size of the relation automata.
 
 /// Word layout of one encoded search state shared by the dense engines:
-/// `num_paths` position words, then the bitset blocks of each relation
-/// automaton's state set, then one word per linear-constraint counter
-/// (none for the answer-automaton construction). Keeping the offset
-/// arithmetic in one place means the convolution search and the
-/// answer-automaton loop cannot drift apart.
+/// `num_paths` position words, then one word per relation automaton (the
+/// [`SetTable`](ecrpq_automata::sim::SetTable) word of its current state
+/// set, relation `j` at `num_paths + j`), then one word per
+/// linear-constraint counter (none for the answer-automaton construction).
+/// Keeping the offset arithmetic in one place means the convolution search
+/// and the answer-automaton loop cannot drift apart.
 pub(crate) struct Layout {
     pub num_paths: usize,
-    /// Word offset of relation `j`'s bitset blocks.
-    pub rel_off: Vec<usize>,
-    /// Block count of relation `j`'s bitset.
-    pub rel_blocks: Vec<usize>,
     /// Word offset of the counter values.
     pub cnt_off: usize,
     /// Total words per state.
@@ -30,18 +27,9 @@ pub(crate) struct Layout {
 }
 
 impl Layout {
-    pub fn new(num_paths: usize, sims: &[&RelSim], num_counters: usize) -> Layout {
-        let mut rel_off = Vec::with_capacity(sims.len());
-        let mut rel_blocks = Vec::with_capacity(sims.len());
-        let mut off = num_paths;
-        for rs in sims {
-            rel_off.push(off);
-            rel_blocks.push(rs.sim.blocks());
-            off += rs.sim.blocks();
-        }
-        let cnt_off = off;
-        let words = (cnt_off + num_counters).max(1);
-        Layout { num_paths, rel_off, rel_blocks, cnt_off, words }
+    pub fn new(num_paths: usize, num_relations: usize, num_counters: usize) -> Layout {
+        let cnt_off = num_paths + num_relations;
+        Layout { num_paths, cnt_off, words: (cnt_off + num_counters).max(1) }
     }
 }
 

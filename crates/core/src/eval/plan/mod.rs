@@ -27,6 +27,7 @@ use crate::error::QueryError;
 use crate::eval::prepared::PreparedQuery;
 use crate::eval::search::{SearchOutcome, SearchProblem};
 use crate::eval::{reference, search, EvalConfig};
+use ecrpq_automata::sim::SetTable;
 use ecrpq_graph::NodeId;
 use std::collections::HashMap;
 
@@ -228,9 +229,15 @@ pub(crate) enum Engine {
 }
 
 impl Engine {
-    pub(crate) fn run(self, problem: &SearchProblem<'_>) -> Result<SearchOutcome, QueryError> {
+    /// Verifies one candidate. `tables` are the run's relation set tables
+    /// ([`search::run`]); the reference engine does not read them.
+    pub(crate) fn run(
+        self,
+        problem: &SearchProblem<'_>,
+        tables: &mut [SetTable],
+    ) -> Result<SearchOutcome, QueryError> {
         match self {
-            Engine::Dense => search::run(problem),
+            Engine::Dense => search::run(problem, tables),
             Engine::Reference => reference::run(problem),
         }
     }

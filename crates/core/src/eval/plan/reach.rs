@@ -14,7 +14,7 @@ use crate::eval::plan::cost::{AtomPlan, Direction};
 use crate::eval::plan::EvalStats;
 use crate::eval::prepared::{BindArtifacts, BoundPlan, PreparedQuery};
 use ecrpq_automata::alphabet::Symbol;
-use ecrpq_automata::sim::{CompactNfa, StateSet};
+use ecrpq_automata::sim::CompactNfa;
 use ecrpq_graph::delta::GraphView;
 use ecrpq_graph::{GraphDb, NodeId};
 
@@ -175,7 +175,6 @@ struct Tables<'a> {
     /// constraint never reads this label, so the edge is dead for this
     /// variable).
     label_map: Vec<Option<u32>>,
-    init: StateSet,
 }
 
 impl<'a> Tables<'a> {
@@ -187,7 +186,7 @@ impl<'a> Tables<'a> {
         }
         let label_map =
             symbol_map.iter().map(|s| sid_of.get(s.index()).copied().flatten()).collect();
-        Tables { sim, label_map, init: sim.initial_set() }
+        Tables { sim, label_map }
     }
 }
 
@@ -197,7 +196,7 @@ impl Constraint for Tables<'_> {
     }
 
     fn for_each_initial(&self, f: impl FnMut(u32)) {
-        self.init.iter().for_each(f);
+        self.sim.initial().iter().copied().for_each(f);
     }
 
     fn is_accepting(&self, q: u32) -> bool {

@@ -33,7 +33,7 @@ use ecrpq_automata::dfa;
 use ecrpq_automata::nfa::Nfa;
 use ecrpq_automata::relation::RegularRelation;
 use ecrpq_automata::semilinear::CmpOp;
-use ecrpq_automata::sim::CompactNfa;
+use ecrpq_automata::sim::{CompactNfa, SetTable};
 use ecrpq_graph::{GraphDb, NodeId, Path};
 use ecrpq_util::trace::{self as qtrace, Trace};
 use std::borrow::Cow;
@@ -894,6 +894,7 @@ impl<'a> BoundPlan<'a> {
         let mut error: Option<QueryError> = None;
         let mut verified: u64 = 0;
         let mut search_states: u64 = 0;
+        let mut tables = vec![SetTable::default(); pq.relations.len()];
 
         let search_span = qtrace::begin_span(&mut trace, "search");
         // A paths run capped at zero rows has nothing to verify.
@@ -924,7 +925,7 @@ impl<'a> BoundPlan<'a> {
                             step_bound,
                             max_states: config.max_search_states,
                         };
-                        let out = match engine.run(&problem) {
+                        let out = match engine.run(&problem, &mut tables) {
                             Ok(out) => out,
                             Err(e) => {
                                 error = Some(e);
@@ -1074,6 +1075,7 @@ impl<'a> BoundPlan<'a> {
             if self.counters().is_empty() { None } else { Some(self.step_bound(config)) };
         let mut found = false;
         let mut error: Option<QueryError> = None;
+        let mut tables = vec![SetTable::default(); pq.relations.len()];
         let n = self.graph.num_nodes();
         plan::enumerate_candidates(pq, n, &forced, &reach, &order, config, &mut stats, |sigma| {
             let problem = SearchProblem {
@@ -1084,7 +1086,7 @@ impl<'a> BoundPlan<'a> {
                 step_bound,
                 max_states: config.max_search_states,
             };
-            match engine.run(&problem) {
+            match engine.run(&problem, &mut tables) {
                 Ok(out) => {
                     found = out.accepted;
                     !found

@@ -14,12 +14,16 @@
 //!
 //! This is the one production verification engine, for automata of any
 //! size: a state is one flat row of `u64` words — one position word per path
-//! variable, the bitset blocks of every relation automaton's current state
-//! set (stepped through the precompiled successor lists of
-//! [`CompactNfa`](ecrpq_automata::sim::CompactNfa)), and one word per counter
-//! — interned into an arena of [`super::dense`]. The BFS queue and parent
-//! pointers hold `u32` state indices, and expansion reuses scratch buffers,
-//! so the hot loop performs no allocation. The classical cloned-state
+//! variable, one word per relation automaton naming its current state set,
+//! and one word per counter — interned into an arena of [`super::dense`].
+//! The state sets are interned in one [`SetTable`] per relation, which the
+//! caller keeps for a whole run: a relation step is a memo lookup, and only
+//! a step taken for the first time in the run walks the precompiled
+//! successor lists of [`CompactNfa`](ecrpq_automata::sim::CompactNfa). Set
+//! words and sets correspond one-to-one, so two keys are equal exactly when
+//! the states they encode are. The BFS queue and parent pointers hold `u32`
+//! state indices, and expansion reuses scratch buffers, so the hot loop
+//! allocates only when a new set is interned. The classical cloned-state
 //! formulation is retained in [`super::reference`] as the differential
 //! oracle of the test suites.
 
@@ -27,7 +31,7 @@ use crate::error::QueryError;
 use crate::eval::dense::{odometer_next, Arena, Layout};
 use crate::eval::prepared::{BoundPlan, RelSim};
 use ecrpq_automata::alphabet::Symbol;
-use ecrpq_automata::sim::StateSet;
+use ecrpq_automata::sim::SetTable;
 use ecrpq_graph::{NodeId, Path};
 use std::collections::VecDeque;
 
@@ -93,9 +97,9 @@ enum Option1 {
     Pad,
 }
 
-/// The expansion engine: per-variable option lists, the odometer, and the
-/// scratch buffers of [`apply_key`], reused across states so the hot loop
-/// performs no allocation. The successors of one state are always emitted in
+/// The expansion engine: per-variable option lists, the odometer, the
+/// scratch buffers of [`Expander::apply`], reused across states, and the
+/// run's set tables. The successors of one state are always emitted in
 /// odometer order, which fixes the arena's state numbering. The search and
 /// the answer-automaton construction both expand with it.
 pub(crate) struct Expander<'a, 'p> {
@@ -106,7 +110,7 @@ pub(crate) struct Expander<'a, 'p> {
     choice: Vec<usize>,
     letters: Vec<Option<Symbol>>,
     next: Vec<u64>,
-    rel_scratch: Vec<StateSet>,
+    tables: &'a mut [SetTable],
 }
 
 impl<'a, 'p> Expander<'a, 'p> {
@@ -114,6 +118,7 @@ impl<'a, 'p> Expander<'a, 'p> {
         problem: &'a SearchProblem<'p>,
         layout: &'a Layout,
         sims: &'a [&'a RelSim],
+        tables: &'a mut [SetTable],
     ) -> Self {
         let num_paths = layout.num_paths;
         Expander {
@@ -124,7 +129,7 @@ impl<'a, 'p> Expander<'a, 'p> {
             choice: vec![0usize; num_paths],
             letters: vec![None; num_paths],
             next: vec![0u64; layout.words],
-            rel_scratch: sims.iter().map(|rs| StateSet::empty(rs.sim.blocks())).collect(),
+            tables,
         }
     }
 
@@ -181,19 +186,7 @@ impl<'a, 'p> Expander<'a, 'p> {
         loop {
             let any_real = (0..num_paths)
                 .any(|p| matches!(self.options[p][self.choice[p]], Option1::Real { .. }));
-            if any_real
-                && apply_key(
-                    problem,
-                    self.layout,
-                    self.sims,
-                    cur,
-                    &self.options,
-                    &self.choice,
-                    &mut self.letters,
-                    &mut self.rel_scratch,
-                    &mut self.next,
-                )
-            {
+            if any_real && self.apply(cur) {
                 let mv = problem.want_witness.then(|| {
                     (0..num_paths)
                         .map(|p| match self.options[p][self.choice[p]] {
@@ -210,6 +203,61 @@ impl<'a, 'p> Expander<'a, 'p> {
                 return;
             }
         }
+    }
+
+    /// Applies the global move selected by `choice` to the encoded state
+    /// `cur`, writing the successor into `next`. Returns `false` if some
+    /// relation automaton has no matching transition (the move is a dead
+    /// end).
+    fn apply(&mut self, cur: &[u64]) -> bool {
+        let plan = self.problem.plan;
+        let (num_paths, cnt_off) = (self.layout.num_paths, self.layout.cnt_off);
+        let chosen = |p: usize| self.options[p][self.choice[p]];
+        for p in 0..num_paths {
+            match chosen(p) {
+                Option1::Real { label, to, step } => {
+                    self.next[p] = active_word(to, step);
+                    self.letters[p] = Some(plan.translate(label));
+                }
+                Option1::Finish | Option1::Pad => {
+                    self.next[p] = 0;
+                    self.letters[p] = None;
+                }
+            }
+        }
+
+        // Advance every relation automaton on the projection of the step.
+        let pq = plan.pq;
+        for (j, r) in pq.relations.iter().enumerate() {
+            let w = num_paths + j;
+            if r.tapes.iter().all(|&t| self.letters[t].is_none()) {
+                // This relation's convolution has already ended; it does not
+                // read ⊥-only letters.
+                self.next[w] = cur[w];
+                continue;
+            }
+            let rs = self.sims[j];
+            let Some(sid) = rs.letter_id(&r.tapes, &self.letters, pq.alphabet_len, pq.code_base)
+            else {
+                return false; // letter not in the relation's alphabet
+            };
+            let Some(set) = self.tables[j].step(&rs.sim, cur[w] as u32, sid) else {
+                return false;
+            };
+            self.next[w] = set.into();
+        }
+
+        // Update counters.
+        for (i, row) in plan.counters().iter().enumerate() {
+            let mut v = cur[cnt_off + i] as i64;
+            for p in 0..num_paths {
+                if let Option1::Real { label, .. } = chosen(p) {
+                    v += row.step_delta(p, plan.translate(label));
+                }
+            }
+            self.next[cnt_off + i] = v as u64;
+        }
+        true
     }
 }
 
@@ -237,20 +285,26 @@ pub(crate) fn precheck(problem: &SearchProblem<'_>) -> Option<SearchOutcome> {
     None
 }
 
-/// Encodes the initial search state.
+/// Starts one search: encodes its initial state, interning each relation's
+/// initial set into `tables`. A run's tables are cleared here, between two
+/// searches, once they hold more than `problem.max_states` entries (sets and
+/// memo slots), so the state budget bounds them too.
 pub(crate) fn initial_key(
     problem: &SearchProblem<'_>,
     layout: &Layout,
     sims: &[&RelSim],
+    tables: &mut [SetTable],
 ) -> Vec<u64> {
+    if tables.iter().map(SetTable::entries).sum::<usize>() > problem.max_states {
+        tables.iter_mut().for_each(SetTable::clear);
+    }
     let pq = problem.plan.pq;
     let mut initial = vec![0u64; layout.words];
     for (p, w) in initial.iter_mut().enumerate().take(layout.num_paths) {
         *w = active_word(problem.sigma[pq.path_from[p]], 0);
     }
-    for (j, rs) in sims.iter().enumerate() {
-        let off = layout.rel_off[j];
-        initial[off..off + layout.rel_blocks[j]].copy_from_slice(rs.sim.initial_set().as_blocks());
+    for (j, (rs, table)) in sims.iter().zip(tables).enumerate() {
+        initial[layout.num_paths + j] = table.initial(&rs.sim).into();
     }
     // counters start at zero (already 0)
     initial
@@ -258,16 +312,20 @@ pub(crate) fn initial_key(
 
 /// Runs the search: one FIFO queue, intern-as-you-expand. A precheck
 /// rejection visits no state; an initial state that already accepts counts
-/// as one visited state with an empty witness.
-pub(crate) fn run(problem: &SearchProblem<'_>) -> Result<SearchOutcome, QueryError> {
+/// as one visited state with an empty witness. `tables` holds one
+/// [`SetTable`] per relation of the query and serves every search of a run.
+pub(crate) fn run(
+    problem: &SearchProblem<'_>,
+    tables: &mut [SetTable],
+) -> Result<SearchOutcome, QueryError> {
     if let Some(outcome) = precheck(problem) {
         return Ok(outcome);
     }
     let pq = problem.plan.pq;
     let sims: Vec<&RelSim> = pq.relations.iter().map(|r| r.sim(pq.code_base)).collect();
-    let layout = Layout::new(pq.path_vars.len(), &sims, problem.plan.counters().len());
-    let initial = initial_key(problem, &layout, &sims);
-    if accepts_key(problem, &layout, &sims, &initial) {
+    let layout = Layout::new(pq.path_vars.len(), sims.len(), problem.plan.counters().len());
+    let initial = initial_key(problem, &layout, &sims, tables);
+    if accepts_key(problem, &layout, &initial) {
         let witness = problem.want_witness.then(|| reconstruct(problem, &[], &[], 0));
         return Ok(SearchOutcome { accepted: true, states_visited: 1, witness });
     }
@@ -284,7 +342,7 @@ pub(crate) fn run(problem: &SearchProblem<'_>) -> Result<SearchOutcome, QueryErr
     let mut queue: VecDeque<(u32, u32)> = VecDeque::new();
     queue.push_back((init_id, 0));
 
-    let mut expander = Expander::new(problem, &layout, &sims);
+    let mut expander = Expander::new(problem, &layout, &sims, tables);
     let mut cur = vec![0u64; layout.words];
 
     while let Some((id, depth)) = queue.pop_front() {
@@ -303,7 +361,7 @@ pub(crate) fn run(problem: &SearchProblem<'_>) -> Result<SearchOutcome, QueryErr
                     parents.push(id);
                     moves.push(mv.expect("witness mode emits moves"));
                 }
-                if accepts_key(problem, &layout, &sims, next) {
+                if accepts_key(problem, &layout, next) {
                     found = Some(nid);
                     return false;
                 }
@@ -334,13 +392,9 @@ pub(crate) fn run(problem: &SearchProblem<'_>) -> Result<SearchOutcome, QueryErr
 
 /// True if the encoded state is accepting: every path variable is finished or
 /// can finish at its current node, every relation automaton's state set
-/// intersects its accepting set, and every counter row is satisfied.
-pub(crate) fn accepts_key(
-    problem: &SearchProblem<'_>,
-    layout: &Layout,
-    sims: &[&RelSim],
-    key: &[u64],
-) -> bool {
+/// holds an accepting state (the low bit of its set word), and every counter
+/// row is satisfied.
+pub(crate) fn accepts_key(problem: &SearchProblem<'_>, layout: &Layout, key: &[u64]) -> bool {
     for (p, &w) in key.iter().enumerate().take(layout.num_paths) {
         if w == 0 {
             continue; // Done
@@ -349,77 +403,13 @@ pub(crate) fn accepts_key(
             return false;
         }
     }
-    for (j, rs) in sims.iter().enumerate() {
-        let off = layout.rel_off[j];
-        if !rs.sim.any_accepting_blocks(&key[off..off + layout.rel_blocks[j]]) {
-            return false;
-        }
+    if !key[layout.num_paths..layout.cnt_off].iter().all(|&w| SetTable::accepting(w as u32)) {
+        return false;
     }
     for (i, row) in problem.plan.counters().iter().enumerate() {
         if !row.satisfied(key[layout.cnt_off + i] as i64) {
             return false;
         }
-    }
-    true
-}
-
-/// Applies the global move selected by `choice` to the encoded state `cur`,
-/// writing the successor into `next`. Returns `false` if some relation
-/// automaton has no matching transition (the move is a dead end).
-#[allow(clippy::too_many_arguments)]
-fn apply_key(
-    problem: &SearchProblem<'_>,
-    layout: &Layout,
-    sims: &[&RelSim],
-    cur: &[u64],
-    options: &[Vec<Option1>],
-    choice: &[usize],
-    letters: &mut [Option<Symbol>],
-    rel_scratch: &mut [StateSet],
-    next: &mut [u64],
-) -> bool {
-    let plan = problem.plan;
-    for p in 0..layout.num_paths {
-        match options[p][choice[p]] {
-            Option1::Real { label, to, step } => {
-                next[p] = active_word(to, step);
-                letters[p] = Some(plan.translate(label));
-            }
-            Option1::Finish | Option1::Pad => {
-                next[p] = 0;
-                letters[p] = None;
-            }
-        }
-    }
-
-    // Advance every relation automaton on the projection of the step.
-    let pq = plan.pq;
-    for (j, r) in pq.relations.iter().enumerate() {
-        let (off, nb) = (layout.rel_off[j], layout.rel_blocks[j]);
-        if r.tapes.iter().all(|&t| letters[t].is_none()) {
-            // This relation's convolution has already ended; it does not
-            // read ⊥-only letters.
-            next[off..off + nb].copy_from_slice(&cur[off..off + nb]);
-            continue;
-        }
-        let Some(sid) = sims[j].letter_id(&r.tapes, letters, pq.alphabet_len, pq.code_base) else {
-            return false; // letter not in the relation's alphabet
-        };
-        if !sims[j].sim.step_blocks_into(&cur[off..off + nb], sid, &mut rel_scratch[j]) {
-            return false;
-        }
-        next[off..off + nb].copy_from_slice(rel_scratch[j].as_blocks());
-    }
-
-    // Update counters.
-    for (i, row) in plan.counters().iter().enumerate() {
-        let mut v = cur[layout.cnt_off + i] as i64;
-        for p in 0..layout.num_paths {
-            if let Option1::Real { label, .. } = options[p][choice[p]] {
-                v += row.step_delta(p, plan.translate(label));
-            }
-        }
-        next[layout.cnt_off + i] = v as u64;
     }
     true
 }
@@ -458,30 +448,49 @@ mod tests {
     use crate::eval::{EvalConfig, PreparedQuery};
     use ecrpq_graph::generators;
 
-    /// Pins what the convolution search reports on a fixed ECRPQ — visited
+    /// Pins what the convolution search reports on fixed ECRPQs — visited
     /// states, candidates and verified counts in nodes and paths mode — and
-    /// the smallest state budget it completes in, so a change to the search
-    /// loop that visits states in another order or counts them differently
-    /// shows up here.
+    /// the smallest state budget each completes in, so a change to the
+    /// search loop that visits states in another order or counts them
+    /// differently shows up here. The second case is `edit_le_2` over five
+    /// labels, a 2,267-state relation automaton: its state sets are the
+    /// widest any pin covers.
     #[test]
     fn search_counts_and_budget_are_pinned() {
         let g = generators::random_graph(8, 2.0, &["a", "b"], 23);
         let text = "Ans(x, y) <- (x, p1, z), (z, p2, y), L(p1) = a (a|b)*, R(p1, p2) = eq";
-        let q = crate::parse_query(text, g.alphabet()).unwrap();
-        let pq = PreparedQuery::prepare(&q).unwrap();
-        let plan = pq.bind(&g).unwrap();
-        let cfg = EvalConfig::default();
-        let (nodes, n) = plan.run_nodes(&cfg).unwrap();
-        let (paths, p) = plan.run(&cfg).unwrap();
-        let fits = |budget| {
-            let cfg = EvalConfig { max_search_states: budget, ..EvalConfig::default() };
-            plan.run_nodes(&cfg).is_ok()
-        };
-        let min_budget = (1..100_000).find(|&b| fits(b)).unwrap();
-        for (mode, answers, stats) in [("nodes", nodes.len(), n), ("paths", paths.len(), p)] {
-            let counts = (answers, stats.candidates, stats.verified, stats.search_states);
-            assert_eq!(counts, (6, 24, 6, 85), "{mode}: answers/candidates/verified/states");
+        let pair = generators::sequence_pair_graph(
+            &["a", "c", "g", "t", "e"],
+            &["c", "a", "g", "e", "t"],
+            false,
+        );
+        let edit = "Ans(x1, y1, x2, y2) <- (x1, p1, y1), (x2, p2, y2), R(p1, p2) = edit_le_2";
+        for (g, text, pinned, pinned_budget, automaton_states) in [
+            (&g, text, (6, 24, 6, 85), 13, 2),
+            (&pair.graph, edit, (1_150, 1_764, 1_150, 7_314), 10, 2_267),
+        ] {
+            let q = crate::parse_query(text, g.alphabet()).unwrap();
+            let pq = PreparedQuery::prepare(&q).unwrap();
+            let plan = pq.bind(g).unwrap();
+            let cfg = EvalConfig::default();
+            let (nodes, n) = plan.run_nodes(&cfg).unwrap();
+            let (paths, p) = plan.run(&cfg).unwrap();
+            let sim_states = pq.relations[0].sim(pq.code_base).sim.num_states();
+            assert_eq!(sim_states, automaton_states, "{text}");
+            let fits = |budget| {
+                let cfg = EvalConfig { max_search_states: budget, ..EvalConfig::default() };
+                plan.run_nodes(&cfg).is_ok()
+            };
+            let budgets: Vec<usize> = (0..100_000).collect();
+            let min_budget = budgets.partition_point(|&b| !fits(b));
+            for (mode, answers, stats) in [("nodes", nodes.len(), n), ("paths", paths.len(), p)] {
+                let counts = (answers, stats.candidates, stats.verified, stats.search_states);
+                assert_eq!(counts, pinned, "{mode} {text}: answers/candidates/verified/states");
+            }
+            assert_eq!(
+                min_budget, pinned_budget,
+                "{text}: the largest search visits another count"
+            );
         }
-        assert_eq!(min_budget, 13, "the largest single search visits a different state count");
     }
 }

@@ -1,5 +1,5 @@
 //! Live graphs: the per-graph delta overlay, publishing merged epochs, and
-//! the maintained read that answers nodes-mode runs of a dirty graph.
+//! the maintained read that answers nodes-mode runs of a live graph.
 
 use super::query::{rows_reply, write_nodes, BatchCache};
 use super::request::{Run, Target};
@@ -52,14 +52,18 @@ impl Service {
         true
     }
 
-    /// The read side of a live graph, for `run` and `trace`. With pending
-    /// overlay writes on the graph, an untraced nodes-mode run of a named
-    /// statement is answered from its incrementally maintained answer set
-    /// (built on first use) — the reply fields come back. Any other request,
-    /// and any statement the maintainer cannot handle, merges the overlay
-    /// into a fresh epoch and drops the request's pins on the old one, to
-    /// run cold on the merged graph (`None`). The statement name is checked
-    /// first, so a request about to be rejected merges nothing.
+    /// The read side of a live graph, for `run` and `trace`. An untraced
+    /// nodes-mode run of a named statement is answered from its
+    /// incrementally maintained answer set whenever that set is current —
+    /// bound to the same prepared query on the graph's current epoch — and
+    /// the reply fields come back. That holds on a clean graph too: a merge
+    /// rebases the maintained sets onto the merged epoch, so they still
+    /// describe it. With pending overlay writes, a statement without a
+    /// current set has one built. Any other request, and any statement the
+    /// maintainer cannot handle, runs cold (`None`): with pending writes it
+    /// first merges the overlay into a fresh epoch and drops the request's
+    /// pins on the old one. The statement name is checked first, so a
+    /// request about to be rejected merges nothing.
     pub(crate) fn maintained_read(
         &self,
         run: &Run<'_>,
@@ -69,9 +73,10 @@ impl Service {
     ) -> Result<Option<Vec<(&'static str, Value)>>, ServerError> {
         let gname = run.graph;
         let mut live_map = self.live.lock().expect("live-state lock poisoned");
-        let Some(state) = live_map.get_mut(gname).filter(|s| s.live.pending() > 0) else {
+        let Some(state) = live_map.get_mut(gname) else {
             return Ok(None);
         };
+        let dirty = state.live.pending() > 0;
         if let Target::Named(name) = run.target {
             self.registry.require(name)?;
             if !traced && run.mode == Mode::Nodes {
@@ -80,7 +85,7 @@ impl Service {
                 let mut current =
                     state.maintained.get(name).is_some_and(|m| Arc::ptr_eq(m.statement(), &stmt));
                 let view = state.live.view();
-                if !current {
+                if !current && dirty {
                     // First dirty read of this binding: build its maintained
                     // state, unless it is not maintainable (inexact
                     // relaxation) and must run cold.
@@ -101,9 +106,11 @@ impl Service {
         }
         // Everything else runs on a sealed epoch: merge the pending writes
         // and drop the request's pins on the old one.
-        let epoch = state.live.force_merge();
-        self.publish_merge(gname, state, &epoch);
-        cache.invalidate_graph(gname);
+        if dirty {
+            let epoch = state.live.force_merge();
+            self.publish_merge(gname, state, &epoch);
+            cache.invalidate_graph(gname);
+        }
         Ok(None)
     }
 }

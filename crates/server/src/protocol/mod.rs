@@ -1270,9 +1270,9 @@ mod tests {
         assert_eq!(m.get("merges").unwrap().as_u64(), Some(1));
         assert_eq!(m.get("pending").unwrap().as_u64(), Some(0));
         assert_eq!(m.get("maintained").unwrap().as_u64(), Some(1));
-        // The next run takes the cold path on the merged epoch — and is a
-        // registry hit with zero compilations, because the rebind installed
-        // the new epoch's plan.
+        // The next run is served from the maintained answers, which the
+        // merge rebased onto the fresh epoch — a registry hit with zero
+        // compilations, because the rebind installed the new epoch's plan.
         let r = reply(&s, r#"{"op":"run","name":"q","graph":"g"}"#);
         assert_eq!(r.get("registry").unwrap().as_str(), Some("hit"));
         assert_eq!(r.get("count").unwrap().as_u64(), Some(9));
@@ -1286,6 +1286,89 @@ mod tests {
         assert_eq!(live[0].get("pending").unwrap().as_u64(), Some(0));
         assert_eq!(live[0].get("merges").unwrap().as_u64(), Some(1));
         assert_eq!(live[0].get("merge_threshold").unwrap().as_u64(), Some(2));
+    }
+
+    /// `q` (two `a` hops) prepared on `g`, one dirty read that builds its
+    /// maintained answers, then a write that crosses the merge threshold:
+    /// the graph is clean again and the maintained answers describe the
+    /// merged epoch.
+    fn merged_with_view() -> Service {
+        let s = loaded_service();
+        reply(
+            &s,
+            r#"{"op":"prepare","name":"q","query":"Ans(x, y) <- (x, p, y), L(p) = a a","graph":"g"}"#,
+        );
+        reply(
+            &s,
+            r#"{"op":"add_edges","graph":"g","edges":[["n0","a","n3"]],"merge_threshold":2}"#,
+        );
+        reply(&s, r#"{"op":"run","name":"q","graph":"g"}"#);
+        let m = reply(&s, r#"{"op":"add_edges","graph":"g","edges":[["n1","a","n4"]]}"#);
+        assert_eq!(m.get("merged").unwrap().as_bool(), Some(true));
+        assert_eq!(m.get("pending").unwrap().as_u64(), Some(0));
+        s
+    }
+
+    /// The sorted answer rows of a nodes-mode reply.
+    fn sorted_answers(r: &Value) -> Vec<String> {
+        let rows = r.get("answers").unwrap().as_arr().unwrap();
+        let mut rows: Vec<String> = rows.iter().map(|row| format!("{row:?}")).collect();
+        rows.sort();
+        rows
+    }
+
+    /// Runs `text` cold on `g`: prepared under a fresh name, it has no
+    /// maintained answers, and on a clean graph none are built.
+    fn cold_run(s: &Service, text: &str) -> Value {
+        reply(s, &format!(r#"{{"op":"prepare","name":"cold","query":"{text}","graph":"g"}}"#));
+        reply(s, r#"{"op":"run","name":"cold","graph":"g"}"#)
+    }
+
+    /// `(version, merges, maintained)` of the one live graph.
+    fn live_counters(s: &Service) -> (u64, u64, u64) {
+        let st = reply(s, r#"{"op":"stats"}"#);
+        let live = &st.get("live").unwrap().as_arr().unwrap()[0];
+        let get = |k: &str| live.get(k).unwrap().as_u64().unwrap();
+        (get("version"), get("merges"), get("maintained"))
+    }
+
+    #[test]
+    fn a_read_after_a_merge_is_served_from_the_rebased_view() {
+        let s = merged_with_view();
+        let before = live_counters(&s);
+        let r = reply(&s, r#"{"op":"run","name":"q","graph":"g"}"#);
+        assert_eq!(r.get("count").unwrap().as_u64(), Some(9));
+        assert_eq!(live_counters(&s), before, "a read neither merges nor bumps the version");
+        let cold = cold_run(&s, "Ans(x, y) <- (x, p, y), L(p) = a a");
+        assert_eq!(sorted_answers(&r), sorted_answers(&cold));
+        assert_eq!(live_counters(&s), before);
+    }
+
+    #[test]
+    fn a_re_prepare_on_a_clean_graph_is_not_answered_from_the_stale_view() {
+        let s = merged_with_view();
+        reply(
+            &s,
+            r#"{"op":"prepare","name":"q","query":"Ans(x, y) <- (x, p, y), L(p) = a","graph":"g"}"#,
+        );
+        let r = reply(&s, r#"{"op":"run","name":"q","graph":"g"}"#);
+        let cold = cold_run(&s, "Ans(x, y) <- (x, p, y), L(p) = a");
+        // One hop over the 6-cycle plus two chords, not the stale 9 two-hop
+        // answers.
+        assert_eq!(r.get("count").unwrap().as_u64(), Some(8));
+        assert_eq!(sorted_answers(&r), sorted_answers(&cold));
+    }
+
+    #[test]
+    fn a_load_that_replaces_the_graph_drops_its_views() {
+        let s = merged_with_view();
+        reply(&s, r#"{"op":"load","graph":"g","generator":"cycle:4:a"}"#);
+        let st = reply(&s, r#"{"op":"stats"}"#);
+        assert_eq!(st.get("live").unwrap().as_arr().unwrap().len(), 0);
+        let r = reply(&s, r#"{"op":"run","name":"q","graph":"g"}"#);
+        assert_eq!(r.get("count").unwrap().as_u64(), Some(4));
+        let cold = cold_run(&s, "Ans(x, y) <- (x, p, y), L(p) = a a");
+        assert_eq!(sorted_answers(&r), sorted_answers(&cold));
     }
 
     #[test]

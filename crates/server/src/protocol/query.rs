@@ -103,10 +103,10 @@ impl Service {
     /// query is traced through `parse` → `compile` → `bind` without
     /// touching the registry.
     ///
-    /// With pending overlay writes on the graph, the request is first
-    /// offered to [`maintained_read`](Self::maintained_read), which answers
-    /// it or merges the overlay; anything it does not answer runs cold on
-    /// the sealed epoch.
+    /// On a live graph, the request is first offered to
+    /// [`maintained_read`](Self::maintained_read), which answers it from a
+    /// maintained answer set or merges any pending overlay writes; anything
+    /// it does not answer runs cold on the sealed epoch.
     pub(crate) fn run_request(
         &self,
         run: &Run<'_>,

@@ -37,7 +37,9 @@
 # must stay a registry hit, and the remove must restore the pre-mutation
 # answers bit for bit; then the same add and remove on a second graph with
 # merge_threshold 1, so each write merges a new epoch end to end and the
-# runs over the merged epochs give the same answers).
+# runs over the merged epochs give the same answers; one more run after the
+# merges must return the same rows and leave `merges` and `version`
+# unchanged in `stats`, since reads never merge).
 #
 # --e2e-smoke      additionally runs the end-to-end served-query benchmark
 #                  with 2 s windows (bash benchmarks/e2e/run.sh --smoke): every
@@ -73,8 +75,10 @@
 #                  return the answers to exactly the pre-mutation set; the
 #                  same two writes on a graph with merge_threshold 1 must
 #                  each merge, with the same answers, ending at 2 merges and
-#                  0 pending) — the fast loop while working on the mutation
-#                  layer. The same gate is part of the default sequence.
+#                  0 pending, and a further run must return the same rows
+#                  without changing `merges` or `version`) — the fast loop
+#                  while working on the mutation layer. The same gate is
+#                  part of the default sequence.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -407,11 +411,17 @@ answers_of() {
     sed 's/.*"answers"://; s/,"stats".*//' <<< "$1"
 }
 
+# The merge count and version of one `stats` live-graph entry, in a fixed
+# order.
+merges_and_version() {
+    grep -o '"merges":[0-9]*\|"version":[0-9]*' <<< "$1" | sort | tr '\n' ' '
+}
+
 mutation_smoke() {
     echo
     echo "==> mutation smoke (add_edges/remove_edges round-trip on a live overlay)"
     local cli="$repo_root/target/release/ecrpq-cli"
-    local log before after reverted merged live
+    local log before after reverted merged live reread live_after
     log=$(mktemp)
     start_server "$log"
 
@@ -465,12 +475,26 @@ mutation_smoke() {
         echo "mutation smoke FAILED: g2 must report 2 merges and 0 pending, got: $live" >&2
         exit 1
     fi
+    # Reads never merge: one more run on the clean graph returns the same
+    # rows and leaves the merge count and the version where they were.
+    reread=$("$cli" --addr "$server_addr" run q g2)
+    if [[ "$(answers_of "$reread")" != "$(answers_of "$before")" ]]; then
+        echo "mutation smoke FAILED: a run after the merges must return the same rows" >&2
+        exit 1
+    fi
+    live_after=$("$cli" --addr "$server_addr" stats g2 2>/dev/null | grep -o '{"graph":"g2"[^}]*}')
+    if [[ "$(merges_and_version "$live")" != '"merges":2 "version":'* ]] \
+        || [[ "$(merges_and_version "$live_after")" != "$(merges_and_version "$live")" ]]; then
+        echo "mutation smoke FAILED: a read must not merge or bump the version:" \
+            "before $live, after $live_after" >&2
+        exit 1
+    fi
 
     "$cli" --addr "$server_addr" shutdown
     wait "$server_pid"
     server_pid=""
     rm -f "$log"
-    echo "    mutation smoke OK (delta visible + registry hit, remove restores answers, 2 merges end to end)"
+    echo "    mutation smoke OK (delta visible + registry hit, remove restores answers, 2 merges end to end, reads never merge)"
 }
 
 if [[ "$mutation_smoke_only" == 1 ]]; then

@@ -3,7 +3,8 @@
 //!
 //! Every test generates seeded random multi-label graphs and queries and
 //! asserts that `ecrpq::eval` (the dense engine: interned flat-`u64` states,
-//! bitset relation state sets stepped through precompiled successor lists) and
+//! relation state sets interned per run and stepped through memoised
+//! successor lists) and
 //! `ecrpq::eval::reference` (the classical cloned-state BFS) agree exactly:
 //! identical answer sets, identical `EvalStats::verified` counts, identical
 //! membership verdicts for pinned paths, and answer-automaton emptiness
