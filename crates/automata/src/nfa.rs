@@ -400,27 +400,6 @@ impl<S: Clone + Eq + Hash + Ord> Nfa<S> {
         seen
     }
 
-    /// States reachable from the initial states (following both labeled and
-    /// ε-transitions).
-    pub fn reachable_states(&self) -> HashSet<StateId> {
-        self.reachable_flags()
-            .iter()
-            .enumerate()
-            .filter(|(_, &r)| r)
-            .map(|(q, _)| q as StateId)
-            .collect()
-    }
-
-    /// States from which an accepting state is reachable.
-    pub fn coreachable_states(&self) -> HashSet<StateId> {
-        self.coreachable_flags()
-            .iter()
-            .enumerate()
-            .filter(|(_, &r)| r)
-            .map(|(q, _)| q as StateId)
-            .collect()
-    }
-
     /// Removes states that are unreachable or cannot reach an accepting
     /// state, renumbering the rest. The language is unchanged.
     pub fn trim(&self) -> Nfa<S> {

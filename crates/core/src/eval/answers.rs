@@ -168,10 +168,11 @@ fn add_candidate_automaton(
     tables: &mut [SetTable],
 ) -> Result<(), QueryError> {
     let pq = plan.pq;
+    let unpinned = vec![None; pq.path_vars.len()];
     let problem = SearchProblem {
         plan,
-        sigma: sigma.to_vec(),
-        pinned: vec![None; pq.path_vars.len()],
+        sigma,
+        pinned: &unpinned,
         want_witness: true,
         step_bound: None,
         max_states: config.max_search_states,

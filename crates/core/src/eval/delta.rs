@@ -11,10 +11,11 @@
 //! There is no second evaluator here. The rows come from the cold
 //! pipeline's own product-BFS kernel (`plan::reach`) walking the overlay's
 //! adjacency instead of the base graph's, and the answers from the cold
-//! pipeline's own candidate join (`plan::enumerate_candidates`) over those
-//! rows, in the join order the cold planner (`plan::cost::plan_query`) chose
-//! once when the statement was built; this module only decides *which*
-//! sources to recompute.
+//! pipeline's own candidate driver (`BoundPlan::drive`: the candidate join,
+//! head dedup and `verified` counting of every run) over those rows, in the
+//! join order the cold planner (`plan::cost::plan_query`) chose once when
+//! the statement was built; this module only decides *which* sources to
+//! recompute.
 //!
 //! Maintenance is restricted to the statements where the relaxation is
 //! *exact* (plain CRPQs: no wide relations, no relational repetition, no
@@ -30,12 +31,12 @@
 use crate::error::QueryError;
 use crate::eval::plan::cost::plan_query;
 use crate::eval::plan::reach::{reach_rows, Overlay};
-use crate::eval::plan::{self, ReachRel};
-use crate::eval::prepared::BoundStatement;
+use crate::eval::plan::{Mode, ReachRel};
+use crate::eval::prepared::{BoundStatement, Drive};
 use crate::eval::{EvalConfig, EvalStats};
 use ecrpq_graph::delta::{DeltaBatch, GraphView};
-use ecrpq_graph::NodeId;
-use std::collections::{HashMap, HashSet};
+use ecrpq_graph::{NodeId, Path};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A prepared statement whose node-mode answer set is maintained
@@ -164,11 +165,11 @@ impl MaintainedStatement {
 
     /// Recomputes the rows of `sources` with the cold pipeline's kernel over
     /// the overlay's adjacency, then re-enumerates the answer set with the
-    /// cold pipeline's join — same candidate counting, same head dedup
-    /// (skipped, as on a cold run, when
-    /// [`heads_are_distinct`](crate::eval::PreparedQuery::heads_are_distinct)
-    /// holds), `verified` = distinct heads. Answers come out sorted (the
-    /// canonical order the serve path renders).
+    /// cold pipeline's candidate driver
+    /// ([`BoundPlan::drive`](crate::eval::prepared::BoundPlan::drive)) over
+    /// the maintained rows and the stored order: the same candidate
+    /// counting, head dedup and `verified` count as a cold nodes-mode run.
+    /// Answers come out sorted (the canonical order the serve path renders).
     fn refresh(
         &mut self,
         view: GraphView<'_>,
@@ -188,34 +189,26 @@ impl MaintainedStatement {
 
         // The join probes both directions: lend the maintained rows to
         // `ReachRel`s (backward rows by transposition) for its duration and
-        // take them back afterwards, so they are never held twice.
+        // take them back afterwards, so they are never held twice. The
+        // relaxation is exact, so the driver searches nothing and never
+        // reads the plan's base graph.
         let rels: Vec<ReachRel> =
             std::mem::take(&mut self.reach).into_iter().map(ReachRel::from_fwd).collect();
-        let mut seen_heads: Option<HashSet<Vec<NodeId>>> =
-            (!pq.heads_are_distinct(&art.constants)).then(HashSet::new);
         let mut answers: Vec<Vec<NodeId>> = Vec::new();
-        let visit = |sigma: &[NodeId]| {
-            let head: Vec<NodeId> = pq.head_node_idx.iter().map(|&i| sigma[i]).collect();
-            if seen_heads.as_mut().is_none_or(|seen| seen.insert(head.clone())) {
-                answers.push(head);
-            }
-            true
+        let d = Drive {
+            mode: Mode::Nodes,
+            num_nodes: self.num_nodes,
+            forced: &art.constants,
+            order: &self.order,
+            reach: &rels,
+            pinned: None,
         };
-        let joined = plan::enumerate_candidates(
-            pq,
-            self.num_nodes,
-            &art.constants,
-            &rels,
-            &self.order,
-            config,
-            &mut stats,
-            visit,
-        );
+        let mut sink = |head: &[NodeId], _: &[Path]| answers.push(head.to_vec());
+        let driven = self.stmt.plan().drive(d, config, &mut stats, &mut None, &mut sink);
         self.reach = rels.into_iter().map(|r| r.fwd).collect();
-        joined?;
+        driven?;
 
         answers.sort();
-        stats.verified = answers.len() as u64;
         self.stats = stats;
         self.answers = answers;
         Ok(())
@@ -225,6 +218,7 @@ impl MaintainedStatement {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::plan;
     use crate::eval::prepared::PreparedQuery;
     use crate::parse::parse_query;
     use ecrpq_graph::delta::LiveGraph;

@@ -23,8 +23,9 @@
 //! 3. **Convolution search.** For each candidate, the on-the-fly product of
 //!    the padded graph power `G^m` with the relation automata is searched for
 //!    an accepting run (Theorem 6.3's PSPACE procedure, Theorem 6.1's
-//!    NLOGSPACE data-complexity procedure). Queries without proper relation
-//!    atoms (plain CRPQs without repetition) skip this step.
+//!    NLOGSPACE data-complexity procedure), by one candidate driver
+//!    (`BoundPlan::drive`) for runs, checks and maintained statements. A
+//!    run of a plain CRPQ (no repetition) skips it; a check never does.
 //!
 //! Path outputs are produced either as explicit witness paths
 //! ([`eval_with_paths`]) or as an automaton representing the full (possibly

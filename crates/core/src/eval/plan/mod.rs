@@ -10,13 +10,13 @@
 //! over the adjacency it walks and the constraint it steps), and candidate
 //! node assignments from the backtracking join [`enumerate_candidates`] over
 //! those relations. `BoundPlan::plan_reach` runs the first two for cold
-//! runs, membership checks, answer automata and `Q_len` alike; each
-//! candidate is then verified by the convolution search of
-//! [`super::search`] (skipped for plain CRPQs, for which the relaxation is
-//! exact) or, for an answer automaton, explored by the same search
-//! expander. Incrementally maintained statements ([`super::delta`]) plan
-//! once and run the same kernel and the same join over an overlay's
-//! adjacency.
+//! runs, membership checks, answer automata and `Q_len` alike. The one
+//! candidate driver (`BoundPlan::drive`) runs the join for runs, checks and
+//! maintained statements ([`super::delta`], which plan once and run the
+//! same kernel over an overlay's adjacency), verifying each candidate by
+//! [`Engine::run`] — the convolution search of [`super::search`], skipped
+//! in a run of a plain CRPQ, for which the relaxation is exact. An answer
+//! automaton explores candidates with the search's expander instead.
 
 pub(crate) mod cost;
 pub(crate) mod reach;
@@ -88,11 +88,11 @@ pub(crate) fn join_edges(pq: &PreparedQuery) -> Vec<JoinEdge> {
 
 /// Enumerates candidate node assignments consistent with the reachability
 /// relations, invoking `visit` on each; `visit` returns `false` to stop.
-/// This is the one candidate join: cold runs, membership checks, the
-/// answer-automaton and length-abstraction paths (all through
-/// `BoundPlan::plan_reach`), and the maintained statements of
-/// [`super::delta`] (whose relations cover an overlay's `num_nodes`,
-/// delta-introduced nodes included) all enumerate through it.
+/// This is the one candidate join: the candidate driver `BoundPlan::drive`
+/// (cold runs, membership checks, and the maintained statements of
+/// [`super::delta`], whose relations cover an overlay's `num_nodes`,
+/// delta-introduced nodes included) and the answer-automaton and
+/// length-abstraction paths all enumerate through it.
 ///
 /// `constants` are the node variables with forced values (the plan's
 /// resolved constants, or the values forced by a membership check or an
@@ -229,7 +229,8 @@ pub(crate) enum Engine {
 }
 
 impl Engine {
-    /// Verifies one candidate. `tables` are the run's relation set tables
+    /// Verifies one candidate; the candidate driver `BoundPlan::drive` is
+    /// the only caller. `tables` are the run's relation set tables
     /// ([`search::run`]); the reference engine does not read them.
     pub(crate) fn run(
         self,

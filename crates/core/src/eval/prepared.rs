@@ -16,7 +16,12 @@
 //!    translation into the merged alphabet, label-count coefficients for
 //!    graph-only labels — never a copy of the edges) into a [`BoundPlan`],
 //!    whose [`run_rows`](BoundPlan::run_rows) (and the collecting `run*`
-//!    conveniences over it) executes the query.
+//!    conveniences over it) executes the query: `plan_reach` with the bound
+//!    constants, then the one candidate driver, `BoundPlan::drive` — the
+//!    candidate join, verification, head dedup and row sink. The
+//!    membership check [`check`](BoundPlan::check) is a pinned Boolean run
+//!    of the same driver, and so are, in nodes mode over an overlay's
+//!    rows, the refreshes of [`super::delta`]'s maintained statements.
 //!
 //! `prepare(&query)?` once, then `.bind(&graph)?.run(&config)` as many times
 //! as there are graphs: nothing automaton-shaped is recompiled on reuse, and
@@ -468,7 +473,8 @@ impl PreparedQuery {
     /// run reads the graph's own adjacency — so binding costs O(labels +
     /// constants), independent of the graph size.
     pub fn bind<'a>(&'a self, graph: &'a GraphDb) -> Result<BoundPlan<'a>, QueryError> {
-        Ok(BoundPlan { pq: self, graph, art: Cow::Owned(self.bind_artifacts(graph)?) })
+        let art = Cow::Owned(self.bind_artifacts(graph)?);
+        Ok(BoundPlan { pq: self, graph, art, engine: Engine::Dense })
     }
 
     /// Computes everything [`bind`](Self::bind) resolves against one concrete
@@ -689,6 +695,23 @@ pub struct BoundPlan<'a> {
     /// The bind-time data: owned for a fresh [`PreparedQuery::bind`],
     /// borrowed (no copy) when viewed through a [`BoundStatement`].
     art: Cow<'a, BindArtifacts>,
+    /// The verification engine: dense, or the reference engine of the
+    /// differential suites ([`with_engine`](Self::with_engine)).
+    engine: Engine,
+}
+
+/// What one [`BoundPlan::drive`] verifies: the candidate join's inputs —
+/// the nodes its relations cover (a live overlay's for a maintained
+/// statement), the forced node values, the planned order and one relation
+/// per path variable — and, for a membership check, one pinned path per
+/// path variable.
+pub(crate) struct Drive<'r> {
+    pub mode: Mode,
+    pub num_nodes: usize,
+    pub forced: &'r [(usize, NodeId)],
+    pub order: &'r [usize],
+    pub reach: &'r [ReachRel],
+    pub pinned: Option<&'r [Option<&'r Path>]>,
 }
 
 impl<'a> BoundPlan<'a> {
@@ -739,11 +762,17 @@ impl<'a> BoundPlan<'a> {
         (self.graph.num_nodes() * (1 + rel_states)).clamp(64, 100_000)
     }
 
+    /// This plan verifying candidates with `engine` (the reference engine is
+    /// the differential oracle of the test suites).
+    pub(crate) fn with_engine(self, engine: Engine) -> Self {
+        BoundPlan { engine, ..self }
+    }
+
     /// Runs the query: full answers with witness paths when the head has
     /// path variables, node tuples otherwise.
     pub fn run(&self, config: &EvalConfig) -> Result<(Vec<Answer>, EvalStats), QueryError> {
         let mode = if self.pq.head_path_idx.is_empty() { Mode::Nodes } else { Mode::Paths };
-        self.run_mode(mode, config, None)
+        self.run_mode(mode, config)
     }
 
     /// Runs the query, returning the set of head-node tuples and statistics.
@@ -770,40 +799,79 @@ impl<'a> BoundPlan<'a> {
         &self,
         config: &EvalConfig,
     ) -> Result<(Vec<Answer>, EvalStats), QueryError> {
-        self.run_mode(Mode::Paths, config, None)
+        self.run_mode(Mode::Paths, config)
     }
 
     /// The `ECRPQ-EVAL` membership check: does `(nodes, paths)` belong to
-    /// `Q(G)`?
+    /// `Q(G)`? A pinned Boolean run of the candidate driver that
+    /// [`run_rows`](Self::run_rows) uses: the plan and the candidate join
+    /// see the node values `(nodes, paths)` forces, each head path is
+    /// pinned in the search, and every candidate is verified by the search
+    /// — plain CRPQs included — until one is accepted.
     pub fn check(
         &self,
         nodes: &[NodeId],
         paths: &[Path],
         config: &EvalConfig,
     ) -> Result<bool, QueryError> {
-        self.check_engine(nodes, paths, config, Engine::Dense)
+        let pq = self.pq;
+        if nodes.len() != pq.head_node_idx.len() || paths.len() != pq.head_path_idx.len() {
+            return Err(QueryError::Unsupported(format!(
+                "membership check expects {} node values and {} path values",
+                pq.head_node_idx.len(),
+                pq.head_path_idx.len()
+            )));
+        }
+        if !paths.iter().all(|p| p.is_valid_in(self.graph)) {
+            return Ok(false);
+        }
+        let Some(forced) = self.forced(nodes, paths) else {
+            return Ok(false);
+        };
+        let mut pinned: Vec<Option<&Path>> = vec![None; pq.path_vars.len()];
+        for (&p, path) in pq.head_path_idx.iter().zip(paths) {
+            pinned[p] = Some(path);
+        }
+        let mut stats = EvalStats::default();
+        let (order, reach) = self.plan_reach(&forced, &mut stats, &mut None);
+        let d = Drive {
+            mode: Mode::Boolean,
+            num_nodes: self.graph.num_nodes(),
+            forced: &forced,
+            order: &order,
+            reach: &reach,
+            pinned: Some(&pinned),
+        };
+        let mut member = false;
+        self.drive(d, config, &mut stats, &mut None, &mut |_, _| member = true)?;
+        Ok(member)
     }
 
-    /// [`run_rows`](Self::run_rows) with its rows collected as [`Answer`]s,
-    /// in the order the sink receives them.
-    pub fn run_mode(
+    /// [`run_rows`](Self::run_rows)'s rows collected as [`Answer`]s, in the
+    /// order the sink receives them.
+    pub(crate) fn run_mode(
         &self,
         mode: Mode,
         config: &EvalConfig,
-        trace: Option<&mut Trace>,
     ) -> Result<(Vec<Answer>, EvalStats), QueryError> {
-        self.collect_engine(mode, config, Engine::Dense, trace)
+        let mut answers = Vec::new();
+        let stats = self.run_rows(mode, config, None, |nodes, paths| {
+            answers.push(Answer { nodes: nodes.to_vec(), paths: paths.to_vec() })
+        })?;
+        Ok((answers, stats))
     }
 
-    /// The one run entry point: evaluates the plan in `mode` and hands each
-    /// answer row to `sink` the moment it is verified, so a caller that
-    /// writes rows out (the server's reply text) never holds them all.
+    /// The one run entry point: the plan → reachability stage with the
+    /// bound constants, then the candidate driver over the whole graph,
+    /// which hands each answer row to `sink` the moment it is verified, so
+    /// a caller that writes rows out (the server's reply text) never holds
+    /// them all.
     ///
     /// The sink receives the row's head-node values and, in [`Mode::Paths`],
     /// one witness path per head path variable (an empty slice otherwise),
     /// both borrowed for the call only. Rows come in join order — the
     /// planner's variable order, candidates in ascending node order within
-    /// it — which is the order of [`run_mode`](Self::run_mode)'s answers.
+    /// it — which is the order of [`run`](Self::run)'s answers.
     /// [`Mode::Nodes`] hands each head tuple once. [`Mode::Paths`] hands
     /// each `(nodes, paths)` row once and stops after `config.answer_limit`
     /// rows; with a limit of 0 it verifies no candidate. [`Mode::Boolean`]
@@ -822,71 +890,64 @@ impl<'a> BoundPlan<'a> {
         &self,
         mode: Mode,
         config: &EvalConfig,
-        trace: Option<&mut Trace>,
+        mut trace: Option<&mut Trace>,
         mut sink: impl FnMut(&[NodeId], &[Path]),
     ) -> Result<EvalStats, QueryError> {
-        self.run_engine(mode, config, Engine::Dense, trace, &mut sink)
+        let mut stats = EvalStats::default();
+        let forced = self.constants();
+        let (order, reach) = self.plan_reach(forced, &mut stats, &mut trace);
+        let n = self.graph.num_nodes();
+        let d = Drive { mode, num_nodes: n, forced, order: &order, reach: &reach, pinned: None };
+        self.drive(d, config, &mut stats, &mut trace, &mut sink)?;
+        Ok(stats)
     }
 
-    /// [`run_mode`](Self::run_mode) with an explicit verification engine.
-    pub(crate) fn collect_engine(
-        &self,
-        mode: Mode,
-        config: &EvalConfig,
-        engine: Engine,
-        trace: Option<&mut Trace>,
-    ) -> Result<(Vec<Answer>, EvalStats), QueryError> {
-        let mut answers = Vec::new();
-        let stats = self.run_engine(mode, config, engine, trace, &mut |nodes, paths| {
-            answers.push(Answer { nodes: nodes.to_vec(), paths: paths.to_vec() })
-        })?;
-        Ok((answers, stats))
-    }
-
-    /// [`run_rows`](Self::run_rows) with an explicit verification engine
-    /// (the reference engine reruns the same pipeline for the differential
-    /// suites).
+    /// The one candidate driver: runs the candidate join over `d`'s
+    /// relations in `d`'s order, verifies each candidate with the plan's
+    /// engine, deduplicates heads and answers, counts `verified` and
+    /// `search_states` into `stats`, and hands each row to `sink` as
+    /// [`run_rows`](Self::run_rows) documents. Cold runs, the membership
+    /// check and the refreshes of maintained statements ([`super::delta`])
+    /// all verify through it.
     ///
-    /// A nodes-mode run deduplicates heads — a candidate whose head was
-    /// already answered is skipped before verification — only when two
-    /// candidates can share a head, i.e. unless
-    /// [`PreparedQuery::heads_are_distinct`] holds. The reference engine
-    /// always keeps the set, so the differential suites check the skip.
+    /// A candidate is searched when the relaxation is inexact, when
+    /// witnesses are wanted, or when `d` pins paths (a membership check
+    /// searches every candidate); otherwise the join's candidates are the
+    /// answers. A nodes-mode run deduplicates heads — a candidate whose
+    /// head was already answered is skipped before verification — only
+    /// when two candidates can share a head, i.e. unless
+    /// [`PreparedQuery::heads_are_distinct`] holds for `d.forced`. The
+    /// reference engine always keeps the set, so the differential suites
+    /// check the skip.
     ///
     /// The sink is a trait object, so this loop is compiled once, not once
     /// per caller's closure.
-    pub(crate) fn run_engine(
+    pub(crate) fn drive(
         &self,
-        mode: Mode,
+        d: Drive<'_>,
         config: &EvalConfig,
-        engine: Engine,
-        mut trace: Option<&mut Trace>,
+        stats: &mut EvalStats,
+        trace: &mut Option<&mut Trace>,
         sink: &mut dyn FnMut(&[NodeId], &[Path]),
-    ) -> Result<EvalStats, QueryError> {
+    ) -> Result<(), QueryError> {
         let pq = self.pq;
-        let mut stats = EvalStats::default();
-
-        let (order, reach) = self.plan_reach(self.constants(), &mut stats, &mut trace);
-
-        let needs_search = !pq.relaxation_is_exact || mode == Mode::Paths;
-        if needs_search && engine == Engine::Dense {
-            let sp = qtrace::begin_span(&mut trace, "compile");
+        let mode = d.mode;
+        let needs_search = d.pinned.is_some() || !pq.relaxation_is_exact || mode == Mode::Paths;
+        if needs_search && self.engine == Engine::Dense {
+            let sp = qtrace::begin_span(trace, "compile");
             let before = (stats.sim_cache_hits, stats.sim_cache_misses);
-            pq.force_rel_sims(&mut stats);
-            qtrace::span_attr(&mut trace, sp, "sim_cache_hits", stats.sim_cache_hits - before.0);
-            qtrace::span_attr(
-                &mut trace,
-                sp,
-                "sim_cache_misses",
-                stats.sim_cache_misses - before.1,
-            );
-            qtrace::end_span(&mut trace, sp);
+            pq.force_rel_sims(stats);
+            qtrace::span_attr(trace, sp, "sim_cache_hits", stats.sim_cache_hits - before.0);
+            qtrace::span_attr(trace, sp, "sim_cache_misses", stats.sim_cache_misses - before.1);
+            qtrace::end_span(trace, sp);
         }
         let step_bound =
             if self.counters().is_empty() { None } else { Some(self.step_bound(config)) };
+        let unpinned = vec![None; pq.path_vars.len()];
+        let pinned = d.pinned.unwrap_or(&unpinned);
 
         let dedup_heads = mode == Mode::Nodes
-            && (engine == Engine::Reference || !pq.heads_are_distinct(self.constants()));
+            && (self.engine == Engine::Reference || !pq.heads_are_distinct(d.forced));
         let mut seen_heads: Option<HashSet<Vec<NodeId>>> = dedup_heads.then(HashSet::new);
         let mut seen_answers: HashSet<(Vec<NodeId>, Vec<Path>)> = HashSet::new();
         let mut head: Vec<NodeId> = Vec::with_capacity(pq.head_node_idx.len());
@@ -896,36 +957,34 @@ impl<'a> BoundPlan<'a> {
         let mut search_states: u64 = 0;
         let mut tables = vec![SetTable::default(); pq.relations.len()];
 
-        let search_span = qtrace::begin_span(&mut trace, "search");
+        let search_span = qtrace::begin_span(trace, "search");
         // A paths run capped at zero rows has nothing to verify.
         if mode != Mode::Paths || config.answer_limit > 0 {
             plan::enumerate_candidates(
                 pq,
-                self.graph.num_nodes(),
-                self.constants(),
-                &reach,
-                &order,
+                d.num_nodes,
+                d.forced,
+                d.reach,
+                d.order,
                 config,
-                &mut stats,
+                stats,
                 |sigma| {
                     head.clear();
                     head.extend(pq.head_node_idx.iter().map(|&i| sigma[i]));
                     if seen_heads.as_ref().is_some_and(|seen| seen.contains(head.as_slice())) {
                         return true;
                     }
-                    // Verify the candidate with the convolution search (the
-                    // relaxation is exact for plain CRPQs in node modes).
                     let mut paths = Vec::new();
                     if needs_search {
                         let problem = SearchProblem {
                             plan: self,
-                            sigma: sigma.to_vec(),
-                            pinned: vec![None; pq.path_vars.len()],
+                            sigma,
+                            pinned,
                             want_witness: mode == Mode::Paths,
                             step_bound,
                             max_states: config.max_search_states,
                         };
-                        let out = match engine.run(&problem, &mut tables) {
+                        let out = match self.engine.run(&problem, &mut tables) {
                             Ok(out) => out,
                             Err(e) => {
                                 error = Some(e);
@@ -962,15 +1021,12 @@ impl<'a> BoundPlan<'a> {
 
         stats.verified = verified;
         stats.search_states = search_states;
-        qtrace::span_attr(&mut trace, search_span, "candidates", stats.candidates);
-        qtrace::span_attr(&mut trace, search_span, "verified", stats.verified);
-        qtrace::span_attr(&mut trace, search_span, "search_states", stats.search_states);
-        qtrace::span_attr(&mut trace, search_span, "answers", rows as u64);
-        qtrace::end_span(&mut trace, search_span);
-        if let Some(e) = error {
-            return Err(e);
-        }
-        Ok(stats)
+        qtrace::span_attr(trace, search_span, "candidates", stats.candidates);
+        qtrace::span_attr(trace, search_span, "verified", stats.verified);
+        qtrace::span_attr(trace, search_span, "search_states", stats.search_states);
+        qtrace::span_attr(trace, search_span, "answers", rows as u64);
+        qtrace::end_span(trace, search_span);
+        error.map_or(Ok(()), Err)
     }
 
     /// The plan → reachability stage of every evaluation: plans with
@@ -1037,70 +1093,6 @@ impl<'a> BoundPlan<'a> {
         }
         forced.sort_unstable();
         Some(forced)
-    }
-
-    /// The membership check with an explicit verification engine.
-    pub(crate) fn check_engine(
-        &self,
-        nodes: &[NodeId],
-        paths: &[Path],
-        config: &EvalConfig,
-        engine: Engine,
-    ) -> Result<bool, QueryError> {
-        let pq = self.pq;
-        if nodes.len() != pq.head_node_idx.len() || paths.len() != pq.head_path_idx.len() {
-            return Err(QueryError::Unsupported(format!(
-                "membership check expects {} node values and {} path values",
-                pq.head_node_idx.len(),
-                pq.head_path_idx.len()
-            )));
-        }
-        for p in paths {
-            if !p.is_valid_in(self.graph) {
-                return Ok(false);
-            }
-        }
-
-        let Some(forced) = self.forced(nodes, paths) else {
-            return Ok(false);
-        };
-        let mut pinned: Vec<Option<&Path>> = vec![None; pq.path_vars.len()];
-        for (&p, path) in pq.head_path_idx.iter().zip(paths) {
-            pinned[p] = Some(path);
-        }
-        let mut stats = EvalStats::default();
-        let (order, reach) = self.plan_reach(&forced, &mut stats, &mut None);
-
-        let step_bound =
-            if self.counters().is_empty() { None } else { Some(self.step_bound(config)) };
-        let mut found = false;
-        let mut error: Option<QueryError> = None;
-        let mut tables = vec![SetTable::default(); pq.relations.len()];
-        let n = self.graph.num_nodes();
-        plan::enumerate_candidates(pq, n, &forced, &reach, &order, config, &mut stats, |sigma| {
-            let problem = SearchProblem {
-                plan: self,
-                sigma: sigma.to_vec(),
-                pinned: pinned.clone(),
-                want_witness: false,
-                step_bound,
-                max_states: config.max_search_states,
-            };
-            match engine.run(&problem, &mut tables) {
-                Ok(out) => {
-                    found = out.accepted;
-                    !found
-                }
-                Err(e) => {
-                    error = Some(e);
-                    false
-                }
-            }
-        })?;
-        if let Some(e) = error {
-            return Err(e);
-        }
-        Ok(found)
     }
 
     /// Runs the query in node mode and reports the plan next to what it
@@ -1186,7 +1178,8 @@ impl BoundStatement {
     /// A borrowed [`BoundPlan`] over the cached bind artifacts (no copying;
     /// all `run*`/`check` entry points hang off the returned plan).
     pub fn plan(&self) -> BoundPlan<'_> {
-        BoundPlan { pq: &self.pq, graph: &self.graph, art: Cow::Borrowed(&self.art) }
+        let art = Cow::Borrowed(&self.art);
+        BoundPlan { pq: &self.pq, graph: &self.graph, art, engine: Engine::Dense }
     }
 
     /// Convenience for [`BoundPlan::run`].
@@ -1299,10 +1292,11 @@ pub(crate) mod tests {
         let (plain, _) = plan.run_nodes(&cfg).unwrap();
 
         let mut trace = Trace::new();
-        let (traced, stats) = plan.run_mode(Mode::Nodes, &cfg, Some(&mut trace)).unwrap();
-        let traced: Vec<Vec<NodeId>> = traced.into_iter().map(|a| a.nodes).collect();
+        let mut traced = Vec::new();
+        let stats = plan
+            .run_rows(Mode::Nodes, &cfg, Some(&mut trace), |nodes, _| traced.push(nodes.to_vec()))
+            .unwrap();
         let mut plain = plain;
-        let mut traced = traced;
         plain.sort();
         traced.sort();
         assert_eq!(plain, traced, "tracing must not change answers");
@@ -1435,9 +1429,9 @@ pub(crate) mod tests {
             assert_eq!(pq.heads_are_distinct(plan.constants()), distinct, "{text}");
             // The reference engine always deduplicates: answers in the same
             // order, the same candidates and verified counts.
-            let (dense, ds) = plan.run_mode(Mode::Nodes, &cfg, None).unwrap();
-            let (refr, rs) =
-                plan.collect_engine(Mode::Nodes, &cfg, Engine::Reference, None).unwrap();
+            let (dense, ds) = plan.run_mode(Mode::Nodes, &cfg).unwrap();
+            let oracle = pq.bind(&g).unwrap().with_engine(Engine::Reference);
+            let (refr, rs) = oracle.run_mode(Mode::Nodes, &cfg).unwrap();
             let dense: Vec<Vec<NodeId>> = dense.into_iter().map(|a| a.nodes).collect();
             let refr: Vec<Vec<NodeId>> = refr.into_iter().map(|a| a.nodes).collect();
             assert!(!dense.is_empty(), "{text}");
@@ -1486,7 +1480,7 @@ pub(crate) mod tests {
                 plan.run_with_paths(&cfg).unwrap();
                 for mode in [Mode::Nodes, Mode::Paths, Mode::Boolean] {
                     let (rows, stats) = sunk(&plan, mode, &cfg);
-                    let (answers, collected) = plan.run_mode(mode, &cfg, None).unwrap();
+                    let (answers, collected) = plan.run_mode(mode, &cfg).unwrap();
                     assert_eq!(rows, answers, "{what} ({mode:?})");
                     assert_eq!(stats, collected, "{what} ({mode:?})");
                 }

@@ -15,7 +15,7 @@
 
 use crate::error::QueryError;
 use crate::eval::plan::{Engine, Mode};
-use crate::eval::prepared::PreparedQuery;
+use crate::eval::prepared::{BoundPlan, PreparedQuery};
 use crate::eval::search::{finishable, MoveVec, SearchOutcome, SearchProblem};
 use crate::eval::{Answer, EvalConfig, EvalStats};
 use crate::query::Ecrpq;
@@ -33,9 +33,8 @@ pub fn eval_nodes_with_stats(
     graph: &GraphDb,
     config: &EvalConfig,
 ) -> Result<(Vec<Vec<NodeId>>, EvalStats), QueryError> {
-    let bound = PreparedQuery::prepare(query)?;
-    let (answers, stats) =
-        bound.bind(graph)?.collect_engine(Mode::Nodes, config, Engine::Reference, None)?;
+    let prepared = PreparedQuery::prepare(query)?;
+    let (answers, stats) = oracle(&prepared, graph)?.run_mode(Mode::Nodes, config)?;
     Ok((answers.into_iter().map(|a| a.nodes).collect(), stats))
 }
 
@@ -46,10 +45,8 @@ pub fn eval_with_paths(
     graph: &GraphDb,
     config: &EvalConfig,
 ) -> Result<Vec<Answer>, QueryError> {
-    let bound = PreparedQuery::prepare(query)?;
-    let (answers, _) =
-        bound.bind(graph)?.collect_engine(Mode::Paths, config, Engine::Reference, None)?;
-    Ok(answers)
+    let prepared = PreparedQuery::prepare(query)?;
+    Ok(oracle(&prepared, graph)?.run_mode(Mode::Paths, config)?.0)
 }
 
 /// The ECRPQ-EVAL membership check with the reference engine
@@ -61,12 +58,15 @@ pub fn check(
     paths: &[Path],
     config: &EvalConfig,
 ) -> Result<bool, QueryError> {
-    PreparedQuery::prepare(query)?.bind(graph)?.check_engine(
-        nodes,
-        paths,
-        config,
-        Engine::Reference,
-    )
+    oracle(&PreparedQuery::prepare(query)?, graph)?.check(nodes, paths, config)
+}
+
+/// `prepared` bound to `graph`, verifying with the reference engine.
+fn oracle<'a>(
+    prepared: &'a PreparedQuery,
+    graph: &'a GraphDb,
+) -> Result<BoundPlan<'a>, QueryError> {
+    Ok(prepared.bind(graph)?.with_engine(Engine::Reference))
 }
 
 /// Position of one path variable within a reference search state.

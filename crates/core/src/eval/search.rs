@@ -21,11 +21,11 @@
 //! a step taken for the first time in the run walks the precompiled
 //! successor lists of [`CompactNfa`](ecrpq_automata::sim::CompactNfa). Set
 //! words and sets correspond one-to-one, so two keys are equal exactly when
-//! the states they encode are. The BFS queue and parent pointers hold `u32`
-//! state indices, and expansion reuses scratch buffers, so the hot loop
-//! allocates only when a new set is interned. The classical cloned-state
-//! formulation is retained in [`super::reference`] as the differential
-//! oracle of the test suites.
+//! the states they encode are. The arena is the BFS queue — ids are handed
+//! out in discovery order — and parent pointers hold `u32` state indices;
+//! expansion reuses scratch buffers, so the hot loop allocates only when a
+//! new set is interned. The classical cloned-state formulation is retained
+//! in [`super::reference`] as the differential oracle of the test suites.
 
 use crate::error::QueryError;
 use crate::eval::dense::{odometer_next, Arena, Layout};
@@ -33,16 +33,15 @@ use crate::eval::prepared::{BoundPlan, RelSim};
 use ecrpq_automata::alphabet::Symbol;
 use ecrpq_automata::sim::SetTable;
 use ecrpq_graph::{NodeId, Path};
-use std::collections::VecDeque;
 
 /// One candidate-verification problem.
 pub(crate) struct SearchProblem<'a> {
     /// The prepared query bound to the graph being searched.
     pub plan: &'a BoundPlan<'a>,
     /// Candidate assignment of the node variables.
-    pub sigma: Vec<NodeId>,
+    pub sigma: &'a [NodeId],
     /// Pinned paths per path variable (used by the membership check).
-    pub pinned: Vec<Option<&'a Path>>,
+    pub pinned: &'a [Option<&'a Path>],
     /// Whether a witness (one path per path variable) should be reconstructed.
     pub want_witness: bool,
     /// Bound on the number of global steps (required when counters are
@@ -310,10 +309,11 @@ pub(crate) fn initial_key(
     initial
 }
 
-/// Runs the search: one FIFO queue, intern-as-you-expand. A precheck
-/// rejection visits no state; an initial state that already accepts counts
-/// as one visited state with an empty witness. `tables` holds one
-/// [`SetTable`] per relation of the query and serves every search of a run.
+/// Runs the search breadth-first, intern-as-you-expand: the arena hands out
+/// ids in discovery order, so it is the queue. A precheck rejection visits
+/// no state; an initial state that already accepts counts as one visited
+/// state with an empty witness. `tables` holds one [`SetTable`] per
+/// relation of the query and serves every search of a run.
 pub(crate) fn run(
     problem: &SearchProblem<'_>,
     tables: &mut [SetTable],
@@ -330,7 +330,7 @@ pub(crate) fn run(
         return Ok(SearchOutcome { accepted: true, states_visited: 1, witness });
     }
     let mut arena = Arena::new(layout.words);
-    let (init_id, _) = arena.intern(&initial);
+    arena.intern(&initial);
     // Parent pointers and incoming moves, kept only when a witness must be
     // reconstructed (indexed by arena id; the initial state's entry is the
     // sentinel).
@@ -339,17 +339,18 @@ pub(crate) fn run(
     } else {
         (Vec::new(), Vec::new())
     };
-    let mut queue: VecDeque<(u32, u32)> = VecDeque::new();
-    queue.push_back((init_id, 0));
 
     let mut expander = Expander::new(problem, &layout, &sims, tables);
     let mut cur = vec![0u64; layout.words];
-
-    while let Some((id, depth)) = queue.pop_front() {
-        if let Some(bound) = problem.step_bound {
-            if depth as usize >= bound {
-                continue;
-            }
+    // `depth` is the depth of `id`; ids from `level_end` on are one deeper.
+    let (mut id, mut depth, mut level_end) = (0u32, 0usize, 1u32);
+    while (id as usize) < arena.len() {
+        if id == level_end {
+            depth += 1;
+            level_end = arena.len() as u32;
+        }
+        if problem.step_bound.is_some_and(|bound| depth >= bound) {
+            break; // every state left is at least this deep
         }
         cur.copy_from_slice(arena.get(id));
 
@@ -365,27 +366,21 @@ pub(crate) fn run(
                     found = Some(nid);
                     return false;
                 }
-                queue.push_back((nid, depth + 1));
             }
             true
         });
         if let Some(accepting) = found {
-            let witness = if problem.want_witness {
-                Some(reconstruct(problem, &parents, &moves, accepting))
-            } else {
-                None
-            };
-            return Ok(SearchOutcome {
-                accepted: true,
-                states_visited: arena.len() as u64,
-                witness,
-            });
+            let witness =
+                problem.want_witness.then(|| reconstruct(problem, &parents, &moves, accepting));
+            let states_visited = arena.len() as u64;
+            return Ok(SearchOutcome { accepted: true, states_visited, witness });
         }
         if arena.len() > problem.max_states {
             return Err(QueryError::BudgetExceeded {
                 what: format!("convolution search visited more than {} states", problem.max_states),
             });
         }
+        id += 1;
     }
     Ok(SearchOutcome { accepted: false, states_visited: arena.len() as u64, witness: None })
 }

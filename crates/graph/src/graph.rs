@@ -288,13 +288,6 @@ impl GraphDb {
         nfa
     }
 
-    /// Views the graph as an NFA where every node is both initial and
-    /// accepting (used when an atom's endpoints are unconstrained).
-    pub fn as_nfa_universal(&self) -> Nfa<Symbol> {
-        let all: Vec<NodeId> = self.nodes().collect();
-        self.as_nfa(&all, &all)
-    }
-
     /// Nodes reachable from `start` (by edges with any label).
     pub fn reachable_from(&self, start: NodeId) -> Vec<NodeId> {
         let mut seen = vec![false; self.num_nodes()];

@@ -4,9 +4,10 @@
 //! convolution `G^m = G⊥ ⊗ … ⊗ G⊥` is a `(Σ⊥)^m`-labeled graph whose nodes
 //! are m-tuples of nodes of `G` and whose edges move every component either
 //! along a real edge or along its `⊥`-loop. The query evaluator in the core
-//! crate explores this product *on the fly*; the explicit materialization
-//! here exists to state and test Theorem 5.1 directly and to build the
-//! answer automata of Proposition 5.2 on small graphs.
+//! crate explores this product *on the fly* — its convolution search and
+//! its answer automata of Proposition 5.2 alike; the explicit
+//! materialization here exists only to state and test Theorem 5.1 directly
+//! on small graphs (`tests/properties.rs` checks it against the evaluator).
 
 use crate::graph::{GraphDb, NodeId};
 use ecrpq_automata::alphabet::{PadSymbol, TupleSym};

@@ -56,14 +56,15 @@ impl Service {
     /// nodes-mode run of a named statement is answered from its
     /// incrementally maintained answer set whenever that set is current —
     /// bound to the same prepared query on the graph's current epoch — and
-    /// the reply fields come back. That holds on a clean graph too: a merge
-    /// rebases the maintained sets onto the merged epoch, so they still
-    /// describe it. With pending overlay writes, a statement without a
-    /// current set has one built. Any other request, and any statement the
-    /// maintainer cannot handle, runs cold (`None`): with pending writes it
-    /// first merges the overlay into a fresh epoch and drops the request's
-    /// pins on the old one. The statement name is checked first, so a
-    /// request about to be rejected merges nothing.
+    /// the reply fields come back, counted by `ecrpq_maintained_reads_total`.
+    /// That holds on a clean graph too: a merge rebases the maintained sets
+    /// onto the merged epoch, so they still describe it. With pending
+    /// overlay writes, a statement without a current set has one built. Any
+    /// other request, and any statement the maintainer cannot handle, runs
+    /// cold (`None`): with pending writes it first merges the overlay into a
+    /// fresh epoch and drops the request's pins on the old one. The
+    /// statement name is checked first, so a request about to be rejected
+    /// merges nothing.
     pub(crate) fn maintained_read(
         &self,
         run: &Run<'_>,
@@ -97,6 +98,14 @@ impl Service {
                     }
                 }
                 if current {
+                    self.maintained_reads
+                        .get_or_init(|| {
+                            self.metrics.counter(
+                                "ecrpq_maintained_reads_total",
+                                "Nodes-mode runs answered from a maintained answer set.",
+                            )
+                        })
+                        .inc();
                     let m = &state.maintained[name];
                     return Ok(Some(rows_reply(verdict, m.answers(), &m.stats(), |out, row| {
                         write_nodes(out, row, |n| view.node_name(n))

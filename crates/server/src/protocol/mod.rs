@@ -39,12 +39,12 @@ use ecrpq_automata::Alphabet;
 use ecrpq_graph::delta::{LiveGraph, DEFAULT_MERGE_THRESHOLD};
 use ecrpq_graph::{snapshot, GraphDb, NodeId, Path};
 use ecrpq_util::json::{self, Value};
-use ecrpq_util::metrics::MetricsRegistry;
+use ecrpq_util::metrics::{Counter, MetricsRegistry};
 use ecrpq_util::trace as qtrace;
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 mod admin;
@@ -157,6 +157,9 @@ pub struct Service {
     /// Merge threshold for overlays created by the first mutation of a
     /// graph (a request-level `merge_threshold` overrides it at creation).
     merge_threshold: usize,
+    /// `ecrpq_maintained_reads_total`, resolved on the first maintained
+    /// read.
+    maintained_reads: OnceLock<Arc<Counter>>,
 }
 
 impl Default for Service {
@@ -171,6 +174,7 @@ impl Default for Service {
             slowlog: Mutex::new(VecDeque::new()),
             live: Mutex::new(HashMap::new()),
             merge_threshold: DEFAULT_MERGE_THRESHOLD,
+            maintained_reads: OnceLock::new(),
         }
     }
 }
@@ -1332,14 +1336,27 @@ mod tests {
         (get("version"), get("merges"), get("maintained"))
     }
 
+    /// `ecrpq_maintained_reads_total` as the `metrics` op exposes it (0
+    /// until the first maintained read registers it).
+    fn maintained_reads(s: &Service) -> u64 {
+        let m = reply(s, r#"{"op":"metrics"}"#);
+        let text = m.get("text").unwrap().as_str().unwrap();
+        text.lines()
+            .find_map(|l| l.strip_prefix("ecrpq_maintained_reads_total "))
+            .map_or(0, |v| v.parse().unwrap())
+    }
+
     #[test]
     fn a_read_after_a_merge_is_served_from_the_rebased_view() {
         let s = merged_with_view();
         let before = live_counters(&s);
+        let reads = maintained_reads(&s);
         let r = reply(&s, r#"{"op":"run","name":"q","graph":"g"}"#);
         assert_eq!(r.get("count").unwrap().as_u64(), Some(9));
+        assert_eq!(maintained_reads(&s), reads + 1, "the read is served from the view");
         assert_eq!(live_counters(&s), before, "a read neither merges nor bumps the version");
         let cold = cold_run(&s, "Ans(x, y) <- (x, p, y), L(p) = a a");
+        assert_eq!(maintained_reads(&s), reads + 1, "a cold run is not a maintained read");
         assert_eq!(sorted_answers(&r), sorted_answers(&cold));
         assert_eq!(live_counters(&s), before);
     }
@@ -1351,7 +1368,9 @@ mod tests {
             &s,
             r#"{"op":"prepare","name":"q","query":"Ans(x, y) <- (x, p, y), L(p) = a","graph":"g"}"#,
         );
+        let reads = maintained_reads(&s);
         let r = reply(&s, r#"{"op":"run","name":"q","graph":"g"}"#);
+        assert_eq!(maintained_reads(&s), reads, "the stale view must not answer");
         let cold = cold_run(&s, "Ans(x, y) <- (x, p, y), L(p) = a");
         // One hop over the 6-cycle plus two chords, not the stale 9 two-hop
         // answers.

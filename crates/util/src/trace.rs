@@ -89,19 +89,6 @@ impl Trace {
         self.spans[idx].attrs.push((key.to_string(), value));
     }
 
-    /// Runs `f` inside a span named `name` and returns its result.
-    pub fn scoped<T>(&mut self, name: &str, f: impl FnOnce(&mut Trace) -> T) -> T {
-        let idx = self.begin(name);
-        let out = f(self);
-        self.end(idx);
-        out
-    }
-
-    /// Nanoseconds elapsed since the trace origin.
-    pub fn elapsed_ns(&self) -> u64 {
-        self.origin.elapsed().as_nanos() as u64
-    }
-
     /// Sum of root-span durations, nanoseconds.
     pub fn total_ns(&self) -> u64 {
         self.spans.iter().filter(|s| s.parent.is_none()).map(|s| s.dur_ns).sum()

@@ -34,8 +34,10 @@
 # client-observed rejections equal the server's admission counter) + the
 # metrics smoke + the mutation smoke (add_edges/remove_edges
 # on a live overlay: the delta must be visible to the very next run, which
-# must stay a registry hit, and the remove must restore the pre-mutation
-# answers bit for bit; then the same add and remove on a second graph with
+# must stay a registry hit and be served from the maintained answer set —
+# `ecrpq_maintained_reads_total` in `ecrpq-cli metrics` rises by one — and
+# the remove must restore the pre-mutation answers bit for bit, while a
+# `mode: boolean` run leaves that counter alone; then the same add and remove on a second graph with
 # merge_threshold 1, so each write merges a new epoch end to end and the
 # runs over the merged epochs give the same answers; one more run after the
 # merges must return the same rows and leave `merges` and `version`
@@ -71,7 +73,9 @@
 # --mutation-smoke runs ONLY the release build and the live-graph gate
 #                  (load -> prepare -> run, then add_edges must change the
 #                  answers while the re-run stays a registry hit — the
-#                  delta-maintained path, no rebind — and remove_edges must
+#                  delta-maintained path, no rebind, counted by
+#                  ecrpq_maintained_reads_total, which a boolean run must
+#                  not raise — and remove_edges must
 #                  return the answers to exactly the pre-mutation set; the
 #                  same two writes on a graph with merge_threshold 1 must
 #                  each merge, with the same answers, ending at 2 merges and
@@ -417,11 +421,18 @@ merges_and_version() {
     grep -o '"merges":[0-9]*\|"version":[0-9]*' <<< "$1" | sort | tr '\n' ' '
 }
 
+# `ecrpq_maintained_reads_total` as `ecrpq-cli metrics` prints it (0 until
+# the first maintained read registers it).
+maintained_reads() {
+    "$repo_root/target/release/ecrpq-cli" --addr "$server_addr" metrics \
+        | awk '$1 == "ecrpq_maintained_reads_total" { v = $2 } END { print v + 0 }'
+}
+
 mutation_smoke() {
     echo
     echo "==> mutation smoke (add_edges/remove_edges round-trip on a live overlay)"
     local cli="$repo_root/target/release/ecrpq-cli"
-    local log before after reverted merged live reread live_after
+    local log before after reverted merged live reread live_after reads
     log=$(mktemp)
     start_server "$log"
 
@@ -430,10 +441,16 @@ mutation_smoke() {
     before=$("$cli" --addr "$server_addr" run q g)
 
     "$cli" --addr "$server_addr" add-edges g n0 a n3
+    reads=$(maintained_reads)
     after=$("$cli" --addr "$server_addr" run q g)
     echo "$after"
     if ! grep -q '"registry":"hit"' <<< "$after"; then
         echo "mutation smoke FAILED: the run after add_edges must stay a registry hit" >&2
+        exit 1
+    fi
+    if [[ "$(maintained_reads)" != "$((reads + 1))" ]]; then
+        echo "mutation smoke FAILED: the run after add_edges must be a maintained read" \
+            "(ecrpq_maintained_reads_total $reads -> $(maintained_reads))" >&2
         exit 1
     fi
     if [[ "$(answers_of "$before")" == "$(answers_of "$after")" ]]; then
@@ -447,6 +464,13 @@ mutation_smoke() {
         echo "mutation smoke FAILED: remove_edges must restore the pre-mutation answers" >&2
         echo "  before:   $(answers_of "$before")" >&2
         echo "  reverted: $(answers_of "$reverted")" >&2
+        exit 1
+    fi
+    # A boolean-mode run is never answered from a maintained answer set.
+    reads=$(maintained_reads)
+    "$cli" --addr "$server_addr" raw '{"op":"run","name":"q","graph":"g","mode":"boolean"}' > /dev/null
+    if [[ "$(maintained_reads)" != "$reads" ]]; then
+        echo "mutation smoke FAILED: a boolean run must not count as a maintained read" >&2
         exit 1
     fi
 
@@ -494,7 +518,7 @@ mutation_smoke() {
     wait "$server_pid"
     server_pid=""
     rm -f "$log"
-    echo "    mutation smoke OK (delta visible + registry hit, remove restores answers, 2 merges end to end, reads never merge)"
+    echo "    mutation smoke OK (delta visible + maintained registry hit, remove restores answers, boolean runs cold, 2 merges end to end, reads never merge)"
 }
 
 if [[ "$mutation_smoke_only" == 1 ]]; then

@@ -14,6 +14,7 @@ use ecrpq_automata::builtin;
 use ecrpq_automata::dfa::{complement_nfa, Dfa};
 use ecrpq_automata::unary::{length_set, length_set_default_cap};
 use ecrpq_graph::path::enumerate_paths;
+use ecrpq_graph::product::ProductGraph;
 use ecrpq_integration::prop::{self, Gen};
 
 const LABELS: [&str; 2] = ["a", "b"];
@@ -239,5 +240,49 @@ fn acyclic_equals_generic() {
         a.sort();
         b.sort();
         assert_eq!(a, b);
+    });
+}
+
+/// Theorem 5.1 against the explicit product: over random graphs on
+/// `{a, b}` with 4–6 nodes, the convolution power `G^2` entered at
+/// `(u1, u2)` and left at `(v1, v2)`, intersected with a relation's
+/// automaton, accepts a word exactly when `(u1, v1, u2, v2)` answers
+/// `Ans(x1, y1, x2, y2) <- (x1, p1, y1), (x2, p2, y2), R(p1, p2) = rel`.
+#[test]
+fn theorem_5_1_matches_the_explicit_product() {
+    prop::check(6, 0x5_1, |gen| {
+        let mut db = GraphBuilder::new(alphabet());
+        let nodes = db.add_nodes(gen.range(4, 7));
+        for _ in 0..gen.range(3, 2 * nodes.len() + 1) {
+            let (from, to) = (nodes[gen.index(nodes.len())], nodes[gen.index(nodes.len())]);
+            db.add_edge(from, Symbol(gen.index(2) as u32), to);
+        }
+        let g = db.build();
+        let al = g.alphabet().clone();
+        let power = ProductGraph::power(&g, 2);
+        let relations = [
+            ("el", builtin::equal_length(&al)),
+            ("prefix", builtin::prefix(&al)),
+            ("edit_le_1", builtin::edit_distance_leq(&al, 1).unwrap()),
+            ("hamming_le_1", builtin::hamming_leq(&al, 1).unwrap()),
+        ];
+        for (name, rel) in relations {
+            let text =
+                format!("Ans(x1, y1, x2, y2) <- (x1, p1, y1), (x2, p2, y2), R(p1, p2) = {name}");
+            let q = parse_query(&text, &al).unwrap();
+            let answers = eval::eval_nodes(&q, &g, &EvalConfig::default()).unwrap();
+            for &u1 in &nodes {
+                for &u2 in &nodes {
+                    for &v1 in &nodes {
+                        for &v2 in &nodes {
+                            let product = power.as_nfa(&[vec![u1, u2]], &[vec![v1, v2]]);
+                            let found = !product.intersect(rel.nfa()).is_empty();
+                            let answer = answers.contains(&vec![u1, v1, u2, v2]);
+                            assert_eq!(found, answer, "{name}: ({u1:?}, {v1:?}, {u2:?}, {v2:?})");
+                        }
+                    }
+                }
+            }
+        }
     });
 }
