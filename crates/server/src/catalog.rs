@@ -1,4 +1,4 @@
-//! The graph catalog: named graphs loaded once, shared as `Arc<GraphDb>`.
+//! The graph catalog: the one map from graph names to graphs.
 //!
 //! Graphs come from three kinds of sources:
 //!
@@ -11,16 +11,21 @@
 //!   `random:<n>:<avg_degree>:<label|label|…>:<seed>`, `string:<l l l …>`,
 //!   and `rei:<label|label|…>` — the workload generators of `ecrpq_graph`.
 //!
-//! Reloading a name replaces the stored handle; plans bound against the old
-//! graph keep their (still valid) `Arc` but the registry will rebind on the
-//! next request because the handle identity changed.
+//! Each name maps to one entry behind that graph's own lock: its sealed
+//! epoch and, once it has taken a write, its live state. A merge sets the
+//! merged epoch in the entry its writer holds; (re)loading a name swaps in
+//! a fresh entry, and a write in flight on the old one finishes there
+//! unseen. Readers clone the epoch `Arc` and release the entry before they
+//! evaluate. The map lock is never taken while an entry lock is held.
 
 use crate::ServerError;
+use ecrpq::eval::MaintainedStatement;
+use ecrpq_graph::delta::LiveGraph;
 use ecrpq_graph::{generators, GraphBuilder, GraphDb};
 use ecrpq_util::json::Value;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 /// Where a cataloged graph comes from.
 #[derive(Clone, Debug)]
@@ -37,43 +42,85 @@ pub enum GraphSource {
     Generator(String),
 }
 
-/// A thread-safe registry of named graphs, with lock-free lookup counters
-/// (a catalog "hit" is a [`GraphCatalog::get`] that found the name, a
-/// "miss" one that did not — the read path that every request pays).
+/// One cataloged graph.
+#[derive(Debug)]
+pub(crate) struct GraphEntry {
+    /// The sealed epoch the name denotes, which cold reads read.
+    pub(crate) epoch: Arc<GraphDb>,
+    /// The overlay and maintained statements, from the first write on.
+    pub(crate) live: Option<LiveState>,
+}
+
+/// A shared handle to one catalog entry and its lock.
+pub(crate) type Entry = Arc<Mutex<GraphEntry>>;
+
+/// The live (mutable) state of one cataloged graph: the delta overlay and
+/// the statements whose nodes-mode answer sets are maintained against it.
+#[derive(Debug)]
+pub(crate) struct LiveState {
+    /// Delta overlay over the entry's epoch.
+    pub(crate) live: LiveGraph,
+    /// Incrementally maintained statements, by registry name. Only
+    /// maintainable statements (exact relaxation) are kept; everything else
+    /// forces a merge and a cold run.
+    pub(crate) maintained: HashMap<String, MaintainedStatement>,
+}
+
+/// A thread-safe registry of named graphs, one lock per graph, with
+/// lock-free lookup counters (a catalog "hit" is a lookup that found the
+/// name, a "miss" one that did not — the read path that every request
+/// pays).
 #[derive(Debug, Default)]
 pub struct GraphCatalog {
-    graphs: RwLock<HashMap<String, Arc<GraphDb>>>,
+    graphs: RwLock<HashMap<String, Entry>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl GraphCatalog {
-    /// An empty catalog.
-    pub fn new() -> GraphCatalog {
-        GraphCatalog::default()
-    }
-
-    /// Stores `graph` under `name`, replacing any previous graph.
+    /// Stores `graph` under `name` in a fresh entry, replacing any previous
+    /// entry together with its live state.
     pub fn insert(&self, name: &str, graph: Arc<GraphDb>) {
-        self.graphs.write().unwrap().insert(name.to_string(), graph);
+        let entry = Arc::new(Mutex::new(GraphEntry { epoch: graph, live: None }));
+        self.graphs.write().unwrap().insert(name.to_string(), entry);
     }
 
-    /// The graph stored under `name`, counting the lookup.
-    pub fn get(&self, name: &str) -> Option<Arc<GraphDb>> {
+    /// Stores `graph` under `name` unless the name is taken, running
+    /// `install` just before, in the same critical section.
+    pub fn insert_new(
+        &self,
+        name: &str,
+        graph: Arc<GraphDb>,
+        install: impl FnOnce(),
+    ) -> Result<(), ServerError> {
+        let mut graphs = self.graphs.write().unwrap();
+        if graphs.contains_key(name) {
+            return Err(ServerError(format!(
+                "graph `{name}` is already cataloged; `open` needs a fresh name (use `load` to replace)"
+            )));
+        }
+        install();
+        graphs.insert(
+            name.to_string(),
+            Arc::new(Mutex::new(GraphEntry { epoch: graph, live: None })),
+        );
+        Ok(())
+    }
+
+    /// The entry stored under `name`, counting the lookup.
+    pub(crate) fn entry(&self, name: &str) -> Option<Entry> {
         let found = self.graphs.read().unwrap().get(name).cloned();
         let counter = if found.is_some() { &self.hits } else { &self.misses };
         counter.fetch_add(1, Ordering::Relaxed);
         found
     }
 
-    /// Number of cataloged graphs.
-    pub fn len(&self) -> usize {
-        self.graphs.read().unwrap().len()
-    }
-
-    /// True if no graph is cataloged.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Every entry, sorted by name (not counted as lookups).
+    pub(crate) fn entries(&self) -> Vec<(String, Entry)> {
+        let mut out: Vec<(String, Entry)> =
+            self.graphs.read().unwrap().iter().map(|(n, e)| (n.clone(), Arc::clone(e))).collect();
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out
     }
 
     /// Total lookup hits and misses.
@@ -81,17 +128,8 @@ impl GraphCatalog {
         (self.hits.load(Ordering::Relaxed), self.misses.load(Ordering::Relaxed))
     }
 
-    /// Sorted `(name, nodes, edges)` summaries of every cataloged graph.
-    pub fn summaries(&self) -> Vec<(String, usize, usize)> {
-        let graphs = self.graphs.read().unwrap();
-        let mut out: Vec<(String, usize, usize)> =
-            graphs.iter().map(|(n, g)| (n.clone(), g.num_nodes(), g.num_edges())).collect();
-        out.sort();
-        out
-    }
-
-    /// Builds a graph from `source` and stores it under `name`. Returns the
-    /// stored handle.
+    /// Builds a graph from `source` and stores it under `name` in a fresh
+    /// entry. Returns the stored handle.
     pub fn load(&self, name: &str, source: &GraphSource) -> Result<Arc<GraphDb>, ServerError> {
         let graph = Arc::new(build_graph(source)?);
         self.insert(name, Arc::clone(&graph));
@@ -178,28 +216,27 @@ mod tests {
 
     #[test]
     fn load_generator_and_replace() {
-        let cat = GraphCatalog::new();
+        let cat = GraphCatalog::default();
         let g1 = cat.load("g", &GraphSource::Generator("cycle:4:a".into())).unwrap();
-        assert_eq!(g1.num_nodes(), 4);
-        assert_eq!(cat.summaries(), vec![("g".to_string(), 4, 4)]);
+        assert_eq!((g1.num_nodes(), g1.num_edges()), (4, 4));
         // reload replaces the handle
         let g2 = cat.load("g", &GraphSource::Generator("cycle:5:a".into())).unwrap();
         assert!(!Arc::ptr_eq(&g1, &g2));
-        assert_eq!(cat.get("g").unwrap().num_nodes(), 5);
-        assert_eq!(cat.len(), 1);
+        assert_eq!(cat.entry("g").unwrap().lock().unwrap().epoch.num_nodes(), 5);
+        assert_eq!(cat.entries().len(), 1);
     }
 
     #[test]
     fn lookups_count_hits_and_misses() {
-        let cat = GraphCatalog::new();
+        let cat = GraphCatalog::default();
         for i in 0..10 {
             cat.load(&format!("g{i}"), &GraphSource::Generator("cycle:3:a".into())).unwrap();
         }
-        assert_eq!(cat.len(), 10);
+        assert_eq!(cat.entries().len(), 10);
         for i in 0..10 {
-            assert!(cat.get(&format!("g{i}")).is_some());
+            assert!(cat.entry(&format!("g{i}")).is_some());
         }
-        assert!(cat.get("absent").is_none());
+        assert!(cat.entry("absent").is_none());
         let (hits, misses) = cat.lookup_counters();
         assert_eq!((hits, misses), (10, 1));
     }

@@ -120,10 +120,11 @@ impl Service {
     pub(crate) fn op_stats(&self, gname: Option<&str>) -> Result<Value, ServerError> {
         let reg = self.registry.stats();
         let (cat_hits, cat_misses) = self.catalog.lookup_counters();
+        let entries = self.catalog.entries();
         let mut pairs = vec![
             ("version", Value::str(env!("CARGO_PKG_VERSION"))),
             ("uptime_s", Value::int(self.uptime_s())),
-            ("graphs", Value::int(self.catalog.len() as u64)),
+            ("graphs", Value::int(entries.len() as u64)),
             ("statements", Value::int(self.registry.len() as u64)),
             ("bound_cached", Value::int(self.registry.bound_len() as u64)),
             (
@@ -159,32 +160,25 @@ impl Service {
             ("requests", Value::int(self.stats.requests.load(Ordering::Relaxed))),
             ("errors", Value::int(self.stats.errors.load(Ordering::Relaxed))),
         ];
-        // With a `graph` field, that graph's statistics describe its merged
-        // state — pending overlay writes are flushed before reporting.
-        if let Some(gname) = gname {
-            self.flush_live(gname);
-        }
-        {
-            let live_map = self.live.lock().unwrap();
-            let mut entries: Vec<(&String, &LiveState)> = live_map.iter().collect();
-            entries.sort_by(|a, b| a.0.cmp(b.0));
-            let lives: Vec<Value> = entries
-                .iter()
-                .map(|(name, st)| {
-                    Value::obj([
-                        ("graph", Value::str(name.as_str())),
-                        ("pending", Value::int(st.live.pending() as u64)),
-                        ("version", Value::int(st.live.version())),
-                        ("merges", Value::int(st.live.merges())),
-                        ("merge_threshold", Value::int(st.live.merge_threshold() as u64)),
-                        ("maintained", Value::int(st.maintained.len() as u64)),
-                    ])
-                })
-                .collect();
-            pairs.push(("live", Value::Arr(lives)));
-        }
-        // Include the planner's statistics of the requested graph (cached
-        // on the graph since load time).
+        let lives: Vec<Value> = entries
+            .iter()
+            .filter_map(|(name, entry)| {
+                let entry = entry.lock().unwrap();
+                let st = entry.live.as_ref()?;
+                Some(Value::obj([
+                    ("graph", Value::str(name.as_str())),
+                    ("pending", Value::int(st.live.pending() as u64)),
+                    ("version", Value::int(st.live.version())),
+                    ("merges", Value::int(st.live.merges())),
+                    ("merge_threshold", Value::int(st.live.merge_threshold() as u64)),
+                    ("maintained", Value::int(st.maintained.len() as u64)),
+                ]))
+            })
+            .collect();
+        pairs.push(("live", Value::Arr(lives)));
+        // Include the planner's statistics of the requested graph's sealed
+        // epoch (cached on the graph since load time). Pending overlay
+        // writes are not merged for this: the `live` entry counts them.
         if let Some(gname) = gname {
             let graph = self.graph(gname)?;
             let gs = graph.stats();
@@ -225,8 +219,7 @@ impl Service {
     /// are skipped rather than failing the save.
     pub(crate) fn op_save(&self, gname: &str, path: &str) -> Result<Value, ServerError> {
         // Snapshots persist the merged graph, never a half-applied overlay.
-        self.flush_live(gname);
-        let graph = self.graph(gname)?;
+        let graph = self.merged_epoch(gname, &mut self.entry(gname)?.lock().unwrap());
         let bytes = snapshot::write_snapshot(&graph).map_err(ServerError::msg)?;
         std::fs::write(path, &bytes)
             .map_err(|e| ServerError(format!("cannot write `{path}`: {e}")))?;
@@ -277,35 +270,34 @@ impl Service {
 
     /// Opens a snapshot file under a fresh catalog name. If the `path.art`
     /// sidecar is present its statements are re-prepared from their texts,
-    /// bound, and compiled ([`persist::read_sidecar`]), then installed into
-    /// the registry before the graph becomes visible, so the first `run` is
-    /// a registry hit with zero sim-table compilations.
+    /// bound, and compiled ([`persist::read_sidecar`]). The name check, the
+    /// statements' install into the registry and the graph's insert are one
+    /// critical section of the catalog, so of two opens of one name exactly
+    /// one succeeds, and the graph becomes visible only after its
+    /// statements are installed: the first `run` is a registry hit with zero
+    /// sim-table compilations.
     pub(crate) fn op_open(&self, name: &str, path: &str) -> Result<Value, ServerError> {
-        if self.catalog.get(name).is_some() {
-            return Err(ServerError(format!(
-                "graph `{name}` is already cataloged; `open` needs a fresh name (use `load` to replace)"
-            )));
-        }
         let bytes =
             std::fs::read(path).map_err(|e| ServerError(format!("cannot read `{path}`: {e}")))?;
         let graph = Arc::new(snapshot::read_snapshot(&bytes).map_err(ServerError::msg)?);
         let id = snapshot::snapshot_id(&bytes);
 
         let art_path = persist::sidecar_path(std::path::Path::new(path));
-        let mut warmed = 0u64;
+        let mut statements = Vec::new();
         if art_path.exists() {
             let art = std::fs::read(&art_path)
                 .map_err(|e| ServerError(format!("cannot read `{}`: {e}", art_path.display())))?;
-            let statements = persist::read_sidecar(&art, id, &graph)
+            statements = persist::read_sidecar(&art, id, &graph)
                 .map_err(|e| ServerError(format!("sidecar `{}`: {e}", art_path.display())))?;
-            warmed = statements.len() as u64;
-            for w in statements {
-                self.registry.install_warm(&w.name, &w.text, name, w.statement);
-            }
         }
         // Publish the graph only after the sidecar validated cleanly: a
         // corrupt sidecar must not leave a half-opened snapshot behind.
-        self.catalog.insert(name, Arc::clone(&graph));
+        let warmed = statements.len() as u64;
+        self.catalog.insert_new(name, Arc::clone(&graph), || {
+            for w in statements {
+                self.registry.install_warm(&w.name, &w.text, name, w.statement);
+            }
+        })?;
         Ok(ok_obj([
             ("graph", Value::str(name)),
             ("nodes", Value::int(graph.num_nodes() as u64)),

@@ -16,21 +16,24 @@
 //! `close` and `shutdown` must be untagged (they are connection-ordered by
 //! nature); tagging them is a protocol error.
 //!
-//! **Batching.** The `batch` op resolves each distinct graph handle and
-//! bound statement once for the whole batch, so N runs of one statement
+//! **Batching.** The `batch` op resolves each distinct graph's catalog
+//! entry and bound statement once for the whole batch, so N runs of one statement
 //! pay one catalog lookup and one registry lookup instead of N.
 //!
-//! **Live graphs.** `add_edges`/`remove_edges` write into a per-graph
-//! [`LiveGraph`] overlay (delta over the immutable cataloged epoch). While
-//! the overlay has pending writes, nodes-mode `run`s are served from
+//! **Live graphs.** `add_edges`/`remove_edges` write into a [`LiveGraph`]
+//! overlay (delta over the sealed epoch) kept in the graph's catalog entry,
+//! behind that graph's own lock. Nodes-mode `run`s are served from
 //! incrementally maintained answer sets (bit-identical to a cold re-run on
-//! the merged graph — `tests/live_graph.rs` enforces it); every other read
-//! (`check`, `explain`, `trace`, `save`, boolean/paths `run`s,
-//! per-graph `stats`) first merges the delta into a fresh sealed epoch and
-//! swaps it into the catalog. Readers that already resolved a graph handle
-//! keep their pinned epoch; re-`load`ing a graph discards its overlay.
+//! the merged graph — `tests/live_graph.rs` enforces it); `check`,
+//! `explain`, `trace`, `save` and boolean/paths `run`s first merge the delta
+//! into a fresh sealed epoch, which the merge publishes into the graph's
+//! entry. Per-graph `stats` never merges: its `graph_stats` describe the
+//! sealed epoch, and its `live` entry reports the pending writes. Readers
+//! clone the epoch handle and release the entry before they evaluate, so a
+//! cold run on one graph never waits for another graph; re-`load`ing a
+//! graph swaps in a fresh entry and so discards its overlay.
 
-use crate::catalog::{GraphCatalog, GraphSource};
+use crate::catalog::{Entry, GraphCatalog, GraphEntry, GraphSource, LiveState};
 use crate::registry::StatementRegistry;
 use crate::ServerError;
 use ecrpq::eval::{BoundStatement, EvalStats, MaintainedStatement, Mode, PreparedQuery};
@@ -53,7 +56,6 @@ mod mutate;
 mod query;
 mod request;
 
-use live::LiveState;
 pub use request::parse_request;
 use request::{Op, ReadOp, Request};
 
@@ -131,9 +133,9 @@ pub struct SlowEntry {
     pub error: bool,
 }
 
-/// The transport-independent query service: a graph catalog, a statement
-/// registry, and the request dispatcher. The TCP server, tests, and any
-/// future transport all drive this one type.
+/// The transport-independent query service: a graph catalog (the one map
+/// keyed by graph name), a statement registry, and the request dispatcher.
+/// The TCP server, tests, and any future transport all drive this one type.
 #[derive(Debug)]
 pub struct Service {
     /// Named graphs.
@@ -152,8 +154,6 @@ pub struct Service {
     slow_query_us: AtomicU64,
     /// Ring buffer of the most recent slow requests (newest at the back).
     slowlog: Mutex<VecDeque<SlowEntry>>,
-    /// Live overlays of mutated graphs, by catalog name.
-    live: Mutex<HashMap<String, LiveState>>,
     /// Merge threshold for overlays created by the first mutation of a
     /// graph (a request-level `merge_threshold` overrides it at creation).
     merge_threshold: usize,
@@ -172,7 +172,6 @@ impl Default for Service {
             started: Instant::now(),
             slow_query_us: AtomicU64::new(0),
             slowlog: Mutex::new(VecDeque::new()),
-            live: Mutex::new(HashMap::new()),
             merge_threshold: DEFAULT_MERGE_THRESHOLD,
             maintained_reads: OnceLock::new(),
         }
@@ -312,8 +311,13 @@ impl Service {
         log.push_back(entry);
     }
 
+    fn entry(&self, name: &str) -> Result<Entry, ServerError> {
+        self.catalog.entry(name).ok_or_else(|| ServerError(format!("unknown graph `{name}`")))
+    }
+
+    /// The sealed epoch cataloged as `name`.
     fn graph(&self, name: &str) -> Result<Arc<GraphDb>, ServerError> {
-        self.catalog.get(name).ok_or_else(|| ServerError(format!("unknown graph `{name}`")))
+        Ok(Arc::clone(&self.entry(name)?.lock().unwrap().epoch))
     }
 }
 
@@ -529,7 +533,7 @@ mod tests {
             let msg = r.get("error").and_then(Value::as_str).unwrap();
             assert!(msg.contains(&format!("`{field}`")), "{line}: {msg:?} does not name `{field}`");
         }
-        assert!(s.catalog.get("h").is_none(), "a rejected load cataloged its graph");
+        assert!(s.catalog.entry("h").is_none(), "a rejected load cataloged its graph");
         assert_eq!(s.registry.len(), 1, "a rejected prepare registered its statement");
     }
 
@@ -783,7 +787,7 @@ mod tests {
             &format!(r#"{{"op":"open","name":"h","path":"{}"}}"#, good2.to_str().unwrap()),
             "checksum mismatch",
         );
-        assert!(s.catalog.get("h").is_none(), "failed opens must not catalog the graph");
+        assert!(s.catalog.entry("h").is_none(), "failed opens must not catalog the graph");
 
         // The connection is intact: the same service still saves and runs.
         let r = reply(&s, r#"{"op":"run","name":"q","graph":"g"}"#);
@@ -1464,6 +1468,117 @@ mod tests {
         assert_eq!(field(&second, "version"), field(&first, "version") + 1);
         assert_eq!(field(&second, "merges"), field(&first, "merges"));
         assert_eq!(field(&second, "merges"), 0);
+    }
+
+    /// Per-graph `stats` describes the sealed epoch the planner reads and
+    /// never merges: the pending write stays pending, and the overlay's
+    /// version and merge count stay where the write left them.
+    #[test]
+    fn per_graph_stats_never_merges() {
+        let s = loaded_service();
+        let m = reply(&s, r#"{"op":"add_edges","graph":"g","edges":[["n0","a","n3"]]}"#);
+        let st = reply(&s, r#"{"op":"stats","graph":"g"}"#);
+        let live = &st.get("live").unwrap().as_arr().unwrap()[0];
+        let field = |r: &Value, k: &str| r.get(k).and_then(Value::as_u64).unwrap();
+        assert_eq!(field(live, "pending"), 1);
+        assert_eq!(field(live, "version"), field(&m, "version"));
+        assert_eq!(field(live, "merges"), field(&m, "merges"));
+        assert_eq!(field(st.get("graph_stats").unwrap(), "edges"), 6, "the sealed epoch's edges");
+    }
+
+    /// A `load` replaces the graph for good: a merging writer racing it on
+    /// the replaced graph cannot publish that graph's merged epoch over the
+    /// loaded one.
+    #[test]
+    fn a_load_is_never_undone_by_a_merge() {
+        let mut undone = Vec::new();
+        for round in 0..400u32 {
+            let s = Service::new(8);
+            reply(&s, r#"{"op":"load","graph":"g","generator":"cycle:6:a"}"#);
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    for i in 0..40 {
+                        let op = if i % 2 == 0 { "add_edges" } else { "remove_edges" };
+                        let line = format!(
+                            r#"{{"op":"{op}","graph":"g","edges":[["n0","a","n3"]],"merge_threshold":1}}"#
+                        );
+                        assert_eq!(reply(&s, &line).get("ok").unwrap().as_bool(), Some(true));
+                    }
+                });
+                for _ in 0..(round * 37) % 4000 {
+                    std::hint::spin_loop();
+                }
+                let r = reply(&s, r#"{"op":"load","graph":"g","generator":"cycle:9:a"}"#);
+                assert_eq!(r.get("nodes").unwrap().as_u64(), Some(9));
+            });
+            let st = reply(&s, r#"{"op":"stats","graph":"g"}"#);
+            if st.get("graph_stats").unwrap().get("nodes").unwrap().as_u64() != Some(9) {
+                undone.push(round);
+            }
+        }
+        assert!(undone.is_empty(), "{} of 400 loads undone: rounds {undone:?}", undone.len());
+    }
+
+    /// `open` checks the name and publishes the graph in one step: of two
+    /// concurrent opens of one name exactly one succeeds, and an open of a
+    /// taken name installs no statement.
+    #[test]
+    fn concurrent_opens_of_one_name_admit_exactly_one() {
+        let dir = scratch_dir("concurrent-open");
+        let snap = dir.join("g.snap");
+        let snap = snap.to_str().unwrap();
+        let s = loaded_service();
+        reply(
+            &s,
+            r#"{"op":"prepare","name":"q","query":"Ans(x, y) <- (x, p, y), L(p) = a a","graph":"g"}"#,
+        );
+        reply(&s, &format!(r#"{{"op":"save","graph":"g","path":"{snap}"}}"#));
+        let open = format!(r#"{{"op":"open","name":"h","path":"{snap}"}}"#);
+
+        for round in 0..200 {
+            let s = Service::new(8);
+            let barrier = std::sync::Barrier::new(2);
+            let opened: Vec<bool> = std::thread::scope(|scope| {
+                let open_one = || {
+                    barrier.wait();
+                    reply(&s, &open).get("ok").unwrap().as_bool().unwrap()
+                };
+                let other = scope.spawn(open_one);
+                vec![open_one(), other.join().unwrap()]
+            });
+            assert_eq!(opened.iter().filter(|&&ok| ok).count(), 1, "round {round}: {opened:?}");
+        }
+
+        let taken = loaded_service();
+        let r = reply(&taken, &format!(r#"{{"op":"open","name":"g","path":"{snap}"}}"#));
+        assert!(r.get("error").unwrap().as_str().unwrap().contains("already cataloged"));
+        assert_eq!(taken.registry.len(), 0, "a refused open installed statements");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A run on one graph does not wait for another graph's lock.
+    #[test]
+    fn graphs_do_not_block_each_other() {
+        let s = Arc::new(Service::new(8));
+        for g in ["a", "b"] {
+            reply(&s, &format!(r#"{{"op":"load","graph":"{g}","generator":"cycle:6:a"}}"#));
+        }
+        reply(
+            &s,
+            r#"{"op":"prepare","name":"q","query":"Ans(x, y) <- (x, p, y), L(p) = a","graph":"b"}"#,
+        );
+        let entry = s.catalog.entry("a").unwrap();
+        let held = entry.lock().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = {
+            let s = Arc::clone(&s);
+            std::thread::spawn(move || tx.send(reply(&s, r#"{"op":"run","name":"q","graph":"b"}"#)))
+        };
+        let r = rx.recv_timeout(std::time::Duration::from_secs(1));
+        drop(held);
+        reader.join().unwrap().ok();
+        let r = r.expect("a run on `b` waited for `a`'s entry lock");
+        assert_eq!(r.get("count").unwrap().as_u64(), Some(6));
     }
 
     /// A client that escapes non-BMP characters as UTF-16 surrogate pairs

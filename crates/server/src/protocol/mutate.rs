@@ -5,10 +5,9 @@ use super::*;
 
 impl Service {
     pub(crate) fn op_load(&self, name: &str, source: &GraphSource) -> Result<Value, ServerError> {
+        // A (re)load swaps in a fresh catalog entry: any live overlay of the
+        // old epoch goes with the entry it belonged to.
         let graph = self.catalog.load(name, source)?;
-        // A (re)load replaces the graph wholesale: any live overlay of the
-        // old epoch describes a graph that no longer exists.
-        self.live.lock().unwrap().remove(name);
         // Warm the per-graph statistics cache at load time, off the query
         // path: every later bind/plan (and the `stats` op) reads it for free.
         let _ = graph.stats();
@@ -23,8 +22,8 @@ impl Service {
     /// the graph's live overlay, creating the overlay on first mutation.
     /// Every maintained statement is updated incrementally before the reply
     /// is built (maintenance-on-write); if the batch crossed the merge
-    /// threshold, the fresh sealed epoch is published to the catalog and the
-    /// maintained statements are rebound onto it.
+    /// threshold, the fresh sealed epoch is published into the graph's
+    /// entry and the maintained statements are rebound onto it.
     pub(crate) fn op_mutate(
         &self,
         gname: &str,
@@ -32,21 +31,16 @@ impl Service {
         adds: bool,
         threshold: Option<u64>,
     ) -> Result<Value, ServerError> {
-        let mut live_map = self.live.lock().unwrap();
-        let state = match live_map.entry(gname.to_string()) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let base = self
-                    .catalog
-                    .get(gname)
-                    .ok_or_else(|| ServerError(format!("unknown graph `{gname}`")))?;
-                let threshold = threshold.map_or(self.merge_threshold, |t| t as usize);
-                e.insert(LiveState {
-                    live: LiveGraph::new(base, threshold),
-                    maintained: HashMap::new(),
-                })
+        let entry = self.entry(gname)?;
+        let mut entry = entry.lock().unwrap();
+        let GraphEntry { epoch, live } = &mut *entry;
+        let state = live.get_or_insert_with(|| {
+            let threshold = threshold.map_or(self.merge_threshold, |t| t as usize);
+            LiveState {
+                live: LiveGraph::new(Arc::clone(epoch), threshold),
+                maintained: HashMap::new(),
             }
-        };
+        });
 
         let empty: [(String, String, String); 0] = [];
         let out = if adds {
@@ -63,8 +57,10 @@ impl Service {
         maintained.retain(|_, m| m.apply(live.view(), &out.batch, &config).is_ok());
 
         if let Some(epoch) = &out.merged {
-            self.publish_merge(gname, state, epoch);
+            self.publish_merge(gname, &mut entry, Arc::clone(epoch));
         }
+        let maintained = entry.live.as_ref().map_or(0, |s| s.maintained.len());
+        drop(entry);
 
         let m = &self.metrics;
         m.counter("ecrpq_mutation_batches_total", "add_edges/remove_edges batches applied.").inc();
@@ -87,7 +83,7 @@ impl Service {
             ("version", Value::int(out.version)),
             ("merged", Value::Bool(out.merged.is_some())),
             ("merges", Value::int(out.merges)),
-            ("maintained", Value::int(state.maintained.len() as u64)),
+            ("maintained", Value::int(maintained as u64)),
         ]))
     }
 }

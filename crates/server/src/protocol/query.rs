@@ -4,24 +4,14 @@
 use super::request::{Paths, ReadOp, Request, Run, Strs, Target};
 use super::*;
 
-/// Per-request memo of resolved graph handles and bound statements. A
+/// Per-request memo of resolved catalog entries and bound statements. A
 /// `batch` shares one across all its sub-requests — the amortization that
 /// makes batching cheaper than N single requests; single requests get a
 /// fresh (empty, allocation-free) one.
 #[derive(Default)]
 pub(crate) struct BatchCache {
-    graphs: HashMap<String, Arc<GraphDb>>,
+    graphs: HashMap<String, Entry>,
     bound: HashMap<(String, String), Arc<BoundStatement>>,
-}
-
-impl BatchCache {
-    /// Drops every memoized handle for `gname` — called when a live-overlay
-    /// flush publishes a fresh epoch mid-request, so later resolutions see
-    /// the merged graph instead of a stale pin.
-    pub(crate) fn invalidate_graph(&mut self, gname: &str) {
-        self.graphs.remove(gname);
-        self.bound.retain(|(_, g), _| g != gname);
-    }
 }
 
 impl Service {
@@ -61,25 +51,23 @@ impl Service {
         ]))
     }
 
-    /// Resolves a graph handle through the per-request cache (one catalog
+    /// Resolves a catalog entry through the per-request cache (one catalog
     /// lookup per distinct graph per request, however many sub-requests).
-    fn graph_cached(
-        &self,
-        cache: &mut BatchCache,
-        name: &str,
-    ) -> Result<Arc<GraphDb>, ServerError> {
-        if let Some(g) = cache.graphs.get(name) {
-            return Ok(Arc::clone(g));
+    fn entry_cached(&self, cache: &mut BatchCache, name: &str) -> Result<Entry, ServerError> {
+        if let Some(entry) = cache.graphs.get(name) {
+            return Ok(Arc::clone(entry));
         }
-        let g = self.graph(name)?;
-        cache.graphs.insert(name.to_string(), Arc::clone(&g));
-        Ok(g)
+        let entry = self.entry(name)?;
+        cache.graphs.insert(name.to_string(), Arc::clone(&entry));
+        Ok(entry)
     }
 
     /// Resolves a bound statement through the per-request cache, with the
-    /// reply's `registry` verdict. The first resolution reports the
-    /// registry's own `hit`/`miss`; later sub-requests reuse the memoized
-    /// `Arc` and report a hit (they paid no lookup at all).
+    /// reply's `registry` verdict. The first resolution against `graph`
+    /// reports the registry's own `hit`/`miss`; later sub-requests on the
+    /// same epoch reuse the memoized `Arc` and report a hit (they paid no
+    /// lookup at all). A merge mid-request changes the epoch, and the memo
+    /// of the old one is looked up afresh.
     pub(crate) fn bound_cached(
         &self,
         cache: &mut BatchCache,
@@ -88,7 +76,7 @@ impl Service {
         graph: &Arc<GraphDb>,
     ) -> Result<(Arc<BoundStatement>, &'static str), ServerError> {
         let key = (name.to_string(), gname.to_string());
-        if let Some(plan) = cache.bound.get(&key) {
+        if let Some(plan) = cache.bound.get(&key).filter(|p| Arc::ptr_eq(p.graph(), graph)) {
             return Ok((Arc::clone(plan), "hit"));
         }
         let (plan, hit) = self.registry.bound(name, gname, graph)?;
@@ -103,10 +91,11 @@ impl Service {
     /// query is traced through `parse` → `compile` → `bind` without
     /// touching the registry.
     ///
-    /// On a live graph, the request is first offered to
-    /// [`maintained_read`](Self::maintained_read), which answers it from a
-    /// maintained answer set or merges any pending overlay writes; anything
-    /// it does not answer runs cold on the sealed epoch.
+    /// The graph's entry is locked once: on a live graph the request is
+    /// first offered to [`maintained_read`](Self::maintained_read), which
+    /// may answer it from a maintained answer set; anything it does not
+    /// answer runs cold on the [`merged_epoch`](Self::merged_epoch), after
+    /// the entry is released.
     pub(crate) fn run_request(
         &self,
         run: &Run<'_>,
@@ -118,12 +107,16 @@ impl Service {
         if let Some(limit) = run.limit {
             config.answer_limit = limit as usize;
         }
-        if let Some(fields) = self.maintained_read(run, trace.is_some(), &config, cache)? {
-            return Ok(fields);
-        }
-
         let gname = run.graph;
-        let graph = self.graph_cached(cache, gname)?;
+        let entry = self.entry_cached(cache, gname)?;
+        let graph = {
+            let mut entry = entry.lock().unwrap();
+            let traced = trace.is_some();
+            if let Some(fields) = self.maintained_read(run, &mut entry, traced, &config, cache)? {
+                return Ok(fields);
+            }
+            self.merged_epoch(gname, &mut entry)
+        };
         let (stmt, verdict) = match run.target {
             Target::Named(name) => self.bound_cached(cache, name, gname, &graph)?,
             Target::Inline(text) => {
@@ -181,10 +174,8 @@ impl Service {
         cache: &mut BatchCache,
     ) -> Result<(Arc<GraphDb>, Arc<BoundStatement>, &'static str), ServerError> {
         self.registry.require(name)?;
-        if self.flush_live(gname) {
-            cache.invalidate_graph(gname);
-        }
-        let graph = self.graph_cached(cache, gname)?;
+        let entry = self.entry_cached(cache, gname)?;
+        let graph = self.merged_epoch(gname, &mut entry.lock().unwrap());
         let (stmt, verdict) = self.bound_cached(cache, name, gname, &graph)?;
         Ok((graph, stmt, verdict))
     }

@@ -35,9 +35,12 @@
 # metrics smoke + the mutation smoke (add_edges/remove_edges
 # on a live overlay: the delta must be visible to the very next run, which
 # must stay a registry hit and be served from the maintained answer set —
-# `ecrpq_maintained_reads_total` in `ecrpq-cli metrics` rises by one — and
-# the remove must restore the pre-mutation answers bit for bit, while a
-# `mode: boolean` run leaves that counter alone; then the same add and remove on a second graph with
+# `ecrpq_maintained_reads_total` in `ecrpq-cli metrics` rises by one —,
+# `stats g` must leave that write pending (1 pending, 0 merges) since
+# per-graph stats never merge, the remove must restore the pre-mutation
+# answers bit for bit, a `mode: boolean` run leaves that counter alone,
+# and a second `load g` must drop g's live entry so the next run returns
+# the loaded graph's rows; then the same add and remove on a second graph with
 # merge_threshold 1, so each write merges a new epoch end to end and the
 # runs over the merged epochs give the same answers; one more run after the
 # merges must return the same rows and leave `merges` and `version`
@@ -75,8 +78,10 @@
 #                  answers while the re-run stays a registry hit — the
 #                  delta-maintained path, no rebind, counted by
 #                  ecrpq_maintained_reads_total, which a boolean run must
-#                  not raise — and remove_edges must
-#                  return the answers to exactly the pre-mutation set; the
+#                  not raise — `stats g` must leave that write pending,
+#                  remove_edges must return the answers to exactly the
+#                  pre-mutation set, and reloading g must drop its live
+#                  entry and answer over the loaded graph; the
 #                  same two writes on a graph with merge_threshold 1 must
 #                  each merge, with the same answers, ending at 2 merges and
 #                  0 pending, and a further run must return the same rows
@@ -457,6 +462,12 @@ mutation_smoke() {
         echo "mutation smoke FAILED: add_edges must change the answers" >&2
         exit 1
     fi
+    # Per-graph `stats` never merges: the write stays pending.
+    live=$("$cli" --addr "$server_addr" stats g 2>/dev/null | grep -o '{"graph":"g"[^}]*}')
+    if ! grep -q '"pending":1' <<< "$live" || ! grep -q '"merges":0' <<< "$live"; then
+        echo "mutation smoke FAILED: stats g must leave 1 pending and 0 merges, got: $live" >&2
+        exit 1
+    fi
 
     "$cli" --addr "$server_addr" remove-edges g n0 a n3
     reverted=$("$cli" --addr "$server_addr" run q g)
@@ -471,6 +482,17 @@ mutation_smoke() {
     "$cli" --addr "$server_addr" raw '{"op":"run","name":"q","graph":"g","mode":"boolean"}' > /dev/null
     if [[ "$(maintained_reads)" != "$reads" ]]; then
         echo "mutation smoke FAILED: a boolean run must not count as a maintained read" >&2
+        exit 1
+    fi
+    # Reloading g swaps in a fresh graph: its live entry is gone, and the
+    # next run answers over the loaded graph.
+    "$cli" --addr "$server_addr" load g cycle:6:a
+    if "$cli" --addr "$server_addr" stats 2>/dev/null | grep -q '{"graph":"g"'; then
+        echo "mutation smoke FAILED: a second load of g must drop its live entry" >&2
+        exit 1
+    fi
+    if [[ "$(answers_of "$("$cli" --addr "$server_addr" run q g)")" != "$(answers_of "$before")" ]]; then
+        echo "mutation smoke FAILED: the run after reloading g must return the loaded graph's rows" >&2
         exit 1
     fi
 
@@ -518,7 +540,7 @@ mutation_smoke() {
     wait "$server_pid"
     server_pid=""
     rm -f "$log"
-    echo "    mutation smoke OK (delta visible + maintained registry hit, remove restores answers, boolean runs cold, 2 merges end to end, reads never merge)"
+    echo "    mutation smoke OK (delta visible + maintained registry hit, stats leaves the write pending, remove restores answers, boolean runs cold, reload drops the overlay, 2 merges end to end, reads never merge)"
 }
 
 if [[ "$mutation_smoke_only" == 1 ]]; then
