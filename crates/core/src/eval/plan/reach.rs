@@ -3,9 +3,12 @@
 //! Every reachability relation in the crate — cold runs, membership checks,
 //! answer automata, `Q_len` and explain (through [`reachability_planned`]),
 //! the incrementally maintained rows of `eval::delta`, and the acyclic-CRPQ
-//! cross-check (through [`reach_rows`]) — comes out of [`product_rows`]. The kernel is statically generic over *where
+//! cross-check (through [`reach_rows`]) — comes out of [`product_rows`]. The
+//! same kernel, walked backwards from the changed edges of a live-graph
+//! batch ([`affected_sources`]), also finds which of those maintained rows
+//! the batch can change. The kernel is statically generic over *where
 //! successors come from* ([`Successors`]: one direction of the bound graph's
-//! own adjacency, or a live-graph overlay) and over *how the unary
+//! own adjacency, or of a live-graph overlay's) and over *how the unary
 //! constraint steps* ([`Constraint`]: none, or a compiled automaton's
 //! successor lists), so each combination monomorphizes to the loop one
 //! would write by hand for it.
@@ -15,7 +18,7 @@ use crate::eval::plan::EvalStats;
 use crate::eval::prepared::{BindArtifacts, BoundPlan, PreparedQuery};
 use ecrpq_automata::alphabet::Symbol;
 use ecrpq_automata::sim::CompactNfa;
-use ecrpq_graph::delta::GraphView;
+use ecrpq_graph::delta::{DeltaBatch, GraphView};
 use ecrpq_graph::{GraphDb, NodeId};
 
 /// The binary reachability relation of one path variable: which node pairs
@@ -95,19 +98,22 @@ impl<const IN: bool> Successors for GraphEdges<'_, IN> {
     }
 }
 
-/// The out-edges of a live-graph overlay, translated like a cold bind on the
+/// The edges of a live-graph overlay, translated like a cold bind on the
 /// merged graph would translate them: labels the base alphabet knows go
 /// through the bind artifacts' symbol map; a label the delta introduced
 /// resolves by name in the query alphabet, and one neither knows becomes a
 /// foreign symbol past every alphabet — dead for every constraint, an
-/// ordinary edge for an unconstrained variable.
-pub(crate) struct Overlay<'a> {
+/// ordinary edge for an unconstrained variable. Out-edges are the overlay's
+/// own; with `IN`, the in-edges are those of `base ∪ added` (tombstones
+/// kept), a supergraph of the overlay that maintenance walks backwards
+/// ([`affected_sources`]).
+pub(crate) struct Overlay<'a, const IN: bool = false> {
     view: GraphView<'a>,
     symbol_map: Vec<Symbol>,
 }
 
-impl<'a> Overlay<'a> {
-    pub fn new(view: GraphView<'a>, pq: &PreparedQuery, art: &BindArtifacts) -> Overlay<'a> {
+impl<'a, const IN: bool> Overlay<'a, IN> {
+    pub fn new(view: GraphView<'a>, pq: &PreparedQuery, art: &BindArtifacts) -> Overlay<'a, IN> {
         let symbol_map = view
             .alphabet()
             .iter()
@@ -120,7 +126,9 @@ impl<'a> Overlay<'a> {
     }
 }
 
-impl Successors for Overlay<'_> {
+impl<const IN: bool> Successors for Overlay<'_, IN> {
+    const REVERSE: bool = IN;
+
     fn num_nodes(&self) -> usize {
         self.view.num_nodes()
     }
@@ -131,14 +139,18 @@ impl Successors for Overlay<'_> {
 
     #[inline]
     fn for_each(&self, v: u32, mut f: impl FnMut(Symbol, u32)) {
-        self.view.for_each_out(NodeId(v), |label, to| f(label, to.0));
+        if IN {
+            self.view.for_each_in_unfiltered(NodeId(v), |label, from| f(label, from.0));
+        } else {
+            self.view.for_each_out(NodeId(v), |label, to| f(label, to.0));
+        }
     }
 }
 
 /// How the unary constraint of a path variable steps along an edge label.
 pub(crate) trait Constraint {
     fn num_states(&self) -> usize;
-    fn for_each_initial(&self, f: impl FnMut(u32));
+    fn initial(&self) -> &[u32];
     fn is_accepting(&self, q: u32) -> bool;
     /// Calls `f` on every state reachable from `q` by reading `label`, a
     /// label of the successor source the constraint was built for.
@@ -153,8 +165,8 @@ impl Constraint for Unconstrained {
         1
     }
 
-    fn for_each_initial(&self, mut f: impl FnMut(u32)) {
-        f(0);
+    fn initial(&self) -> &[u32] {
+        &[0]
     }
 
     fn is_accepting(&self, _: u32) -> bool {
@@ -195,8 +207,8 @@ impl Constraint for Tables<'_> {
         self.sim.num_states().max(1)
     }
 
-    fn for_each_initial(&self, f: impl FnMut(u32)) {
-        self.sim.initial().iter().copied().for_each(f);
+    fn initial(&self) -> &[u32] {
+        self.sim.initial()
     }
 
     fn is_accepting(&self, q: u32) -> bool {
@@ -211,18 +223,30 @@ impl Constraint for Tables<'_> {
     }
 }
 
-/// BFS state, allocated once per call and reset per source by replaying
-/// what the source touched — a sparse BFS costs O(|visited pairs|), not
-/// O(n·s/64), per start node.
+/// BFS state, allocated once per call and reset per walk by replaying what
+/// the walk touched — a sparse BFS costs O(|visited pairs|), not
+/// O(n·s/64), per walk.
 struct Scratch {
     /// Dense bitset over `(node, state)` pairs, `node * s + state`.
     visited: Vec<u64>,
-    /// Words of `visited` written for the current source.
+    /// Words of `visited` written by the current walk.
     touched: Vec<usize>,
-    /// Nodes already reported for the current source.
+    /// Nodes already reported by the current walk.
     result: Vec<bool>,
     stack: Vec<(u32, u32)>,
     hits: Vec<NodeId>,
+}
+
+impl Scratch {
+    fn new(n: usize, s: usize) -> Scratch {
+        Scratch {
+            visited: vec![0u64; (n * s).div_ceil(64).max(1)],
+            touched: Vec::new(),
+            result: vec![false; n],
+            stack: Vec::new(),
+            hits: Vec::new(),
+        }
+    }
 }
 
 /// Marks `(node, q)` visited; on first visit, queues it and reports `node`
@@ -243,42 +267,46 @@ fn visit<C: Constraint>(c: &C, s: usize, node: u32, q: u32, sc: &mut Scratch) {
     sc.stack.push((node, q));
 }
 
-/// The kernel: one BFS per start node over `(node, constraint-state)` pairs
-/// of the product of `adj` with `c`. Returns, per source and in `sources`
-/// order, the sorted nodes reachable in an accepting state.
+/// The kernel: one BFS over `(node, constraint-state)` pairs of the product
+/// of `adj` with `c`, from the `seeds` pairs. Returns the sorted nodes
+/// reached in an accepting state, and leaves `sc` reset for the next walk.
+fn product_walk<A: Successors, C: Constraint>(
+    adj: &A,
+    c: &C,
+    sc: &mut Scratch,
+    seeds: impl IntoIterator<Item = (u32, u32)>,
+) -> Vec<NodeId> {
+    let s = c.num_states();
+    for (node, q) in seeds {
+        visit(c, s, node, q, sc);
+    }
+    while let Some((v, q)) = sc.stack.pop() {
+        adj.for_each(v, |label, to| c.step(q, label, |nq| visit(c, s, to, nq, sc)));
+    }
+    for &w in &sc.touched {
+        sc.visited[w] = 0;
+    }
+    sc.touched.clear();
+    let mut hits = std::mem::take(&mut sc.hits);
+    for h in &hits {
+        sc.result[h.index()] = false;
+    }
+    hits.sort_unstable();
+    hits
+}
+
+/// One product walk per start node, seeded with the constraint's initial
+/// states there. Returns, per source and in `sources` order, the sorted
+/// nodes reachable in an accepting state.
 pub(crate) fn product_rows<A: Successors, C: Constraint>(
     adj: &A,
     c: &C,
     sources: &[u32],
 ) -> Vec<Vec<NodeId>> {
-    let n = adj.num_nodes();
-    let s = c.num_states();
-    let mut sc = Scratch {
-        visited: vec![0u64; (n * s).div_ceil(64).max(1)],
-        touched: Vec::new(),
-        result: vec![false; n],
-        stack: Vec::new(),
-        hits: Vec::new(),
-    };
-    let sc = &mut sc;
+    let mut sc = Scratch::new(adj.num_nodes(), c.num_states());
     sources
         .iter()
-        .map(|&u| {
-            c.for_each_initial(|q| visit(c, s, u, q, sc));
-            while let Some((v, q)) = sc.stack.pop() {
-                adj.for_each(v, |label, to| c.step(q, label, |nq| visit(c, s, to, nq, sc)));
-            }
-            for &w in &sc.touched {
-                sc.visited[w] = 0;
-            }
-            sc.touched.clear();
-            let mut hits = std::mem::take(&mut sc.hits);
-            for h in &hits {
-                sc.result[h.index()] = false;
-            }
-            hits.sort_unstable();
-            hits
-        })
+        .map(|&u| product_walk(adj, c, &mut sc, c.initial().iter().map(|&q| (u, q))))
         .collect()
 }
 
@@ -301,6 +329,44 @@ pub(crate) fn reach_rows<A: Successors>(
     }
     let sim = if A::REVERSE { pq.unary_rev_sim(p, stats) } else { pq.unary_sim(p, stats) };
     product_rows(adj, &Tables::new(&sim, adj.symbol_map()), sources)
+}
+
+/// The sorted sources whose row of path variable `p` `batch` can change. A
+/// row `u` changes only if some constraint-satisfying `u`-path, in the
+/// graph before or after the batch, uses a changed edge; up to the first one,
+/// `(s, l, t)`, it runs `u -w-> s` over unchanged edges, which the graph
+/// after the batch has, with `w·l` a prefix of the language. That is one
+/// backward product walk over `adj`'s in-edges (a supergraph of the graph
+/// after the batch; after a merge, that graph itself), stepping `p`'s
+/// reversed table, seeded at every changed edge's `s` in each state an
+/// `l`-step of that table enters; `u` is affected when the walk reaches it
+/// in an accepting state. The table is trimmed (`dfa::reduce_for_tables`) —
+/// every state is entered by some word from an initial state and leaves by
+/// some word to an accepting one — so over the walked edges the set is
+/// exactly the sources with such a `w`, not a superset. For an
+/// unconstrained variable the one state enters itself on every label, and
+/// the set is every node that reaches a changed edge's source.
+pub(crate) fn affected_sources(
+    pq: &PreparedQuery,
+    p: usize,
+    adj: &Overlay<'_, true>,
+    batch: &DeltaBatch,
+    stats: &mut EvalStats,
+) -> Vec<NodeId> {
+    fn walk<C: Constraint>(adj: &Overlay<'_, true>, batch: &DeltaBatch, c: &C) -> Vec<NodeId> {
+        let mut seeds = Vec::new();
+        for e in batch.adds.iter().chain(&batch.removes) {
+            for q in 0..c.num_states() as u32 {
+                c.step(q, e.label, |nq| seeds.push((e.from.0, nq)));
+            }
+        }
+        product_walk(adj, c, &mut Scratch::new(adj.num_nodes(), c.num_states()), seeds)
+    }
+    if pq.unary[p].is_none() {
+        return walk(adj, batch, &Unconstrained);
+    }
+    let sim = pq.unary_rev_sim(p, stats);
+    walk(adj, batch, &Tables::new(&sim, adj.symbol_map()))
 }
 
 /// Computes the reachability relation of path variable `p` over the bound

@@ -140,9 +140,9 @@ impl<'a> GraphView<'a> {
 
     /// Calls `f(label, source)` for every incoming edge of `v` in the
     /// *union* graph `base ∪ added` — tombstones ignored. This is a
-    /// supergraph of every overlay state since the base epoch, which is what
-    /// incremental maintenance walks to over-approximate the sources whose
-    /// reachability a batch may have changed.
+    /// supergraph of the current overlay (a cancelled add is in neither),
+    /// which is what incremental maintenance walks backwards from a batch's
+    /// changed edges to find the sources whose reachability it can change.
     pub fn for_each_in_unfiltered(&self, v: NodeId, mut f: impl FnMut(Symbol, NodeId)) {
         if (v.index()) < self.delta.base_nodes {
             for &(l, s) in self.base.in_edges(v) {

@@ -1340,14 +1340,43 @@ mod tests {
         (get("version"), get("merges"), get("maintained"))
     }
 
-    /// `ecrpq_maintained_reads_total` as the `metrics` op exposes it (0
-    /// until the first maintained read registers it).
-    fn maintained_reads(s: &Service) -> u64 {
+    /// The counter `name` as the `metrics` op exposes it (0 until its
+    /// first use registers it).
+    fn counter(s: &Service, name: &str) -> u64 {
         let m = reply(s, r#"{"op":"metrics"}"#);
         let text = m.get("text").unwrap().as_str().unwrap();
         text.lines()
-            .find_map(|l| l.strip_prefix("ecrpq_maintained_reads_total "))
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
             .map_or(0, |v| v.parse().unwrap())
+    }
+
+    fn maintained_reads(s: &Service) -> u64 {
+        counter(s, "ecrpq_maintained_reads_total")
+    }
+
+    #[test]
+    fn a_write_recomputes_only_the_rows_it_can_change() {
+        let s = loaded_service();
+        reply(
+            &s,
+            r#"{"op":"prepare","name":"q","query":"Ans(x, y) <- (x, p, y), L(p) = a a","graph":"g"}"#,
+        );
+        reply(&s, r#"{"op":"add_edges","graph":"g","edges":[["n0","a","n3"]]}"#);
+        reply(&s, r#"{"op":"run","name":"q","graph":"g"}"#);
+        let rows = |s: &Service| counter(s, "ecrpq_maintained_rows_recomputed_total");
+        let before = rows(&s);
+        // On the 6-cycle every node reaches n0, but only n0 (`a` itself) and
+        // n5 (`a a`) read a prefix of `a a` ending in the removed `a` edge.
+        reply(&s, r#"{"op":"remove_edges","graph":"g","edges":[["n0","a","n3"]]}"#);
+        assert_eq!(rows(&s), before + 2);
+        let r = reply(&s, r#"{"op":"run","name":"q","graph":"g"}"#);
+        let misses = r.get("stats").unwrap().get("sim_cache_misses").unwrap().as_u64();
+        assert_eq!(misses, Some(0), "the backward walk's tables are not the reply's");
+        let cold = cold_run(&s, "Ans(x, y) <- (x, p, y), L(p) = a a");
+        assert_eq!(sorted_answers(&r), sorted_answers(&cold));
+        // A label the constraint never reads changes no row.
+        reply(&s, r#"{"op":"add_edges","graph":"g","edges":[["n1","b","n4"]]}"#);
+        assert_eq!(rows(&s), before + 2);
     }
 
     #[test]

@@ -54,7 +54,14 @@ impl Service {
         // statement whose update fails (budget) drops back to cold runs.
         let config = EvalConfig::default();
         let LiveState { live, maintained } = state;
-        maintained.retain(|_, m| m.apply(live.view(), &out.batch, &config).is_ok());
+        let mut recomputed = 0;
+        maintained.retain(|_, m| match m.apply(live.view(), &out.batch, &config) {
+            Ok(rows) => {
+                recomputed += rows;
+                true
+            }
+            Err(_) => false,
+        });
 
         if let Some(epoch) = &out.merged {
             self.publish_merge(gname, &mut entry, Arc::clone(epoch));
@@ -71,6 +78,11 @@ impl Service {
             "Edge instances added/removed through the mutation ops.",
         )
         .add((out.counts.added + out.counts.removed) as u64);
+        m.counter(
+            "ecrpq_maintained_rows_recomputed_total",
+            "(path variable, source) reachability rows recomputed by maintenance-on-write.",
+        )
+        .add(recomputed as u64);
 
         Ok(ok_obj([
             ("graph", Value::str(gname)),

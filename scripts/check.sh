@@ -37,8 +37,11 @@
 # must stay a registry hit and be served from the maintained answer set —
 # `ecrpq_maintained_reads_total` in `ecrpq-cli metrics` rises by one —,
 # `stats g` must leave that write pending (1 pending, 0 merges) since
-# per-graph stats never merge, the remove must restore the pre-mutation
-# answers bit for bit, a `mode: boolean` run leaves that counter alone,
+# per-graph stats never merge, the remove must recompute exactly the 2
+# maintained rows it can change (`ecrpq_maintained_rows_recomputed_total`
+# rises by 2 on `cycle:6:a` with `L(p) = a a`, not by the cycle's 6) and
+# restore the pre-mutation answers bit for bit, a `mode: boolean` run leaves
+# `ecrpq_maintained_reads_total` alone,
 # and a second `load g` must drop g's live entry so the next run returns
 # the loaded graph's rows; then the same add and remove on a second graph with
 # merge_threshold 1, so each write merges a new epoch end to end and the
@@ -79,7 +82,9 @@
 #                  delta-maintained path, no rebind, counted by
 #                  ecrpq_maintained_reads_total, which a boolean run must
 #                  not raise — `stats g` must leave that write pending,
-#                  remove_edges must return the answers to exactly the
+#                  remove_edges must recompute exactly 2 maintained rows
+#                  (ecrpq_maintained_rows_recomputed_total) and return the
+#                  answers to exactly the
 #                  pre-mutation set, and reloading g must drop its live
 #                  entry and answer over the loaded graph; the
 #                  same two writes on a graph with merge_threshold 1 must
@@ -426,18 +431,22 @@ merges_and_version() {
     grep -o '"merges":[0-9]*\|"version":[0-9]*' <<< "$1" | sort | tr '\n' ' '
 }
 
-# `ecrpq_maintained_reads_total` as `ecrpq-cli metrics` prints it (0 until
-# the first maintained read registers it).
-maintained_reads() {
+# The counter named by $1 as `ecrpq-cli metrics` prints it (0 until its
+# first use registers it).
+counter_value() {
     "$repo_root/target/release/ecrpq-cli" --addr "$server_addr" metrics \
-        | awk '$1 == "ecrpq_maintained_reads_total" { v = $2 } END { print v + 0 }'
+        | awk -v name="$1" '$1 == name { v = $2 } END { print v + 0 }'
+}
+
+maintained_reads() {
+    counter_value ecrpq_maintained_reads_total
 }
 
 mutation_smoke() {
     echo
     echo "==> mutation smoke (add_edges/remove_edges round-trip on a live overlay)"
     local cli="$repo_root/target/release/ecrpq-cli"
-    local log before after reverted merged live reread live_after reads
+    local log before after reverted merged live reread live_after reads rows
     log=$(mktemp)
     start_server "$log"
 
@@ -469,7 +478,16 @@ mutation_smoke() {
         exit 1
     fi
 
+    # The maintained remove recomputes only the rows it can change: n0's
+    # (`a` itself) and n5's (`a a`), since `w a` must be a prefix of `a a`;
+    # a label-blind closure would recompute all 6 rows of the cycle.
+    rows=$(counter_value ecrpq_maintained_rows_recomputed_total)
     "$cli" --addr "$server_addr" remove-edges g n0 a n3
+    if [[ "$(counter_value ecrpq_maintained_rows_recomputed_total)" != "$((rows + 2))" ]]; then
+        echo "mutation smoke FAILED: remove_edges g n0 a n3 must recompute exactly 2 rows" \
+            "(ecrpq_maintained_rows_recomputed_total $rows -> $(counter_value ecrpq_maintained_rows_recomputed_total))" >&2
+        exit 1
+    fi
     reverted=$("$cli" --addr "$server_addr" run q g)
     if [[ "$(answers_of "$reverted")" != "$(answers_of "$before")" ]]; then
         echo "mutation smoke FAILED: remove_edges must restore the pre-mutation answers" >&2
@@ -540,7 +558,7 @@ mutation_smoke() {
     wait "$server_pid"
     server_pid=""
     rm -f "$log"
-    echo "    mutation smoke OK (delta visible + maintained registry hit, stats leaves the write pending, remove restores answers, boolean runs cold, reload drops the overlay, 2 merges end to end, reads never merge)"
+    echo "    mutation smoke OK (delta visible + maintained registry hit, stats leaves the write pending, remove recomputes 2 rows and restores answers, boolean runs cold, reload drops the overlay, 2 merges end to end, reads never merge)"
 }
 
 if [[ "$mutation_smoke_only" == 1 ]]; then

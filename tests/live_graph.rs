@@ -23,11 +23,13 @@ const SEED: u64 = 0x11FE_64A7;
 
 /// The maintained statements the scripts run: plain CRPQs (exact
 /// relaxation — the maintainable shape), one of them pinned
-/// to a node constant.
-const QUERIES: [&str; 3] = [
+/// to a node constant, and one reading only `c`, whose rows most writes
+/// cannot change.
+const QUERIES: [&str; 4] = [
     "Ans(x, y) <- (x, p, y), L(p) = a b* a",
     "Ans(x, y) <- (x, p, y), L(p) = (a|b)* c",
     "Ans(y) <- (x, p, y), L(p) = a a*, x = :n0",
+    "Ans(x, y) <- (x, p, y), L(p) = c c*",
 ];
 
 type Triple = (String, String, String);
