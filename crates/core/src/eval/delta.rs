@@ -54,9 +54,11 @@ pub struct MaintainedStatement {
     order: Vec<usize>,
     /// Overlay node count the reachability rows cover.
     num_nodes: usize,
-    /// Per path variable: sorted successor rows over the overlay
-    /// (`reach[p][u]` = nodes v with a constraint-satisfying path u → v).
-    reach: Vec<Vec<Vec<NodeId>>>,
+    /// Per path variable: its reachability relation over the overlay
+    /// (`reach[p].fwd[u]` = nodes v with a constraint-satisfying path
+    /// u → v), predecessor rows kept in step with every replaced row so a
+    /// refresh never transposes the whole relation.
+    reach: Vec<ReachRel>,
     /// Sorted distinct head-node tuples — the maintained answer set.
     answers: Vec<Vec<NodeId>>,
     /// Stats of the last refresh, shaped like a cold nodes-mode run:
@@ -78,7 +80,7 @@ impl MaintainedStatement {
             return Ok(None);
         }
         let n = view.num_nodes();
-        let reach = vec![vec![Vec::new(); n]; pq.path_vars.len()];
+        let reach = vec![ReachRel::from_fwd(vec![Vec::new(); n]); pq.path_vars.len()];
         let order = plan_query(&stmt.plan(), &stmt.art.constants).order;
         let mut this = MaintainedStatement {
             stmt,
@@ -129,8 +131,8 @@ impl MaintainedStatement {
         let sources = self.affected(view, batch);
         // Grow rows for batch-introduced nodes.
         let n = batch.num_nodes.max(self.num_nodes);
-        for rows in &mut self.reach {
-            rows.resize(n, Vec::new());
+        for rel in &mut self.reach {
+            rel.grow(n);
         }
         self.num_nodes = n;
         self.refresh(view, &sources, config)
@@ -174,33 +176,26 @@ impl MaintainedStatement {
         let art = &self.stmt.art;
         let mut stats = EvalStats::default();
         let overlay = Overlay::<false>::new(view, pq, art);
-        for ((p, table), sources) in self.reach.iter_mut().enumerate().zip(sources) {
+        for ((p, rel), sources) in self.reach.iter_mut().enumerate().zip(sources) {
             let rows = reach_rows(pq, p, &overlay, sources, &mut stats);
             for (row, &src) in rows.into_iter().zip(sources) {
-                table[src as usize] = row;
+                rel.set_row(NodeId(src), row);
             }
         }
 
-        // The join probes both directions: lend the maintained rows to
-        // `ReachRel`s (backward rows by transposition) for its duration and
-        // take them back afterwards, so they are never held twice. The
-        // relaxation is exact, so the driver searches nothing and never
+        // The relaxation is exact, so `drive` searches nothing and never
         // reads the plan's base graph.
-        let rels: Vec<ReachRel> =
-            std::mem::take(&mut self.reach).into_iter().map(ReachRel::from_fwd).collect();
         let mut answers: Vec<Vec<NodeId>> = Vec::new();
         let d = Drive {
             mode: Mode::Nodes,
             num_nodes: self.num_nodes,
             forced: &art.constants,
             order: &self.order,
-            reach: &rels,
+            reach: &self.reach,
             pinned: None,
         };
         let mut sink = |head: &[NodeId], _: &[Path]| answers.push(head.to_vec());
-        let driven = self.stmt.plan().drive(d, config, &mut stats, &mut None, &mut sink);
-        self.reach = rels.into_iter().map(|r| r.fwd).collect();
-        driven?;
+        self.stmt.plan().drive(d, config, &mut stats, &mut None, &mut sink)?;
 
         answers.sort();
         self.stats = stats;
@@ -297,13 +292,38 @@ mod tests {
         // The a/b component is untouched by the update.
         let a = base.node_by_name("a").unwrap();
         let b = base.node_by_name("b").unwrap();
-        assert_eq!(m.reach[0][a.index()], before_rows[a.index()]);
-        assert_eq!(m.reach[0][b.index()], before_rows[b.index()]);
+        assert_eq!(m.reach[0].fwd[a.index()], before_rows.fwd[a.index()]);
+        assert_eq!(m.reach[0].fwd[b.index()], before_rows.fwd[b.index()]);
 
         let merged = live.force_merge();
         let cold_stmt = statement("Ans(u, v) <- (u, p, v), L(p) = x*", &merged);
         let (cold, _) = cold_answers(&cold_stmt, &config);
         assert_eq!(m.answers(), &cold[..]);
+    }
+
+    /// Replacing rows one at a time keeps the predecessor rows and the
+    /// non-empty-row lists equal to a transposition of the final rows.
+    #[test]
+    fn replaced_rows_keep_the_relation_transposed() {
+        use ecrpq_graph::prng::SplitMix64;
+
+        let mut rng = SplitMix64::seed_from_u64(7);
+        let n = 12;
+        let row = |rng: &mut SplitMix64| -> Vec<NodeId> {
+            let mut r: Vec<NodeId> =
+                (0..rng.gen_index(4)).map(|_| NodeId(rng.gen_index(n) as u32)).collect();
+            r.sort();
+            r.dedup();
+            r
+        };
+        let mut rel = ReachRel::from_fwd((0..n).map(|_| row(&mut rng)).collect());
+        for _ in 0..200 {
+            let u = NodeId(rng.gen_index(n) as u32);
+            rel.set_row(u, row(&mut rng));
+            assert_eq!(rel, ReachRel::from_fwd(rel.fwd.clone()));
+        }
+        rel.grow(n + 2);
+        assert_eq!(rel, ReachRel::from_fwd(rel.fwd.clone()));
     }
 
     /// The affected set is a superset of the rows that really change: over
@@ -383,9 +403,9 @@ mod tests {
                         MaintainedStatement::try_new(bind(live.base()), live.view(), &config)
                             .unwrap()
                             .unwrap();
-                    for (p, rows) in full.reach.iter().enumerate() {
-                        for (u, row) in rows.iter().enumerate() {
-                            let before = old[p].get(u).map_or(&[][..], |r| &r[..]);
+                    for (p, rel) in full.reach.iter().enumerate() {
+                        for (u, row) in rel.fwd.iter().enumerate() {
+                            let before = old[p].fwd.get(u).map_or(&[][..], |r| &r[..]);
                             let hit = affected[p].binary_search(&(u as u32)).is_ok();
                             assert!(hit || before == &row[..], "{ctx}: row {p}/{u} changed");
                             changed += usize::from(before != &row[..]);

@@ -116,7 +116,7 @@ pub(crate) fn enumerate_candidates<F: FnMut(&[NodeId]) -> bool>(
         edges: &edges,
         reach,
         constants: constants.iter().copied().collect(),
-        all_nodes: (0..num_nodes as u32).map(NodeId).collect(),
+        num_nodes,
         assignment: vec![None; pq.node_vars.len()],
         stats,
         max_candidates: config.max_candidates,
@@ -132,7 +132,7 @@ struct Join<'a, F> {
     edges: &'a [JoinEdge],
     reach: &'a [ReachRel],
     constants: HashMap<usize, NodeId>,
-    all_nodes: Vec<NodeId>,
+    num_nodes: usize,
     assignment: Vec<Option<NodeId>>,
     stats: &'a mut EvalStats,
     max_candidates: usize,
@@ -176,7 +176,28 @@ impl<F: FnMut(&[NodeId]) -> bool> Join<'_, F> {
                 narrow(&reach[e.path].fwd[f.index()]);
             }
         }
-        for v in candidates.unwrap_or_else(|| self.all_nodes.clone()) {
+        // With nothing to narrow by, the nodes whose row along each of
+        // var's edges is non-empty, from the relation's list of them: any
+        // other node has no completion, so skipping it changes no count and
+        // keeps the order.
+        let candidates = candidates.unwrap_or_else(|| {
+            let has_rows = |v: &NodeId| {
+                edges.iter().all(|e| {
+                    (e.from != var || !reach[e.path].fwd[v.index()].is_empty())
+                        && (e.to != var || !reach[e.path].bwd[v.index()].is_empty())
+                })
+            };
+            let listed = edges.iter().find_map(|e| match (e.from == var, e.to == var) {
+                (true, _) => Some(&reach[e.path].sources),
+                (_, true) => Some(&reach[e.path].targets),
+                _ => None,
+            });
+            match listed {
+                Some(list) => list.iter().copied().filter(has_rows).collect(),
+                None => (0..self.num_nodes as u32).map(NodeId).collect(),
+            }
+        });
+        for v in candidates {
             if constant.is_some_and(|c| c != v) {
                 continue;
             }

@@ -20,23 +20,84 @@ use ecrpq_automata::alphabet::Symbol;
 use ecrpq_automata::sim::CompactNfa;
 use ecrpq_graph::delta::{DeltaBatch, GraphView};
 use ecrpq_graph::{GraphDb, NodeId};
+use std::cmp::Ordering;
 
 /// The binary reachability relation of one path variable: which node pairs
 /// are connected by a path whose (translated) label satisfies the variable's
 /// unary constraints.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct ReachRel {
     /// Forward adjacency: successors of each node.
     pub fwd: Vec<Vec<NodeId>>,
     /// Backward adjacency: predecessors of each node.
     pub bwd: Vec<Vec<NodeId>>,
+    /// The nodes whose forward row is non-empty, ascending: where the
+    /// candidate join starts a variable that has nothing to narrow by.
+    pub sources: Vec<NodeId>,
+    /// The nodes whose backward row is non-empty, ascending.
+    pub targets: Vec<NodeId>,
 }
 
 impl ReachRel {
     /// The relation with the given sorted successor rows; predecessor rows
     /// follow by transposition.
     pub fn from_fwd(fwd: Vec<Vec<NodeId>>) -> ReachRel {
-        ReachRel { bwd: transpose(&fwd), fwd }
+        let (bwd, sources) = transpose(&fwd);
+        let targets = (0..bwd.len() as u32).map(NodeId).filter(|v| !bwd[v.index()].is_empty());
+        let targets = targets.collect();
+        ReachRel { fwd, bwd, sources, targets }
+    }
+
+    /// The relation read backwards.
+    pub fn reversed(self) -> ReachRel {
+        ReachRel { fwd: self.bwd, bwd: self.fwd, sources: self.targets, targets: self.sources }
+    }
+
+    /// Extends the relation with empty rows up to `n` nodes.
+    pub fn grow(&mut self, n: usize) {
+        self.fwd.resize(n, Vec::new());
+        self.bwd.resize(n, Vec::new());
+    }
+
+    /// Replaces source `u`'s sorted successor row, moving `u` out of the
+    /// predecessor rows of the nodes that left it and into those of the
+    /// nodes that joined it.
+    pub fn set_row(&mut self, u: NodeId, row: Vec<NodeId>) {
+        let ReachRel { fwd, bwd, sources, targets } = self;
+        set_member(sources, u, !row.is_empty());
+        let old = std::mem::replace(&mut fwd[u.index()], row);
+        let (old, new) = (&old[..], &fwd[u.index()][..]);
+        let (mut i, mut j) = (0, 0);
+        while i < old.len() || j < new.len() {
+            // Rows are sorted: the smaller head left (`old`) or joined
+            // (`new`) the row; equal heads stay.
+            let order = match (old.get(i), new.get(j)) {
+                (Some(a), Some(b)) => a.cmp(b),
+                (Some(_), None) => Ordering::Less,
+                (None, _) => Ordering::Greater,
+            };
+            match order {
+                Ordering::Equal => (i, j) = (i + 1, j + 1),
+                Ordering::Less => {
+                    let col = &mut bwd[old[i].index()];
+                    if let Ok(k) = col.binary_search(&u) {
+                        col.remove(k);
+                    }
+                    if col.is_empty() {
+                        set_member(targets, old[i], false);
+                    }
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    let col = &mut bwd[new[j].index()];
+                    if let Err(k) = col.binary_search(&u) {
+                        col.insert(k, u);
+                    }
+                    set_member(targets, new[j], true);
+                    j += 1;
+                }
+            }
+        }
     }
 
     pub fn contains(&self, u: NodeId, v: NodeId) -> bool {
@@ -44,16 +105,32 @@ impl ReachRel {
     }
 }
 
-/// The transposed row table. Sources are visited in ascending order, so
-/// every transposed row comes out sorted, like the input rows.
-fn transpose(rows: &[Vec<NodeId>]) -> Vec<Vec<NodeId>> {
+/// Adds `v` to (`present`) or takes it out of the ascending `list`.
+fn set_member(list: &mut Vec<NodeId>, v: NodeId, present: bool) {
+    match (list.binary_search(&v), present) {
+        (Err(k), true) => list.insert(k, v),
+        (Ok(k), false) => {
+            list.remove(k);
+        }
+        _ => {}
+    }
+}
+
+/// The transposed row table, and the sources with a non-empty row. Sources
+/// are visited in ascending order, so every transposed row, and the list,
+/// comes out sorted, like the input rows.
+fn transpose(rows: &[Vec<NodeId>]) -> (Vec<Vec<NodeId>>, Vec<NodeId>) {
     let mut out: Vec<Vec<NodeId>> = vec![Vec::new(); rows.len()];
+    let mut sources = Vec::new();
     for (u, row) in rows.iter().enumerate() {
+        if !row.is_empty() {
+            sources.push(NodeId(u as u32));
+        }
         for &v in row {
             out[v.index()].push(NodeId(u as u32));
         }
     }
-    out
+    (out, sources)
 }
 
 /// Where the kernel's successors come from. Labels are the source's own
@@ -406,7 +483,7 @@ pub(crate) fn reachability_planned(
     }
     let rel = ReachRel::from_fwd(primary);
     if rev {
-        ReachRel { fwd: rel.bwd, bwd: rel.fwd }
+        rel.reversed()
     } else {
         rel
     }

@@ -11,10 +11,10 @@
 //! directly from the base's and the delta's, and hands the new `GraphDb`
 //! back for the catalog to swap in; old readers keep their pinned `Arc`s.
 
-use crate::graph::{Csr, Edge, GraphDb, NodeId};
+use crate::graph::{Csr, Edge, GraphDb, Names, NodeId};
 use ecrpq_automata::alphabet::{Alphabet, Symbol};
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Default number of applied mutation operations that triggers a merge.
 pub const DEFAULT_MERGE_THRESHOLD: usize = 4096;
@@ -406,7 +406,8 @@ impl LiveGraph {
 
     /// Writes the next epoch: out-row `v` is base row `v` minus tombstones,
     /// then `added_out[v]` (in-rows likewise from `added_in`); names are the
-    /// base arena plus the new names; the alphabet is the overlay's.
+    /// base's (shared, when the delta added no node) plus the new names;
+    /// the alphabet is the overlay's.
     fn merge(&mut self) -> Arc<GraphDb> {
         let (base, delta) = (&*self.base, &self.delta);
         let (n, m) = (delta.num_nodes(), self.view().num_edges());
@@ -414,12 +415,27 @@ impl LiveGraph {
         let in_dead = delta.removed.iter().map(|&(f, l, t)| (t, (Symbol(l), NodeId(f))));
         let out_edges = merge_rows(&base.out_edges, out_dead.collect(), &delta.added_out, n, m);
         let in_edges = merge_rows(&base.in_edges, in_dead.collect(), &delta.added_in, n, m);
-        let mut names = base.node_names.clone();
-        for name in &delta.new_names {
-            names.push(Some(name));
-        }
-        let merged =
-            Arc::new(GraphDb::from_parts(delta.alphabet.clone(), names, out_edges, in_edges));
+        let names = if delta.new_names.is_empty() {
+            Arc::clone(&base.names)
+        } else {
+            // The merged names are the base's followed by the new ones:
+            // extend a copy of the base's index, if it has one, rather than
+            // rehash every name on the next lookup.
+            let mut arena = base.names.arena.clone();
+            for name in &delta.new_names {
+                arena.push(Some(name));
+            }
+            let index = base.names.index.get().map(|index| {
+                let mut index = index.clone();
+                for v in delta.base_nodes..n {
+                    index.insert(&arena, NodeId(v as u32));
+                }
+                index
+            });
+            Arc::new(Names { arena, index: index.map_or_else(OnceLock::new, OnceLock::from) })
+        };
+        let merged = GraphDb::from_parts(delta.alphabet.clone(), names, out_edges, in_edges);
+        let merged = Arc::new(merged);
         self.base = Arc::clone(&merged);
         self.delta = EdgeDelta::new(&merged);
         self.merges += 1;
@@ -732,6 +748,27 @@ mod tests {
             let out = LiveGraph::new(Arc::clone(&base), 1000).apply(&adds, &removes);
             assert_eq!((out.nodes, out.edges), (nodes, edges), "{adds:?} {removes:?}");
         }
+    }
+
+    /// A merge whose delta added no node shares the base's names and
+    /// index; one that added nodes extends a copy of the index, and every
+    /// name resolves on the merged epoch.
+    #[test]
+    fn merges_share_names_until_a_write_adds_a_node() {
+        let mut live = LiveGraph::new(base(), 1);
+        let b0 = Arc::clone(live.base());
+        assert_eq!(b0.node_by_name("c"), Some(NodeId(2)));
+        let e1 = live.apply(&[triple("a", "x", "c")], &[]).merged.expect("threshold 1");
+        assert!(Arc::ptr_eq(&b0.names, &e1.names));
+
+        let e2 = live.apply(&[triple("a", "y", "d")], &[]).merged.expect("threshold 1");
+        assert!(!Arc::ptr_eq(&e1.names, &e2.names));
+        assert!(e2.names.index.get().is_some(), "the base's index is carried over");
+        assert_eq!(e2.node_by_name("d"), Some(NodeId(3)));
+        for v in e2.nodes() {
+            assert_eq!(e2.node_by_name(e2.node_name(v).unwrap()), Some(v));
+        }
+        assert_eq!(e2.node_by_name("e"), None);
     }
 
     #[test]

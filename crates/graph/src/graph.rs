@@ -11,7 +11,7 @@
 use crate::stats::GraphStats;
 use ecrpq_automata::alphabet::{Alphabet, Symbol};
 use ecrpq_automata::nfa::Nfa;
-use std::collections::HashMap;
+use ecrpq_storage::fnv1a64;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -131,6 +131,109 @@ impl NodeNames {
     }
 }
 
+/// A graph's node names with their lookup index. A live graph's merged
+/// epochs share the base's `Names` while writes introduce no node, so a
+/// merge neither copies the arena nor rebuilds the index.
+#[derive(Debug, Default)]
+pub(crate) struct Names {
+    pub(crate) arena: NodeNames,
+    /// Name → id lookup, built from `arena` on first use. A snapshot open
+    /// leaves it unbuilt (names are validated there without a string map),
+    /// so a warm reopen only pays for the index if a query actually
+    /// resolves a node constant by name.
+    pub(crate) index: OnceLock<NameIndex>,
+}
+
+impl Names {
+    /// The arena with its index still unbuilt.
+    pub(crate) fn new(arena: NodeNames) -> Names {
+        Names { arena, index: OnceLock::new() }
+    }
+
+    /// The node named `name` (building the index on first use).
+    pub(crate) fn lookup(&self, name: &str) -> Option<NodeId> {
+        let index = self.index.get_or_init(|| NameIndex::build(&self.arena));
+        index.get(&self.arena, name)
+    }
+}
+
+/// Name → node lookup over a [`NodeNames`] arena: an open-addressing table
+/// of node ids, hashed by name and compared against the arena's text. It
+/// owns no strings, so building, copying or dropping it is one allocation
+/// however many names there are, and a merge that appends names extends a
+/// copy of the slots instead of rehashing every name.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct NameIndex {
+    /// Node ids, [`FREE_SLOT`] where empty: zero or a power of two slots,
+    /// at most half of them taken.
+    slots: Vec<u32>,
+    len: usize,
+}
+
+/// An empty [`NameIndex`] slot.
+const FREE_SLOT: u32 = u32::MAX;
+
+impl NameIndex {
+    /// Indexes every named node of `names`.
+    pub(crate) fn build(names: &NodeNames) -> NameIndex {
+        let mut index = NameIndex::default();
+        for v in 0..names.len() {
+            if names.get(v).is_some() {
+                index.insert(names, NodeId(v as u32));
+            }
+        }
+        index
+    }
+
+    /// The node named `name`.
+    pub(crate) fn get(&self, names: &NodeNames, name: &str) -> Option<NodeId> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = slot_hash(name) & mask;
+        loop {
+            match self.slots[i] {
+                FREE_SLOT => return None,
+                v if names.get(v as usize) == Some(name) => return Some(NodeId(v)),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// Adds node `v`, which must be named in `names` by a name not indexed
+    /// yet.
+    pub(crate) fn insert(&mut self, names: &NodeNames, v: NodeId) {
+        if 2 * (self.len + 1) > self.slots.len() {
+            let grown = vec![FREE_SLOT; (2 * self.slots.len()).max(16)];
+            let old = std::mem::replace(&mut self.slots, grown);
+            for u in old.into_iter().filter(|&u| u != FREE_SLOT) {
+                self.place(names, u);
+            }
+        }
+        self.place(names, v.0);
+        self.len += 1;
+    }
+
+    fn place(&mut self, names: &NodeNames, v: u32) {
+        let name = names.get(v as usize).expect("only named nodes are indexed");
+        let mask = self.slots.len() - 1;
+        let mut i = slot_hash(name) & mask;
+        while self.slots[i] != FREE_SLOT {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = v;
+    }
+}
+
+/// FNV-1a of the name, finalized so that its low bits (the slot) depend on
+/// every byte: FNV's own low bits see only the low bits of each byte.
+fn slot_hash(name: &str) -> usize {
+    let h = fnv1a64(name.as_bytes());
+    let h = (h ^ (h >> 32)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    (h ^ (h >> 29)) as usize
+}
+
 /// A Σ-labeled graph database: forward and reverse CSR adjacency plus one
 /// name arena. It has no mutating method; [`GraphBuilder`] constructs it.
 #[derive(Clone, Debug)]
@@ -138,12 +241,7 @@ pub struct GraphDb {
     // Fields are `pub(crate)` so the sibling `snapshot` and `delta` modules
     // can assemble a graph from arrays they have already laid out.
     pub(crate) alphabet: Alphabet,
-    pub(crate) node_names: NodeNames,
-    /// Name → id lookup, built lazily from `node_names` on first use. A
-    /// snapshot open or a merge skips building it (names are validated there
-    /// without a string map), so a warm reopen only pays for the index if a
-    /// query actually resolves a node constant by name.
-    pub(crate) name_index: OnceLock<HashMap<String, NodeId>>,
+    pub(crate) names: Arc<Names>,
     pub(crate) out_edges: Csr,
     pub(crate) in_edges: Csr,
     /// Lazily computed planner statistics.
@@ -151,22 +249,15 @@ pub struct GraphDb {
 }
 
 impl GraphDb {
-    /// Assembles a graph from its parts; the name index and statistics are
-    /// left to be computed on first use.
+    /// Assembles a graph from its parts; the statistics are left to be
+    /// computed on first use.
     pub(crate) fn from_parts(
         alphabet: Alphabet,
-        node_names: NodeNames,
+        names: Arc<Names>,
         out_edges: Csr,
         in_edges: Csr,
     ) -> GraphDb {
-        GraphDb {
-            alphabet,
-            node_names,
-            name_index: OnceLock::new(),
-            out_edges,
-            in_edges,
-            stats_cache: OnceLock::new(),
-        }
+        GraphDb { alphabet, names, out_edges, in_edges, stats_cache: OnceLock::new() }
     }
 
     /// The graph with no nodes over an empty alphabet.
@@ -181,23 +272,12 @@ impl GraphDb {
 
     /// Looks up a node by name (building the lazy name index on first use).
     pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        self.name_index
-            .get_or_init(|| {
-                let mut index = HashMap::with_capacity(self.num_nodes());
-                for (v, name) in self.node_names.iter().enumerate() {
-                    if let Some(name) = name {
-                        index.insert(name.to_string(), NodeId(v as u32));
-                    }
-                }
-                index
-            })
-            .get(name)
-            .copied()
+        self.names.lookup(name)
     }
 
     /// The name of a node, if it has one.
     pub fn node_name(&self, node: NodeId) -> Option<&str> {
-        self.node_names.get(node.index())
+        self.names.arena.get(node.index())
     }
 
     /// A printable identifier for a node (its name, or `n<i>`).
@@ -210,7 +290,7 @@ impl GraphDb {
 
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
-        self.node_names.len()
+        self.names.arena.len()
     }
 
     /// Number of edges.
@@ -355,7 +435,7 @@ impl GraphDb {
 pub struct GraphBuilder {
     alphabet: Alphabet,
     names: NodeNames,
-    index: HashMap<String, NodeId>,
+    index: NameIndex,
     edges: Vec<Edge>,
 }
 
@@ -385,12 +465,12 @@ impl GraphBuilder {
 
     /// Adds a named node (or returns the existing node with that name).
     pub fn add_named_node(&mut self, name: &str) -> NodeId {
-        if let Some(&id) = self.index.get(name) {
+        if let Some(id) = self.index.get(&self.names, name) {
             return id;
         }
         let id = NodeId(self.names.len() as u32);
         self.names.push(Some(name));
-        self.index.insert(name.to_string(), id);
+        self.index.insert(&self.names, id);
         id
     }
 
@@ -432,9 +512,8 @@ impl GraphBuilder {
         };
         let out_edges = seal(|e| (e.from, (e.label, e.to)));
         let in_edges = seal(|e| (e.to, (e.label, e.from)));
-        let g = GraphDb::from_parts(self.alphabet, self.names, out_edges, in_edges);
-        let _ = g.name_index.set(self.index);
-        g
+        let names = Names { arena: self.names, index: OnceLock::from(self.index) };
+        GraphDb::from_parts(self.alphabet, Arc::new(names), out_edges, in_edges)
     }
 }
 
@@ -451,6 +530,33 @@ mod tests {
         g.add_edge_labeled(b, "y", c);
         g.add_edge_labeled(c, "x", a);
         g.build()
+    }
+
+    /// The name index finds every named node — across its growth, built
+    /// by the builder or lazily from the arena — and nothing else.
+    #[test]
+    fn name_index_finds_every_name_and_nothing_else() {
+        let mut b = GraphBuilder::default();
+        let mut ids = Vec::new();
+        for i in 0..1000 {
+            if i % 7 == 0 {
+                b.add_node();
+            }
+            ids.push(b.add_named_node(&format!("v{i}")));
+        }
+        assert_eq!(b.add_named_node("v999"), ids[999]);
+        let built = b.build();
+        let arena = Arc::new(Names::new(built.names.arena.clone()));
+        let (out, inc) = (built.out_edges.clone(), built.in_edges.clone());
+        let lazy = GraphDb::from_parts(built.alphabet.clone(), arena, out, inc);
+        for g in [&built, &lazy] {
+            for (i, &id) in ids.iter().enumerate() {
+                assert_eq!(g.node_by_name(&format!("v{i}")), Some(id));
+            }
+            for missing in ["v1000", "v01", "n0", ""] {
+                assert_eq!(g.node_by_name(missing), None, "{missing:?}");
+            }
+        }
     }
 
     #[test]

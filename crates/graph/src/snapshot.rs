@@ -22,7 +22,7 @@
 //! a panic downstream. The graph keeps no degree arrays: the degree section
 //! is only a cross-check of the offsets.
 
-use crate::graph::{Csr, GraphDb, NodeId, NodeNames, ANON_SPAN};
+use crate::graph::{Csr, GraphDb, Names, NodeId, NodeNames, ANON_SPAN};
 use crate::stats::{GraphStats, LabelStats};
 use ecrpq_automata::alphabet::{Alphabet, Symbol};
 use ecrpq_storage::{fnv1a64, Container, Decoder, Encoder, Writer};
@@ -109,7 +109,7 @@ pub fn write_snapshot(g: &GraphDb) -> Result<Vec<u8>, StorageError> {
             "graph with {n} nodes / {m} edges exceeds the v{FORMAT_VERSION} id space"
         )));
     }
-    let named = g.node_names.iter().filter(|x| x.is_some()).count();
+    let named = g.names.arena.iter().filter(|x| x.is_some()).count();
 
     let mut w = Writer::new(MAGIC, FORMAT_VERSION);
 
@@ -127,7 +127,7 @@ pub fn write_snapshot(g: &GraphDb) -> Result<Vec<u8>, StorageError> {
     w.section(SEC_LABELS, e);
 
     let mut e = Encoder::new();
-    for name in g.node_names.iter() {
+    for name in g.names.arena.iter() {
         match name {
             Some(s) => e.str(s),
             None => e.u32(ANON),
@@ -235,10 +235,10 @@ pub fn read_snapshot(bytes: &[u8]) -> Result<GraphDb, StorageError> {
         return Err(StorageError::Corrupt("stats do not match the header counts".to_string()));
     }
 
-    // The name index stays unbuilt: `GraphDb` derives it lazily from
-    // `node_names` the first time a name is actually looked up, so opening
-    // never pays for a string hash map it may not need.
-    let g = GraphDb::from_parts(alphabet, node_names, out_edges, in_edges);
+    // The name index stays unbuilt: `Names` derives it lazily from the
+    // arena the first time a name is actually looked up, so opening never
+    // pays for an index it may not need.
+    let g = GraphDb::from_parts(alphabet, Arc::new(Names::new(node_names)), out_edges, in_edges);
     let _ = g.stats_cache.set(Arc::new(stats));
     Ok(g)
 }
