@@ -135,14 +135,23 @@ impl BoundPlan<'_> {
         let mut nfa: Nfa<EncLetter> = Nfa::new();
         if let Some(forced) = self.forced(nodes, &[]) {
             let mut stats = EvalStats::default();
-            let (order, reach) = self.plan_reach(&forced, &mut stats, &mut None);
+            let (qplan, reach) = self.plan_reach(&forced, false, &mut stats, &mut None);
             let mut err: Option<QueryError> = None;
             let mut tables = vec![SetTable::default(); pq.relations.len()];
-            let n = self.graph.num_nodes();
-            plan::enumerate_candidates(pq, n, &forced, &reach, &order, config, &mut stats, |s| {
-                err = add_candidate_automaton(&mut nfa, self, s, config, &mut tables).err();
-                err.is_none()
-            })?;
+            let order = &qplan.order;
+            plan::enumerate_candidates(
+                pq,
+                &forced,
+                &reach,
+                order,
+                false,
+                config,
+                &mut stats,
+                |s| {
+                    err = add_candidate_automaton(&mut nfa, self, s, config, &mut tables).err();
+                    err.is_none()
+                },
+            )?;
             if let Some(e) = err {
                 return Err(e);
             }

@@ -98,17 +98,17 @@ pub fn eval_qlen(
 
     // Reachability join for the node variables (unary constraints are exact).
     let mut stats = plan::EvalStats::default();
-    let (order, reach) = bound.plan_reach(bound.constants(), &mut stats, &mut None);
+    let (qplan, reach) = bound.plan_reach(bound.constants(), false, &mut stats, &mut None);
 
     let mut answers: HashSet<Vec<NodeId>> = HashSet::new();
     let mut error: Option<QueryError> = None;
 
     plan::enumerate_candidates(
         pq,
-        graph.num_nodes(),
         bound.constants(),
         &reach,
-        &order,
+        &qplan.order,
+        false,
         config,
         &mut stats,
         |sigma| {

@@ -16,10 +16,13 @@
 //! 2. **Candidate assignments.** The relational part is evaluated as a
 //!    conjunctive query over those binary relations by a backtracking join
 //!    (`plan::enumerate_candidates`), yielding candidate assignments of the
-//!    node variables. It is the one candidate join, for acyclic queries too:
-//!    [`acyclic::eval_acyclic_crpq`] is a separate Yannakakis-style
-//!    evaluator (Theorem 6.5) that no evaluation path calls; tests use it as
-//!    a cross-check.
+//!    node variables. It is the one candidate join. A run that searches no
+//!    candidate projects it onto the *needed* variables (head variables and
+//!    constants): past the last of them in the join order it only decides
+//!    whether the existential rest has some completion, part by connected
+//!    part, memoised by the values of the assigned variables each part
+//!    touches. On an acyclic CRPQ that is Yannakakis' semi-join, so
+//!    Theorem 6.5's polynomial combined complexity holds in the one join.
 //! 3. **Convolution search.** For each candidate, the on-the-fly product of
 //!    the padded graph power `G^m` with the relation automata is searched for
 //!    an accepting run (Theorem 6.3's PSPACE procedure, Theorem 6.1's
@@ -33,7 +36,8 @@
 //! same product, explored with the search's own expander, with its
 //! transitions kept.
 
-pub mod acyclic;
+#[cfg(test)]
+mod acyclic;
 pub mod answers;
 pub mod counts;
 pub mod delta;
@@ -70,7 +74,9 @@ pub fn prepare(query: &Ecrpq) -> Result<PreparedQuery, QueryError> {
 pub struct EvalConfig {
     /// Maximum number of distinct states visited by one convolution search.
     pub max_search_states: usize,
-    /// Maximum number of candidate node assignments examined.
+    /// Maximum number of candidate node assignments examined. In a
+    /// projected join it also bounds the existence check: every assignment
+    /// the check tries and every verdict it memoises counts against it.
     pub max_candidates: usize,
     /// Maximum number of answers materialized by [`eval_with_paths`]: the
     /// row cap of a paths-mode run (0 means no rows). Node and Boolean runs

@@ -9,14 +9,20 @@
 //! and gets a [`QueryPlan`]: one [`AtomPlan`] per path variable — BFS
 //! direction ([`Direction`]), an optional pinned single source (selectivity
 //! pushdown of a forced value), and an estimated pair cardinality — plus the
-//! node variable join order consumed by `enumerate_candidates`.
+//! node variable join order consumed by `enumerate_candidates`. For a join
+//! that projects (a run that searches no candidate), the order prefers a
+//! needed variable — a head variable or a constant — among equally
+//! connected ones, so the existential variables tend to come last, where
+//! the join only asks whether they exist; connectivity still comes first.
 //!
 //! **Plan choice never changes answers.** Reverse BFS over the reverse CSR
 //! with the reversed constraint automaton computes the same binary relation;
 //! a pinned source restricts the relation to rows the join provably probes
 //! (the pinned variable is a constant everywhere); the join order only
-//! reorders the backtracking enumeration. `tests/planner_differential.rs`
-//! holds answers and `verified` counts equal to the reference engine's.
+//! reorders the backtracking enumeration (and, in a projecting join, moves
+//! the point past which it only decides existence).
+//! `tests/planner_differential.rs` holds answers and `verified` counts equal
+//! to the reference engine's.
 //!
 //! The cost model is deliberately coarse — selectivity *ranking* is what
 //! drives the wins, not absolute accuracy:
@@ -88,8 +94,13 @@ pub(crate) struct QueryPlan {
 /// Plans one evaluation of `bound`: the one producer of a join order.
 /// `constants` are the node variables with forced values — the plan's
 /// resolved constants for a run, or the values forced by a membership check
-/// or an answer automaton's head.
-pub(crate) fn plan_query(bound: &BoundPlan<'_>, constants: &[(usize, NodeId)]) -> QueryPlan {
+/// or an answer automaton's head. `project` says whether the join will
+/// enumerate only the needed variables (a run that searches no candidate).
+pub(crate) fn plan_query(
+    bound: &BoundPlan<'_>,
+    constants: &[(usize, NodeId)],
+    project: bool,
+) -> QueryPlan {
     let pq = bound.prepared();
     let edges = super::join_edges(pq);
     let gstats = bound.graph().stats();
@@ -97,19 +108,23 @@ pub(crate) fn plan_query(bound: &BoundPlan<'_>, constants: &[(usize, NodeId)]) -
     let const_map: HashMap<usize, NodeId> = constants.iter().copied().collect();
     let atoms: Vec<AtomPlan> =
         (0..pq.path_vars.len()).map(|p| plan_atom(pq, p, &gstats, &merged, &const_map)).collect();
-    let order = cost_order(pq, constants, &edges, &atoms);
+    let order = cost_order(pq, constants, &edges, &atoms, project);
     QueryPlan { atoms, order }
 }
 
 /// The cost-based variable order: constants first, then greedily the
-/// variable with the most edges into the placed set, tie-broken by the
-/// smallest estimated cardinality among its incident atoms (place selective
+/// variable with the most edges into the placed set, tie-broken — in a
+/// projecting join — by preferring a needed variable, then by the smallest
+/// estimated cardinality among its incident atoms (place selective
 /// variables early so they prune more), then by variable index.
+/// Connectivity stays first: placing every needed variable first would
+/// enumerate the cross product of unconnected ones.
 fn cost_order(
     pq: &PreparedQuery,
     constants: &[(usize, NodeId)],
     edges: &[super::JoinEdge],
     atoms: &[AtomPlan],
+    project: bool,
 ) -> Vec<usize> {
     let num_vars = pq.node_vars.len();
     let mut order: Vec<usize> = Vec::new();
@@ -121,12 +136,13 @@ fn cost_order(
         }
     }
     while order.len() < num_vars {
-        let mut best: Option<(usize, usize, f64)> = None;
+        let mut best: Option<(usize, (usize, bool), f64)> = None;
         for v in (0..num_vars).filter(|&v| !placed[v]) {
             let connectivity = edges
                 .iter()
                 .filter(|e| (e.from == v && placed[e.to]) || (e.to == v && placed[e.from]))
                 .count();
+            let rank = (connectivity, project && pq.is_needed(v, constants));
             let weight = edges
                 .iter()
                 .filter(|e| e.from == v || e.to == v)
@@ -134,10 +150,10 @@ fn cost_order(
                 .fold(f64::INFINITY, f64::min);
             let better = match best {
                 None => true,
-                Some((_, bc, bw)) => connectivity > bc || (connectivity == bc && weight < bw),
+                Some((_, br, bw)) => rank > br || (rank == br && weight < bw),
             };
             if better {
-                best = Some((v, connectivity, weight));
+                best = Some((v, rank, weight));
             }
         }
         let (v, _, _) = best.expect("some variable is unplaced");

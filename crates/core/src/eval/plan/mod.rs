@@ -15,8 +15,13 @@
 //! maintained statements ([`super::delta`], which plan once and run the
 //! same kernel over an overlay's adjacency), verifying each candidate by
 //! [`Engine::run`] — the convolution search of [`super::search`], skipped
-//! in a run of a plain CRPQ, for which the relaxation is exact. An answer
-//! automaton explores candidates with the search's expander instead.
+//! in a nodes or Boolean run of a plain CRPQ, for which the relaxation is
+//! exact. Such a run *projects* the join: it enumerates the needed
+//! variables only and asks of the existential rest whether it has some
+//! completion (Yannakakis' semi-join on an acyclic query), since nothing
+//! downstream reads it. A searched run needs full assignments, because the
+//! search moves every path variable. An answer automaton explores
+//! candidates with the search's expander instead.
 
 pub(crate) mod cost;
 pub(crate) mod reach;
@@ -29,12 +34,14 @@ use crate::eval::search::{SearchOutcome, SearchProblem};
 use crate::eval::{reference, search, EvalConfig};
 use ecrpq_automata::sim::SetTable;
 use ecrpq_graph::NodeId;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Evaluation statistics reported alongside answers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EvalStats {
-    /// Candidate node assignments examined.
+    /// Candidate assignments examined: assignments of the needed variables
+    /// (head variables and constants) that have a completion when the run
+    /// searches no candidate, full node assignments otherwise.
     pub candidates: u64,
     /// Candidates that passed verification.
     pub verified: u64,
@@ -86,40 +93,62 @@ pub(crate) fn join_edges(pq: &PreparedQuery) -> Vec<JoinEdge> {
     edges
 }
 
+/// The slot value of a variable the join has not assigned.
+const UNSET: NodeId = NodeId(u32::MAX);
+
 /// Enumerates candidate node assignments consistent with the reachability
 /// relations, invoking `visit` on each; `visit` returns `false` to stop.
 /// This is the one candidate join: the candidate driver `BoundPlan::drive`
 /// (cold runs, membership checks, and the maintained statements of
-/// [`super::delta`], whose relations cover an overlay's `num_nodes`,
+/// [`super::delta`], whose relations cover an overlay's nodes,
 /// delta-introduced nodes included) and the answer-automaton and
 /// length-abstraction paths all enumerate through it.
 ///
 /// `constants` are the node variables with forced values (the plan's
 /// resolved constants, or the values forced by a membership check or an
 /// answer automaton's head). `order` is the variable enumeration order from
-/// [`cost::plan_query`]. Returns an error if the candidate budget is
-/// exceeded.
+/// [`cost::plan_query`]. With `project`, a candidate is a distinct
+/// assignment of the needed variables ([`PreparedQuery::is_needed`]): past
+/// the last of them in `order`, the join only decides whether the
+/// existential rest has some completion, and leaves it unassigned in what
+/// `visit` sees. Without, a candidate is a full assignment.
+///
+/// Returns an error once the candidates, plus the assignments and memo
+/// entries of the existence check, pass `config.max_candidates`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn enumerate_candidates<F: FnMut(&[NodeId]) -> bool>(
     pq: &PreparedQuery,
-    num_nodes: usize,
     constants: &[(usize, NodeId)],
     reach: &[ReachRel],
     order: &[usize],
+    project: bool,
     config: &EvalConfig,
     stats: &mut EvalStats,
     visit: F,
 ) -> Result<(), QueryError> {
     let edges = join_edges(pq);
+    let needed = |v: &usize| pq.is_needed(*v, constants);
+    let cut = match project {
+        true => order.iter().rposition(needed).map_or(0, |i| i + 1),
+        false => order.len(),
+    };
+    // An existential variable enumerated before the last needed one can
+    // repeat a needed assignment.
+    let enumerated = &order[..cut];
+    let seen = (project && !enumerated.iter().all(needed))
+        .then(|| (enumerated.iter().copied().filter(needed).collect(), HashSet::new()));
     let mut join = Join {
         order,
+        cut,
         edges: &edges,
         reach,
-        constants: constants.iter().copied().collect(),
-        num_nodes,
-        assignment: vec![None; pq.node_vars.len()],
+        constants,
+        assignment: vec![UNSET; pq.node_vars.len()],
         stats,
-        max_candidates: config.max_candidates,
+        spent: 0,
+        max_candidates: config.max_candidates as u64,
+        seen,
+        memo: HashMap::new(),
         visit,
         stop: false,
     };
@@ -129,58 +158,143 @@ pub(crate) fn enumerate_candidates<F: FnMut(&[NodeId]) -> bool>(
 /// The state of one backtracking join over the variable order.
 struct Join<'a, F> {
     order: &'a [usize],
+    /// The join enumerates `order[..cut]`; the rest only has to exist.
+    cut: usize,
     edges: &'a [JoinEdge],
     reach: &'a [ReachRel],
-    constants: HashMap<usize, NodeId>,
-    num_nodes: usize,
-    assignment: Vec<Option<NodeId>>,
+    constants: &'a [(usize, NodeId)],
+    assignment: Vec<NodeId>,
     stats: &'a mut EvalStats,
-    max_candidates: usize,
+    /// Candidates plus the existence check's assignments and memo entries.
+    spent: u64,
+    max_candidates: u64,
+    /// The needed variables, and their assignments counted so far, when
+    /// `order[..cut]` holds an existential variable.
+    seen: Option<(Vec<usize>, HashSet<Vec<NodeId>>)>,
+    /// Whether a connected part of unassigned variables has a completion,
+    /// by the part and the values of the assigned variables it touches.
+    memo: HashMap<(Vec<usize>, Vec<NodeId>), bool>,
     visit: F,
     stop: bool,
 }
 
 impl<F: FnMut(&[NodeId]) -> bool> Join<'_, F> {
     fn recurse(&mut self, depth: usize) -> Result<(), QueryError> {
-        if self.stop {
-            return Ok(());
-        }
-        if depth == self.order.len() {
-            self.stats.candidates += 1;
-            if self.stats.candidates > self.max_candidates as u64 {
-                return Err(QueryError::BudgetExceeded {
-                    what: format!("more than {} candidate assignments", self.max_candidates),
-                });
-            }
-            let sigma: Vec<NodeId> = self.assignment.iter().map(|a| a.unwrap()).collect();
-            self.stop = !(self.visit)(&sigma);
-            return Ok(());
+        if depth == self.cut {
+            return self.candidate();
         }
         let var = self.order[depth];
-        let (edges, reach) = (self.edges, self.reach);
-        // Candidate values: a constant's forced value, intersected with the
-        // rows of every edge whose other endpoint is already assigned.
-        let constant = self.constants.get(&var).copied();
-        let mut candidates: Option<Vec<NodeId>> = constant.map(|n| vec![n]);
+        for v in self.values(var) {
+            if self.assign(var, v) {
+                self.recurse(depth + 1)?;
+                self.assignment[var] = UNSET;
+                if self.stop {
+                    break;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Counts and visits the assignment of `order[..cut]`, unless it
+    /// repeats a needed assignment or has no completion.
+    fn candidate(&mut self) -> Result<(), QueryError> {
+        let a = &self.assignment;
+        let key = self.seen.as_ref().map(|(vars, _)| vars.iter().map(|&v| a[v]).collect());
+        if let (Some((_, seen)), Some(key)) = (&self.seen, &key) {
+            if seen.contains(key) {
+                return Ok(());
+            }
+        }
+        let order = self.order;
+        if !self.completes(&order[self.cut..])? {
+            return Ok(());
+        }
+        if let (Some((_, seen)), Some(key)) = (&mut self.seen, key) {
+            seen.insert(key);
+        }
+        self.stats.candidates += 1;
+        self.charge()?;
+        self.stop = !(self.visit)(&self.assignment);
+        Ok(())
+    }
+
+    /// Whether the unassigned `vars` have some assignment consistent with
+    /// every join edge. Each connected part of them is decided on its own,
+    /// stopping at its first completion, and memoised by the values of the
+    /// assigned variables it touches: on an acyclic query, the semi-join of
+    /// Yannakakis' algorithm.
+    fn completes(&mut self, vars: &[usize]) -> Result<bool, QueryError> {
+        let mut left = vars.to_vec();
+        while !left.is_empty() {
+            // Every variable of a part after the first is adjacent to an
+            // earlier one, so its values are narrowed by an assigned row.
+            let mut part = vec![left.remove(0)];
+            let touches = |part: &[usize], w: usize| part.iter().any(|&u| self.adjacent(u, w));
+            while let Some(i) = left.iter().position(|&w| touches(&part, w)) {
+                part.push(left.remove(i));
+            }
+            let a = &self.assignment;
+            let bound = (0..a.len()).filter(|&v| a[v] != UNSET && touches(&part, v));
+            let values: Vec<NodeId> = bound.map(|v| a[v]).collect();
+            let key = (part, values);
+            let known = self.memo.get(&key).copied();
+            if !known.map_or_else(|| self.part_completes(key), Ok)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Decides and memoises the `key.0` part of `completes`:
+    /// its first variable takes each of its values until the rest completes.
+    fn part_completes(&mut self, key: (Vec<usize>, Vec<NodeId>)) -> Result<bool, QueryError> {
+        let (var, rest) = (key.0[0], &key.0[1..]);
+        let mut found = false;
+        for v in self.values(var) {
+            self.charge()?;
+            if self.assign(var, v) {
+                found = self.completes(rest)?;
+                self.assignment[var] = UNSET;
+                if found {
+                    break;
+                }
+            }
+        }
+        self.charge()?;
+        self.memo.insert(key, found);
+        Ok(found)
+    }
+
+    fn adjacent(&self, u: usize, w: usize) -> bool {
+        self.edges.iter().any(|e| (e.from, e.to) == (u, w) || (e.from, e.to) == (w, u))
+    }
+
+    /// The values `var` can take under the current assignment: its forced
+    /// value, intersected with the rows of every edge whose other endpoint
+    /// is assigned. With nothing to narrow by, the nodes whose row along
+    /// each of var's edges is non-empty, from the relation's list of them:
+    /// any other node has no completion, so skipping it changes no count and
+    /// keeps the order.
+    fn values(&self, var: usize) -> Vec<NodeId> {
+        let (edges, reach, a) = (self.edges, self.reach, &self.assignment);
+        let constant = self.constants.iter().rev().find(|&&(c, _)| c == var);
+        let mut values: Option<Vec<NodeId>> = constant.map(|&(_, n)| vec![n]);
         let mut narrow = |row: &Vec<NodeId>| {
-            candidates = Some(match candidates.take() {
+            values = Some(match values.take() {
                 None => row.clone(),
                 Some(c) => intersect_sorted(&c, row),
             });
         };
         for e in edges {
-            if let (true, Some(t)) = (e.from == var, self.assignment[e.to]) {
-                narrow(&reach[e.path].bwd[t.index()]);
+            if e.from == var && a[e.to] != UNSET {
+                narrow(&reach[e.path].bwd[a[e.to].index()]);
             }
-            if let (true, Some(f)) = (e.to == var, self.assignment[e.from]) {
-                narrow(&reach[e.path].fwd[f.index()]);
+            if e.to == var && a[e.from] != UNSET {
+                narrow(&reach[e.path].fwd[a[e.from].index()]);
             }
         }
-        // With nothing to narrow by, the nodes whose row along each of
-        // var's edges is non-empty, from the relation's list of them: any
-        // other node has no completion, so skipping it changes no count and
-        // keeps the order.
-        let candidates = candidates.unwrap_or_else(|| {
+        values.unwrap_or_else(|| {
             let has_rows = |v: &NodeId| {
                 edges.iter().all(|e| {
                     (e.from != var || !reach[e.path].fwd[v.index()].is_empty())
@@ -192,28 +306,33 @@ impl<F: FnMut(&[NodeId]) -> bool> Join<'_, F> {
                 (_, true) => Some(&reach[e.path].targets),
                 _ => None,
             });
-            match listed {
-                Some(list) => list.iter().copied().filter(has_rows).collect(),
-                None => (0..self.num_nodes as u32).map(NodeId).collect(),
-            }
+            let listed = listed.expect("every node variable is an atom's endpoint");
+            listed.iter().copied().filter(has_rows).collect()
+        })
+    }
+
+    /// Assigns `v` to `var` if every edge between `var` and an assigned
+    /// variable holds.
+    fn assign(&mut self, var: usize, v: NodeId) -> bool {
+        self.assignment[var] = v;
+        let a = &self.assignment;
+        let ok = self.edges.iter().filter(|e| e.from == var || e.to == var).all(|e| {
+            let (f, t) = (a[e.from], a[e.to]);
+            f == UNSET || t == UNSET || self.reach[e.path].contains(f, t)
         });
-        for v in candidates {
-            if constant.is_some_and(|c| c != v) {
-                continue;
-            }
-            self.assignment[var] = Some(v);
-            // check fully-instantiated edges involving var
-            let ok = edges.iter().all(|e| match (self.assignment[e.from], self.assignment[e.to]) {
-                (Some(f), Some(t)) if e.from == var || e.to == var => reach[e.path].contains(f, t),
-                _ => true,
+        if !ok {
+            self.assignment[var] = UNSET;
+        }
+        ok
+    }
+
+    /// Counts one unit of work against the candidate budget.
+    fn charge(&mut self) -> Result<(), QueryError> {
+        self.spent += 1;
+        if self.spent > self.max_candidates {
+            return Err(QueryError::BudgetExceeded {
+                what: format!("more than {} candidate assignments", self.max_candidates),
             });
-            if ok {
-                self.recurse(depth + 1)?;
-            }
-            self.assignment[var] = None;
-            if self.stop {
-                break;
-            }
         }
         Ok(())
     }

@@ -2,8 +2,8 @@
 //!
 //! Every reachability relation in the crate — cold runs, membership checks,
 //! answer automata, `Q_len` and explain (through [`reachability_planned`]),
-//! the incrementally maintained rows of `eval::delta`, and the acyclic-CRPQ
-//! cross-check (through [`reach_rows`]) — comes out of [`product_rows`]. The
+//! and the incrementally maintained rows of `eval::delta` (through
+//! [`reach_rows`]) — comes out of [`product_rows`]. The
 //! same kernel, walked backwards from the changed edges of a live-graph
 //! batch ([`affected_sources`]), also finds which of those maintained rows
 //! the batch can change. The kernel is statically generic over *where
@@ -98,6 +98,11 @@ impl ReachRel {
                 }
             }
         }
+    }
+
+    /// The number of pairs in the relation.
+    pub fn pairs(&self) -> u64 {
+        self.fwd.iter().map(|row| row.len() as u64).sum()
     }
 
     pub fn contains(&self, u: NodeId, v: NodeId) -> bool {

@@ -28,6 +28,7 @@
 //! the cache-hit counters of [`EvalStats`] prove it.
 
 use crate::error::QueryError;
+use crate::eval::plan::cost::QueryPlan;
 use crate::eval::plan::reach::GraphEdges;
 use crate::eval::plan::{self, Engine, EvalStats, Mode, ReachRel};
 use crate::eval::search::SearchProblem;
@@ -455,16 +456,32 @@ impl PreparedQuery {
         &self.query
     }
 
-    /// True when no two candidate assignments can share a head tuple, so a
-    /// nodes-mode run needs no head-dedup set. The candidate join yields
-    /// pairwise-distinct assignments (every variable iterates distinct
-    /// values), so when the head's node variables cover every node variable
-    /// not pinned to one of `constants`, distinct assignments have distinct
-    /// heads. A property of the query and its bound constants, never of the
-    /// graph.
+    /// True when node variable `v` is *needed*: a head variable, or one of
+    /// the variables `forced` fixes. Every other variable is existential,
+    /// and a run that does not search ([`searches`](Self::searches)) only
+    /// asks whether it has some value.
+    pub(crate) fn is_needed(&self, v: usize, forced: &[(usize, NodeId)]) -> bool {
+        self.head_node_idx.contains(&v) || forced.iter().any(|&(c, _)| c == v)
+    }
+
+    /// True when no two candidate assignments of a searched run can share a
+    /// head tuple, so a nodes-mode run needs no head-dedup set. The candidate
+    /// join yields pairwise-distinct assignments (every variable iterates
+    /// distinct values), so when every node variable is needed under
+    /// `constants`, distinct assignments have distinct heads. A property of
+    /// the query and its bound constants, never of the graph. (A run that
+    /// does not search enumerates distinct needed assignments only.)
     pub(crate) fn heads_are_distinct(&self, constants: &[(usize, NodeId)]) -> bool {
-        (0..self.node_vars.len())
-            .all(|v| self.head_node_idx.contains(&v) || constants.iter().any(|&(c, _)| c == v))
+        (0..self.node_vars.len()).all(|v| self.is_needed(v, constants))
+    }
+
+    /// Whether a run in `mode` verifies its candidates by the convolution
+    /// search: when the relaxation is inexact, when witnesses are wanted, or
+    /// in a membership `check`, which searches every candidate. The search
+    /// moves every path variable, so it needs full assignments; a run that
+    /// does not search projects its join onto the needed variables.
+    pub(crate) fn searches(&self, mode: Mode, check: bool) -> bool {
+        check || !self.relaxation_is_exact || mode == Mode::Paths
     }
 
     /// Binds the prepared query to one graph: resolves named-node constants,
@@ -701,13 +718,11 @@ pub struct BoundPlan<'a> {
 }
 
 /// What one [`BoundPlan::drive`] verifies: the candidate join's inputs —
-/// the nodes its relations cover (a live overlay's for a maintained
-/// statement), the forced node values, the planned order and one relation
-/// per path variable — and, for a membership check, one pinned path per
-/// path variable.
+/// the forced node values, the planned order and one relation per path
+/// variable (over a live overlay's nodes for a maintained statement) — and,
+/// for a membership check, one pinned path per path variable.
 pub(crate) struct Drive<'r> {
     pub mode: Mode,
-    pub num_nodes: usize,
     pub forced: &'r [(usize, NodeId)],
     pub order: &'r [usize],
     pub reach: &'r [ReachRel],
@@ -833,12 +848,11 @@ impl<'a> BoundPlan<'a> {
             pinned[p] = Some(path);
         }
         let mut stats = EvalStats::default();
-        let (order, reach) = self.plan_reach(&forced, &mut stats, &mut None);
+        let (qplan, reach) = self.plan_reach(&forced, false, &mut stats, &mut None);
         let d = Drive {
             mode: Mode::Boolean,
-            num_nodes: self.graph.num_nodes(),
             forced: &forced,
-            order: &order,
+            order: &qplan.order,
             reach: &reach,
             pinned: Some(&pinned),
         };
@@ -895,9 +909,10 @@ impl<'a> BoundPlan<'a> {
     ) -> Result<EvalStats, QueryError> {
         let mut stats = EvalStats::default();
         let forced = self.constants();
-        let (order, reach) = self.plan_reach(forced, &mut stats, &mut trace);
-        let n = self.graph.num_nodes();
-        let d = Drive { mode, num_nodes: n, forced, order: &order, reach: &reach, pinned: None };
+        let project = !self.pq.searches(mode, false);
+        let (qplan, reach) = self.plan_reach(forced, project, &mut stats, &mut trace);
+        let (order, reach) = (&qplan.order, &reach);
+        let d = Drive { mode, forced, order, reach, pinned: None };
         self.drive(d, config, &mut stats, &mut trace, &mut sink)?;
         Ok(stats)
     }
@@ -910,15 +925,15 @@ impl<'a> BoundPlan<'a> {
     /// check and the refreshes of maintained statements ([`super::delta`])
     /// all verify through it.
     ///
-    /// A candidate is searched when the relaxation is inexact, when
-    /// witnesses are wanted, or when `d` pins paths (a membership check
-    /// searches every candidate); otherwise the join's candidates are the
-    /// answers. A nodes-mode run deduplicates heads — a candidate whose
-    /// head was already answered is skipped before verification — only
-    /// when two candidates can share a head, i.e. unless
-    /// [`PreparedQuery::heads_are_distinct`] holds for `d.forced`. The
-    /// reference engine always keeps the set, so the differential suites
-    /// check the skip.
+    /// A candidate is searched when [`PreparedQuery::searches`] says so
+    /// (`d` pinning paths makes a membership check). Otherwise the join is
+    /// projected onto the needed variables and its candidates are the
+    /// answers, each head once. A searched nodes-mode run deduplicates
+    /// heads — a candidate whose head was already answered is skipped
+    /// before verification — only when two candidates can share a head,
+    /// i.e. unless [`PreparedQuery::heads_are_distinct`] holds for
+    /// `d.forced`. The reference engine always keeps the set in a searched
+    /// run, so the differential suites check the skip.
     ///
     /// The sink is a trait object, so this loop is compiled once, not once
     /// per caller's closure.
@@ -932,7 +947,7 @@ impl<'a> BoundPlan<'a> {
     ) -> Result<(), QueryError> {
         let pq = self.pq;
         let mode = d.mode;
-        let needs_search = d.pinned.is_some() || !pq.relaxation_is_exact || mode == Mode::Paths;
+        let needs_search = pq.searches(mode, d.pinned.is_some());
         if needs_search && self.engine == Engine::Dense {
             let sp = qtrace::begin_span(trace, "compile");
             let before = (stats.sim_cache_hits, stats.sim_cache_misses);
@@ -947,6 +962,7 @@ impl<'a> BoundPlan<'a> {
         let pinned = d.pinned.unwrap_or(&unpinned);
 
         let dedup_heads = mode == Mode::Nodes
+            && needs_search
             && (self.engine == Engine::Reference || !pq.heads_are_distinct(d.forced));
         let mut seen_heads: Option<HashSet<Vec<NodeId>>> = dedup_heads.then(HashSet::new);
         let mut seen_answers: HashSet<(Vec<NodeId>, Vec<Path>)> = HashSet::new();
@@ -962,10 +978,10 @@ impl<'a> BoundPlan<'a> {
         if mode != Mode::Paths || config.answer_limit > 0 {
             plan::enumerate_candidates(
                 pq,
-                d.num_nodes,
                 d.forced,
                 d.reach,
                 d.order,
+                !needs_search,
                 config,
                 stats,
                 |sigma| {
@@ -1030,21 +1046,23 @@ impl<'a> BoundPlan<'a> {
     }
 
     /// The plan → reachability stage of every evaluation: plans with
-    /// `forced` as the node variables' fixed values ([`plan::cost::plan_query`])
-    /// and computes every path variable's reachability relation with its
-    /// planned direction and pin. Returns the join order and the relations
-    /// the candidate join enumerates over. With a `trace`, records the
-    /// `plan` span and one `reach:<var>` span per path variable, carrying
-    /// the measured pair count next to the planner's estimate.
+    /// `forced` as the node variables' fixed values, for a join that
+    /// projects or not ([`plan::cost::plan_query`]), and computes every path
+    /// variable's reachability relation with its planned direction and pin.
+    /// Returns the plan and the relations the candidate join enumerates
+    /// over. With a `trace`, records the `plan` span and one `reach:<var>`
+    /// span per path variable, carrying the measured pair count next to the
+    /// planner's estimate.
     pub(crate) fn plan_reach(
         &self,
         forced: &[(usize, NodeId)],
+        project: bool,
         stats: &mut EvalStats,
         trace: &mut Option<&mut Trace>,
-    ) -> (Vec<usize>, Vec<ReachRel>) {
+    ) -> (QueryPlan, Vec<ReachRel>) {
         let pq = self.pq;
         let sp = qtrace::begin_span(trace, "plan");
-        let qplan = plan::cost::plan_query(self, forced);
+        let qplan = plan::cost::plan_query(self, forced, project);
         qtrace::span_attr(trace, sp, "atoms", pq.path_vars.len() as u64);
         qtrace::end_span(trace, sp);
         let reach = (0..pq.path_vars.len())
@@ -1052,15 +1070,14 @@ impl<'a> BoundPlan<'a> {
                 let sp = trace.as_mut().map(|t| t.begin(&format!("reach:{}", pq.path_vars[p])));
                 let r = plan::reachability_planned(self, p, &qplan.atoms[p], stats);
                 if trace.is_some() {
-                    let pairs: u64 = r.fwd.iter().map(|row| row.len() as u64).sum();
-                    qtrace::span_attr(trace, sp, "pairs", pairs);
+                    qtrace::span_attr(trace, sp, "pairs", r.pairs());
                     qtrace::span_attr(trace, sp, "est_pairs", qplan.atoms[p].est_pairs as u64);
                 }
                 qtrace::end_span(trace, sp);
                 r
             })
             .collect();
-        (qplan.order, reach)
+        (qplan, reach)
     }
 
     /// The node values a membership check or an answer automaton forces:
@@ -1095,25 +1112,21 @@ impl<'a> BoundPlan<'a> {
         Some(forced)
     }
 
-    /// Runs the query in node mode and reports the plan next to what it
-    /// actually cost: the chosen join order, per-atom BFS direction and pin,
-    /// estimated *and* measured reachability cardinalities, and the run's
-    /// evaluation statistics. The measured cardinalities are the `pairs`
-    /// attributes of that one run's `reach:<var>` spans (one span per path
-    /// variable, in variable order).
+    /// Runs the query in node mode and reports the plan that ran next to
+    /// what it actually cost: the chosen join order, per-atom BFS direction
+    /// and pin, estimated *and* measured reachability cardinalities (the
+    /// pairs of each relation the join read), and the run's evaluation
+    /// statistics.
     pub fn explain(&self, config: &EvalConfig) -> Result<crate::eval::ExplainReport, QueryError> {
         let pq = self.pq;
-        let qplan = plan::cost::plan_query(self, self.constants());
-        let mut trace = Trace::new();
+        let mut stats = EvalStats::default();
+        let forced = self.constants();
+        let project = !pq.searches(Mode::Nodes, false);
+        let (qplan, reach) = self.plan_reach(forced, project, &mut stats, &mut None);
+        let (order, reach) = (&qplan.order, &reach);
+        let d = Drive { mode: Mode::Nodes, forced, order, reach, pinned: None };
         let mut answers: u64 = 0;
-        let run_stats =
-            self.run_rows(Mode::Nodes, config, Some(&mut trace), |_, _| answers += 1)?;
-        let actual_pairs: Vec<u64> = trace
-            .spans
-            .iter()
-            .filter(|s| s.name.starts_with("reach:"))
-            .map(|s| s.attrs.iter().find(|(k, _)| k == "pairs").map_or(0, |&(_, v)| v))
-            .collect();
+        self.drive(d, config, &mut stats, &mut None, &mut |_, _| answers += 1)?;
         let atoms = (0..pq.path_vars.len())
             .map(|p| crate::eval::ExplainAtom {
                 path_var: pq.path_vars[p].clone(),
@@ -1128,13 +1141,13 @@ impl<'a> BoundPlan<'a> {
                 est_pairs: qplan.atoms[p].est_pairs,
                 est_fwd_frontier: qplan.atoms[p].est_fwd_frontier,
                 est_rev_frontier: qplan.atoms[p].est_rev_frontier,
-                actual_pairs: actual_pairs[p],
+                actual_pairs: reach[p].pairs(),
             })
             .collect();
         Ok(crate::eval::ExplainReport {
             join_order: qplan.order.iter().map(|&v| pq.node_vars[v].clone()).collect(),
             atoms,
-            stats: run_stats,
+            stats,
             answers,
         })
     }
@@ -1393,17 +1406,22 @@ pub(crate) mod tests {
         }
     }
 
-    /// The head-dedup cases: (query, whether its heads are provably
-    /// distinct). Over the `v0…` graph of [`dedup_graph`].
-    pub(crate) const DEDUP_CASES: [(&str, bool); 4] = [
-        // The head covers every node variable: the set is skipped.
-        ("Ans(x, y) <- (x, p, y), L(p) = a (a|b)*", true),
+    /// The head-dedup cases: (query, whether a nodes-mode run keeps its
+    /// head-dedup set). Over the `v0…` graph of [`dedup_graph`]. Only a run
+    /// that searches keeps one (the `eq` atom makes the relaxation inexact);
+    /// a run that searches nothing enumerates distinct needed assignments.
+    pub(crate) const DEDUP_CASES: [(&str, bool); 6] = [
+        // The head covers every node variable: skipped.
+        ("Ans(x, y) <- (x, p, y), L(p) = a (a|b)*", false),
         // A repeated head variable leaves `y` uncovered: kept.
-        ("Ans(x, x) <- (x, p, y), L(p) = a (a|b)*", false),
+        ("Ans(x, x) <- (x, p, y), L(p) = a (a|b)*, R(p, p) = eq", true),
         // A projection: kept.
-        ("Ans(x) <- (x, p, y), L(p) = a (a|b)*", false),
+        ("Ans(x) <- (x, p, y), L(p) = a (a|b)*, R(p, p) = eq", true),
         // The only non-head variable is pinned to a constant: skipped.
-        ("Ans(y, z) <- (x, p, y), (y, q, z), L(p) = a, L(q) = b*, x = :v0", true),
+        ("Ans(y, z) <- (x, p, y), (y, q, z), L(p) = a, L(q) = b*, x = :v0", false),
+        // The same heads in runs that search nothing: the join projects.
+        ("Ans(x, x) <- (x, p, y), L(p) = a (a|b)*", false),
+        ("Ans(x) <- (x, p, y), L(p) = a (a|b)*", false),
     ];
 
     /// A seeded random graph over named nodes `v0…v11`, labels `a`/`b`.
@@ -1422,13 +1440,15 @@ pub(crate) mod tests {
     fn head_dedup_is_skipped_exactly_when_heads_are_distinct() {
         let g = dedup_graph();
         let cfg = EvalConfig::default();
-        for (text, distinct) in DEDUP_CASES {
+        for (text, kept) in DEDUP_CASES {
             let q = crate::parse::parse_query(text, g.alphabet()).unwrap();
             let pq = PreparedQuery::prepare(&q).unwrap();
             let plan = pq.bind(&g).unwrap();
-            assert_eq!(pq.heads_are_distinct(plan.constants()), distinct, "{text}");
-            // The reference engine always deduplicates: answers in the same
-            // order, the same candidates and verified counts.
+            let searched = pq.searches(Mode::Nodes, false);
+            assert_eq!(searched && !pq.heads_are_distinct(plan.constants()), kept, "{text}");
+            // The reference engine always deduplicates a searched run:
+            // answers in the same order, the same candidates and verified
+            // counts.
             let (dense, ds) = plan.run_mode(Mode::Nodes, &cfg).unwrap();
             let oracle = pq.bind(&g).unwrap().with_engine(Engine::Reference);
             let (refr, rs) = oracle.run_mode(Mode::Nodes, &cfg).unwrap();
@@ -1437,20 +1457,26 @@ pub(crate) mod tests {
             assert!(!dense.is_empty(), "{text}");
             assert_eq!(dense, refr, "{text}");
             assert_eq!((ds.candidates, ds.verified), (rs.candidates, rs.verified), "{text}");
-            // Kept sets matter here: the join yields duplicate heads.
-            assert_eq!(ds.candidates > ds.verified, !distinct, "{text}: {ds:?}");
+            // Kept sets matter here: the join yields duplicate heads. A
+            // projected join counts each head once.
+            assert_eq!(ds.candidates > ds.verified, kept, "{text}: {ds:?}");
+            if !searched {
+                assert_eq!(ds.candidates, ds.verified, "{text}: {ds:?}");
+            }
         }
     }
 
     /// The sink corpus: a CRPQ, ECRPQs with `el` and `edit_le_1`, linear
-    /// constraints, and a projection that repeats heads (so nodes mode keeps
-    /// its head-dedup set). Path variables sit in the head, so paths mode
+    /// constraints, a searched projection that repeats heads (so nodes mode
+    /// keeps its head-dedup set), and the same projection searching nothing
+    /// (so its join projects). Path variables sit in the head, so paths mode
     /// hands over witnesses.
-    const SINK_CASES: [&str; 5] = [
+    const SINK_CASES: [&str; 6] = [
         "Ans(x, y, p) <- (x, p, y), L(p) = a (a|b)*",
         "Ans(x, y, p, q) <- (x, p, z), (z, q, y), L(p) = a+, R(p, q) = el",
         "Ans(x, p, q) <- (x, p, y), (y, q, z), L(p) = a b?, R(p, q) = edit_le_1",
         "Ans(x, y, p) <- (x, p, y), len(p) >= 2, count(a, p) <= 1",
+        "Ans(x) <- (x, p, y), L(p) = a (a|b)*, R(p, p) = eq",
         "Ans(x) <- (x, p, y), L(p) = a (a|b)*",
     ];
 
@@ -1490,8 +1516,12 @@ pub(crate) mod tests {
                 let distinct: HashSet<&Vec<NodeId>> = nodes.iter().collect();
                 assert_eq!(distinct.len(), nodes.len(), "{what}: a head was handed over twice");
                 assert_eq!(plan.run_nodes(&cfg).unwrap(), (nodes, stats), "{what}");
-                if !pq.heads_are_distinct(plan.constants()) && !rows.is_empty() {
+                let searched = pq.searches(Mode::Nodes, false);
+                if searched && !pq.heads_are_distinct(plan.constants()) && !rows.is_empty() {
                     assert!(stats.candidates > stats.verified, "{what}: heads must repeat");
+                }
+                if !searched {
+                    assert_eq!(stats.candidates, stats.verified, "{what}: a projection");
                 }
                 // Boolean mode: the sink is called at most once.
                 let (first, _) = sunk(&plan, Mode::Boolean, &cfg);
@@ -1505,6 +1535,31 @@ pub(crate) mod tests {
                     assert_eq!(rows, full[..limit.min(full.len())], "{what}: limit {limit}");
                 }
             }
+        }
+    }
+
+    /// The existence check of a projected join has no budget of its own:
+    /// its assignments and memo entries count against `max_candidates`. On
+    /// an `a`-ring with `b` chords five ahead, no `a a b` triangle closes,
+    /// so the existence check of `Ans()` tries every node for `x` and
+    /// counts no candidate.
+    #[test]
+    fn an_unsatisfiable_existence_check_is_bounded_by_the_candidate_budget() {
+        let n = 1_000;
+        let edges: String =
+            (0..n).map(|i| format!("n{i} a n{}\nn{i} b n{}\n", (i + 1) % n, (i + 5) % n)).collect();
+        let g = GraphDb::from_edge_list(&edges).unwrap();
+        let text = "Ans() <- (x, p, y), (y, q, z), (z, r, x), L(p) = a, L(q) = a, L(r) = b";
+        let q = crate::parse::parse_query(text, g.alphabet()).unwrap();
+        let pq = PreparedQuery::prepare(&q).unwrap();
+        let plan = pq.bind(&g).unwrap();
+        let (holds, stats) = plan.run_boolean(&EvalConfig::default()).unwrap();
+        assert!(!holds);
+        assert_eq!(stats.candidates, 0, "{stats:?}");
+        let small = EvalConfig { max_candidates: 100, ..EvalConfig::default() };
+        for mode in [Mode::Nodes, Mode::Boolean] {
+            let run = plan.run_mode(mode, &small);
+            assert!(matches!(run, Err(QueryError::BudgetExceeded { .. })), "{mode:?}: {run:?}");
         }
     }
 

@@ -54,7 +54,7 @@
 //! | module | contents | paper sections |
 //! |--------|----------|----------------|
 //! | [`query`] | CRPQ/ECRPQ abstract syntax, builder, validation, classification | §2, §3, §6.3, §8.2 |
-//! | [`eval`] | node/path evaluation, membership checking, answer automata, acyclic CRPQs, length abstraction, linear constraints, negation | §5, §6, §8 |
+//! | [`eval`] | node/path evaluation (acyclic CRPQs in polynomial time through the projecting join), membership checking, answer automata, length abstraction, linear constraints, negation | §5, §6, §8 |
 //! | [`containment`] | bounded canonical-database containment checking | §7 |
 //! | [`expressiveness`] | `strings(Q)`, pattern compilation, separating queries | §3, §4 |
 

@@ -134,6 +134,20 @@ pub fn chain_query(len: usize, with_relations: bool, alphabet: &Alphabet) -> Ecr
     builder.build().expect("chain queries are well-formed")
 }
 
+/// The acyclic CRPQ chain `(x0, p0, x1), …, (x_{len-1}, p_{len-1}, x_len)`
+/// whose languages cycle through `a`, `b`, `c`, `a|b`, `b|c`, with head
+/// variables `head`: every other variable is existential.
+pub fn label_chain_query(len: usize, head: &[&str], alphabet: &Alphabet) -> Ecrpq {
+    const LANGS: [&str; 5] = ["a", "b", "c", "a|b", "b|c"];
+    let mut builder = Ecrpq::builder(alphabet).head_nodes(head);
+    for i in 0..len {
+        let path = format!("p{i}");
+        builder = builder.atom(&format!("x{i}"), &path, &format!("x{}", i + 1));
+        builder = builder.language(&path, LANGS[i % LANGS.len()]);
+    }
+    builder.build().expect("chain queries are well-formed")
+}
+
 /// The repeated-path-variable CRPQ of Proposition 6.8:
 /// `Ans() ← ⋀ (x, π, y_i), R_i(π)` — a single path variable must satisfy
 /// all the counting languages simultaneously.

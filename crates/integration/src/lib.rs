@@ -7,12 +7,32 @@
 //! place of `proptest` (the build environment is offline): seeded case
 //! generation with shrink-free failure reporting; [`corpus`], the seeded
 //! random textual-query generator shared by the parser round-trip suite and
-//! the concurrency differential test; and [`fig1`], the query and graph
-//! builders of the paper's Figure 1 rows (pinned by `tests/fig1_shapes.rs`).
+//! the concurrency differential test; [`fig1`], the query and graph
+//! builders of the paper's Figure 1 rows (pinned by `tests/fig1_shapes.rs`);
+//! and [`oracle_heads`], the reference answers a projecting join is checked
+//! against.
 
 #![warn(missing_docs)]
 
+use ecrpq::eval::{reference, EvalConfig};
+use ecrpq::query::Ecrpq;
+use ecrpq_graph::{GraphDb, NodeId};
+
 pub mod fig1;
+
+/// The distinct head-node tuples of `query` on `graph`, sorted, from the
+/// reference engine in paths mode with no row cap to speak of. That run
+/// enumerates full assignments and searches each one, so it checks a
+/// nodes-mode run, whose join only asks whether existential variables have
+/// a value, independently of that projection.
+pub fn oracle_heads(query: &Ecrpq, graph: &GraphDb) -> Vec<Vec<NodeId>> {
+    let cfg = EvalConfig { answer_limit: usize::MAX, ..EvalConfig::default() };
+    let rows = reference::eval_with_paths(query, graph, &cfg).unwrap();
+    let mut heads: Vec<Vec<NodeId>> = rows.into_iter().map(|a| a.nodes).collect();
+    heads.sort();
+    heads.dedup();
+    heads
+}
 
 pub mod corpus {
     //! The seeded textual-query corpus: random well-formed ECRPQ texts over
