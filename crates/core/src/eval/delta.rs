@@ -2,24 +2,48 @@
 //!
 //! A [`MaintainedStatement`] keeps a registered statement's node-mode answer
 //! set up to date against a [`GraphView`] overlay (immutable base epoch plus
-//! pending edge delta) without re-running the query from scratch. The update
-//! is semi-naive, at the granularity of the graph × automaton product: a
-//! changed edge `(s, l, t)` can only change the row of a path variable's
-//! source `u` if `u` reaches `s` over unchanged edges along a word `w` such
-//! that `w·l` is a prefix of the variable's language. Each variable
-//! recomputes only the rows of its own such sources (plus the nodes a batch
-//! introduced) before the (cheap, exact-relaxation) candidate join
-//! re-enumerates the answers.
+//! pending edge delta) without re-running the query from scratch. Both
+//! levels of the update are semi-naive: a write recomputes only the rows it
+//! can change, and the answers change by their delta, not by a re-join.
+//!
+//! *Rows.* A changed edge `(s, l, t)` can only change the row of a path
+//! variable's source `u` if `u` reaches `s` over unchanged edges along a
+//! word `w` such that `w·l` is a prefix of the variable's language. Each
+//! variable recomputes only the rows of its own such sources (plus the nodes
+//! a batch introduced), and each recomputed row, diffed against the old one,
+//! gives the pairs `(u, v)` the write removed from or added to the
+//! variable's relation.
+//!
+//! *Answers* follow by delete and re-derive (DRed; Gupta, Mumick and
+//! Subrahmanian, SIGMOD 1993). A head can be lost only if an assignment of
+//! it uses a removed pair, and gained only if one uses an added pair:
+//!
+//! 1. over the old rows, the heads of the assignments through each removed
+//!    pair *may be lost*;
+//! 2. the recomputed rows replace the old ones;
+//! 3. over the new rows, the heads of the assignments through each added
+//!    pair are *gained*, and all of them are answers;
+//! 4. a may-be-lost head that was not gained is *re-derived*: it stays only
+//!    if it still has an assignment.
+//!
+//! Every step is one candidate join, projected onto the head, with the
+//! statement's constants plus a pair's endpoints (once per join edge of the
+//! pair's variable) or a head's values forced. Counting, the paper's other
+//! algorithm, would need every head's number of derivations, which a
+//! projected join does not enumerate: it stops at the first completion of
+//! the existential variables. The answers stay sorted and distinct, and each
+//! change is one insert or remove in place, so a write never re-sorts them.
 //!
 //! There is no second evaluator here. The rows come from the cold
 //! pipeline's own product-BFS kernel (`plan::reach`) walking the overlay's
 //! adjacency instead of the base graph's; the affected sources from the
 //! same kernel walking the overlay's in-edges backwards from the changed
-//! edges; and the answers from the cold pipeline's own candidate driver
-//! (`BoundPlan::drive`: the candidate join, head dedup and `verified`
-//! counting of every run) over those rows, in the join order the cold
-//! planner (`plan::cost::plan_query`) chose once when the statement was
-//! built; this module only decides *which* sources to recompute.
+//! edges; the first answer set from the cold pipeline's own candidate driver
+//! (`BoundPlan::drive`, the one full join a maintained statement makes), in
+//! the join order the cold planner (`plan::cost::plan_query`) chose once
+//! when the statement was built; and every delta join from the candidate
+//! join it drives (`plan::enumerate_candidates`). This module only decides
+//! which sources to recompute and which pairs and heads to join.
 //!
 //! Maintenance is restricted to the statements where the relaxation is
 //! *exact* (plain CRPQs: no wide relations, no relational repetition, no
@@ -34,13 +58,17 @@
 
 use crate::error::QueryError;
 use crate::eval::plan::cost::plan_query;
-use crate::eval::plan::reach::{affected_sources, reach_rows, Overlay};
-use crate::eval::plan::{Mode, ReachRel};
+use crate::eval::plan::reach::{affected_sources, diff_rows, reach_rows, Overlay};
+use crate::eval::plan::{enumerate_candidates, join_edges, Mode, ReachRel};
 use crate::eval::prepared::{BoundStatement, Drive};
 use crate::eval::{EvalConfig, EvalStats};
 use ecrpq_graph::delta::{DeltaBatch, GraphView};
 use ecrpq_graph::{NodeId, Path};
 use std::sync::Arc;
+
+/// Per path variable, the `(u, v)` pairs a write removed from or added to
+/// its relation.
+type Pairs = Vec<Vec<(NodeId, NodeId)>>;
 
 /// A prepared statement whose node-mode answer set is maintained
 /// incrementally against a live-graph overlay.
@@ -50,50 +78,64 @@ pub struct MaintainedStatement {
     /// The join order, planned once on the base graph the statement was
     /// built over. Join order never changes the candidates, so it is kept
     /// across [`apply`](Self::apply) and [`rebase`](Self::rebase): no
-    /// planner work on the write path.
+    /// planner work on the write path. Each delta join moves its forced
+    /// variables to the front of it.
     order: Vec<usize>,
     /// Overlay node count the reachability rows cover.
     num_nodes: usize,
     /// Per path variable: its reachability relation over the overlay
     /// (`reach[p].fwd[u]` = nodes v with a constraint-satisfying path
     /// u → v), predecessor rows kept in step with every replaced row so a
-    /// refresh never transposes the whole relation.
+    /// write never transposes the whole relation.
     reach: Vec<ReachRel>,
     /// Sorted distinct head-node tuples — the maintained answer set.
     answers: Vec<Vec<NodeId>>,
-    /// Stats of the last refresh, shaped like a cold nodes-mode run:
-    /// `candidates`/`verified` from the re-enumeration, `search_states` 0,
-    /// sim-cache counters from the rows recomputed by the last batch.
+    /// Stats shaped like a cold nodes-mode run: `candidates` and `verified`
+    /// both the number of answers (a projected join has one candidate per
+    /// head), `search_states` 0, and sim-cache counters from the rows
+    /// computed by the build or by the last batch.
     stats: EvalStats,
 }
 
 impl MaintainedStatement {
     /// Builds the maintained state of `stmt` over the current overlay, or
-    /// `None` if the statement is not maintainable (inexact relaxation).
+    /// `None` if the statement is not maintainable (inexact relaxation):
+    /// every row, then the answers by the cold pipeline's candidate driver
+    /// (`BoundPlan::drive`) — the same candidate counting and `verified`
+    /// count as a cold nodes-mode run. Answers come out sorted (the
+    /// canonical order the serve path renders).
     pub fn try_new(
         stmt: Arc<BoundStatement>,
         view: GraphView<'_>,
         config: &EvalConfig,
     ) -> Result<Option<MaintainedStatement>, QueryError> {
-        let pq = stmt.prepared();
+        let (pq, art) = (stmt.prepared(), &stmt.art);
         if !pq.relaxation_is_exact {
             return Ok(None);
         }
         let n = view.num_nodes();
-        let reach = vec![ReachRel::from_fwd(vec![Vec::new(); n]); pq.path_vars.len()];
-        // A maintained refresh searches nothing, so its join projects.
-        let order = plan_query(&stmt.plan(), &stmt.art.constants, true).order;
-        let mut this = MaintainedStatement {
-            stmt,
-            order,
-            num_nodes: n,
-            reach,
-            answers: Vec::new(),
-            stats: EvalStats::default(),
-        };
+        let mut stats = EvalStats::default();
+        let overlay = Overlay::<false>::new(view, pq, art);
         let all: Vec<u32> = (0..n as u32).collect();
-        this.refresh(view, &vec![all; this.reach.len()], config)?;
-        Ok(Some(this))
+        let reach: Vec<ReachRel> = (0..pq.path_vars.len())
+            .map(|p| ReachRel::from_fwd(reach_rows(pq, p, &overlay, &all, &mut stats)))
+            .collect();
+
+        // A maintained statement searches nothing, so its join projects;
+        // `drive` never reads the plan's base graph.
+        let order = plan_query(&stmt.plan(), &art.constants, true).order;
+        let mut answers: Vec<Vec<NodeId>> = Vec::new();
+        let d = Drive {
+            mode: Mode::Nodes,
+            forced: &art.constants,
+            order: &order,
+            reach: &reach,
+            pinned: None,
+        };
+        let mut sink = |head: &[NodeId], _: &[Path]| answers.push(head.to_vec());
+        stmt.plan().drive(d, config, &mut stats, &mut None, &mut sink)?;
+        answers.sort();
+        Ok(Some(MaintainedStatement { stmt, order, num_nodes: n, reach, answers, stats }))
     }
 
     /// The statement being maintained (bound to the base epoch it was built
@@ -110,25 +152,31 @@ impl MaintainedStatement {
         self.stmt = stmt;
     }
 
-    /// The maintained answer set: sorted distinct head-node tuples.
+    /// The maintained answer set: sorted distinct head-node tuples, as a
+    /// cold nodes-mode run's answers sorted. Each write changes it in place
+    /// by its delta.
     pub fn answers(&self) -> &[Vec<NodeId>] {
         &self.answers
     }
 
-    /// Stats of the last refresh.
+    /// Stats of the build or of the last batch.
     pub fn stats(&self) -> EvalStats {
         self.stats
     }
 
     /// Applies one mutation batch: recomputes the reachability rows of the
-    /// affected sources over the new overlay and re-enumerates the answers.
-    /// Returns the number of `(path variable, source)` rows recomputed.
+    /// affected sources over the new overlay, then changes the answer set by
+    /// the delete-and-re-derive steps of the module doc. Returns the number
+    /// of `(path variable, source)` rows recomputed and the number of head
+    /// tuples the batch added plus removed. On an error (a delta join over
+    /// `config.max_candidates`) the answer set is stale, and the caller
+    /// drops the statement.
     pub fn apply(
         &mut self,
         view: GraphView<'_>,
         batch: &DeltaBatch,
         config: &EvalConfig,
-    ) -> Result<usize, QueryError> {
+    ) -> Result<(usize, usize), QueryError> {
         let sources = self.affected(view, batch);
         // Grow rows for batch-introduced nodes.
         let n = batch.num_nodes.max(self.num_nodes);
@@ -136,7 +184,63 @@ impl MaintainedStatement {
             rel.grow(n);
         }
         self.num_nodes = n;
-        self.refresh(view, &sources, config)
+
+        // Recompute the rows with the cold pipeline's kernel over the
+        // overlay's adjacency (fetching each variable's table once), and
+        // diff each against the row it replaces.
+        let pq = self.stmt.prepared();
+        let mut stats = EvalStats::default();
+        let overlay = Overlay::<false>::new(view, pq, &self.stmt.art);
+        let rows: Vec<Vec<Vec<NodeId>>> = sources
+            .iter()
+            .enumerate()
+            .map(|(p, s)| reach_rows(pq, p, &overlay, s, &mut stats))
+            .collect();
+        let (mut removed, mut added): (Pairs, Pairs) =
+            (vec![Vec::new(); rows.len()], vec![Vec::new(); rows.len()]);
+        for (p, (rows, sources)) in rows.iter().zip(&sources).enumerate() {
+            for (row, &u) in rows.iter().zip(sources) {
+                diff_rows(&self.reach[p].fwd[u as usize], row, |v, joined| {
+                    let pairs = if joined { &mut added[p] } else { &mut removed[p] };
+                    pairs.push((NodeId(u), v));
+                });
+            }
+        }
+
+        // Steps 1–3: the heads that may be lost over the old rows, the new
+        // rows, and the heads gained over them.
+        let lost = self.heads_through(&removed, config)?;
+        for ((rel, rows), sources) in self.reach.iter_mut().zip(rows).zip(&sources) {
+            for (row, &u) in rows.into_iter().zip(sources) {
+                rel.set_row(NodeId(u), row);
+            }
+        }
+        let mut gained = self.heads_through(&added, config)?;
+
+        // Step 4: re-derive the may-be-lost heads that were not gained, then
+        // change the answers in place.
+        let heads = &pq.head_node_idx;
+        let rederive = self.forced_first(heads);
+        let mut dropped: Vec<Vec<NodeId>> = Vec::new();
+        for head in lost.into_iter().filter(|h| gained.binary_search(h).is_err()) {
+            let forced: Vec<(usize, NodeId)> =
+                heads.iter().copied().zip(head.iter().copied()).collect();
+            let mut kept = false;
+            self.join(&forced, &rederive, config, |_| {
+                kept = true;
+                false
+            })?;
+            if !kept {
+                dropped.push(head);
+            }
+        }
+        gained.retain(|h| self.answers.binary_search(h).is_err());
+        let changed = dropped.len() + gained.len();
+        remove_sorted(&mut self.answers, &dropped);
+        insert_sorted(&mut self.answers, gained);
+        let count = self.answers.len() as u64;
+        self.stats = EvalStats { candidates: count, verified: count, ..stats };
+        Ok((sources.iter().map(Vec::len).sum(), changed))
     }
 
     /// Per path variable, the sorted sources whose rows `batch` can change
@@ -144,7 +248,7 @@ impl MaintainedStatement {
     /// edges), plus the nodes the batch introduced. Every other row is kept
     /// verbatim; that is the semi-naive skip. The walk fetches the reversed
     /// tables into scratch stats, so a reply's counters stay those of the
-    /// refresh.
+    /// recomputed rows.
     fn affected(&self, view: GraphView<'_>, batch: &DeltaBatch) -> Vec<Vec<u32>> {
         let (old_n, n) = (self.num_nodes, batch.num_nodes.max(self.num_nodes));
         let pq = self.stmt.prepared();
@@ -158,49 +262,103 @@ impl MaintainedStatement {
             .collect()
     }
 
-    /// Recomputes the rows of each path variable's `sources` with the cold
-    /// pipeline's kernel over the overlay's adjacency (fetching each
-    /// variable's table once), then re-enumerates the answer set with the
-    /// cold pipeline's candidate driver
-    /// ([`BoundPlan::drive`](crate::eval::prepared::BoundPlan::drive)) over
-    /// the maintained rows and the stored order: the same candidate
-    /// counting, head dedup and `verified` count as a cold nodes-mode run.
-    /// Answers come out sorted (the canonical order the serve path renders).
-    /// Returns the number of rows recomputed.
-    fn refresh(
-        &mut self,
-        view: GraphView<'_>,
-        sources: &[Vec<u32>],
+    /// The sorted distinct heads of the assignments over the current rows
+    /// that map a join edge of some path variable `p` onto one of
+    /// `pairs[p]`: one delta join per pair and edge.
+    fn heads_through(
+        &self,
+        pairs: &[Vec<(NodeId, NodeId)>],
         config: &EvalConfig,
-    ) -> Result<usize, QueryError> {
-        let pq = self.stmt.prepared();
-        let art = &self.stmt.art;
-        let mut stats = EvalStats::default();
-        let overlay = Overlay::<false>::new(view, pq, art);
-        for ((p, rel), sources) in self.reach.iter_mut().enumerate().zip(sources) {
-            let rows = reach_rows(pq, p, &overlay, sources, &mut stats);
-            for (row, &src) in rows.into_iter().zip(sources) {
-                rel.set_row(NodeId(src), row);
+    ) -> Result<Vec<Vec<NodeId>>, QueryError> {
+        let mut heads: Vec<Vec<NodeId>> = Vec::new();
+        for e in join_edges(self.stmt.prepared()) {
+            if pairs[e.path].is_empty() {
+                continue;
+            }
+            let order = self.forced_first(&[e.from, e.to]);
+            for &(u, v) in &pairs[e.path] {
+                self.join(&[(e.from, u), (e.to, v)], &order, config, |head| {
+                    heads.push(head.to_vec());
+                    true
+                })?;
             }
         }
+        heads.sort_unstable();
+        heads.dedup();
+        Ok(heads)
+    }
 
-        // The relaxation is exact, so `drive` searches nothing and never
-        // reads the plan's base graph.
-        let mut answers: Vec<Vec<NodeId>> = Vec::new();
-        let d = Drive {
-            mode: Mode::Nodes,
-            forced: &art.constants,
-            order: &self.order,
-            reach: &self.reach,
-            pinned: None,
-        };
-        let mut sink = |head: &[NodeId], _: &[Path]| answers.push(head.to_vec());
-        self.stmt.plan().drive(d, config, &mut stats, &mut None, &mut sink)?;
+    /// One delta join: the candidate join over the maintained rows,
+    /// projected, with `extra` forced on top of the statement's constants,
+    /// in `order`, handing each candidate's head to `visit` until it
+    /// returns `false`. Charges its own `config.max_candidates`.
+    fn join(
+        &self,
+        extra: &[(usize, NodeId)],
+        order: &[usize],
+        config: &EvalConfig,
+        mut visit: impl FnMut(&[NodeId]) -> bool,
+    ) -> Result<(), QueryError> {
+        let pq = self.stmt.prepared();
+        let forced: Vec<(usize, NodeId)> =
+            self.stmt.art.constants.iter().chain(extra).copied().collect();
+        let mut head: Vec<NodeId> = Vec::with_capacity(pq.head_node_idx.len());
+        let mut stats = EvalStats::default();
+        enumerate_candidates(pq, &forced, &self.reach, order, true, config, &mut stats, |sigma| {
+            head.clear();
+            head.extend(pq.head_node_idx.iter().map(|&i| sigma[i]));
+            visit(&head)
+        })
+    }
 
-        answers.sort();
-        self.stats = stats;
-        self.answers = answers;
-        Ok(sources.iter().map(Vec::len).sum())
+    /// The join order of a delta join that forces `vars`: the constants and
+    /// `vars`, then the rest of the stored order, each next variable the
+    /// first one there that shares a join edge with a placed one (the first
+    /// unplaced one when none does). Every order gives the same candidates;
+    /// this one narrows each variable by an assigned row wherever the query
+    /// allows, so a join costs in proportion to the rows it touches.
+    fn forced_first(&self, vars: &[usize]) -> Vec<usize> {
+        let edges = join_edges(self.stmt.prepared());
+        let mut order: Vec<usize> = Vec::with_capacity(self.order.len());
+        for v in self.stmt.art.constants.iter().map(|&(c, _)| c).chain(vars.iter().copied()) {
+            if !order.contains(&v) {
+                order.push(v);
+            }
+        }
+        while order.len() < self.order.len() {
+            let placed = |v: usize| order.contains(&v);
+            let touches = |v: usize| {
+                edges.iter().any(|e| (e.from == v && placed(e.to)) || (e.to == v && placed(e.from)))
+            };
+            let mut rest = self.order.iter().copied().filter(|&v| !placed(v));
+            let next = rest.clone().find(|&v| touches(v)).or_else(|| rest.next());
+            order.push(next.expect("some variable is unplaced"));
+        }
+        order
+    }
+}
+
+/// Removes the sorted `gone`, every one of them in it, from the sorted
+/// `set` in one pass.
+fn remove_sorted(set: &mut Vec<Vec<NodeId>>, gone: &[Vec<NodeId>]) {
+    if !gone.is_empty() {
+        let mut gone = gone.iter().peekable();
+        set.retain(|h| gone.next_if(|g| *g == h).is_none());
+    }
+}
+
+/// Merges the sorted `new`, none of them in it, into the sorted `set` from
+/// the back, moving each element of `set` at most once.
+fn insert_sorted(set: &mut Vec<Vec<NodeId>>, mut new: Vec<Vec<NodeId>>) {
+    let (mut i, mut k) = (set.len(), set.len() + new.len());
+    set.resize_with(k, Vec::new);
+    while let Some(head) = new.pop() {
+        while i > 0 && set[i - 1] > head {
+            (i, k) = (i - 1, k - 1);
+            set.swap(i, k);
+        }
+        k -= 1;
+        set[k] = head;
     }
 }
 
@@ -268,7 +426,7 @@ mod tests {
         assert_eq!(m.stats().verified, cold_stats.verified);
         assert_eq!(m.stats().candidates, cold_stats.candidates);
         assert!(!m.answers().is_empty());
-        // The second refresh compiled nothing: tables were already cached.
+        // The write compiled nothing: tables were already cached.
         assert_eq!(m.stats().sim_cache_misses, 0);
     }
 
@@ -326,27 +484,54 @@ mod tests {
         assert_eq!(rel, ReachRel::from_fwd(rel.fwd.clone()));
     }
 
+    /// Per path variable, the pairs `new` lacks and the pairs it adds
+    /// against `old` (whose rows may cover fewer nodes).
+    fn pair_delta(old: &[ReachRel], new: &[ReachRel]) -> (Pairs, Pairs) {
+        let (mut removed, mut added) = (vec![Vec::new(); new.len()], vec![Vec::new(); new.len()]);
+        for (p, (old, new)) in old.iter().zip(new).enumerate() {
+            for (u, row) in new.fwd.iter().enumerate() {
+                let before = old.fwd.get(u).map_or(&[][..], |r| &r[..]);
+                diff_rows(before, row, |v, joined| {
+                    let pairs = if joined { &mut added[p] } else { &mut removed[p] };
+                    pairs.push((NodeId(u as u32), v));
+                });
+            }
+        }
+        (removed, added)
+    }
+
     /// The affected set is a superset of the rows that really change: over
     /// seeded random graphs and mutation scripts — cancelled adds,
     /// tombstoned base edges, new nodes, a label nobody has seen (`d`),
     /// merges mid-script — every row that differs from a full recompute
     /// after a batch was in that batch's affected set, and the maintained
-    /// rows, answers and counts equal a full rebuild's. The queries cover an
-    /// unconstrained variable, a two-atom query and a pinned one.
+    /// rows, answers (in order) and counts equal a full rebuild's. The
+    /// queries cover an unconstrained variable, a two-atom and a three-atom
+    /// chain, a constant on an atom's source and one on its target, a
+    /// self-loop atom and a head that repeats a variable (a repeated path
+    /// variable is not maintainable). Over the run, the delta takes both
+    /// outcomes of a re-derivation: a head that may be lost but was not
+    /// gained is kept at least once and dropped at least once.
     #[test]
     fn every_changed_row_is_in_the_affected_set() {
         use ecrpq_graph::prng::SplitMix64;
 
-        const QUERIES: [&str; 6] = [
+        const QUERIES: [&str; 10] = [
             "Ans(x, y) <- (x, p, y)",
             "Ans(x, y) <- (x, p, y), L(p) = a b* a",
             "Ans(x, y) <- (x, p, y), L(p) = (a | c)+",
             "Ans(x, y) <- (x, p, y), L(p) = .* c",
             "Ans(x, z) <- (x, p, y), (y, r, z), L(p) = a+, L(r) = b c*",
             "Ans(y) <- (x, p, y), L(p) = a a*, x = :v0",
+            "Ans(x) <- (x, p, y), L(p) = (a | c) b*, y = :v1",
+            "Ans(x) <- (x, p, x), L(p) = (a | b) (a | b | c)*",
+            "Ans(x0, x3) <- (x0, p, x1), (x1, r, x2), (x2, s, x3), L(p) = a, L(r) = b*, \
+             L(s) = a | c",
+            "Ans(x, y, x) <- (x, p, y), L(p) = b* (a | c)",
         ];
         let config = EvalConfig::default();
         let (mut changed, mut skipped) = (0usize, 0usize);
+        let (mut kept, mut dropped) = (0usize, 0usize);
         for seed in 0..40u64 {
             let mut rng = SplitMix64::seed_from_u64(seed);
             let nodes = 4 + rng.gen_index(6);
@@ -388,21 +573,28 @@ mod tests {
                 let out = live.apply(&adds, &removes);
                 for (q, m) in QUERIES.iter().zip(&mut ms) {
                     let ctx = format!("seed {seed} step {step} `{q}`");
-                    let old = m.reach.clone();
+                    let (old, old_answers) = (m.reach.clone(), m.answers().to_vec());
                     let affected = m.affected(live.view(), &out.batch);
-                    let recomputed = m.apply(live.view(), &out.batch, &config).unwrap();
-                    assert_eq!(recomputed, affected.iter().map(Vec::len).sum::<usize>(), "{ctx}");
                     let pq = Arc::clone(m.statement().prepared());
                     let bind = |g: &Arc<GraphDb>| {
                         Arc::new(BoundStatement::bind(Arc::clone(&pq), Arc::clone(g)).unwrap())
                     };
-                    if let Some(epoch) = &out.merged {
-                        m.rebase(bind(epoch));
-                    }
                     let full =
                         MaintainedStatement::try_new(bind(live.base()), live.view(), &config)
                             .unwrap()
                             .unwrap();
+                    // The heads that may be lost (over the old rows) and
+                    // were not gained (over the new ones) are re-derived.
+                    let (removed, gained) = pair_delta(&old, &full.reach);
+                    let lost = m.heads_through(&removed, &config).unwrap();
+                    let gained = full.heads_through(&gained, &config).unwrap();
+
+                    let (recomputed, answers_changed) =
+                        m.apply(live.view(), &out.batch, &config).unwrap();
+                    assert_eq!(recomputed, affected.iter().map(Vec::len).sum::<usize>(), "{ctx}");
+                    if let Some(epoch) = &out.merged {
+                        m.rebase(bind(epoch));
+                    }
                     for (p, rel) in full.reach.iter().enumerate() {
                         for (u, row) in rel.fwd.iter().enumerate() {
                             let before = old[p].fwd.get(u).map_or(&[][..], |r| &r[..]);
@@ -418,10 +610,20 @@ mod tests {
                         |m: &MaintainedStatement| (m.stats().candidates, m.stats().verified);
                     assert_eq!(counts(m), counts(&full), "{ctx}");
                     assert_eq!(m.stats().sim_cache_misses, 0, "{ctx}");
+                    let moved = old_answers.iter().filter(|h| !full.answers.contains(h)).count()
+                        + full.answers.iter().filter(|h| !old_answers.contains(h)).count();
+                    assert_eq!(answers_changed, moved, "{ctx}");
+                    for head in lost.iter().filter(|h| gained.binary_search(h).is_err()) {
+                        match m.answers().binary_search(head) {
+                            Ok(_) => kept += 1,
+                            Err(_) => dropped += 1,
+                        }
+                    }
                 }
             }
         }
         assert!(changed > 0 && skipped > 0, "vacuous: {changed} changed, {skipped} skipped");
+        assert!(kept > 0 && dropped > 0, "vacuous: {kept} re-derived, {dropped} dropped");
     }
 
     /// On a strongly connected `a`-ring every node reaches every changed
@@ -446,7 +648,7 @@ mod tests {
                 [(vec![triple("v3", "c", "v7")], vec![]), (vec![], vec![triple("v3", "c", "v7")])]
             {
                 let out = live.apply(&adds, &removes);
-                assert_eq!(m.apply(live.view(), &out.batch, &config).unwrap(), rows, "{query}");
+                assert_eq!(m.apply(live.view(), &out.batch, &config).unwrap().0, rows, "{query}");
                 let pq = Arc::clone(m.statement().prepared());
                 let merged = Arc::new(BoundStatement::bind(pq, live.force_merge()).unwrap());
                 let (cold, _) = cold_answers(&merged, &config);
@@ -456,8 +658,8 @@ mod tests {
         }
     }
 
-    /// A maintained refresh searches nothing, so its join projects and
-    /// keeps no head-dedup set: every maintainable head-dedup case counts
+    /// A maintained statement searches nothing, so its joins project and
+    /// keep no head-dedup set: every maintainable head-dedup case counts
     /// one candidate per answer, as a cold reference run does.
     #[test]
     fn maintained_head_dedup_is_skipped_exactly_when_heads_are_distinct() {
@@ -503,6 +705,36 @@ mod tests {
             live.base(),
         );
         assert!(MaintainedStatement::try_new(stmt, live.view(), &config).unwrap().is_none());
+        // A repeated path variable (relational repetition): one path is both
+        // atoms, which two independent rows do not say.
+        let stmt = statement("Ans(u, v) <- (u, p, z), (z, p, v), L(p) = x*", live.base());
+        assert!(MaintainedStatement::try_new(stmt, live.view(), &config).unwrap().is_none());
+    }
+
+    /// Two named constants on one variable must both hold, in the first
+    /// build and in every delta join: no node is both `n0` and `n2`, so the
+    /// maintained answer set stays empty while a cold run of the same
+    /// statement with one of the constants has answers.
+    #[test]
+    fn two_constants_on_one_variable_stay_empty_under_writes() {
+        let base = Arc::new(GraphDb::from_edge_list("n0 a n1\nn2 a n3\n").unwrap());
+        let mut live = LiveGraph::new(Arc::clone(&base), 1_000_000);
+        let config = EvalConfig::default();
+        let text = "Ans(y) <- (x, p, y), L(p) = a, x = :n0, x = :n2";
+        let mut m =
+            MaintainedStatement::try_new(statement(text, live.base()), live.view(), &config)
+                .unwrap()
+                .unwrap();
+        assert_eq!(m.answers(), &[] as &[Vec<NodeId>]);
+        let out = live
+            .apply(&[triple("n0", "a", "n4"), triple("n2", "a", "n5")], &[triple("n2", "a", "n3")]);
+        assert_eq!(m.apply(live.view(), &out.batch, &config).unwrap().1, 0);
+        assert_eq!(m.answers(), &[] as &[Vec<NodeId>]);
+        assert_eq!((m.stats().candidates, m.stats().verified), (0, 0));
+        let merged = live.force_merge();
+        assert_eq!(cold_answers(&statement(text, &merged), &config).0, m.answers());
+        let one = "Ans(y) <- (x, p, y), L(p) = a, x = :n2";
+        assert_eq!(cold_answers(&statement(one, &merged), &config).0.len(), 1);
     }
 
     /// Kernel parity across the two adjacencies, row by row (answer-level

@@ -12,16 +12,17 @@
 //! those relations. `BoundPlan::plan_reach` runs the first two for cold
 //! runs, membership checks, answer automata and `Q_len` alike. The one
 //! candidate driver (`BoundPlan::drive`) runs the join for runs, checks and
-//! maintained statements ([`super::delta`], which plan once and run the
-//! same kernel over an overlay's adjacency), verifying each candidate by
-//! [`Engine::run`] — the convolution search of [`super::search`], skipped
-//! in a nodes or Boolean run of a plain CRPQ, for which the relaxation is
-//! exact. Such a run *projects* the join: it enumerates the needed
-//! variables only and asks of the existential rest whether it has some
-//! completion (Yannakakis' semi-join on an acyclic query), since nothing
-//! downstream reads it. A searched run needs full assignments, because the
-//! search moves every path variable. An answer automaton explores
-//! candidates with the search's expander instead.
+//! the first build of a maintained statement ([`super::delta`], which plans
+//! once, runs the same kernel over an overlay's adjacency, and then changes
+//! its answers by delta joins through the same join), verifying each
+//! candidate by [`Engine::run`] — the convolution search of
+//! [`super::search`], skipped in a nodes or Boolean run of a plain CRPQ, for
+//! which the relaxation is exact. Such a run *projects* the join: it
+//! enumerates the needed variables only and asks of the existential rest
+//! whether it has some completion (Yannakakis' semi-join on an acyclic
+//! query), since nothing downstream reads it. A searched run needs full
+//! assignments, because the search moves every path variable. An answer
+//! automaton explores candidates with the search's expander instead.
 
 pub(crate) mod cost;
 pub(crate) mod reach;
@@ -99,19 +100,22 @@ const UNSET: NodeId = NodeId(u32::MAX);
 /// Enumerates candidate node assignments consistent with the reachability
 /// relations, invoking `visit` on each; `visit` returns `false` to stop.
 /// This is the one candidate join: the candidate driver `BoundPlan::drive`
-/// (cold runs, membership checks, and the maintained statements of
-/// [`super::delta`], whose relations cover an overlay's nodes,
+/// (cold runs, membership checks, and the first build of a maintained
+/// statement), the delta joins that keep a maintained statement's answers
+/// current ([`super::delta`], whose relations cover an overlay's nodes,
 /// delta-introduced nodes included) and the answer-automaton and
 /// length-abstraction paths all enumerate through it.
 ///
 /// `constants` are the node variables with forced values (the plan's
-/// resolved constants, or the values forced by a membership check or an
-/// answer automaton's head). `order` is the variable enumeration order from
-/// [`cost::plan_query`]. With `project`, a candidate is a distinct
-/// assignment of the needed variables ([`PreparedQuery::is_needed`]): past
-/// the last of them in `order`, the join only decides whether the
-/// existential rest has some completion, and leaves it unassigned in what
-/// `visit` sees. Without, a candidate is a full assignment.
+/// resolved constants, or the values forced by a membership check, an
+/// answer automaton's head or a delta join's changed pair); a variable
+/// forced to two different nodes takes no value. `order` is the variable
+/// enumeration order, from [`cost::plan_query`] or derived from one. With
+/// `project`, a candidate is a distinct assignment of the needed variables
+/// ([`PreparedQuery::is_needed`]): past the last of them in `order`, the
+/// join only decides whether the existential rest has some completion, and
+/// leaves it unassigned in what `visit` sees. Without, a candidate is a
+/// full assignment.
 ///
 /// Returns an error once the candidates, plus the assignments and memo
 /// entries of the existence check, pass `config.max_candidates`.
@@ -271,15 +275,16 @@ impl<F: FnMut(&[NodeId]) -> bool> Join<'_, F> {
     }
 
     /// The values `var` can take under the current assignment: its forced
-    /// value, intersected with the rows of every edge whose other endpoint
-    /// is assigned. With nothing to narrow by, the nodes whose row along
-    /// each of var's edges is non-empty, from the relation's list of them:
-    /// any other node has no completion, so skipping it changes no count and
-    /// keeps the order.
+    /// value (none when two forced values of it disagree), intersected with
+    /// the rows of every edge whose other endpoint is assigned. With nothing
+    /// to narrow by, the nodes whose row along each of var's edges is
+    /// non-empty, from the relation's list of them: any other node has no
+    /// completion, so skipping it changes no count and keeps the order.
     fn values(&self, var: usize) -> Vec<NodeId> {
         let (edges, reach, a) = (self.edges, self.reach, &self.assignment);
-        let constant = self.constants.iter().rev().find(|&&(c, _)| c == var);
-        let mut values: Option<Vec<NodeId>> = constant.map(|&(_, n)| vec![n]);
+        let mut forced = self.constants.iter().filter(|&&(c, _)| c == var).map(|&(_, n)| n);
+        let mut values: Option<Vec<NodeId>> =
+            forced.next().map(|n| if forced.all(|m| m == n) { vec![n] } else { Vec::new() });
         let mut narrow = |row: &Vec<NodeId>| {
             values = Some(match values.take() {
                 None => row.clone(),

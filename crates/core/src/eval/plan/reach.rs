@@ -66,38 +66,17 @@ impl ReachRel {
         let ReachRel { fwd, bwd, sources, targets } = self;
         set_member(sources, u, !row.is_empty());
         let old = std::mem::replace(&mut fwd[u.index()], row);
-        let (old, new) = (&old[..], &fwd[u.index()][..]);
-        let (mut i, mut j) = (0, 0);
-        while i < old.len() || j < new.len() {
-            // Rows are sorted: the smaller head left (`old`) or joined
-            // (`new`) the row; equal heads stay.
-            let order = match (old.get(i), new.get(j)) {
-                (Some(a), Some(b)) => a.cmp(b),
-                (Some(_), None) => Ordering::Less,
-                (None, _) => Ordering::Greater,
-            };
-            match order {
-                Ordering::Equal => (i, j) = (i + 1, j + 1),
-                Ordering::Less => {
-                    let col = &mut bwd[old[i].index()];
-                    if let Ok(k) = col.binary_search(&u) {
-                        col.remove(k);
-                    }
-                    if col.is_empty() {
-                        set_member(targets, old[i], false);
-                    }
-                    i += 1;
+        diff_rows(&old, &fwd[u.index()], |v, joined| {
+            let col = &mut bwd[v.index()];
+            match col.binary_search(&u) {
+                Err(k) if joined => col.insert(k, u),
+                Ok(k) if !joined => {
+                    col.remove(k);
                 }
-                Ordering::Greater => {
-                    let col = &mut bwd[new[j].index()];
-                    if let Err(k) = col.binary_search(&u) {
-                        col.insert(k, u);
-                    }
-                    set_member(targets, new[j], true);
-                    j += 1;
-                }
+                _ => {}
             }
-        }
+            set_member(targets, v, !col.is_empty());
+        });
     }
 
     /// The number of pairs in the relation.
@@ -108,6 +87,28 @@ impl ReachRel {
     pub fn contains(&self, u: NodeId, v: NodeId) -> bool {
         self.fwd[u.index()].binary_search(&v).is_ok()
     }
+}
+
+/// Walks the sorted rows `old` and `new` together and calls
+/// `changed(v, joined)` on each node `v` only one of them holds, with
+/// `joined` when that one is `new`.
+pub(crate) fn diff_rows(old: &[NodeId], new: &[NodeId], mut changed: impl FnMut(NodeId, bool)) {
+    let (mut i, mut j) = (0, 0);
+    while i < old.len() && j < new.len() {
+        match old[i].cmp(&new[j]) {
+            Ordering::Less => {
+                changed(old[i], false);
+                i += 1;
+            }
+            Ordering::Greater => {
+                changed(new[j], true);
+                j += 1;
+            }
+            Ordering::Equal => (i, j) = (i + 1, j + 1),
+        }
+    }
+    old[i..].iter().for_each(|&v| changed(v, false));
+    new[j..].iter().for_each(|&v| changed(v, true));
 }
 
 /// Adds `v` to (`present`) or takes it out of the ascending `list`.

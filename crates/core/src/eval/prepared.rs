@@ -20,8 +20,9 @@
 //!    constants, then the one candidate driver, `BoundPlan::drive` — the
 //!    candidate join, verification, head dedup and row sink. The
 //!    membership check [`check`](BoundPlan::check) is a pinned Boolean run
-//!    of the same driver, and so are, in nodes mode over an overlay's
-//!    rows, the refreshes of [`super::delta`]'s maintained statements.
+//!    of the same driver, and so is, in nodes mode over an overlay's rows,
+//!    the first build of a [`super::delta`] maintained statement (its
+//!    writes then join only their delta, through the same join).
 //!
 //! `prepare(&query)?` once, then `.bind(&graph)?.run(&config)` as many times
 //! as there are graphs: nothing automaton-shaped is recompiled on reuse, and
@@ -922,8 +923,8 @@ impl<'a> BoundPlan<'a> {
     /// engine, deduplicates heads and answers, counts `verified` and
     /// `search_states` into `stats`, and hands each row to `sink` as
     /// [`run_rows`](Self::run_rows) documents. Cold runs, the membership
-    /// check and the refreshes of maintained statements ([`super::delta`])
-    /// all verify through it.
+    /// check and the first build of a maintained statement
+    /// ([`super::delta`]) all verify through it.
     ///
     /// A candidate is searched when [`PreparedQuery::searches`] says so
     /// (`d` pinning paths makes a membership check). Otherwise the join is
@@ -1343,6 +1344,28 @@ pub(crate) mod tests {
         oneshot.sort();
         prepared.sort();
         assert_eq!(oneshot, prepared);
+    }
+
+    /// Two named constants on one variable must both hold. No node is both
+    /// `n0` and `n2`, so the nodes-mode run answers nothing and the Boolean
+    /// forms answer `false`; two equal constants are one.
+    #[test]
+    fn two_constants_on_one_variable_must_both_hold() {
+        let g = GraphDb::from_edge_list("n0 a n1\nn2 a n3\n").unwrap();
+        let n3 = g.node_by_name("n3").unwrap();
+        let cfg = EvalConfig::default();
+        let plan = |text: &str| {
+            let q = crate::parse::parse_query(text, g.alphabet()).unwrap();
+            PreparedQuery::prepare(&q).unwrap()
+        };
+        for (consts, want) in [("x = :n0, x = :n2", vec![]), ("x = :n2, x = :n2", vec![vec![n3]])] {
+            let pq = plan(&format!("Ans(y) <- (x, p, y), L(p) = a, {consts}"));
+            let bound = pq.bind(&g).unwrap();
+            assert_eq!(bound.run_nodes(&cfg).unwrap().0, want, "{consts}");
+            assert_eq!(bound.run_boolean(&cfg).unwrap().0, !want.is_empty(), "{consts}");
+            let pq = plan(&format!("Ans() <- (x, p, y), L(p) = a, {consts}"));
+            assert_eq!(pq.bind(&g).unwrap().run_boolean(&cfg).unwrap().0, !want.is_empty());
+        }
     }
 
     #[test]

@@ -1362,14 +1362,22 @@ mod tests {
             r#"{"op":"prepare","name":"q","query":"Ans(x, y) <- (x, p, y), L(p) = a a","graph":"g"}"#,
         );
         reply(&s, r#"{"op":"add_edges","graph":"g","edges":[["n0","a","n3"]]}"#);
-        reply(&s, r#"{"op":"run","name":"q","graph":"g"}"#);
+        let r0 = reply(&s, r#"{"op":"run","name":"q","graph":"g"}"#);
         let rows = |s: &Service| counter(s, "ecrpq_maintained_rows_recomputed_total");
-        let before = rows(&s);
+        let heads = |s: &Service| counter(s, "ecrpq_maintained_answers_changed_total");
+        let (before, heads_before) = (rows(&s), heads(&s));
         // On the 6-cycle every node reaches n0, but only n0 (`a` itself) and
         // n5 (`a a`) read a prefix of `a a` ending in the removed `a` edge.
         reply(&s, r#"{"op":"remove_edges","graph":"g","edges":[["n0","a","n3"]]}"#);
         assert_eq!(rows(&s), before + 2);
         let r = reply(&s, r#"{"op":"run","name":"q","graph":"g"}"#);
+        // The heads the remove changed: those only one of the two reads has
+        // (n0 → n4 and n5 → n3, both through the chord).
+        let (old, new) = (sorted_answers(&r0), sorted_answers(&r));
+        let moved = old.iter().filter(|h| !new.contains(h)).count()
+            + new.iter().filter(|h| !old.contains(h)).count();
+        assert_eq!(moved, 2);
+        assert_eq!(heads(&s), heads_before + moved as u64);
         let misses = r.get("stats").unwrap().get("sim_cache_misses").unwrap().as_u64();
         assert_eq!(misses, Some(0), "the backward walk's tables are not the reply's");
         let cold = cold_run(&s, "Ans(x, y) <- (x, p, y), L(p) = a a");
@@ -1377,6 +1385,7 @@ mod tests {
         // A label the constraint never reads changes no row.
         reply(&s, r#"{"op":"add_edges","graph":"g","edges":[["n1","b","n4"]]}"#);
         assert_eq!(rows(&s), before + 2);
+        assert_eq!(heads(&s), heads_before + moved as u64);
     }
 
     #[test]

@@ -54,10 +54,11 @@ impl Service {
         // statement whose update fails (budget) drops back to cold runs.
         let config = EvalConfig::default();
         let LiveState { live, maintained } = state;
-        let mut recomputed = 0;
+        let (mut recomputed, mut changed) = (0, 0);
         maintained.retain(|_, m| match m.apply(live.view(), &out.batch, &config) {
-            Ok(rows) => {
+            Ok((rows, answers)) => {
                 recomputed += rows;
+                changed += answers;
                 true
             }
             Err(_) => false,
@@ -83,6 +84,11 @@ impl Service {
             "(path variable, source) reachability rows recomputed by maintenance-on-write.",
         )
         .add(recomputed as u64);
+        m.counter(
+            "ecrpq_maintained_answers_changed_total",
+            "Head tuples that maintenance-on-write added to or removed from maintained answer sets.",
+        )
+        .add(changed as u64);
 
         Ok(ok_obj([
             ("graph", Value::str(gname)),

@@ -39,7 +39,9 @@
 # `stats g` must leave that write pending (1 pending, 0 merges) since
 # per-graph stats never merge, the remove must recompute exactly the 2
 # maintained rows it can change (`ecrpq_maintained_rows_recomputed_total`
-# rises by 2 on `cycle:6:a` with `L(p) = a a`, not by the cycle's 6) and
+# rises by 2 on `cycle:6:a` with `L(p) = a a`, not by the cycle's 6), change
+# exactly the 2 head tuples the runs around it disagree on
+# (`ecrpq_maintained_answers_changed_total` rises by 2) and
 # restore the pre-mutation answers bit for bit, a `mode: boolean` run leaves
 # `ecrpq_maintained_reads_total` alone,
 # and a second `load g` must drop g's live entry so the next run returns
@@ -83,7 +85,9 @@
 #                  ecrpq_maintained_reads_total, which a boolean run must
 #                  not raise — `stats g` must leave that write pending,
 #                  remove_edges must recompute exactly 2 maintained rows
-#                  (ecrpq_maintained_rows_recomputed_total) and return the
+#                  (ecrpq_maintained_rows_recomputed_total), change exactly
+#                  the 2 head tuples it removes
+#                  (ecrpq_maintained_answers_changed_total) and return the
 #                  answers to exactly the
 #                  pre-mutation set, and reloading g must drop its live
 #                  entry and answer over the loaded graph; the
@@ -425,6 +429,11 @@ answers_of() {
     sed 's/.*"answers"://; s/,"stats".*//' <<< "$1"
 }
 
+# The answer rows of one `run` reply, one per line, sorted.
+rows_of() {
+    answers_of "$1" | grep -o '\[[^][]*\]' | sort
+}
+
 # The merge count and version of one `stats` live-graph entry, in a fixed
 # order.
 merges_and_version() {
@@ -446,7 +455,7 @@ mutation_smoke() {
     echo
     echo "==> mutation smoke (add_edges/remove_edges round-trip on a live overlay)"
     local cli="$repo_root/target/release/ecrpq-cli"
-    local log before after reverted merged live reread live_after reads rows
+    local log before after reverted merged live reread live_after reads rows heads moved
     log=$(mktemp)
     start_server "$log"
 
@@ -482,6 +491,7 @@ mutation_smoke() {
     # (`a` itself) and n5's (`a a`), since `w a` must be a prefix of `a a`;
     # a label-blind closure would recompute all 6 rows of the cycle.
     rows=$(counter_value ecrpq_maintained_rows_recomputed_total)
+    heads=$(counter_value ecrpq_maintained_answers_changed_total)
     "$cli" --addr "$server_addr" remove-edges g n0 a n3
     if [[ "$(counter_value ecrpq_maintained_rows_recomputed_total)" != "$((rows + 2))" ]]; then
         echo "mutation smoke FAILED: remove_edges g n0 a n3 must recompute exactly 2 rows" \
@@ -489,6 +499,15 @@ mutation_smoke() {
         exit 1
     fi
     reverted=$("$cli" --addr "$server_addr" run q g)
+    # The remove changes exactly the head tuples that only one of the runs
+    # around it returns (n0 -> n4 and n5 -> n3, both through the chord).
+    moved=$(comm -3 <(rows_of "$after") <(rows_of "$reverted") | wc -l)
+    if [[ "$moved" != 2 || "$(counter_value ecrpq_maintained_answers_changed_total)" != "$((heads + moved))" ]]; then
+        echo "mutation smoke FAILED: remove_edges g n0 a n3 must change exactly the $moved" \
+            "head tuples the runs around it disagree on, and 2 of them" \
+            "(ecrpq_maintained_answers_changed_total $heads -> $(counter_value ecrpq_maintained_answers_changed_total))" >&2
+        exit 1
+    fi
     if [[ "$(answers_of "$reverted")" != "$(answers_of "$before")" ]]; then
         echo "mutation smoke FAILED: remove_edges must restore the pre-mutation answers" >&2
         echo "  before:   $(answers_of "$before")" >&2
@@ -558,7 +577,7 @@ mutation_smoke() {
     wait "$server_pid"
     server_pid=""
     rm -f "$log"
-    echo "    mutation smoke OK (delta visible + maintained registry hit, stats leaves the write pending, remove recomputes 2 rows and restores answers, boolean runs cold, reload drops the overlay, 2 merges end to end, reads never merge)"
+    echo "    mutation smoke OK (delta visible + maintained registry hit, stats leaves the write pending, remove recomputes 2 rows, changes 2 heads and restores answers, boolean runs cold, reload drops the overlay, 2 merges end to end, reads never merge)"
 }
 
 if [[ "$mutation_smoke_only" == 1 ]]; then

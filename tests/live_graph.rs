@@ -5,7 +5,7 @@
 //! *bit-identical* to a cold re-run of the same statement on the merged
 //! graph — same sorted head tuples, same `verified` count — and that the
 //! maintained path never recompiles a constraint table after its initial
-//! build (`sim_cache_misses == 0` on every refresh). This suite enforces
+//! build (`sim_cache_misses == 0` after every write). This suite enforces
 //! that promise with seeded mutation scripts (interleaved adds, removes,
 //! and query checkpoints), overlays that cross the merge threshold
 //! mid-script, and concurrent readers pinned to old epochs, comparing
