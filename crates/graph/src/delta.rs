@@ -7,9 +7,20 @@
 //! owned by a [`LiveGraph`]. Reads that must see the writes evaluate over
 //! the [`GraphView`] overlay (base rows filtered by tombstones, plus the
 //! delta rows). When the accumulated delta crosses a threshold,
-//! [`LiveGraph::apply`] writes the next epoch's CSR arrays and name arena
-//! directly from the base's and the delta's, and hands the new `GraphDb`
-//! back for the catalog to swap in; old readers keep their pinned `Arc`s.
+//! [`LiveGraph::apply`] seals `base + delta` into the next epoch and hands
+//! the new `GraphDb` back for the catalog to swap in; old readers keep
+//! their pinned `Arc`s.
+//!
+//! The merge writes the next epoch's CSR arrays directly from the base's
+//! and the delta's. A row the delta touches — one with a tombstone or an
+//! added edge, or the row of a node the delta introduced — is written on
+//! its own: the base row minus its tombstones, then its added edges. Every
+//! run of untouched rows between two touched ones is copied whole, its
+//! edges in one slice and its offsets shifted by one constant. So a merge
+//! costs a copy of the arrays plus work per touched row, not work per
+//! node, and [`LiveGraph::last_merge_rows`] reports how many rows it wrote
+//! one at a time. The merged epoch is byte-identical to the graph a
+//! `GraphBuilder` makes from the surviving edges.
 
 use crate::graph::{Csr, Edge, GraphDb, Names, NodeId};
 use ecrpq_automata::alphabet::{Alphabet, Symbol};
@@ -35,7 +46,8 @@ pub struct EdgeDelta {
     base_labels: usize,
     /// Number of live added edge instances (cancelled adds excluded).
     added: usize,
-    /// Added edges grouped by source / target for overlay row reads.
+    /// Added edges grouped by source / target for overlay row reads. No
+    /// row is empty: a remove that cancels a row's last add drops it.
     added_out: HashMap<u32, Vec<(Symbol, NodeId)>>,
     added_in: HashMap<u32, Vec<(Symbol, NodeId)>>,
     /// Removal tombstones against base edges, as `(from, label, to)` raw ids.
@@ -227,6 +239,7 @@ pub struct LiveGraph {
     delta: EdgeDelta,
     version: u64,
     merges: u64,
+    last_merge_rows: usize,
     merge_threshold: usize,
 }
 
@@ -234,7 +247,14 @@ impl LiveGraph {
     /// Wraps a base epoch with an empty delta.
     pub fn new(base: Arc<GraphDb>, merge_threshold: usize) -> LiveGraph {
         let delta = EdgeDelta::new(&base);
-        LiveGraph { base, delta, version: 0, merges: 0, merge_threshold: merge_threshold.max(1) }
+        LiveGraph {
+            base,
+            delta,
+            version: 0,
+            merges: 0,
+            last_merge_rows: 0,
+            merge_threshold: merge_threshold.max(1),
+        }
     }
 
     /// The current base epoch.
@@ -265,6 +285,14 @@ impl LiveGraph {
     /// Merges performed so far.
     pub fn merges(&self) -> u64 {
         self.merges
+    }
+
+    /// The rows, out- and in-rows together, that the last merge wrote one
+    /// at a time instead of copying them in a run of untouched rows: the
+    /// rows its delta touched plus the rows of the nodes it introduced
+    /// (0 before the first merge).
+    pub fn last_merge_rows(&self) -> usize {
+        self.last_merge_rows
     }
 
     /// The configured merge threshold.
@@ -324,17 +352,10 @@ impl LiveGraph {
                     continue;
                 }
             };
-            let mut hit = 0usize;
             // Cancel pending added instances first.
-            if let Some(row) = self.delta.added_out.get_mut(&from.0) {
-                let before = row.len();
-                row.retain(|&(l2, t2)| !(l2 == label && t2 == to));
-                hit += before - row.len();
-            }
+            let mut hit = cancel_adds(&mut self.delta.added_out, from, (label, to));
             if hit > 0 {
-                if let Some(row) = self.delta.added_in.get_mut(&to.0) {
-                    row.retain(|&(l2, f2)| !(l2 == label && f2 == from));
-                }
+                cancel_adds(&mut self.delta.added_in, to, (label, from));
                 self.delta.added -= hit;
             }
             // Then tombstone live base instances (only base labels/nodes can
@@ -405,16 +426,19 @@ impl LiveGraph {
     }
 
     /// Writes the next epoch: out-row `v` is base row `v` minus tombstones,
-    /// then `added_out[v]` (in-rows likewise from `added_in`); names are the
-    /// base's (shared, when the delta added no node) plus the new names;
-    /// the alphabet is the overlay's.
+    /// then `added_out[v]` (in-rows likewise from `added_in`), with every
+    /// run of rows the delta leaves alone copied whole ([`merge_rows`]);
+    /// names are the base's (shared, when the delta added no node) plus the
+    /// new names; the alphabet is the overlay's.
     fn merge(&mut self) -> Arc<GraphDb> {
         let (base, delta) = (&*self.base, &self.delta);
         let (n, m) = (delta.num_nodes(), self.view().num_edges());
         let out_dead = delta.removed.iter().map(|&(f, l, t)| (f, (Symbol(l), NodeId(t))));
         let in_dead = delta.removed.iter().map(|&(f, l, t)| (t, (Symbol(l), NodeId(f))));
-        let out_edges = merge_rows(&base.out_edges, out_dead.collect(), &delta.added_out, n, m);
-        let in_edges = merge_rows(&base.in_edges, in_dead.collect(), &delta.added_in, n, m);
+        let (out_edges, out_rows) =
+            merge_rows(&base.out_edges, out_dead.collect(), &delta.added_out, n, m);
+        let (in_edges, in_rows) =
+            merge_rows(&base.in_edges, in_dead.collect(), &delta.added_in, n, m);
         let names = if delta.new_names.is_empty() {
             Arc::clone(&base.names)
         } else {
@@ -439,47 +463,91 @@ impl LiveGraph {
         self.base = Arc::clone(&merged);
         self.delta = EdgeDelta::new(&merged);
         self.merges += 1;
+        self.last_merge_rows = out_rows + in_rows;
         merged
     }
 }
 
+/// Removes every pending add of `entry` from row `v` of one direction of
+/// the added edges and returns how many it removed. A row left empty is
+/// dropped, so the rows a merge must write are exactly the keys left.
+fn cancel_adds(
+    added: &mut HashMap<u32, Vec<(Symbol, NodeId)>>,
+    v: NodeId,
+    entry: (Symbol, NodeId),
+) -> usize {
+    let Some(row) = added.get_mut(&v.0) else { return 0 };
+    let before = row.len();
+    row.retain(|&e| e != entry);
+    let hit = before - row.len();
+    if row.is_empty() {
+        added.remove(&v.0);
+    }
+    hit
+}
+
 /// One direction of a merged epoch's adjacency over `nodes` nodes: base row
-/// `v` without its tombstoned `(v, entry)` pairs in `dead`, then `added[v]`.
-/// Tombstones and added rows are sorted by row and walked alongside the
-/// nodes, so a row with no tombstone is one `extend_from_slice`.
+/// `v` without its tombstoned `(v, entry)` pairs in `dead`, then `added[v]`;
+/// and the number of rows written one at a time.
+///
+/// Those are the *touched* rows: the ones with a tombstone or an added row
+/// (`added` holds no empty row), and the rows of the nodes the delta
+/// introduced. Each run of untouched base rows between two touched ones is
+/// copied whole: its edges in one slice, its offsets shifted by the
+/// constant that the rows written before it moved them by. The shift is
+/// negative once more edges were removed than added before the run, so it
+/// is applied in wrapping `u32` arithmetic; every result is an offset of
+/// the merged array and so in range. A merge costs one copy of the arrays
+/// plus work per touched row, not work per node.
 fn merge_rows(
     base: &Csr,
     mut dead: Vec<(u32, (Symbol, NodeId))>,
     added: &HashMap<u32, Vec<(Symbol, NodeId)>>,
     nodes: usize,
     edges: usize,
-) -> Csr {
+) -> (Csr, usize) {
     dead.sort_unstable_by_key(|&(v, _)| v);
     let mut added: Vec<(u32, &[(Symbol, NodeId)])> =
         added.iter().map(|(&v, row)| (v, row.as_slice())).collect();
     added.sort_unstable_by_key(|&(v, _)| v);
-    let (mut dead, mut added) = (dead.as_slice(), added.as_slice());
+    let base_rows = base.off.len() - 1;
+    let mut touched: Vec<u32> = dead.iter().map(|&(v, _)| v).collect();
+    touched.extend(added.iter().map(|&(v, _)| v));
+    touched.extend(base_rows as u32..nodes as u32);
+    touched.sort_unstable();
+    touched.dedup();
+
     let mut out = Csr { off: Vec::with_capacity(nodes + 1), edges: Vec::with_capacity(edges) };
     out.off.push(0);
-    for v in 0..nodes as u32 {
-        if (v as usize) + 1 < base.off.len() {
-            let row = base.row(v as usize);
+    // Copies base rows `from..to` unchanged.
+    let copy_run = |out: &mut Csr, from: usize, to: usize| {
+        if from < to {
+            let (lo, hi) = (base.off[from], base.off[to]);
+            let shift = (out.edges.len() as u32).wrapping_sub(lo);
+            out.edges.extend_from_slice(&base.edges[lo as usize..hi as usize]);
+            out.off.extend(base.off[from + 1..=to].iter().map(|&o| o.wrapping_add(shift)));
+        }
+    };
+    let (mut dead, mut added) = (dead.as_slice(), added.as_slice());
+    let mut next = 0;
+    for &v in &touched {
+        copy_run(&mut out, next, (v as usize).min(base_rows));
+        if (v as usize) < base_rows {
             let k = dead.iter().take_while(|&&(r, _)| r == v).count();
-            if k == 0 {
-                out.edges.extend_from_slice(row);
-            } else {
-                let here = &dead[..k];
-                out.edges.extend(row.iter().filter(|&e| !here.iter().any(|(_, d)| d == e)));
-                dead = &dead[k..];
-            }
+            let here = &dead[..k];
+            let row = base.row(v as usize);
+            out.edges.extend(row.iter().filter(|&e| !here.iter().any(|(_, d)| d == e)));
+            dead = &dead[k..];
         }
         if let Some((&(_, row), rest)) = added.split_first().filter(|((r, _), _)| *r == v) {
             out.edges.extend_from_slice(row);
             added = rest;
         }
         out.off.push(out.edges.len() as u32);
+        next = v as usize + 1;
     }
-    out
+    copy_run(&mut out, next, base_rows);
+    (out, touched.len())
 }
 
 #[cfg(test)]
@@ -628,23 +696,64 @@ mod tests {
         }
     }
 
+    /// Appends the node names and labels of `edges` not yet in `names` and
+    /// `labels`, in order of first appearance.
+    fn note(names: &mut Vec<String>, labels: &mut Vec<String>, edges: &[(String, String, String)]) {
+        let add = |seen: &mut Vec<String>, s: &str| {
+            if !seen.iter().any(|x| x == s) {
+                seen.push(s.to_string());
+            }
+        };
+        for (f, l, t) in edges {
+            add(names, f);
+            add(names, t);
+            add(labels, l);
+        }
+    }
+
+    fn snap(g: &GraphDb) -> Vec<u8> {
+        crate::snapshot::write_snapshot(g).unwrap()
+    }
+
+    /// Asserts that `merged` has the rows and the snapshot bytes of the
+    /// graph a `GraphBuilder` makes from `edges` in order, with `names`
+    /// declared first and `labels` interned in order.
+    fn assert_builder_twin(
+        merged: &GraphDb,
+        names: &[String],
+        labels: &[String],
+        edges: &[(String, String, String)],
+        ctx: &str,
+    ) {
+        let mut twin =
+            crate::GraphBuilder::new(Alphabet::from_labels(labels.iter().map(|l| l.as_str())));
+        for name in names {
+            twin.add_named_node(name);
+        }
+        for (f, l, t) in edges {
+            let (from, to) = (twin.add_named_node(f), twin.add_named_node(t));
+            twin.add_edge_labeled(from, l, to);
+        }
+        let twin = twin.build();
+        assert_eq!(merged.num_nodes(), twin.num_nodes(), "{ctx}");
+        for v in twin.nodes() {
+            assert_eq!(merged.out_edges(v), twin.out_edges(v), "{ctx}, out-row {v:?}");
+            assert_eq!(merged.in_edges(v), twin.in_edges(v), "{ctx}, in-row {v:?}");
+        }
+        assert_eq!(snap(merged), snap(&twin), "{ctx}, snapshot bytes");
+    }
+
     /// A merged epoch is exactly the graph a `GraphBuilder` makes from the
     /// surviving edges in insertion order, base names declared first in id
     /// order, then the new names, labels in interning order: the same rows
     /// both ways and the same snapshot bytes. Seeded batches mix parallel
     /// edges, cancelled adds, re-adds after tombstones, and new nodes and
-    /// labels, over three merges.
+    /// labels, over three merges. On those small graphs almost every row is
+    /// touched, so the last input is a 2,000-node base with sparse deltas,
+    /// whose long untouched runs the merge copies whole.
     #[test]
     fn merged_epoch_rows_and_bytes_equal_a_builder_twin() {
         use crate::prng::SplitMix64;
-        use crate::snapshot::write_snapshot;
-        use crate::GraphBuilder;
-
-        fn note(seen: &mut Vec<String>, s: &str) {
-            if !seen.iter().any(|x| x == s) {
-                seen.push(s.to_string());
-            }
-        }
         // Node and label pools grow each round, so later batches introduce
         // new nodes and labels.
         let pick = |rng: &mut SplitMix64, round: usize| {
@@ -665,11 +774,7 @@ mod tests {
             }
             let text: String = edges.iter().map(|(f, l, t)| format!("{f} {l} {t}\n")).collect();
             let (mut names, mut labels) = (Vec::new(), Vec::new());
-            for (f, l, t) in &edges {
-                note(&mut names, f);
-                note(&mut names, t);
-                note(&mut labels, l);
-            }
+            note(&mut names, &mut labels, &edges);
             let mut live =
                 LiveGraph::new(Arc::new(GraphDb::from_edge_list(&text).unwrap()), 1 << 20);
             let mut removed: Vec<(String, String, String)> = Vec::new();
@@ -699,11 +804,7 @@ mod tests {
                     live.apply(&adds, &removes);
                     // The reference: adds land first, then each remove takes
                     // out every live instance of its triple.
-                    for (f, l, t) in &adds {
-                        note(&mut names, f);
-                        note(&mut names, t);
-                        note(&mut labels, l);
-                    }
+                    note(&mut names, &mut labels, &adds);
                     edges.extend(adds);
                     for t in removes {
                         edges.retain(|e| *e != t);
@@ -711,24 +812,78 @@ mod tests {
                     }
                 }
                 let merged = live.force_merge();
-                let mut twin =
-                    GraphBuilder::new(Alphabet::from_labels(labels.iter().map(|l| l.as_str())));
-                for name in &names {
-                    twin.add_named_node(name);
-                }
-                for (f, l, t) in &edges {
-                    let (from, to) = (twin.add_named_node(f), twin.add_named_node(t));
-                    twin.add_edge_labeled(from, l, to);
-                }
-                let twin = twin.build();
                 let ctx = format!("seed {seed}, merge {round}");
-                assert_eq!(merged.num_nodes(), twin.num_nodes(), "{ctx}");
-                for v in twin.nodes() {
-                    assert_eq!(merged.out_edges(v), twin.out_edges(v), "{ctx}, out-row {v:?}");
-                    assert_eq!(merged.in_edges(v), twin.in_edges(v), "{ctx}, in-row {v:?}");
-                }
-                let snap = |g: &GraphDb| write_snapshot(g).unwrap();
-                assert_eq!(snap(&merged), snap(&twin), "{ctx}, snapshot bytes");
+                assert_builder_twin(&merged, &names, &labels, &edges, &ctx);
+            }
+        }
+
+        // The sparse input: an `a`-ring `v0 … v1999` (so node `vi` has id
+        // `i`) plus 1,000 seeded `b` chords.
+        let n = 2000;
+        let mut rng = SplitMix64::seed_from_u64(42);
+        let mut edges: Vec<(String, String, String)> =
+            (0..n).map(|i| triple(&format!("v{i}"), "a", &format!("v{}", (i + 1) % n))).collect();
+        for _ in 0..n / 2 {
+            let (f, t) = (rng.gen_index(n), rng.gen_index(n));
+            edges.push(triple(&format!("v{f}"), "b", &format!("v{t}")));
+        }
+        let text: String = edges.iter().map(|(f, l, t)| format!("{f} {l} {t}\n")).collect();
+        let (mut names, mut labels) = (Vec::new(), Vec::new());
+        note(&mut names, &mut labels, &edges);
+        let mut live = LiveGraph::new(Arc::new(GraphDb::from_edge_list(&text).unwrap()), 1 << 20);
+        let deltas = [
+            // Row 0 and the last base row gain edges; rows 10…40 (out) and
+            // 11…41 (in) only lose one each, so the runs after them shift
+            // down; `w0` and `w1` are new nodes, and `w2` is left with empty
+            // rows once its only add is cancelled.
+            (
+                vec![
+                    triple("v0", "c", "v1000"),
+                    triple("v1999", "c", "v1999"),
+                    triple("v5", "d", "w0"),
+                    triple("w1", "a", "v7"),
+                    triple("v8", "a", "w2"),
+                ],
+                vec![
+                    triple("v8", "a", "w2"),
+                    triple("v10", "a", "v11"),
+                    triple("v20", "a", "v21"),
+                    triple("v30", "a", "v31"),
+                    triple("v40", "a", "v41"),
+                ],
+                // Out-rows 0, 5, 10, 20, 30, 40, 1999 and in-rows 1000,
+                // 1999, 7, 11, 21, 31, 41, plus three new rows each way.
+                20,
+            ),
+            // A net-empty delta: three adds, each cancelled.
+            (
+                vec![
+                    triple("v3", "c", "v900"),
+                    triple("v1500", "c", "v2"),
+                    triple("w2", "c", "v0"),
+                ],
+                vec![
+                    triple("v3", "c", "v900"),
+                    triple("v1500", "c", "v2"),
+                    triple("w2", "c", "v0"),
+                ],
+                0,
+            ),
+        ];
+        for (i, (adds, removes, rows)) in deltas.into_iter().enumerate() {
+            let before = Arc::clone(live.base());
+            live.apply(&adds, &removes);
+            let merged = live.force_merge();
+            note(&mut names, &mut labels, &adds);
+            edges.extend(adds);
+            for t in removes {
+                edges.retain(|e| *e != t);
+            }
+            let ctx = format!("sparse delta {i}");
+            assert_builder_twin(&merged, &names, &labels, &edges, &ctx);
+            assert_eq!(live.last_merge_rows(), rows, "{ctx}, rows written one at a time");
+            if rows == 0 {
+                assert_eq!(snap(&merged), snap(&before), "{ctx}: a net-empty merge");
             }
         }
     }

@@ -11,11 +11,17 @@ impl Service {
     /// rebinds every maintained statement onto it (the maintained rows
     /// already describe the merged graph, so only the statement handle
     /// changes). A statement that no longer rebinds to the same prepared
-    /// query — re-`prepare`d or evicted meanwhile — is dropped.
+    /// query — re-`prepare`d or evicted meanwhile — is dropped. The entry's
+    /// live graph is the one that made `epoch`, so it reports the rows that
+    /// merge wrote one at a time.
     pub(crate) fn publish_merge(&self, gname: &str, entry: &mut GraphEntry, epoch: Arc<GraphDb>) {
-        self.metrics
-            .counter("ecrpq_merges_total", "Live-overlay deltas merged into fresh epochs.")
-            .inc();
+        let m = &self.metrics;
+        m.counter("ecrpq_merges_total", "Live-overlay deltas merged into fresh epochs.").inc();
+        m.counter(
+            "ecrpq_merge_rows_rewritten_total",
+            "CSR rows (out and in) that merges rewrote instead of copying them unchanged.",
+        )
+        .add(entry.live.as_ref().map_or(0, |s| s.live.last_merge_rows()) as u64);
         if let Some(state) = &mut entry.live {
             state.maintained.retain(|sname, m| match self.registry.bound(sname, gname, &epoch) {
                 Ok((stmt, _)) if Arc::ptr_eq(stmt.prepared(), m.statement().prepared()) => {

@@ -349,6 +349,7 @@ fn with_id(reply: Value, id: Option<&Value>) -> Value {
 mod tests {
     use super::request::OPS;
     use super::*;
+    use std::collections::HashSet;
 
     fn reply(service: &Service, line: &str) -> Value {
         let (text, control) = service.dispatch(line);
@@ -1386,6 +1387,51 @@ mod tests {
         reply(&s, r#"{"op":"add_edges","graph":"g","edges":[["n1","b","n4"]]}"#);
         assert_eq!(rows(&s), before + 2);
         assert_eq!(heads(&s), heads_before + moved as u64);
+    }
+
+    /// `ecrpq_merge_rows_rewritten_total` rises, on every merge, by the
+    /// rows the merge wrote one at a time: each distinct source's out-row
+    /// and target's in-row, and both rows of each new node. Every other
+    /// row is copied in a run of untouched rows and not counted.
+    #[test]
+    fn merges_count_the_rows_they_rewrite() {
+        let s = loaded_service();
+        reply(
+            &s,
+            r#"{"op":"prepare","name":"q","query":"Ans(x, y) <- (x, p, y), L(p) = a a","graph":"g"}"#,
+        );
+        let rows = |s: &Service| counter(s, "ecrpq_merge_rows_rewritten_total");
+        let merges = |s: &Service| counter(s, "ecrpq_merges_total");
+        // (op, edges, nodes the write introduces), each merging at once.
+        let writes: [(&str, &[[&str; 3]], usize); 4] = [
+            ("add_edges", &[["n0", "a", "n3"], ["n1", "a", "n3"]], 0),
+            ("add_edges", &[["n2", "b", "hub"]], 1),
+            ("remove_edges", &[["n0", "a", "n3"], ["n1", "a", "n3"]], 0),
+            ("remove_edges", &[["n5", "a", "n0"]], 0),
+        ];
+        for (op, edges, new_nodes) in writes {
+            let (before, merges_before) = (rows(&s), merges(&s));
+            let sources: HashSet<&str> = edges.iter().map(|e| e[0]).collect();
+            let targets: HashSet<&str> = edges.iter().map(|e| e[2]).collect();
+            let text: String = edges.iter().map(|[f, l, t]| format!("{f} {l} {t}\\n")).collect();
+            let m = reply(
+                &s,
+                &format!(r#"{{"op":"{op}","graph":"g","text":"{text}","merge_threshold":1}}"#),
+            );
+            assert_eq!(m.get("merged").unwrap().as_bool(), Some(true), "{op} {edges:?}");
+            assert_eq!(merges(&s), merges_before + 1);
+            // Each new node here is also a target: only its out-row is extra.
+            let want = sources.len() + targets.len() + new_nodes;
+            assert_eq!(rows(&s), before + want as u64, "{op} {edges:?}");
+        }
+
+        // A read that merges the overlay first counts its rows too.
+        reply(&s, r#"{"op":"load","graph":"g2","generator":"cycle:6:a"}"#);
+        reply(&s, r#"{"op":"add_edges","graph":"g2","edges":[["n4","a","n0"]]}"#);
+        let (before, merges_before) = (rows(&s), merges(&s));
+        reply(&s, r#"{"op":"run","name":"q","graph":"g2","mode":"boolean"}"#);
+        assert_eq!(merges(&s), merges_before + 1);
+        assert_eq!(rows(&s), before + 2, "out-row n4 and in-row n0");
     }
 
     #[test]

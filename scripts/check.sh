@@ -93,7 +93,9 @@
 #                  entry and answer over the loaded graph; the
 #                  same two writes on a graph with merge_threshold 1 must
 #                  each merge, with the same answers, ending at 2 merges and
-#                  0 pending, and a further run must return the same rows
+#                  0 pending, each rewriting only the out-row and the in-row
+#                  its edge touches (ecrpq_merge_rows_rewritten_total rises
+#                  by exactly 4), and a further run must return the same rows
 #                  without changing `merges` or `version`) — the fast loop
 #                  while working on the mutation layer. The same gate is
 #                  part of the default sequence.
@@ -455,7 +457,7 @@ mutation_smoke() {
     echo
     echo "==> mutation smoke (add_edges/remove_edges round-trip on a live overlay)"
     local cli="$repo_root/target/release/ecrpq-cli"
-    local log before after reverted merged live reread live_after reads rows heads moved
+    local log before after reverted merged live reread live_after reads rows heads moved rewritten
     log=$(mktemp)
     start_server "$log"
 
@@ -535,8 +537,10 @@ mutation_smoke() {
 
     # The same two writes on g2 with merge_threshold 1: each one merges the
     # overlay into a new epoch, and runs over the merged epochs must give the
-    # answers the overlay gave.
+    # answers the overlay gave. Each merge rewrites only the two rows its
+    # write touches (out-row n0, in-row n3) and copies the rest in runs.
     "$cli" --addr "$server_addr" load g2 cycle:6:a
+    rewritten=$(counter_value ecrpq_merge_rows_rewritten_total)
     merged=$("$cli" --addr "$server_addr" raw \
         '{"op":"add_edges","graph":"g2","edges":[["n0","a","n3"]],"merge_threshold":1}')
     echo "$merged"
@@ -558,6 +562,11 @@ mutation_smoke() {
         echo "mutation smoke FAILED: g2 must report 2 merges and 0 pending, got: $live" >&2
         exit 1
     fi
+    if [[ "$(counter_value ecrpq_merge_rows_rewritten_total)" != "$((rewritten + 4))" ]]; then
+        echo "mutation smoke FAILED: the 2 merges of g2 must rewrite exactly 4 rows" \
+            "(ecrpq_merge_rows_rewritten_total $rewritten -> $(counter_value ecrpq_merge_rows_rewritten_total))" >&2
+        exit 1
+    fi
     # Reads never merge: one more run on the clean graph returns the same
     # rows and leaves the merge count and the version where they were.
     reread=$("$cli" --addr "$server_addr" run q g2)
@@ -577,7 +586,7 @@ mutation_smoke() {
     wait "$server_pid"
     server_pid=""
     rm -f "$log"
-    echo "    mutation smoke OK (delta visible + maintained registry hit, stats leaves the write pending, remove recomputes 2 rows, changes 2 heads and restores answers, boolean runs cold, reload drops the overlay, 2 merges end to end, reads never merge)"
+    echo "    mutation smoke OK (delta visible + maintained registry hit, stats leaves the write pending, remove recomputes 2 rows, changes 2 heads and restores answers, boolean runs cold, reload drops the overlay, 2 merges end to end rewriting 4 rows, reads never merge)"
 }
 
 if [[ "$mutation_smoke_only" == 1 ]]; then
